@@ -79,6 +79,9 @@ def _cmd_run(args, scenario) -> int:
     if not args.exhaustive and args.trajectories < 1:
         print("run: --trajectories must be >= 1 unless --exhaustive is set", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print("run: --seed must be >= 0", file=sys.stderr)
+        return 2
     report = run_scenario(
         scenario, seed=args.seed, n_samples=args.trajectories, exhaustive=args.exhaustive
     )

@@ -2,15 +2,14 @@
 
 Reports are plain dicts of JSON-serializable values, built in a fixed key
 order, so serializing one is byte-reproducible for identical inputs; the
-ensemble is reproducible by construction (per-trajectory seeds), so worker
-count does not affect the output either.
+Monte Carlo ensemble draws each block of samples from its own child of the
+seed's ``SeedSequence``, so it is reproducible given (seed, sample count).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -48,23 +47,6 @@ from .trajectory import (
     mean_entropy_production,
     meter_protocol_entropy,
 )
-
-ENV_WORKERS = "CSM_SIM_THREADS"
-
-
-def resolve_workers(n_workers: int | None = None) -> int:
-    """Explicit count, else the CSM_SIM_THREADS cap, else serial."""
-    if n_workers is not None:
-        if n_workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {n_workers}")
-        return int(n_workers)
-    env = os.environ.get(ENV_WORKERS)
-    if env is None or not env.strip():
-        return 1
-    count = int(env)
-    if count < 1:
-        raise ValueError(f"{ENV_WORKERS} must be >= 1, got {env!r}")
-    return count
 
 
 def build_gram(spec: GramSpec, dim: int) -> np.ndarray:
@@ -194,7 +176,6 @@ def run_scenario(
     seed: int,
     n_samples: int,
     exhaustive: bool = False,
-    n_workers: int | None = None,
 ) -> dict:
     """Execute a scenario and return the report as a JSON-ready dict.
 
@@ -202,9 +183,8 @@ def run_scenario(
     protocol, the meter quantities if a meter is configured, the trajectory
     ensemble (Monte Carlo, or exact enumeration when ``exhaustive``), and
     the configured sweep grids.  Deterministic given (scenario, seed,
-    n_samples), independent of the worker count.
+    n_samples).
     """
-    workers = resolve_workers(n_workers)
     contexts, protocol, pointer, gram = build_scenario_objects(scenario)
     initial = protocol.initial
     dim = scenario.dim
@@ -249,7 +229,7 @@ def run_scenario(
             "shannon_entropy_final": exact.shannon_entropy_final,
         }
     else:
-        stats = mean_entropy_production(protocol, n_samples, seed, n_workers=workers)
+        stats = mean_entropy_production(protocol, n_samples, seed)
         ensemble = {
             "mode": "monte_carlo",
             "sample_count": stats.sample_count,

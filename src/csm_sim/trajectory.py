@@ -20,7 +20,6 @@ distribution.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +200,11 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     telescoped form); the two must agree to ``CROSS_CHECK_TOL``.  Undefined
     on forward paths of probability zero.
     """
+    return _log_ratio(protocol, outcomes, final_dist)[1]
+
+
+def _log_ratio(protocol: Protocol, outcomes, final_dist) -> tuple[float, float]:
+    """(forward log-probability, entropy production) of a path, cross-checked."""
     outcomes = _check_outcomes(protocol, outcomes)
     fwd = forward_log_prob(protocol, outcomes)
     if fwd == float("-inf"):
@@ -218,33 +222,28 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
         raise InternalConsistencyError(
             f"entropy production routes disagree: {difference!r} vs {telescoped!r}"
         )
-    return telescoped + 0.0
+    return fwd, telescoped + 0.0
 
 
-def _draw_index(cum: np.ndarray, probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: smallest index whose cumulative weight reaches ``u``."""
-    j = int(np.searchsorted(cum, u, side="left"))
-    if j >= probs.size:
-        # u fell beyond the accumulated total by rounding; last supported index
-        j = int(np.max(np.nonzero(probs)[0]))
-    return j
+def _draw_index(cum: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw: smallest index whose cumulative weight exceeds ``u``.
+
+    A zero-weight outcome never exceeds its predecessor's weight, so it is
+    never drawn; past the rounded total, the last supported index is.
+    """
+    return min(
+        int(np.searchsorted(cum, u, side="right")),
+        int(np.searchsorted(cum, cum[-1], side="left")),
+    )
 
 
 def _sample_outcomes(
-    step_matrices: list[np.ndarray],
-    step_cumulatives: list[np.ndarray],
-    initial_index: int,
-    rng: np.random.Generator,
-) -> tuple[list[int], float]:
+    step_cumulatives: list[np.ndarray], initial_index: int, rng: np.random.Generator
+) -> list[int]:
     outcomes = [initial_index]
-    log_prob = 0.0
-    for t, cum in zip(step_matrices, step_cumulatives):
-        previous = outcomes[-1]
-        j = _draw_index(cum[:, previous], t[:, previous], rng.random())
-        p = t[j, previous]
-        log_prob += math.log(p) if p > 0.0 else float("-inf")
-        outcomes.append(j)
-    return outcomes, log_prob
+    for cum in step_cumulatives:
+        outcomes.append(_draw_index(cum[:, outcomes[-1]], rng.random()))
+    return outcomes
 
 
 def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
@@ -255,67 +254,83 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     Entropy production is evaluated against the exact final marginal, i.e.
     the unread-outcome reference.
     """
-    tms = step_transition_matrices(protocol)
-    cums = [np.cumsum(t, axis=0) for t in tms]
+    cums = [np.cumsum(t, axis=0) for t in step_transition_matrices(protocol)]
     rng = np.random.default_rng(seed)
-    outcomes, log_prob = _sample_outcomes(tms, cums, protocol.initial.index, rng)
-    delta = entropy_production(protocol, outcomes, final_marginal(protocol))
-    return Trajectory(tuple(outcomes), log_prob, delta)
+    outcomes = _sample_outcomes(cums, protocol.initial.index, rng)
+    fwd, delta = _log_ratio(protocol, outcomes, final_marginal(protocol))
+    return Trajectory(tuple(outcomes), fwd, delta)
 
 
-def _resolve_workers(n_workers: int | None) -> int:
-    if n_workers is None:
-        return 1
-    if n_workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {n_workers}")
-    return int(n_workers)
+# Samples per independently seeded block of the Monte Carlo ensemble.  Part of
+# the random stream: changing it changes every estimate drawn from a seed.
+BLOCK = 1 << 14
+
+
+def _block_finals(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray:
+    """Final outcomes of a block of samples, each step drawn as :func:`_draw_index` does.
+
+    ``uniforms`` yields one vector per step, shaped like ``initial``.  One
+    ``searchsorted`` per distinct previous outcome keeps memory O(block).
+    """
+    state = initial
+    for cum, u in zip(step_cumulatives, uniforms):
+        nxt = np.empty_like(state)
+        for prev in np.flatnonzero(np.bincount(state)):
+            col = cum[:, prev]
+            mask = state == prev
+            nxt[mask] = np.minimum(
+                np.searchsorted(col, u[mask], side="right"),
+                np.searchsorted(col, col[-1], side="left"),
+            )
+        state = nxt
+    return state
+
+
+def _block_counts(
+    step_cumulatives, initial_index: int, dim: int, seed: int, n_samples: int
+) -> np.ndarray:
+    """Final-outcome counts of each block of the ensemble, shape (blocks, dim).
+
+    Block ``b`` holds samples ``[b*BLOCK, (b+1)*BLOCK)`` and draws from the
+    ``b``-th child of ``SeedSequence(seed)``, so a full block's counts depend
+    on (seed, b) alone, whatever the total sample count.
+    """
+    n_blocks = -(-n_samples // BLOCK)
+    counts = np.empty((n_blocks, dim), dtype=np.int64)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        rng = np.random.default_rng(child)
+        size = min(BLOCK, n_samples - b * BLOCK)
+        initial = np.full(size, initial_index, dtype=np.intp)
+        uniforms = (rng.random(size) for _ in step_cumulatives)
+        finals = _block_finals(step_cumulatives, initial, uniforms)
+        counts[b] = np.bincount(finals, minlength=dim)
+    return counts
 
 
 def mean_entropy_production(
-    protocol: Protocol,
-    n_samples: int,
-    seed: int,
-    n_workers: int | None = None,
+    protocol: Protocol, n_samples: int, seed: int
 ) -> TrajectoryEnsembleStats:
     """Monte Carlo estimate of the mean entropy production.
 
-    Every trajectory gets its own generator seeded by (seed, index), so the
-    ensemble is reproducible and independent of how the work is split across
-    workers.  The reference distribution is the exact final marginal, whose
-    Shannon entropy the mean estimates.
+    Samples are drawn in blocks of ``BLOCK``, each from its own child of
+    ``SeedSequence(seed)``, so the ensemble is reproducible given (seed,
+    n_samples).  The reference distribution is the exact final marginal,
+    whose Shannon entropy the mean estimates; entropy production depends
+    only on the final outcome, so mean and std error come from its counts.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    workers = _resolve_workers(n_workers)
-    tms = step_transition_matrices(protocol)
-    cums = [np.cumsum(t, axis=0) for t in tms]
+    cums = [np.cumsum(t, axis=0) for t in step_transition_matrices(protocol)]
     marginal = final_marginal(protocol)
-    with np.errstate(divide="ignore"):
-        neg_log_marginal = np.where(marginal > 0.0, -np.log(np.minimum(marginal, 1.0)), np.inf)
-    initial_index = protocol.initial.index
-
-    def run_chunk(indices: range) -> np.ndarray:
-        deltas = np.empty(len(indices))
-        for pos, i in enumerate(indices):
-            rng = np.random.default_rng((seed, i))
-            outcomes, _ = _sample_outcomes(tms, cums, initial_index, rng)
-            deltas[pos] = neg_log_marginal[outcomes[-1]]
-        return deltas
-
-    if workers == 1:
-        deltas = run_chunk(range(n_samples))
-    else:
-        bounds = np.linspace(0, n_samples, workers + 1).astype(int)
-        chunks = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = np.concatenate(list(pool.map(run_chunk, chunks)))
-
+    counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)
+    realized = np.flatnonzero(counts)
+    c = counts[realized].astype(float)
+    deltas = -np.log(np.minimum(marginal[realized], 1.0))
     # fsum: summation error must stay below the std-error scale, which for a
     # near-constant ensemble is far tighter than pairwise summation delivers.
-    mean = math.fsum(deltas.tolist()) / n_samples
-    std_error = (
-        float(np.std(deltas, ddof=1)) / math.sqrt(n_samples) if n_samples > 1 else 0.0
-    )
+    mean = math.fsum((c * deltas).tolist()) / n_samples
+    variance = math.fsum((c * (deltas - mean) ** 2).tolist()) / max(n_samples - 1, 1)
+    std_error = math.sqrt(variance / n_samples)
     return TrajectoryEnsembleStats(
         sample_count=n_samples,
         mean_entropy_production=mean,

@@ -13,6 +13,7 @@ import pytest
 
 import csm_sim as cs
 from conftest import random_unit_gram
+from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json"
 
@@ -161,7 +162,7 @@ def test_criterion_06_shannon_identity_sampled():
     z = cs.computational_context(2)
     protocol = cs.Protocol((z, cs.rotation_context(np.pi / 2)), z.modality(0))
     start = time.perf_counter()
-    stats = cs.mean_entropy_production(protocol, 100_000, seed=20260810, n_workers=1)
+    stats = cs.mean_entropy_production(protocol, 100_000, seed=20260810)
     elapsed = time.perf_counter() - start
     dev = abs(stats.mean_entropy_production - math.log(2))
     bound = 3 * stats.std_error
@@ -244,15 +245,22 @@ def test_criterion_09_two_form_consistency():
     assert worst <= tol
 
 
-def test_criterion_10_byte_identical_reports(monkeypatch):
+def test_criterion_10_byte_identical_reports():
     scenario = cs.parse_scenario(SCENARIO)
-    monkeypatch.setenv("CSM_SIM_THREADS", "1")
     first = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=2000))
     second = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=2000))
-    monkeypatch.setenv("CSM_SIM_THREADS", "4")
-    threaded = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=2000))
-    ok = first == second and first == threaded
-    _line(10, "reports byte-identical across repeated runs and worker counts {1,4}",
-          ok, f"{len(first)} bytes each")
+    n = 2 * BLOCK + 7
+    multi = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
+    multi_again = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
+    # block b draws from (seed, b) alone: a shorter run's full blocks recur
+    _, protocol, _, _ = cs.build_scenario_objects(scenario)
+    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    args = (cums, protocol.initial.index, protocol.dim, 42)
+    long, short = _block_counts(*args, n), _block_counts(*args, 2 * BLOCK)
+    blocks_recur = np.array_equal(short, long[:2]) and not np.array_equal(long[0], long[1])
+    ok = first == second and multi == multi_again and blocks_recur
+    _line(10, "reports byte-identical across repeated runs; full blocks recur across lengths",
+          ok, f"{len(first)} and {len(multi)} bytes, block counts {long.tolist()}")
     assert first == second
-    assert first == threaded
+    assert multi == multi_again
+    assert blocks_recur

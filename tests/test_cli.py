@@ -35,6 +35,13 @@ def test_run_zero_trajectories_without_exhaustive_is_usage_error(capsys):
     assert main(["run", SCENARIO, "--trajectories", "0"]) == 2
 
 
+def test_run_negative_seed_is_usage_error(capsys):
+    assert main(["run", SCENARIO, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_passes(capsys):
     assert main(["verify", SCENARIO, "--tolerance", "1e-10"]) == 0
     out = capsys.readouterr().out

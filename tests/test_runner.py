@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
-from csm_sim.runner import format_csv, resolve_workers, sweep_table
+from csm_sim.runner import format_csv, sweep_table
+from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -82,27 +83,21 @@ def test_exhaustive_mode(balanced_scenario):
     assert ensemble["mean_entropy_production"] == pytest.approx(np.log(2), abs=1e-12)
 
 
-def test_reports_byte_identical_across_runs_and_workers(balanced_scenario, monkeypatch):
+def test_reports_byte_identical_across_runs_and_blocks(balanced_scenario):
     first = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
     second = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
     assert first == second
-    monkeypatch.setenv("CSM_SIM_THREADS", "4")
-    threaded = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
-    assert threaded == first
-    monkeypatch.setenv("CSM_SIM_THREADS", "1")
-    serial = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
-    assert serial == first
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("CSM_SIM_THREADS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("CSM_SIM_THREADS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2  # explicit argument wins
-    monkeypatch.setenv("CSM_SIM_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers()
+    n = 2 * BLOCK + 7
+    multi = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n))
+    assert cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n)) == multi
+    # every full block of the shorter run reappears in the longer one
+    _, protocol, _, _ = cs.build_scenario_objects(balanced_scenario)
+    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    args = (cums, protocol.initial.index, protocol.dim, 11)
+    long, short = _block_counts(*args, n), _block_counts(*args, BLOCK + 1)
+    assert long.sum(axis=1).tolist() == [BLOCK, BLOCK, 7]
+    np.testing.assert_array_equal(short[0], long[0])
+    assert not np.array_equal(long[0], long[1])
 
 
 def test_verify_clean_scenario_passes(balanced_scenario):

@@ -13,6 +13,7 @@ from csm_sim.errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
+from csm_sim.trajectory import _block_finals, _draw_index
 
 
 def balanced_protocol():
@@ -165,21 +166,55 @@ def test_mean_entropy_production_deterministic_protocol():
     assert stats.shannon_entropy_final == 0.0
 
 
-def test_mean_entropy_production_matches_public_sampler():
-    # ensemble index i uses the (seed, i) substream of the public sampler
-    protocol = balanced_protocol()
-    stats = cs.mean_entropy_production(protocol, 64, 7)
-    deltas = [cs.sample_trajectory(protocol, (7, i)).entropy_production for i in range(64)]
-    assert stats.mean_entropy_production == pytest.approx(np.mean(deltas), abs=1e-13)
-    assert stats.sample_count == 64
+def _haar_protocol(seed, dim, steps):
+    rng = np.random.default_rng(seed)
+    contexts = tuple(cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, steps + 1))
+    return cs.Protocol(contexts, contexts[0].modality(int(rng.integers(dim))))
 
 
-def test_mean_entropy_production_worker_independent():
-    protocol = balanced_protocol()
-    a = cs.mean_entropy_production(protocol, 500, 9, n_workers=1)
-    b = cs.mean_entropy_production(protocol, 500, 9, n_workers=4)
-    assert a.mean_entropy_production == b.mean_entropy_production
-    assert a.std_error == b.std_error
+@pytest.mark.parametrize(
+    "weights, u, expected",
+    [
+        ([0.0, 0.5, 0.5], 0.0, 1),  # rng.random() can return 0.0
+        ([0.25, 0.75, 0.0], 1.0, 1),  # at the total: last supported index
+        ([0.25, 0.75, 0.0], 1.5, 1),
+    ],
+)
+def test_draws_never_return_zero_weight_outcome(weights, u, expected):
+    cum = np.cumsum(weights)
+    assert _draw_index(cum, u) == expected
+    finals = _block_finals([cum[:, None]], np.zeros(1, dtype=np.intp), [np.array([u])])
+    assert finals.tolist() == [expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 8),
+    steps=st.integers(1, 4),
+)
+def test_block_kernel_matches_scalar_draws(seed, dim, steps):
+    # Referee for the ensemble kernel: on identical uniforms it must reproduce
+    # the scalar inverse-CDF draw sample for sample, at every step.  Uniforms
+    # are chosen per sample from its own column: exact cumulative boundaries,
+    # the column total and just past it, zero, and ordinary draws.
+    protocol = _haar_protocol(seed, dim, steps)
+    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    rng = np.random.default_rng(seed)
+    n = 8 * dim
+    paths = np.empty((steps + 1, n), dtype=np.intp)
+    paths[0] = protocol.initial.index
+    uniforms = np.empty((steps, n))
+    for s, cum in enumerate(cums):
+        for i in range(n):
+            col = cum[:, paths[s, i]]
+            pool = np.concatenate([col, [np.nextafter(col[-1], 2.0), 0.0, rng.random()]])
+            uniforms[s, i] = pool[rng.integers(pool.size)]
+            paths[s + 1, i] = _draw_index(col, uniforms[s, i])
+    initial = np.full(n, protocol.initial.index, dtype=np.intp)
+    for s in range(1, steps + 1):
+        finals = _block_finals(cums[:s], initial, uniforms[:s])
+        np.testing.assert_array_equal(finals, paths[s])
 
 
 def test_mean_entropy_production_shannon_identity_within_errorbars():
