@@ -22,9 +22,9 @@ pointer = cs.rotation_context(np.pi / 2)
 print("overlap g | P(return) | coherence | entropy produced (nats)")
 for g in np.linspace(0.0, 1.0, 11):
     gram = cs.gram_uniform(2, g)
-    p_return = cs.meter_return_probability(initial, pointer, gram, 0)
+    p_return = cs.meter_return_probabilities(initial, pointer, gram)[0]
     state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
-    rho = cs.reduced_system_state(state, gram, pointer)
+    rho = cs.reduced_system_state(state, pointer)
     entropy = cs.meter_protocol_entropy(initial, pointer, gram)
     print(f"{g:9.2f} | {p_return:9.4f} | {abs(rho[0, 1]):9.4f} | {entropy:.6f}")
 
@@ -33,13 +33,12 @@ print("Cross-check at g = 0.37: the overlap-matrix formula must agree with the")
 print("expectation value taken directly in the explicit composite state.")
 gram = cs.gram_uniform(2, 0.37)
 state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
-for k in range(2):
-    via_gram = cs.meter_return_probability(initial, pointer, gram, k)
+for k, via_gram in enumerate(cs.meter_return_probabilities(initial, pointer, gram)):
     via_state = cs.composite_return_probability(state, initial.context, pointer, k)
     print(f"  outcome {k}: {via_gram:.15f} vs {via_state:.15f}")
 
 print()
 print("Meter overlaps can carry phases; the return probability stays real:")
-gram = np.array([[1.0, 0.6j], [-0.6j, 1.0]])
+gram = cs.Gram(np.array([[1.0, 0.6j], [-0.6j, 1.0]]))
 print(f"  P(return) with overlap 0.6i: "
-      f"{cs.meter_return_probability(initial, pointer, gram, 0):.6f}")
+      f"{cs.meter_return_probabilities(initial, pointer, gram)[0]:.6f}")

@@ -27,7 +27,7 @@ for g in (0.8, 0.5, 0.2):
 
 # The M -> infinity limit is the block-diagonal post-measurement state that a
 # single projective (orthogonal-meter) measurement would produce.
-post = cs.post_measurement_state(initial, pointer, cs.meter_states_from_gram(np.eye(2)))
+post = cs.post_measurement_state(initial, pointer, cs.meter_states_from_gram(cs.Gram(np.eye(2))))
 system_block = cs.partial_trace_meter(post, 2, 2)
 print("projective-limit system state (diagonal):", np.diagonal(system_block).real)
 chain = cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(2, 0.5), 40)

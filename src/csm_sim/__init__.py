@@ -15,6 +15,7 @@ from ._version import __version__
 from .errors import (
     CsmSimError,
     DimensionMismatch,
+    EnumerationTooLarge,
     IndexOutOfRange,
     InitialMismatch,
     InternalConsistencyError,
@@ -57,16 +58,16 @@ from .measurement import (
     validate_distribution,
 )
 from .qnd import (
+    Gram,
     composite_return_probability,
     entangle,
     gram_uniform,
     meter_chain_reduced_state,
-    meter_return_probability,
+    meter_return_probabilities,
     meter_states_from_gram,
     partial_trace_meter,
     post_measurement_state,
     reduced_system_state,
-    validate_gram,
     von_neumann_entropy,
 )
 from .runner import (

@@ -112,7 +112,11 @@ def _cmd_sweep(args, scenario) -> int:
     if args.steps < 1:
         print("sweep: --steps must be >= 1", file=sys.stderr)
         return 2
-    values = np.linspace(args.start, args.stop, args.steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = np.linspace(args.start, args.stop, args.steps)
+    if not np.isfinite(values).all() or (args.param == "m_count" and round(values.min()) < 0):
+        print("sweep: grid values must be finite, and m_count values >= 0", file=sys.stderr)
+        return 2
     if args.param == "m_count":
         values = [int(round(v)) for v in values]
     rows = sweep_rows(scenario, args.param, values)

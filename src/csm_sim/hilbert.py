@@ -46,7 +46,7 @@ class Context:
         if basis.shape[0] < 2:
             raise DimensionMismatch(f"context dimension must be >= 2, got {basis.shape[0]}")
         residual = orthonormality_residual(basis)
-        if residual > INPUT_TOL:
+        if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}"
             )

@@ -10,6 +10,10 @@ overlaps reproduce a projective measurement of the pointer context,
 all-ones overlaps leave the system untouched, and everything in between is
 a weak measurement.
 
+The overlap matrix is a frozen :class:`Gram`, validated once at construction
+and carrying its eigendecomposition; every function here takes one and trusts
+it.  Tolerance checks read ``not residual <= tol``, so a NaN fails them.
+
 Conventions: meter states are stored as the columns of an M×N complex
 matrix, with M the meter dimension; composite amplitudes are indexed
 ``j * M + l`` for system branch ``j`` (pointer basis) and meter component
@@ -18,6 +22,8 @@ on the system factor.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from .errors import (
     StrengthOutOfRange,
 )
 from .hilbert import INPUT_TOL, Context, Modality
-from .measurement import as_probability, clamp_probabilities, return_path_amplitudes
+from .measurement import as_probability, clamp_probabilities
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
@@ -40,7 +46,41 @@ RANK_TOL = 1e-10
 METER_TOL = 1e-8
 
 
-def gram_uniform(n: int, g: float) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
+
+    Checked once here (smallest eigenvalue not below ``-RANK_TOL``); the
+    read-only eigendecomposition is kept for :func:`meter_states_from_gram`.
+    """
+
+    matrix: np.ndarray
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=complex)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise InvalidGramMatrix(f"overlap matrix must be square, got shape {matrix.shape}")
+        if not np.max(np.abs(matrix - matrix.conj().T)) <= INPUT_TOL:
+            raise InvalidGramMatrix("overlap matrix is not Hermitian")
+        if not np.max(np.abs(np.diagonal(matrix) - 1.0)) <= INPUT_TOL:
+            raise InvalidGramMatrix("overlap matrix diagonal is not 1")
+        eigvals, eigvecs = np.linalg.eigh(matrix)
+        if not eigvals[0] >= -RANK_TOL:
+            raise NotPositiveSemidefinite(
+                f"smallest eigenvalue {eigvals[0]:.3e} below -{RANK_TOL:.0e}"
+            )
+        for name, value in (("matrix", matrix), ("eigvals", eigvals), ("eigvecs", eigvecs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def gram_uniform(n: int, g: float) -> Gram:
     """Overlap matrix with unit diagonal and constant off-diagonal ``g``.
 
     ``g = 0`` is the projective-measurement limit (orthogonal meter states),
@@ -51,25 +91,10 @@ def gram_uniform(n: int, g: float) -> np.ndarray:
         raise StrengthOutOfRange(f"overlap strength g={g!r} outside [0, 1]")
     gram = np.full((n, n), complex(g))
     np.fill_diagonal(gram, 1.0)
-    return gram
+    return Gram(gram)
 
 
-def validate_gram(gram: np.ndarray, tol: float = INPUT_TOL) -> np.ndarray:
-    """Check Hermiticity, unit diagonal and positive semidefiniteness."""
-    gram = np.asarray(gram, dtype=complex)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise InvalidGramMatrix(f"overlap matrix must be square, got shape {gram.shape}")
-    if float(np.max(np.abs(gram - gram.conj().T))) > tol:
-        raise InvalidGramMatrix("overlap matrix is not Hermitian")
-    if float(np.max(np.abs(np.diagonal(gram) - 1.0))) > tol:
-        raise InvalidGramMatrix("overlap matrix diagonal is not 1")
-    smallest = float(np.linalg.eigvalsh(gram)[0])
-    if smallest < -RANK_TOL:
-        raise NotPositiveSemidefinite(f"smallest eigenvalue {smallest:.3e} below -{RANK_TOL:.0e}")
-    return gram
-
-
-def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
+def meter_states_from_gram(gram: Gram) -> np.ndarray:
     """Realize unit vectors whose pairwise overlaps reproduce ``gram``.
 
     Returns an M×N matrix whose column ``j`` is ``|w_j⟩``, with M the
@@ -78,19 +103,16 @@ def meter_states_from_gram(gram: np.ndarray) -> np.ndarray:
     descending and each eigenvector's largest-magnitude component made real
     positive, so the output is deterministic given the input.
     """
-    gram = validate_gram(gram)
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    keep = eigvals > RANK_TOL
-    eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+    order = np.argsort(-gram.eigvals, kind="stable")
+    order = order[gram.eigvals[order] > RANK_TOL]
+    eigvals, eigvecs = gram.eigvals[order], gram.eigvecs[:, order]
     for a in range(eigvecs.shape[1]):
         pivot = int(np.argmax(np.abs(eigvecs[:, a])))
         phase = eigvecs[pivot, a] / abs(eigvecs[pivot, a])
         eigvecs[:, a] /= phase
     states = np.sqrt(eigvals)[:, None] * eigvecs.conj().T
-    residual = float(np.max(np.abs(states.conj().T @ states - gram)))
-    if residual > METER_TOL:
+    residual = float(np.max(np.abs(states.conj().T @ states - gram.matrix)))
+    if not residual <= METER_TOL:
         raise InternalConsistencyError(
             f"realized meter states reproduce overlaps only to {residual:.3e}"
         )
@@ -102,7 +124,7 @@ def validate_meter_states(meters: np.ndarray) -> np.ndarray:
     if meters.ndim != 2:
         raise InvalidMeterStates(f"meter states must form a matrix, got shape {meters.shape}")
     norms = np.linalg.norm(meters, axis=0)
-    if float(np.max(np.abs(norms - 1.0))) > METER_TOL:
+    if not np.max(np.abs(norms - 1.0)) <= METER_TOL:
         raise InvalidMeterStates("meter states must have unit norm")
     return meters
 
@@ -123,31 +145,29 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     branch = pointer.basis.conj().T @ initial.vector  # ⟨v_j|u_i⟩
     state = (branch[:, None] * meters.T).reshape(n * m_dim)
     norm_dev = abs(float(np.linalg.norm(state)) - 1.0)
-    if norm_dev > INPUT_TOL:
+    if not norm_dev <= INPUT_TOL:
         raise InternalConsistencyError(f"composite state norm off by {norm_dev:.3e}")
     return state
 
 
-def meter_return_probability(
-    initial: Modality, pointer: Context, gram: np.ndarray, final_index: int
-) -> float:
-    """Probability of outcome ``final_index`` back in the initial context after meter coupling.
+def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) -> np.ndarray:
+    """Probability of every outcome ``k`` back in the initial context after meter coupling.
 
     Quadratic form Σ_{j,j'} ⟨u_i|v_j⟩⟨v_j|u_k⟩ ⟨w_j|w_j'⟩ ⟨u_k|v_j'⟩⟨v_j'|u_i⟩
-    in the per-path amplitudes; real up to rounding for a Hermitian overlap
-    matrix.  Identity overlaps make it the probability-summed return, all-ones
-    overlaps the amplitude-summed (certain) return.
+    in the per-path amplitudes, one row of the path-amplitude matrix per
+    ``k``; real up to rounding for a Hermitian overlap matrix.  Identity
+    overlaps make it the probability-summed return, all-ones overlaps the
+    amplitude-summed (certain) return.
     """
-    gram = validate_gram(gram)
-    if gram.shape[0] != pointer.dim:
-        raise DimensionMismatch(
-            f"overlap matrix dim {gram.shape[0]} vs pointer dim {pointer.dim}"
-        )
-    paths = return_path_amplitudes(initial, pointer, final_index)
-    value = complex(np.vdot(paths, gram @ paths))
-    if abs(value.imag) > INPUT_TOL:
-        raise InternalConsistencyError(f"imaginary residue {value.imag!r} in return probability")
-    return as_probability(value.real)
+    if not initial.dim == pointer.dim == gram.dim:
+        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
+    branch = pointer.basis.conj().T @ initial.vector  # ⟨v_j|u_i⟩
+    paths = (initial.context.basis.conj().T @ pointer.basis) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
+    values = np.sum(paths.conj() * (paths @ gram.matrix.T), axis=1)
+    residue = float(np.max(np.abs(values.imag)))
+    if not residue <= INPUT_TOL:
+        raise InternalConsistencyError(f"imaginary residue {residue!r} in return probabilities")
+    return clamp_probabilities(values.real)
 
 
 def composite_return_probability(
@@ -157,7 +177,7 @@ def composite_return_probability(
 
     Expectation of (projector onto outcome ``final_index`` of ``context``) ⊗ 1
     in ``state``; the overlap-matrix route of
-    :func:`meter_return_probability` must reproduce it.
+    :func:`meter_return_probabilities` must reproduce it.
     """
     state = np.asarray(state, dtype=complex)
     n = pointer.dim
@@ -186,7 +206,7 @@ def post_measurement_state(
     meters = validate_meter_states(meters)
     m_dim, n = meters.shape
     ortho_dev = float(np.max(np.abs(meters.conj().T @ meters - np.eye(n))))
-    if ortho_dev > METER_TOL:
+    if not ortho_dev <= METER_TOL:
         raise MeterNotOrthogonal(f"meter overlap deviates from identity by {ortho_dev:.3e}")
     if pointer.dim != n or initial.dim != n:
         raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {n}")
@@ -201,7 +221,7 @@ def post_measurement_state(
     return rho
 
 
-def reduced_system_state(state: np.ndarray, gram: np.ndarray, pointer: Context) -> np.ndarray:
+def reduced_system_state(state: np.ndarray, pointer: Context) -> np.ndarray:
     """System state after tracing out the meter, in pointer-basis coordinates.
 
     For the entangled state this gives element (j, j') = c_j c̄_j' ⟨w_j'|w_j⟩:
@@ -209,10 +229,7 @@ def reduced_system_state(state: np.ndarray, gram: np.ndarray, pointer: Context) 
     overlap.
     """
     state = np.asarray(state, dtype=complex)
-    gram = validate_gram(gram)
     n = pointer.dim
-    if gram.shape[0] != n:
-        raise DimensionMismatch(f"overlap matrix dim {gram.shape[0]} vs pointer dim {n}")
     if state.ndim != 1 or state.size % n != 0 or state.size == 0:
         raise DimensionMismatch(
             f"composite state of size {state.shape} not compatible with dim {n}"
@@ -222,7 +239,7 @@ def reduced_system_state(state: np.ndarray, gram: np.ndarray, pointer: Context) 
 
 
 def meter_chain_reduced_state(
-    initial: Modality, pointer: Context, gram: np.ndarray, m_count: int
+    initial: Modality, pointer: Context, gram: Gram, m_count: int
 ) -> np.ndarray:
     """Reduced system state after coupling to a chain of ``m_count`` identical meters.
 
@@ -232,16 +249,11 @@ def meter_chain_reduced_state(
     """
     if m_count < 0:
         raise ValueError(f"m_count must be >= 0, got {m_count}")
-    gram = validate_gram(gram)
-    if gram.shape[0] != pointer.dim:
-        raise DimensionMismatch(
-            f"overlap matrix dim {gram.shape[0]} vs pointer dim {pointer.dim}"
-        )
-    if initial.dim != pointer.dim:
-        raise DimensionMismatch(f"dims differ: {initial.dim} vs {pointer.dim}")
+    if not initial.dim == pointer.dim == gram.dim:
+        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
     branch = pointer.basis.conj().T @ initial.vector
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
-    return np.outer(branch, branch.conj()) * gram.conj() ** m_count
+    return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
 
 
 def partial_trace_meter(rho: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -264,7 +276,7 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(ρ log ρ) in nats; eigenvalues within tolerance of zero contribute nothing."""
     eigvals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if float(eigvals[0]) < -INPUT_TOL:
+    if not eigvals[0] >= -INPUT_TOL:
         raise InternalConsistencyError(f"density matrix eigenvalue {eigvals[0]:.3e} < 0")
     probs = clamp_probabilities(eigvals)
     positive = probs[probs > 0.0]

@@ -29,15 +29,15 @@ from .measurement import (
     transition_matrix,
 )
 from .qnd import (
+    Gram,
     composite_return_probability,
     density_matrix_residuals,
     entangle,
     gram_uniform,
-    meter_return_probability,
-    meter_states_from_gram,
     meter_chain_reduced_state,
+    meter_return_probabilities,
+    meter_states_from_gram,
     reduced_system_state,
-    validate_gram,
 )
 from .scenario import GramSpec, Scenario
 from .trajectory import (
@@ -49,10 +49,10 @@ from .trajectory import (
 )
 
 
-def build_gram(spec: GramSpec, dim: int) -> np.ndarray:
+def build_gram(spec: GramSpec, dim: int) -> Gram:
     if spec.kind == "uniform":
         return gram_uniform(dim, spec.g)
-    return validate_gram(spec.matrix)
+    return Gram(spec.matrix)
 
 
 def build_scenario_objects(scenario: Scenario):
@@ -83,19 +83,16 @@ def _g_sweep_rows(initial: Modality, pointer: Context, values) -> list[dict]:
         rows.append(
             {
                 "g": float(g),
-                "return_probabilities": [
-                    meter_return_probability(initial, pointer, gram, k)
-                    for k in range(pointer.dim)
-                ],
+                "return_probabilities": _floats(
+                    meter_return_probabilities(initial, pointer, gram)
+                ),
                 "entropy": meter_protocol_entropy(initial, pointer, gram),
             }
         )
     return rows
 
 
-def _m_count_sweep_rows(
-    initial: Modality, pointer: Context, gram: np.ndarray, values
-) -> list[dict]:
+def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, values) -> list[dict]:
     rows = []
     off_mask = ~np.eye(pointer.dim, dtype=bool)
     for m in values:
@@ -130,7 +127,11 @@ def _phase_sweep_rows(initial: Modality, intermediate: Context, values) -> list[
 
 def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     """Grid-complete sweep rows for one parameter; one row per grid point."""
-    contexts, protocol, pointer, gram = build_scenario_objects(scenario)
+    _, protocol, pointer, gram = build_scenario_objects(scenario)
+    return _sweep_rows(protocol, pointer, gram, param, values)
+
+
+def _sweep_rows(protocol: Protocol, pointer, gram, param: str, values) -> list[dict]:
     initial = protocol.initial
     if param == "g":
         if pointer is None:
@@ -203,15 +204,12 @@ def run_scenario(
 
     meter_section = None
     if pointer is not None:
-        meters = meter_states_from_gram(gram)
-        state = entangle(initial, pointer, meters)
-        rho = reduced_system_state(state, gram, pointer)
+        state = entangle(initial, pointer, meter_states_from_gram(gram))
+        rho = reduced_system_state(state, pointer)
         off_mask = ~np.eye(dim, dtype=bool)
         meter_section = {
             "pointer": scenario.meter.pointer,
-            "return_probabilities": [
-                meter_return_probability(initial, pointer, gram, k) for k in range(dim)
-            ],
+            "return_probabilities": _floats(meter_return_probabilities(initial, pointer, gram)),
             "reduced_state_diagonal": _floats(rho.diagonal().real),
             "max_coherence": float(np.max(np.abs(rho[off_mask]))),
             "coherence_magnitudes": [_floats(np.abs(rho[j])) for j in range(dim)],
@@ -219,39 +217,28 @@ def run_scenario(
         }
 
     if exhaustive:
-        exact = exhaustive_entropy_production(protocol)
-        ensemble = {
-            "mode": "exhaustive",
-            "sample_count": exact.path_count,
-            "mean_entropy_production": exact.mean_entropy_production,
-            "std_error": 0.0,
-            "final_distribution": _floats(exact.final_distribution),
-            "shannon_entropy_final": exact.shannon_entropy_final,
-        }
+        stats = exhaustive_entropy_production(protocol)
+        mode, count, std_error = "exhaustive", stats.path_count, 0.0
     else:
         stats = mean_entropy_production(protocol, n_samples, seed)
-        ensemble = {
-            "mode": "monte_carlo",
-            "sample_count": stats.sample_count,
-            "mean_entropy_production": stats.mean_entropy_production,
-            "std_error": stats.std_error,
-            "final_distribution": _floats(stats.final_distribution),
-            "shannon_entropy_final": stats.shannon_entropy_final,
-        }
+        mode, count, std_error = "monte_carlo", stats.sample_count, stats.std_error
+    ensemble = {
+        "mode": mode,
+        "sample_count": count,
+        "mean_entropy_production": stats.mean_entropy_production,
+        "std_error": std_error,
+        "final_distribution": _floats(stats.final_distribution),
+        "shannon_entropy_final": stats.shannon_entropy_final,
+    }
 
     sweep_section = None
     if scenario.sweep is not None:
-        sweep_section = {}
-        if scenario.sweep.g is not None:
-            sweep_section["g"] = _g_sweep_rows(initial, pointer, scenario.sweep.g)
-        if scenario.sweep.m_count is not None:
-            sweep_section["m_count"] = _m_count_sweep_rows(
-                initial, pointer, gram, scenario.sweep.m_count
-            )
-        if scenario.sweep.phase is not None:
-            sweep_section["phase"] = _phase_sweep_rows(
-                initial, protocol.contexts[1], scenario.sweep.phase
-            )
+        grids = {param: getattr(scenario.sweep, param) for param in ("g", "m_count", "phase")}
+        sweep_section = {
+            param: _sweep_rows(protocol, pointer, gram, param, values)
+            for param, values in grids.items()
+            if values is not None
+        }
 
     return {
         "tool": "csm-sim",
@@ -353,13 +340,11 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
             meters = meter_states_from_gram(gram)
             add(
                 "meter.states_reproduce_overlaps",
-                float(np.max(np.abs(meters.conj().T @ meters - gram))),
+                float(np.max(np.abs(meters.conj().T @ meters - gram.matrix))),
             )
             state = entangle(initial, pointer, meters)
             add("meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0))
-            probs = np.array(
-                [meter_return_probability(initial, pointer, gram, k) for k in range(dim)]
-            )
+            probs = meter_return_probabilities(initial, pointer, gram)
             add("meter.return_normalization", abs(float(probs.sum()) - 1.0))
             two_form = max(
                 abs(
@@ -369,7 +354,7 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
                 for k in range(dim)
             )
             add("meter.return_two_form_agreement", float(two_form))
-            rho = reduced_system_state(state, gram, pointer)
+            rho = reduced_system_state(state, pointer)
             residuals = density_matrix_residuals(rho)
             add("meter.reduced_state", max(residuals.values()))
 

@@ -15,6 +15,7 @@ at construction time).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,7 +130,10 @@ def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
             raise ScenarioValidationError(field, f"rotation contexts require dim 2, scenario has dim {dim}")
         return ContextSpec(kind, dim, theta=_number(f"{field}.theta", data["theta"]))
     if kind == "haar":
-        return ContextSpec(kind, dim, seed=_integer(f"{field}.seed", data["seed"]))
+        seed = _integer(f"{field}.seed", data["seed"])
+        if seed < 0:
+            raise ScenarioValidationError(f"{field}.seed", f"must be >= 0, got {seed}")
+        return ContextSpec(kind, dim, seed=seed)
     if kind == "explicit":
         return ContextSpec(kind, dim, matrix=_matrix(f"{field}.matrix", data["matrix"], dim))
     return ContextSpec(kind, dim)
@@ -150,6 +154,13 @@ def _parse_gram_spec(field: str, data, dim: int) -> GramSpec:
     return GramSpec(kind, matrix=_matrix(f"{field}.matrix", data["matrix"], dim))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file.
 
@@ -158,13 +169,14 @@ def parse_scenario(path: str | Path) -> Scenario:
     FileNotFoundError
         Missing file.
     ScenarioParseError
-        Syntactically invalid JSON, with line/column.
+        Syntactically invalid JSON, with line/column, or a non-finite number
+        (``NaN``, ``Infinity``, or a literal that overflows a double).
     ScenarioValidationError
         Schema violation, naming the offending field.
     """
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as err:
         raise ScenarioParseError(err.msg, err.lineno, err.colno) from err
     if not isinstance(raw, dict):

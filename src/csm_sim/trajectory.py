@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EnumerationTooLarge,
     IndexOutOfRange,
     InitialMismatch,
     InternalConsistencyError,
@@ -34,17 +35,17 @@ from .errors import (
 )
 from .hilbert import Context, Modality
 from .measurement import (
-    born_probability,
+    clamp_probabilities,
     point_mass,
     propagate,
     transition_matrix,
     validate_distribution,
 )
 from .qnd import (
+    Gram,
     entangle,
     meter_states_from_gram,
     reduced_system_state,
-    validate_gram,
     von_neumann_entropy,
 )
 
@@ -131,14 +132,73 @@ def final_marginal(protocol: Protocol) -> np.ndarray:
     return dist
 
 
-def _check_outcomes(protocol: Protocol, outcomes) -> tuple[int, ...]:
+def _check_outcomes(protocol: Protocol, outcomes, from_initial: bool = True) -> np.ndarray:
+    """A validated outcome sequence, as a one-row path table."""
     outcomes = tuple(int(j) for j in outcomes)
     if len(outcomes) != len(protocol):
         raise LengthMismatch(f"{len(outcomes)} outcomes for {len(protocol)} contexts")
     for ctx, j in zip(protocol.contexts, outcomes):
         if not 0 <= j < ctx.dim:
             raise IndexOutOfRange(f"outcome {j} not in [0, {ctx.dim})")
-    return outcomes
+    if from_initial and outcomes[0] != protocol.initial.index:
+        raise InitialMismatch(f"sequence starts at {outcomes[0]}, not {protocol.initial.index}")
+    return np.array([outcomes], dtype=np.intp)
+
+
+def _reference(protocol: Protocol, final_dist) -> np.ndarray:
+    final_dist, dim = validate_distribution(final_dist), protocol.contexts[-1].dim
+    if final_dist.size != dim:
+        raise DimensionMismatch(f"final distribution size {final_dist.size} vs dim {dim}")
+    return clamp_probabilities(final_dist)
+
+
+def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step probabilities, shape (n_paths, len - 1), and log-probability of each forward path.
+
+    ``paths`` is an (n_paths, len) table of outcome sequences; step ``s`` reads
+    entry (next, previous) of ``transition_matrix(contexts[s], contexts[s + 1])``.
+    """
+    steps = np.empty((len(paths), len(protocol) - 1))
+    for s, t in enumerate(step_transition_matrices(protocol)):
+        steps[:, s] = t[paths[:, s + 1], paths[:, s]]
+    with np.errstate(divide="ignore"):
+        return steps, np.log(steps).sum(axis=1)
+
+
+def _backward_log_probs(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Log-probability of each time-reversed path, a route independent of the forward one.
+
+    The reference weight of the final outcome, then per step ``s`` entry
+    (previous, next) of ``transition_matrix(contexts[s + 1], contexts[s])``.
+    """
+    c = protocol.contexts
+    factors = [reference[paths[:, -1]]] + [
+        transition_matrix(c[s + 1], c[s])[paths[:, s], paths[:, s + 1]]
+        for s in range(len(c) - 2, -1, -1)
+    ]
+    with np.errstate(divide="ignore"):
+        return np.log(factors).sum(axis=0)
+
+
+def _log_ratios(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> tuple:
+    """Step probabilities, forward log-probability and entropy production of every path.
+
+    Entropy production is the telescoped form, -log of the reference weight of
+    the final outcome; forward minus backward log-probability must match it to
+    ``CROSS_CHECK_TOL`` on every path of positive forward probability, the
+    others read NaN (undefined).
+    """
+    steps, fwd = _forward_log_probs(protocol, paths)
+    weights = reference.tolist()
+    telescoped = np.array([-math.log(w) if w > 0.0 else math.inf for w in weights])[paths[:, -1]]
+    live = fwd > -math.inf
+    with np.errstate(invalid="ignore"):
+        difference = fwd - _backward_log_probs(protocol, paths, reference)
+    bad = np.flatnonzero(live & ~np.isclose(difference, telescoped, rtol=0.0, atol=CROSS_CHECK_TOL))
+    if bad.size:
+        gap = f"{difference[bad[0]]:.17g} vs {telescoped[bad[0]]:.17g}"
+        raise InternalConsistencyError(f"entropy production routes disagree: {gap}")
+    return steps, fwd, np.where(live, telescoped + 0.0, np.nan)
 
 
 def forward_log_prob(protocol: Protocol, outcomes) -> float:
@@ -147,21 +207,7 @@ def forward_log_prob(protocol: Protocol, outcomes) -> float:
     The initial outcome is known with certainty, so only the transitions
     contribute; a forbidden transition yields -inf.
     """
-    outcomes = _check_outcomes(protocol, outcomes)
-    if outcomes[0] != protocol.initial.index:
-        raise InitialMismatch(
-            f"sequence starts at {outcomes[0]}, protocol initial is {protocol.initial.index}"
-        )
-    total = 0.0
-    for (a, b), (i, j) in zip(
-        zip(protocol.contexts[:-1], protocol.contexts[1:]),
-        zip(outcomes[:-1], outcomes[1:]),
-    ):
-        p = born_probability(Modality(a, i), Modality(b, j))
-        if p == 0.0:
-            return float("-inf")
-        total += math.log(p)
-    return total
+    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[1][0])
 
 
 def backward_log_prob(protocol: Protocol, outcomes, final_dist) -> float:
@@ -171,25 +217,8 @@ def backward_log_prob(protocol: Protocol, outcomes, final_dist) -> float:
     then runs the contexts in reverse order; the conditional factors equal
     the forward ones because single-step probabilities are symmetric.
     """
-    outcomes = _check_outcomes(protocol, outcomes)
-    final_dist = validate_distribution(final_dist)
-    if final_dist.size != protocol.contexts[-1].dim:
-        raise DimensionMismatch(
-            f"final distribution size {final_dist.size} vs dim {protocol.contexts[-1].dim}"
-        )
-    weight = float(final_dist[outcomes[-1]])
-    total = float("-inf") if weight == 0.0 else math.log(weight)
-    for k in range(len(protocol) - 2, -1, -1):
-        if total == float("-inf"):
-            return total
-        p = born_probability(
-            Modality(protocol.contexts[k + 1], outcomes[k + 1]),
-            Modality(protocol.contexts[k], outcomes[k]),
-        )
-        if p == 0.0:
-            return float("-inf")
-        total += math.log(p)
-    return total
+    path = _check_outcomes(protocol, outcomes, from_initial=False)
+    return float(_backward_log_probs(protocol, path, _reference(protocol, final_dist))[0])
 
 
 def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
@@ -205,45 +234,11 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
 
 def _log_ratio(protocol: Protocol, outcomes, final_dist) -> tuple[float, float]:
     """(forward log-probability, entropy production) of a path, cross-checked."""
-    outcomes = _check_outcomes(protocol, outcomes)
-    fwd = forward_log_prob(protocol, outcomes)
-    if fwd == float("-inf"):
+    path = _check_outcomes(protocol, outcomes)
+    _, fwd, delta = _log_ratios(protocol, path, _reference(protocol, final_dist))
+    if fwd[0] == -math.inf:
         raise ZeroProbabilityPath("forward path has probability zero")
-    bwd = backward_log_prob(protocol, outcomes, final_dist)
-    difference = fwd - bwd
-    weight = float(np.asarray(final_dist, dtype=float)[outcomes[-1]])
-    telescoped = float("inf") if weight == 0.0 else -math.log(weight)
-    if math.isfinite(telescoped):
-        if abs(difference - telescoped) > CROSS_CHECK_TOL:
-            raise InternalConsistencyError(
-                f"entropy production routes disagree: {difference!r} vs {telescoped!r}"
-            )
-    elif difference != telescoped:
-        raise InternalConsistencyError(
-            f"entropy production routes disagree: {difference!r} vs {telescoped!r}"
-        )
-    return fwd, telescoped + 0.0
-
-
-def _draw_index(cum: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw: smallest index whose cumulative weight exceeds ``u``.
-
-    A zero-weight outcome never exceeds its predecessor's weight, so it is
-    never drawn; past the rounded total, the last supported index is.
-    """
-    return min(
-        int(np.searchsorted(cum, u, side="right")),
-        int(np.searchsorted(cum, cum[-1], side="left")),
-    )
-
-
-def _sample_outcomes(
-    step_cumulatives: list[np.ndarray], initial_index: int, rng: np.random.Generator
-) -> list[int]:
-    outcomes = [initial_index]
-    for cum in step_cumulatives:
-        outcomes.append(_draw_index(cum[:, outcomes[-1]], rng.random()))
-    return outcomes
+    return float(fwd[0]), float(delta[0])
 
 
 def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
@@ -256,9 +251,10 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     """
     cums = [np.cumsum(t, axis=0) for t in step_transition_matrices(protocol)]
     rng = np.random.default_rng(seed)
-    outcomes = _sample_outcomes(cums, protocol.initial.index, rng)
+    initial = np.array([protocol.initial.index], dtype=np.intp)
+    outcomes = tuple(_sample_paths(cums, initial, (rng.random(1) for _ in cums))[0].tolist())
     fwd, delta = _log_ratio(protocol, outcomes, final_marginal(protocol))
-    return Trajectory(tuple(outcomes), fwd, delta)
+    return Trajectory(outcomes, fwd, delta)
 
 
 # Samples per independently seeded block of the Monte Carlo ensemble.  Part of
@@ -266,15 +262,18 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
 BLOCK = 1 << 14
 
 
-def _block_finals(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray:
-    """Final outcomes of a block of samples, each step drawn as :func:`_draw_index` does.
+def _sample_paths(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray:
+    """Outcome sequences of a block of samples, shape (samples, 1 + steps), by inverse CDF.
 
-    ``uniforms`` yields one vector per step, shaped like ``initial``.  One
-    ``searchsorted`` per distinct previous outcome keeps memory O(block).
+    Each step draws the smallest outcome whose cumulative weight in the
+    previous outcome's column exceeds the sample's uniform (one vector per
+    step in ``uniforms``), so a zero-weight outcome is never drawn; past the
+    rounded total, the last supported one is.  One ``searchsorted`` per
+    distinct previous outcome keeps memory O(block).
     """
-    state = initial
+    paths = [initial]
     for cum, u in zip(step_cumulatives, uniforms):
-        nxt = np.empty_like(state)
+        state, nxt = paths[-1], np.empty_like(initial)
         for prev in np.flatnonzero(np.bincount(state)):
             col = cum[:, prev]
             mask = state == prev
@@ -282,8 +281,8 @@ def _block_finals(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray
                 np.searchsorted(col, u[mask], side="right"),
                 np.searchsorted(col, col[-1], side="left"),
             )
-        state = nxt
-    return state
+        paths.append(nxt)
+    return np.stack(paths, axis=1)
 
 
 def _block_counts(
@@ -302,7 +301,7 @@ def _block_counts(
         size = min(BLOCK, n_samples - b * BLOCK)
         initial = np.full(size, initial_index, dtype=np.intp)
         uniforms = (rng.random(size) for _ in step_cumulatives)
-        finals = _block_finals(step_cumulatives, initial, uniforms)
+        finals = _sample_paths(step_cumulatives, initial, uniforms)[:, -1]
         counts[b] = np.bincount(finals, minlength=dim)
     return counts
 
@@ -341,53 +340,36 @@ def mean_entropy_production(
 
 
 def exhaustive_entropy_production(
-    protocol: Protocol,
-    final_dist: np.ndarray | None = None,
-    max_paths: int = MAX_ENUMERATED_PATHS,
+    protocol: Protocol, final_dist: np.ndarray | None = None
 ) -> ExhaustiveStats:
-    """Exact expected entropy production by brute-force path enumeration.
+    """Exact expected entropy production by enumerating every path.
 
-    Walks every outcome sequence, accumulating path probability from the
-    step matrices; each path's log-ratio goes through
-    :func:`entropy_production`, i.e. the cross-checked forward/backward
-    evaluation, so this is the referee for the sampled estimate.  Refuses
-    instances beyond ``max_paths`` paths.
+    Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
+    cross-checked forward/backward evaluation, so this is the referee for
+    the sampled estimate.  A path's probability is the in-order product of
+    its step probabilities; paths with a zero-probability step contribute
+    nothing.  Refuses tables of more than ``MAX_ENUMERATED_PATHS`` paths.
     """
     n_steps = len(protocol) - 1
     dim = protocol.dim
     path_count = dim**n_steps
-    if path_count > max_paths:
-        raise ValueError(f"{path_count} paths exceed the enumeration cap {max_paths}")
-    marginal = final_marginal(protocol)
-    reference = marginal if final_dist is None else validate_distribution(final_dist)
-    if reference.size != protocol.contexts[-1].dim:
-        raise DimensionMismatch(
-            f"final distribution size {reference.size} vs dim {protocol.contexts[-1].dim}"
+    if path_count > MAX_ENUMERATED_PATHS:
+        raise EnumerationTooLarge(
+            f"{path_count} paths exceed the enumeration bound {MAX_ENUMERATED_PATHS}"
         )
-    tms = step_transition_matrices(protocol)
-
-    contributions = []
-    accumulated = np.zeros(dim)
-    stack = [((protocol.initial.index,), 1.0)]  # (outcomes so far, path probability)
-    while stack:
-        outcomes, prob = stack.pop()
-        depth = len(outcomes) - 1
-        if depth == n_steps:
-            accumulated[outcomes[-1]] += prob
-            contributions.append(prob * entropy_production(protocol, outcomes, reference))
-            continue
-        t = tms[depth]
-        for nxt in range(dim):
-            p = t[nxt, outcomes[-1]]
-            if p > 0.0:
-                stack.append((outcomes + (nxt,), prob * p))
-    mean = math.fsum(contributions)
-    return ExhaustiveStats(
-        path_count=path_count,
-        mean_entropy_production=mean + 0.0,
-        final_distribution=accumulated,
-        shannon_entropy_final=shannon_entropy(marginal),
-    )
+    marginal = final_marginal(protocol)
+    reference = marginal if final_dist is None else _reference(protocol, final_dist)
+    paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
+    paths[:, 0] = protocol.initial.index
+    paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
+    steps, fwd, delta = _log_ratios(protocol, paths, reference)
+    prob = np.ones(path_count)
+    for column in steps.T:
+        prob = prob * column
+    live = fwd > -math.inf
+    mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
+    final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
+    return ExhaustiveStats(path_count, mean, final, shannon_entropy(marginal))
 
 
 def shannon_entropy(dist: np.ndarray) -> float:
@@ -397,7 +379,7 @@ def shannon_entropy(dist: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p))) + 0.0
 
 
-def meter_protocol_entropy(initial: Modality, pointer: Context, gram: np.ndarray) -> float:
+def meter_protocol_entropy(initial: Modality, pointer: Context, gram: Gram) -> float:
     """Entropy produced by a meter-mediated measurement of given strength.
 
     The entropy of the reduced system state after the meter coupling: equal
@@ -405,8 +387,5 @@ def meter_protocol_entropy(initial: Modality, pointer: Context, gram: np.ndarray
     meter states, zero for indistinguishable ones, and a continuous
     irreversibility gauge in between.
     """
-    gram = validate_gram(gram)
-    meters = meter_states_from_gram(gram)
-    state = entangle(initial, pointer, meters)
-    rho = reduced_system_state(state, gram, pointer)
-    return von_neumann_entropy(rho)
+    state = entangle(initial, pointer, meter_states_from_gram(gram))
+    return von_neumann_entropy(reduced_system_state(state, pointer))

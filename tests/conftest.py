@@ -20,7 +20,7 @@ def balanced(z_context, x_context):
     return z_context.modality(0), x_context
 
 
-def random_unit_gram(n: int, seed: int) -> np.ndarray:
+def random_unit_gram(n: int, seed: int) -> cs.Gram:
     """Random Hermitian PSD matrix with unit diagonal (complex entries)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -28,4 +28,4 @@ def random_unit_gram(n: int, seed: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(np.real(np.diagonal(gram)))
     gram = gram * np.outer(scale, scale)
     np.fill_diagonal(gram, 1.0)
-    return gram
+    return cs.Gram(gram)

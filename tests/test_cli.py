@@ -42,6 +42,33 @@ def test_run_negative_seed_is_usage_error(capsys):
     assert captured.out == ""
 
 
+def test_run_exhaustive_past_path_bound_is_domain_error(tmp_path, capsys):
+    doc = {
+        "schema_version": 1,
+        "dim": 8,
+        "contexts": {"c": {"kind": "computational"}},
+        "protocol": {"initial": {"context": "c", "index": 0}, "sequence": ["c"] * 8},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "enumeration bound" in captured.err
+
+
+def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    text = Path(SCENARIO).read_text()
+    path.write_text(text.replace('"theta": 1.5707963267948966', '"theta": NaN'))
+    assert "NaN" in path.read_text()
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_verify_passes(capsys):
     assert main(["verify", SCENARIO, "--tolerance", "1e-10"]) == 0
     out = capsys.readouterr().out
@@ -118,3 +145,12 @@ def test_sweep_phase(capsys):
 
 def test_sweep_invalid_steps(capsys):
     assert main(["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", "0"]) == 2
+
+
+@pytest.mark.parametrize("param, start", [("m_count", "-2"), ("m_count", "nan"), ("phase", "inf")])
+def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
+    argv = ["sweep", SCENARIO, "--param", param, "--from", start, "--to", "4", "--steps", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sweep: ")

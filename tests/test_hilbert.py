@@ -37,6 +37,8 @@ def test_fourier_context_orthonormal():
 def test_explicit_context_rejects_non_orthonormal():
     with pytest.raises(NonOrthonormalInput):
         cs.explicit_context(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    with pytest.raises(NonOrthonormalInput):  # a NaN residual must not pass the check
+        cs.explicit_context(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_rotation_requires_dim_two():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import (
@@ -13,13 +15,13 @@ from conftest import random_unit_gram
 
 
 def test_gram_uniform_limits():
-    np.testing.assert_array_equal(cs.gram_uniform(3, 0.0), np.eye(3))
-    np.testing.assert_array_equal(cs.gram_uniform(3, 1.0), np.ones((3, 3)))
+    np.testing.assert_array_equal(cs.gram_uniform(3, 0.0).matrix, np.eye(3))
+    np.testing.assert_array_equal(cs.gram_uniform(3, 1.0).matrix, np.ones((3, 3)))
 
 
 def test_gram_uniform_eigenvalues():
     # 3x3 with off-diagonal 1/2: spectrum {2, 1/2, 1/2}
-    eigs = np.linalg.eigvalsh(cs.gram_uniform(3, 0.5))
+    eigs = np.linalg.eigvalsh(cs.gram_uniform(3, 0.5).matrix)
     np.testing.assert_allclose(eigs, [0.5, 0.5, 2.0], atol=1e-12)
 
 
@@ -32,21 +34,59 @@ def test_gram_uniform_range_check():
 
 def test_validate_gram_rejects_bad_matrices():
     with pytest.raises(InvalidGramMatrix):
-        cs.validate_gram(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
+        cs.Gram(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
     with pytest.raises(InvalidGramMatrix):
-        cs.validate_gram(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal not 1
+        cs.Gram(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal not 1
     with pytest.raises(NotPositiveSemidefinite):
-        cs.validate_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+        cs.Gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+    with pytest.raises(InvalidGramMatrix):
+        cs.Gram(np.ones(3))  # not square
+
+
+def test_gram_is_read_only():
+    source = np.eye(2, dtype=complex)
+    gram = cs.Gram(source)
+    source[0, 1] = 0.5  # the Gram holds its own copy
+    assert gram.matrix[0, 1] == 0.0
+    for array in (gram.matrix, gram.eigvals, gram.eigvecs):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 6),
+    defect=st.sampled_from(["nan", "hermitian", "diagonal", "psd"]),
+)
+def test_gram_rejects_invalid_matrices(seed, dim, defect):
+    rng = np.random.default_rng(seed)
+    matrix = random_unit_gram(dim, seed).matrix.copy()
+    j, k = rng.choice(dim, size=2, replace=False)
+    if defect == "nan":
+        matrix[j, k] = np.nan
+    elif defect == "hermitian":
+        matrix[j, k] += 1e-6j
+    elif defect == "diagonal":
+        matrix[j, j] = 1.0 + 1e-6
+    else:
+        # uniform overlap g > 1 has eigenvalue 1 - g < 0; phases keep the spectrum
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+        matrix = np.full((dim, dim), complex(rng.uniform(1.01, 2.0)))
+        np.fill_diagonal(matrix, 1.0)
+        matrix = phases[:, None] * matrix * phases.conj()[None, :]
+    with pytest.raises(NotPositiveSemidefinite if defect == "psd" else InvalidGramMatrix):
+        cs.Gram(matrix)
 
 
 def test_meter_states_identity_gram_is_standard_basis():
-    states = cs.meter_states_from_gram(np.eye(3))
+    states = cs.meter_states_from_gram(cs.Gram(np.eye(3)))
     assert states.shape == (3, 3)
     np.testing.assert_array_equal(states, np.eye(3))
 
 
 def test_meter_states_all_ones_gram_is_rank_one():
-    states = cs.meter_states_from_gram(np.ones((3, 3)))
+    states = cs.meter_states_from_gram(cs.Gram(np.ones((3, 3))))
     assert states.shape == (1, 3)
     np.testing.assert_allclose(states, np.ones((1, 3)), atol=1e-12)
 
@@ -54,7 +94,7 @@ def test_meter_states_all_ones_gram_is_rank_one():
 def test_meter_states_reproduce_overlaps():
     gram = cs.gram_uniform(2, 0.5)
     states = cs.meter_states_from_gram(gram)
-    np.testing.assert_allclose(states.conj().T @ states, gram, atol=1e-8)
+    np.testing.assert_allclose(states.conj().T @ states, gram.matrix, atol=1e-8)
     np.testing.assert_allclose(np.linalg.norm(states, axis=0), [1.0, 1.0], atol=1e-8)
 
 
@@ -63,12 +103,12 @@ def test_meter_states_complex_gram_and_determinism():
     a = cs.meter_states_from_gram(gram)
     b = cs.meter_states_from_gram(gram)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(a.conj().T @ a, gram, atol=1e-8)
+    np.testing.assert_allclose(a.conj().T @ a, gram.matrix, atol=1e-8)
 
 
 def test_entangle_same_context_is_product_state():
     ctx = cs.computational_context(2)
-    meters = cs.meter_states_from_gram(np.eye(2))
+    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
     state = cs.entangle(ctx.modality(0), ctx, meters)
     # single branch: |v_0>|w_0>
     np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-12)
@@ -76,7 +116,7 @@ def test_entangle_same_context_is_product_state():
 
 def test_entangle_balanced_branches(balanced):
     initial, tilted = balanced
-    meters = cs.meter_states_from_gram(np.eye(2))
+    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
     state = cs.entangle(initial, tilted, meters)
     branch = tilted.basis.conj().T @ initial.vector
     # amplitude layout j*M + l, meter tags on the diagonal slots
@@ -98,27 +138,22 @@ def test_entangle_norm_for_random_inputs():
 
 def test_entangle_dim_mismatch(balanced):
     initial, _ = balanced
-    meters = cs.meter_states_from_gram(np.eye(3))
+    meters = cs.meter_states_from_gram(cs.Gram(np.eye(3)))
     with pytest.raises(DimensionMismatch):
         cs.entangle(initial, cs.haar_context(3, 1), meters)
 
 
 def test_meter_return_identity_gram_matches_irreversible(balanced):
     initial, tilted = balanced
+    probs = cs.meter_return_probabilities(initial, tilted, cs.Gram(np.eye(2)))
     for k in range(2):
-        assert cs.meter_return_probability(initial, tilted, np.eye(2), k) == pytest.approx(
-            cs.irreversible_return(initial, tilted, k), abs=1e-12
-        )
+        assert probs[k] == pytest.approx(cs.irreversible_return(initial, tilted, k), abs=1e-12)
 
 
 def test_meter_return_all_ones_gram_is_delta(balanced):
     initial, tilted = balanced
-    assert cs.meter_return_probability(initial, tilted, np.ones((2, 2)), 0) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert cs.meter_return_probability(initial, tilted, np.ones((2, 2)), 1) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    probs = cs.meter_return_probabilities(initial, tilted, cs.Gram(np.ones((2, 2))))
+    np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
 
 def test_meter_return_balanced_interpolation(balanced):
@@ -130,11 +165,11 @@ def test_meter_return_balanced_interpolation(balanced):
         back = initial.context.basis[:, 0].conj() @ tilted.basis
         paths = back * amps
         expected = sum(
-            (paths[j].conjugate() * gram[j, jp] * paths[jp]).real
+            (paths[j].conjugate() * gram.matrix[j, jp] * paths[jp]).real
             for j in range(2)
             for jp in range(2)
         )
-        got = cs.meter_return_probability(initial, tilted, gram, 0)
+        got = cs.meter_return_probabilities(initial, tilted, gram)[0]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx((1 + g) / 2, abs=1e-12)
 
@@ -143,14 +178,14 @@ def test_meter_return_normalization_random_gram():
     initial = cs.haar_context(4, 3).modality(1)
     pointer = cs.haar_context(4, 7)
     gram = random_unit_gram(4, seed=11)
-    total = sum(cs.meter_return_probability(initial, pointer, gram, k) for k in range(4))
+    total = cs.meter_return_probabilities(initial, pointer, gram).sum()
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_meter_return_monotone_in_g(balanced):
     initial, tilted = balanced
     values = [
-        cs.meter_return_probability(initial, tilted, cs.gram_uniform(2, g), 0)
+        cs.meter_return_probabilities(initial, tilted, cs.gram_uniform(2, g))[0]
         for g in np.linspace(0, 1, 11)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -161,15 +196,60 @@ def test_two_form_agreement_random_cases(balanced):
     gram = random_unit_gram(2, seed=3)
     meters = cs.meter_states_from_gram(gram)
     state = cs.entangle(initial, tilted, meters)
+    probs = cs.meter_return_probabilities(initial, tilted, gram)
     for k in range(2):
-        assert cs.meter_return_probability(initial, tilted, gram, k) == pytest.approx(
+        assert probs[k] == pytest.approx(
             cs.composite_return_probability(state, initial.context, tilted, k), abs=1e-12
+        )
+
+
+def _rank_deficient_gram(dim: int, rank: int, seed: int) -> cs.Gram:
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    w /= np.linalg.norm(w, axis=0)
+    gram = w.conj().T @ w
+    np.fill_diagonal(gram, 1.0)
+    return cs.Gram(gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 6),
+    kind=st.sampled_from(["complex", "rank_deficient", "all_ones"]),
+)
+def test_meter_return_table_matches_referees(seed, dim, kind):
+    # Referees for the table: the explicit composite-state expectation, and the
+    # per-k quadratic form over one outcome's path amplitudes at a time.
+    rng = np.random.default_rng(seed)
+    a = cs.haar_context(dim, int(rng.integers(10**6)))
+    pointer = cs.haar_context(dim, int(rng.integers(10**6)))
+    initial = a.modality(int(rng.integers(dim)))
+    if kind == "complex":
+        gram = random_unit_gram(dim, seed)
+    elif kind == "rank_deficient":
+        gram = _rank_deficient_gram(dim, int(rng.integers(1, dim)), seed)
+    else:
+        gram = cs.Gram(np.ones((dim, dim)))
+    table = cs.meter_return_probabilities(initial, pointer, gram)
+    state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
+    assert table.shape == (dim,)
+    for k in range(dim):
+        paths = cs.return_path_amplitudes(initial, pointer, k)
+        oracle = sum(
+            (paths[j].conjugate() * gram.matrix[j, jp] * paths[jp]).real
+            for j in range(dim)
+            for jp in range(dim)
+        )
+        assert table[k] == pytest.approx(oracle, abs=1e-12)
+        assert table[k] == pytest.approx(
+            cs.composite_return_probability(state, a, pointer, k), abs=1e-12
         )
 
 
 def test_post_measurement_state_single_branch():
     ctx = cs.computational_context(2)
-    meters = cs.meter_states_from_gram(np.eye(2))
+    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
     rho = cs.post_measurement_state(ctx.modality(0), ctx, meters)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -178,7 +258,7 @@ def test_post_measurement_state_single_branch():
 
 def test_post_measurement_state_balanced_blocks(balanced):
     initial, tilted = balanced
-    meters = cs.meter_states_from_gram(np.eye(2))
+    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
     rho = cs.post_measurement_state(initial, tilted, meters)
     assert abs(np.trace(rho) - 1.0) <= 1e-10
     # dephasing the pure composite state across branches gives the same matrix
@@ -201,9 +281,8 @@ def test_post_measurement_requires_orthogonal_meters(balanced):
 
 def test_reduced_state_all_ones_gram_keeps_coherence(balanced):
     initial, tilted = balanced
-    gram = np.ones((2, 2))
-    state = cs.entangle(initial, tilted, cs.meter_states_from_gram(gram))
-    rho = cs.reduced_system_state(state, gram, tilted)
+    state = cs.entangle(initial, tilted, cs.meter_states_from_gram(cs.Gram(np.ones((2, 2)))))
+    rho = cs.reduced_system_state(state, tilted)
     branch = tilted.basis.conj().T @ initial.vector
     np.testing.assert_allclose(rho, np.outer(branch, branch.conj()), atol=1e-12)
     # pure: rho^2 = rho
@@ -212,9 +291,8 @@ def test_reduced_state_all_ones_gram_keeps_coherence(balanced):
 
 def test_reduced_state_identity_gram_dephases(balanced):
     initial, tilted = balanced
-    gram = np.eye(2)
-    state = cs.entangle(initial, tilted, cs.meter_states_from_gram(gram))
-    rho = cs.reduced_system_state(state, gram, tilted)
+    state = cs.entangle(initial, tilted, cs.meter_states_from_gram(cs.Gram(np.eye(2))))
+    rho = cs.reduced_system_state(state, tilted)
     branch = tilted.basis.conj().T @ initial.vector
     np.testing.assert_allclose(rho, np.diag(np.abs(branch) ** 2), atol=1e-12)
 
@@ -224,12 +302,12 @@ def test_reduced_state_off_diagonal_scales_with_g(balanced):
     for g in (0.0, 0.3, 0.7, 1.0):
         gram = cs.gram_uniform(2, g)
         state = cs.entangle(initial, tilted, cs.meter_states_from_gram(gram))
-        rho = cs.reduced_system_state(state, gram, tilted)
+        rho = cs.reduced_system_state(state, tilted)
         assert abs(rho[0, 1]) == pytest.approx(g / 2, abs=1e-12)
         # element formula: rho_{jj'} = c_j conj(c_j') <w_j'|w_j>
         branch = tilted.basis.conj().T @ initial.vector
         np.testing.assert_allclose(
-            rho, np.outer(branch, branch.conj()) * gram.conj(), atol=1e-12
+            rho, np.outer(branch, branch.conj()) * gram.matrix.conj(), atol=1e-12
         )
 
 
@@ -238,7 +316,7 @@ def test_reduced_state_diagonal_is_propagated_distribution():
     pointer = cs.haar_context(3, 32)
     gram = random_unit_gram(3, seed=8)
     state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
-    rho = cs.reduced_system_state(state, gram, pointer)
+    rho = cs.reduced_system_state(state, pointer)
     expected = cs.propagate(
         cs.point_mass(3, 0), cs.transition_matrix(initial.context, pointer)
     )
@@ -252,7 +330,7 @@ def test_partial_trace_matches_reduced_state(balanced):
     rho_full = np.outer(state, state.conj())
     np.testing.assert_allclose(
         cs.partial_trace_meter(rho_full, 2, state.size // 2),
-        cs.reduced_system_state(state, gram, tilted),
+        cs.reduced_system_state(state, tilted),
         atol=1e-12,
     )
 
@@ -269,7 +347,7 @@ def test_meter_chain_single_link_matches_reduced_state(balanced):
     gram = cs.gram_uniform(2, 0.6)
     chained = cs.meter_chain_reduced_state(initial, tilted, gram, 1)
     state = cs.entangle(initial, tilted, cs.meter_states_from_gram(gram))
-    np.testing.assert_allclose(chained, cs.reduced_system_state(state, gram, tilted), atol=1e-12)
+    np.testing.assert_allclose(chained, cs.reduced_system_state(state, tilted), atol=1e-12)
 
 
 def test_meter_chain_geometric_decay(balanced):
@@ -291,7 +369,7 @@ def test_meter_chain_geometric_decay(balanced):
 
 def test_meter_chain_complex_gram_phase_winds(balanced):
     initial, tilted = balanced
-    gram = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    gram = cs.Gram(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
     rho = cs.meter_chain_reduced_state(initial, tilted, gram, 3)
     branch = tilted.basis.conj().T @ initial.vector
     expected = branch[0] * branch[1].conjugate() * (-0.5j) ** 3

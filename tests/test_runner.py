@@ -22,7 +22,7 @@ def test_build_objects_use_scenario_names(balanced_scenario):
     assert [ctx.id for ctx in protocol.contexts] == ["z", "x"]
     assert protocol.initial.index == 0
     assert pointer.id == "x"
-    np.testing.assert_allclose(gram, cs.gram_uniform(2, 0.5))
+    np.testing.assert_allclose(gram.matrix, cs.gram_uniform(2, 0.5).matrix)
 
 
 def test_report_structure_and_values(balanced_scenario):

@@ -131,7 +131,7 @@ def test_explicit_matrices_with_complex_entries(tmp_path):
     assert scenario.meter.gram.matrix[0, 1] == 0.5j
     contexts, protocol, pointer, gram = cs.build_scenario_objects(scenario)
     assert pointer.id == "y"
-    np.testing.assert_allclose(gram, [[1, 0.5j], [-0.5j, 1]])
+    np.testing.assert_allclose(gram.matrix, [[1, 0.5j], [-0.5j, 1]])
 
 
 def test_matrix_shape_validated(tmp_path):
@@ -158,6 +158,21 @@ def test_sweep_validation(tmp_path):
         cs.parse_scenario(write(tmp_path, dict(MINIMAL, sweep={"phase": [0.5]})))
     with pytest.raises(ScenarioValidationError):  # unknown grid name
         cs.parse_scenario(write(tmp_path, dict(base, sweep={"tilt": [1]})))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_numbers_rejected(tmp_path, literal):
+    text = json.dumps(dict(MINIMAL, contexts={"c": {"kind": "rotation", "theta": 0.5}}))
+    text = text.replace("0.5", literal)
+    with pytest.raises(ScenarioParseError):
+        cs.parse_scenario(write(tmp_path, text))
+
+
+def test_haar_seed_must_be_non_negative(tmp_path):
+    doc = dict(MINIMAL, contexts={"c": {"kind": "haar", "seed": -3}})
+    with pytest.raises(ScenarioValidationError) as err:
+        cs.parse_scenario(write(tmp_path, doc))
+    assert err.value.field == "contexts.c.seed"
 
 
 def test_non_orthonormal_explicit_context_parses_but_fails_build(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from csm_sim.errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from csm_sim.trajectory import _block_finals, _draw_index
+from csm_sim.trajectory import _sample_paths
 
 
 def balanced_protocol():
@@ -126,6 +127,10 @@ def test_telescoping_identity(seed, dim, steps):
     bwd = cs.backward_log_prob(protocol, trajectory.outcomes, reference)
     assert delta == pytest.approx(-math.log(reference[trajectory.outcomes[-1]]), abs=1e-12)
     assert fwd - bwd == pytest.approx(delta, abs=1e-12)
+    # scalar referee for the forward table: one Born probability per step
+    modalities = [c.modality(j) for c, j in zip(protocol.contexts, trajectory.outcomes)]
+    born = [cs.born_probability(a, b) for a, b in zip(modalities, modalities[1:])]
+    assert fwd == pytest.approx(sum(math.log(p) for p in born), abs=1e-12)
 
 
 def test_sample_trajectory_constant_protocol():
@@ -166,6 +171,14 @@ def test_mean_entropy_production_deterministic_protocol():
     assert stats.shannon_entropy_final == 0.0
 
 
+def _draw_index(cum, u):
+    """Scalar referee for the sampling kernel: inverse-CDF draw from one column."""
+    return min(
+        int(np.searchsorted(cum, u, side="right")),
+        int(np.searchsorted(cum, cum[-1], side="left")),
+    )
+
+
 def _haar_protocol(seed, dim, steps):
     rng = np.random.default_rng(seed)
     contexts = tuple(cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, steps + 1))
@@ -183,8 +196,8 @@ def _haar_protocol(seed, dim, steps):
 def test_draws_never_return_zero_weight_outcome(weights, u, expected):
     cum = np.cumsum(weights)
     assert _draw_index(cum, u) == expected
-    finals = _block_finals([cum[:, None]], np.zeros(1, dtype=np.intp), [np.array([u])])
-    assert finals.tolist() == [expected]
+    paths = _sample_paths([cum[:, None]], np.zeros(1, dtype=np.intp), [np.array([u])])
+    assert paths.tolist() == [[0, expected]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,9 +225,7 @@ def test_block_kernel_matches_scalar_draws(seed, dim, steps):
             uniforms[s, i] = pool[rng.integers(pool.size)]
             paths[s + 1, i] = _draw_index(col, uniforms[s, i])
     initial = np.full(n, protocol.initial.index, dtype=np.intp)
-    for s in range(1, steps + 1):
-        finals = _block_finals(cums[:s], initial, uniforms[:s])
-        np.testing.assert_array_equal(finals, paths[s])
+    np.testing.assert_array_equal(_sample_paths(cums, initial, uniforms), paths.T)
 
 
 def test_mean_entropy_production_shannon_identity_within_errorbars():
@@ -251,7 +262,39 @@ def test_exhaustive_path_cap():
     ctx = cs.computational_context(8)
     protocol = cs.Protocol((ctx,) * 8, ctx.modality(0))
     with pytest.raises(ValueError):
-        cs.exhaustive_entropy_production(protocol, max_paths=10_000)
+        cs.exhaustive_entropy_production(protocol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 4),
+    steps=st.integers(1, 4),
+    stall=st.integers(0, 4),
+)
+def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
+    # One step repeats the computational context, so every off-diagonal move of
+    # that step has probability exactly zero.
+    rng = np.random.default_rng(seed)
+    z = cs.computational_context(dim)
+    contexts = [cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, steps)]
+    contexts.insert(stall % steps, z)
+    contexts.insert(stall % steps, z)
+    protocol = cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
+    stats = cs.exhaustive_entropy_production(protocol)
+    marginal = cs.final_marginal(protocol)
+    assert stats.path_count == dim ** (len(protocol) - 1)
+    assert stats.mean_entropy_production == pytest.approx(cs.shannon_entropy(marginal), abs=1e-12)
+    np.testing.assert_allclose(stats.final_distribution, marginal, atol=1e-12)
+    # the path-by-path loop the table replaced: in-order products, zero paths skipped
+    tms = cs.step_transition_matrices(protocol)
+    contributions = []
+    for tail in itertools.product(range(dim), repeat=len(tms)):
+        path = (protocol.initial.index, *tail)
+        probs = [t[j, i] for t, i, j in zip(tms, path, path[1:])]
+        if all(p > 0.0 for p in probs):
+            contributions.append(math.prod(probs) * cs.entropy_production(protocol, path, marginal))
+    assert stats.mean_entropy_production == math.fsum(contributions)
 
 
 def test_exhaustive_marginal_matches_propagation():
@@ -275,10 +318,10 @@ def test_shannon_entropy_values():
 
 def test_meter_protocol_entropy_limits(balanced):
     initial, tilted = balanced
-    assert cs.meter_protocol_entropy(initial, tilted, np.ones((2, 2))) == pytest.approx(
+    assert cs.meter_protocol_entropy(initial, tilted, cs.Gram(np.ones((2, 2)))) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert cs.meter_protocol_entropy(initial, tilted, np.eye(2)) == pytest.approx(
+    assert cs.meter_protocol_entropy(initial, tilted, cs.Gram(np.eye(2))) == pytest.approx(
         math.log(2), abs=1e-12
     )
 
