@@ -13,7 +13,7 @@ label chosen at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,24 @@ GENERATED_TOL = 1e-12
 def orthonormality_residual(basis: np.ndarray) -> float:
     """Max-norm deviation of B†B from the identity."""
     basis = np.asarray(basis, dtype=complex)
-    gram = basis.conj().T @ basis
-    return float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
+    return _identity_residual(basis.conj().T @ basis)
+
+
+def _identity_residual(product: np.ndarray) -> float:
+    return float(np.max(np.abs(product - np.eye(product.shape[1]))))
 
 
 @dataclass(frozen=True, eq=False)
 class Context:
-    """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector."""
+    """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector.
+
+    ``adjoint`` is ``basis.conj().T``, built once here and read-only like
+    ``basis``; every overlap ⟨v_j|·⟩ in the package goes through it.
+    """
 
     id: str
     basis: np.ndarray
+    adjoint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
@@ -45,13 +53,19 @@ class Context:
             raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}")
         if basis.shape[0] < 2:
             raise DimensionMismatch(f"context dimension must be >= 2, got {basis.shape[0]}")
-        residual = orthonormality_residual(basis)
+        # A transposed view of a read-only conjugate copy, so read-only too.  It
+        # must stay a view: a C-ordered copy changes BLAS's summation order in
+        # ``adjoint @ v``, and with it the last bits of every report.
+        conjugate = basis.conj()
+        conjugate.setflags(write=False)
+        residual = _identity_residual(conjugate.T @ basis)
         if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}"
             )
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "adjoint", conjugate.T)
 
     @property
     def dim(self) -> int:
@@ -209,7 +223,7 @@ def context_change_unitary(frm: Context, to: Context) -> np.ndarray:
     """
     if frm.dim != to.dim:
         raise DimensionMismatch(f"dims differ: {frm.dim} vs {to.dim}")
-    return to.basis @ frm.basis.conj().T
+    return to.basis @ frm.adjoint
 
 
 def haar_random_unitary(seed: int, dim: int) -> np.ndarray:

@@ -6,6 +6,10 @@ such probabilities between two contexts, propagation of outcome
 distributions, and the probability of returning to the starting outcome
 after passing through an intermediate context.
 
+Every overlap ⟨v_j|·⟩ with the basis of a context is taken through that
+context's ``adjoint``, the conjugate transpose it computes once at
+construction, so no kernel here re-conjugates a basis per call.
+
 Two return routes exist and they differ physically. If an outcome is
 realized in the intermediate context, probabilities add over intermediate
 outcomes (``irreversible_return``); if none is realized, amplitudes add
@@ -31,23 +35,22 @@ def as_probability(x: float, tol: float = INPUT_TOL) -> float:
     """Clamp ``x`` into [0,1] when within ``tol`` of a boundary.
 
     Excursions beyond ``tol`` are bugs, not rounding, and raise
-    :class:`InternalConsistencyError`.
+    :class:`InternalConsistencyError`; so does NaN, which fails every
+    comparison and therefore lands on the raising branch.
     """
-    if x < 0.0:
-        if x < -tol:
-            raise InternalConsistencyError(f"probability {x!r} below 0 beyond tolerance")
+    if 0.0 <= x <= 1.0:
+        return float(x)
+    if -tol <= x < 0.0:
         return 0.0
-    if x > 1.0:
-        if x > 1.0 + tol:
-            raise InternalConsistencyError(f"probability {x!r} above 1 beyond tolerance")
+    if 1.0 < x <= 1.0 + tol:
         return 1.0
-    return float(x)
+    raise InternalConsistencyError(f"probability {x!r} outside [0, 1] beyond tolerance")
 
 
 def clamp_probabilities(arr: np.ndarray, tol: float = INPUT_TOL) -> np.ndarray:
     """Vector form of :func:`as_probability`."""
     arr = np.asarray(arr, dtype=float)
-    if float(np.min(arr)) < -tol or float(np.max(arr)) > 1.0 + tol:
+    if not (float(np.min(arr)) >= -tol and float(np.max(arr)) <= 1.0 + tol):
         raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
     return np.clip(arr, 0.0, 1.0)
 
@@ -97,7 +100,7 @@ def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     """
     if frm.dim != to.dim:
         raise DimensionMismatch(f"dims differ: {frm.dim} vs {to.dim}")
-    amps = to.basis.conj().T @ frm.basis
+    amps = to.adjoint @ frm.basis
     return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
@@ -117,11 +120,8 @@ def return_path_amplitudes(initial: Modality, intermediate: Context, final_index
         raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    # ⟨u_k|v_j⟩ and ⟨v_j|u_i⟩ from the two overlap matrices
-    u_k = ctx.basis[:, final_index]
-    u_i = initial.vector
-    to_final = intermediate.basis.conj().T @ u_i  # ⟨v_j|u_i⟩
-    from_final = u_k.conj() @ intermediate.basis  # ⟨u_k|v_j⟩
+    to_final = intermediate.adjoint @ initial.vector  # ⟨v_j|u_i⟩
+    from_final = ctx.basis[:, final_index].conj() @ intermediate.basis  # ⟨u_k|v_j⟩
     return from_final * to_final
 
 
@@ -136,10 +136,8 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
         raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    u_k = ctx.basis[:, final_index]
-    u_i = initial.vector
-    to_mid = intermediate.basis.conj().T @ u_i
-    from_mid = intermediate.basis.conj().T @ u_k
+    to_mid = intermediate.adjoint @ initial.vector
+    from_mid = intermediate.adjoint @ ctx.basis[:, final_index]
     p_to = to_mid.real**2 + to_mid.imag**2
     p_from = from_mid.real**2 + from_mid.imag**2
     return as_probability(float(np.dot(p_from, p_to)))
@@ -152,7 +150,7 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
     by the closure relation this is δ_{k,i}, but the sum is evaluated
     numerically rather than asserted, so the identity is a tested consequence.
     """
-    amp = np.sum(return_path_amplitudes(initial, intermediate, final_index))
+    amp = return_path_amplitudes(initial, intermediate, final_index).sum()
     return as_probability(amp.real * amp.real + amp.imag * amp.imag)
 
 
@@ -173,5 +171,5 @@ def interference_return(
             f"need {intermediate.dim} phases, got shape {phases.shape}"
         )
     amps = return_path_amplitudes(initial, intermediate, final_index)
-    amp = np.sum(np.exp(1j * phases) * amps)
+    amp = (np.exp(1j * phases) * amps).sum()
     return as_probability(amp.real * amp.real + amp.imag * amp.imag)

@@ -142,7 +142,7 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
         raise DimensionMismatch(f"pointer dim {pointer.dim} vs {n} meter states")
     if initial.dim != pointer.dim:
         raise DimensionMismatch(f"dims differ: {initial.dim} vs {pointer.dim}")
-    branch = pointer.basis.conj().T @ initial.vector  # ⟨v_j|u_i⟩
+    branch = pointer.adjoint @ initial.vector  # ⟨v_j|u_i⟩
     state = (branch[:, None] * meters.T).reshape(n * m_dim)
     norm_dev = abs(float(np.linalg.norm(state)) - 1.0)
     if not norm_dev <= INPUT_TOL:
@@ -161,8 +161,8 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
     """
     if not initial.dim == pointer.dim == gram.dim:
         raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
-    branch = pointer.basis.conj().T @ initial.vector  # ⟨v_j|u_i⟩
-    paths = (initial.context.basis.conj().T @ pointer.basis) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
+    branch = pointer.adjoint @ initial.vector  # ⟨v_j|u_i⟩
+    paths = (initial.context.adjoint @ pointer.basis) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
     values = np.sum(paths.conj() * (paths @ gram.matrix.T), axis=1)
     residue = float(np.max(np.abs(values.imag)))
     if not residue <= INPUT_TOL:
@@ -210,7 +210,7 @@ def post_measurement_state(
         raise MeterNotOrthogonal(f"meter overlap deviates from identity by {ortho_dev:.3e}")
     if pointer.dim != n or initial.dim != n:
         raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {n}")
-    branch = pointer.basis.conj().T @ initial.vector
+    branch = pointer.adjoint @ initial.vector
     weights = branch.real**2 + branch.imag**2
     rho = np.zeros((n * m_dim, n * m_dim), dtype=complex)
     for j in range(n):
@@ -251,7 +251,7 @@ def meter_chain_reduced_state(
         raise ValueError(f"m_count must be >= 0, got {m_count}")
     if not initial.dim == pointer.dim == gram.dim:
         raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
-    branch = pointer.basis.conj().T @ initial.vector
+    branch = pointer.adjoint @ initial.vector
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
 

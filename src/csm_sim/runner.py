@@ -60,16 +60,18 @@ def build_scenario_objects(scenario: Scenario):
     contexts = {
         name: build_context(spec, id=name) for name, spec in scenario.contexts.items()
     }
+    protocol, pointer = _protocol_objects(scenario, contexts)
+    gram = None if scenario.meter is None else build_gram(scenario.meter.gram, scenario.dim)
+    return contexts, protocol, pointer, gram
+
+
+def _protocol_objects(scenario: Scenario, contexts: dict[str, Context]):
+    """Protocol and meter pointer (or None) over contexts already built."""
     first = contexts[scenario.protocol.initial_context]
     initial = Modality(first, scenario.protocol.initial_index)
-    protocol = Protocol(
-        tuple(contexts[name] for name in scenario.protocol.sequence), initial
-    )
-    pointer = gram = None
-    if scenario.meter is not None:
-        pointer = contexts[scenario.meter.pointer]
-        gram = build_gram(scenario.meter.gram, scenario.dim)
-    return contexts, protocol, pointer, gram
+    protocol = Protocol(tuple(contexts[name] for name in scenario.protocol.sequence), initial)
+    pointer = None if scenario.meter is None else contexts[scenario.meter.pointer]
+    return protocol, pointer
 
 
 def _floats(values) -> list[float]:
@@ -256,7 +258,11 @@ def run_scenario(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """Serialize a report; a non-finite value is a domain error, never a bare ``NaN`` token."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise CsmSimError(f"report holds a non-finite number ({err})") from None
 
 
 def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[dict]]:
@@ -301,7 +307,7 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
     if not buildable:
         return all(c["pass"] for c in checks), checks
 
-    _, protocol, pointer, _ = build_scenario_objects(scenario)
+    protocol, pointer = _protocol_objects(scenario, contexts)
     initial = protocol.initial
     dim = scenario.dim
     eye = np.eye(dim)
@@ -314,12 +320,8 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
             float(np.max(np.abs(t.sum(axis=1) - 1.0))),
         )
         add(f"step[{step}].transition_sums", sums)
-        rev = np.array(
-            [
-                [reversible_return(Modality(a, i), b, k) for i in range(dim)]
-                for k in range(dim)
-            ]
-        )
+        starts = [Modality(a, i) for i in range(dim)]
+        rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
         add(f"step[{step}].reversible_identity", float(np.max(np.abs(rev - eye))))
 
     if scenario.meter is not None:

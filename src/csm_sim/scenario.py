@@ -161,6 +161,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer_literal(text: str) -> int:
+    # every number may end up as a float, so an integer must fit a double
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError):
+        raise ScenarioParseError(
+            f"non-finite number: integer literal of {len(text)} characters overflows a double"
+        ) from None
+    return value
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file.
 
@@ -170,13 +182,16 @@ def parse_scenario(path: str | Path) -> Scenario:
         Missing file.
     ScenarioParseError
         Syntactically invalid JSON, with line/column, or a non-finite number
-        (``NaN``, ``Infinity``, or a literal that overflows a double).
+        (``NaN``, ``Infinity``, or a float or integer literal that overflows
+        a double).
     ScenarioValidationError
         Schema violation, naming the offending field.
     """
     text = Path(path).read_text()
     try:
-        raw = json.loads(text, parse_constant=_finite, parse_float=_finite)
+        raw = json.loads(
+            text, parse_constant=_finite, parse_float=_finite, parse_int=_integer_literal
+        )
     except json.JSONDecodeError as err:
         raise ScenarioParseError(err.msg, err.lineno, err.colno) from err
     if not isinstance(raw, dict):

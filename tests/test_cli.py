@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import csm_sim.cli
 from csm_sim.cli import main
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json")
@@ -66,6 +67,25 @@ def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_integer_too_large_for_a_double_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    text = Path(SCENARIO).read_text()
+    path.write_text(text.replace('"theta": 1.5707963267948966', '"theta": 1' + "0" * 400))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_non_finite_report_value_is_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(csm_sim.cli, "run_scenario", lambda *a, **k: {"mean": float("nan")})
+    assert main(["run", SCENARIO]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
     assert "non-finite" in captured.err
 
 

@@ -66,6 +66,15 @@ def test_basis_is_immutable():
         ctx.basis[0, 0] = 2.0
 
 
+def test_adjoint_is_read_only_conjugate_transpose():
+    ctx = cs.haar_context(4, 5)
+    np.testing.assert_array_equal(ctx.adjoint, ctx.basis.conj().T)
+    with pytest.raises(ValueError):
+        ctx.adjoint[0, 1] = 2.0
+    with pytest.raises(ValueError):
+        ctx.adjoint.T[1, 0] = 2.0
+
+
 def test_modality_index_range():
     ctx = cs.computational_context(2)
     with pytest.raises(IndexOutOfRange):

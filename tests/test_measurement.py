@@ -10,7 +10,7 @@ from csm_sim.errors import (
     InternalConsistencyError,
     InvalidDistribution,
 )
-from csm_sim.measurement import as_probability
+from csm_sim.measurement import as_probability, clamp_probabilities
 
 
 def test_born_same_modality_is_one():
@@ -201,3 +201,32 @@ def test_probability_clamp_behaviour():
         as_probability(1.0 + 1e-6)
     with pytest.raises(InternalConsistencyError):
         as_probability(-1e-6)
+    with pytest.raises(InternalConsistencyError):
+        as_probability(float("nan"))
+
+
+def test_probability_vector_clamp_behaviour():
+    clamped = clamp_probabilities(np.array([-1e-12, 0.25, 1.0 + 1e-12]))
+    np.testing.assert_array_equal(clamped, [0.0, 0.25, 1.0])
+    for bad in ([0.5, np.nan], [np.nan, np.nan], [0.5, 1.0 + 1e-6], [-1e-6, 0.5]):
+        with pytest.raises(InternalConsistencyError):
+            clamp_probabilities(np.array(bad))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8))
+def test_scalar_returns_match_table_referee(seed, dim):
+    start, mid = cs.haar_context(dim, seed), cs.haar_context(dim, seed + 1)
+    # whole-table referees from the bases alone: W[k, j] = ⟨u_k|v_j⟩
+    w = start.basis.conj().T @ mid.basis
+    reversible = np.abs(w @ w.conj().T) ** 2
+    t = cs.transition_matrix(start, mid)
+    irreversible = t.T @ t
+    np.testing.assert_allclose(reversible, np.eye(dim), atol=1e-12)
+    zero = np.zeros(dim)
+    for i in range(dim):
+        m = cs.Modality(start, i)
+        for k in range(dim):
+            assert abs(cs.reversible_return(m, mid, k) - reversible[k, i]) <= 1e-12
+            assert abs(cs.interference_return(m, mid, zero, k) - reversible[k, i]) <= 1e-12
+            assert abs(cs.irreversible_return(m, mid, k) - irreversible[k, i]) <= 1e-12

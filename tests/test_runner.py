@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
-from csm_sim.runner import format_csv, sweep_table
+import csm_sim.runner
+from csm_sim.runner import format_csv, report_to_json, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -107,6 +108,27 @@ def test_verify_clean_scenario_passes(balanced_scenario):
     names = {c["name"] for c in checks}
     assert "meter.return_two_form_agreement" in names
     assert "step[0].reversible_identity" in names
+
+
+def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):
+    built = []
+    real = csm_sim.runner.build_context
+
+    def counting(spec, id=None):
+        built.append(id)
+        return real(spec, id=id)
+
+    monkeypatch.setattr(csm_sim.runner, "build_context", counting)
+    ok, _ = cs.verify_scenario(balanced_scenario, 1e-10)
+    assert ok
+    assert sorted(built) == sorted(balanced_scenario.contexts)
+
+
+def test_report_with_non_finite_value_is_domain_error():
+    assert report_to_json({"x": 0.5}) == '{\n  "x": 0.5\n}\n'
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(cs.CsmSimError):
+            report_to_json({"results": {"mean": value}})
 
 
 def test_verify_reports_non_orthonormal_residual(tmp_path):

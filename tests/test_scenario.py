@@ -160,7 +160,17 @@ def test_sweep_validation(tmp_path):
         cs.parse_scenario(write(tmp_path, dict(base, sweep={"tilt": [1]})))
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        "1e999",
+        pytest.param("1" + "0" * 400, id="401-digit-int"),
+        pytest.param("1" * 5000, id="5000-digit-int"),
+    ],
+)
 def test_non_finite_numbers_rejected(tmp_path, literal):
     text = json.dumps(dict(MINIMAL, contexts={"c": {"kind": "rotation", "theta": 0.5}}))
     text = text.replace("0.5", literal)
