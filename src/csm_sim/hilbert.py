@@ -39,13 +39,16 @@ def _identity_residual(product: np.ndarray) -> float:
 class Context:
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector.
 
-    ``adjoint`` is ``basis.conj().T``, built once here and read-only like
-    ``basis``; every overlap ⟨v_j|·⟩ in the package goes through it.
+    ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, both set
+    once here; ``adjoint`` is read-only like ``basis``.  Overlaps with another
+    context come from :meth:`overlaps`, one memoized table per partner.
     """
 
     id: str
     basis: np.ndarray
     adjoint: np.ndarray = field(init=False, repr=False)
+    dim: int = field(init=False, repr=False)
+    _overlaps: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
@@ -66,10 +69,25 @@ class Context:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "adjoint", conjugate.T)
+        object.__setattr__(self, "dim", basis.shape[0])
+        object.__setattr__(self, "_overlaps", {})
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def overlaps(self, other: "Context") -> np.ndarray:
+        """Read-only table W[j, i] = ⟨v_j|u_i⟩: ``self``'s outcome j, ``other``'s outcome i.
+
+        It is ``adjoint @ other.basis``, computed on first use and memoized per
+        partner object.  The memo is keyed by identity, never by ``==``: two
+        contexts with the same ``id`` label may hold different bases.  The
+        partner is stored with its table, so its ``id()`` cannot be reused.
+        """
+        entry = self._overlaps.get(id(other))
+        if entry is None:
+            if other.dim != self.dim:
+                raise DimensionMismatch(f"dims differ: {self.dim} vs {other.dim}")
+            table = self.adjoint @ other.basis
+            table.setflags(write=False)
+            entry = self._overlaps[id(other)] = (other, table)
+        return entry[1]
 
     def vector(self, index: int) -> np.ndarray:
         """Basis vector of outcome ``index``."""

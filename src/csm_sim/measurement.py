@@ -6,9 +6,10 @@ such probabilities between two contexts, propagation of outcome
 distributions, and the probability of returning to the starting outcome
 after passing through an intermediate context.
 
-Every overlap ⟨v_j|·⟩ with the basis of a context is taken through that
-context's ``adjoint``, the conjugate transpose it computes once at
-construction, so no kernel here re-conjugates a basis per call.
+Every overlap between two contexts is read from the pair's table
+``Context.overlaps`` (W[j, i] = ⟨v_j|u_i⟩), computed on first use and then
+memoized, so a scalar return reads one row and one or two columns of it
+instead of multiplying a basis per call.
 
 Two return routes exist and they differ physically. If an outcome is
 realized in the intermediate context, probabilities add over intermediate
@@ -71,10 +72,11 @@ def validate_distribution(dist: np.ndarray, tol: float = INPUT_TOL) -> np.ndarra
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1:
         raise InvalidDistribution(f"distribution must be a vector, got shape {dist.shape}")
-    if float(np.min(dist)) < -tol or float(np.max(dist)) > 1.0 + tol:
+    # written so that NaN, which fails every comparison, lands on the raising branch
+    if not (float(np.min(dist)) >= -tol and float(np.max(dist)) <= 1.0 + tol):
         raise InvalidDistribution("weights outside [0, 1]")
     total = float(np.sum(dist))
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise InvalidDistribution(f"weights sum to {total!r}, not 1")
     return dist
 
@@ -100,7 +102,7 @@ def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     """
     if frm.dim != to.dim:
         raise DimensionMismatch(f"dims differ: {frm.dim} vs {to.dim}")
-    amps = to.adjoint @ frm.basis
+    amps = to.overlaps(frm)
     return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
@@ -120,9 +122,8 @@ def return_path_amplitudes(initial: Modality, intermediate: Context, final_index
         raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    to_final = intermediate.adjoint @ initial.vector  # ⟨v_j|u_i⟩
-    from_final = ctx.basis[:, final_index].conj() @ intermediate.basis  # ⟨u_k|v_j⟩
-    return from_final * to_final
+    # ⟨u_k|v_j⟩ from row k of one table, ⟨v_j|u_i⟩ from column i of the other
+    return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
 
 
 def irreversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
@@ -136,8 +137,8 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
         raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    to_mid = intermediate.adjoint @ initial.vector
-    from_mid = intermediate.adjoint @ ctx.basis[:, final_index]
+    table = intermediate.overlaps(ctx)
+    to_mid, from_mid = table[:, initial.index], table[:, final_index]
     p_to = to_mid.real**2 + to_mid.imag**2
     p_from = from_mid.real**2 + from_mid.imag**2
     return as_probability(float(np.dot(p_from, p_to)))

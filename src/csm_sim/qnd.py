@@ -162,7 +162,7 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
     if not initial.dim == pointer.dim == gram.dim:
         raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
     branch = pointer.adjoint @ initial.vector  # ⟨v_j|u_i⟩
-    paths = (initial.context.adjoint @ pointer.basis) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
+    paths = initial.context.overlaps(pointer) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
     values = np.sum(paths.conj() * (paths @ gram.matrix.T), axis=1)
     residue = float(np.max(np.abs(values.imag)))
     if not residue <= INPUT_TOL:

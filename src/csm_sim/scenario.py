@@ -122,7 +122,7 @@ def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ScenarioValidationError(field, "expected an object with a 'kind' key")
     kind = data["kind"]
-    if kind not in _CONTEXT_KEYS:
+    if not _known(kind, _CONTEXT_KEYS):
         raise ScenarioValidationError(f"{field}.kind", f"unknown context kind {kind!r}")
     _require_keys(field, data, _CONTEXT_KEYS[kind], _CONTEXT_KEYS[kind])
     if kind == "rotation":
@@ -143,7 +143,7 @@ def _parse_gram_spec(field: str, data, dim: int) -> GramSpec:
     if not isinstance(data, dict) or "kind" not in data:
         raise ScenarioValidationError(field, "expected an object with a 'kind' key")
     kind = data["kind"]
-    if kind not in _GRAM_KEYS:
+    if not _known(kind, _GRAM_KEYS):
         raise ScenarioValidationError(f"{field}.kind", f"unknown gram kind {kind!r}")
     _require_keys(field, data, _GRAM_KEYS[kind], _GRAM_KEYS[kind])
     if kind == "uniform":
@@ -152,6 +152,11 @@ def _parse_gram_spec(field: str, data, dim: int) -> GramSpec:
             raise ScenarioValidationError(f"{field}.g", f"strength {g!r} outside [0, 1]")
         return GramSpec(kind, g=g)
     return GramSpec(kind, matrix=_matrix(f"{field}.matrix", data["matrix"], dim))
+
+
+def _known(value, names: dict) -> bool:
+    # a list or object is unhashable, so test the type before the lookup
+    return isinstance(value, str) and value in names
 
 
 def _finite(text: str) -> float:
@@ -226,12 +231,12 @@ def parse_scenario(path: str | Path) -> Scenario:
     if not isinstance(sequence, list) or not sequence:
         raise ScenarioValidationError("protocol.sequence", "expected a non-empty list of names")
     for pos, name in enumerate(sequence):
-        if name not in contexts:
+        if not _known(name, contexts):
             raise ScenarioValidationError(
                 f"protocol.sequence[{pos}]", f"undefined context {name!r}"
             )
     initial_context = raw["protocol"]["initial"]["context"]
-    if initial_context not in contexts:
+    if not _known(initial_context, contexts):
         raise ScenarioValidationError(
             "protocol.initial.context", f"undefined context {initial_context!r}"
         )
@@ -251,7 +256,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if "meter" in raw:
         _require_keys("meter", raw["meter"], {"pointer", "gram"}, {"pointer", "gram"})
         pointer = raw["meter"]["pointer"]
-        if pointer not in contexts:
+        if not _known(pointer, contexts):
             raise ScenarioValidationError("meter.pointer", f"undefined context {pointer!r}")
         meter = MeterSpec(pointer, _parse_gram_spec("meter.gram", raw["meter"]["gram"], dim))
 

@@ -1,7 +1,14 @@
+import copy
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csm_sim.cli
 from csm_sim.cli import main
@@ -174,3 +181,89 @@ def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sweep: ")
+
+
+def _tree_paths(node, prefix=()):
+    """Every key/index path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _tree_paths(child, prefix + (key,))
+
+
+def _reject_constant(text):
+    raise ValueError(f"non-strict JSON constant {text}")
+
+
+DOC = json.loads(Path(SCENARIO).read_text())
+DROP = object()
+ODD_NUMBERS = [-1, -7, -2.5, 0.5, 1.5, -0.0, 1e-300, 10**18, -(10**18), 2**63, 10**400,
+               1e300, -1e300, math.nan, math.inf, -math.inf]
+OTHER_TYPES = [None, True, "z", [], {}, [0, 1], {"kind": "computational"}]
+FUZZ_COMMANDS = [
+    ["run", "--trajectories", "64"],
+    ["run", "--exhaustive"],
+    ["verify", "--out"],
+    ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"],
+    ["sweep", "--param", "m_count", "--from", "0", "--to", "4", "--steps", "3"],
+    ["sweep", "--param", "phase", "--from", "0", "--to", "3", "--steps", "3"],
+]
+
+
+def _mutate(doc, mutations):
+    doc = copy.deepcopy(doc)
+    for path, value in mutations:
+        parent = doc
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or retyped this path
+        if not isinstance(parent, (dict, list)):
+            continue  # retyped to a string, which indexes but cannot be assigned
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(
+            st.sampled_from(list(_tree_paths(DOC))),
+            st.sampled_from([DROP] + ODD_NUMBERS + OTHER_TYPES),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, report = Path(tmp) / "mutant.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(_mutate(DOC, mutations)))
+        argv = [command[0], str(path), *command[1:]]
+        if argv[-1] == "--out":
+            argv.append(str(report))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 0 and command[0] == "run":
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        if code == 0 and command[0] == "verify":
+            json.loads(report.read_text(), parse_constant=_reject_constant)
+        if code == 0 and command[0] == "sweep":
+            for line in out.getvalue().splitlines()[1:]:
+                assert all(math.isfinite(float(cell)) for cell in line.split(","))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,43 @@ def test_adjoint_is_read_only_conjugate_transpose():
         ctx.adjoint[0, 1] = 2.0
     with pytest.raises(ValueError):
         ctx.adjoint.T[1, 0] = 2.0
+
+
+def test_dim_is_a_read_only_field():
+    ctx = cs.haar_context(5, 1)
+    assert ctx.dim == 5 and cs.Modality(ctx, 2).dim == 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.dim = 4
+
+
+def test_overlaps_table_is_memoized_and_read_only():
+    a, b = cs.haar_context(4, 5), cs.fourier_context(4)
+    table = a.overlaps(b)
+    np.testing.assert_array_equal(table, a.basis.conj().T @ b.basis)
+    assert a.overlaps(b) is table
+    assert b.overlaps(a) is not table
+    with pytest.raises(ValueError):
+        table[0, 1] = 2.0
+    with pytest.raises(DimensionMismatch):
+        a.overlaps(cs.computational_context(3))
+
+
+def test_overlaps_are_keyed_by_object_not_label():
+    start = cs.haar_context(3, 0)
+    left = cs.explicit_context(cs.haar_random_unitary(1, 3))
+    right = cs.explicit_context(cs.haar_random_unitary(2, 3))
+    assert left == right  # both carry the label "explicit"
+    for mid in (left, right):
+        np.testing.assert_array_equal(start.overlaps(mid), start.adjoint @ mid.basis)
+    assert not np.allclose(start.overlaps(left), start.overlaps(right))
+    m = start.modality(0)
+    for k in range(3):
+        assert cs.reversible_return(m, left, k) == pytest.approx(float(k == 0), abs=1e-12)
+        assert cs.reversible_return(m, right, k) == pytest.approx(float(k == 0), abs=1e-12)
+    phases = np.array([0.0, 1.0, 2.5])
+    returns = [cs.interference_return(m, mid, phases, 0) for mid in (left, right)]
+    assert abs(returns[0] - returns[1]) > 1e-3
+    assert not np.allclose(cs.transition_matrix(left, start), cs.transition_matrix(right, start))
 
 
 def test_modality_index_range():

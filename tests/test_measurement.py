@@ -10,7 +10,7 @@ from csm_sim.errors import (
     InternalConsistencyError,
     InvalidDistribution,
 )
-from csm_sim.measurement import as_probability, clamp_probabilities
+from csm_sim.measurement import as_probability, clamp_probabilities, validate_distribution
 
 
 def test_born_same_modality_is_one():
@@ -100,6 +100,13 @@ def test_propagate_rejects_bad_inputs():
         cs.propagate(np.array([0.5, 0.6]), np.eye(2))
     with pytest.raises(DimensionMismatch):
         cs.propagate(np.array([0.5, 0.5]), np.eye(3))
+
+
+def test_nan_distribution_is_invalid_input():
+    with pytest.raises(InvalidDistribution):
+        validate_distribution(np.array([np.nan, 0.5]))
+    with pytest.raises(InvalidDistribution):
+        cs.propagate(np.array([np.nan, 0.5]), np.eye(2))
 
 
 def test_irreversible_same_context_is_delta():
@@ -230,3 +237,27 @@ def test_scalar_returns_match_table_referee(seed, dim):
             assert abs(cs.reversible_return(m, mid, k) - reversible[k, i]) <= 1e-12
             assert abs(cs.interference_return(m, mid, zero, k) - reversible[k, i]) <= 1e-12
             assert abs(cs.irreversible_return(m, mid, k) - irreversible[k, i]) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8))
+def test_table_returns_match_per_call_products(seed, dim):
+    start, mid = cs.haar_context(dim, seed), cs.haar_context(dim, seed + 1)
+    b_adj = mid.basis.conj().T
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, dim)
+    np.testing.assert_allclose(
+        cs.transition_matrix(start, mid), np.abs(b_adj @ start.basis) ** 2, rtol=0, atol=1e-12
+    )
+    for i in range(dim):
+        m = cs.Modality(start, i)
+        to_mid = b_adj @ start.basis[:, i]  # B†u_i, the per-call product the table replaced
+        for k in range(dim):
+            from_mid = start.basis[:, k].conj() @ mid.basis  # u_k†B
+            paths = from_mid * to_mid
+            assert abs(cs.reversible_return(m, mid, k) - abs(paths.sum()) ** 2) <= 1e-12
+            assert abs(
+                cs.interference_return(m, mid, phases, k)
+                - abs((np.exp(1j * phases) * paths).sum()) ** 2
+            ) <= 1e-12
+            irreversible = np.dot(np.abs(from_mid) ** 2, np.abs(to_mid) ** 2)
+            assert abs(cs.irreversible_return(m, mid, k) - irreversible) <= 1e-12

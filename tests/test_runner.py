@@ -124,6 +124,33 @@ def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):
     assert sorted(built) == sorted(balanced_scenario.contexts)
 
 
+def test_verify_keeps_one_overlap_table_per_partner(monkeypatch):
+    scenario = cs.parse_scenario(
+        SCENARIO_DIR.parent / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
+    )
+    built = {}
+    real = csm_sim.runner.build_context
+
+    def recording(spec, id=None):
+        built[id] = real(spec, id=id)
+        return built[id]
+
+    monkeypatch.setattr(csm_sim.runner, "build_context", recording)
+    ok, _ = cs.verify_scenario(scenario, 1e-10)
+    assert ok
+    partners = {name: set() for name in built}
+    sequence = scenario.protocol.sequence
+    for a, b in zip(sequence[:-1], sequence[1:]):
+        partners[a].add(b)
+        partners[b].add(a)
+    partners[scenario.protocol.initial_context].add(scenario.meter.pointer)
+    for name, ctx in built.items():
+        held = [partner for partner, _ in ctx._overlaps.values()]
+        assert len(held) == len(partners[name])
+        assert {p.id for p in held} == partners[name]
+        assert all(built[p.id] is p for p in held)
+
+
 def test_report_with_non_finite_value_is_domain_error():
     assert report_to_json({"x": 0.5}) == '{\n  "x": 0.5\n}\n'
     for value in (float("nan"), float("inf")):

@@ -48,6 +48,24 @@ def test_undefined_context_reference_is_named(tmp_path):
     assert err.value.field == "protocol.sequence[1]"
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["contexts"]["c"].update(kind=["computational"]),
+        lambda d: d["protocol"].update(sequence=[["c"]]),
+        lambda d: d["protocol"]["initial"].update(context={"c": 1}),
+        lambda d: d.update(meter={"pointer": ["c"], "gram": {"kind": "uniform", "g": 0.5}}),
+        lambda d: d.update(meter={"pointer": "c", "gram": {"kind": [], "g": 0.5}}),
+    ],
+    ids=["context-kind", "sequence-name", "initial-context", "pointer", "gram-kind"],
+)
+def test_non_string_names_are_validation_errors(tmp_path, mutate):
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    with pytest.raises(ScenarioValidationError):
+        cs.parse_scenario(write(tmp_path, doc))
+
+
 def test_rotation_requires_dim_two(tmp_path):
     doc = {
         "schema_version": 1,

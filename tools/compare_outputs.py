@@ -1,0 +1,155 @@
+"""Diff the CLI output of two csm-sim source trees on every checked-in scenario.
+
+Usage::
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a checkout root (its ``src`` is used) or a directory that
+holds the ``csm_sim`` package.  The scenarios are those of the checkout this
+script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
+(reference files excluded).  On each scenario it runs
+
+    run --seed 0 --trajectories 5000
+    run --seed 7 --trajectories 5000
+    run --exhaustive
+    verify
+    sweep --param g       --from 0 --to 1    --steps 11
+    sweep --param m_count --from 0 --to 8    --steps 9
+    sweep --param phase   --from 0 --to 2*pi --steps 11
+
+with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
+compares stdout, stderr and exit code.  Each invocation prints ``SAME`` or
+``DIFF``; a difference also prints the largest numeric gap between the two
+outputs (JSON reports are walked value by value, other text compared number
+by number) and the lines that differ.  Exits 1 if any invocation differs.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+SHOWN_LINES = 10
+
+INVOCATIONS = [
+    ("run seed 0", ["run", "--seed", "0", "--trajectories", "5000"]),
+    ("run seed 7", ["run", "--seed", "7", "--trajectories", "5000"]),
+    ("run exhaustive", ["run", "--exhaustive"]),
+    ("verify", ["verify"]),
+    ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
+    ("sweep m_count", ["sweep", "--param", "m_count", "--from", "0", "--to", "8", "--steps", "9"]),
+    (
+        "sweep phase",
+        ["sweep", "--param", "phase", "--from", "0", "--to", repr(2 * math.pi), "--steps", "11"],
+    ),
+]
+
+
+def package_dir(arg: str) -> Path:
+    path = Path(arg).resolve()
+    if (path / "src" / "csm_sim").is_dir():
+        return path / "src"
+    if (path / "csm_sim").is_dir():
+        return path
+    sys.exit(f"{arg}: no csm_sim package here or under src/")
+
+
+def scenarios() -> list[Path]:
+    found = sorted(ROOT.glob("scenarios/*.json"))
+    found += sorted(p for p in ROOT.glob("perfbench/scenarios/seed0/*.json")
+                    if not p.name.endswith(".ref.json"))
+    return found
+
+
+def invoke(src: Path, args: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "csm_sim.cli", *args],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def _json_gap(a, b) -> float | None:
+    """Largest |a - b| over matching numbers, or None if the structures differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            return None
+        gaps = [_json_gap(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        gaps = [_json_gap(x, y) for x, y in zip(a, b)]
+    elif isinstance(a, bool) or isinstance(b, bool):
+        return 0.0 if a == b else None
+    elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(float(a) - float(b))
+    else:
+        return 0.0 if a == b else None
+    return None if None in gaps else max(gaps, default=0.0)
+
+
+def numeric_gap(a: str, b: str) -> float | None:
+    """Largest numeric gap between two outputs, or None if they differ in structure."""
+    try:
+        return _json_gap(json.loads(a), json.loads(b))
+    except ValueError:
+        pass
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    return max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+
+
+def describe(parent: tuple[int, str, str], change: tuple[int, str, str]) -> list[str]:
+    notes = []
+    if parent[0] != change[0]:
+        notes.append(f"exit code {parent[0]} -> {change[0]}")
+    for name, a, b in (("stdout", parent[1], change[1]), ("stderr", parent[2], change[2])):
+        if a == b:
+            continue
+        gap = numeric_gap(a, b)
+        notes.append(f"{name}: " + ("structure differs" if gap is None else f"max gap {gap:.3e}"))
+        diffs = [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y]
+        for x, y in diffs[:SHOWN_LINES]:
+            notes.append(f"  - {x.strip()}")
+            notes.append(f"  + {y.strip()}")
+        if len(diffs) > SHOWN_LINES:
+            notes.append(f"  ... {len(diffs) - SHOWN_LINES} more differing lines")
+    return notes
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    parent_src, change_src = (package_dir(arg) for arg in argv)
+    differing = total = 0
+    for scenario in scenarios():
+        label = scenario.relative_to(ROOT)
+        for name, args in INVOCATIONS:
+            full = [args[0], str(scenario), *args[1:]]
+            parent, change = invoke(parent_src, full), invoke(change_src, full)
+            total += 1
+            if parent == change:
+                print(f"SAME  {label}  {name}")
+                continue
+            differing += 1
+            print(f"DIFF  {label}  {name}")
+            for note in describe(parent, change):
+                print(f"      {note}")
+    print(f"{total - differing} of {total} invocations identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
