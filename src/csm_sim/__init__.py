@@ -48,6 +48,7 @@ from .hilbert import (
 from .measurement import (
     born_probability,
     interference_return,
+    interference_returns,
     irreversible_return,
     point_mass,
     propagate,

@@ -26,6 +26,21 @@ from .runner import (
     verify_report,
 )
 from .scenario import parse_scenario
+from .trajectory import BLOCK
+
+# Bounds on the size arguments, from the memory each costs: a sweep holds
+# dim + 2 numbers per grid point until its CSV is written, and the ensemble
+# keeps dim counts per block of BLOCK samples.
+MAX_SWEEP_CELLS = 10**7
+MAX_COUNT_CELLS = 10**7
+
+
+def max_sweep_steps(dim: int) -> int:
+    return MAX_SWEEP_CELLS // (dim + 2)
+
+
+def max_trajectories(dim: int) -> int:
+    return MAX_COUNT_CELLS // dim * BLOCK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,8 +91,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args, scenario) -> int:
-    if not args.exhaustive and args.trajectories < 1:
-        print("run: --trajectories must be >= 1 unless --exhaustive is set", file=sys.stderr)
+    limit = max_trajectories(scenario.dim)
+    if args.trajectories > limit or (not args.exhaustive and args.trajectories < 1):
+        print(
+            f"run: --trajectories must be at most {limit}, and >= 1 unless --exhaustive is set",
+            file=sys.stderr,
+        )
         return 2
     if args.seed < 0:
         print("run: --seed must be >= 0", file=sys.stderr)
@@ -109,8 +128,9 @@ def _cmd_verify(args, scenario) -> int:
 
 
 def _cmd_sweep(args, scenario) -> int:
-    if args.steps < 1:
-        print("sweep: --steps must be >= 1", file=sys.stderr)
+    limit = max_sweep_steps(scenario.dim)
+    if not 1 <= args.steps <= limit:
+        print(f"sweep: --steps must be in [1, {limit}]", file=sys.stderr)
         return 2
     with np.errstate(invalid="ignore", over="ignore"):
         values = np.linspace(args.start, args.stop, args.steps)

@@ -8,14 +8,17 @@ after passing through an intermediate context.
 
 Every overlap between two contexts is read from the pair's table
 ``Context.overlaps`` (W[j, i] = ⟨v_j|u_i⟩), computed on first use and then
-memoized, so a scalar return reads one row and one or two columns of it
-instead of multiplying a basis per call.
+memoized.  The two return probabilities are memoized one level up, as whole
+tables over (final, initial) outcome per (start context, intermediate) pair
+in ``Context.return_tables``, so a scalar return is one read of a table
+entry; a phase-dialed return is one table of path products per phase
+vector, summed for every final outcome at once.
 
 Two return routes exist and they differ physically. If an outcome is
 realized in the intermediate context, probabilities add over intermediate
 outcomes (``irreversible_return``); if none is realized, amplitudes add
 instead and the start outcome is recovered with certainty
-(``reversible_return``).  ``interference_return`` exposes the amplitude sum
+(``reversible_return``).  ``interference_returns`` exposes the amplitude sum
 with adjustable per-path phases, which is what an interferometer dials.
 """
 
@@ -115,13 +118,18 @@ def propagate(dist: np.ndarray, t: np.ndarray) -> np.ndarray:
     return clamp_probabilities(t @ dist)
 
 
-def return_path_amplitudes(initial: Modality, intermediate: Context, final_index: int) -> np.ndarray:
-    """Per-path amplitude products ⟨u_k|v_j⟩⟨v_j|u_i⟩ for all intermediate j."""
+def _check_return(initial: Modality, intermediate: Context, final_index: int) -> Context:
     ctx = initial.context
     if ctx.dim != intermediate.dim:
         raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
+    return ctx
+
+
+def return_path_amplitudes(initial: Modality, intermediate: Context, final_index: int) -> np.ndarray:
+    """Per-path amplitude products ⟨u_k|v_j⟩⟨v_j|u_i⟩ for all intermediate j."""
+    ctx = _check_return(initial, intermediate, final_index)
     # ⟨u_k|v_j⟩ from row k of one table, ⟨v_j|u_i⟩ from column i of the other
     return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
 
@@ -130,18 +138,11 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
     """Return probability when an outcome is realized in the intermediate context.
 
     Probabilities add over the intermediate outcomes:
-    Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|².
+    Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|², read off the memoized
+    :meth:`Context.return_tables`.
     """
-    ctx = initial.context
-    if ctx.dim != intermediate.dim:
-        raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
-    if not 0 <= final_index < ctx.dim:
-        raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    table = intermediate.overlaps(ctx)
-    to_mid, from_mid = table[:, initial.index], table[:, final_index]
-    p_to = to_mid.real**2 + to_mid.imag**2
-    p_from = from_mid.real**2 + from_mid.imag**2
-    return as_probability(float(np.dot(p_from, p_to)))
+    ctx = _check_return(initial, intermediate, final_index)
+    return as_probability(ctx.return_tables(intermediate)[1].item(final_index, initial.index))
 
 
 def reversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
@@ -149,10 +150,31 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
 
     Amplitudes add over the intermediate outcomes, |Σ_j ⟨u_k|v_j⟩⟨v_j|u_i⟩|²;
     by the closure relation this is δ_{k,i}, but the sum is evaluated
-    numerically rather than asserted, so the identity is a tested consequence.
+    numerically (one product of the two overlap tables, memoized in
+    :meth:`Context.return_tables`) rather than asserted, so the identity is a
+    tested consequence.
     """
-    amp = return_path_amplitudes(initial, intermediate, final_index).sum()
-    return as_probability(amp.real * amp.real + amp.imag * amp.imag)
+    ctx = _check_return(initial, intermediate, final_index)
+    return as_probability(ctx.return_tables(intermediate)[0].item(final_index, initial.index))
+
+
+def interference_returns(initial: Modality, intermediate: Context, phases: np.ndarray) -> np.ndarray:
+    """Amplitude-summed return probability to every outcome k, a phase dialed onto each path.
+
+    |Σ_j e^{iφ_j} ⟨u_k|v_j⟩⟨v_j|u_i⟩|² for all k at once: row k of the
+    table of path products is :func:`return_path_amplitudes` for final
+    outcome k.  All phases zero reduces to :func:`reversible_return`.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (intermediate.dim,):
+        raise DimensionMismatch(
+            f"need {intermediate.dim} phases, got shape {phases.shape}"
+        )
+    ctx = initial.context
+    # paths[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩; the overlaps raise on a dim mismatch
+    paths = ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]
+    amps = (np.exp(1j * phases) * paths).sum(axis=1)
+    return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
 def interference_return(
@@ -161,16 +183,6 @@ def interference_return(
     phases: np.ndarray,
     final_index: int,
 ) -> float:
-    """Amplitude-summed return probability with a phase dialed onto each path.
-
-    |Σ_j e^{iφ_j} ⟨u_k|v_j⟩⟨v_j|u_i⟩|²; all phases zero reduces to
-    :func:`reversible_return`.
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (intermediate.dim,):
-        raise DimensionMismatch(
-            f"need {intermediate.dim} phases, got shape {phases.shape}"
-        )
-    amps = return_path_amplitudes(initial, intermediate, final_index)
-    amp = (np.exp(1j * phases) * amps).sum()
-    return as_probability(amp.real * amp.real + amp.imag * amp.imag)
+    """Entry ``final_index`` of :func:`interference_returns`."""
+    _check_return(initial, intermediate, final_index)
+    return float(interference_returns(initial, intermediate, phases)[final_index])

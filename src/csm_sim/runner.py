@@ -19,11 +19,13 @@ from .hilbert import (
     Context,
     Modality,
     build_context,
+    closure_residual,
     context_change_unitary,
     orthonormality_residual,
+    projector_residual,
 )
 from .measurement import (
-    interference_return,
+    interference_returns,
     irreversible_return,
     reversible_return,
     transition_matrix,
@@ -118,10 +120,9 @@ def _phase_sweep_rows(initial: Modality, intermediate: Context, values) -> list[
         rows.append(
             {
                 "phase": float(phi),
-                "return_probabilities": [
-                    interference_return(initial, intermediate, phases, k)
-                    for k in range(intermediate.dim)
-                ],
+                "return_probabilities": _floats(
+                    interference_returns(initial, intermediate, phases)
+                ),
             }
         )
     return rows
@@ -290,19 +291,8 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
             continue
         contexts[name] = ctx
         add(f"context[{name}].orthonormal", orthonormality_residual(ctx.basis))
-        proj_residual = 0.0
-        total = np.zeros((ctx.dim, ctx.dim), dtype=complex)
-        for j in range(ctx.dim):
-            p = ctx.projector(j)
-            proj_residual = max(
-                proj_residual,
-                float(np.max(np.abs(p @ p - p))),
-                float(np.max(np.abs(p - p.conj().T))),
-                abs(complex(np.trace(p)) - 1.0),
-            )
-            total += p
-        add(f"context[{name}].projectors", proj_residual)
-        add(f"context[{name}].closure", float(np.max(np.abs(total - np.eye(ctx.dim)))))
+        add(f"context[{name}].projectors", projector_residual(ctx))
+        add(f"context[{name}].closure", closure_residual(ctx))
 
     if not buildable:
         return all(c["pass"] for c in checks), checks

@@ -36,6 +36,22 @@ _CONTEXT_KEYS = {
 _GRAM_KEYS = {"uniform": {"kind", "g"}, "explicit": {"kind", "matrix"}}
 _SWEEP_KEYS = {"g", "m_count", "phase"}
 
+# Bytes the dim-sized arrays of a scenario may take, checked at parse time so
+# that an oversized ``dim`` is refused before anything is built.  Transient
+# products (B†B at construction, the residuals of ``verify``) add a few more
+# dim² arrays on top.
+MAX_TABLE_BYTES = 1 << 29
+
+
+def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
+    """Bytes of the bases and of the overlap and return tables of a scenario.
+
+    Per dim² entries: each context holds a complex basis and its conjugate
+    (32 B), and each protocol step two complex overlap tables (32 B) and two
+    real return tables (16 B).
+    """
+    return dim * dim * (32 * n_contexts + 48 * n_steps)
+
 
 @dataclass(frozen=True)
 class GramSpec:
@@ -190,7 +206,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         (``NaN``, ``Infinity``, or a float or integer literal that overflows
         a double).
     ScenarioValidationError
-        Schema violation, naming the offending field.
+        Schema violation, naming the offending field; also a ``dim`` whose
+        :func:`table_bytes` exceed ``MAX_TABLE_BYTES``.
     """
     text = Path(path).read_text()
     try:
@@ -251,6 +268,13 @@ def parse_scenario(path: str | Path) -> Scenario:
             "protocol.initial.index", f"{initial_index} not in [0, {dim})"
         )
     protocol = ProtocolSpec(initial_context, initial_index, tuple(sequence))
+    footprint = table_bytes(dim, len(contexts), len(sequence) - 1)
+    if footprint > MAX_TABLE_BYTES:
+        raise ScenarioValidationError(
+            "dim",
+            f"{dim} needs {footprint} bytes of bases and tables, "
+            f"more than the budget of {MAX_TABLE_BYTES}",
+        )
 
     meter = None
     if "meter" in raw:

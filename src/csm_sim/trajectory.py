@@ -292,12 +292,14 @@ def _block_counts(
 
     Block ``b`` holds samples ``[b*BLOCK, (b+1)*BLOCK)`` and draws from the
     ``b``-th child of ``SeedSequence(seed)``, so a full block's counts depend
-    on (seed, b) alone, whatever the total sample count.
+    on (seed, b) alone, whatever the total sample count.  Each child is built
+    when its block is drawn, as ``SeedSequence(seed, spawn_key=(b,))``, which
+    is the child ``spawn`` would give without materializing all of them.
     """
     n_blocks = -(-n_samples // BLOCK)
     counts = np.empty((n_blocks, dim), dtype=np.int64)
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
-        rng = np.random.default_rng(child)
+    for b in range(n_blocks):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         size = min(BLOCK, n_samples - b * BLOCK)
         initial = np.full(size, initial_index, dtype=np.intp)
         uniforms = (rng.random(size) for _ in step_cumulatives)

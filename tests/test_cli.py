@@ -174,6 +174,23 @@ def test_sweep_invalid_steps(capsys):
     assert main(["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", "0"]) == 2
 
 
+def test_size_arguments_beyond_their_bounds_are_usage_errors(capsys):
+    # dim 2: both bounds are far below 10**15, and neither is ever allocated
+    too_many = [
+        ["run", SCENARIO, "--trajectories", str(csm_sim.cli.max_trajectories(2) + 1)],
+        ["run", SCENARIO, "--trajectories", str(10**15)],
+        ["run", SCENARIO, "--exhaustive", "--trajectories", str(10**15)],
+        ["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1",
+         "--steps", str(csm_sim.cli.max_sweep_steps(2) + 1)],
+        ["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", str(10**15)],
+    ]
+    for argv in too_many:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: --")
+
+
 @pytest.mark.parametrize("param, start", [("m_count", "-2"), ("m_count", "nan"), ("phase", "inf")])
 def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     argv = ["sweep", SCENARIO, "--param", param, "--from", start, "--to", "4", "--steps", "3"]
@@ -205,13 +222,16 @@ DROP = object()
 ODD_NUMBERS = [-1, -7, -2.5, 0.5, 1.5, -0.0, 1e-300, 10**18, -(10**18), 2**63, 10**400,
                1e300, -1e300, math.nan, math.inf, -math.inf]
 OTHER_TYPES = [None, True, "z", [], {}, [0, 1], {"kind": "computational"}]
+# stands for a size argument drawn from ODD_SIZES, each small enough to run or out of bounds
+SIZE = object()
+ODD_SIZES = ["-1", "0", "1", "3", "64", str(10**15), str(2**63), "9" * 400]
 FUZZ_COMMANDS = [
-    ["run", "--trajectories", "64"],
-    ["run", "--exhaustive"],
+    ["run", "--trajectories", SIZE],
+    ["run", "--exhaustive", "--trajectories", SIZE],
     ["verify", "--out"],
-    ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"],
-    ["sweep", "--param", "m_count", "--from", "0", "--to", "4", "--steps", "3"],
-    ["sweep", "--param", "phase", "--from", "0", "--to", "3", "--steps", "3"],
+    ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", SIZE],
+    ["sweep", "--param", "m_count", "--from", "0", "--to", "4", "--steps", SIZE],
+    ["sweep", "--param", "phase", "--from", "0", "--to", "3", "--steps", SIZE],
 ]
 
 
@@ -245,12 +265,13 @@ def _mutate(doc, mutations):
         max_size=4,
     ),
     command=st.sampled_from(FUZZ_COMMANDS),
+    size=st.sampled_from(ODD_SIZES),
 )
-def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command):
+def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command, size):
     with tempfile.TemporaryDirectory() as tmp:
         path, report = Path(tmp) / "mutant.json", Path(tmp) / "report.json"
         path.write_text(json.dumps(_mutate(DOC, mutations)))
-        argv = [command[0], str(path), *command[1:]]
+        argv = [command[0], str(path), *(size if arg is SIZE else arg for arg in command[1:])]
         if argv[-1] == "--out":
             argv.append(str(report))
         out, err = io.StringIO(), io.StringIO()

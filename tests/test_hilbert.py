@@ -114,6 +114,28 @@ def test_overlaps_are_keyed_by_object_not_label():
     assert not np.allclose(cs.transition_matrix(left, start), cs.transition_matrix(right, start))
 
 
+def test_return_tables_are_memoized_read_only_and_keyed_by_object():
+    start = cs.haar_context(3, 0)
+    left = cs.explicit_context(cs.haar_random_unitary(1, 3))
+    right = cs.explicit_context(cs.haar_random_unitary(2, 3))
+    assert left == right  # both carry the label "explicit"
+    tables = start.return_tables(left)
+    assert start.return_tables(left) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 1] = 2.0
+    other = start.return_tables(right)
+    assert other[0] is not tables[0] and other[1] is not tables[1]
+    assert not np.allclose(tables[1], other[1])
+    for mid, (reversible, irreversible) in ((left, tables), (right, other)):
+        t = cs.transition_matrix(start, mid)
+        np.testing.assert_allclose(irreversible, t.T @ t, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(reversible, np.eye(3), rtol=0, atol=1e-12)
+    assert set(start._returns) == {id(left), id(right)}
+    with pytest.raises(DimensionMismatch):
+        start.return_tables(cs.computational_context(4))
+
+
 def test_modality_index_range():
     ctx = cs.computational_context(2)
     with pytest.raises(IndexOutOfRange):

@@ -261,3 +261,32 @@ def test_table_returns_match_per_call_products(seed, dim):
             ) <= 1e-12
             irreversible = np.dot(np.abs(from_mid) ** 2, np.abs(to_mid) ** 2)
             assert abs(cs.irreversible_return(m, mid, k) - irreversible) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8))
+def test_memoized_return_tables_match_path_sums(seed, dim):
+    start, mid = cs.haar_context(dim, seed), cs.haar_context(dim, seed + 1)
+    reversible, irreversible = start.return_tables(mid)
+    squared = np.abs(mid.overlaps(start)) ** 2  # column i: |⟨v_j|u_i⟩|² over j
+    for i in range(dim):
+        m = cs.Modality(start, i)
+        for k in range(dim):
+            amp = cs.return_path_amplitudes(m, mid, k).sum()
+            assert abs(reversible[k, i] - abs(amp) ** 2) <= 1e-12
+            assert abs(irreversible[k, i] - np.dot(squared[:, k], squared[:, i])) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8))
+def test_interference_returns_match_per_outcome_path_sums(seed, dim):
+    start, mid = cs.haar_context(dim, seed), cs.haar_context(dim, seed + 1)
+    phases = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, dim)
+    for i in range(dim):
+        m = cs.Modality(start, i)
+        returns = cs.interference_returns(m, mid, phases)
+        for k in range(dim):
+            # the same products summed in the same order: equal to the last bit
+            amp = (np.exp(1j * phases) * cs.return_path_amplitudes(m, mid, k)).sum()
+            assert returns[k] == amp.real * amp.real + amp.imag * amp.imag
+            assert cs.interference_return(m, mid, phases, k) == returns[k]

@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csm_sim as cs
 import csm_sim.runner
+from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.runner import format_csv, report_to_json, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
@@ -149,6 +152,45 @@ def test_verify_keeps_one_overlap_table_per_partner(monkeypatch):
         assert len(held) == len(partners[name])
         assert {p.id for p in held} == partners[name]
         assert all(built[p.id] is p for p in held)
+    # return tables: one pair per protocol step, held by the step's start context
+    steps = {(a, b) for a, b in zip(sequence[:-1], sequence[1:])}
+    held = {(name, mid.id) for name, ctx in built.items() for mid, _ in ctx._returns.values()}
+    assert held == steps
+    assert sum(len(ctx._returns) for ctx in built.values()) == len(steps)
+
+
+def _projector_loop_residuals(basis):
+    """The explicit O(N⁴) loop the closed forms replaced: (projectors, closure)."""
+    dim = basis.shape[0]
+    proj_residual = 0.0
+    total = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        v = basis[:, j]
+        p = np.outer(v, v.conj())
+        proj_residual = max(
+            proj_residual,
+            float(np.max(np.abs(p @ p - p))),
+            float(np.max(np.abs(p - p.conj().T))),
+            abs(complex(np.trace(p)) - 1.0),
+        )
+        total += p
+    return proj_residual, float(np.max(np.abs(total - np.eye(dim))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 12), perturb=st.booleans())
+def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb):
+    basis = cs.haar_random_unitary(seed, dim)
+    if perturb:
+        # a basis the context still accepts, off orthonormal by up to INPUT_TOL
+        noise = np.random.default_rng(seed).standard_normal((dim, dim))
+        basis = basis + 0.2 * INPUT_TOL / dim * noise
+    ctx = cs.explicit_context(basis)
+    projectors, closure = _projector_loop_residuals(ctx.basis)
+    assert abs(projector_residual(ctx) - projectors) <= 1e-15
+    assert abs(closure_residual(ctx) - closure) <= 1e-15
+    if perturb:
+        assert closure > 1e-13  # the perturbation shows, well above rounding
 
 
 def test_report_with_non_finite_value_is_domain_error():

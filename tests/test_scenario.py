@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import csm_sim as cs
+import csm_sim.scenario
 from csm_sim.errors import ScenarioParseError, ScenarioValidationError
+from csm_sim.scenario import MAX_TABLE_BYTES, table_bytes
 
 MINIMAL = {
     "schema_version": 1,
@@ -211,3 +214,40 @@ def test_non_orthonormal_explicit_context_parses_but_fails_build(tmp_path):
     scenario = cs.parse_scenario(write(tmp_path, doc))
     with pytest.raises(cs.NonOrthonormalInput):
         cs.build_scenario_objects(scenario)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dim_beyond_the_table_budget_is_refused_before_allocating(tmp_path, monkeypatch):
+    huge = write(tmp_path, dict(MINIMAL, dim=10**18))
+
+    def refused():
+        with pytest.raises(ScenarioValidationError) as err:
+            cs.parse_scenario(huge)
+        assert err.value.field == "dim"
+
+    assert _traced_peak(refused) < 1 << 20
+
+    # a dim whose footprint is exactly the budget parses; one byte less of budget refuses it
+    dim = 4096
+    protocol = {"initial": {"context": "c", "index": 0}, "sequence": ["c", "c"]}
+    doc = dict(MINIMAL, dim=dim, protocol=protocol)
+    footprint = table_bytes(dim, 1, 1)
+    path = write(tmp_path, doc, "edge.json")
+    monkeypatch.setattr(csm_sim.scenario, "MAX_TABLE_BYTES", footprint)
+    assert _traced_peak(lambda: cs.parse_scenario(path)) < 1 << 20
+    monkeypatch.setattr(csm_sim.scenario, "MAX_TABLE_BYTES", footprint - 1)
+    with pytest.raises(ScenarioValidationError, match="budget"):
+        cs.parse_scenario(path)
+
+
+def test_table_budget_admits_the_scaled_scenarios():
+    # four contexts, five steps: the benchmark's dim-64 scenario and its dim-256 scale-up
+    assert table_bytes(256, 4, 5) <= MAX_TABLE_BYTES

@@ -14,7 +14,7 @@ from csm_sim.errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from csm_sim.trajectory import _sample_paths
+from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
 
 
 def balanced_protocol():
@@ -341,3 +341,22 @@ def test_meter_protocol_entropy_monotone_in_g(balanced):
         for g in np.linspace(0, 1, 9)
     ]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_lazy_block_seeds_are_the_spawned_children(seed):
+    spawned = np.random.SeedSequence(seed).spawn(5)
+    for b in (0, 1, 4):
+        lazy = np.random.SeedSequence(seed, spawn_key=(b,))
+        np.testing.assert_array_equal(lazy.generate_state(8), spawned[b].generate_state(8))
+    # the sampler's counts equal the spawn-everything loop it replaced, block by block
+    t = cs.transition_matrix(cs.computational_context(3), cs.haar_context(3, seed))
+    cums = [np.cumsum(t, axis=0)]
+    n = 2 * BLOCK + 5
+    counts = _block_counts(cums, 0, 3, seed, n)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
+        rng = np.random.default_rng(child)
+        size = min(BLOCK, n - b * BLOCK)
+        uniforms = (rng.random(size) for _ in cums)
+        finals = _sample_paths(cums, np.zeros(size, dtype=np.intp), uniforms)[:, -1]
+        np.testing.assert_array_equal(counts[b], np.bincount(finals, minlength=3))
