@@ -60,10 +60,11 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
-    composite_return_probability,
+    composite_return_probabilities,
     entangle,
     gram_uniform,
     meter_chain_reduced_state,
+    meter_protocol_entropy,
     meter_return_probabilities,
     meter_states_from_gram,
     partial_trace_meter,
@@ -91,7 +92,6 @@ from .trajectory import (
     final_marginal,
     forward_log_prob,
     mean_entropy_production,
-    meter_protocol_entropy,
     sample_trajectory,
     shannon_entropy,
     step_transition_matrices,

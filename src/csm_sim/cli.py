@@ -109,6 +109,9 @@ def _cmd_run(args, scenario) -> int:
 
 
 def _cmd_verify(args, scenario) -> int:
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        print("verify: --tolerance must be finite and >= 0", file=sys.stderr)
+        return 2
     report = verify_report(scenario, args.tolerance)
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
@@ -136,6 +139,9 @@ def _cmd_sweep(args, scenario) -> int:
         values = np.linspace(args.start, args.stop, args.steps)
     if not np.isfinite(values).all() or (args.param == "m_count" and round(values.min()) < 0):
         print("sweep: grid values must be finite, and m_count values >= 0", file=sys.stderr)
+        return 2
+    if args.param == "g" and not 0.0 <= values.min() <= values.max() <= 1.0:
+        print("sweep: g values must lie in [0, 1]", file=sys.stderr)
         return 2
     if args.param == "m_count":
         values = [int(round(v)) for v in values]

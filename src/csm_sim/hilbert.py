@@ -59,7 +59,8 @@ class Context:
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector.
 
     ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, both set
-    once here; ``adjoint`` is read-only like ``basis``.  Overlaps with another
+    once here; ``adjoint`` is read-only like ``basis``, and ``orthonormality``
+    is the B†B residual measured when the basis was admitted.  Overlaps with another
     context come from :meth:`overlaps`, one memoized table per partner, and
     the two return tables through an intermediate context from
     :meth:`return_tables`, memoized per intermediate the same way.
@@ -69,6 +70,7 @@ class Context:
     basis: np.ndarray
     adjoint: np.ndarray = field(init=False, repr=False)
     dim: int = field(init=False, repr=False)
+    orthonormality: float = field(init=False, repr=False)
     _overlaps: dict = field(init=False, repr=False)
     _returns: dict = field(init=False, repr=False)
 
@@ -92,6 +94,7 @@ class Context:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "adjoint", conjugate.T)
         object.__setattr__(self, "dim", basis.shape[0])
+        object.__setattr__(self, "orthonormality", residual)
         object.__setattr__(self, "_overlaps", {})
         object.__setattr__(self, "_returns", {})
 

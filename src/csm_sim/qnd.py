@@ -10,9 +10,14 @@ overlaps reproduce a projective measurement of the pointer context,
 all-ones overlaps leave the system untouched, and everything in between is
 a weak measurement.
 
-The overlap matrix is a frozen :class:`Gram`, validated once at construction
-and carrying its eigendecomposition; every function here takes one and trusts
-it.  Tolerance checks read ``not residual <= tol``, so a NaN fails them.
+The overlap matrix is a frozen :class:`Gram`, validated once at construction;
+every function here takes one and trusts it.  Tolerance checks read
+``not residual <= tol``, so a NaN fails them.
+
+There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
+closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
+it alone.  The composite route (meter states realized from the overlaps,
+:func:`entangle`, a trace over the meter) is the referee of ``verify``.
 
 Conventions: meter states are stored as the columns of an M×N complex
 matrix, with M the meter dimension; composite amplitudes are indexed
@@ -29,7 +34,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InternalConsistencyError,
     InvalidGramMatrix,
     InvalidMeterStates,
@@ -38,7 +42,7 @@ from .errors import (
     StrengthOutOfRange,
 )
 from .hilbert import INPUT_TOL, Context, Modality
-from .measurement import as_probability, clamp_probabilities
+from .measurement import clamp_probabilities
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
@@ -50,13 +54,12 @@ METER_TOL = 1e-8
 class Gram:
     """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
 
-    Checked once here (smallest eigenvalue not below ``-RANK_TOL``); the
-    read-only eigendecomposition is kept for :func:`meter_states_from_gram`.
+    Checked once here, by ``eigvalsh`` (smallest eigenvalue not below
+    ``-RANK_TOL``); only the read-only eigenvalues are kept.
     """
 
     matrix: np.ndarray
     eigvals: np.ndarray = field(init=False, repr=False)
-    eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
@@ -66,12 +69,12 @@ class Gram:
             raise InvalidGramMatrix("overlap matrix is not Hermitian")
         if not np.max(np.abs(np.diagonal(matrix) - 1.0)) <= INPUT_TOL:
             raise InvalidGramMatrix("overlap matrix diagonal is not 1")
-        eigvals, eigvecs = np.linalg.eigh(matrix)
+        eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -RANK_TOL:
             raise NotPositiveSemidefinite(
                 f"smallest eigenvalue {eigvals[0]:.3e} below -{RANK_TOL:.0e}"
             )
-        for name, value in (("matrix", matrix), ("eigvals", eigvals), ("eigvecs", eigvecs)):
+        for name, value in (("matrix", matrix), ("eigvals", eigvals)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -88,7 +91,7 @@ def gram_uniform(n: int, g: float) -> Gram:
     matrix is positive semidefinite on the whole range.
     """
     if not 0.0 <= g <= 1.0:
-        raise StrengthOutOfRange(f"overlap strength g={g!r} outside [0, 1]")
+        raise StrengthOutOfRange(f"overlap strength g={float(g)!r} outside [0, 1]")
     gram = np.full((n, n), complex(g))
     np.fill_diagonal(gram, 1.0)
     return Gram(gram)
@@ -103,9 +106,10 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
     descending and each eigenvector's largest-magnitude component made real
     positive, so the output is deterministic given the input.
     """
-    order = np.argsort(-gram.eigvals, kind="stable")
-    order = order[gram.eigvals[order] > RANK_TOL]
-    eigvals, eigvecs = gram.eigvals[order], gram.eigvecs[:, order]
+    eigvals, eigvecs = np.linalg.eigh(gram.matrix)
+    order = np.argsort(-eigvals, kind="stable")
+    order = order[eigvals[order] > RANK_TOL]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     for a in range(eigvecs.shape[1]):
         pivot = int(np.argmax(np.abs(eigvecs[:, a])))
         phase = eigvecs[pivot, a] / abs(eigvecs[pivot, a])
@@ -117,6 +121,13 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
             f"realized meter states reproduce overlaps only to {residual:.3e}"
         )
     return states
+
+
+def _branch(initial: Modality, pointer: Context, n: int) -> np.ndarray:
+    """b_j = ⟨v_j|u_i⟩ for every pointer outcome, once the three dims agree."""
+    if not initial.dim == pointer.dim == n:
+        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {n}")
+    return pointer.adjoint @ initial.vector
 
 
 def validate_meter_states(meters: np.ndarray) -> np.ndarray:
@@ -138,11 +149,7 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     """
     meters = validate_meter_states(meters)
     m_dim, n = meters.shape
-    if pointer.dim != n:
-        raise DimensionMismatch(f"pointer dim {pointer.dim} vs {n} meter states")
-    if initial.dim != pointer.dim:
-        raise DimensionMismatch(f"dims differ: {initial.dim} vs {pointer.dim}")
-    branch = pointer.adjoint @ initial.vector  # ⟨v_j|u_i⟩
+    branch = _branch(initial, pointer, n)
     state = (branch[:, None] * meters.T).reshape(n * m_dim)
     norm_dev = abs(float(np.linalg.norm(state)) - 1.0)
     if not norm_dev <= INPUT_TOL:
@@ -159,9 +166,7 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
     overlaps make it the probability-summed return, all-ones overlaps the
     amplitude-summed (certain) return.
     """
-    if not initial.dim == pointer.dim == gram.dim:
-        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
-    branch = pointer.adjoint @ initial.vector  # ⟨v_j|u_i⟩
+    branch = _branch(initial, pointer, gram.dim)
     paths = initial.context.overlaps(pointer) * branch  # ⟨u_k|v_j⟩⟨v_j|u_i⟩
     values = np.sum(paths.conj() * (paths @ gram.matrix.T), axis=1)
     residue = float(np.max(np.abs(values.imag)))
@@ -170,28 +175,24 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
     return clamp_probabilities(values.real)
 
 
-def composite_return_probability(
-    state: np.ndarray, context: Context, pointer: Context, final_index: int
-) -> float:
-    """Return probability read off an explicit composite state.
+def composite_return_probabilities(
+    state: np.ndarray, context: Context, pointer: Context
+) -> np.ndarray:
+    """Return probability of every outcome ``k`` read off an explicit composite state.
 
-    Expectation of (projector onto outcome ``final_index`` of ``context``) ⊗ 1
-    in ``state``; the overlap-matrix route of
+    Entry ``k`` is the expectation of (projector onto outcome ``k`` of
+    ``context``) ⊗ 1 in ``state``; the overlap-matrix route of
     :func:`meter_return_probabilities` must reproduce it.
     """
     state = np.asarray(state, dtype=complex)
     n = pointer.dim
-    if context.dim != n:
-        raise DimensionMismatch(f"dims differ: {context.dim} vs {n}")
-    if not 0 <= final_index < n:
-        raise IndexOutOfRange(f"final index {final_index} not in [0, {n})")
     if state.ndim != 1 or state.size % n != 0 or state.size == 0:
         raise DimensionMismatch(
             f"composite state of size {state.shape} not compatible with dim {n}"
         )
-    overlaps = context.basis[:, final_index].conj() @ pointer.basis  # ⟨u_k|v_j⟩
-    meter_components = overlaps @ state.reshape(n, state.size // n)
-    return as_probability(float(np.sum(meter_components.real**2 + meter_components.imag**2)))
+    meter_components = context.overlaps(pointer) @ state.reshape(n, state.size // n)
+    weights = meter_components.real**2 + meter_components.imag**2
+    return clamp_probabilities(weights.sum(axis=1))
 
 
 def post_measurement_state(
@@ -208,9 +209,7 @@ def post_measurement_state(
     ortho_dev = float(np.max(np.abs(meters.conj().T @ meters - np.eye(n))))
     if not ortho_dev <= METER_TOL:
         raise MeterNotOrthogonal(f"meter overlap deviates from identity by {ortho_dev:.3e}")
-    if pointer.dim != n or initial.dim != n:
-        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {n}")
-    branch = pointer.adjoint @ initial.vector
+    branch = _branch(initial, pointer, n)
     weights = branch.real**2 + branch.imag**2
     rho = np.zeros((n * m_dim, n * m_dim), dtype=complex)
     for j in range(n):
@@ -249,9 +248,7 @@ def meter_chain_reduced_state(
     """
     if m_count < 0:
         raise ValueError(f"m_count must be >= 0, got {m_count}")
-    if not initial.dim == pointer.dim == gram.dim:
-        raise DimensionMismatch(f"dims differ: {initial.dim}, {pointer.dim}, {gram.dim}")
-    branch = pointer.adjoint @ initial.vector
+    branch = _branch(initial, pointer, gram.dim)
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
 
@@ -281,3 +278,14 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     probs = clamp_probabilities(eigvals)
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive))) + 0.0
+
+
+def meter_protocol_entropy(initial: Modality, pointer: Context, gram: Gram) -> float:
+    """Entropy produced by a meter-mediated measurement of given strength.
+
+    The entropy of the reduced system state after one meter coupling: equal
+    to the Shannon entropy of the pointer outcome distribution for orthogonal
+    meter states, zero for indistinguishable ones, and a continuous
+    irreversibility gauge in between.
+    """
+    return von_neumann_entropy(meter_chain_reduced_state(initial, pointer, gram, 1))

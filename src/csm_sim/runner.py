@@ -32,14 +32,16 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
-    composite_return_probability,
+    composite_return_probabilities,
     density_matrix_residuals,
     entangle,
     gram_uniform,
     meter_chain_reduced_state,
+    meter_protocol_entropy,
     meter_return_probabilities,
     meter_states_from_gram,
     reduced_system_state,
+    von_neumann_entropy,
 )
 from .scenario import GramSpec, Scenario
 from .trajectory import (
@@ -47,7 +49,6 @@ from .trajectory import (
     exhaustive_entropy_production,
     final_marginal,
     mean_entropy_production,
-    meter_protocol_entropy,
 )
 
 
@@ -207,8 +208,7 @@ def run_scenario(
 
     meter_section = None
     if pointer is not None:
-        state = entangle(initial, pointer, meter_states_from_gram(gram))
-        rho = reduced_system_state(state, pointer)
+        rho = meter_chain_reduced_state(initial, pointer, gram, 1)
         off_mask = ~np.eye(dim, dtype=bool)
         meter_section = {
             "pointer": scenario.meter.pointer,
@@ -216,7 +216,7 @@ def run_scenario(
             "reduced_state_diagonal": _floats(rho.diagonal().real),
             "max_coherence": float(np.max(np.abs(rho[off_mask]))),
             "coherence_magnitudes": [_floats(np.abs(rho[j])) for j in range(dim)],
-            "entropy": meter_protocol_entropy(initial, pointer, gram),
+            "entropy": von_neumann_entropy(rho),
         }
 
     if exhaustive:
@@ -272,6 +272,8 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
     Returns (all passed, checks); each check carries its name, the measured
     residual and whether it is within ``tolerance``.  If an object cannot be
     built at all, its residual is recorded and dependent checks are skipped.
+    The meter checks measure the closed-form quantities ``run`` reports
+    against the explicit composite state, built here and nowhere else.
     """
     checks: list[dict] = []
 
@@ -290,7 +292,7 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
             buildable = False
             continue
         contexts[name] = ctx
-        add(f"context[{name}].orthonormal", orthonormality_residual(ctx.basis))
+        add(f"context[{name}].orthonormal", ctx.orthonormality)
         add(f"context[{name}].projectors", projector_residual(ctx))
         add(f"context[{name}].closure", closure_residual(ctx))
 
@@ -338,17 +340,13 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
             add("meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0))
             probs = meter_return_probabilities(initial, pointer, gram)
             add("meter.return_normalization", abs(float(probs.sum()) - 1.0))
-            two_form = max(
-                abs(
-                    probs[k]
-                    - composite_return_probability(state, initial.context, pointer, k)
-                )
-                for k in range(dim)
-            )
-            add("meter.return_two_form_agreement", float(two_form))
-            rho = reduced_system_state(state, pointer)
+            composite = composite_return_probabilities(state, initial.context, pointer)
+            add("meter.return_two_form_agreement", float(np.max(np.abs(probs - composite))))
+            rho = meter_chain_reduced_state(initial, pointer, gram, 1)
             residuals = density_matrix_residuals(rho)
             add("meter.reduced_state", max(residuals.values()))
+            traced = reduced_system_state(state, pointer)
+            add("meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced))))
 
     marginal = final_marginal(protocol)
     marginal_residual = max(

@@ -41,13 +41,6 @@ from .measurement import (
     transition_matrix,
     validate_distribution,
 )
-from .qnd import (
-    Gram,
-    entangle,
-    meter_states_from_gram,
-    reduced_system_state,
-    von_neumann_entropy,
-)
 
 # Keep the exhaustive oracle at desk scale.
 MAX_ENUMERATED_PATHS = 100_000
@@ -380,14 +373,3 @@ def shannon_entropy(dist: np.ndarray) -> float:
     p = np.minimum(dist[dist > 0.0], 1.0)
     return float(-np.sum(p * np.log(p))) + 0.0
 
-
-def meter_protocol_entropy(initial: Modality, pointer: Context, gram: Gram) -> float:
-    """Entropy produced by a meter-mediated measurement of given strength.
-
-    The entropy of the reduced system state after the meter coupling: equal
-    to the Shannon entropy of the pointer outcome distribution for orthogonal
-    meter states, zero for indistinguishable ones, and a continuous
-    irreversibility gauge in between.
-    """
-    state = entangle(initial, pointer, meter_states_from_gram(gram))
-    return von_neumann_entropy(reduced_system_state(state, pointer))

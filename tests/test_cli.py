@@ -117,6 +117,14 @@ def test_verify_fails_on_bad_context(tmp_path, capsys):
     assert "residual" in captured.err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_verify_refuses_a_tolerance_that_is_not_finite_and_non_negative(capsys, tolerance):
+    assert main(["verify", SCENARIO, "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("verify: --tolerance")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["run", "/no/such/file.json"]) == 2
 
@@ -191,7 +199,9 @@ def test_size_arguments_beyond_their_bounds_are_usage_errors(capsys):
         assert captured.err.startswith(f"{argv[0]}: --")
 
 
-@pytest.mark.parametrize("param, start", [("m_count", "-2"), ("m_count", "nan"), ("phase", "inf")])
+@pytest.mark.parametrize(
+    "param, start", [("m_count", "-2"), ("m_count", "nan"), ("phase", "inf"), ("g", "-0.5")]
+)
 def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     argv = ["sweep", SCENARIO, "--param", param, "--from", start, "--to", "4", "--steps", "3"]
     assert main(argv) == 2

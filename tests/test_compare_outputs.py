@@ -1,0 +1,62 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+def _report(diagonal, entropy, mode="monte_carlo"):
+    return json.dumps(
+        {
+            "results": {
+                "meter": {"reduced_state_diagonal": diagonal, "entropy": entropy},
+                "rows": [{"p": [0.25, 0.75]}, {"p": [0.5, 0.5]}],
+                "mode": mode,
+            }
+        }
+    )
+
+
+def test_numeric_gap_on_json_and_text():
+    # gaps are powers of two, so they are exact
+    a = _report([0.5, 0.25, 0.25], 0.125)
+    b = _report([0.5, 0.25 + 2**-48, 0.25 - 2**-50], 0.125 + 2**-45)
+    assert compare_outputs.numeric_gap(a, a) == 0.0
+    assert compare_outputs.numeric_gap(a, b) == 2**-45
+    # a key, a list length or a string that differs is a structural difference
+    assert compare_outputs.numeric_gap(a, _report([0.5, 0.5], 0.125)) is None
+    assert compare_outputs.numeric_gap(a, _report([0.5, 0.25, 0.25], 0.125, "exhaustive")) is None
+    assert compare_outputs.numeric_gap("PASS x  residual=0.5\n", "PASS x  residual=0.75\n") == 0.25
+    assert compare_outputs.numeric_gap("PASS x  residual=0.5\n", "FAIL x  residual=0.5\n") is None
+
+
+def test_gaps_are_grouped_by_key_path_with_indices_collapsed():
+    a = _report([0.5, 0.25, 0.25], 0.125)
+    b = json.loads(_report([0.5, 0.25 + 2**-48, 0.25 - 2**-50], 0.125 + 2**-45))
+    b["results"]["rows"][1]["p"][0] = 0.5 + 2**-52
+    grouped = compare_outputs.gaps_by_path(a, json.dumps(b))
+    assert list(grouped) == [
+        "results.meter.reduced_state_diagonal[*]",
+        "results.meter.entropy",
+        "results.rows[*].p[*]",
+    ]
+    count, largest = grouped["results.meter.reduced_state_diagonal[*]"]
+    assert (count, largest) == (2, 2**-48)
+    assert grouped["results.rows[*].p[*]"] == (1, 2**-52)
+    assert compare_outputs.gaps_by_path(a, a) == {}
+    assert compare_outputs.gaps_by_path(a, _report([0.5], 0.125)) is None
+    assert compare_outputs.gaps_by_path("PASS\n", "PASS\n") is None
+
+
+def test_describe_lists_paths_for_json_and_aligned_lines_for_text():
+    a = _report([0.5, 0.25, 0.25], 0.125)
+    b = _report([0.5, 0.25, 0.25], 0.125 + 2**-45)
+    notes = compare_outputs.describe((0, a, ""), (0, b, ""))
+    assert notes == ["stdout: max gap 2.842e-14", "  results.meter.entropy: 1 value <= 2.8e-14"]
+    before = "PASS  a  residual=0.0\nPASS  z  residual=0.0\n"
+    after = "PASS  a  residual=0.0\nPASS  new  residual=0.0\nPASS  z  residual=0.0\n"
+    notes = compare_outputs.describe((0, before, ""), (0, after, ""))
+    assert notes == ["stdout: structure differs", "  + PASS  new  residual=0.0"]

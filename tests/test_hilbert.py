@@ -84,6 +84,18 @@ def test_dim_is_a_read_only_field():
         ctx.dim = 4
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 16), perturb=st.booleans())
+def test_orthonormality_field_is_the_residual_of_the_basis(seed, dim, perturb):
+    basis = cs.haar_random_unitary(seed, dim)
+    if perturb:
+        basis = basis + 1e-12 * np.random.default_rng(seed).standard_normal((dim, dim))
+    ctx = cs.explicit_context(basis)
+    assert ctx.orthonormality == orthonormality_residual(ctx.basis)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.orthonormality = 0.0
+
+
 def test_overlaps_table_is_memoized_and_read_only():
     a, b = cs.haar_context(4, 5), cs.fourier_context(4)
     table = a.overlaps(b)

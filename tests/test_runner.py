@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
+import csm_sim.qnd
 import csm_sim.runner
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.runner import format_csv, report_to_json, sweep_table
@@ -111,6 +112,24 @@ def test_verify_clean_scenario_passes(balanced_scenario):
     names = {c["name"] for c in checks}
     assert "meter.return_two_form_agreement" in names
     assert "step[0].reversible_identity" in names
+
+
+def test_run_and_g_sweep_never_build_a_composite_state(monkeypatch):
+    scenario = cs.parse_scenario(SCENARIO_DIR / "haar_octet.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("composite meter route called")
+
+    for module in (csm_sim.qnd, csm_sim.runner):
+        monkeypatch.setattr(module, "entangle", refuse)
+        monkeypatch.setattr(module, "meter_states_from_gram", refuse)
+    report = cs.run_scenario(scenario, seed=0, n_samples=100)
+    assert report["results"]["meter"] is not None
+    assert len(report["results"]["sweep"]["g"]) == len(scenario.sweep.g)
+    assert len(cs.sweep_rows(scenario, "g", [0.0, 0.5, 1.0])) == 3
+    # verify is where the composite referee runs, so the patch is live
+    with pytest.raises(AssertionError, match="composite meter route"):
+        cs.verify_scenario(scenario, 1e-10)
 
 
 def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):

@@ -21,11 +21,16 @@ with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
 compares stdout, stderr and exit code.  Each invocation prints ``SAME`` or
 ``DIFF``; a difference also prints the largest numeric gap between the two
 outputs (JSON reports are walked value by value, other text compared number
-by number) and the lines that differ.  Exits 1 if any invocation differs.
+by number).  For a JSON report it then prints, per key path with list indices
+collapsed to ``[*]``, how many values moved and the largest gap among them,
+for example ``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14``;
+for other text it prints the lines that differ, aligned by ``difflib``.
+Exits 1 if any invocation differs.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import os
@@ -79,31 +84,57 @@ def invoke(src: Path, args: list[str]) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
-def _json_gap(a, b) -> float | None:
-    """Largest |a - b| over matching numbers, or None if the structures differ."""
+def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
+    """(key path, |a - b|) of every number that differs, or None if the structures differ.
+
+    List indices in the path are collapsed to ``[*]``.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             return None
-        gaps = [_json_gap(a[k], b[k]) for k in a]
+        parts = [_moved_values(a[k], b[k], f"{path}.{k}" if path else k) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        gaps = [_json_gap(x, y) for x, y in zip(a, b)]
+        parts = [_moved_values(x, y, f"{path}[*]") for x, y in zip(a, b)]
     elif isinstance(a, bool) or isinstance(b, bool):
-        return 0.0 if a == b else None
+        return [] if a == b else None
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b))
+        return [] if a == b else [(path, abs(float(a) - float(b)))]
     else:
-        return 0.0 if a == b else None
-    return None if None in gaps else max(gaps, default=0.0)
+        return [] if a == b else None
+    return None if None in parts else [moved for part in parts for moved in part]
+
+
+def _parse_pair(a: str, b: str) -> tuple | None:
+    try:
+        return json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+
+
+def gaps_by_path(a: str, b: str) -> dict[str, tuple[int, float]] | None:
+    """Per collapsed key path, (count of moved values, largest gap), for two JSON outputs.
+
+    None if either output is not JSON or the two differ in structure.
+    """
+    docs = _parse_pair(a, b)
+    moves = None if docs is None else _moved_values(*docs)
+    if moves is None:
+        return None
+    grouped: dict[str, tuple[int, float]] = {}
+    for path, gap in moves:
+        count, largest = grouped.get(path, (0, 0.0))
+        grouped[path] = (count + 1, max(largest, gap))
+    return grouped
 
 
 def numeric_gap(a: str, b: str) -> float | None:
     """Largest numeric gap between two outputs, or None if they differ in structure."""
-    try:
-        return _json_gap(json.loads(a), json.loads(b))
-    except ValueError:
-        pass
+    docs = _parse_pair(a, b)
+    if docs is not None:
+        moves = _moved_values(*docs)
+        return None if moves is None else max((gap for _, gap in moves), default=0.0)
     if NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return None
     pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
@@ -119,12 +150,16 @@ def describe(parent: tuple[int, str, str], change: tuple[int, str, str]) -> list
             continue
         gap = numeric_gap(a, b)
         notes.append(f"{name}: " + ("structure differs" if gap is None else f"max gap {gap:.3e}"))
-        diffs = [(x, y) for x, y in zip(a.splitlines(), b.splitlines()) if x != y]
-        for x, y in diffs[:SHOWN_LINES]:
-            notes.append(f"  - {x.strip()}")
-            notes.append(f"  + {y.strip()}")
-        if len(diffs) > SHOWN_LINES:
-            notes.append(f"  ... {len(diffs) - SHOWN_LINES} more differing lines")
+        grouped = gaps_by_path(a, b)
+        if grouped is not None:
+            for path, (count, largest) in grouped.items():
+                notes.append(f"  {path}: {count} value{'s' * (count != 1)} <= {largest:.1e}")
+            continue
+        # aligned by difflib, so a line inserted in one output shows alone
+        diffs = [d for d in difflib.ndiff(a.splitlines(), b.splitlines()) if d[:1] in "-+"]
+        notes += [f"  {d[0]} {d[2:].strip()}" for d in diffs[: 2 * SHOWN_LINES]]
+        if len(diffs) > 2 * SHOWN_LINES:
+            notes.append(f"  ... {len(diffs) - 2 * SHOWN_LINES} more differing lines")
     return notes
 
 
