@@ -26,6 +26,7 @@ from .errors import (
     MeterNotOrthogonal,
     NonOrthonormalInput,
     NotPositiveSemidefinite,
+    RefusedInput,
     ScenarioParseError,
     ScenarioValidationError,
     StrengthOutOfRange,

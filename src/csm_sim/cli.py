@@ -3,8 +3,8 @@
 Three subcommands: ``run`` executes a scenario and emits a JSON report,
 ``verify`` measures every invariant residual against a tolerance, and
 ``sweep`` grids one parameter and emits a CSV table.  Exit codes: 0 on
-success, 1 on verification or execution failure, 2 on usage or parse
-errors.
+success, 1 on verification or execution failure, 2 on usage, parse, read
+and write errors (a sweep the scenario cannot serve is a usage error).
 """
 
 from __future__ import annotations
@@ -83,11 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(text: str, out: str | None) -> int:
+    """Write ``text`` to ``out``, or to stdout; exit code 2 if it cannot be written."""
+    try:
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            Path(out).write_text(text)
+    except OSError as err:
+        print(f"{out or 'stdout'}: cannot write: {err.strerror or err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_run(args, scenario) -> int:
@@ -104,8 +110,7 @@ def _cmd_run(args, scenario) -> int:
     report = run_scenario(
         scenario, seed=args.seed, n_samples=args.trajectories, exhaustive=args.exhaustive
     )
-    _emit(report_to_json(report), args.out)
-    return 0
+    return _emit(report_to_json(report), args.out)
 
 
 def _cmd_verify(args, scenario) -> int:
@@ -116,15 +121,16 @@ def _cmd_verify(args, scenario) -> int:
     for check in report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"{status}  {check['name']}  residual={check['residual']:.3e}")
-    if args.out:
-        _emit(report_to_json(report), args.out)
+    if args.out and _emit(report_to_json(report), args.out):
+        return 2
     if not report["pass"]:
         first = next(c for c in report["checks"] if not c["pass"])
-        print(
-            f"verification failed: {first['name']} residual {first['residual']:.3e} "
-            f"exceeds tolerance {args.tolerance:.3e}",
-            file=sys.stderr,
+        # a refused input fails on the constructor's bound, whatever the tolerance
+        reason = (
+            f"refused: {first['refused']}" if "refused" in first
+            else f"residual {first['residual']:.3e} exceeds tolerance {args.tolerance:.3e}"
         )
+        print(f"verification failed: {first['name']} {reason}", file=sys.stderr)
         return 1
     print(f"all {len(report['checks'])} checks passed at tolerance {args.tolerance:.3e}")
     return 0
@@ -147,16 +153,15 @@ def _cmd_sweep(args, scenario) -> int:
         values = [int(round(v)) for v in values]
     rows = sweep_rows(scenario, args.param, values)
     header, table = sweep_table(args.param, rows, scenario.dim)
-    _emit(format_csv(header, table), args.out)
-    return 0
+    return _emit(format_csv(header, table), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = parse_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"{args.scenario}: file not found", file=sys.stderr)
+    except OSError as err:
+        print(f"{args.scenario}: cannot read: {err.strerror or err}", file=sys.stderr)
         return 2
     except (ScenarioParseError, ScenarioValidationError) as err:
         print(f"{args.scenario}: {err}", file=sys.stderr)
@@ -167,6 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, scenario)
         return _cmd_sweep(args, scenario)
+    except ScenarioValidationError as err:  # a sweep the scenario cannot serve
+        print(f"{args.scenario}: {err}", file=sys.stderr)
+        return 2
     except CsmSimError as err:
         print(f"{args.scenario}: {err}", file=sys.stderr)
         return 1

@@ -13,20 +13,28 @@ class IndexOutOfRange(CsmSimError, IndexError):
     """Outcome index not in [0, dim)."""
 
 
-class NonOrthonormalInput(CsmSimError, ValueError):
-    """An explicit basis matrix fails the orthonormality tolerance."""
+class RefusedInput(CsmSimError, ValueError):
+    """A constructor refused its input matrix; ``residual`` is what its failed check measured."""
+
+    def __init__(self, message: str, residual: float):
+        self.residual = residual  # infinite for a matrix that is not square
+        super().__init__(message)
+
+
+class NonOrthonormalInput(RefusedInput):
+    """An explicit basis fails the orthonormality tolerance; ``residual`` is max |B†B − I|."""
 
 
 class StrengthOutOfRange(CsmSimError, ValueError):
     """Uniform meter-overlap strength outside [0, 1]."""
 
 
-class InvalidGramMatrix(CsmSimError, ValueError):
-    """Overlap matrix is not Hermitian with unit diagonal."""
+class InvalidGramMatrix(RefusedInput):
+    """Overlap matrix not Hermitian with unit diagonal; ``residual``: max |G − G†| or |diag G − 1|."""
 
 
 class NotPositiveSemidefinite(InvalidGramMatrix):
-    """Overlap matrix has an eigenvalue below the PSD tolerance."""
+    """Overlap matrix has an eigenvalue below the PSD tolerance; ``residual`` is its negation."""
 
 
 class MeterNotOrthogonal(CsmSimError, ValueError):

@@ -19,16 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalInput
 
-# Validation tolerance for user-supplied matrices vs. objects the library
-# builds itself; the latter must sit well below the former.
+# Validation tolerance for user-supplied matrices.
 INPUT_TOL = 1e-10
-GENERATED_TOL = 1e-12
-
-
-def orthonormality_residual(basis: np.ndarray) -> float:
-    """Max-norm deviation of B†B from the identity."""
-    basis = np.asarray(basis, dtype=complex)
-    return _identity_residual(basis.conj().T @ basis)
 
 
 def _identity_residual(product: np.ndarray) -> float:
@@ -77,7 +69,7 @@ class Context:
     def __post_init__(self):
         basis = np.array(self.basis, dtype=complex)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-            raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}")
+            raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
         if basis.shape[0] < 2:
             raise DimensionMismatch(f"context dimension must be >= 2, got {basis.shape[0]}")
         # A transposed view of a read-only conjugate copy, so read-only too.  It
@@ -88,7 +80,8 @@ class Context:
         residual = _identity_residual(conjugate.T @ basis)
         if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
-                f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}"
+                f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
+                residual,
             )
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)

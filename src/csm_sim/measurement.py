@@ -8,11 +8,13 @@ after passing through an intermediate context.
 
 Every overlap between two contexts is read from the pair's table
 ``Context.overlaps`` (W[j, i] = ⟨v_j|u_i⟩), computed on first use and then
-memoized.  The two return probabilities are memoized one level up, as whole
-tables over (final, initial) outcome per (start context, intermediate) pair
-in ``Context.return_tables``, so a scalar return is one read of a table
-entry; a phase-dialed return is one table of path products per phase
-vector, summed for every final outcome at once.
+memoized; it raises ``DimensionMismatch`` for contexts of different dims, so
+the functions that read it leave that check to it.  The two return
+probabilities are memoized one level up, as whole tables over (final,
+initial) outcome per (start context, intermediate) pair in
+``Context.return_tables``, so a scalar return is one read of a table entry;
+a phase-dialed return is one table of path products per phase vector,
+summed for every final outcome at once.
 
 Two return routes exist and they differ physically. If an outcome is
 realized in the intermediate context, probabilities add over intermediate
@@ -35,26 +37,26 @@ from .errors import (
 from .hilbert import INPUT_TOL, Context, Modality
 
 
-def as_probability(x: float, tol: float = INPUT_TOL) -> float:
-    """Clamp ``x`` into [0,1] when within ``tol`` of a boundary.
+def as_probability(x: float) -> float:
+    """Clamp ``x`` into [0,1] when within ``INPUT_TOL`` of a boundary.
 
-    Excursions beyond ``tol`` are bugs, not rounding, and raise
+    Excursions beyond ``INPUT_TOL`` are bugs, not rounding, and raise
     :class:`InternalConsistencyError`; so does NaN, which fails every
     comparison and therefore lands on the raising branch.
     """
     if 0.0 <= x <= 1.0:
         return float(x)
-    if -tol <= x < 0.0:
+    if -INPUT_TOL <= x < 0.0:
         return 0.0
-    if 1.0 < x <= 1.0 + tol:
+    if 1.0 < x <= 1.0 + INPUT_TOL:
         return 1.0
     raise InternalConsistencyError(f"probability {x!r} outside [0, 1] beyond tolerance")
 
 
-def clamp_probabilities(arr: np.ndarray, tol: float = INPUT_TOL) -> np.ndarray:
+def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     """Vector form of :func:`as_probability`."""
     arr = np.asarray(arr, dtype=float)
-    if not (float(np.min(arr)) >= -tol and float(np.max(arr)) <= 1.0 + tol):
+    if not (float(np.min(arr)) >= -INPUT_TOL and float(np.max(arr)) <= 1.0 + INPUT_TOL):
         raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
     return np.clip(arr, 0.0, 1.0)
 
@@ -71,15 +73,15 @@ def point_mass(n: int, index: int) -> np.ndarray:
     return dist
 
 
-def validate_distribution(dist: np.ndarray, tol: float = INPUT_TOL) -> np.ndarray:
+def validate_distribution(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1:
         raise InvalidDistribution(f"distribution must be a vector, got shape {dist.shape}")
     # written so that NaN, which fails every comparison, lands on the raising branch
-    if not (float(np.min(dist)) >= -tol and float(np.max(dist)) <= 1.0 + tol):
+    if not (float(np.min(dist)) >= -INPUT_TOL and float(np.max(dist)) <= 1.0 + INPUT_TOL):
         raise InvalidDistribution("weights outside [0, 1]")
     total = float(np.sum(dist))
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= INPUT_TOL:
         raise InvalidDistribution(f"weights sum to {total!r}, not 1")
     return dist
 
@@ -103,8 +105,6 @@ def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     of ``frm``.  Entries are squared moduli of a unitary's entries, so every
     row and every column sums to 1 (doubly stochastic).
     """
-    if frm.dim != to.dim:
-        raise DimensionMismatch(f"dims differ: {frm.dim} vs {to.dim}")
     amps = to.overlaps(frm)
     return clamp_probabilities(amps.real**2 + amps.imag**2)
 
@@ -118,10 +118,8 @@ def propagate(dist: np.ndarray, t: np.ndarray) -> np.ndarray:
     return clamp_probabilities(t @ dist)
 
 
-def _check_return(initial: Modality, intermediate: Context, final_index: int) -> Context:
+def _check_return(initial: Modality, final_index: int) -> Context:
     ctx = initial.context
-    if ctx.dim != intermediate.dim:
-        raise DimensionMismatch(f"dims differ: {ctx.dim} vs {intermediate.dim}")
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
     return ctx
@@ -129,7 +127,7 @@ def _check_return(initial: Modality, intermediate: Context, final_index: int) ->
 
 def return_path_amplitudes(initial: Modality, intermediate: Context, final_index: int) -> np.ndarray:
     """Per-path amplitude products ⟨u_k|v_j⟩⟨v_j|u_i⟩ for all intermediate j."""
-    ctx = _check_return(initial, intermediate, final_index)
+    ctx = _check_return(initial, final_index)
     # ⟨u_k|v_j⟩ from row k of one table, ⟨v_j|u_i⟩ from column i of the other
     return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
 
@@ -141,7 +139,7 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
     Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|², read off the memoized
     :meth:`Context.return_tables`.
     """
-    ctx = _check_return(initial, intermediate, final_index)
+    ctx = _check_return(initial, final_index)
     return as_probability(ctx.return_tables(intermediate)[1].item(final_index, initial.index))
 
 
@@ -154,7 +152,7 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
     :meth:`Context.return_tables`) rather than asserted, so the identity is a
     tested consequence.
     """
-    ctx = _check_return(initial, intermediate, final_index)
+    ctx = _check_return(initial, final_index)
     return as_probability(ctx.return_tables(intermediate)[0].item(final_index, initial.index))
 
 
@@ -184,5 +182,5 @@ def interference_return(
     final_index: int,
 ) -> float:
     """Entry ``final_index`` of :func:`interference_returns`."""
-    _check_return(initial, intermediate, final_index)
+    _check_return(initial, final_index)
     return float(interference_returns(initial, intermediate, phases)[final_index])

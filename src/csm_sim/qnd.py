@@ -64,15 +64,20 @@ class Gram:
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidGramMatrix(f"overlap matrix must be square, got shape {matrix.shape}")
-        if not np.max(np.abs(matrix - matrix.conj().T)) <= INPUT_TOL:
-            raise InvalidGramMatrix("overlap matrix is not Hermitian")
-        if not np.max(np.abs(np.diagonal(matrix) - 1.0)) <= INPUT_TOL:
-            raise InvalidGramMatrix("overlap matrix diagonal is not 1")
+            raise InvalidGramMatrix(f"overlap matrix of shape {matrix.shape} is not square", np.inf)
+        for what, residual in (
+            ("is not Hermitian", float(np.max(np.abs(matrix - matrix.conj().T)))),
+            ("diagonal is not 1", float(np.max(np.abs(np.diagonal(matrix) - 1.0)))),
+        ):
+            if not residual <= INPUT_TOL:
+                raise InvalidGramMatrix(
+                    f"overlap matrix {what}: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
+                    residual,
+                )
         eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -RANK_TOL:
             raise NotPositiveSemidefinite(
-                f"smallest eigenvalue {eigvals[0]:.3e} below -{RANK_TOL:.0e}"
+                f"smallest eigenvalue {eigvals[0]:.3e} below -{RANK_TOL:.0e}", -float(eigvals[0])
             )
         for name, value in (("matrix", matrix), ("eigvals", eigvals)):
             value.setflags(write=False)
@@ -175,6 +180,15 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
     return clamp_probabilities(values.real)
 
 
+def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
+    """A composite state as an N×M matrix: row ``j`` is the meter part of pointer branch ``j``."""
+    state = np.asarray(state, dtype=complex)
+    n = pointer.dim
+    if state.ndim != 1 or state.size % n != 0 or state.size == 0:
+        raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
+    return state.reshape(n, state.size // n)
+
+
 def composite_return_probabilities(
     state: np.ndarray, context: Context, pointer: Context
 ) -> np.ndarray:
@@ -184,13 +198,7 @@ def composite_return_probabilities(
     ``context``) ⊗ 1 in ``state``; the overlap-matrix route of
     :func:`meter_return_probabilities` must reproduce it.
     """
-    state = np.asarray(state, dtype=complex)
-    n = pointer.dim
-    if state.ndim != 1 or state.size % n != 0 or state.size == 0:
-        raise DimensionMismatch(
-            f"composite state of size {state.shape} not compatible with dim {n}"
-        )
-    meter_components = context.overlaps(pointer) @ state.reshape(n, state.size // n)
+    meter_components = context.overlaps(pointer) @ _branches(state, pointer)
     weights = meter_components.real**2 + meter_components.imag**2
     return clamp_probabilities(weights.sum(axis=1))
 
@@ -227,13 +235,7 @@ def reduced_system_state(state: np.ndarray, pointer: Context) -> np.ndarray:
     off-diagonal coherence survives exactly to the extent the meter states
     overlap.
     """
-    state = np.asarray(state, dtype=complex)
-    n = pointer.dim
-    if state.ndim != 1 or state.size % n != 0 or state.size == 0:
-        raise DimensionMismatch(
-            f"composite state of size {state.shape} not compatible with dim {n}"
-        )
-    branches = state.reshape(n, state.size // n)
+    branches = _branches(state, pointer)
     return branches @ branches.conj().T
 
 
@@ -272,10 +274,8 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(ρ log ρ) in nats; eigenvalues within tolerance of zero contribute nothing."""
-    eigvals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if not eigvals[0] >= -INPUT_TOL:
-        raise InternalConsistencyError(f"density matrix eigenvalue {eigvals[0]:.3e} < 0")
-    probs = clamp_probabilities(eigvals)
+    # an eigenvalue below -INPUT_TOL is refused by the clamp
+    probs = clamp_probabilities(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive))) + 0.0
 

@@ -14,14 +14,13 @@ import math
 import numpy as np
 
 from ._version import __version__
-from .errors import CsmSimError, InvalidGramMatrix, NonOrthonormalInput
+from .errors import CsmSimError, InvalidGramMatrix, NonOrthonormalInput, RefusedInput
 from .hilbert import (
     Context,
     Modality,
     build_context,
     closure_residual,
     context_change_unitary,
-    orthonormality_residual,
     projector_residual,
 )
 from .measurement import (
@@ -43,7 +42,7 @@ from .qnd import (
     reduced_system_state,
     von_neumann_entropy,
 )
-from .scenario import GramSpec, Scenario
+from .scenario import GramSpec, Scenario, check_sweep_param
 from .trajectory import (
     Protocol,
     exhaustive_entropy_production,
@@ -136,18 +135,13 @@ def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
 
 
 def _sweep_rows(protocol: Protocol, pointer, gram, param: str, values) -> list[dict]:
+    check_sweep_param(param, pointer is not None, len(protocol))
     initial = protocol.initial
     if param == "g":
-        if pointer is None:
-            raise CsmSimError("a g sweep requires a meter section")
         return _g_sweep_rows(initial, pointer, values)
     if param == "m_count":
-        if pointer is None or gram is None:
-            raise CsmSimError("an m_count sweep requires a meter section")
         return _m_count_sweep_rows(initial, pointer, gram, values)
     if param == "phase":
-        if len(protocol) < 2:
-            raise CsmSimError("a phase sweep requires at least two protocol contexts")
         return _phase_sweep_rows(initial, protocol.contexts[1], values)
     raise ValueError(f"unknown sweep parameter {param!r}")
 
@@ -270,33 +264,34 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
     """Measure every invariant residual on the scenario's objects.
 
     Returns (all passed, checks); each check carries its name, the measured
-    residual and whether it is within ``tolerance``.  If an object cannot be
-    built at all, its residual is recorded and dependent checks are skipped.
+    residual and whether it is within ``tolerance``.  A constructor's refusal
+    is recorded as a failure whatever ``tolerance`` is, with the residual it
+    measured and its message under ``refused``; dependent checks are skipped.
     The meter checks measure the closed-form quantities ``run`` reports
     against the explicit composite state, built here and nowhere else.
     """
     checks: list[dict] = []
 
-    def add(name: str, residual: float) -> bool:
+    def add(name: str, residual: float) -> None:
         ok = bool(residual <= tolerance)
         checks.append({"name": name, "residual": float(residual), "pass": ok})
-        return ok
+
+    def refuse(name: str, err: RefusedInput) -> None:
+        checks.append({"name": name, "residual": err.residual, "pass": False, "refused": str(err)})
 
     contexts: dict[str, Context] = {}
-    buildable = True
     for name, spec in scenario.contexts.items():
         try:
             ctx = build_context(spec, id=name)
-        except NonOrthonormalInput:
-            add(f"context[{name}].orthonormal", orthonormality_residual(spec.matrix))
-            buildable = False
+        except NonOrthonormalInput as err:
+            refuse(f"context[{name}].orthonormal", err)
             continue
         contexts[name] = ctx
         add(f"context[{name}].orthonormal", ctx.orthonormality)
         add(f"context[{name}].projectors", projector_residual(ctx))
         add(f"context[{name}].closure", closure_residual(ctx))
 
-    if not buildable:
+    if len(contexts) < len(scenario.contexts):
         return all(c["pass"] for c in checks), checks
 
     protocol, pointer = _protocol_objects(scenario, contexts)
@@ -317,20 +312,12 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
         add(f"step[{step}].reversible_identity", float(np.max(np.abs(rev - eye))))
 
     if scenario.meter is not None:
-        gram_ok = True
         try:
             gram = build_gram(scenario.meter.gram, dim)
+        except InvalidGramMatrix as err:
+            refuse("meter.gram_valid", err)
+        else:
             add("meter.gram_valid", 0.0)
-        except InvalidGramMatrix:
-            raw = np.asarray(scenario.meter.gram.matrix, dtype=complex)
-            residual = max(
-                float(np.max(np.abs(raw - raw.conj().T))),
-                float(np.max(np.abs(np.diagonal(raw) - 1.0))),
-                max(0.0, -float(np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))[0])),
-            )
-            add("meter.gram_valid", residual)
-            gram_ok = False
-        if gram_ok:
             meters = meter_states_from_gram(gram)
             add(
                 "meter.states_reproduce_overlaps",

@@ -194,28 +194,41 @@ def _integer_literal(text: str) -> int:
     return value
 
 
+def check_sweep_param(param: str, has_meter: bool, n_contexts: int) -> None:
+    """Refuse a sweep the scenario cannot serve, whether its file or the command line asks.
+
+    ``g`` and ``m_count`` vary the meter, ``phase`` the second protocol context.
+    """
+    if param in ("g", "m_count") and not has_meter:
+        raise ScenarioValidationError(f"sweep.{param}", "needs a meter section")
+    if param == "phase" and n_contexts < 2:
+        raise ScenarioValidationError("sweep.phase", "needs two protocol contexts")
+
+
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file.
 
     Raises
     ------
-    FileNotFoundError
-        Missing file.
+    OSError
+        The file cannot be read: missing, a directory, or not permitted.
     ScenarioParseError
-        Syntactically invalid JSON, with line/column, or a non-finite number
-        (``NaN``, ``Infinity``, or a float or integer literal that overflows
-        a double).
+        Text that is not UTF-8, syntactically invalid JSON (with line/column),
+        nesting too deep to parse, or a non-finite number (``NaN``,
+        ``Infinity``, or a float or integer literal that overflows a double).
     ScenarioValidationError
         Schema violation, naming the offending field; also a ``dim`` whose
         :func:`table_bytes` exceed ``MAX_TABLE_BYTES``.
     """
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(
             text, parse_constant=_finite, parse_float=_finite, parse_int=_integer_literal
         )
     except json.JSONDecodeError as err:
         raise ScenarioParseError(err.msg, err.lineno, err.colno) from err
+    except (UnicodeDecodeError, RecursionError) as err:  # not UTF-8, or nested too deep
+        raise ScenarioParseError(f"unreadable text: {err}") from None
     if not isinstance(raw, dict):
         raise ScenarioValidationError("document", "top level must be an object")
 
@@ -300,13 +313,8 @@ def parse_scenario(path: str | Path) -> Scenario:
                 parsed = tuple(_number(f"sweep.{key}[{i}]", v) for i, v in enumerate(entries))
                 if key == "g" and any(not 0.0 <= v <= 1.0 for v in parsed):
                     raise ScenarioValidationError("sweep.g", "strengths must lie in [0, 1]")
+            check_sweep_param(key, meter is not None, len(sequence))
             values[key] = parsed
-        if ("g" in values or "m_count" in values) and meter is None:
-            raise ScenarioValidationError("sweep", "g and m_count sweeps require a meter section")
-        if "phase" in values and len(sequence) < 2:
-            raise ScenarioValidationError(
-                "sweep.phase", "phase sweeps need a protocol with at least two contexts"
-            )
         sweep = SweepSpec(values.get("g"), values.get("m_count"), values.get("phase"))
 
     return Scenario(dim, contexts, protocol, meter, sweep, raw)

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .hilbert import Context, Modality
 from .measurement import (
-    clamp_probabilities,
     point_mass,
     propagate,
     transition_matrix,
@@ -142,7 +141,7 @@ def _reference(protocol: Protocol, final_dist) -> np.ndarray:
     final_dist, dim = validate_distribution(final_dist), protocol.contexts[-1].dim
     if final_dist.size != dim:
         raise DimensionMismatch(f"final distribution size {final_dist.size} vs dim {dim}")
-    return clamp_probabilities(final_dist)
+    return np.clip(final_dist, 0.0, 1.0)
 
 
 def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,9 +333,7 @@ def mean_entropy_production(
     )
 
 
-def exhaustive_entropy_production(
-    protocol: Protocol, final_dist: np.ndarray | None = None
-) -> ExhaustiveStats:
+def exhaustive_entropy_production(protocol: Protocol) -> ExhaustiveStats:
     """Exact expected entropy production by enumerating every path.
 
     Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
@@ -353,11 +350,10 @@ def exhaustive_entropy_production(
             f"{path_count} paths exceed the enumeration bound {MAX_ENUMERATED_PATHS}"
         )
     marginal = final_marginal(protocol)
-    reference = marginal if final_dist is None else _reference(protocol, final_dist)
     paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
     paths[:, 0] = protocol.initial.index
     paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
-    steps, fwd, delta = _log_ratios(protocol, paths, reference)
+    steps, fwd, delta = _log_ratios(protocol, paths, marginal)
     prob = np.ones(path_count)
     for column in steps.T:
         prob = prob * column

@@ -142,6 +142,41 @@ def test_validation_error_is_usage_error(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+G_SWEEP = ["--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{tmp}"],
+        ["run", "{tmp}/undecodable.json"],
+        ["verify", "{tmp}/deep.json"],
+        ["run", SCENARIO, "--out", "{tmp}/missing/report.json"],
+        ["run", SCENARIO, "--out", "{tmp}"],
+        ["verify", SCENARIO, "--out", "{tmp}/missing/report.json"],
+        ["verify", SCENARIO, "--out", "{tmp}"],
+        ["sweep", SCENARIO, *G_SWEEP, "--out", "{tmp}/missing/table.csv"],
+        ["sweep", SCENARIO, *G_SWEEP, "--out", "{tmp}"],
+    ],
+    ids=[
+        "scenario-is-a-directory",
+        "scenario-not-utf8",
+        "scenario-nested-too-deep",
+        "run-out-in-missing-directory",
+        "run-out-is-a-directory",
+        "verify-out-in-missing-directory",
+        "verify-out-is-a-directory",
+        "sweep-out-in-missing-directory",
+        "sweep-out-is-a-directory",
+    ],
+)
+def test_unreadable_scenario_and_unwritable_out_are_usage_errors(tmp_path, capsys, argv):
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -298,3 +333,28 @@ def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command, 
         if code == 0 and command[0] == "sweep":
             for line in out.getvalue().splitlines()[1:]:
                 assert all(math.isfinite(float(cell)) for cell in line.split(","))
+
+
+NO_METER = {key: value for key, value in DOC.items() if key not in ("meter", "sweep")}
+ONE_CONTEXT = dict(NO_METER, protocol={"initial": {"context": "z", "index": 0}, "sequence": ["z"]})
+
+
+@pytest.mark.parametrize(
+    "param, doc, reason",
+    [
+        ("g", NO_METER, "needs a meter section"),
+        ("m_count", NO_METER, "needs a meter section"),
+        ("phase", ONE_CONTEXT, "needs two protocol contexts"),
+    ],
+)
+def test_sweep_the_scenario_cannot_serve_is_a_usage_error_from_file_or_command_line(
+    tmp_path, capsys, param, doc, reason
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", str(path), "--param", param, "--from", "0", "--to", "1", "--steps", "2"]
+    assert main(argv) == 2
+    from_command_line = capsys.readouterr().err
+    path.write_text(json.dumps(dict(doc, sweep={param: [0, 1]})))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == from_command_line == f"{path}: sweep.{param}: {reason}\n"

@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from csm_sim.cli import main
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
 compare_outputs = importlib.util.module_from_spec(spec)
@@ -60,3 +62,18 @@ def test_describe_lists_paths_for_json_and_aligned_lines_for_text():
     after = "PASS  a  residual=0.0\nPASS  new  residual=0.0\nPASS  z  residual=0.0\n"
     notes = compare_outputs.describe((0, before, ""), (0, after, ""))
     assert notes == ["stdout: structure differs", "  + PASS  new  residual=0.0"]
+
+
+def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
+    runs = compare_outputs.invocations(tmp_path)
+    refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
+    per_scenario = len(compare_outputs.INVOCATIONS)
+    assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 4
+    for label, argv in refusals:
+        # verify fails a refused input; a sweep the scenario cannot serve is a usage error
+        assert main(argv) == (1 if argv[0] == "verify" else 2), label
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, label
+        if argv[0] == "verify":
+            assert " refused: " in err, label

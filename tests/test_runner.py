@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 import csm_sim as cs
 import csm_sim.qnd
 import csm_sim.runner
+from csm_sim.errors import InvalidGramMatrix, NonOrthonormalInput
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
+from csm_sim.qnd import RANK_TOL
 from csm_sim.runner import format_csv, report_to_json, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
@@ -210,6 +213,66 @@ def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb)
     assert abs(closure_residual(ctx) - closure) <= 1e-15
     if perturb:
         assert closure > 1e-13  # the perturbation shows, well above rounding
+
+
+def _near(bound: float):
+    """Zero, or a value of either sign whose magnitude lies within two decades of ``bound``."""
+    magnitude = st.floats(-2.0, 2.0).map(lambda exponent: bound * 10.0**exponent)
+    signed = st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(lambda pair: pair[0] * pair[1])
+    return st.just(0.0) | signed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    theta=st.floats(0.0, np.pi),
+    context_gap=_near(INPUT_TOL),
+    eigen_gap=_near(RANK_TOL),
+    asymmetry=_near(INPUT_TOL),
+    diagonal_gap=_near(INPUT_TOL),
+    log_tolerance=st.floats(-12.0, -3.0),
+)
+def test_verify_never_passes_what_construction_refuses(
+    theta, context_gap, eigen_gap, asymmetry, diagonal_gap, log_tolerance
+):
+    # an explicit context and a gram around the bounds of their constructors
+    c, s = np.cos(theta), np.sin(theta)
+    doc = {
+        "schema_version": 1,
+        "dim": 2,
+        "contexts": {
+            "z": {"kind": "computational"},
+            "x": {"kind": "explicit", "matrix": [[c, -s], [s, c + context_gap]]},
+        },
+        "protocol": {"initial": {"context": "z", "index": 0}, "sequence": ["z", "x"]},
+        "meter": {
+            "pointer": "x",
+            "gram": {
+                "kind": "explicit",
+                "matrix": [[1 + diagonal_gap, 1 + eigen_gap], [1 + eigen_gap + asymmetry, 1]],
+            },
+        },
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        scenario = cs.parse_scenario(path)
+    try:
+        ok, checks = cs.verify_scenario(scenario, 10.0**log_tolerance)
+    except cs.InternalConsistencyError:
+        # A basis admitted just under INPUT_TOL can push a return probability past
+        # the clamp, which then raises in the step checks.  That is a separate
+        # fault, of the clamp tolerance; verify reports no pass, so the property holds.
+        return
+    by_name = {check["name"]: check for check in checks}
+    try:
+        cs.build_scenario_objects(scenario)
+    except (NonOrthonormalInput, InvalidGramMatrix) as err:
+        gram_refused = isinstance(err, InvalidGramMatrix)
+        name = "meter.gram_valid" if gram_refused else "context[x].orthonormal"
+        assert not ok
+        assert by_name[name]["pass"] is False
+        assert by_name[name]["residual"] == err.residual
+        assert by_name[name]["refused"] == str(err)
 
 
 def test_report_with_non_finite_value_is_domain_error():

@@ -18,18 +18,24 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     sweep --param phase   --from 0 --to 2*pi --steps 11
 
 with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
-compares stdout, stderr and exit code.  Each invocation prints ``SAME`` or
-``DIFF``; a difference also prints the largest numeric gap between the two
-outputs (JSON reports are walked value by value, other text compared number
-by number).  For a JSON report it then prints, per key path with list indices
-collapsed to ``[*]``, how many values moved and the largest gap among them,
-for example ``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14``;
-for other text it prints the lines that differ, aligned by ``difflib``.
-Exits 1 if any invocation differs.
+compares stdout, stderr and exit code.  It then runs the fixed list
+``REFUSALS``: documents derived from ``scenarios/balanced_qubit.json`` that
+the program must refuse, written to a temporary directory, each with its own
+invocation, so that a changed exit code or refusal message shows too.
+
+Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
+largest numeric gap between the two outputs (JSON reports are walked value by
+value, other text compared number by number).  For a JSON report it then
+prints, per key path with list indices collapsed to ``[*]``, how many values
+moved and the largest gap among them, for example
+``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14``; for other
+text it prints the lines that differ, aligned by ``difflib``.  Exits 1 if any
+invocation differs.
 """
 
 from __future__ import annotations
 
+import copy
 import difflib
 import json
 import math
@@ -37,6 +43,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +64,37 @@ INVOCATIONS = [
 ]
 
 
+def _explicit_x_off_by_1e8(doc: dict) -> None:
+    c, s = math.cos(0.3), math.sin(0.3)
+    doc["contexts"]["x"] = {"kind": "explicit", "matrix": [[c, -s], [s, c + 1e-8]]}
+
+
+def _gram_eigenvalue_below_zero(doc: dict) -> None:
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1 + 1e-9], [1 + 1e-9, 1]]}
+
+
+def _no_meter(doc: dict) -> None:
+    del doc["meter"], doc["sweep"]
+
+
+def _one_context(doc: dict) -> None:
+    doc["protocol"]["sequence"] = ["z"]
+    del doc["sweep"]
+
+
+# (document name, edit of balanced_qubit.json, invocation)
+REFUSALS = [
+    ("explicit_x_off_by_1e-8", _explicit_x_off_by_1e8, ["verify", "--tolerance", "1e-6"]),
+    ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--tolerance", "1e-6"]),
+    ("no_meter", _no_meter, ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]),
+    (
+        "one_context",
+        _one_context,
+        ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"],
+    ),
+]
+
+
 def package_dir(arg: str) -> Path:
     path = Path(arg).resolve()
     if (path / "src" / "csm_sim").is_dir():
@@ -70,6 +108,26 @@ def scenarios() -> list[Path]:
     found = sorted(ROOT.glob("scenarios/*.json"))
     found += sorted(p for p in ROOT.glob("perfbench/scenarios/seed0/*.json")
                     if not p.name.endswith(".ref.json"))
+    return found
+
+
+def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every invocation: ``INVOCATIONS`` on each scenario, then ``REFUSALS``.
+
+    The refusal documents are written to ``tmp``.
+    """
+    found = []
+    for scenario in scenarios():
+        label = scenario.relative_to(ROOT)
+        for name, args in INVOCATIONS:
+            found.append((f"{label}  {name}", [args[0], str(scenario), *args[1:]]))
+    base = json.loads((ROOT / "scenarios" / "balanced_qubit.json").read_text())
+    for name, edit, args in REFUSALS:
+        doc = copy.deepcopy(base)
+        edit(doc)
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        found.append((f"refusal {name}  {' '.join(args)}", [args[0], str(path), *args[1:]]))
     return found
 
 
@@ -169,17 +227,15 @@ def main(argv: list[str]) -> int:
         return 2
     parent_src, change_src = (package_dir(arg) for arg in argv)
     differing = total = 0
-    for scenario in scenarios():
-        label = scenario.relative_to(ROOT)
-        for name, args in INVOCATIONS:
-            full = [args[0], str(scenario), *args[1:]]
-            parent, change = invoke(parent_src, full), invoke(change_src, full)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, args in invocations(Path(tmp)):
+            parent, change = invoke(parent_src, args), invoke(change_src, args)
             total += 1
             if parent == change:
-                print(f"SAME  {label}  {name}")
+                print(f"SAME  {label}")
                 continue
             differing += 1
-            print(f"DIFF  {label}  {name}")
+            print(f"DIFF  {label}")
             for note in describe(parent, change):
                 print(f"      {note}")
     print(f"{total - differing} of {total} invocations identical")
