@@ -4,6 +4,11 @@ Reports are plain dicts of JSON-serializable values, built in a fixed key
 order, so serializing one is byte-reproducible for identical inputs; the
 Monte Carlo ensemble draws each block of samples from its own child of the
 seed's ``SeedSequence``, so it is reproducible given (seed, sample count).
+
+``run`` and ``verify`` build every context of a scenario; a sweep builds
+only the contexts its parameter reads, plus every explicit context and the
+overlap matrix, the inputs construction can still refuse.  The ``g`` sweep
+evaluates the meter kernels at ``g = 0`` and ``g = 1`` and interpolates.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .hilbert import (
     projector_residual,
 )
 from .measurement import (
+    clamp_probabilities,
     interference_returns,
     irreversible_return,
     reversible_return,
@@ -31,12 +37,12 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
+    check_strengths,
     composite_return_probabilities,
     density_matrix_residuals,
     entangle,
     gram_uniform,
     meter_chain_reduced_state,
-    meter_protocol_entropy,
     meter_return_probabilities,
     meter_states_from_gram,
     reduced_system_state,
@@ -81,16 +87,19 @@ def _floats(values) -> list[float]:
 
 
 def _g_sweep_rows(initial: Modality, pointer: Context, values) -> list[dict]:
+    # The overlap matrix (1 - g) I + g J is linear in g, and so are the returns
+    # and the reduced state; evaluate both at the ends and interpolate.
+    grid = check_strengths(values)
+    ends = [gram_uniform(pointer.dim, g) for g in (0.0, 1.0)]
+    p0, p1 = (meter_return_probabilities(initial, pointer, gram) for gram in ends)
+    rho0, rho1 = (meter_chain_reduced_state(initial, pointer, gram, 1) for gram in ends)
     rows = []
-    for g in values:
-        gram = gram_uniform(pointer.dim, g)
+    for g in grid:
         rows.append(
             {
                 "g": float(g),
-                "return_probabilities": _floats(
-                    meter_return_probabilities(initial, pointer, gram)
-                ),
-                "entropy": meter_protocol_entropy(initial, pointer, gram),
+                "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
+                "entropy": von_neumann_entropy((1 - g) * rho0 + g * rho1),
             }
         )
     return rows
@@ -129,20 +138,38 @@ def _phase_sweep_rows(initial: Modality, intermediate: Context, values) -> list[
 
 
 def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
-    """Grid-complete sweep rows for one parameter; one row per grid point."""
-    _, protocol, pointer, gram = build_scenario_objects(scenario)
-    return _sweep_rows(protocol, pointer, gram, param, values)
+    """Grid-complete sweep rows for one parameter; one row per grid point.
 
-
-def _sweep_rows(protocol: Protocol, pointer, gram, param: str, values) -> list[dict]:
-    check_sweep_param(param, pointer is not None, len(protocol))
-    initial = protocol.initial
-    if param == "g":
-        return _g_sweep_rows(initial, pointer, values)
-    if param == "m_count":
-        return _m_count_sweep_rows(initial, pointer, gram, values)
+    Builds only what ``param`` reads: the initial context, and the pointer
+    (``g``, ``m_count``) or the second protocol context (``phase``).  It also
+    builds every explicit context and the overlap matrix, the only inputs of a
+    parsed scenario that construction can refuse, so a sweep refuses whatever
+    ``run`` refuses, with the same error.
+    """
+    protocol, meter = scenario.protocol, scenario.meter
     if param == "phase":
-        return _phase_sweep_rows(initial, protocol.contexts[1], values)
+        read = protocol.sequence[1:2]
+    else:
+        read = () if meter is None else (meter.pointer,)
+    contexts = {
+        name: build_context(spec, id=name)
+        for name, spec in scenario.contexts.items()
+        if name == protocol.initial_context or name in read or spec.kind == "explicit"
+    }
+    gram = None if meter is None else build_gram(meter.gram, scenario.dim)
+    check_sweep_param(param, meter is not None, len(protocol.sequence))
+    initial = Modality(contexts[protocol.initial_context], protocol.initial_index)
+    return _sweep_rows(param, values, initial, contexts[read[0]] if read else None, gram)
+
+
+def _sweep_rows(param: str, values, initial: Modality, varied, gram) -> list[dict]:
+    """Rows of one sweep; ``varied`` is the pointer (g, m_count) or the second context (phase)."""
+    if param == "g":
+        return _g_sweep_rows(initial, varied, values)
+    if param == "m_count":
+        return _m_count_sweep_rows(initial, varied, gram, values)
+    if param == "phase":
+        return _phase_sweep_rows(initial, varied, values)
     raise ValueError(f"unknown sweep parameter {param!r}")
 
 
@@ -232,7 +259,9 @@ def run_scenario(
     if scenario.sweep is not None:
         grids = {param: getattr(scenario.sweep, param) for param in ("g", "m_count", "phase")}
         sweep_section = {
-            param: _sweep_rows(protocol, pointer, gram, param, values)
+            param: _sweep_rows(
+                param, values, initial, protocol.contexts[1] if param == "phase" else pointer, gram
+            )
             for param, values in grids.items()
             if values is not None
         }

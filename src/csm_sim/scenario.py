@@ -8,8 +8,9 @@ numbers or as two-element ``[re, im]`` arrays.
 
 Parsing is strict: unknown keys are rejected, every referenced name must
 resolve, and dimensions must be consistent, so a scenario that parses will
-also build (up to numerical validation of explicit matrices, which happens
-at construction time).
+also build, except where construction refuses an explicit matrix: an explicit
+basis that is not orthonormal, or an explicit overlap matrix that is not a
+valid :class:`~csm_sim.qnd.Gram`.
 """
 
 from __future__ import annotations

@@ -69,11 +69,16 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 4
-    for label, argv in refusals:
-        # verify fails a refused input; a sweep the scenario cannot serve is a usage error
-        assert main(argv) == (1 if argv[0] == "verify" else 2), label
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 7
+    for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
+        # a sweep the scenario cannot serve is a usage error; a refused input fails
+        usage = name in ("no_meter", "one_context")
+        assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, label
         if argv[0] == "verify":
             assert " refused: " in err, label
+        elif not usage:
+            # a sweep refuses with the message run gives, though it builds less
+            assert main(["run", argv[1], "--trajectories", "10"]) == 1, label
+            assert capsys.readouterr().err == err, label

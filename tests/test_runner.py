@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,13 +13,14 @@ from hypothesis import strategies as st
 import csm_sim as cs
 import csm_sim.qnd
 import csm_sim.runner
-from csm_sim.errors import InvalidGramMatrix, NonOrthonormalInput
+from csm_sim.errors import InvalidGramMatrix, NonOrthonormalInput, StrengthOutOfRange
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.qnd import RANK_TOL
 from csm_sim.runner import format_csv, report_to_json, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+TABLES_D64 = SCENARIO_DIR.parent / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
 
 
 @pytest.fixture
@@ -150,9 +154,7 @@ def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):
 
 
 def test_verify_keeps_one_overlap_table_per_partner(monkeypatch):
-    scenario = cs.parse_scenario(
-        SCENARIO_DIR.parent / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
-    )
+    scenario = cs.parse_scenario(TABLES_D64)
     built = {}
     real = csm_sim.runner.build_context
 
@@ -333,3 +335,62 @@ def test_sweep_rows_and_csv_format(balanced_scenario):
     assert len(lines) == 4
     # %.17g round-trips doubles exactly
     assert float(lines[2].split(",")[1]) == rows[1]["entropy"]
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.1], [float("nan")]])
+def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario, grid):
+    bad = next(g for g in grid if not 0.0 <= g <= 1.0)
+    with pytest.raises(StrengthOutOfRange) as per_point:
+        cs.gram_uniform(2, bad)
+    with pytest.raises(StrengthOutOfRange) as swept:
+        cs.sweep_rows(balanced_scenario, "g", grid)
+    assert str(swept.value) == str(per_point.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    initial_seed=st.integers(0, 2**31 - 1),
+    pointer_seed=st.integers(0, 2**31 - 1),
+    index=st.integers(0, 7),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
+    dim, initial_seed, pointer_seed, index, inner
+):
+    initial = cs.haar_context(dim, initial_seed).modality(index % dim)
+    pointer = cs.haar_context(dim, pointer_seed)
+    grid = [0.0, *inner, 1.0]
+    rows = csm_sim.runner._g_sweep_rows(initial, pointer, grid)
+    assert [row["g"] for row in rows] == grid
+    for row, g in zip(rows, grid):
+        gram = cs.gram_uniform(dim, g)
+        returns = cs.meter_return_probabilities(initial, pointer, gram)
+        assert np.max(np.abs(np.array(row["return_probabilities"]) - returns)) <= 1e-12
+        assert abs(row["entropy"] - cs.meter_protocol_entropy(initial, pointer, gram)) <= 1e-12
+
+
+_LOADS_RANDOM = (
+    "import sys; from csm_sim.cli import main; "
+    "code = main(sys.argv[1:]); print(code, 'numpy.random' in sys.modules)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "21"], False),
+        (["sweep", "--param", "m_count", "--from", "0", "--to", "8", "--steps", "5"], False),
+        (["run", "--trajectories", "10"], True),
+    ],
+)
+def test_a_meter_sweep_builds_no_unread_haar_context(tmp_path, argv, loaded):
+    # the Haar contexts r1 and r2 of tables_d64 are the only users of numpy.random
+    # a g or m_count sweep could have; run builds them and samples
+    src = Path(csm_sim.__file__).resolve().parent.parent
+    command = [argv[0], str(TABLES_D64), *argv[1:], "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADS_RANDOM, *command],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert done.stdout.split() == ["0", str(loaded)]

@@ -64,13 +64,21 @@ INVOCATIONS = [
 ]
 
 
-def _explicit_x_off_by_1e8(doc: dict) -> None:
+def _rotation_off_by_1e8() -> dict:
     c, s = math.cos(0.3), math.sin(0.3)
-    doc["contexts"]["x"] = {"kind": "explicit", "matrix": [[c, -s], [s, c + 1e-8]]}
+    return {"kind": "explicit", "matrix": [[c, -s], [s, c + 1e-8]]}
+
+
+def _explicit_x_off_by_1e8(doc: dict) -> None:
+    doc["contexts"]["x"] = _rotation_off_by_1e8()
 
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
     doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1 + 1e-9], [1 + 1e-9, 1]]}
+
+
+def _unread_explicit_off_by_1e8(doc: dict) -> None:
+    doc["contexts"]["unread"] = _rotation_off_by_1e8()
 
 
 def _no_meter(doc: dict) -> None:
@@ -82,16 +90,19 @@ def _one_context(doc: dict) -> None:
     del doc["sweep"]
 
 
+SWEEP_G = ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
+SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"]
+
 # (document name, edit of balanced_qubit.json, invocation)
 REFUSALS = [
     ("explicit_x_off_by_1e-8", _explicit_x_off_by_1e8, ["verify", "--tolerance", "1e-6"]),
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--tolerance", "1e-6"]),
-    ("no_meter", _no_meter, ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]),
-    (
-        "one_context",
-        _one_context,
-        ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"],
-    ),
+    ("no_meter", _no_meter, SWEEP_G),
+    ("one_context", _one_context, SWEEP_PHASE),
+    # a sweep builds only what it reads, but still refuses every input run refuses
+    ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_G),
+    ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_PHASE),
+    ("unread_explicit_off_by_1e-8", _unread_explicit_off_by_1e8, SWEEP_G),
 ]
 
 
