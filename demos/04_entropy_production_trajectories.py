@@ -29,7 +29,7 @@ exact = cs.exhaustive_entropy_production(protocol)
 print()
 print(f"sampled mean entropy production : {stats.mean_entropy_production:.6f}"
       f" +- {stats.std_error:.6f}")
-print(f"exact mean over all {exact.path_count} paths  : {exact.mean_entropy_production:.6f}")
+print(f"exact mean over all {exact.sample_count} paths  : {exact.mean_entropy_production:.6f}")
 print(f"Shannon entropy of final outcomes: {stats.shannon_entropy_final:.6f}")
 print(f"final outcome distribution       : {np.round(stats.final_distribution, 6)}")
 

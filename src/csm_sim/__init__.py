@@ -83,7 +83,6 @@ from .runner import (
 )
 from .scenario import GramSpec, MeterSpec, ProtocolSpec, Scenario, SweepSpec, parse_scenario
 from .trajectory import (
-    ExhaustiveStats,
     Protocol,
     Trajectory,
     TrajectoryEnsembleStats,

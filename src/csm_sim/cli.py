@@ -97,12 +97,9 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _cmd_run(args, scenario) -> int:
-    limit = max_trajectories(scenario.dim)
-    if args.trajectories > limit or (not args.exhaustive and args.trajectories < 1):
-        print(
-            f"run: --trajectories must be at most {limit}, and >= 1 unless --exhaustive is set",
-            file=sys.stderr,
-        )
+    least, limit = (0 if args.exhaustive else 1), max_trajectories(scenario.dim)
+    if not least <= args.trajectories <= limit:
+        print(f"run: --trajectories must be in [{least}, {limit}]", file=sys.stderr)
         return 2
     if args.seed < 0:
         print("run: --seed must be >= 0", file=sys.stderr)

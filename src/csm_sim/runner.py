@@ -242,15 +242,13 @@ def run_scenario(
 
     if exhaustive:
         stats = exhaustive_entropy_production(protocol)
-        mode, count, std_error = "exhaustive", stats.path_count, 0.0
     else:
         stats = mean_entropy_production(protocol, n_samples, seed)
-        mode, count, std_error = "monte_carlo", stats.sample_count, stats.std_error
     ensemble = {
-        "mode": mode,
-        "sample_count": count,
+        "mode": stats.mode,
+        "sample_count": stats.sample_count,
         "mean_entropy_production": stats.mean_entropy_production,
-        "std_error": std_error,
+        "std_error": stats.std_error,
         "final_distribution": _floats(stats.final_distribution),
         "shannon_entropy_final": stats.shannon_entropy_final,
     }

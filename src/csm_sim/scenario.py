@@ -6,11 +6,11 @@ the known initial outcome), an optional meter coupling, and optional
 parameter grids.  Complex matrix entries are written either as plain
 numbers or as two-element ``[re, im]`` arrays.
 
-Parsing is strict: unknown keys are rejected, every referenced name must
-resolve, and dimensions must be consistent, so a scenario that parses will
-also build, except where construction refuses an explicit matrix: an explicit
-basis that is not orthonormal, or an explicit overlap matrix that is not a
-valid :class:`~csm_sim.qnd.Gram`.
+Parsing is strict: unknown or repeated keys are rejected, every referenced
+name must resolve, and dimensions must be consistent, so a scenario that
+parses will also build, except where construction refuses an explicit
+matrix: an explicit basis that is not orthonormal, or an explicit overlap
+matrix that is not a valid :class:`~csm_sim.qnd.Gram`.
 """
 
 from __future__ import annotations
@@ -195,6 +195,16 @@ def _integer_literal(text: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads keeps the last of two equal keys without a word
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def check_sweep_param(param: str, has_meter: bool, n_contexts: int) -> None:
     """Refuse a sweep the scenario cannot serve, whether its file or the command line asks.
 
@@ -215,8 +225,9 @@ def parse_scenario(path: str | Path) -> Scenario:
         The file cannot be read: missing, a directory, or not permitted.
     ScenarioParseError
         Text that is not UTF-8, syntactically invalid JSON (with line/column),
-        nesting too deep to parse, or a non-finite number (``NaN``,
-        ``Infinity``, or a float or integer literal that overflows a double).
+        nesting too deep to parse, a key repeated within one object, or a
+        non-finite number (``NaN``, ``Infinity``, or a float or integer
+        literal that overflows a double).
     ScenarioValidationError
         Schema violation, naming the offending field; also a ``dim`` whose
         :func:`table_bytes` exceed ``MAX_TABLE_BYTES``.
@@ -224,7 +235,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(
-            text, parse_constant=_finite, parse_float=_finite, parse_int=_integer_literal
+            text, object_pairs_hook=_unique_keys,
+            parse_constant=_finite, parse_float=_finite, parse_int=_integer_literal,
         )
     except json.JSONDecodeError as err:
         raise ScenarioParseError(err.msg, err.lineno, err.colno) from err

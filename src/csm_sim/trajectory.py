@@ -14,7 +14,9 @@ symmetric, the conditional factors cancel pairwise and the log-ratio
 telescopes to -log of the reference weight of the realized final outcome;
 both routes are evaluated and cross-checked.  Averaged over trajectories,
 the entropy production is the Shannon entropy of the final outcome
-distribution.
+distribution.  Sampled or enumerated over every path, an ensemble is one
+``TrajectoryEnsembleStats``, whose ``mode`` says which; an enumerated one
+counts its paths as ``sample_count``, with ``std_error`` 0.
 """
 
 from __future__ import annotations
@@ -89,21 +91,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectoryEnsembleStats:
-    """Monte Carlo summary of an ensemble of trajectories."""
+    """Summary of a trajectory ensemble; ``mode`` is ``"monte_carlo"`` or ``"exhaustive"``."""
 
+    mode: str
     sample_count: int
     mean_entropy_production: float
     std_error: float
-    final_distribution: np.ndarray
-    shannon_entropy_final: float
-
-
-@dataclass(frozen=True)
-class ExhaustiveStats:
-    """Exact ensemble statistics from enumerating every path."""
-
-    path_count: int
-    mean_entropy_production: float
     final_distribution: np.ndarray
     shannon_entropy_final: float
 
@@ -310,6 +303,7 @@ def mean_entropy_production(
     n_samples).  The reference distribution is the exact final marginal,
     whose Shannon entropy the mean estimates; entropy production depends
     only on the final outcome, so mean and std error come from its counts.
+    ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -325,6 +319,7 @@ def mean_entropy_production(
     variance = math.fsum((c * (deltas - mean) ** 2).tolist()) / max(n_samples - 1, 1)
     std_error = math.sqrt(variance / n_samples)
     return TrajectoryEnsembleStats(
+        mode="monte_carlo",
         sample_count=n_samples,
         mean_entropy_production=mean,
         std_error=std_error,
@@ -333,7 +328,7 @@ def mean_entropy_production(
     )
 
 
-def exhaustive_entropy_production(protocol: Protocol) -> ExhaustiveStats:
+def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats:
     """Exact expected entropy production by enumerating every path.
 
     Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
@@ -341,6 +336,8 @@ def exhaustive_entropy_production(protocol: Protocol) -> ExhaustiveStats:
     the sampled estimate.  A path's probability is the in-order product of
     its step probabilities; paths with a zero-probability step contribute
     nothing.  Refuses tables of more than ``MAX_ENUMERATED_PATHS`` paths.
+    ``mode`` is ``"exhaustive"``, ``sample_count`` the path count, ``std_error``
+    0, and ``final_distribution`` the path-weighted histogram of final outcomes.
     """
     n_steps = len(protocol) - 1
     dim = protocol.dim
@@ -360,7 +357,7 @@ def exhaustive_entropy_production(protocol: Protocol) -> ExhaustiveStats:
     live = fwd > -math.inf
     mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
     final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
-    return ExhaustiveStats(path_count, mean, final, shannon_entropy(marginal))
+    return TrajectoryEnsembleStats("exhaustive", path_count, mean, 0.0, final, shannon_entropy(marginal))
 
 
 def shannon_entropy(dist: np.ndarray) -> float:

@@ -43,6 +43,14 @@ def test_run_zero_trajectories_without_exhaustive_is_usage_error(capsys):
     assert main(["run", SCENARIO, "--trajectories", "0"]) == 2
 
 
+def test_run_negative_trajectories_is_usage_error_in_both_modes(capsys):
+    for flags in ([], ["--exhaustive"]):
+        assert main(["run", SCENARIO, *flags, "--trajectories", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run: --trajectories ")
+
+
 def test_run_negative_seed_is_usage_error(capsys):
     assert main(["run", SCENARIO, "--seed", "-1"]) == 2
     captured = capsys.readouterr()

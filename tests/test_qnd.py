@@ -7,6 +7,7 @@ import csm_sim as cs
 from csm_sim.errors import (
     DimensionMismatch,
     InvalidGramMatrix,
+    InvalidMeterStates,
     MeterNotOrthogonal,
     NotPositiveSemidefinite,
     StrengthOutOfRange,
@@ -134,6 +135,17 @@ def test_entangle_norm_for_random_inputs():
         meters = cs.meter_states_from_gram(random_unit_gram(3, seed))
         state = cs.entangle(initial, pointer, meters)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
+
+
+def test_entangle_takes_every_meter_set_the_meter_check_admits(balanced):
+    # unit norm within METER_TOL is an input bound, not a composite-state invariant
+    initial, tilted = balanced
+    meters = np.eye(2) * (1 + 1e-9)
+    state = cs.entangle(initial, tilted, meters)
+    assert np.linalg.norm(state) == pytest.approx(1 + 1e-9, rel=0, abs=1e-12)
+    assert cs.post_measurement_state(initial, tilted, meters).shape == (4, 4)
+    with pytest.raises(InvalidMeterStates):
+        cs.entangle(initial, tilted, np.eye(2) * (1 + 1e-7))
 
 
 def test_entangle_dim_mismatch(balanced):

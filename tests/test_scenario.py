@@ -6,6 +6,7 @@ import pytest
 
 import csm_sim as cs
 import csm_sim.scenario
+from csm_sim.cli import main
 from csm_sim.errors import ScenarioParseError, ScenarioValidationError
 from csm_sim.scenario import MAX_TABLE_BYTES, table_bytes
 
@@ -41,6 +42,23 @@ def test_syntax_error_carries_position(tmp_path):
     with pytest.raises(ScenarioParseError) as err:
         cs.parse_scenario(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (json.dumps(MINIMAL)[:-1] + ', "dim": 3}', "dim"),
+        (json.dumps(MINIMAL).replace('"contexts": {', '"contexts": {"c": {"kind": "fourier"}, '), "c"),
+    ],
+    ids=["dim", "context_name"],
+)
+def test_duplicate_keys_are_parse_errors(tmp_path, capsys, text, key):
+    # json.loads alone would keep the last value of each
+    path = write(tmp_path, text)
+    with pytest.raises(ScenarioParseError, match=f"duplicate key '{key}'"):
+        cs.parse_scenario(path)
+    assert main(["run", str(path)]) == 2
+    assert f"duplicate key '{key}'" in capsys.readouterr().err
 
 
 def test_undefined_context_reference_is_named(tmp_path):

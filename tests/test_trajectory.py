@@ -243,7 +243,7 @@ def test_mean_entropy_production_rejects_zero_samples():
 
 def test_exhaustive_balanced_equals_log2():
     stats = cs.exhaustive_entropy_production(balanced_protocol())
-    assert stats.path_count == 2
+    assert stats.sample_count == 2
     assert stats.mean_entropy_production == pytest.approx(math.log(2), abs=1e-12)
     np.testing.assert_allclose(stats.final_distribution, [0.5, 0.5], atol=1e-12)
 
@@ -256,6 +256,29 @@ def test_exhaustive_agrees_with_monte_carlo():
     assert abs(sampled.mean_entropy_production - exact.mean_entropy_production) <= max(
         3 * sampled.std_error, 1e-12
     )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 4),
+    length=st.integers(2, 4),
+    n_samples=st.integers(1, 50),
+)
+def test_sampled_and_enumerated_ensembles_share_one_type(seed, dim, length, n_samples):
+    rng = np.random.default_rng(seed)
+    contexts = tuple(cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, length))
+    protocol = cs.Protocol(contexts, contexts[0].modality(int(rng.integers(dim))))
+    sampled = cs.mean_entropy_production(protocol, n_samples, seed)
+    exact = cs.exhaustive_entropy_production(protocol)
+    assert type(sampled) is type(exact) is cs.TrajectoryEnsembleStats
+    assert (sampled.mode, exact.mode) == ("monte_carlo", "exhaustive")
+    assert sampled.sample_count == n_samples
+    assert exact.sample_count == dim ** (length - 1)
+    assert exact.std_error == 0.0
+    assert exact.shannon_entropy_final == sampled.shannon_entropy_final
+    # the exact marginal for Monte Carlo, the enumerated histogram for exhaustive
+    np.testing.assert_allclose(exact.final_distribution, sampled.final_distribution, rtol=0, atol=1e-12)
 
 
 def test_exhaustive_path_cap():
@@ -283,7 +306,7 @@ def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
     protocol = cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
     stats = cs.exhaustive_entropy_production(protocol)
     marginal = cs.final_marginal(protocol)
-    assert stats.path_count == dim ** (len(protocol) - 1)
+    assert stats.sample_count == dim ** (len(protocol) - 1)
     assert stats.mean_entropy_production == pytest.approx(cs.shannon_entropy(marginal), abs=1e-12)
     np.testing.assert_allclose(stats.final_distribution, marginal, atol=1e-12)
     # the path-by-path loop the table replaced: in-order products, zero paths skipped

@@ -19,9 +19,9 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
 
 with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
 compares stdout, stderr and exit code.  It then runs the fixed list
-``REFUSALS``: documents derived from ``scenarios/balanced_qubit.json`` that
-the program must refuse, written to a temporary directory, each with its own
-invocation, so that a changed exit code or refusal message shows too.
+``REFUSALS``: documents derived from ``scenarios/balanced_qubit.json``,
+written to a temporary directory, each with an invocation the program must
+refuse, so that a changed exit code or refusal message shows too.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports are walked value by
@@ -90,6 +90,10 @@ def _one_context(doc: dict) -> None:
     del doc["sweep"]
 
 
+def _unedited(doc: dict) -> None:
+    pass
+
+
 SWEEP_G = ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
 SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"]
 
@@ -103,6 +107,8 @@ REFUSALS = [
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_G),
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_PHASE),
     ("unread_explicit_off_by_1e-8", _unread_explicit_off_by_1e8, SWEEP_G),
+    # an enumeration ignores the sample count, but not a negative one
+    ("unedited", _unedited, ["run", "--exhaustive", "--trajectories", "-1"]),
 ]
 
 
