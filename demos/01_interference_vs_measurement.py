@@ -31,7 +31,7 @@ print()
 tilted = cs.rotation_context(np.pi / 2)
 print("phase phi | P(return)   [expect cos^2(phi/2)]")
 for phi in np.linspace(0.0, 2 * np.pi, 9):
-    p = cs.interference_return(initial, tilted, np.array([0.0, phi]), 0)
+    p = cs.interference_returns(initial, tilted, np.array([0.0, phi]))[0]
     print(f"{phi:9.4f} | {p:.6f}")
 
 # Averaging the fringe over a uniform random phase reproduces the realized
@@ -39,7 +39,7 @@ for phi in np.linspace(0.0, 2 * np.pi, 9):
 rng = np.random.default_rng(1)
 phases = rng.uniform(0.0, 2 * np.pi, 20_000)
 fringe_mean = np.mean(
-    [cs.interference_return(initial, tilted, np.array([0.0, phi]), 0) for phi in phases]
+    [cs.interference_returns(initial, tilted, np.array([0.0, phi]))[0] for phi in phases]
 )
 print()
 print(f"phase-averaged fringe: {fringe_mean:.4f}")

@@ -25,11 +25,10 @@ for g in (0.8, 0.5, 0.2):
         print(f"  {m:7d} | {abs(rho[0, 1]):20.3e} | {diag}")
     print()
 
-# The M -> infinity limit is the block-diagonal post-measurement state that a
-# single projective (orthogonal-meter) measurement would produce.
-post = cs.post_measurement_state(initial, pointer, cs.meter_states_from_gram(cs.Gram(np.eye(2))))
-system_block = cs.partial_trace_meter(post, 2, 2)
-print("projective-limit system state (diagonal):", np.diagonal(system_block).real)
+# The M -> infinity limit is the decohered state that a single projective
+# measurement produces: one link whose meter states are orthogonal.
+projective = cs.meter_chain_reduced_state(initial, pointer, cs.Gram(np.eye(2)), 1)
+print("projective-limit system state (diagonal):", np.diagonal(projective).real)
 chain = cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(2, 0.5), 40)
 print("40-link chain at g = 0.5:                ", np.round(np.diagonal(chain).real, 12))
 print("largest remaining coherence:             ", f"{abs(chain[0, 1]):.3e}")

@@ -23,7 +23,6 @@ from .errors import (
     InvalidGramMatrix,
     InvalidMeterStates,
     LengthMismatch,
-    MeterNotOrthogonal,
     NonOrthonormalInput,
     NotPositiveSemidefinite,
     RefusedInput,
@@ -39,24 +38,18 @@ from .hilbert import (
     build_context,
     computational_context,
     context_change_unitary,
-    explicit_context,
     fourier_context,
     haar_context,
     haar_random_unitary,
-    projector,
     rotation_context,
 )
 from .measurement import (
-    born_probability,
-    interference_return,
     interference_returns,
     irreversible_return,
     point_mass,
     propagate,
-    return_path_amplitudes,
     reversible_return,
     transition_matrix,
-    uniform_distribution,
     validate_distribution,
 )
 from .qnd import (
@@ -68,8 +61,6 @@ from .qnd import (
     meter_protocol_entropy,
     meter_return_probabilities,
     meter_states_from_gram,
-    partial_trace_meter,
-    post_measurement_state,
     reduced_system_state,
     von_neumann_entropy,
 )
@@ -86,11 +77,9 @@ from .trajectory import (
     Protocol,
     Trajectory,
     TrajectoryEnsembleStats,
-    backward_log_prob,
     entropy_production,
     exhaustive_entropy_production,
     final_marginal,
-    forward_log_prob,
     mean_entropy_production,
     sample_trajectory,
     shannon_entropy,

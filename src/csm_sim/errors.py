@@ -37,10 +37,6 @@ class NotPositiveSemidefinite(InvalidGramMatrix):
     """Overlap matrix has an eigenvalue below the PSD tolerance; ``residual`` is its negation."""
 
 
-class MeterNotOrthogonal(CsmSimError, ValueError):
-    """Operation requires mutually orthogonal meter states."""
-
-
 class InvalidMeterStates(CsmSimError, ValueError):
     """Meter state matrix fails the unit-norm column check."""
 

@@ -52,10 +52,11 @@ class Context:
 
     ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, both set
     once here; ``adjoint`` is read-only like ``basis``, and ``orthonormality``
-    is the B†B residual measured when the basis was admitted.  Overlaps with another
-    context come from :meth:`overlaps`, one memoized table per partner, and
-    the two return tables through an intermediate context from
-    :meth:`return_tables`, memoized per intermediate the same way.
+    is the B†B residual measured when the basis was admitted (for an explicit
+    basis, the residual of the matrix as given: see :func:`build_context`).
+    Overlaps with another context come from :meth:`overlaps`, one memoized
+    table per partner, and the two return tables through an intermediate
+    context from :meth:`return_tables`, memoized per intermediate the same way.
     """
 
     id: str
@@ -128,17 +129,8 @@ class Context:
             entry = self._returns[id(mid)] = (mid, (reversible, irreversible))
         return entry[1]
 
-    def vector(self, index: int) -> np.ndarray:
-        """Basis vector of outcome ``index``."""
-        if not 0 <= index < self.dim:
-            raise IndexOutOfRange(f"index {index} not in [0, {self.dim})")
-        return self.basis[:, index]
-
     def modality(self, index: int) -> "Modality":
         return Modality(self, index)
-
-    def projector(self, index: int) -> np.ndarray:
-        return projector(self.modality(index))
 
     # Identity is the label, not the matrix: two contexts with equal bases but
     # different ids are distinct protocol steps.
@@ -220,11 +212,6 @@ def haar_context(dim: int, seed: int, id: str | None = None) -> Context:
     return Context(id or f"haar:{dim}:{seed}", haar_random_unitary(seed, dim))
 
 
-def explicit_context(matrix: np.ndarray, id: str | None = None) -> Context:
-    """Context from a user-supplied orthonormal matrix (validated)."""
-    return Context(id or "explicit", np.asarray(matrix, dtype=complex))
-
-
 def build_context(spec: ContextSpec, id: str | None = None) -> Context:
     """Construct the context a :class:`ContextSpec` describes.
 
@@ -237,6 +224,11 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         ``rotation`` requested with dim != 2, or dim < 2.
     NonOrthonormalInput
         ``explicit`` matrix fails the orthonormality tolerance.
+
+    An admitted ``explicit`` matrix may miss orthonormality by up to
+    ``INPUT_TOL``, enough to push a return probability past the clamp; the
+    context holds its polar factor W Vᴴ (from the SVD, the nearest unitary)
+    instead, and ``orthonormality`` keeps the residual of the matrix as given.
     """
     if spec.dim < 2:
         raise DimensionMismatch(f"context dimension must be >= 2, got {spec.dim}")
@@ -262,14 +254,12 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
             raise DimensionMismatch(
                 f"explicit matrix shape {matrix.shape} does not match dim {spec.dim}"
             )
-        return explicit_context(matrix, id)
+        given = Context(id or "explicit", matrix)
+        w, _, vh = np.linalg.svd(given.basis)
+        ctx = Context(given.id, w @ vh)
+        object.__setattr__(ctx, "orthonormality", given.orthonormality)
+        return ctx
     raise ValueError(f"unknown context kind {spec.kind!r}")
-
-
-def projector(m: Modality) -> np.ndarray:
-    """Rank-one projector |u⟩⟨u| of a modality: Hermitian, idempotent, trace 1."""
-    v = m.vector
-    return np.outer(v, v.conj())
 
 
 def context_change_unitary(frm: Context, to: Context) -> np.ndarray:

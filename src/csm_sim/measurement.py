@@ -1,10 +1,10 @@
 """Exact transition probabilities between measurement contexts.
 
-Everything here is a pure function of context bases: the squared-overlap
-probability linking two modalities, the doubly stochastic matrix of all N²
-such probabilities between two contexts, propagation of outcome
-distributions, and the probability of returning to the starting outcome
-after passing through an intermediate context.
+Everything here is a pure function of context bases: the doubly stochastic
+matrix of all N² squared-overlap (Born) probabilities linking the outcomes
+of two contexts, propagation of outcome distributions, and the probability
+of returning to the starting outcome after passing through an intermediate
+context.
 
 Every overlap between two contexts is read from the pair's table
 ``Context.overlaps`` (W[j, i] = ⟨v_j|u_i⟩), computed on first use and then
@@ -61,10 +61,6 @@ def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def uniform_distribution(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
 def point_mass(n: int, index: int) -> np.ndarray:
     if not 0 <= index < n:
         raise IndexOutOfRange(f"index {index} not in [0, {n})")
@@ -84,18 +80,6 @@ def validate_distribution(dist: np.ndarray) -> np.ndarray:
     if not abs(total - 1.0) <= INPUT_TOL:
         raise InvalidDistribution(f"weights sum to {total!r}, not 1")
     return dist
-
-
-def born_probability(a: Modality, b: Modality) -> float:
-    """Probability of finding modality ``b`` starting from modality ``a``.
-
-    Tr(P_a P_b) = |⟨a|b⟩|², symmetric in its arguments exactly (the squared
-    modulus is insensitive to conjugation).
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    amp = np.vdot(a.vector, b.vector)
-    return as_probability(amp.real * amp.real + amp.imag * amp.imag)
 
 
 def transition_matrix(frm: Context, to: Context) -> np.ndarray:
@@ -123,13 +107,6 @@ def _check_return(initial: Modality, final_index: int) -> Context:
     if not 0 <= final_index < ctx.dim:
         raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
     return ctx
-
-
-def return_path_amplitudes(initial: Modality, intermediate: Context, final_index: int) -> np.ndarray:
-    """Per-path amplitude products ⟨u_k|v_j⟩⟨v_j|u_i⟩ for all intermediate j."""
-    ctx = _check_return(initial, final_index)
-    # ⟨u_k|v_j⟩ from row k of one table, ⟨v_j|u_i⟩ from column i of the other
-    return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
 
 
 def irreversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
@@ -160,8 +137,8 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     """Amplitude-summed return probability to every outcome k, a phase dialed onto each path.
 
     |Σ_j e^{iφ_j} ⟨u_k|v_j⟩⟨v_j|u_i⟩|² for all k at once: row k of the
-    table of path products is :func:`return_path_amplitudes` for final
-    outcome k.  All phases zero reduces to :func:`reversible_return`.
+    table of path products holds the N paths from outcome i back to outcome
+    k.  All phases zero reduces to :func:`reversible_return`.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (intermediate.dim,):
@@ -174,13 +151,3 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     amps = (np.exp(1j * phases) * paths).sum(axis=1)
     return clamp_probabilities(amps.real**2 + amps.imag**2)
 
-
-def interference_return(
-    initial: Modality,
-    intermediate: Context,
-    phases: np.ndarray,
-    final_index: int,
-) -> float:
-    """Entry ``final_index`` of :func:`interference_returns`."""
-    _check_return(initial, final_index)
-    return float(interference_returns(initial, intermediate, phases)[final_index])

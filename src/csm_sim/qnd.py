@@ -16,8 +16,10 @@ every function here takes one and trusts it.  Tolerance checks read
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
 closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
-it alone.  The composite route (meter states realized from the overlaps,
-:func:`entangle`, a trace over the meter) is the referee of ``verify``.
+it alone, and identity overlaps at m = 1 give the completed (projective)
+measurement's state.  The composite route (meter states realized from the
+overlaps, :func:`entangle`, :func:`reduced_system_state`) is the referee of
+``verify``.
 
 Conventions: meter states are stored as the columns of an M×N complex
 matrix, with M the meter dimension; composite amplitudes are indexed
@@ -37,7 +39,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidGramMatrix,
     InvalidMeterStates,
-    MeterNotOrthogonal,
     NotPositiveSemidefinite,
     StrengthOutOfRange,
 )
@@ -46,7 +47,7 @@ from .measurement import clamp_probabilities
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
-# Gram reproduction / orthogonality tolerance for realized meter states.
+# Tolerance on meter states: unit norm, and reproduction of the overlaps.
 METER_TOL = 1e-8
 
 
@@ -144,24 +145,19 @@ def _branch(initial: Modality, pointer: Context, n: int) -> np.ndarray:
     return pointer.adjoint @ initial.vector
 
 
-def validate_meter_states(meters: np.ndarray) -> np.ndarray:
-    meters = np.asarray(meters, dtype=complex)
-    if meters.ndim != 2:
-        raise InvalidMeterStates(f"meter states must form a matrix, got shape {meters.shape}")
-    norms = np.linalg.norm(meters, axis=0)
-    if not np.max(np.abs(norms - 1.0)) <= METER_TOL:
-        raise InvalidMeterStates("meter states must have unit norm")
-    return meters
-
-
 def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndarray:
     """Composite state after the system-meter coupling.
 
     Branch ``j`` of the pointer context carries amplitude ⟨v_j|u_i⟩ and tags
-    the meter with ``|w_j⟩``; the returned vector holds amplitude
-    ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``, of unit norm within ``METER_TOL``.
+    the meter with ``|w_j⟩``, column ``j`` of ``meters``, which must have
+    unit norm within ``METER_TOL``; the returned vector holds amplitude
+    ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``.
     """
-    meters = validate_meter_states(meters)
+    meters = np.asarray(meters, dtype=complex)
+    if meters.ndim != 2:
+        raise InvalidMeterStates(f"meter states must form a matrix, got shape {meters.shape}")
+    if not np.max(np.abs(np.linalg.norm(meters, axis=0) - 1.0)) <= METER_TOL:
+        raise InvalidMeterStates("meter states must have unit norm")
     m_dim, n = meters.shape
     branch = _branch(initial, pointer, n)
     return (branch[:, None] * meters.T).reshape(n * m_dim)
@@ -208,31 +204,6 @@ def composite_return_probabilities(
     return clamp_probabilities(weights.sum(axis=1))
 
 
-def post_measurement_state(
-    initial: Modality, pointer: Context, meters: np.ndarray
-) -> np.ndarray:
-    """Composite density matrix after a completed (projective-limit) measurement.
-
-    Σ_j |⟨v_j|u_i⟩|² |v_j⟩⟨v_j| ⊗ |w_j⟩⟨w_j|: one block per pointer branch,
-    no cross-branch coherence.  Requires mutually orthogonal meter states,
-    since only then is the measurement completed.
-    """
-    meters = validate_meter_states(meters)
-    m_dim, n = meters.shape
-    ortho_dev = float(np.max(np.abs(meters.conj().T @ meters - np.eye(n))))
-    if not ortho_dev <= METER_TOL:
-        raise MeterNotOrthogonal(f"meter overlap deviates from identity by {ortho_dev:.3e}")
-    branch = _branch(initial, pointer, n)
-    weights = branch.real**2 + branch.imag**2
-    rho = np.zeros((n * m_dim, n * m_dim), dtype=complex)
-    for j in range(n):
-        w = meters[:, j]
-        rho[j * m_dim : (j + 1) * m_dim, j * m_dim : (j + 1) * m_dim] = weights[j] * np.outer(
-            w, w.conj()
-        )
-    return rho
-
-
 def reduced_system_state(state: np.ndarray, pointer: Context) -> np.ndarray:
     """System state after tracing out the meter, in pointer-basis coordinates.
 
@@ -258,14 +229,6 @@ def meter_chain_reduced_state(
     branch = _branch(initial, pointer, gram.dim)
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
-
-
-def partial_trace_meter(rho: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Trace the meter factor out of an (n·m)×(n·m) composite density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n * m, n * m):
-        raise DimensionMismatch(f"matrix shape {rho.shape} not ({n * m}, {n * m})")
-    return np.trace(rho.reshape(n, m, n, m), axis1=1, axis2=3)
 
 
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:

@@ -117,7 +117,7 @@ def final_marginal(protocol: Protocol) -> np.ndarray:
     return dist
 
 
-def _check_outcomes(protocol: Protocol, outcomes, from_initial: bool = True) -> np.ndarray:
+def _check_outcomes(protocol: Protocol, outcomes) -> np.ndarray:
     """A validated outcome sequence, as a one-row path table."""
     outcomes = tuple(int(j) for j in outcomes)
     if len(outcomes) != len(protocol):
@@ -125,7 +125,7 @@ def _check_outcomes(protocol: Protocol, outcomes, from_initial: bool = True) -> 
     for ctx, j in zip(protocol.contexts, outcomes):
         if not 0 <= j < ctx.dim:
             raise IndexOutOfRange(f"outcome {j} not in [0, {ctx.dim})")
-    if from_initial and outcomes[0] != protocol.initial.index:
+    if outcomes[0] != protocol.initial.index:
         raise InitialMismatch(f"sequence starts at {outcomes[0]}, not {protocol.initial.index}")
     return np.array([outcomes], dtype=np.intp)
 
@@ -184,26 +184,6 @@ def _log_ratios(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) ->
         gap = f"{difference[bad[0]]:.17g} vs {telescoped[bad[0]]:.17g}"
         raise InternalConsistencyError(f"entropy production routes disagree: {gap}")
     return steps, fwd, np.where(live, telescoped + 0.0, np.nan)
-
-
-def forward_log_prob(protocol: Protocol, outcomes) -> float:
-    """Log-probability of an outcome sequence under the forward protocol.
-
-    The initial outcome is known with certainty, so only the transitions
-    contribute; a forbidden transition yields -inf.
-    """
-    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[1][0])
-
-
-def backward_log_prob(protocol: Protocol, outcomes, final_dist) -> float:
-    """Log-probability of the time-reversed path.
-
-    The reversed protocol draws the final outcome from ``final_dist`` and
-    then runs the contexts in reverse order; the conditional factors equal
-    the forward ones because single-step probabilities are symmetric.
-    """
-    path = _check_outcomes(protocol, outcomes, from_initial=False)
-    return float(_backward_log_probs(protocol, path, _reference(protocol, final_dist))[0])
 
 
 def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
+from csm_sim.hilbert import INPUT_TOL
+from csm_sim.trajectory import _backward_log_probs, _check_outcomes, _forward_log_probs, _reference
 
 
 @pytest.fixture
@@ -29,3 +31,56 @@ def random_unit_gram(n: int, seed: int) -> cs.Gram:
     gram = gram * np.outer(scale, scale)
     np.fill_diagonal(gram, 1.0)
     return cs.Gram(gram)
+
+
+def near_unitary(seed: int, dim: int, fraction: float) -> np.ndarray:
+    """A Haar basis perturbed so that its B†B residual is ``fraction`` of ``INPUT_TOL``.
+
+    The perturbation is scaled to first order; the second-order term is ~1e-20.
+    """
+    rng = np.random.default_rng(seed)
+    basis = cs.haar_random_unitary(seed, dim)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    first_order = float(np.max(np.abs(basis.conj().T @ noise + noise.conj().T @ basis)))
+    return basis + fraction * INPUT_TOL / first_order * noise
+
+
+# Scalar routes to quantities the library computes as tables: independent
+# referees, and single-path readers of the trajectory kernels.  Only tests
+# read them, so they live here rather than in the package.
+
+
+def born(a: cs.Modality, b: cs.Modality) -> float:
+    """Born probability |⟨a|b⟩|² of two modalities, from their vectors alone."""
+    amp = np.vdot(a.vector, b.vector)
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
+def projector(m: cs.Modality) -> np.ndarray:
+    """Rank-one projector |u⟩⟨u| of a modality."""
+    return np.outer(m.vector, m.vector.conj())
+
+
+def path_amplitudes(initial: cs.Modality, intermediate: cs.Context, final_index: int) -> np.ndarray:
+    """Per-path amplitude products ⟨u_k|v_j⟩⟨v_j|u_i⟩ for every intermediate outcome j.
+
+    The products ``interference_returns`` sums, in the same order, for final outcome k.
+    """
+    ctx = initial.context
+    return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
+
+
+def forward_log_prob(protocol: cs.Protocol, outcomes) -> float:
+    """Log-probability of an outcome sequence under the forward protocol (checked sequence)."""
+    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[1][0])
+
+
+def backward_log_prob(protocol: cs.Protocol, outcomes, final_dist) -> float:
+    """Log-probability of the time-reversed path, its final outcome drawn from ``final_dist``."""
+    path = np.array([outcomes], dtype=np.intp)
+    return float(_backward_log_probs(protocol, path, _reference(protocol, final_dist))[0])
+
+
+def partial_trace_meter(rho: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Trace the meter factor out of an (n·m)×(n·m) composite density matrix."""
+    return np.trace(np.asarray(rho).reshape(n, m, n, m), axis1=1, axis2=3)

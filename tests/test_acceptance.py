@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
-from conftest import random_unit_gram
+from conftest import path_amplitudes, random_unit_gram
 from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json"
@@ -83,7 +83,7 @@ def test_criterion_03_closure_and_interference():
     initial = cs.computational_context(2).modality(0)
     tilted = cs.rotation_context(np.pi / 2)
     worst_fringe = max(
-        abs(cs.interference_return(initial, tilted, np.array([0.0, phi]), 0)
+        abs(cs.interference_returns(initial, tilted, np.array([0.0, phi]))[0]
             - np.cos(phi / 2) ** 2)
         for phi in np.linspace(0.0, 2 * np.pi, 100)
     )
@@ -174,7 +174,7 @@ def test_criterion_07_weak_to_strong_interpolation():
     entropies = []
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
         gram = cs.gram_uniform(2, g)
-        paths = cs.return_path_amplitudes(initial, pointer, 0)
+        paths = path_amplitudes(initial, pointer, 0)
         oracle = sum(
             (paths[j].conjugate() * gram.matrix[j, jp] * paths[jp]).real
             for j in range(2)
@@ -198,9 +198,10 @@ def test_criterion_08_meter_chain_decoherence():
     initial = cs.computational_context(2).modality(0)
     pointer = cs.rotation_context(np.pi / 2)
     gram = cs.gram_uniform(2, 0.5)
+    # referee: the composite route with orthogonal meter states (a completed measurement)
     meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
-    post = cs.post_measurement_state(initial, pointer, meters)
-    reference_diag = np.diagonal(cs.partial_trace_meter(post, 2, 2)).real
+    post = cs.reduced_system_state(cs.entangle(initial, pointer, meters), pointer)
+    reference_diag = np.diagonal(post).real
     worst_off = worst_diag = 0.0
     for m in range(17):
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)

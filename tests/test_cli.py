@@ -7,10 +7,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import csm_sim as cs
 import csm_sim.cli
+from conftest import near_unitary
 from csm_sim.cli import main
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json")
@@ -366,3 +368,56 @@ def test_sweep_the_scenario_cannot_serve_is_a_usage_error_from_file_or_command_l
     path.write_text(json.dumps(dict(doc, sweep={param: [0, 1]})))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == from_command_line == f"{path}: sweep.{param}: {reason}\n"
+
+
+EXPLICIT_COMMANDS = [
+    ["run", "--trajectories", "50"],
+    ["run", "--exhaustive"],
+    ["verify"],
+    ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"],
+    ["sweep", "--param", "m_count", "--from", "0", "--to", "4", "--steps", "3"],
+    ["sweep", "--param", "phase", "--from", "0", "--to", "3", "--steps", "3"],
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 8),
+    fraction=st.floats(0.0, 0.99),
+    start_explicit=st.booleans(),
+    index=st.integers(0, 7),
+    g=st.floats(0.0, 1.0),
+)
+def test_every_admitted_explicit_basis_runs_verifies_and_sweeps(
+    seed, dim, fraction, start_explicit, index, g
+):
+    # a basis within INPUT_TOL of orthonormal must not push a probability past the clamp
+    matrix = near_unitary(seed, dim, fraction)
+    try:
+        cs.Context("b", matrix)
+    except cs.NonOrthonormalInput:
+        assume(False)
+    start, other = ("b", "z") if start_explicit else ("z", "b")
+    doc = {
+        "schema_version": 1,
+        "dim": dim,
+        "contexts": {
+            "z": {"kind": "computational"},
+            "b": {"kind": "explicit", "matrix": [[[v.real, v.imag] for v in r] for r in matrix]},
+        },
+        "protocol": {
+            "initial": {"context": start, "index": index % dim},
+            "sequence": [start, other],
+        },
+        "meter": {"pointer": "b", "gram": {"kind": "uniform", "g": g}},
+        "sweep": {"g": [0.0, g, 1.0], "m_count": [0, 1, 3], "phase": [0.0, 1.0]},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "explicit.json"
+        path.write_text(json.dumps(doc))
+        for command in EXPLICIT_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            assert code == 0, (command, err.getvalue())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalInput
+from conftest import near_unitary, projector
 
 
 def orthonormality_residual(basis):
@@ -41,10 +42,27 @@ def test_fourier_context_orthonormal():
 
 
 def test_explicit_context_rejects_non_orthonormal():
-    with pytest.raises(NonOrthonormalInput):
-        cs.explicit_context(np.array([[1.0, 0.1], [0.0, 1.0]]))
-    with pytest.raises(NonOrthonormalInput):  # a NaN residual must not pass the check
-        cs.explicit_context(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for matrix in ([[1.0, 0.1], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):  # NaN must not pass
+        with pytest.raises(NonOrthonormalInput) as refused:
+            cs.build_context(cs.ContextSpec("explicit", 2, matrix=np.array(matrix)))
+        with pytest.raises(NonOrthonormalInput) as direct:
+            cs.Context("explicit", np.array(matrix))
+        assert str(refused.value) == str(direct.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 8), fraction=st.floats(0.0, 0.99))
+def test_admitted_explicit_basis_is_replaced_by_its_polar_factor(seed, dim, fraction):
+    matrix = near_unitary(seed, dim, fraction)
+    ctx = cs.build_context(cs.ContextSpec("explicit", dim, matrix=matrix), id="b")
+    # the residual reported is the one of the matrix as given ...
+    assert ctx.orthonormality == orthonormality_residual(matrix)
+    # ... while the basis held is the nearest unitary, W Vᴴ
+    w, _, vh = np.linalg.svd(matrix)
+    np.testing.assert_array_equal(ctx.basis, w @ vh)
+    assert orthonormality_residual(ctx.basis) <= 1e-14
+    assert np.max(np.abs(ctx.basis - matrix)) <= 1e-10
+    assert ctx.id == "b"
 
 
 def test_rotation_requires_dim_two():
@@ -94,7 +112,7 @@ def test_orthonormality_field_is_the_residual_of_the_basis(seed, dim, perturb):
     basis = cs.haar_random_unitary(seed, dim)
     if perturb:
         basis = basis + 1e-12 * np.random.default_rng(seed).standard_normal((dim, dim))
-    ctx = cs.explicit_context(basis)
+    ctx = cs.Context("explicit", basis)
     assert ctx.orthonormality == orthonormality_residual(ctx.basis)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.orthonormality = 0.0
@@ -114,8 +132,8 @@ def test_overlaps_table_is_memoized_and_read_only():
 
 def test_overlaps_are_keyed_by_object_not_label():
     start = cs.haar_context(3, 0)
-    left = cs.explicit_context(cs.haar_random_unitary(1, 3))
-    right = cs.explicit_context(cs.haar_random_unitary(2, 3))
+    left = cs.Context("explicit", cs.haar_random_unitary(1, 3))
+    right = cs.Context("explicit", cs.haar_random_unitary(2, 3))
     assert left == right  # both carry the label "explicit"
     for mid in (left, right):
         np.testing.assert_array_equal(start.overlaps(mid), start.adjoint @ mid.basis)
@@ -125,15 +143,15 @@ def test_overlaps_are_keyed_by_object_not_label():
         assert cs.reversible_return(m, left, k) == pytest.approx(float(k == 0), abs=1e-12)
         assert cs.reversible_return(m, right, k) == pytest.approx(float(k == 0), abs=1e-12)
     phases = np.array([0.0, 1.0, 2.5])
-    returns = [cs.interference_return(m, mid, phases, 0) for mid in (left, right)]
+    returns = [cs.interference_returns(m, mid, phases)[0] for mid in (left, right)]
     assert abs(returns[0] - returns[1]) > 1e-3
     assert not np.allclose(cs.transition_matrix(left, start), cs.transition_matrix(right, start))
 
 
 def test_return_tables_are_memoized_read_only_and_keyed_by_object():
     start = cs.haar_context(3, 0)
-    left = cs.explicit_context(cs.haar_random_unitary(1, 3))
-    right = cs.explicit_context(cs.haar_random_unitary(2, 3))
+    left = cs.Context("explicit", cs.haar_random_unitary(1, 3))
+    right = cs.Context("explicit", cs.haar_random_unitary(2, 3))
     assert left == right  # both carry the label "explicit"
     tables = start.return_tables(left)
     assert start.return_tables(left) is tables
@@ -162,13 +180,13 @@ def test_modality_index_range():
 
 def test_projector_computational():
     ctx = cs.computational_context(2)
-    np.testing.assert_array_equal(cs.projector(ctx.modality(0)), [[1, 0], [0, 0]])
+    np.testing.assert_array_equal(projector(ctx.modality(0)), [[1, 0], [0, 0]])
 
 
 def test_projector_balanced_all_half():
     # outer product of (1/sqrt2, 1/sqrt2) with itself
     ctx = cs.rotation_context(np.pi / 2)
-    np.testing.assert_allclose(cs.projector(ctx.modality(0)), np.full((2, 2), 0.5), atol=1e-15)
+    np.testing.assert_allclose(projector(ctx.modality(0)), np.full((2, 2), 0.5), atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -177,7 +195,7 @@ def test_projector_invariants(seed, dim):
     ctx = cs.haar_context(dim, seed)
     total = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
-        p = cs.projector(ctx.modality(j))
+        p = projector(ctx.modality(j))
         assert np.max(np.abs(p @ p - p)) <= 1e-12
         assert np.max(np.abs(p - p.conj().T)) <= 1e-12
         assert abs(np.trace(p) - 1) <= 1e-12

@@ -8,11 +8,10 @@ from csm_sim.errors import (
     DimensionMismatch,
     InvalidGramMatrix,
     InvalidMeterStates,
-    MeterNotOrthogonal,
     NotPositiveSemidefinite,
     StrengthOutOfRange,
 )
-from conftest import random_unit_gram
+from conftest import partial_trace_meter, path_amplitudes, random_unit_gram
 
 
 def test_gram_uniform_limits():
@@ -143,7 +142,6 @@ def test_entangle_takes_every_meter_set_the_meter_check_admits(balanced):
     meters = np.eye(2) * (1 + 1e-9)
     state = cs.entangle(initial, tilted, meters)
     assert np.linalg.norm(state) == pytest.approx(1 + 1e-9, rel=0, abs=1e-12)
-    assert cs.post_measurement_state(initial, tilted, meters).shape == (4, 4)
     with pytest.raises(InvalidMeterStates):
         cs.entangle(initial, tilted, np.eye(2) * (1 + 1e-7))
 
@@ -252,7 +250,7 @@ def test_meter_return_table_matches_referees(seed, dim, kind):
     composite = cs.composite_return_probabilities(state, a, pointer)
     assert table.shape == (dim,)
     for k in range(dim):
-        paths = cs.return_path_amplitudes(initial, pointer, k)
+        paths = path_amplitudes(initial, pointer, k)
         oracle = sum(
             (paths[j].conjugate() * gram.matrix[j, jp] * paths[jp]).real
             for j in range(dim)
@@ -287,36 +285,30 @@ def test_closed_form_meter_quantities_match_composite_route(seed, dim, kind):
     assert np.max(np.abs(returns - cs.meter_return_probabilities(initial, pointer, gram))) <= 1e-12
 
 
+# A completed (projective) measurement is one link of orthogonal meter states.
+
+
 def test_post_measurement_state_single_branch():
     ctx = cs.computational_context(2)
-    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
-    rho = cs.post_measurement_state(ctx.modality(0), ctx, meters)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    np.testing.assert_allclose(rho, expected, atol=1e-12)
+    rho = cs.meter_chain_reduced_state(ctx.modality(0), ctx, cs.Gram(np.eye(2)), 1)
+    np.testing.assert_allclose(rho, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_post_measurement_state_balanced_blocks(balanced):
     initial, tilted = balanced
-    meters = cs.meter_states_from_gram(cs.Gram(np.eye(2)))
-    rho = cs.post_measurement_state(initial, tilted, meters)
+    orthogonal = cs.Gram(np.eye(2))
+    rho = cs.meter_chain_reduced_state(initial, tilted, orthogonal, 1)
     assert abs(np.trace(rho) - 1.0) <= 1e-10
-    # dephasing the pure composite state across branches gives the same matrix
-    state = cs.entangle(initial, tilted, meters)
+    # dephasing the pure composite state across branches, then tracing out the
+    # meter, gives the same matrix
+    state = cs.entangle(initial, tilted, cs.meter_states_from_gram(orthogonal))
     pure = np.outer(state, state.conj())
     dephased = np.zeros_like(pure)
     for j in range(2):
         sl = slice(j * 2, (j + 1) * 2)
         dephased[sl, sl] = pure[sl, sl]
-    np.testing.assert_allclose(rho, dephased, atol=1e-12)
-    np.testing.assert_allclose(np.diagonal(rho).real[[0, 3]], [0.5, 0.5], atol=1e-12)
-
-
-def test_post_measurement_requires_orthogonal_meters(balanced):
-    initial, tilted = balanced
-    meters = cs.meter_states_from_gram(cs.gram_uniform(2, 0.5))
-    with pytest.raises(MeterNotOrthogonal):
-        cs.post_measurement_state(initial, tilted, meters)
+    np.testing.assert_allclose(rho, partial_trace_meter(dephased, 2, 2), atol=1e-12)
+    np.testing.assert_allclose(np.diagonal(rho).real, [0.5, 0.5], atol=1e-12)
 
 
 def test_reduced_state_all_ones_gram_keeps_coherence(balanced):
@@ -369,7 +361,7 @@ def test_partial_trace_matches_reduced_state(balanced):
     state = cs.entangle(initial, tilted, cs.meter_states_from_gram(gram))
     rho_full = np.outer(state, state.conj())
     np.testing.assert_allclose(
-        cs.partial_trace_meter(rho_full, 2, state.size // 2),
+        partial_trace_meter(rho_full, 2, state.size // 2),
         cs.reduced_system_state(state, tilted),
         atol=1e-12,
     )

@@ -15,6 +15,7 @@ from csm_sim.errors import (
     ZeroProbabilityPath,
 )
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
+from conftest import backward_log_prob, born, forward_log_prob
 
 
 def balanced_protocol():
@@ -40,42 +41,42 @@ def test_protocol_validation():
 
 
 def test_forward_log_prob_constant_chain_is_zero():
-    assert cs.forward_log_prob(constant_protocol(), (0, 0, 0)) == 0.0
+    assert forward_log_prob(constant_protocol(), (0, 0, 0)) == 0.0
 
 
 def test_forward_log_prob_balanced_single_step():
-    assert cs.forward_log_prob(balanced_protocol(), (0, 0)) == pytest.approx(
+    assert forward_log_prob(balanced_protocol(), (0, 0)) == pytest.approx(
         math.log(0.5), abs=1e-12
     )
 
 
 def test_forward_log_prob_forbidden_transition_is_minus_inf():
-    assert cs.forward_log_prob(constant_protocol(), (0, 1, 1)) == float("-inf")
+    assert forward_log_prob(constant_protocol(), (0, 1, 1)) == float("-inf")
 
 
 def test_forward_log_prob_input_checks():
     protocol = balanced_protocol()
     with pytest.raises(LengthMismatch):
-        cs.forward_log_prob(protocol, (0,))
+        forward_log_prob(protocol, (0,))
     with pytest.raises(InitialMismatch):
-        cs.forward_log_prob(protocol, (1, 0))
+        forward_log_prob(protocol, (1, 0))
 
 
 def test_backward_log_prob_deterministic_chain():
     protocol = constant_protocol()
-    assert cs.backward_log_prob(protocol, (0, 0, 0), cs.point_mass(2, 0)) == 0.0
+    assert backward_log_prob(protocol, (0, 0, 0), cs.point_mass(2, 0)) == 0.0
 
 
 def test_backward_log_prob_balanced_uniform():
     protocol = balanced_protocol()
-    assert cs.backward_log_prob(protocol, (0, 0), cs.uniform_distribution(2)) == pytest.approx(
+    assert backward_log_prob(protocol, (0, 0), np.full(2, 0.5)) == pytest.approx(
         2 * math.log(0.5), abs=1e-12
     )
 
 
 def test_backward_log_prob_zero_weight_is_minus_inf():
     protocol = balanced_protocol()
-    assert cs.backward_log_prob(protocol, (0, 0), cs.point_mass(2, 1)) == float("-inf")
+    assert backward_log_prob(protocol, (0, 0), cs.point_mass(2, 1)) == float("-inf")
 
 
 def test_entropy_production_point_mass_on_realized_outcome_is_zero():
@@ -86,7 +87,7 @@ def test_entropy_production_point_mass_on_realized_outcome_is_zero():
 def test_entropy_production_uniform_reference_is_log2():
     protocol = balanced_protocol()
     for outcomes in ((0, 0), (0, 1)):
-        assert cs.entropy_production(protocol, outcomes, cs.uniform_distribution(2)) == (
+        assert cs.entropy_production(protocol, outcomes, np.full(2, 0.5)) == (
             -math.log(0.5)
         )
 
@@ -100,7 +101,7 @@ def test_entropy_production_quarter_weight_is_log4():
 
 def test_entropy_production_zero_forward_path_raises():
     with pytest.raises(ZeroProbabilityPath):
-        cs.entropy_production(constant_protocol(), (0, 1, 1), cs.uniform_distribution(2))
+        cs.entropy_production(constant_protocol(), (0, 1, 1), np.full(2, 0.5))
 
 
 def test_entropy_production_infinite_when_reference_misses():
@@ -123,14 +124,14 @@ def test_telescoping_identity(seed, dim, steps):
     reference = rng.uniform(0.1, 1.0, dim)
     reference /= reference.sum()
     delta = cs.entropy_production(protocol, trajectory.outcomes, reference)
-    fwd = cs.forward_log_prob(protocol, trajectory.outcomes)
-    bwd = cs.backward_log_prob(protocol, trajectory.outcomes, reference)
+    fwd = forward_log_prob(protocol, trajectory.outcomes)
+    bwd = backward_log_prob(protocol, trajectory.outcomes, reference)
     assert delta == pytest.approx(-math.log(reference[trajectory.outcomes[-1]]), abs=1e-12)
     assert fwd - bwd == pytest.approx(delta, abs=1e-12)
     # scalar referee for the forward table: one Born probability per step
     modalities = [c.modality(j) for c, j in zip(protocol.contexts, trajectory.outcomes)]
-    born = [cs.born_probability(a, b) for a, b in zip(modalities, modalities[1:])]
-    assert fwd == pytest.approx(sum(math.log(p) for p in born), abs=1e-12)
+    born_steps = [born(a, b) for a, b in zip(modalities, modalities[1:])]
+    assert fwd == pytest.approx(sum(math.log(p) for p in born_steps), abs=1e-12)
 
 
 def test_sample_trajectory_constant_protocol():
@@ -329,7 +330,7 @@ def test_exhaustive_marginal_matches_propagation():
 
 def test_shannon_entropy_values():
     assert cs.shannon_entropy(cs.point_mass(4, 2)) == 0.0
-    assert cs.shannon_entropy(cs.uniform_distribution(2)) == pytest.approx(
+    assert cs.shannon_entropy(np.full(2, 0.5)) == pytest.approx(
         math.log(2), abs=1e-15
     )
     assert cs.shannon_entropy(np.array([0.25, 0.75])) == pytest.approx(
