@@ -11,6 +11,8 @@ meter couplings, and stochastic trajectories with entropy production
 statistics.
 """
 
+from types import ModuleType as _Module
+
 from ._version import __version__
 from .errors import (
     CsmSimError,
@@ -86,4 +88,5 @@ from .trajectory import (
     step_transition_matrices,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _Module))

@@ -17,10 +17,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalInput
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InternalConsistencyError,
+    NonOrthonormalInput,
+)
 
 # Validation tolerance for user-supplied matrices.
 INPUT_TOL = 1e-10
+
+
+def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
+    """Computed probabilities snapped into [0, 1], each within ``INPUT_TOL`` of it.
+
+    The one clamp of every computed probability: an excursion beyond ``INPUT_TOL``
+    is a bug, not rounding, and raises :class:`InternalConsistencyError`, as NaN does.
+    """
+    arr = np.asarray(arr, dtype=float)
+    if not (float(np.min(arr)) >= -INPUT_TOL and float(np.max(arr)) <= 1.0 + INPUT_TOL):
+        raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
+    return np.clip(arr, 0.0, 1.0)
 
 
 def _identity_residual(product: np.ndarray) -> float:
@@ -114,16 +131,17 @@ class Context:
 
         The reversible table is |Σ_j ⟨u_k|v_j⟩⟨v_j|u_i⟩|², one product of the
         two overlap tables; the irreversible one is Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|²,
-        which is TᵀT for T = |⟨v_j|u_i⟩|².  Both are computed on first use and
-        memoized per intermediate object, keyed by identity as in :meth:`overlaps`.
+        which is TᵀT for T = |⟨v_j|u_i⟩|².  Both are computed on first use,
+        clamped once by :func:`clamp_probabilities`, and memoized per
+        intermediate object, keyed by identity as in :meth:`overlaps`.
         """
         entry = self._returns.get(id(mid))
         if entry is None:
             there = mid.overlaps(self)
             amps = self.overlaps(mid) @ there
-            reversible = amps.real**2 + amps.imag**2
+            reversible = clamp_probabilities(amps.real**2 + amps.imag**2)
             t = there.real**2 + there.imag**2
-            irreversible = t.T @ t
+            irreversible = clamp_probabilities(t.T @ t)
             reversible.setflags(write=False)
             irreversible.setflags(write=False)
             entry = self._returns[id(mid)] = (mid, (reversible, irreversible))

@@ -12,9 +12,9 @@ memoized; it raises ``DimensionMismatch`` for contexts of different dims, so
 the functions that read it leave that check to it.  The two return
 probabilities are memoized one level up, as whole tables over (final,
 initial) outcome per (start context, intermediate) pair in
-``Context.return_tables``, so a scalar return is one read of a table entry;
-a phase-dialed return is one table of path products per phase vector,
-summed for every final outcome at once.
+``Context.return_tables``, each clamped once, when made, so a scalar return
+is one exact read of a table entry; a phase-dialed return is one table of
+path products per phase vector, summed for every final outcome at once.
 
 Two return routes exist and they differ physically. If an outcome is
 realized in the intermediate context, probabilities add over intermediate
@@ -28,37 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InternalConsistencyError,
-    InvalidDistribution,
-)
-from .hilbert import INPUT_TOL, Context, Modality
-
-
-def as_probability(x: float) -> float:
-    """Clamp ``x`` into [0,1] when within ``INPUT_TOL`` of a boundary.
-
-    Excursions beyond ``INPUT_TOL`` are bugs, not rounding, and raise
-    :class:`InternalConsistencyError`; so does NaN, which fails every
-    comparison and therefore lands on the raising branch.
-    """
-    if 0.0 <= x <= 1.0:
-        return float(x)
-    if -INPUT_TOL <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + INPUT_TOL:
-        return 1.0
-    raise InternalConsistencyError(f"probability {x!r} outside [0, 1] beyond tolerance")
-
-
-def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
-    """Vector form of :func:`as_probability`."""
-    arr = np.asarray(arr, dtype=float)
-    if not (float(np.min(arr)) >= -INPUT_TOL and float(np.max(arr)) <= 1.0 + INPUT_TOL):
-        raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
-    return np.clip(arr, 0.0, 1.0)
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidDistribution
+from .hilbert import INPUT_TOL, Context, Modality, clamp_probabilities
 
 
 def point_mass(n: int, index: int) -> np.ndarray:
@@ -70,6 +41,7 @@ def point_mass(n: int, index: int) -> np.ndarray:
 
 
 def validate_distribution(dist: np.ndarray) -> np.ndarray:
+    """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, snapped into [0, 1]."""
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1:
         raise InvalidDistribution(f"distribution must be a vector, got shape {dist.shape}")
@@ -79,7 +51,7 @@ def validate_distribution(dist: np.ndarray) -> np.ndarray:
     total = float(np.sum(dist))
     if not abs(total - 1.0) <= INPUT_TOL:
         raise InvalidDistribution(f"weights sum to {total!r}, not 1")
-    return dist
+    return np.clip(dist, 0.0, 1.0)
 
 
 def transition_matrix(frm: Context, to: Context) -> np.ndarray:
@@ -117,7 +89,7 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
     :meth:`Context.return_tables`.
     """
     ctx = _check_return(initial, final_index)
-    return as_probability(ctx.return_tables(intermediate)[1].item(final_index, initial.index))
+    return ctx.return_tables(intermediate)[1].item(final_index, initial.index)
 
 
 def reversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
@@ -130,7 +102,7 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
     tested consequence.
     """
     ctx = _check_return(initial, final_index)
-    return as_probability(ctx.return_tables(intermediate)[0].item(final_index, initial.index))
+    return ctx.return_tables(intermediate)[0].item(final_index, initial.index)
 
 
 def interference_returns(initial: Modality, intermediate: Context, phases: np.ndarray) -> np.ndarray:

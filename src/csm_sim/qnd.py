@@ -42,8 +42,7 @@ from .errors import (
     NotPositiveSemidefinite,
     StrengthOutOfRange,
 )
-from .hilbert import INPUT_TOL, Context, Modality
-from .measurement import clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, clamp_probabilities
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
@@ -56,7 +55,9 @@ class Gram:
     """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
 
     Checked once here, by ``eigvalsh`` (smallest eigenvalue not below
-    ``-RANK_TOL``); only the read-only eigenvalues are kept.
+    ``-RANK_TOL``) of the Hermitian part of the given matrix with its diagonal
+    set to 1, which ``matrix`` holds (the same bits for an exact input): admitted
+    residuals of up to ``INPUT_TOL`` each would add up past the probability clamp.
     """
 
     matrix: np.ndarray
@@ -75,6 +76,8 @@ class Gram:
                     f"overlap matrix {what}: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                     residual,
                 )
+        matrix = 0.5 * (matrix + matrix.conj().T)
+        np.fill_diagonal(matrix, 1.0)
         eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -RANK_TOL:
             raise NotPositiveSemidefinite(
@@ -242,8 +245,8 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(ρ log ρ) in nats; eigenvalues within tolerance of zero contribute nothing."""
-    # an eigenvalue below -INPUT_TOL is refused by the clamp
-    probs = clamp_probabilities(np.linalg.eigvalsh(np.asarray(rho, dtype=complex)))
+    # ρ complex Hermitian or real symmetric; an eigenvalue below -INPUT_TOL is refused by the clamp
+    probs = clamp_probabilities(np.linalg.eigvalsh(rho))
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive))) + 0.0
 

@@ -24,12 +24,12 @@ from .hilbert import (
     Context,
     Modality,
     build_context,
+    clamp_probabilities,
     closure_residual,
     context_change_unitary,
     projector_residual,
 )
 from .measurement import (
-    clamp_probabilities,
     interference_returns,
     irreversible_return,
     reversible_return,
@@ -93,13 +93,16 @@ def _g_sweep_rows(initial: Modality, pointer: Context, values) -> list[dict]:
     ends = [gram_uniform(pointer.dim, g) for g in (0.0, 1.0)]
     p0, p1 = (meter_return_probabilities(initial, pointer, gram) for gram in ends)
     rho0, rho1 = (meter_chain_reduced_state(initial, pointer, gram, 1) for gram in ends)
+    # rho0 is diagonal and rho1 = b b†, so with D = diag(b/|b|) (any phase where b_j = 0)
+    # D†((1 - g) rho0 + g rho1)D = (1 - g) rho0 + g |b||b|ᵀ: same spectrum, real symmetric.
+    diagonal, outer = rho0.real, np.abs(rho1)
     rows = []
     for g in grid:
         rows.append(
             {
                 "g": float(g),
                 "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
-                "entropy": von_neumann_entropy((1 - g) * rho0 + g * rho1),
+                "entropy": von_neumann_entropy((1 - g) * diagonal + g * outer),
             }
         )
     return rows
@@ -209,7 +212,7 @@ def run_scenario(
     protocol, the meter quantities if a meter is configured, the trajectory
     ensemble (Monte Carlo, or exact enumeration when ``exhaustive``), and
     the configured sweep grids.  Deterministic given (scenario, seed,
-    n_samples).
+    n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
     """
     contexts, protocol, pointer, gram = build_scenario_objects(scenario)
     initial = protocol.initial
@@ -268,7 +271,7 @@ def run_scenario(
         "tool": "csm-sim",
         "version": __version__,
         "seed": int(seed),
-        "n_samples": int(n_samples),
+        "n_samples": 0 if exhaustive else int(n_samples),
         "scenario": scenario.raw,
         "results": {
             "returns": returns,

@@ -134,7 +134,7 @@ def _reference(protocol: Protocol, final_dist) -> np.ndarray:
     final_dist, dim = validate_distribution(final_dist), protocol.contexts[-1].dim
     if final_dist.size != dim:
         raise DimensionMismatch(f"final distribution size {final_dist.size} vs dim {dim}")
-    return np.clip(final_dist, 0.0, 1.0)
+    return final_dist
 
 
 def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +292,7 @@ def mean_entropy_production(
     counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)
     realized = np.flatnonzero(counts)
     c = counts[realized].astype(float)
-    deltas = -np.log(np.minimum(marginal[realized], 1.0))
+    deltas = -np.log(marginal[realized])
     # fsum: summation error must stay below the std-error scale, which for a
     # near-constant ensemble is far tighter than pairwise summation delivers.
     mean = math.fsum((c * deltas).tolist()) / n_samples
@@ -343,6 +343,6 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
 def shannon_entropy(dist: np.ndarray) -> float:
     """-Σ p log p in nats, with 0·log 0 = 0; lies in [0, log N]."""
     dist = validate_distribution(dist)
-    p = np.minimum(dist[dist > 0.0], 1.0)
+    p = dist[dist > 0.0]
     return float(-np.sum(p * np.log(p))) + 0.0
 

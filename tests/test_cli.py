@@ -6,6 +6,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ import csm_sim as cs
 import csm_sim.cli
 from conftest import near_unitary
 from csm_sim.cli import main
+from csm_sim.hilbert import INPUT_TOL
+from csm_sim.qnd import RANK_TOL
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json")
 
@@ -36,9 +39,15 @@ def test_run_stdout_and_determinism(tmp_path):
 
 def test_run_exhaustive_flag(tmp_path):
     out = tmp_path / "exact.json"
-    code = main(["run", SCENARIO, "--trajectories", "0", "--exhaustive", "--out", str(out)])
-    assert code == 0
-    assert json.loads(out.read_text())["results"]["ensemble"]["mode"] == "exhaustive"
+    for trajectories in ("0", "5000"):
+        argv = ["run", SCENARIO, "--trajectories", trajectories, "--exhaustive", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["results"]["ensemble"]["mode"] == "exhaustive"
+        # nothing is sampled; the ensemble counts the enumerated paths
+        assert report["n_samples"] == 0
+        steps = len(report["scenario"]["protocol"]["sequence"]) - 1
+        assert report["results"]["ensemble"]["sample_count"] == report["scenario"]["dim"] ** steps
 
 
 def test_run_zero_trajectories_without_exhaustive_is_usage_error(capsys):
@@ -421,3 +430,90 @@ def test_every_admitted_explicit_basis_runs_verifies_and_sweeps(
             with redirect_stdout(out), redirect_stderr(err):
                 code = main([command[0], str(path), *command[1:]])
             assert code == 0, (command, err.getvalue())
+
+
+def _gram_at_bounds(seed, dim, rank, eigenvalue, diagonal, asymmetry) -> np.ndarray:
+    """Overlaps of ``rank`` random unit vectors, pushed to the bounds ``Gram`` admits.
+
+    Its smallest eigenvalue becomes ``-eigenvalue * RANK_TOL``; a diagonal
+    congruence, which keeps that eigenvalue to within a relative 1e-10, then
+    sets the diagonal ``diagonal * INPUT_TOL`` off 1, and the upper triangle is
+    moved by ``asymmetry * INPUT_TOL``, which ``eigvalsh`` (lower triangle)
+    never reads.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    w /= np.linalg.norm(w, axis=0)
+    gram = w.conj().T @ w
+    values, vectors = np.linalg.eigh(gram)
+    null = vectors[:, 0]
+    gram -= (values[0] + eigenvalue * RANK_TOL) * np.outer(null, null.conj())
+    target = 1.0 + diagonal * INPUT_TOL * rng.choice([-1.0, 1.0], dim)
+    scale = np.sqrt(target / np.diagonal(gram).real)
+    gram *= np.outer(scale, scale)
+    upper = np.triu_indices(dim, 1)
+    gram[upper] += asymmetry * INPUT_TOL * np.exp(2j * np.pi * rng.random(len(upper[0])))
+    return gram
+
+
+GRAM_COMMANDS = [
+    ["run", "--trajectories", "50"],
+    ["verify"],
+    ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"],
+    ["sweep", "--param", "m_count", "--from", "0", "--to", "4", "--steps", "3"],
+    ["sweep", "--param", "phase", "--from", "0", "--to", "3", "--steps", "3"],
+]
+NEAR_ONE = st.floats(0.9, 1.02)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(3, 6),
+    rank=st.integers(1, 5),
+    eigenvalue=NEAR_ONE,
+    diagonal=NEAR_ONE,
+    asymmetry=NEAR_ONE,
+    pointer=st.sampled_from(["z", "h"]),
+    index=st.integers(0, 5),
+)
+def test_explicit_grams_at_their_bounds_end_in_exit_code_never_traceback_or_nan(
+    seed, dim, rank, eigenvalue, diagonal, asymmetry, pointer, index
+):
+    matrix = _gram_at_bounds(seed, dim, min(rank, dim - 1), eigenvalue, diagonal, asymmetry)
+    try:
+        cs.Gram(matrix)
+        admitted = True
+    except cs.InvalidGramMatrix:
+        admitted = False
+    doc = {
+        "schema_version": 1,
+        "dim": dim,
+        "contexts": {"z": {"kind": "computational"}, "h": {"kind": "haar", "seed": seed}},
+        "protocol": {"initial": {"context": "z", "index": index % dim}, "sequence": ["z", "h"]},
+        "meter": {
+            "pointer": pointer,
+            "gram": {"kind": "explicit", "matrix": [[[v.real, v.imag] for v in r] for r in matrix]},
+        },
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gram.json"
+        path.write_text(json.dumps(doc))
+        for command in GRAM_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            why = (command, err.getvalue())
+            if command[0] == "verify":
+                assert "nan" not in out.getvalue(), why
+            if code != 0:
+                # verify fails on a measured residual; everything else on the refusal
+                assert code == 1 and len(err.getvalue().splitlines()) == 1, why
+                assert not admitted or command[0] == "verify", why
+                continue
+            assert admitted, command
+            if command[0] == "run":
+                json.loads(out.getvalue(), parse_constant=_reject_constant)
+            if command[0] == "sweep":
+                for line in out.getvalue().splitlines()[1:]:
+                    assert all(math.isfinite(float(cell)) for cell in line.split(","))

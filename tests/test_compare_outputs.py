@@ -69,10 +69,10 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 8
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 11
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
-        # a sweep the scenario cannot serve and a negative sample count are
-        # usage errors; a refused input fails
+        # a sweep the scenario cannot serve, a sample count out of range and a
+        # grid outside its parameter's domain are usage errors; a refused input fails
         usage = name in ("no_meter", "one_context", "unedited")
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err

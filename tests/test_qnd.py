@@ -53,6 +53,18 @@ def test_gram_is_read_only():
             array[0] = 0.0
 
 
+def test_gram_holds_the_hermitian_part_with_unit_diagonal():
+    exact = random_unit_gram(4, 3).matrix
+    assert np.array_equal(cs.Gram(exact).matrix, exact)  # same bits for an exact input
+    given = exact.copy()
+    given[0, 1] += 0.9e-10j
+    given[2, 2] += 0.9e-10
+    gram = cs.Gram(given).matrix
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.array_equal(gram.diagonal(), np.ones(4))
+    assert gram[0, 1] == 0.5 * (given[0, 1] + given[1, 0].conjugate())
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

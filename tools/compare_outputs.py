@@ -109,6 +109,14 @@ REFUSALS = [
     ("unread_explicit_off_by_1e-8", _unread_explicit_off_by_1e8, SWEEP_G),
     # an enumeration ignores the sample count, but not a negative one
     ("unedited", _unedited, ["run", "--exhaustive", "--trajectories", "-1"]),
+    # a sample is needed unless the run enumerates, and a sweep grid must lie in its domain
+    ("unedited", _unedited, ["run", "--trajectories", "0"]),
+    ("unedited", _unedited, ["sweep", "--param", "g", "--from", "0", "--to", "2", "--steps", "3"]),
+    (
+        "unedited",
+        _unedited,
+        ["sweep", "--param", "m_count", "--from", "-3", "--to", "1", "--steps", "3"],
+    ),
 ]
 
 
