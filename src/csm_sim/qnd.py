@@ -92,16 +92,6 @@ class Gram:
         return self.matrix.shape[0]
 
 
-def check_strengths(values) -> np.ndarray:
-    """Uniform overlap strengths as a float array, each checked to lie in [0, 1]."""
-    grid = np.asarray(values, dtype=float)
-    outside = ~((grid >= 0.0) & (grid <= 1.0))  # a NaN is outside
-    if outside.any():
-        first = float(grid[outside].flat[0])
-        raise StrengthOutOfRange(f"overlap strength g={first!r} outside [0, 1]")
-    return grid
-
-
 def gram_uniform(n: int, g: float) -> Gram:
     """Overlap matrix with unit diagonal and constant off-diagonal ``g``.
 
@@ -109,7 +99,8 @@ def gram_uniform(n: int, g: float) -> Gram:
     ``g = 1`` the no-measurement limit (indistinguishable meter states); the
     matrix is positive semidefinite on the whole range.
     """
-    check_strengths(g)
+    if not 0.0 <= g <= 1.0:  # a NaN is outside
+        raise StrengthOutOfRange(f"overlap strength g={float(g)!r} outside [0, 1]")
     gram = np.full((n, n), complex(g))
     np.fill_diagonal(gram, 1.0)
     return Gram(gram)

@@ -5,10 +5,11 @@ order, so serializing one is byte-reproducible for identical inputs; the
 Monte Carlo ensemble draws each block of samples from its own child of the
 seed's ``SeedSequence``, so it is reproducible given (seed, sample count).
 
-``run`` and ``verify`` build every context of a scenario; a sweep builds
-only the contexts its parameter reads, plus every explicit context and the
-overlap matrix, the inputs construction can still refuse.  The ``g`` sweep
-evaluates the meter kernels at ``g = 0`` and ``g = 1`` and interpolates.
+``run`` and ``verify`` build every context of a scenario.  A sweep checks
+its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
+the contexts its parameter reads, plus every explicit context and the overlap
+matrix, the inputs construction can still refuse.  The ``g`` sweep evaluates
+the meter kernels at ``g = 0`` and ``g = 1`` and interpolates.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
-    check_strengths,
     composite_return_probabilities,
     density_matrix_residuals,
     entangle,
@@ -48,7 +48,7 @@ from .qnd import (
     reduced_system_state,
     von_neumann_entropy,
 )
-from .scenario import GramSpec, Scenario, check_sweep_param
+from .scenario import SWEEP_PARAMS, GramSpec, Scenario, sweep_grid
 from .trajectory import (
     Protocol,
     exhaustive_entropy_production,
@@ -86,10 +86,9 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
 
-def _g_sweep_rows(initial: Modality, pointer: Context, values) -> list[dict]:
+def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict]:
     # The overlap matrix (1 - g) I + g J is linear in g, and so are the returns
     # and the reduced state; evaluate both at the ends and interpolate.
-    grid = check_strengths(values)
     ends = [gram_uniform(pointer.dim, g) for g in (0.0, 1.0)]
     p0, p1 = (meter_return_probabilities(initial, pointer, gram) for gram in ends)
     rho0, rho1 = (meter_chain_reduced_state(initial, pointer, gram, 1) for gram in ends)
@@ -108,14 +107,14 @@ def _g_sweep_rows(initial: Modality, pointer: Context, values) -> list[dict]:
     return rows
 
 
-def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, values) -> list[dict]:
+def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> list[dict]:
     rows = []
     off_mask = ~np.eye(pointer.dim, dtype=bool)
-    for m in values:
-        rho = meter_chain_reduced_state(initial, pointer, gram, int(m))
+    for m in grid:
+        rho = meter_chain_reduced_state(initial, pointer, gram, m)
         rows.append(
             {
-                "m_count": int(m),
+                "m_count": m,
                 "diagonal": _floats(rho.diagonal().real),
                 "max_coherence": float(np.max(np.abs(rho[off_mask]))),
             }
@@ -123,15 +122,15 @@ def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, values)
     return rows
 
 
-def _phase_sweep_rows(initial: Modality, intermediate: Context, values) -> list[dict]:
+def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> list[dict]:
     rows = []
-    for phi in values:
+    for phi in grid:
         # one reference path at phase zero, every other path shifted by phi
-        phases = np.full(intermediate.dim, float(phi))
+        phases = np.full(intermediate.dim, phi)
         phases[0] = 0.0
         rows.append(
             {
-                "phase": float(phi),
+                "phase": phi,
                 "return_probabilities": _floats(
                     interference_returns(initial, intermediate, phases)
                 ),
@@ -140,56 +139,48 @@ def _phase_sweep_rows(initial: Modality, intermediate: Context, values) -> list[
     return rows
 
 
+# Per parameter: its row kernel (initial modality, varied context, overlap matrix or
+# None, admitted grid), its leading CSV columns, and the row key and prefix of the rest.
+_SWEEPS = {
+    "g": (_g_sweep_rows, ("g", "entropy"), ("return_probabilities", "p_return")),
+    "m_count": (_m_count_sweep_rows, ("m_count", "max_coherence"), ("diagonal", "diag")),
+    "phase": (_phase_sweep_rows, ("phase",), ("return_probabilities", "p_return")),
+}
+
+
+def _varied(scenario: Scenario, param: str) -> str:
+    """Name of the context a sweep varies: the pointer, or the second protocol context."""
+    return scenario.protocol.sequence[1] if param == "phase" else scenario.meter.pointer
+
+
 def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     """Grid-complete sweep rows for one parameter; one row per grid point.
 
-    Builds only what ``param`` reads: the initial context, and the pointer
-    (``g``, ``m_count``) or the second protocol context (``phase``).  It also
-    builds every explicit context and the overlap matrix, the only inputs of a
-    parsed scenario that construction can refuse, so a sweep refuses whatever
-    ``run`` refuses, with the same error.
+    Checks the grid with :func:`~csm_sim.scenario.sweep_grid` first, as the
+    parser checks a file's, then builds only what ``param`` reads: the initial
+    context, and the pointer (``g``, ``m_count``) or the second protocol context
+    (``phase``).  It also builds every explicit context and the overlap matrix,
+    the only inputs of a parsed scenario that construction can refuse, so a sweep
+    refuses whatever ``run`` refuses, with the same error.
     """
     protocol, meter = scenario.protocol, scenario.meter
-    if param == "phase":
-        read = protocol.sequence[1:2]
-    else:
-        read = () if meter is None else (meter.pointer,)
+    grid = sweep_grid(param, values, meter is not None, len(protocol.sequence))
+    varied = _varied(scenario, param)
     contexts = {
         name: build_context(spec, id=name)
         for name, spec in scenario.contexts.items()
-        if name == protocol.initial_context or name in read or spec.kind == "explicit"
+        if name in (protocol.initial_context, varied) or spec.kind == "explicit"
     }
     gram = None if meter is None else build_gram(meter.gram, scenario.dim)
-    check_sweep_param(param, meter is not None, len(protocol.sequence))
     initial = Modality(contexts[protocol.initial_context], protocol.initial_index)
-    return _sweep_rows(param, values, initial, contexts[read[0]] if read else None, gram)
-
-
-def _sweep_rows(param: str, values, initial: Modality, varied, gram) -> list[dict]:
-    """Rows of one sweep; ``varied`` is the pointer (g, m_count) or the second context (phase)."""
-    if param == "g":
-        return _g_sweep_rows(initial, varied, values)
-    if param == "m_count":
-        return _m_count_sweep_rows(initial, varied, gram, values)
-    if param == "phase":
-        return _phase_sweep_rows(initial, varied, values)
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    return _SWEEPS[param][0](initial, contexts[varied], gram, grid)
 
 
 def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list[list]]:
     """Flatten sweep rows into a header and value rows for CSV output."""
-    if param == "g":
-        header = ["g", "entropy"] + [f"p_return_{k}" for k in range(dim)]
-        table = [[r["g"], r["entropy"], *r["return_probabilities"]] for r in rows]
-    elif param == "m_count":
-        header = ["m_count", "max_coherence"] + [f"diag_{j}" for j in range(dim)]
-        table = [[r["m_count"], r["max_coherence"], *r["diagonal"]] for r in rows]
-    elif param == "phase":
-        header = ["phase"] + [f"p_return_{k}" for k in range(dim)]
-        table = [[r["phase"], *r["return_probabilities"]] for r in rows]
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    return header, table
+    _, scalars, (vector, prefix) = _SWEEPS[param]
+    header = [*scalars, *(f"{prefix}_{k}" for k in range(dim))]
+    return header, [[*(row[key] for key in scalars), *row[vector]] for row in rows]
 
 
 def format_csv(header: list[str], table: list[list]) -> str:
@@ -258,13 +249,11 @@ def run_scenario(
 
     sweep_section = None
     if scenario.sweep is not None:
-        grids = {param: getattr(scenario.sweep, param) for param in ("g", "m_count", "phase")}
+        grids = {param: getattr(scenario.sweep, param) for param in SWEEP_PARAMS}
         sweep_section = {
-            param: _sweep_rows(
-                param, values, initial, protocol.contexts[1] if param == "phase" else pointer, gram
-            )
-            for param, values in grids.items()
-            if values is not None
+            param: _SWEEPS[param][0](initial, contexts[_varied(scenario, param)], gram, grid)
+            for param, grid in grids.items()
+            if grid is not None
         }
 
     return {

@@ -10,13 +10,15 @@ Parsing is strict: unknown or repeated keys are rejected, every referenced
 name must resolve, and dimensions must be consistent, so a scenario that
 parses will also build, except where construction refuses an explicit
 matrix: an explicit basis that is not orthonormal, or an explicit overlap
-matrix that is not a valid :class:`~csm_sim.qnd.Gram`.
+matrix that is not a valid :class:`~csm_sim.qnd.Gram`.  A sweep grid, from
+the file, the command line or a library caller, is checked by :func:`sweep_grid`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +37,7 @@ _CONTEXT_KEYS = {
     "explicit": {"kind", "matrix"},
 }
 _GRAM_KEYS = {"uniform": {"kind", "g"}, "explicit": {"kind", "matrix"}}
-_SWEEP_KEYS = {"g", "m_count", "phase"}
+SWEEP_PARAMS = ("g", "m_count", "phase")  # in report order
 
 # Bytes the dim-sized arrays of a scenario may take, checked at parse time so
 # that an oversized ``dim`` is refused before anything is built.  Transient
@@ -105,15 +107,16 @@ def _require_keys(field: str, data: dict, required: set[str], allowed: set[str])
 
 
 def _number(field: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # a parsed number is finite, but a library caller's sweep grid may not be
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ScenarioValidationError(field, f"expected a number, got {value!r}")
     return float(value)
 
 
 def _integer(field: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ScenarioValidationError(field, f"expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _complex_entry(field: str, value) -> complex:
@@ -135,13 +138,19 @@ def _matrix(field: str, data, dim: int) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
+def _kind(field: str, data, kinds: dict[str, set[str]], what: str) -> str:
+    """The ``kind`` of an object whose keys are exactly those ``kinds`` lists for it."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ScenarioValidationError(field, "expected an object with a 'kind' key")
     kind = data["kind"]
-    if not _known(kind, _CONTEXT_KEYS):
-        raise ScenarioValidationError(f"{field}.kind", f"unknown context kind {kind!r}")
-    _require_keys(field, data, _CONTEXT_KEYS[kind], _CONTEXT_KEYS[kind])
+    if not _known(kind, kinds):
+        raise ScenarioValidationError(f"{field}.kind", f"unknown {what} kind {kind!r}")
+    _require_keys(field, data, kinds[kind], kinds[kind])
+    return kind
+
+
+def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
+    kind = _kind(field, data, _CONTEXT_KEYS, "context")
     if kind == "rotation":
         if dim != 2:
             raise ScenarioValidationError(field, f"rotation contexts require dim 2, scenario has dim {dim}")
@@ -157,12 +166,7 @@ def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
 
 
 def _parse_gram_spec(field: str, data, dim: int) -> GramSpec:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ScenarioValidationError(field, "expected an object with a 'kind' key")
-    kind = data["kind"]
-    if not _known(kind, _GRAM_KEYS):
-        raise ScenarioValidationError(f"{field}.kind", f"unknown gram kind {kind!r}")
-    _require_keys(field, data, _GRAM_KEYS[kind], _GRAM_KEYS[kind])
+    kind = _kind(field, data, _GRAM_KEYS, "gram")
     if kind == "uniform":
         g = _number(f"{field}.g", data["g"])
         if not 0.0 <= g <= 1.0:
@@ -205,15 +209,29 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def check_sweep_param(param: str, has_meter: bool, n_contexts: int) -> None:
-    """Refuse a sweep the scenario cannot serve, whether its file or the command line asks.
+def sweep_grid(param: str, values, has_meter: bool, n_contexts: int) -> tuple:
+    """``values`` as the grid of a ``param`` sweep, or the error that refuses it.
 
-    ``g`` and ``m_count`` vary the meter, ``phase`` the second protocol context.
+    ``param`` is one of ``SWEEP_PARAMS``; ``values`` holds integers >= 0 (``m_count``),
+    numbers in [0, 1] (``g``) or finite numbers (``phase``); and the scenario has a
+    meter (``g``, ``m_count``) or two protocol contexts (``phase``) to vary.
     """
-    if param in ("g", "m_count") and not has_meter:
-        raise ScenarioValidationError(f"sweep.{param}", "needs a meter section")
+    field = f"sweep.{param}"
+    if param not in SWEEP_PARAMS:
+        raise ScenarioValidationError(field, "unknown key")
+    if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
+        raise ScenarioValidationError(field, "expected a non-empty list")
+    entry = _integer if param == "m_count" else _number
+    grid = tuple(entry(f"{field}[{i}]", v) for i, v in enumerate(values))
+    if param == "m_count" and any(v < 0 for v in grid):
+        raise ScenarioValidationError(field, "chain lengths must be >= 0")
+    if param == "g" and any(not 0.0 <= v <= 1.0 for v in grid):
+        raise ScenarioValidationError(field, "strengths must lie in [0, 1]")
+    if param != "phase" and not has_meter:
+        raise ScenarioValidationError(field, "needs a meter section")
     if param == "phase" and n_contexts < 2:
-        raise ScenarioValidationError("sweep.phase", "needs two protocol contexts")
+        raise ScenarioValidationError(field, "needs two protocol contexts")
+    return grid
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -312,22 +330,10 @@ def parse_scenario(path: str | Path) -> Scenario:
 
     sweep = None
     if "sweep" in raw:
-        _require_keys("sweep", raw["sweep"], set(), _SWEEP_KEYS)
-        values: dict = {}
-        for key in raw["sweep"]:
-            entries = raw["sweep"][key]
-            if not isinstance(entries, list) or not entries:
-                raise ScenarioValidationError(f"sweep.{key}", "expected a non-empty list")
-            if key == "m_count":
-                parsed = tuple(_integer(f"sweep.m_count[{i}]", v) for i, v in enumerate(entries))
-                if any(v < 0 for v in parsed):
-                    raise ScenarioValidationError("sweep.m_count", "chain lengths must be >= 0")
-            else:
-                parsed = tuple(_number(f"sweep.{key}[{i}]", v) for i, v in enumerate(entries))
-                if key == "g" and any(not 0.0 <= v <= 1.0 for v in parsed):
-                    raise ScenarioValidationError("sweep.g", "strengths must lie in [0, 1]")
-            check_sweep_param(key, meter is not None, len(sequence))
-            values[key] = parsed
-        sweep = SweepSpec(values.get("g"), values.get("m_count"), values.get("phase"))
+        _require_keys("sweep", raw["sweep"], set(), set(SWEEP_PARAMS))
+        sweep = SweepSpec(**{
+            key: sweep_grid(key, entries, meter is not None, len(sequence))
+            for key, entries in raw["sweep"].items()
+        })
 
     return Scenario(dim, contexts, protocol, meter, sweep, raw)

@@ -17,6 +17,7 @@ from conftest import near_unitary
 from csm_sim.cli import main
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.qnd import RANK_TOL
+from csm_sim.scenario import SWEEP_PARAMS
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json")
 
@@ -261,7 +262,12 @@ def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("sweep: ")
+    if math.isfinite(float(start)):
+        # refused by the check a scenario file's grid gets, with its message
+        reason = {"g": "strengths must lie in [0, 1]", "m_count": "chain lengths must be >= 0"}
+        assert captured.err == f"{SCENARIO}: sweep.{param}: {reason[param]}\n"
+    else:
+        assert captured.err == "sweep: grid values must be finite\n"
 
 
 def _tree_paths(node, prefix=()):
@@ -356,6 +362,11 @@ def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command, 
 
 NO_METER = {key: value for key, value in DOC.items() if key not in ("meter", "sweep")}
 ONE_CONTEXT = dict(NO_METER, protocol={"initial": {"context": "z", "index": 0}, "sequence": ["z"]})
+# two faults: no meter, and an explicit basis construction refuses; the grid is refused first
+NO_METER_X_OFF = dict(NO_METER, contexts=dict(NO_METER["contexts"], x={
+    "kind": "explicit",
+    "matrix": [[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3) + 1e-8]],
+}))
 
 
 @pytest.mark.parametrize(
@@ -364,6 +375,7 @@ ONE_CONTEXT = dict(NO_METER, protocol={"initial": {"context": "z", "index": 0}, 
         ("g", NO_METER, "needs a meter section"),
         ("m_count", NO_METER, "needs a meter section"),
         ("phase", ONE_CONTEXT, "needs two protocol contexts"),
+        ("g", NO_METER_X_OFF, "needs a meter section"),
     ],
 )
 def test_sweep_the_scenario_cannot_serve_is_a_usage_error_from_file_or_command_line(
@@ -377,6 +389,52 @@ def test_sweep_the_scenario_cannot_serve_is_a_usage_error_from_file_or_command_l
     path.write_text(json.dumps(dict(doc, sweep={param: [0, 1]})))
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == from_command_line == f"{path}: sweep.{param}: {reason}\n"
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _command_line_grids(draw):
+    """(param, --from, --to, --steps), the ends reaching past the parameter's domain."""
+    param = draw(st.sampled_from(SWEEP_PARAMS))
+    if param == "phase":
+        ends = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        ends = st.floats(*{"g": (-1.0, 2.0), "m_count": (-3.0, 10.0)}[param])
+    return param, draw(ends), draw(ends), draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=_command_line_grids())
+def test_a_grid_from_the_command_line_is_swept_or_refused_as_the_same_grid_in_the_file(grid):
+    param, start, stop, steps = grid
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = np.linspace(start, stop, steps)
+    assume(np.isfinite(values).all())  # a file cannot hold the rest
+    in_file = [int(round(v)) for v in values] if param == "m_count" else [float(v) for v in values]
+    argv = ["--param", param, f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(DOC))
+        code, table, err = _main(["sweep", str(path), *argv])
+        path.write_text(json.dumps(dict(DOC, sweep=dict(DOC["sweep"], **{param: in_file}))))
+        run_code, report, run_err = _main(["run", str(path), "--trajectories", "10"])
+    assert (code, err) == (run_code, run_err)
+    if code != 0:
+        assert code == 2 and table == report == "" and len(err.splitlines()) == 1
+        return
+    rows = json.loads(report)["results"]["sweep"][param]
+    header, expected = csm_sim.runner.sweep_table(param, rows, DOC["dim"])
+    lines = table.splitlines()
+    assert lines[0] == ",".join(header)
+    assert [[float(cell) for cell in line.split(",")] for line in lines[1:]] == expected
+
 
 
 EXPLICIT_COMMANDS = [

@@ -69,11 +69,15 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 11
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 14
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range and a
-        # grid outside its parameter's domain are usage errors; a refused input fails
-        usage = name in ("no_meter", "one_context", "unedited")
+        # grid outside its parameter's domain (on the command line or in the
+        # file) are usage errors; a refused input fails
+        usage = name in (
+            "no_meter", "one_context", "unedited", "g_grid_0_1_2", "m_count_grid_-3_-1_1",
+            "no_meter_and_explicit_x_off_by_1e-8",
+        )
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1, label

@@ -26,10 +26,12 @@ def test_gram_uniform_eigenvalues():
 
 
 def test_gram_uniform_range_check():
-    with pytest.raises(StrengthOutOfRange):
+    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=-0.1 outside \[0, 1\]$"):
         cs.gram_uniform(2, -0.1)
-    with pytest.raises(StrengthOutOfRange):
-        cs.gram_uniform(2, 1.1)
+    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=1.1 outside \[0, 1\]$"):
+        cs.gram_uniform(2, np.float64(1.1))
+    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=nan outside \[0, 1\]$"):
+        cs.gram_uniform(2, float("nan"))
 
 
 def test_validate_gram_rejects_bad_matrices():

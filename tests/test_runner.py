@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 import csm_sim as cs
 import csm_sim.qnd
 import csm_sim.runner
-from csm_sim.errors import InvalidGramMatrix, NonOrthonormalInput, StrengthOutOfRange
+from csm_sim.errors import (
+    InvalidGramMatrix,
+    NonOrthonormalInput,
+    ScenarioValidationError,
+    StrengthOutOfRange,
+)
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.qnd import RANK_TOL
 from csm_sim.runner import format_csv, report_to_json, sweep_table
@@ -336,9 +341,37 @@ def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario,
     bad = next(g for g in grid if not 0.0 <= g <= 1.0)
     with pytest.raises(StrengthOutOfRange) as per_point:
         cs.gram_uniform(2, bad)
-    with pytest.raises(StrengthOutOfRange) as swept:
+    with pytest.raises(ScenarioValidationError) as swept:
         cs.sweep_rows(balanced_scenario, "g", grid)
-    assert str(swept.value) == str(per_point.value)
+    # a sweep grid is refused as the scenario file's is; a NaN is no number at all
+    if np.isfinite(bad):
+        assert str(swept.value) == "sweep.g: strengths must lie in [0, 1]"
+    else:
+        assert str(swept.value) == "sweep.g[0]: expected a number, got nan"
+
+
+@pytest.mark.parametrize(
+    "param, grid, reason",
+    [
+        ("tilt", [1.0], "sweep.tilt: unknown key"),
+        ("m_count", [-1], "sweep.m_count: chain lengths must be >= 0"),
+        ("phase", [float("nan")], "sweep.phase[0]: expected a number, got nan"),
+        ("g", [0.5, 1.5], "sweep.g: strengths must lie in [0, 1]"),
+    ],
+    ids=["unknown", "m_count", "phase", "g"],
+)
+def test_sweep_rows_refuses_a_bad_grid_as_the_parser_does(
+    balanced_scenario, tmp_path, param, grid, reason
+):
+    with pytest.raises(ScenarioValidationError) as swept:
+        cs.sweep_rows(balanced_scenario, param, grid)
+    assert str(swept.value) == reason
+    if np.isfinite(grid).all():  # a file cannot hold a NaN
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(balanced_scenario.raw, sweep={param: grid})))
+        with pytest.raises(ScenarioValidationError) as parsed:
+            cs.parse_scenario(path)
+        assert str(parsed.value) == reason
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,7 +388,7 @@ def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
     initial = cs.haar_context(dim, initial_seed).modality(index % dim)
     pointer = cs.haar_context(dim, pointer_seed)
     grid = [0.0, *inner, 1.0]
-    rows = csm_sim.runner._g_sweep_rows(initial, pointer, grid)
+    rows = csm_sim.runner._g_sweep_rows(initial, pointer, None, grid)
     assert [row["g"] for row in rows] == grid
     for row, g in zip(rows, grid):
         gram = cs.gram_uniform(dim, g)

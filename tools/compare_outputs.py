@@ -90,6 +90,19 @@ def _one_context(doc: dict) -> None:
     del doc["sweep"]
 
 
+def _no_meter_and_explicit_x_off_by_1e8(doc: dict) -> None:
+    _no_meter(doc)
+    _explicit_x_off_by_1e8(doc)
+
+
+def _g_grid_0_1_2(doc: dict) -> None:
+    doc["sweep"]["g"] = [0, 1, 2]
+
+
+def _m_count_grid_3_1_1(doc: dict) -> None:
+    doc["sweep"]["m_count"] = [-3, -1, 1]
+
+
 def _unedited(doc: dict) -> None:
     pass
 
@@ -117,6 +130,11 @@ REFUSALS = [
         _unedited,
         ["sweep", "--param", "m_count", "--from", "-3", "--to", "1", "--steps", "3"],
     ),
+    # the same two grids in the file, and a grid the scenario cannot serve,
+    # which is refused before an input construction refuses is built
+    ("g_grid_0_1_2", _g_grid_0_1_2, ["run"]),
+    ("m_count_grid_-3_-1_1", _m_count_grid_3_1_1, ["run"]),
+    ("no_meter_and_explicit_x_off_by_1e-8", _no_meter_and_explicit_x_off_by_1e8, SWEEP_G),
 ]
 
 
