@@ -15,6 +15,7 @@ from types import ModuleType as _Module
 
 from ._version import __version__
 from .errors import (
+    CountOutOfRange,
     CsmSimError,
     DimensionMismatch,
     EnumerationTooLarge,
@@ -48,8 +49,6 @@ from .hilbert import (
 from .measurement import (
     interference_returns,
     irreversible_return,
-    point_mass,
-    propagate,
     reversible_return,
     transition_matrix,
     validate_distribution,
@@ -81,11 +80,9 @@ from .trajectory import (
     TrajectoryEnsembleStats,
     entropy_production,
     exhaustive_entropy_production,
-    final_marginal,
     mean_entropy_production,
     sample_trajectory,
     shannon_entropy,
-    step_transition_matrices,
 )
 
 # the names imported above, not the submodules that importing them binds

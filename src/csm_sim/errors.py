@@ -29,6 +29,10 @@ class StrengthOutOfRange(CsmSimError, ValueError):
     """Uniform meter-overlap strength outside [0, 1]."""
 
 
+class CountOutOfRange(CsmSimError, ValueError):
+    """A count below its minimum: a meter chain length below 0, a sample count below 1."""
+
+
 class InvalidGramMatrix(RefusedInput):
     """Overlap matrix not Hermitian with unit diagonal; ``residual``: max |G − G†| or |diag G − 1|."""
 

@@ -13,6 +13,7 @@ label chosen at construction time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InternalConsistencyError,
     NonOrthonormalInput,
+    ScenarioValidationError,
 )
 
 # Validation tolerance for user-supplied matrices.
@@ -38,6 +40,14 @@ def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     if not (float(np.min(arr)) >= -INPUT_TOL and float(np.max(arr)) <= 1.0 + INPUT_TOL):
         raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
     return np.clip(arr, 0.0, 1.0)
+
+
+def check_index(what: str, index, dim: int) -> None:
+    """Refuse ``index`` unless it is an integer in [0, dim); a bool is not an integer here."""
+    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+        raise IndexOutOfRange(f"{what} {index!r} is not an integer")
+    if not 0 <= index < dim:
+        raise IndexOutOfRange(f"{what} {index} not in [0, {dim})")
 
 
 def _identity_residual(product: np.ndarray) -> float:
@@ -164,16 +174,13 @@ class Context:
 
 @dataclass(frozen=True)
 class Modality:
-    """One certain, repeatable outcome of one context."""
+    """One certain, repeatable outcome of one context; ``index`` is an integer, not a bool."""
 
     context: Context
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index < self.context.dim:
-            raise IndexOutOfRange(
-                f"modality index {self.index} not in [0, {self.context.dim})"
-            )
+        check_index("modality index", self.index, self.context.dim)
 
     @property
     def dim(self) -> int:
@@ -242,6 +249,9 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         ``rotation`` requested with dim != 2, or dim < 2.
     NonOrthonormalInput
         ``explicit`` matrix fails the orthonormality tolerance.
+    ScenarioValidationError
+        A field the kind needs is missing, the kind is unknown, or a ``haar``
+        seed is negative; ``field`` and ``reason`` read as the parser's.
 
     An admitted ``explicit`` matrix may miss orthonormality by up to
     ``INPUT_TOL``, enough to push a return probability past the clamp; the
@@ -258,15 +268,17 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         if spec.dim != 2:
             raise DimensionMismatch(f"rotation contexts require dim 2, got {spec.dim}")
         if spec.theta is None:
-            raise ValueError("rotation spec needs theta")
+            raise ScenarioValidationError("theta", "missing required key")
         return rotation_context(spec.theta, id)
     if spec.kind == "haar":
         if spec.seed is None:
-            raise ValueError("haar spec needs a seed")
+            raise ScenarioValidationError("seed", "missing required key")
+        if spec.seed < 0:
+            raise ScenarioValidationError("seed", f"must be >= 0, got {spec.seed}")
         return haar_context(spec.dim, spec.seed, id)
     if spec.kind == "explicit":
         if spec.matrix is None:
-            raise ValueError("explicit spec needs a matrix")
+            raise ScenarioValidationError("matrix", "missing required key")
         matrix = np.asarray(spec.matrix, dtype=complex)
         if matrix.shape != (spec.dim, spec.dim):
             raise DimensionMismatch(
@@ -277,7 +289,7 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         ctx = Context(given.id, w @ vh)
         object.__setattr__(ctx, "orthonormality", given.orthonormality)
         return ctx
-    raise ValueError(f"unknown context kind {spec.kind!r}")
+    raise ScenarioValidationError("kind", f"unknown context kind {spec.kind!r}")
 
 
 def context_change_unitary(frm: Context, to: Context) -> np.ndarray:

@@ -2,9 +2,8 @@
 
 Everything here is a pure function of context bases: the doubly stochastic
 matrix of all N² squared-overlap (Born) probabilities linking the outcomes
-of two contexts, propagation of outcome distributions, and the probability
-of returning to the starting outcome after passing through an intermediate
-context.
+of two contexts, and the probability of returning to the starting outcome
+after passing through an intermediate context.
 
 Every overlap between two contexts is read from the pair's table
 ``Context.overlaps`` (W[j, i] = ⟨v_j|u_i⟩), computed on first use and then
@@ -32,14 +31,6 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidDistribution
 from .hilbert import INPUT_TOL, Context, Modality, clamp_probabilities
 
 
-def point_mass(n: int, index: int) -> np.ndarray:
-    if not 0 <= index < n:
-        raise IndexOutOfRange(f"index {index} not in [0, {n})")
-    dist = np.zeros(n)
-    dist[index] = 1.0
-    return dist
-
-
 def validate_distribution(dist: np.ndarray) -> np.ndarray:
     """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, snapped into [0, 1]."""
     dist = np.asarray(dist, dtype=float)
@@ -63,15 +54,6 @@ def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     """
     amps = to.overlaps(frm)
     return clamp_probabilities(amps.real**2 + amps.imag**2)
-
-
-def propagate(dist: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Push an outcome distribution through a transition matrix: p'_j = Σ_i t_ji p_i."""
-    dist = validate_distribution(dist)
-    t = np.asarray(t, dtype=float)
-    if t.shape != (dist.size, dist.size):
-        raise DimensionMismatch(f"matrix shape {t.shape} does not match dim {dist.size}")
-    return clamp_probabilities(t @ dist)
 
 
 def _check_return(initial: Modality, final_index: int) -> Context:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CountOutOfRange,
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
@@ -219,15 +220,23 @@ def meter_chain_reduced_state(
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
     """
     if m_count < 0:
-        raise ValueError(f"m_count must be >= 0, got {m_count}")
+        raise CountOutOfRange(f"m_count must be >= 0, got {m_count}")
     branch = _branch(initial, pointer, gram.dim)
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
 
 
+def _finite(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as an array; a computed density matrix with a non-finite entry is a library fault."""
+    rho = np.asarray(rho)
+    if not np.isfinite(rho).all():
+        raise InternalConsistencyError("density matrix has a non-finite entry")
+    return rho
+
+
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
-    """Hermiticity, trace and positivity residuals of a density matrix."""
-    rho = np.asarray(rho, dtype=complex)
+    """Hermiticity, trace and positivity residuals of a computed density matrix."""
+    rho = np.asarray(_finite(rho), dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = abs(complex(np.trace(rho)) - 1.0)
     smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
@@ -237,7 +246,7 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(ρ log ρ) in nats; eigenvalues within tolerance of zero contribute nothing."""
     # ρ complex Hermitian or real symmetric; an eigenvalue below -INPUT_TOL is refused by the clamp
-    probs = clamp_probabilities(np.linalg.eigvalsh(rho))
+    probs = clamp_probabilities(np.linalg.eigvalsh(_finite(rho)))
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive))) + 0.0
 

@@ -3,7 +3,9 @@
 A protocol is an ordered sequence of contexts with a known initial outcome
 in the first one.  Running it realizes one outcome per context, each drawn
 from the transition probabilities conditioned on the previous outcome; the
-resulting outcome sequence is a trajectory.
+resulting outcome sequence is a trajectory.  A :class:`Protocol` derives
+what every trajectory kernel reads once, when it is made: the transition
+table of each step and the exact final marginal.
 
 Irreversibility is quantified per trajectory as the log-ratio of the
 forward path probability to the probability of the time-reversed path,
@@ -22,26 +24,21 @@ counts its paths as ``sample_count``, with ``std_error`` 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    CountOutOfRange,
     DimensionMismatch,
     EnumerationTooLarge,
-    IndexOutOfRange,
     InitialMismatch,
     InternalConsistencyError,
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from .hilbert import Context, Modality
-from .measurement import (
-    point_mass,
-    propagate,
-    transition_matrix,
-    validate_distribution,
-)
+from .hilbert import Context, Modality, check_index, clamp_probabilities
+from .measurement import transition_matrix, validate_distribution
 
 # Keep the exhaustive oracle at desk scale.
 MAX_ENUMERATED_PATHS = 100_000
@@ -52,10 +49,19 @@ CROSS_CHECK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Protocol:
-    """Ordered sequence of contexts with a known initial outcome in the first."""
+    """Ordered sequence of contexts with a known initial outcome in the first.
+
+    Holds, set once here and read-only: ``steps``, the transition table
+    ``transition_matrix(contexts[s], contexts[s + 1])`` of every step, and
+    ``marginal``, the exact outcome distribution in the last context with
+    outcomes unread (the initial point mass pushed through ``steps``, each
+    product clamped).  Equality and hash are those of (contexts, initial).
+    """
 
     contexts: tuple[Context, ...]
     initial: Modality
+    steps: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    marginal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         contexts = tuple(self.contexts)
@@ -71,6 +77,15 @@ class Protocol:
                 f"initial modality lives in {self.initial.context.id!r}, "
                 f"protocol starts in {contexts[0].id!r}"
             )
+        steps = tuple(transition_matrix(a, b) for a, b in zip(contexts[:-1], contexts[1:]))
+        marginal = np.zeros(dim)
+        marginal[self.initial.index] = 1.0
+        for t in steps:
+            marginal = clamp_probabilities(t @ marginal)
+        for table in (*steps, marginal):
+            table.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "marginal", marginal)
 
     @property
     def dim(self) -> int:
@@ -101,30 +116,13 @@ class TrajectoryEnsembleStats:
     shannon_entropy_final: float
 
 
-def step_transition_matrices(protocol: Protocol) -> list[np.ndarray]:
-    """Transition matrix of every consecutive context pair."""
-    return [
-        transition_matrix(a, b)
-        for a, b in zip(protocol.contexts[:-1], protocol.contexts[1:])
-    ]
-
-
-def final_marginal(protocol: Protocol) -> np.ndarray:
-    """Exact outcome distribution in the last context (outcomes unread)."""
-    dist = point_mass(protocol.dim, protocol.initial.index)
-    for t in step_transition_matrices(protocol):
-        dist = propagate(dist, t)
-    return dist
-
-
 def _check_outcomes(protocol: Protocol, outcomes) -> np.ndarray:
-    """A validated outcome sequence, as a one-row path table."""
-    outcomes = tuple(int(j) for j in outcomes)
+    """A validated outcome sequence of integers, as a one-row path table."""
+    outcomes = tuple(outcomes)
     if len(outcomes) != len(protocol):
         raise LengthMismatch(f"{len(outcomes)} outcomes for {len(protocol)} contexts")
     for ctx, j in zip(protocol.contexts, outcomes):
-        if not 0 <= j < ctx.dim:
-            raise IndexOutOfRange(f"outcome {j} not in [0, {ctx.dim})")
+        check_index("outcome", j, ctx.dim)
     if outcomes[0] != protocol.initial.index:
         raise InitialMismatch(f"sequence starts at {outcomes[0]}, not {protocol.initial.index}")
     return np.array([outcomes], dtype=np.intp)
@@ -141,10 +139,10 @@ def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarra
     """Step probabilities, shape (n_paths, len - 1), and log-probability of each forward path.
 
     ``paths`` is an (n_paths, len) table of outcome sequences; step ``s`` reads
-    entry (next, previous) of ``transition_matrix(contexts[s], contexts[s + 1])``.
+    entry (next, previous) of ``protocol.steps[s]``.
     """
     steps = np.empty((len(paths), len(protocol) - 1))
-    for s, t in enumerate(step_transition_matrices(protocol)):
+    for s, t in enumerate(protocol.steps):
         steps[:, s] = t[paths[:, s + 1], paths[:, s]]
     with np.errstate(divide="ignore"):
         return steps, np.log(steps).sum(axis=1)
@@ -194,16 +192,11 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     telescoped form); the two must agree to ``CROSS_CHECK_TOL``.  Undefined
     on forward paths of probability zero.
     """
-    return _log_ratio(protocol, outcomes, final_dist)[1]
-
-
-def _log_ratio(protocol: Protocol, outcomes, final_dist) -> tuple[float, float]:
-    """(forward log-probability, entropy production) of a path, cross-checked."""
     path = _check_outcomes(protocol, outcomes)
     _, fwd, delta = _log_ratios(protocol, path, _reference(protocol, final_dist))
     if fwd[0] == -math.inf:
         raise ZeroProbabilityPath("forward path has probability zero")
-    return float(fwd[0]), float(delta[0])
+    return float(delta[0])
 
 
 def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
@@ -212,14 +205,14 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     Each step draws the next outcome from the transition probabilities
     conditioned on the previous one, by inverse CDF over outcome index.
     Entropy production is evaluated against the exact final marginal, i.e.
-    the unread-outcome reference.
+    the unread-outcome reference; a drawn path never has probability zero.
     """
-    cums = [np.cumsum(t, axis=0) for t in step_transition_matrices(protocol)]
+    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     rng = np.random.default_rng(seed)
     initial = np.array([protocol.initial.index], dtype=np.intp)
-    outcomes = tuple(_sample_paths(cums, initial, (rng.random(1) for _ in cums))[0].tolist())
-    fwd, delta = _log_ratio(protocol, outcomes, final_marginal(protocol))
-    return Trajectory(outcomes, fwd, delta)
+    path = _sample_paths(cums, initial, (rng.random(1) for _ in cums))
+    _, fwd, delta = _log_ratios(protocol, path, protocol.marginal)
+    return Trajectory(tuple(path[0].tolist()), float(fwd[0]), float(delta[0]))
 
 
 # Samples per independently seeded block of the Monte Carlo ensemble.  Part of
@@ -286,9 +279,9 @@ def mean_entropy_production(
     ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
     """
     if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    cums = [np.cumsum(t, axis=0) for t in step_transition_matrices(protocol)]
-    marginal = final_marginal(protocol)
+        raise CountOutOfRange(f"n_samples must be >= 1, got {n_samples}")
+    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
+    marginal = protocol.marginal
     counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)
     realized = np.flatnonzero(counts)
     c = counts[realized].astype(float)
@@ -326,7 +319,7 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
         raise EnumerationTooLarge(
             f"{path_count} paths exceed the enumeration bound {MAX_ENUMERATED_PATHS}"
         )
-    marginal = final_marginal(protocol)
+    marginal = protocol.marginal
     paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
     paths[:, 0] = protocol.initial.index
     paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
-from csm_sim.hilbert import INPUT_TOL
+from csm_sim.hilbert import INPUT_TOL, clamp_probabilities
+from csm_sim.measurement import validate_distribution
 from csm_sim.trajectory import _backward_log_probs, _check_outcomes, _forward_log_probs, _reference
 
 
@@ -68,6 +69,25 @@ def path_amplitudes(initial: cs.Modality, intermediate: cs.Context, final_index:
     """
     ctx = initial.context
     return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
+
+
+def point_mass(n: int, index: int) -> np.ndarray:
+    """Distribution with all weight on outcome ``index`` of ``n``."""
+    dist = np.zeros(n)
+    dist[index] = 1.0
+    return dist
+
+
+def marginal_referee(protocol: cs.Protocol) -> np.ndarray:
+    """Final marginal by the per-step route ``Protocol.marginal`` replaced.
+
+    The initial point mass, validated and pushed through a freshly built
+    transition table at every step, each product clamped.
+    """
+    dist = point_mass(protocol.dim, protocol.initial.index)
+    for a, b in zip(protocol.contexts[:-1], protocol.contexts[1:]):
+        dist = clamp_probabilities(cs.transition_matrix(a, b) @ validate_distribution(dist))
+    return dist
 
 
 def forward_log_prob(protocol: cs.Protocol, outcomes) -> float:

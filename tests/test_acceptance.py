@@ -142,7 +142,7 @@ def test_criterion_05_shannon_identity_exact():
     worst = 0.0
     for protocol in _small_protocols():
         exact = cs.exhaustive_entropy_production(protocol)
-        target = cs.shannon_entropy(cs.final_marginal(protocol))
+        target = cs.shannon_entropy(protocol.marginal)
         worst = max(worst, abs(exact.mean_entropy_production - target))
         assert exact.sample_count <= 3**4
     ok = worst <= tol
@@ -246,7 +246,7 @@ def test_criterion_10_byte_identical_reports():
     multi_again = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
     # block b draws from (seed, b) alone: a shorter run's full blocks recur
     _, protocol, _, _ = cs.build_scenario_objects(scenario)
-    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     args = (cums, protocol.initial.index, protocol.dim, 42)
     long, short = _block_counts(*args, n), _block_counts(*args, 2 * BLOCK)
     blocks_recur = np.array_equal(short, long[:2]) and not np.array_equal(long[0], long[1])

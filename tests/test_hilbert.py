@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import DimensionMismatch, IndexOutOfRange, NonOrthonormalInput
+from csm_sim.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NonOrthonormalInput,
+    ScenarioValidationError,
+)
 from conftest import near_unitary, projector
 
 
@@ -176,6 +181,36 @@ def test_modality_index_range():
         ctx.modality(2)
     with pytest.raises(IndexOutOfRange):
         cs.Modality(ctx, -1)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "1", None])
+def test_modality_index_must_be_an_integer(index):
+    # a bool would index a spurious axis, and a float or string fails only later in numpy
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        cs.Modality(cs.computational_context(2), index)
+
+
+def test_modality_admits_numpy_integers():
+    ctx = cs.computational_context(3)
+    assert cs.Modality(ctx, np.int64(2)) == cs.Modality(ctx, 2)
+    np.testing.assert_array_equal(cs.Modality(ctx, np.uint8(1)).vector, [0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "spec, field, reason",
+    [
+        (cs.ContextSpec("rotation", 2), "theta", "missing required key"),
+        (cs.ContextSpec("haar", 3), "seed", "missing required key"),
+        (cs.ContextSpec("explicit", 2), "matrix", "missing required key"),
+        (cs.ContextSpec("spiral", 2), "kind", "unknown context kind 'spiral'"),
+        (cs.ContextSpec("haar", 3, seed=-1), "seed", "must be >= 0, got -1"),
+    ],
+)
+def test_build_context_refuses_an_incomplete_spec_as_the_parser_does(spec, field, reason):
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.build_context(spec)
+    assert (caught.value.field, caught.value.reason) == (field, reason)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_projector_computational():

@@ -12,7 +12,7 @@ from csm_sim.errors import (
 )
 from csm_sim.hilbert import clamp_probabilities
 from csm_sim.measurement import validate_distribution
-from conftest import born, path_amplitudes
+from conftest import born, path_amplitudes, point_mass
 
 
 # Entry (j, i) of transition_matrix(a, b) is the Born probability |⟨b_j|a_i⟩|².
@@ -80,37 +80,42 @@ def test_transition_unistochastic(seed, dim):
     np.testing.assert_allclose(t.sum(axis=1), np.ones(dim), atol=1e-10)
 
 
+# A protocol propagates its initial point mass through its step tables into
+# ``Protocol.marginal``; these pin what that propagation gives.
+
+
 def test_propagate_point_mass_gives_column():
     z = cs.computational_context(3)
     h = cs.haar_context(3, 1)
-    t = cs.transition_matrix(z, h)
-    np.testing.assert_array_equal(cs.propagate(cs.point_mass(3, 1), t), t[:, 1])
+    protocol = cs.Protocol((z, h), z.modality(1))
+    np.testing.assert_array_equal(protocol.marginal, protocol.steps[0][:, 1])
 
 
 def test_propagate_identity_fixes_distribution():
-    dist = np.array([0.2, 0.3, 0.5])
-    np.testing.assert_allclose(cs.propagate(dist, np.eye(3)), dist, atol=1e-15)
+    # a repeated context is an identity step, which keeps the point mass
+    z = cs.haar_context(3, 4)
+    protocol = cs.Protocol((z, z, z), z.modality(2))
+    for t in protocol.steps:
+        np.testing.assert_allclose(t, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(protocol.marginal, point_mass(3, 2), atol=1e-15)
 
 
 def test_propagate_uniform_is_fixed_point():
-    t = cs.transition_matrix(cs.haar_context(5, 3), cs.haar_context(5, 8))
-    np.testing.assert_allclose(
-        cs.propagate(np.full(5, 0.2), t), np.full(5, 0.2), atol=1e-12
+    # the Fourier step makes the marginal uniform; doubly stochastic steps keep it
+    z = cs.computational_context(5)
+    protocol = cs.Protocol(
+        (z, cs.fourier_context(5), cs.haar_context(5, 3), cs.haar_context(5, 8)), z.modality(4)
     )
-
-
-def test_propagate_rejects_bad_inputs():
-    with pytest.raises(InvalidDistribution):
-        cs.propagate(np.array([0.5, 0.6]), np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        cs.propagate(np.array([0.5, 0.5]), np.eye(3))
+    np.testing.assert_allclose(protocol.marginal, np.full(5, 0.2), atol=1e-12)
 
 
 def test_nan_distribution_is_invalid_input():
     with pytest.raises(InvalidDistribution):
         validate_distribution(np.array([np.nan, 0.5]))
+    z = cs.computational_context(2)
+    protocol = cs.Protocol((z, cs.fourier_context(2)), z.modality(0))
     with pytest.raises(InvalidDistribution):
-        cs.propagate(np.array([np.nan, 0.5]), np.eye(2))
+        cs.entropy_production(protocol, (0, 1), np.array([np.nan, 0.5]))
 
 
 def test_irreversible_same_context_is_delta():

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import (
+    CountOutOfRange,
     DimensionMismatch,
+    InternalConsistencyError,
     InvalidGramMatrix,
     InvalidMeterStates,
     NotPositiveSemidefinite,
     StrengthOutOfRange,
 )
+from csm_sim.qnd import density_matrix_residuals
 from conftest import partial_trace_meter, path_amplitudes, random_unit_gram
 
 
@@ -363,9 +366,7 @@ def test_reduced_state_diagonal_is_propagated_distribution():
     gram = random_unit_gram(3, seed=8)
     state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
     rho = cs.reduced_system_state(state, pointer)
-    expected = cs.propagate(
-        cs.point_mass(3, 0), cs.transition_matrix(initial.context, pointer)
-    )
+    expected = cs.Protocol((initial.context, pointer), initial).marginal
     np.testing.assert_allclose(np.diagonal(rho).real, expected, atol=1e-12)
 
 
@@ -420,6 +421,33 @@ def test_meter_chain_complex_gram_phase_winds(balanced):
     branch = tilted.basis.conj().T @ initial.vector
     expected = branch[0] * branch[1].conjugate() * (-0.5j) ** 3
     assert rho[0, 1] == pytest.approx(expected, abs=1e-12)
+
+
+def test_meter_chain_refuses_a_negative_length(balanced):
+    initial, tilted = balanced
+    with pytest.raises(CountOutOfRange, match="m_count must be >= 0, got -1"):
+        cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
+    with pytest.raises(ValueError):
+        cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
+
+
+NON_FINITE_STATES = [
+    np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    np.full((2, 2), np.nan),
+    np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex),
+]
+
+
+@pytest.mark.parametrize("rho", NON_FINITE_STATES)
+def test_von_neumann_entropy_refuses_a_non_finite_state(rho):
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        cs.von_neumann_entropy(rho)
+
+
+@pytest.mark.parametrize("rho", NON_FINITE_STATES)
+def test_density_matrix_residuals_refuse_a_non_finite_state(rho):
+    with pytest.raises(InternalConsistencyError, match="non-finite"):
+        density_matrix_residuals(rho)
 
 
 def test_von_neumann_entropy_values():

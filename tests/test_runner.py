@@ -109,7 +109,7 @@ def test_reports_byte_identical_across_runs_and_blocks(balanced_scenario):
     assert cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n)) == multi
     # every full block of the shorter run reappears in the longer one
     _, protocol, _, _ = cs.build_scenario_objects(balanced_scenario)
-    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     args = (cums, protocol.initial.index, protocol.dim, 11)
     long, short = _block_counts(*args, n), _block_counts(*args, BLOCK + 1)
     assert long.sum(axis=1).tolist() == [BLOCK, BLOCK, 7]

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
+import csm_sim.trajectory
 from csm_sim.errors import (
+    CountOutOfRange,
     DimensionMismatch,
+    IndexOutOfRange,
     InitialMismatch,
     InvalidDistribution,
     LengthMismatch,
     ZeroProbabilityPath,
 )
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
-from conftest import backward_log_prob, born, forward_log_prob
+from conftest import backward_log_prob, born, forward_log_prob, marginal_referee, point_mass
 
 
 def balanced_protocol():
@@ -38,6 +41,70 @@ def test_protocol_validation():
         cs.Protocol((z, x), x.modality(0))
     with pytest.raises(DimensionMismatch):
         cs.Protocol((z, cs.computational_context(3)), z.modality(0))
+
+
+_PICK = st.tuples(st.sampled_from(("computational", "fourier", "haar")), st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 8), picks=st.lists(_PICK, min_size=1, max_size=6), initial=st.integers(0, 7))
+def test_protocol_holds_its_step_tables_and_marginal(dim, picks, initial):
+    build = {
+        "computational": lambda seed: cs.computational_context(dim),
+        "fourier": lambda seed: cs.fourier_context(dim),
+        "haar": lambda seed: cs.haar_context(dim, seed),
+    }
+    contexts = tuple(build[kind](seed) for kind, seed in picks)
+    protocol = cs.Protocol(contexts, contexts[0].modality(initial % dim))
+    assert len(protocol.steps) == len(contexts) - 1
+    for t, a, b in zip(protocol.steps, contexts, contexts[1:]):
+        assert np.array_equal(t, cs.transition_matrix(a, b))
+    assert np.array_equal(protocol.marginal, marginal_referee(protocol))
+    for table in (*protocol.steps, protocol.marginal):
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+    twin = cs.Protocol(list(contexts), contexts[0].modality(initial % dim))
+    assert twin == protocol and hash(twin) == hash(protocol)
+
+
+def test_transition_tables_are_built_once_per_protocol(monkeypatch):
+    # n - 1 per protocol, none more for the sampled ensemble; the backward route
+    # of the cross-check builds its own n - 1 wherever paths are evaluated.
+    calls = []
+    real = csm_sim.trajectory.transition_matrix
+
+    def counted(frm, to):
+        calls.append((frm, to))
+        return real(frm, to)
+
+    monkeypatch.setattr(csm_sim.trajectory, "transition_matrix", counted)
+    z = cs.computational_context(3)
+    contexts = (z, cs.fourier_context(3), cs.haar_context(3, 1), cs.haar_context(3, 2))
+    n = len(contexts)
+    protocol = cs.Protocol(contexts, z.modality(1))
+    assert len(calls) == n - 1
+    cs.mean_entropy_production(protocol, 1000, 7)
+    assert len(calls) == n - 1
+    cs.exhaustive_entropy_production(protocol)
+    assert len(calls) == 2 * (n - 1)
+    trajectory = cs.sample_trajectory(protocol, 3)
+    assert len(calls) == 3 * (n - 1)
+    cs.entropy_production(protocol, trajectory.outcomes, protocol.marginal)
+    assert len(calls) == 4 * (n - 1)
+    # the backward route reads every step reversed
+    assert calls[-(n - 1):] == [(contexts[s + 1], contexts[s]) for s in range(n - 2, -1, -1)]
+
+
+@pytest.mark.parametrize("outcomes", [(0, 1.7), (0, True), (False, 1), (0, "1"), (0, 1.0)])
+def test_outcomes_must_be_integers(outcomes):
+    # an int() cast would read (0, 1.7) as (0, 1)
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        cs.entropy_production(balanced_protocol(), outcomes, np.full(2, 0.5))
+
+
+def test_outcomes_admit_numpy_integers():
+    delta = cs.entropy_production(balanced_protocol(), np.array([0, 1]), np.full(2, 0.5))
+    assert delta == -math.log(0.5)
 
 
 def test_forward_log_prob_constant_chain_is_zero():
@@ -64,7 +131,7 @@ def test_forward_log_prob_input_checks():
 
 def test_backward_log_prob_deterministic_chain():
     protocol = constant_protocol()
-    assert backward_log_prob(protocol, (0, 0, 0), cs.point_mass(2, 0)) == 0.0
+    assert backward_log_prob(protocol, (0, 0, 0), point_mass(2, 0)) == 0.0
 
 
 def test_backward_log_prob_balanced_uniform():
@@ -76,12 +143,12 @@ def test_backward_log_prob_balanced_uniform():
 
 def test_backward_log_prob_zero_weight_is_minus_inf():
     protocol = balanced_protocol()
-    assert backward_log_prob(protocol, (0, 0), cs.point_mass(2, 1)) == float("-inf")
+    assert backward_log_prob(protocol, (0, 0), point_mass(2, 1)) == float("-inf")
 
 
 def test_entropy_production_point_mass_on_realized_outcome_is_zero():
     protocol = balanced_protocol()
-    assert cs.entropy_production(protocol, (0, 1), cs.point_mass(2, 1)) == 0.0
+    assert cs.entropy_production(protocol, (0, 1), point_mass(2, 1)) == 0.0
 
 
 def test_entropy_production_uniform_reference_is_log2():
@@ -106,7 +173,7 @@ def test_entropy_production_zero_forward_path_raises():
 
 def test_entropy_production_infinite_when_reference_misses():
     protocol = balanced_protocol()
-    assert cs.entropy_production(protocol, (0, 0), cs.point_mass(2, 1)) == float("inf")
+    assert cs.entropy_production(protocol, (0, 0), point_mass(2, 1)) == float("inf")
 
 
 @settings(max_examples=25, deadline=None)
@@ -162,7 +229,7 @@ def test_sample_trajectory_nonnegative_entropy():
 
 
 def test_final_marginal_balanced():
-    np.testing.assert_allclose(cs.final_marginal(balanced_protocol()), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(balanced_protocol().marginal, [0.5, 0.5], atol=1e-12)
 
 
 def test_mean_entropy_production_deterministic_protocol():
@@ -213,7 +280,7 @@ def test_block_kernel_matches_scalar_draws(seed, dim, steps):
     # are chosen per sample from its own column: exact cumulative boundaries,
     # the column total and just past it, zero, and ordinary draws.
     protocol = _haar_protocol(seed, dim, steps)
-    cums = [np.cumsum(t, axis=0) for t in cs.step_transition_matrices(protocol)]
+    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     rng = np.random.default_rng(seed)
     n = 8 * dim
     paths = np.empty((steps + 1, n), dtype=np.intp)
@@ -240,6 +307,8 @@ def test_mean_entropy_production_shannon_identity_within_errorbars():
 def test_mean_entropy_production_rejects_zero_samples():
     with pytest.raises(ValueError):
         cs.mean_entropy_production(balanced_protocol(), 0, 1)
+    with pytest.raises(CountOutOfRange, match="n_samples must be >= 1, got -3"):
+        cs.mean_entropy_production(balanced_protocol(), -3, 1)
 
 
 def test_exhaustive_balanced_equals_log2():
@@ -306,12 +375,12 @@ def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
     contexts.insert(stall % steps, z)
     protocol = cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
     stats = cs.exhaustive_entropy_production(protocol)
-    marginal = cs.final_marginal(protocol)
+    marginal = protocol.marginal
     assert stats.sample_count == dim ** (len(protocol) - 1)
     assert stats.mean_entropy_production == pytest.approx(cs.shannon_entropy(marginal), abs=1e-12)
     np.testing.assert_allclose(stats.final_distribution, marginal, atol=1e-12)
     # the path-by-path loop the table replaced: in-order products, zero paths skipped
-    tms = cs.step_transition_matrices(protocol)
+    tms = protocol.steps
     contributions = []
     for tail in itertools.product(range(dim), repeat=len(tms)):
         path = (protocol.initial.index, *tail)
@@ -325,11 +394,11 @@ def test_exhaustive_marginal_matches_propagation():
     z = cs.computational_context(3)
     protocol = cs.Protocol((z, cs.haar_context(3, 2), cs.fourier_context(3)), z.modality(2))
     stats = cs.exhaustive_entropy_production(protocol)
-    np.testing.assert_allclose(stats.final_distribution, cs.final_marginal(protocol), atol=1e-12)
+    np.testing.assert_allclose(stats.final_distribution, protocol.marginal, atol=1e-12)
 
 
 def test_shannon_entropy_values():
-    assert cs.shannon_entropy(cs.point_mass(4, 2)) == 0.0
+    assert cs.shannon_entropy(point_mass(4, 2)) == 0.0
     assert cs.shannon_entropy(np.full(2, 0.5)) == pytest.approx(
         math.log(2), abs=1e-15
     )

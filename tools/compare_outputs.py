@@ -11,6 +11,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
 
     run --seed 0 --trajectories 5000
     run --seed 7 --trajectories 5000
+    run --seed 3 --trajectories 40000   (two full sampler blocks and a partial one)
     run --exhaustive
     verify
     sweep --param g       --from 0 --to 1    --steps 11
@@ -53,6 +54,7 @@ SHOWN_LINES = 10
 INVOCATIONS = [
     ("run seed 0", ["run", "--seed", "0", "--trajectories", "5000"]),
     ("run seed 7", ["run", "--seed", "7", "--trajectories", "5000"]),
+    ("run seed 3 multi-block", ["run", "--seed", "3", "--trajectories", "40000"]),
     ("run exhaustive", ["run", "--exhaustive"]),
     ("verify", ["verify"]),
     ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
