@@ -31,7 +31,6 @@ from .errors import (
     RefusedInput,
     ScenarioParseError,
     ScenarioValidationError,
-    StrengthOutOfRange,
     ZeroProbabilityPath,
 )
 from .hilbert import (
@@ -43,7 +42,6 @@ from .hilbert import (
     context_change_unitary,
     fourier_context,
     haar_context,
-    haar_random_unitary,
     rotation_context,
 )
 from .measurement import (
@@ -55,6 +53,7 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
+    GramSpec,
     composite_return_probabilities,
     entangle,
     gram_uniform,
@@ -73,7 +72,7 @@ from .runner import (
     verify_report,
     verify_scenario,
 )
-from .scenario import GramSpec, MeterSpec, ProtocolSpec, Scenario, SweepSpec, parse_scenario
+from .scenario import MeterSpec, ProtocolSpec, Scenario, SweepSpec, parse_scenario
 from .trajectory import (
     Protocol,
     Trajectory,

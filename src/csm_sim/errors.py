@@ -25,10 +25,6 @@ class NonOrthonormalInput(RefusedInput):
     """An explicit basis fails the orthonormality tolerance; ``residual`` is max |B†B − I|."""
 
 
-class StrengthOutOfRange(CsmSimError, ValueError):
-    """Uniform meter-overlap strength outside [0, 1]."""
-
-
 class CountOutOfRange(CsmSimError, ValueError):
     """A count below its minimum: a meter chain length below 0, a sample count below 1."""
 
@@ -86,7 +82,8 @@ class ScenarioParseError(CsmSimError, ValueError):
 
 
 class ScenarioValidationError(CsmSimError, ValueError):
-    """Scenario file is syntactically valid but violates the schema."""
+    """A recipe, a scenario file or a sweep grid violates its schema; ``field`` names the
+    offending field (``seed`` of a recipe made in code, ``contexts.x.seed`` of a file's)."""
 
     def __init__(self, field: str, reason: str):
         self.field = field

@@ -9,12 +9,18 @@ another, and they compose as a group.
 Contexts compare by ``id``, not by matrix equality: whether two setups are
 "the same context" is a protocol-level statement, so equality follows the
 label chosen at construction time.
+
+:class:`Context` checks a basis matrix; a :class:`ContextSpec` checks every rule of
+its kind when made, and :func:`build_context` and the public constructors, which
+make one, trust it.  ``_number`` and ``is_integer`` here own "finite real" and
+"integer, not a bool" for every recipe, document field, grid, index and count.
 """
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -42,9 +48,15 @@ def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; a bool is none."""
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
 def check_index(what: str, index, dim: int) -> None:
-    """Refuse ``index`` unless it is an integer in [0, dim); a bool is not an integer here."""
-    if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+    """Refuse ``index`` unless it is an integer in [0, dim)."""
+    # a plain int skips the ABC check, ~10x the cost of the rest: verify reads dim² per step
+    if type(index) is not int and not is_integer(index):
         raise IndexOutOfRange(f"{what} {index!r} is not an integer")
     if not 0 <= index < dim:
         raise IndexOutOfRange(f"{what} {index} not in [0, {dim})")
@@ -191,13 +203,44 @@ class Modality:
         return self.context.basis[:, self.index]
 
 
+def _number(field: str, value) -> float:
+    """``value`` as a float, or the refusal of anything but a finite real (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ScenarioValidationError(field, f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(field: str, value, least: int | None = None) -> int:
+    """``value`` as an int, or the refusal of anything but an integer >= ``least``."""
+    if not is_integer(value):
+        raise ScenarioValidationError(field, f"expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
+    return int(value)
+
+
+def check_kind(spec, fields: dict[str, tuple[str, ...]], what: str) -> None:
+    """Refuse an unknown ``spec.kind``, a field its kind reads unset, or one it ignores set."""
+    if not (isinstance(spec.kind, str) and spec.kind in fields):
+        raise ScenarioValidationError("kind", f"unknown {what} kind {spec.kind!r}")
+    for name in sorted({name for names in fields.values() for name in names}):
+        needed = name in fields[spec.kind]
+        if (getattr(spec, name) is None) == needed:
+            raise ScenarioValidationError(name, "missing required key" if needed else "unknown key")
+
+
+# The field each kind of context reads besides ``dim``: a file's context holds ``kind`` and it.
+CONTEXT_FIELDS = {"computational": (), "fourier": (), "rotation": ("theta",), "haar": ("seed",),
+                  "explicit": ("matrix",)}
+
+
 @dataclass(frozen=True)
 class ContextSpec:
-    """Declarative recipe for a context, as it appears in scenario files.
+    """Recipe for a context, as a scenario file declares it; it checks itself when made.
 
-    ``kind`` is one of ``computational``, ``fourier``, ``rotation``, ``haar``
-    or ``explicit``; ``theta`` (radians), ``seed`` and ``matrix`` apply to the
-    kinds that need them.
+    ``kind`` is a key of ``CONTEXT_FIELDS``, and only the field it reads is set: ``theta``
+    (radians, finite), ``seed`` (an integer >= 0) or ``matrix`` (dim × dim, held as a
+    read-only complex copy).  ``dim`` is an integer >= 2, and 2 for ``rotation``.
     """
 
     kind: str
@@ -206,90 +249,77 @@ class ContextSpec:
     seed: int | None = None
     matrix: np.ndarray | None = None
 
+    def __post_init__(self):
+        check_kind(self, CONTEXT_FIELDS, "context")
+        dim = _integer("dim", self.dim, 2)
+        if self.kind == "rotation" and dim != 2:
+            reason = f"rotation contexts require dim 2, scenario has dim {dim}"
+            raise ScenarioValidationError("dim", reason)
+        object.__setattr__(self, "dim", dim)
+        if self.kind == "rotation":
+            object.__setattr__(self, "theta", _number("theta", self.theta))
+        if self.kind == "haar":
+            object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.kind == "explicit":
+            matrix = np.array(self.matrix, dtype=complex)
+            # the parser's texts, which it gives while it reads a file's rows
+            if matrix.ndim != 2 or len(matrix) != dim:
+                raise ScenarioValidationError("matrix", f"expected {dim} rows")
+            if matrix.shape[1] != dim:
+                raise ScenarioValidationError("matrix[0]", f"expected {dim} entries")
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
+
 
 def computational_context(dim: int, id: str | None = None) -> Context:
     """Standard basis of C^dim."""
-    return Context(id or f"computational:{dim}", np.eye(dim, dtype=complex))
+    return build_context(ContextSpec("computational", dim), id)
 
 
 def fourier_context(dim: int, id: str | None = None) -> Context:
     """Discrete-Fourier basis, column j has entries exp(2πi·k·j/dim)/√dim."""
-    k = np.arange(dim)
-    basis = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
-    return Context(id or f"fourier:{dim}", basis)
+    return build_context(ContextSpec("fourier", dim), id)
 
 
 def rotation_context(theta: float, id: str | None = None) -> Context:
-    """Two-dimensional basis tilted by theta.
-
-    Column 0 is (cos θ/2, sin θ/2), column 1 its orthogonal complement, so
-    transition probabilities against the computational basis are cos²(θ/2)
-    and sin²(θ/2).
-    """
-    half = 0.5 * theta
-    c, s = np.cos(half), np.sin(half)
-    basis = np.array([[c, -s], [s, c]], dtype=complex)
-    return Context(id or f"rotation:{float(theta)!r}", basis)
+    """Two-dimensional basis tilted by theta: column 0 is (cos θ/2, sin θ/2), so transition
+    probabilities against the computational basis are cos²(θ/2) and sin²(θ/2)."""
+    return build_context(ContextSpec("rotation", 2, theta=theta), id)
 
 
 def haar_context(dim: int, seed: int, id: str | None = None) -> Context:
     """Haar-random basis; bit-identical for identical (dim, seed)."""
-    return Context(id or f"haar:{dim}:{seed}", haar_random_unitary(seed, dim))
+    return build_context(ContextSpec("haar", dim, seed=seed), id)
 
 
 def build_context(spec: ContextSpec, id: str | None = None) -> Context:
-    """Construct the context a :class:`ContextSpec` describes.
+    """The context a :class:`ContextSpec` describes, deterministic given the spec.
 
-    Construction is deterministic given the spec, including the seed of the
-    ``haar`` kind.
-
-    Raises
-    ------
-    DimensionMismatch
-        ``rotation`` requested with dim != 2, or dim < 2.
-    NonOrthonormalInput
-        ``explicit`` matrix fails the orthonormality tolerance.
-    ScenarioValidationError
-        A field the kind needs is missing, the kind is unknown, or a ``haar``
-        seed is negative; ``field`` and ``reason`` read as the parser's.
-
-    An admitted ``explicit`` matrix may miss orthonormality by up to
-    ``INPUT_TOL``, enough to push a return probability past the clamp; the
-    context holds its polar factor W Vᴴ (from the SVD, the nearest unitary)
-    instead, and ``orthonormality`` keeps the residual of the matrix as given.
+    The spec checked itself when made; only :class:`Context` can still refuse an
+    ``explicit`` matrix (``NonOrthonormalInput``).  An admitted one may miss
+    orthonormality by up to ``INPUT_TOL``, enough to push a return probability past
+    the clamp; the context holds its polar factor W Vᴴ (from the SVD, the nearest
+    unitary) instead, and ``orthonormality`` keeps the residual of the matrix as given.
     """
-    if spec.dim < 2:
-        raise DimensionMismatch(f"context dimension must be >= 2, got {spec.dim}")
-    if spec.kind == "computational":
-        return computational_context(spec.dim, id)
-    if spec.kind == "fourier":
-        return fourier_context(spec.dim, id)
-    if spec.kind == "rotation":
-        if spec.dim != 2:
-            raise DimensionMismatch(f"rotation contexts require dim 2, got {spec.dim}")
-        if spec.theta is None:
-            raise ScenarioValidationError("theta", "missing required key")
-        return rotation_context(spec.theta, id)
-    if spec.kind == "haar":
-        if spec.seed is None:
-            raise ScenarioValidationError("seed", "missing required key")
-        if spec.seed < 0:
-            raise ScenarioValidationError("seed", f"must be >= 0, got {spec.seed}")
-        return haar_context(spec.dim, spec.seed, id)
-    if spec.kind == "explicit":
-        if spec.matrix is None:
-            raise ScenarioValidationError("matrix", "missing required key")
-        matrix = np.asarray(spec.matrix, dtype=complex)
-        if matrix.shape != (spec.dim, spec.dim):
-            raise DimensionMismatch(
-                f"explicit matrix shape {matrix.shape} does not match dim {spec.dim}"
-            )
-        given = Context(id or "explicit", matrix)
-        w, _, vh = np.linalg.svd(given.basis)
-        ctx = Context(given.id, w @ vh)
-        object.__setattr__(ctx, "orthonormality", given.orthonormality)
-        return ctx
-    raise ScenarioValidationError("kind", f"unknown context kind {spec.kind!r}")
+    kind, dim = spec.kind, spec.dim
+    if kind == "computational":
+        return Context(id or f"computational:{dim}", np.eye(dim, dtype=complex))
+    if kind == "fourier":
+        k = np.arange(dim)
+        basis = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+        return Context(id or f"fourier:{dim}", basis)
+    if kind == "rotation":
+        half = 0.5 * spec.theta
+        c, s = np.cos(half), np.sin(half)
+        basis = np.array([[c, -s], [s, c]], dtype=complex)
+        return Context(id or f"rotation:{spec.theta!r}", basis)
+    if kind == "haar":
+        return Context(id or f"haar:{dim}:{spec.seed}", _haar_unitary(dim, spec.seed))
+    given = Context(id or "explicit", spec.matrix)
+    w, _, vh = np.linalg.svd(given.basis)
+    ctx = Context(given.id, w @ vh)
+    object.__setattr__(ctx, "orthonormality", given.orthonormality)
+    return ctx
 
 
 def context_change_unitary(frm: Context, to: Context) -> np.ndarray:
@@ -303,23 +333,9 @@ def context_change_unitary(frm: Context, to: Context) -> np.ndarray:
     return to.basis @ frm.adjoint
 
 
-def haar_random_unitary(seed: int, dim: int) -> np.ndarray:
-    """Haar-distributed random unitary, deterministic per seed.
-
-    Draws a dim×dim matrix of independent standard complex Gaussians from a
-    PCG64 generator and orthonormalizes it by QR, rescaling so that R's
-    diagonal is real positive; that phase convention makes the distribution
-    exactly Haar and the output reproducible.
-
-    Parameters
-    ----------
-    seed : int
-        PRNG seed; identical seeds give bit-identical matrices.
-    dim : int
-        Matrix dimension, >= 2.
-    """
-    if dim < 2:
-        raise DimensionMismatch(f"dim must be >= 2, got {dim}")
+def _haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-random unitary of the ``haar`` kind, bit-identical per (dim, seed): PCG64 complex
+    Gaussians orthonormalized by QR, R's diagonal made real positive (which makes it Haar)."""
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

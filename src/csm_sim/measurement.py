@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidDistribution
-from .hilbert import INPUT_TOL, Context, Modality, clamp_probabilities
+from .errors import DimensionMismatch, InvalidDistribution
+from .hilbert import INPUT_TOL, Context, Modality, check_index, clamp_probabilities
 
 
 def validate_distribution(dist: np.ndarray) -> np.ndarray:
@@ -56,13 +56,6 @@ def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
-def _check_return(initial: Modality, final_index: int) -> Context:
-    ctx = initial.context
-    if not 0 <= final_index < ctx.dim:
-        raise IndexOutOfRange(f"final index {final_index} not in [0, {ctx.dim})")
-    return ctx
-
-
 def irreversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
     """Return probability when an outcome is realized in the intermediate context.
 
@@ -70,7 +63,8 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
     Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|², read off the memoized
     :meth:`Context.return_tables`.
     """
-    ctx = _check_return(initial, final_index)
+    ctx = initial.context
+    check_index("final index", final_index, ctx.dim)
     return ctx.return_tables(intermediate)[1].item(final_index, initial.index)
 
 
@@ -83,7 +77,8 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
     :meth:`Context.return_tables`) rather than asserted, so the identity is a
     tested consequence.
     """
-    ctx = _check_return(initial, final_index)
+    ctx = initial.context
+    check_index("final index", final_index, ctx.dim)
     return ctx.return_tables(intermediate)[0].item(final_index, initial.index)
 
 

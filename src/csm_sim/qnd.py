@@ -11,8 +11,9 @@ all-ones overlaps leave the system untouched, and everything in between is
 a weak measurement.
 
 The overlap matrix is a frozen :class:`Gram`, validated once at construction;
-every function here takes one and trusts it.  Tolerance checks read
-``not residual <= tol``, so a NaN fails them.
+every function here takes one and trusts it, and :func:`build_gram` trusts its
+:class:`GramSpec`, which checks its kind's rules when made.  Tolerance checks
+read ``not residual <= tol``, so a NaN fails them.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
 closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
@@ -41,9 +42,10 @@ from .errors import (
     InvalidGramMatrix,
     InvalidMeterStates,
     NotPositiveSemidefinite,
-    StrengthOutOfRange,
+    ScenarioValidationError,
 )
-from .hilbert import INPUT_TOL, Context, Modality, clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _number, check_kind, is_integer
+from .hilbert import clamp_probabilities
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
@@ -68,6 +70,8 @@ class Gram:
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidGramMatrix(f"overlap matrix of shape {matrix.shape} is not square", np.inf)
+        if not matrix.size:
+            raise InvalidGramMatrix("overlap matrix is empty", np.inf)
         for what, residual in (
             ("is not Hermitian", float(np.max(np.abs(matrix - matrix.conj().T)))),
             ("diagonal is not 1", float(np.max(np.abs(np.diagonal(matrix) - 1.0)))),
@@ -93,18 +97,48 @@ class Gram:
         return self.matrix.shape[0]
 
 
+# The field each kind of overlap matrix reads: a file's gram object holds ``kind`` and it.
+GRAM_FIELDS = {"uniform": ("g",), "explicit": ("matrix",)}
+
+
+@dataclass(frozen=True)
+class GramSpec:
+    """Recipe for an overlap matrix, as a scenario file declares it; it checks itself when made.
+
+    ``kind`` is a key of ``GRAM_FIELDS``, and only the field it reads is set: ``g`` (a finite
+    real in [0, 1], held as a float) or ``matrix`` (:class:`Gram` checks it).
+    """
+
+    kind: str
+    g: float | None = None
+    matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        check_kind(self, GRAM_FIELDS, "gram")
+        if self.kind == "uniform":
+            g = _number("g", self.g)
+            if not 0.0 <= g <= 1.0:
+                raise ScenarioValidationError("g", f"strength {g!r} outside [0, 1]")
+            object.__setattr__(self, "g", g)
+
+
+def build_gram(spec: GramSpec, n: int) -> Gram:
+    """The overlap matrix of ``n`` meter states that a :class:`GramSpec` describes."""
+    if spec.kind == "explicit":
+        return Gram(spec.matrix)
+    gram = np.full((n, n), complex(spec.g))
+    np.fill_diagonal(gram, 1.0)
+    return Gram(gram)
+
+
 def gram_uniform(n: int, g: float) -> Gram:
-    """Overlap matrix with unit diagonal and constant off-diagonal ``g``.
+    """Overlap matrix with unit diagonal and constant off-diagonal ``g`` in [0, 1].
 
     ``g = 0`` is the projective-measurement limit (orthogonal meter states),
     ``g = 1`` the no-measurement limit (indistinguishable meter states); the
     matrix is positive semidefinite on the whole range.
     """
-    if not 0.0 <= g <= 1.0:  # a NaN is outside
-        raise StrengthOutOfRange(f"overlap strength g={float(g)!r} outside [0, 1]")
-    gram = np.full((n, n), complex(g))
-    np.fill_diagonal(gram, 1.0)
-    return Gram(gram)
+    return build_gram(GramSpec("uniform", g=g), n)
 
 
 def meter_states_from_gram(gram: Gram) -> np.ndarray:
@@ -219,6 +253,8 @@ def meter_chain_reduced_state(
     so the off-diagonal scales with the m_count-th power of the overlap while
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
     """
+    if not is_integer(m_count):
+        raise CountOutOfRange(f"m_count must be an integer, got {m_count!r}")
     if m_count < 0:
         raise CountOutOfRange(f"m_count must be >= 0, got {m_count}")
     branch = _branch(initial, pointer, gram.dim)

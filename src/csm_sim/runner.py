@@ -38,6 +38,7 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
+    build_gram,
     composite_return_probabilities,
     density_matrix_residuals,
     entangle,
@@ -48,14 +49,8 @@ from .qnd import (
     reduced_system_state,
     von_neumann_entropy,
 )
-from .scenario import SWEEP_PARAMS, GramSpec, Scenario, sweep_grid
+from .scenario import SWEEP_PARAMS, Scenario, sweep_grid
 from .trajectory import Protocol, exhaustive_entropy_production, mean_entropy_production
-
-
-def build_gram(spec: GramSpec, dim: int) -> Gram:
-    if spec.kind == "uniform":
-        return gram_uniform(dim, spec.g)
-    return Gram(spec.matrix)
 
 
 def build_scenario_objects(scenario: Scenario):

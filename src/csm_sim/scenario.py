@@ -7,36 +7,30 @@ parameter grids.  Complex matrix entries are written either as plain
 numbers or as two-element ``[re, im]`` arrays.
 
 Parsing is strict: unknown or repeated keys are rejected, every referenced
-name must resolve, and dimensions must be consistent, so a scenario that
-parses will also build, except where construction refuses an explicit
-matrix: an explicit basis that is not orthonormal, or an explicit overlap
-matrix that is not a valid :class:`~csm_sim.qnd.Gram`.  A sweep grid, from
-the file, the command line or a library caller, is checked by :func:`sweep_grid`.
+name must resolve, and the document's ``dim`` bounds the tables.  The parser
+reads the file format; a context or gram object becomes a ``ContextSpec`` or
+``GramSpec``, which checks its kind's rules, and a sweep grid, from the file,
+the command line or a library caller, is checked by :func:`sweep_grid`.  So a
+scenario that parses will also build, except where :class:`~csm_sim.hilbert.Context`
+or :class:`~csm_sim.qnd.Gram` refuses an explicit matrix.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import ContextSpec
+from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number
+from .qnd import GRAM_FIELDS, GramSpec
 
 SCHEMA_VERSION = 1
 
-_CONTEXT_KEYS = {
-    "computational": {"kind"},
-    "fourier": {"kind"},
-    "rotation": {"kind", "theta"},
-    "haar": {"kind", "seed"},
-    "explicit": {"kind", "matrix"},
-}
-_GRAM_KEYS = {"uniform": {"kind", "g"}, "explicit": {"kind", "matrix"}}
 SWEEP_PARAMS = ("g", "m_count", "phase")  # in report order
 
 # Bytes the dim-sized arrays of a scenario may take, checked at parse time so
@@ -54,13 +48,6 @@ def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
     real return tables (16 B).
     """
     return dim * dim * (32 * n_contexts + 48 * n_steps)
-
-
-@dataclass(frozen=True)
-class GramSpec:
-    kind: str
-    g: float | None = None
-    matrix: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -106,19 +93,6 @@ def _require_keys(field: str, data: dict, required: set[str], allowed: set[str])
             raise ScenarioValidationError(f"{field}.{key}", "missing required key")
 
 
-def _number(field: str, value) -> float:
-    # a parsed number is finite, but a library caller's sweep grid may not be
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ScenarioValidationError(field, f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(field: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioValidationError(field, f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def _complex_entry(field: str, value) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value)
@@ -138,41 +112,23 @@ def _matrix(field: str, data, dim: int) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _kind(field: str, data, kinds: dict[str, set[str]], what: str) -> str:
-    """The ``kind`` of an object whose keys are exactly those ``kinds`` lists for it."""
+def _recipe(field: str, data, dim: int, fields: dict[str, tuple[str, ...]], make):
+    """``make(kind, **keys)`` of an object holding ``kind`` and exactly the keys ``fields`` lists.
+
+    A matrix is read from its rows here; every other rule is the recipe's, refused under ``field``.
+    """
     if not isinstance(data, dict) or "kind" not in data:
         raise ScenarioValidationError(field, "expected an object with a 'kind' key")
-    kind = data["kind"]
-    if not _known(kind, kinds):
-        raise ScenarioValidationError(f"{field}.kind", f"unknown {what} kind {kind!r}")
-    _require_keys(field, data, kinds[kind], kinds[kind])
-    return kind
-
-
-def _parse_context_spec(field: str, data, dim: int) -> ContextSpec:
-    kind = _kind(field, data, _CONTEXT_KEYS, "context")
-    if kind == "rotation":
-        if dim != 2:
-            raise ScenarioValidationError(field, f"rotation contexts require dim 2, scenario has dim {dim}")
-        return ContextSpec(kind, dim, theta=_number(f"{field}.theta", data["theta"]))
-    if kind == "haar":
-        seed = _integer(f"{field}.seed", data["seed"])
-        if seed < 0:
-            raise ScenarioValidationError(f"{field}.seed", f"must be >= 0, got {seed}")
-        return ContextSpec(kind, dim, seed=seed)
-    if kind == "explicit":
-        return ContextSpec(kind, dim, matrix=_matrix(f"{field}.matrix", data["matrix"], dim))
-    return ContextSpec(kind, dim)
-
-
-def _parse_gram_spec(field: str, data, dim: int) -> GramSpec:
-    kind = _kind(field, data, _GRAM_KEYS, "gram")
-    if kind == "uniform":
-        g = _number(f"{field}.g", data["g"])
-        if not 0.0 <= g <= 1.0:
-            raise ScenarioValidationError(f"{field}.g", f"strength {g!r} outside [0, 1]")
-        return GramSpec(kind, g=g)
-    return GramSpec(kind, matrix=_matrix(f"{field}.matrix", data["matrix"], dim))
+    kind, keys = data["kind"], {}
+    if _known(kind, fields):  # an unknown kind is the recipe's to refuse
+        _require_keys(field, data, {"kind", *fields[kind]}, {"kind", *fields[kind]})
+        keys = {key: data[key] for key in fields[kind]}
+        if "matrix" in keys:
+            keys["matrix"] = _matrix(f"{field}.matrix", keys["matrix"], dim)
+    try:
+        return make(kind, **keys)
+    except ScenarioValidationError as err:
+        raise ScenarioValidationError(f"{field}.{err.field}", err.reason) from None
 
 
 def _known(value, names: dict) -> bool:
@@ -273,14 +229,12 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioValidationError(
             "schema_version", f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
         )
-    dim = _integer("dim", raw["dim"])
-    if dim < 2:
-        raise ScenarioValidationError("dim", f"must be >= 2, got {dim}")
+    dim = _integer("dim", raw["dim"], 2)
 
     if not isinstance(raw["contexts"], dict) or not raw["contexts"]:
         raise ScenarioValidationError("contexts", "expected a non-empty object")
     contexts = {
-        name: _parse_context_spec(f"contexts.{name}", spec, dim)
+        name: _recipe(f"contexts.{name}", spec, dim, CONTEXT_FIELDS, partial(ContextSpec, dim=dim))
         for name, spec in raw["contexts"].items()
     }
 
@@ -326,7 +280,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         pointer = raw["meter"]["pointer"]
         if not _known(pointer, contexts):
             raise ScenarioValidationError("meter.pointer", f"undefined context {pointer!r}")
-        meter = MeterSpec(pointer, _parse_gram_spec("meter.gram", raw["meter"]["gram"], dim))
+        gram = _recipe("meter.gram", raw["meter"]["gram"], dim, GRAM_FIELDS, GramSpec)
+        meter = MeterSpec(pointer, gram)
 
     sweep = None
     if "sweep" in raw:

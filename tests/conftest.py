@@ -40,7 +40,7 @@ def near_unitary(seed: int, dim: int, fraction: float) -> np.ndarray:
     The perturbation is scaled to first order; the second-order term is ~1e-20.
     """
     rng = np.random.default_rng(seed)
-    basis = cs.haar_random_unitary(seed, dim)
+    basis = cs.haar_context(dim, seed).basis
     noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     first_order = float(np.max(np.abs(basis.conj().T @ noise + noise.conj().T @ basis)))
     return basis + fraction * INPUT_TOL / first_order * noise

@@ -69,14 +69,16 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 14
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 17
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
-        # a sweep the scenario cannot serve, a sample count out of range and a
+        # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the
-        # file) are usage errors; a refused input fails
+        # file) and a recipe that breaks a rule of its kind are usage errors;
+        # a refused input fails
         usage = name in (
             "no_meter", "one_context", "unedited", "g_grid_0_1_2", "m_count_grid_-3_-1_1",
-            "no_meter_and_explicit_x_off_by_1e-8",
+            "no_meter_and_explicit_x_off_by_1e-8", "x_haar_seed_-1", "gram_g_1.5",
+            "x_rotation_in_dim_3",
         )
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err

@@ -71,12 +71,13 @@ def test_admitted_explicit_basis_is_replaced_by_its_polar_factor(seed, dim, frac
 
 
 def test_rotation_requires_dim_two():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ScenarioValidationError) as caught:
         cs.build_context(cs.ContextSpec("rotation", 3, theta=0.3))
+    assert caught.value.field == "dim"
 
 
 def test_dimension_below_two_rejected():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ScenarioValidationError, match="^dim: must be >= 2, got 1$"):
         cs.build_context(cs.ContextSpec("computational", 1))
 
 
@@ -114,7 +115,7 @@ def test_dim_is_a_read_only_field():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 16), perturb=st.booleans())
 def test_orthonormality_field_is_the_residual_of_the_basis(seed, dim, perturb):
-    basis = cs.haar_random_unitary(seed, dim)
+    basis = cs.haar_context(dim, seed).basis
     if perturb:
         basis = basis + 1e-12 * np.random.default_rng(seed).standard_normal((dim, dim))
     ctx = cs.Context("explicit", basis)
@@ -137,8 +138,8 @@ def test_overlaps_table_is_memoized_and_read_only():
 
 def test_overlaps_are_keyed_by_object_not_label():
     start = cs.haar_context(3, 0)
-    left = cs.Context("explicit", cs.haar_random_unitary(1, 3))
-    right = cs.Context("explicit", cs.haar_random_unitary(2, 3))
+    left = cs.Context("explicit", cs.haar_context(3, 1).basis)
+    right = cs.Context("explicit", cs.haar_context(3, 2).basis)
     assert left == right  # both carry the label "explicit"
     for mid in (left, right):
         np.testing.assert_array_equal(start.overlaps(mid), start.adjoint @ mid.basis)
@@ -155,8 +156,8 @@ def test_overlaps_are_keyed_by_object_not_label():
 
 def test_return_tables_are_memoized_read_only_and_keyed_by_object():
     start = cs.haar_context(3, 0)
-    left = cs.Context("explicit", cs.haar_random_unitary(1, 3))
-    right = cs.Context("explicit", cs.haar_random_unitary(2, 3))
+    left = cs.Context("explicit", cs.haar_context(3, 1).basis)
+    right = cs.Context("explicit", cs.haar_context(3, 2).basis)
     assert left == right  # both carry the label "explicit"
     tables = start.return_tables(left)
     assert start.return_tables(left) is tables
@@ -199,18 +200,64 @@ def test_modality_admits_numpy_integers():
 @pytest.mark.parametrize(
     "spec, field, reason",
     [
-        (cs.ContextSpec("rotation", 2), "theta", "missing required key"),
-        (cs.ContextSpec("haar", 3), "seed", "missing required key"),
-        (cs.ContextSpec("explicit", 2), "matrix", "missing required key"),
-        (cs.ContextSpec("spiral", 2), "kind", "unknown context kind 'spiral'"),
-        (cs.ContextSpec("haar", 3, seed=-1), "seed", "must be >= 0, got -1"),
+        (("rotation", 2), "theta", "missing required key"),
+        (("haar", 3), "seed", "missing required key"),
+        (("explicit", 2), "matrix", "missing required key"),
+        (("spiral", 2), "kind", "unknown context kind 'spiral'"),
+        (("haar", 3, None, -1), "seed", "must be >= 0, got -1"),
     ],
 )
 def test_build_context_refuses_an_incomplete_spec_as_the_parser_does(spec, field, reason):
+    # the spec refuses when it is made, before build_context sees it
     with pytest.raises(ScenarioValidationError) as caught:
-        cs.build_context(spec)
+        cs.build_context(cs.ContextSpec(*spec))
     assert (caught.value.field, caught.value.reason) == (field, reason)
     assert isinstance(caught.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "make, field, reason",
+    [
+        (lambda: cs.haar_context(2, -3), "seed", "must be >= 0, got -3"),
+        (lambda: cs.ContextSpec("haar", 3, seed=True), "seed", "expected an integer, got True"),
+        (lambda: cs.ContextSpec("haar", 3, seed=1.5), "seed", "expected an integer, got 1.5"),
+        (lambda: cs.rotation_context(float("nan")), "theta", "expected a number, got nan"),
+        (lambda: cs.rotation_context(True), "theta", "expected a number, got True"),
+        (lambda: cs.ContextSpec("computational", 2, seed=3), "seed", "unknown key"),
+        (lambda: cs.ContextSpec("explicit", 3, matrix=np.eye(2)), "matrix", "expected 3 rows"),
+        (
+            lambda: cs.ContextSpec("explicit", 2, matrix=np.ones((2, 3))),
+            "matrix[0]",
+            "expected 2 entries",
+        ),
+        (lambda: cs.fourier_context(2.0), "dim", "expected an integer, got 2.0"),
+        (lambda: cs.computational_context(1), "dim", "must be >= 2, got 1"),
+        # the kind is checked first: a dim means nothing without it
+        (lambda: cs.ContextSpec("spiral", True), "kind", "unknown context kind 'spiral'"),
+    ],
+)
+def test_a_context_recipe_refuses_a_broken_rule_when_made(make, field, reason):
+    # each refusal is a domain error naming the recipe's field; a bare numpy or
+    # SeedSequence error, or a context with id "haar:3:True", was what some gave
+    with pytest.raises(ScenarioValidationError) as caught:
+        make()
+    assert (caught.value.field, caught.value.reason) == (field, reason)
+
+
+def test_a_context_recipe_holds_plain_numbers_and_the_default_ids_stay():
+    spec = cs.ContextSpec("haar", np.int64(3), seed=np.uint8(5))
+    assert (type(spec.dim), type(spec.seed)) == (int, int)
+    assert cs.build_context(spec).id == cs.haar_context(3, 5).id == "haar:3:5"
+    assert cs.computational_context(3).id == "computational:3"
+    assert cs.fourier_context(3).id == "fourier:3"
+    assert cs.rotation_context(np.float64(0.3)).id == "rotation:0.3"
+    matrix = np.eye(2)
+    spec = cs.ContextSpec("explicit", 2, matrix=matrix)
+    assert cs.build_context(spec).id == "explicit"
+    matrix[0, 0] = 2.0  # the spec holds its own read-only copy
+    assert spec.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        spec.matrix[0, 0] = 2.0
 
 
 def test_projector_computational():
@@ -269,12 +316,12 @@ def test_context_change_dim_mismatch():
 
 
 def test_haar_unitary_deterministic():
-    np.testing.assert_array_equal(cs.haar_random_unitary(1, 2), cs.haar_random_unitary(1, 2))
+    np.testing.assert_array_equal(cs.haar_context(2, 1).basis, cs.haar_context(2, 1).basis)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([2, 3, 5, 8, 13]))
 def test_haar_unitary_properties(seed, dim):
-    u = cs.haar_random_unitary(seed, dim)
+    u = cs.haar_context(dim, seed).basis
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
     np.testing.assert_allclose(np.linalg.norm(u, axis=0), np.ones(dim), atol=1e-12)

@@ -208,6 +208,21 @@ def test_return_index_validation(balanced):
         cs.reversible_return(initial, tilted, -1)
 
 
+@pytest.mark.parametrize("index", [True, 1.5, np.float64(1.0)])
+def test_return_index_must_be_an_integer(balanced, index):
+    # each of these once ended in a bare TypeError from the table read
+    initial, tilted = balanced
+    for read in (cs.reversible_return, cs.irreversible_return):
+        with pytest.raises(IndexOutOfRange, match="final index .* is not an integer"):
+            read(initial, tilted, index)
+
+
+def test_return_index_admits_numpy_integers(balanced):
+    initial, tilted = balanced
+    for read in (cs.reversible_return, cs.irreversible_return):
+        assert read(initial, tilted, np.int64(1)) == read(initial, tilted, 1)
+
+
 def test_probability_vector_clamp_behaviour():
     clamped = clamp_probabilities(np.array([-1e-12, 0.25, 1.0 + 1e-12]))
     np.testing.assert_array_equal(clamped, [0.0, 0.25, 1.0])

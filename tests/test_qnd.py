@@ -11,9 +11,9 @@ from csm_sim.errors import (
     InvalidGramMatrix,
     InvalidMeterStates,
     NotPositiveSemidefinite,
-    StrengthOutOfRange,
+    ScenarioValidationError,
 )
-from csm_sim.qnd import density_matrix_residuals
+from csm_sim.qnd import build_gram, density_matrix_residuals
 from conftest import partial_trace_meter, path_amplitudes, random_unit_gram
 
 
@@ -29,11 +29,12 @@ def test_gram_uniform_eigenvalues():
 
 
 def test_gram_uniform_range_check():
-    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=-0.1 outside \[0, 1\]$"):
+    # refused by the recipe, with the reasons a scenario file's gram gets
+    with pytest.raises(ScenarioValidationError, match=r"^g: strength -0.1 outside \[0, 1\]$"):
         cs.gram_uniform(2, -0.1)
-    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=1.1 outside \[0, 1\]$"):
+    with pytest.raises(ScenarioValidationError, match=r"^g: strength 1.1 outside \[0, 1\]$"):
         cs.gram_uniform(2, np.float64(1.1))
-    with pytest.raises(StrengthOutOfRange, match=r"^overlap strength g=nan outside \[0, 1\]$"):
+    with pytest.raises(ScenarioValidationError, match=r"^g: expected a number, got nan$"):
         cs.gram_uniform(2, float("nan"))
 
 
@@ -46,6 +47,44 @@ def test_validate_gram_rejects_bad_matrices():
         cs.Gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
     with pytest.raises(InvalidGramMatrix):
         cs.Gram(np.ones(3))  # not square
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: cs.Gram(np.zeros((0, 0))), lambda: cs.gram_uniform(0, 0.5)]
+)
+def test_an_empty_overlap_matrix_is_refused(make):
+    # both once ended in numpy's bare "zero-size array" ValueError
+    with pytest.raises(InvalidGramMatrix, match="^overlap matrix is empty$") as refused:
+        make()
+    assert refused.value.residual == np.inf
+
+
+@pytest.mark.parametrize(
+    "fields, field, reason",
+    [
+        (("uniform",), "g", "missing required key"),
+        (("explicit",), "matrix", "missing required key"),
+        (("uniform", 0.5, np.eye(2)), "matrix", "unknown key"),
+        (("spiral", 0.5), "kind", "unknown gram kind 'spiral'"),
+        (("uniform", True), "g", "expected a number, got True"),
+        (("uniform", "0.5"), "g", "expected a number, got '0.5'"),
+        (("uniform", float("inf")), "g", "expected a number, got inf"),
+        (("uniform", -0.25), "g", "strength -0.25 outside [0, 1]"),
+    ],
+)
+def test_gram_spec_refuses_a_broken_rule_when_made(fields, field, reason):
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.GramSpec(*fields)
+    assert (caught.value.field, caught.value.reason) == (field, reason)
+
+
+def test_build_gram_makes_what_the_spec_describes():
+    spec = cs.GramSpec("uniform", g=np.float64(0.25))
+    assert type(spec.g) is float
+    np.testing.assert_array_equal(build_gram(spec, 3).matrix, cs.gram_uniform(3, 0.25).matrix)
+    matrix = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    explicit = build_gram(cs.GramSpec("explicit", matrix=matrix), 2)
+    np.testing.assert_array_equal(explicit.matrix, matrix)
 
 
 def test_gram_is_read_only():
@@ -429,6 +468,23 @@ def test_meter_chain_refuses_a_negative_length(balanced):
         cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
     with pytest.raises(ValueError):
         cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
+
+
+@pytest.mark.parametrize("m_count", [True, 1.5, np.float64(2.0)])
+def test_meter_chain_refuses_a_length_that_is_no_integer(balanced, m_count):
+    # 1.5 once returned a fractional power of the overlaps, which no chain of meters gives
+    initial, tilted = balanced
+    with pytest.raises(CountOutOfRange, match="m_count must be an integer"):
+        cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), m_count)
+
+
+def test_meter_chain_admits_numpy_integers(balanced):
+    initial, tilted = balanced
+    gram = cs.gram_uniform(2, 0.5)
+    np.testing.assert_array_equal(
+        cs.meter_chain_reduced_state(initial, tilted, gram, np.int64(3)),
+        cs.meter_chain_reduced_state(initial, tilted, gram, 3),
+    )
 
 
 NON_FINITE_STATES = [

@@ -17,7 +17,6 @@ from csm_sim.errors import (
     InvalidGramMatrix,
     NonOrthonormalInput,
     ScenarioValidationError,
-    StrengthOutOfRange,
 )
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.qnd import RANK_TOL
@@ -209,7 +208,7 @@ def _projector_loop_residuals(basis):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 12), perturb=st.booleans())
 def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb):
-    basis = cs.haar_random_unitary(seed, dim)
+    basis = cs.haar_context(dim, seed).basis
     if perturb:
         # a basis the context still accepts, off orthonormal by up to INPUT_TOL
         noise = np.random.default_rng(seed).standard_normal((dim, dim))
@@ -339,7 +338,7 @@ def test_sweep_rows_and_csv_format(balanced_scenario):
 @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.1], [float("nan")]])
 def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario, grid):
     bad = next(g for g in grid if not 0.0 <= g <= 1.0)
-    with pytest.raises(StrengthOutOfRange) as per_point:
+    with pytest.raises(ScenarioValidationError) as per_point:
         cs.gram_uniform(2, bad)
     with pytest.raises(ScenarioValidationError) as swept:
         cs.sweep_rows(balanced_scenario, "g", grid)

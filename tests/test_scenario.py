@@ -1,13 +1,18 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csm_sim as cs
 import csm_sim.scenario
 from csm_sim.cli import main
 from csm_sim.errors import ScenarioParseError, ScenarioValidationError
+from csm_sim.qnd import build_gram
 from csm_sim.scenario import MAX_TABLE_BYTES, table_bytes
 
 MINIMAL = {
@@ -96,7 +101,7 @@ def test_rotation_requires_dim_two(tmp_path):
     }
     with pytest.raises(ScenarioValidationError) as err:
         cs.parse_scenario(write(tmp_path, doc))
-    assert err.value.field == "contexts.r"
+    assert err.value.field == "contexts.r.dim"
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -269,3 +274,76 @@ def test_dim_beyond_the_table_budget_is_refused_before_allocating(tmp_path, monk
 def test_table_budget_admits_the_scaled_scenarios():
     # four contexts, five steps: the benchmark's dim-64 scenario and its dim-256 scale-up
     assert table_bytes(256, 4, 5) <= MAX_TABLE_BYTES
+
+
+def _pairs(matrix):
+    return [[[z.real, z.imag] for z in row] for row in matrix]
+
+
+@st.composite
+def _recipes(draw):
+    """A one-context document with a uniform meter, and the recipes a library caller makes.
+
+    Some draws break a rule of a context kind or of the gram: an unknown kind, a
+    rotation outside dim 2, a theta that is no number, a seed that is negative or no
+    integer, an explicit Haar matrix of the wrong shape, a strength outside [0, 1].
+    """
+    dim = draw(st.integers(2, 4))
+    kinds = ["computational", "fourier", "rotation", "haar", "explicit", "spiral"]
+    kind = draw(st.sampled_from(kinds))
+    fields = {}
+    if kind in ("rotation", "spiral"):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        fields["theta"] = draw(st.one_of(finite, st.text("ab", max_size=2), st.booleans()))
+    elif kind == "haar":
+        fields["seed"] = draw(st.one_of(st.integers(-3, 10), st.just(True), st.just(1.5)))
+    elif kind == "explicit":
+        rows, cols = draw(st.sampled_from([(dim, dim), (dim + 1, dim + 1), (dim, dim - 1)]))
+        fields["matrix"] = cs.haar_context(rows, draw(st.integers(0, 2**31 - 1))).basis[:, :cols]
+    g = draw(st.floats(-1.0, 2.0))
+    written = {key: _pairs(value) if key == "matrix" else value for key, value in fields.items()}
+    doc = {
+        "schema_version": 1,
+        "dim": dim,
+        "contexts": {"c": {"kind": kind, **written}},
+        "protocol": {"initial": {"context": "c", "index": 0}, "sequence": ["c"]},
+        "meter": {"pointer": "c", "gram": {"kind": "uniform", "g": g}},
+    }
+    return doc, kind, dim, fields, g
+
+
+def _refusal(make, prefix):
+    try:
+        return make()
+    except ScenarioValidationError as err:
+        return (prefix + err.field, err.reason)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_recipes())
+def test_a_file_and_the_library_agree_on_every_recipe(drawn):
+    doc, kind, dim, fields, g = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        parsed = _refusal(lambda: cs.parse_scenario(path), "")
+    spec = _refusal(lambda: cs.ContextSpec(kind, dim, **fields), "contexts.c.")
+    gram = _refusal(lambda: cs.GramSpec("uniform", g=g), "meter.gram.")
+    library = spec if isinstance(spec, tuple) else gram
+    if isinstance(library, tuple):
+        assert parsed == library  # the same field under its JSON path, the same reason
+        return
+    assert not isinstance(parsed, tuple), parsed
+    basis = cs.build_context(spec).basis
+    np.testing.assert_array_equal(cs.build_context(parsed.contexts["c"]).basis, basis)
+    public = {
+        "computational": lambda: cs.computational_context(dim),
+        "fourier": lambda: cs.fourier_context(dim),
+        "rotation": lambda: cs.rotation_context(fields["theta"]),
+        "haar": lambda: cs.haar_context(dim, fields["seed"]),
+    }
+    if kind in public:
+        np.testing.assert_array_equal(public[kind]().basis, basis)
+    np.testing.assert_array_equal(
+        build_gram(parsed.meter.gram, dim).matrix, cs.gram_uniform(dim, g).matrix
+    )

@@ -22,7 +22,11 @@ with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
 compares stdout, stderr and exit code.  It then runs the fixed list
 ``REFUSALS``: documents derived from ``scenarios/balanced_qubit.json``,
 written to a temporary directory, each with an invocation the program must
-refuse, so that a changed exit code or refusal message shows too.
+refuse, so that a changed exit code or refusal message shows too.  Among them
+are a broken grid (in the file or on the command line), a sweep the scenario
+cannot serve, an explicit matrix construction refuses, and a context or gram
+recipe that breaks a rule of its kind (a negative Haar seed, a strength
+outside [0, 1], a rotation in dim 3).
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports are walked value by
@@ -109,6 +113,18 @@ def _unedited(doc: dict) -> None:
     pass
 
 
+def _x_haar_seed_minus_1(doc: dict) -> None:
+    doc["contexts"]["x"] = {"kind": "haar", "seed": -1}
+
+
+def _gram_g_1_5(doc: dict) -> None:
+    doc["meter"]["gram"]["g"] = 1.5
+
+
+def _x_rotation_in_dim_3(doc: dict) -> None:
+    doc["dim"] = 3
+
+
 SWEEP_G = ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
 SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"]
 
@@ -137,6 +153,10 @@ REFUSALS = [
     ("g_grid_0_1_2", _g_grid_0_1_2, ["run"]),
     ("m_count_grid_-3_-1_1", _m_count_grid_3_1_1, ["run"]),
     ("no_meter_and_explicit_x_off_by_1e-8", _no_meter_and_explicit_x_off_by_1e8, SWEEP_G),
+    # a context or gram recipe that breaks a rule of its kind
+    ("x_haar_seed_-1", _x_haar_seed_minus_1, ["run"]),
+    ("gram_g_1.5", _gram_g_1_5, ["run"]),
+    ("x_rotation_in_dim_3", _x_rotation_in_dim_3, ["run"]),
 ]
 
 
