@@ -13,7 +13,8 @@ label chosen at construction time.
 :class:`Context` checks a basis matrix; a :class:`ContextSpec` checks every rule of
 its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  ``_number`` and ``is_integer`` here own "finite real" and
-"integer, not a bool" for every recipe, document field, grid, index and count.
+"integer, not a bool" for every recipe, document field, grid, index and count, and
+``_complex_array`` reads every caller's matrix.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ def check_index(what: str, index, dim: int) -> None:
         raise IndexOutOfRange(f"{what} {index} not in [0, {dim})")
 
 
+def _complex_array(value, refuse) -> np.ndarray:
+    """A new complex array of ``value``, or the domain error ``refuse(reason)`` if numpy cannot
+    read one (a malformed string entry, ragged rows, an object with no complex value)."""
+    try:
+        return np.array(value, dtype=complex)
+    except (TypeError, ValueError):
+        raise refuse(f"cannot read {value!r:.60} as a complex array") from None
+
+
 def _identity_residual(product: np.ndarray) -> float:
     return float(np.max(np.abs(product - np.eye(product.shape[1]))))
 
@@ -107,7 +117,7 @@ class Context:
     _returns: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=complex)
+        basis = _complex_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
         if basis.shape[0] < 2:
@@ -229,19 +239,42 @@ def check_kind(spec, fields: dict[str, tuple[str, ...]], what: str) -> None:
             raise ScenarioValidationError(name, "missing required key" if needed else "unknown key")
 
 
+class _Recipe:
+    """Value semantics of a frozen recipe: it equals and hashes as its kind, its ``dim`` (if it
+    has one) and the field its kind reads, a matrix as its shape and bytes."""
+
+    FIELDS: dict[str, tuple[str, ...]]
+
+    def _key(self) -> tuple:
+        values = [getattr(self, name) for name in self.FIELDS[self.kind]]
+        values = [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
+        return (self.kind, getattr(self, "dim", None), *values)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 # The field each kind of context reads besides ``dim``: a file's context holds ``kind`` and it.
 CONTEXT_FIELDS = {"computational": (), "fourier": (), "rotation": ("theta",), "haar": ("seed",),
                   "explicit": ("matrix",)}
 
 
-@dataclass(frozen=True)
-class ContextSpec:
+@dataclass(frozen=True, eq=False)
+class ContextSpec(_Recipe):
     """Recipe for a context, as a scenario file declares it; it checks itself when made.
 
     ``kind`` is a key of ``CONTEXT_FIELDS``, and only the field it reads is set: ``theta``
     (radians, finite), ``seed`` (an integer >= 0) or ``matrix`` (dim × dim, held as a
-    read-only complex copy).  ``dim`` is an integer >= 2, and 2 for ``rotation``.
+    read-only complex copy).  ``dim`` is an integer >= 2, and 2 for ``rotation``.  Two
+    recipes are equal, and hash alike, when kind, dim and that field are.
     """
+
+    FIELDS = CONTEXT_FIELDS
 
     kind: str
     dim: int
@@ -261,7 +294,9 @@ class ContextSpec:
         if self.kind == "haar":
             object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.kind == "explicit":
-            matrix = np.array(self.matrix, dtype=complex)
+            matrix = _complex_array(
+                self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
+            )
             # the parser's texts, which it gives while it reads a file's rows
             if matrix.ndim != 2 or len(matrix) != dim:
                 raise ScenarioValidationError("matrix", f"expected {dim} rows")

@@ -44,8 +44,8 @@ from .errors import (
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
-from .hilbert import INPUT_TOL, Context, Modality, _number, check_kind, is_integer
-from .hilbert import clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _complex_array, _integer, _number, _Recipe
+from .hilbert import check_kind, clamp_probabilities, is_integer
 
 # Eigenvalues below this are treated as zero when realizing meter states.
 RANK_TOL = 1e-10
@@ -67,7 +67,7 @@ class Gram:
     eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
+        matrix = _complex_array(self.matrix, lambda reason: InvalidGramMatrix(reason, np.inf))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidGramMatrix(f"overlap matrix of shape {matrix.shape} is not square", np.inf)
         if not matrix.size:
@@ -101,13 +101,16 @@ class Gram:
 GRAM_FIELDS = {"uniform": ("g",), "explicit": ("matrix",)}
 
 
-@dataclass(frozen=True)
-class GramSpec:
+@dataclass(frozen=True, eq=False)
+class GramSpec(_Recipe):
     """Recipe for an overlap matrix, as a scenario file declares it; it checks itself when made.
 
     ``kind`` is a key of ``GRAM_FIELDS``, and only the field it reads is set: ``g`` (a finite
-    real in [0, 1], held as a float) or ``matrix`` (:class:`Gram` checks it).
+    real in [0, 1], held as a float) or ``matrix`` (held as a read-only complex copy, which
+    :class:`Gram` checks).  Two recipes are equal, and hash alike, when kind and that field are.
     """
+
+    FIELDS = GRAM_FIELDS
 
     kind: str
     g: float | None = None
@@ -120,10 +123,21 @@ class GramSpec:
             if not 0.0 <= g <= 1.0:
                 raise ScenarioValidationError("g", f"strength {g!r} outside [0, 1]")
             object.__setattr__(self, "g", g)
+        if self.kind == "explicit":
+            matrix = _complex_array(
+                self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
+            )
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
 
 
 def build_gram(spec: GramSpec, n: int) -> Gram:
-    """The overlap matrix of ``n`` meter states that a :class:`GramSpec` describes."""
+    """The overlap matrix of ``n`` meter states that a :class:`GramSpec` describes.
+
+    ``n`` is an integer >= 0 (``ScenarioValidationError`` otherwise); :class:`Gram`
+    refuses the empty matrix of ``n = 0``.
+    """
+    n = _integer("n", n, 0)
     if spec.kind == "explicit":
         return Gram(spec.matrix)
     gram = np.full((n, n), complex(spec.g))

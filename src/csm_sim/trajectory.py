@@ -37,7 +37,7 @@ from .errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from .hilbert import Context, Modality, check_index, clamp_probabilities
+from .hilbert import Context, Modality, _integer, check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
 
 # Keep the exhaustive oracle at desk scale.
@@ -226,20 +226,37 @@ def _sample_paths(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray
     Each step draws the smallest outcome whose cumulative weight in the
     previous outcome's column exceeds the sample's uniform (one vector per
     step in ``uniforms``), so a zero-weight outcome is never drawn; past the
-    rounded total, the last supported one is.  One ``searchsorted`` per
-    distinct previous outcome keeps memory O(block).
+    rounded total, the last supported one is.  That is
+    ``searchsorted(col, u, "right")`` capped at ``last``, which is
+    ``searchsorted(col, col[-1], "left")``.
+
+    Every sample draws at once, by a branchless bisection over one flat table:
+    the columns, padded with +inf to ``W`` entries (the least power of two
+    >= dim), end to end.  A sample starts just before its column, and for
+    ``step`` = W/2, ..., 1 moves up by ``step`` where the entry ``step`` above
+    is ``<= u``.  It stops on the last entry ``<= u`` among the column's first
+    ``W - 1`` (+inf never is), so one past it is the right-side search, cut at
+    ``W - 1``.  The cut binds only when W = dim, at dim - 1, which ``last``
+    never exceeds, so the capped draw is the same.  Per step this costs
+    O(samples · log dim) time and O(samples + dim · W) memory, with no loop
+    over outcomes.
     """
     paths = [initial]
     for cum, u in zip(step_cumulatives, uniforms):
-        state, nxt = paths[-1], np.empty_like(initial)
-        for prev in np.flatnonzero(np.bincount(state)):
-            col = cum[:, prev]
-            mask = state == prev
-            nxt[mask] = np.minimum(
-                np.searchsorted(col, u[mask], side="right"),
-                np.searchsorted(col, col[-1], side="left"),
-            )
-        paths.append(nxt)
+        dim = cum.shape[0]
+        width = 1 << (dim - 1).bit_length()
+        table = np.full((cum.shape[1], width), np.inf)
+        table[:, :dim] = cum.T
+        table = table.ravel()
+        last = np.count_nonzero(cum < cum[-1], axis=0)
+        state = paths[-1]
+        base = state * width
+        pos = base - 1
+        step = width >> 1
+        while step:
+            pos += (table[pos + step] <= u) * step
+            step >>= 1
+        paths.append(np.minimum(pos + 1 - base, last[state]))
     return np.stack(paths, axis=1)
 
 
@@ -277,7 +294,9 @@ def mean_entropy_production(
     whose Shannon entropy the mean estimates; entropy production depends
     only on the final outcome, so mean and std error come from its counts.
     ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
+    ``n_samples`` is an integer >= 1 and ``seed`` one >= 0, not bools.
     """
+    n_samples, seed = _integer("n_samples", n_samples), _integer("seed", seed, 0)
     if n_samples < 1:
         raise CountOutOfRange(f"n_samples must be >= 1, got {n_samples}")
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]

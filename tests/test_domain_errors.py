@@ -1,0 +1,62 @@
+"""Malformed counts, seeds and matrices end in a domain error, never in a bare numpy one.
+
+Each entry point that reads a count, a seed or a caller's matrix either returns
+or raises :class:`CsmSimError`; anything else escaping fails the property.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import csm_sim as cs
+from csm_sim.errors import CsmSimError
+from csm_sim.qnd import build_gram
+
+# Counts and seeds: bools, floats (NaN and inf included), negatives, strings, small integers.
+NUMBERS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.integers(-5, 12),
+    st.text(max_size=3),
+    st.sampled_from([np.float64(2.0), np.int64(3), None]),
+)
+ENTRIES = st.one_of(st.floats(-2, 2), st.text(max_size=2), st.booleans(), st.none())
+# Matrices: strings, ragged and empty nestings, and arrays of every rank up to 3.
+MATRICES = st.one_of(
+    st.text(max_size=4),
+    st.lists(st.lists(ENTRIES, max_size=3), max_size=3),
+    st.sampled_from([[], [[]], np.zeros((0, 0)), np.zeros(2), np.eye(2), np.ones((2, 2, 2))]),
+    st.sampled_from([1.0, np.nan * np.eye(2), np.array([["a", "b"], ["c", "d"]], dtype=object)]),
+)
+
+
+def returns_or_refuses(call) -> None:
+    try:
+        call()
+    except CsmSimError:
+        pass
+
+
+def _protocol():
+    z = cs.computational_context(2)
+    return cs.Protocol((z, cs.rotation_context(0.7), cs.fourier_context(2)), z.modality(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=NUMBERS, seed=NUMBERS)
+def test_counts_and_seeds_end_in_a_domain_error(count, seed):
+    protocol = _protocol()
+    returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, seed))
+    returns_or_refuses(lambda: cs.mean_entropy_production(protocol, 10, seed))
+    returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, 0))
+    returns_or_refuses(lambda: cs.gram_uniform(count, 0.5))
+    returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=np.eye(2)), count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=MATRICES, dim=st.integers(2, 3))
+def test_matrices_end_in_a_domain_error(matrix, dim):
+    returns_or_refuses(lambda: cs.Context("x", matrix))
+    returns_or_refuses(lambda: cs.Gram(matrix))
+    returns_or_refuses(lambda: cs.build_context(cs.ContextSpec("explicit", dim, matrix=matrix)))
+    returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=matrix), dim))

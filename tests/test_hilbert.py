@@ -260,6 +260,33 @@ def test_a_context_recipe_holds_plain_numbers_and_the_default_ids_stay():
         spec.matrix[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("matrix", ["ab", [[1, 0], [0]], [["1", "x"], ["0", "1"]], {"a": 1}])
+def test_a_matrix_numpy_cannot_read_is_refused_by_each_constructor(matrix):
+    # each once ended in numpy's bare "complex() arg is a malformed string" or ragged ValueError
+    with pytest.raises(NonOrthonormalInput, match="^cannot read .* as a complex array$") as refused:
+        cs.Context("x", matrix)
+    assert refused.value.residual == np.inf
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.ContextSpec("explicit", 2, matrix=matrix)
+    assert caught.value.field == "matrix"
+    assert caught.value.reason.startswith("cannot read ")
+
+
+def test_context_specs_are_values():
+    # two equal explicit specs once raised ValueError on == and TypeError on hash
+    eye = cs.ContextSpec("explicit", 2, matrix=np.eye(2))
+    same = cs.ContextSpec("explicit", np.int64(2), matrix=[[1, 0], [0, 1]])
+    assert eye == same and hash(eye) == hash(same) and len({eye, same}) == 1
+    assert eye != cs.ContextSpec("explicit", 2, matrix=np.eye(2)[::-1])
+    assert cs.ContextSpec("haar", 3, seed=1) == cs.ContextSpec("haar", 3, seed=np.uint8(1))
+    assert cs.ContextSpec("haar", 3, seed=1) != cs.ContextSpec("haar", 3, seed=2)
+    assert cs.ContextSpec("haar", 3, seed=1) != cs.ContextSpec("haar", 4, seed=1)
+    assert cs.ContextSpec("fourier", 3) != cs.ContextSpec("computational", 3)
+    rotation = cs.ContextSpec("rotation", 2, theta=0.5)
+    assert rotation == cs.ContextSpec("rotation", 2, theta=np.float64(0.5))
+    assert cs.ContextSpec("computational", 2) != cs.GramSpec("uniform", g=0.5)
+
+
 def test_projector_computational():
     ctx = cs.computational_context(2)
     np.testing.assert_array_equal(projector(ctx.modality(0)), [[1, 0], [0, 0]])

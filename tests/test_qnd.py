@@ -38,6 +38,47 @@ def test_gram_uniform_range_check():
         cs.gram_uniform(2, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "n, reason",
+    [
+        (-1, "must be >= 0, got -1"),
+        (1.5, "expected an integer, got 1.5"),
+        (True, "expected an integer, got True"),
+    ],
+)
+def test_gram_uniform_refuses_a_meter_count_that_is_no_count(n, reason):
+    # -1 and 1.5 once ended in numpy's bare ValueError and TypeError; 0 is the empty matrix
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.gram_uniform(n, 0.5)
+    assert (caught.value.field, caught.value.reason) == ("n", reason)
+    assert cs.gram_uniform(np.int64(2), 0.5).dim == 2
+
+
+@pytest.mark.parametrize("matrix", ["ab", [[1, 2], [3]], [["1", "x"], ["0", "1"]], {"a": 1}])
+def test_a_matrix_numpy_cannot_read_is_refused_by_each_constructor(matrix):
+    # each once ended in numpy's bare "complex() arg is a malformed string" or ragged ValueError
+    with pytest.raises(InvalidGramMatrix, match="^cannot read .* as a complex array$") as refused:
+        cs.Gram(matrix)
+    assert refused.value.residual == np.inf
+    with pytest.raises(ScenarioValidationError, match="^matrix: cannot read .* complex array$"):
+        cs.GramSpec("explicit", matrix=matrix)
+
+
+def test_gram_specs_are_values():
+    eye = cs.GramSpec("explicit", matrix=np.eye(2))
+    assert eye == cs.GramSpec("explicit", matrix=[[1, 0], [0, 1]])
+    assert hash(eye) == hash(cs.GramSpec("explicit", matrix=[[1, 0], [0, 1]]))
+    assert eye != cs.GramSpec("explicit", matrix=np.eye(2).reshape(1, 4))  # same bytes, not shape
+    assert eye != cs.GramSpec("explicit", matrix=np.ones((2, 2)))
+    assert cs.GramSpec("uniform", g=0.5) == cs.GramSpec("uniform", g=np.float64(0.5))
+    assert len({cs.GramSpec("uniform", g=0.5), cs.GramSpec("uniform", g=0.25), eye}) == 3
+    assert eye != cs.GramSpec("uniform", g=0.5) and eye != "explicit"
+    source = np.eye(2)
+    spec = cs.GramSpec("explicit", matrix=source)
+    source[0, 1] = 0.5  # the spec holds its own read-only copy
+    assert spec == eye and not spec.matrix.flags.writeable
+
+
 def test_validate_gram_rejects_bad_matrices():
     with pytest.raises(InvalidGramMatrix):
         cs.Gram(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
@@ -15,6 +15,7 @@ from csm_sim.errors import (
     InitialMismatch,
     InvalidDistribution,
     LengthMismatch,
+    ScenarioValidationError,
     ZeroProbabilityPath,
 )
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
@@ -268,12 +269,29 @@ def test_draws_never_return_zero_weight_outcome(weights, u, expected):
     assert paths.tolist() == [[0, expected]]
 
 
+# Dims around the kernel's padded column width W, the least power of two >= dim:
+# W = dim at 16, 64 and 256, where the bisection cannot reach the last entry.
+WIDTH_BOUNDARY_DIMS = (15, 16, 17, 63, 64, 65, 255, 256, 257)
+
+
+def _at_every_width_boundary(**fixed):
+    """Hypothesis examples that run a property once at each of ``WIDTH_BOUNDARY_DIMS``."""
+
+    def decorate(test):
+        for dim in WIDTH_BOUNDARY_DIMS:
+            test = example(seed=dim, dim=dim, **fixed)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    dim=st.integers(2, 8),
+    dim=st.one_of(st.integers(2, 8), st.sampled_from(WIDTH_BOUNDARY_DIMS)),
     steps=st.integers(1, 4),
 )
+@_at_every_width_boundary(steps=2)
 def test_block_kernel_matches_scalar_draws(seed, dim, steps):
     # Referee for the ensemble kernel: on identical uniforms it must reproduce
     # the scalar inverse-CDF draw sample for sample, at every step.  Uniforms
@@ -282,7 +300,7 @@ def test_block_kernel_matches_scalar_draws(seed, dim, steps):
     protocol = _haar_protocol(seed, dim, steps)
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     rng = np.random.default_rng(seed)
-    n = 8 * dim
+    n = 8 * min(dim, 8)
     paths = np.empty((steps + 1, n), dtype=np.intp)
     paths[0] = protocol.initial.index
     uniforms = np.empty((steps, n))
@@ -294,6 +312,31 @@ def test_block_kernel_matches_scalar_draws(seed, dim, steps):
             paths[s + 1, i] = _draw_index(col, uniforms[s, i])
     initial = np.full(n, protocol.initial.index, dtype=np.intp)
     np.testing.assert_array_equal(_sample_paths(cums, initial, uniforms), paths.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.one_of(st.integers(1, 8), st.sampled_from(WIDTH_BOUNDARY_DIMS)),
+)
+@_at_every_width_boundary()
+def test_block_kernel_never_draws_a_zero_weight_outcome_at_any_width(seed, dim):
+    # Columns with zero-weight runs, trailing ones included, so the cap at the
+    # last supported outcome binds; up to 8 columns are each drawn on every
+    # entry of the column, just past its total, and 0.0.
+    rng = np.random.default_rng(seed)
+    weights = rng.random((dim, dim)) * (rng.random((dim, dim)) < rng.random())
+    weights[rng.integers(dim, size=dim), np.arange(dim)] = 1.0  # no empty column
+    cum = np.cumsum(weights / weights.sum(axis=0), axis=0)
+    picked = rng.choice(dim, size=min(dim, 8), replace=False)
+    state = np.repeat(picked, dim + 2)
+    columns = cum[:, picked].T
+    past_total = np.nextafter(columns[:, -1:], 2.0)
+    pool = np.concatenate([columns, past_total, np.zeros_like(past_total)], axis=1)
+    u = pool.ravel()
+    drawn = _sample_paths([cum], state, [u])[:, 1]
+    assert drawn.tolist() == [_draw_index(cum[:, j], v) for j, v in zip(state, u)]
+    assert np.all(weights[drawn, state] > 0.0)
 
 
 def test_mean_entropy_production_shannon_identity_within_errorbars():
@@ -309,6 +352,34 @@ def test_mean_entropy_production_rejects_zero_samples():
         cs.mean_entropy_production(balanced_protocol(), 0, 1)
     with pytest.raises(CountOutOfRange, match="n_samples must be >= 1, got -3"):
         cs.mean_entropy_production(balanced_protocol(), -3, 1)
+
+
+@pytest.mark.parametrize(
+    "n_samples, seed, field, reason",
+    [
+        (True, 1, "n_samples", "expected an integer, got True"),
+        (1.5, 1, "n_samples", "expected an integer, got 1.5"),
+        ("10", 1, "n_samples", "expected an integer, got '10'"),
+        (10, -1, "seed", "must be >= 0, got -1"),
+        (10, 1.5, "seed", "expected an integer, got 1.5"),
+        (10, False, "seed", "expected an integer, got False"),
+    ],
+)
+def test_mean_entropy_production_refuses_a_count_or_seed_that_is_no_integer(
+    n_samples, seed, field, reason
+):
+    # True once gave stats whose sample_count was True; -1 and 1.5 ended in
+    # numpy's bare ValueError and TypeError
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.mean_entropy_production(balanced_protocol(), n_samples, seed)
+    assert (caught.value.field, caught.value.reason) == (field, reason)
+
+
+def test_mean_entropy_production_reads_numpy_integers_as_plain_ints():
+    stats = cs.mean_entropy_production(balanced_protocol(), np.int64(10), np.uint8(3))
+    plain = cs.mean_entropy_production(balanced_protocol(), 10, 3)
+    assert type(stats.sample_count) is int
+    assert stats.mean_entropy_production == plain.mean_entropy_production
 
 
 def test_exhaustive_balanced_equals_log2():
