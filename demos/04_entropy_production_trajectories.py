@@ -5,8 +5,8 @@ resulting record is a trajectory.  Comparing each trajectory's probability
 with that of its time-reversed partner (whose final outcome is drawn from
 the unread-outcome marginal) gives a per-trajectory entropy production,
 and its ensemble average is exactly the Shannon entropy of the final
-outcome distribution.  A brute-force enumeration of every path confirms
-the sampled estimate.
+outcome distribution.  The exact mean over every path, one pass over the
+protocol's step tables, confirms the sampled estimate.
 """
 
 import numpy as np

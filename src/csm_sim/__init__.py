@@ -18,7 +18,6 @@ from .errors import (
     CountOutOfRange,
     CsmSimError,
     DimensionMismatch,
-    EnumerationTooLarge,
     IndexOutOfRange,
     InitialMismatch,
     InternalConsistencyError,

@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--exhaustive",
         action="store_true",
-        help="enumerate every path exactly instead of sampling",
+        help="average over every path exactly instead of sampling",
     )
     run_p.add_argument("--out", help="write the report here instead of stdout")
 

@@ -57,10 +57,6 @@ class ZeroProbabilityPath(CsmSimError, ValueError):
     """Entropy production is undefined on a forward path of probability zero."""
 
 
-class EnumerationTooLarge(CsmSimError, ValueError):
-    """Exact path enumeration would exceed the path-count bound."""
-
-
 class InternalConsistencyError(CsmSimError, RuntimeError):
     """A computed quantity violates a property it must satisfy by construction.
 

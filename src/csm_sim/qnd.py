@@ -196,9 +196,9 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     unit norm within ``METER_TOL``; the returned vector holds amplitude
     ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``.
     """
-    meters = np.asarray(meters, dtype=complex)
-    if meters.ndim != 2:
-        raise InvalidMeterStates(f"meter states must form a matrix, got shape {meters.shape}")
+    meters = _complex_array(meters, InvalidMeterStates)
+    if meters.ndim != 2 or meters.size == 0:
+        raise InvalidMeterStates(f"meter states must form a non-empty matrix, not {meters.shape}")
     if not np.max(np.abs(np.linalg.norm(meters, axis=0) - 1.0)) <= METER_TOL:
         raise InvalidMeterStates("meter states must have unit norm")
     m_dim, n = meters.shape
@@ -277,8 +277,16 @@ def meter_chain_reduced_state(
 
 
 def _finite(rho: np.ndarray) -> np.ndarray:
-    """``rho`` as an array; a computed density matrix with a non-finite entry is a library fault."""
-    rho = np.asarray(rho)
+    """``rho`` as a non-empty square float64 matrix, or complex128 if complex; a computed
+    density matrix with a non-finite entry is a library fault."""
+    try:
+        rho = np.asarray(rho)
+    except (TypeError, ValueError):  # ragged rows
+        raise DimensionMismatch(f"cannot read {rho!r:.60} as a matrix") from None
+    kind, shape = rho.dtype.kind, rho.shape
+    if not (kind in "iufc" and len(shape) == 2 and shape[0] == shape[1] > 0):
+        raise DimensionMismatch(f"need a non-empty square numeric matrix, got {rho.dtype} {shape}")
+    rho = rho.astype(complex if kind == "c" else float, copy=False)  # the precisions linalg reads
     if not np.isfinite(rho).all():
         raise InternalConsistencyError("density matrix has a non-finite entry")
     return rho

@@ -191,7 +191,7 @@ def run_scenario(
 
     Covers the exact return probabilities for every context change in the
     protocol, the meter quantities if a meter is configured, the trajectory
-    ensemble (Monte Carlo, or exact enumeration when ``exhaustive``), and
+    ensemble (Monte Carlo, or exact over every path when ``exhaustive``), and
     the configured sweep grids.  Deterministic given (scenario, seed,
     n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
     """

@@ -16,9 +16,9 @@ symmetric, the conditional factors cancel pairwise and the log-ratio
 telescopes to -log of the reference weight of the realized final outcome;
 both routes are evaluated and cross-checked.  Averaged over trajectories,
 the entropy production is the Shannon entropy of the final outcome
-distribution.  Sampled or enumerated over every path, an ensemble is one
-``TrajectoryEnsembleStats``, whose ``mode`` says which; an enumerated one
-counts its paths as ``sample_count``, with ``std_error`` 0.
+distribution.  Sampled, or exact over every path, an ensemble is one
+``TrajectoryEnsembleStats``, whose ``mode`` says which; the exact one is one
+pass over the step tables that builds no path, so no protocol is too long.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     CountOutOfRange,
     DimensionMismatch,
-    EnumerationTooLarge,
     InitialMismatch,
     InternalConsistencyError,
     LengthMismatch,
@@ -39,9 +38,6 @@ from .errors import (
 )
 from .hilbert import Context, Modality, _integer, check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
-
-# Keep the exhaustive oracle at desk scale.
-MAX_ENUMERATED_PATHS = 100_000
 
 # Two evaluation routes of the same log-ratio must agree to this.
 CROSS_CHECK_TOL = 1e-12
@@ -106,7 +102,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectoryEnsembleStats:
-    """Summary of a trajectory ensemble; ``mode`` is ``"monte_carlo"`` or ``"exhaustive"``."""
+    """Summary of a trajectory ensemble; ``mode`` is ``"monte_carlo"`` or ``"exhaustive"``.
+
+    ``sample_count`` counts the trajectories drawn, or the exact ensemble's paths."""
 
     mode: str
     sample_count: int
@@ -135,8 +133,8 @@ def _reference(protocol: Protocol, final_dist) -> np.ndarray:
     return final_dist
 
 
-def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step probabilities, shape (n_paths, len - 1), and log-probability of each forward path.
+def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> np.ndarray:
+    """Log-probability of each forward path.
 
     ``paths`` is an (n_paths, len) table of outcome sequences; step ``s`` reads
     entry (next, previous) of ``protocol.steps[s]``.
@@ -145,7 +143,7 @@ def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> tuple[np.ndarra
     for s, t in enumerate(protocol.steps):
         steps[:, s] = t[paths[:, s + 1], paths[:, s]]
     with np.errstate(divide="ignore"):
-        return steps, np.log(steps).sum(axis=1)
+        return np.log(steps).sum(axis=1)
 
 
 def _backward_log_probs(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -164,14 +162,14 @@ def _backward_log_probs(protocol: Protocol, paths: np.ndarray, reference: np.nda
 
 
 def _log_ratios(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> tuple:
-    """Step probabilities, forward log-probability and entropy production of every path.
+    """Forward log-probability and entropy production of every path.
 
     Entropy production is the telescoped form, -log of the reference weight of
     the final outcome; forward minus backward log-probability must match it to
     ``CROSS_CHECK_TOL`` on every path of positive forward probability, the
     others read NaN (undefined).
     """
-    steps, fwd = _forward_log_probs(protocol, paths)
+    fwd = _forward_log_probs(protocol, paths)
     weights = reference.tolist()
     telescoped = np.array([-math.log(w) if w > 0.0 else math.inf for w in weights])[paths[:, -1]]
     live = fwd > -math.inf
@@ -181,7 +179,7 @@ def _log_ratios(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) ->
     if bad.size:
         gap = f"{difference[bad[0]]:.17g} vs {telescoped[bad[0]]:.17g}"
         raise InternalConsistencyError(f"entropy production routes disagree: {gap}")
-    return steps, fwd, np.where(live, telescoped + 0.0, np.nan)
+    return fwd, np.where(live, telescoped + 0.0, np.nan)
 
 
 def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
@@ -193,7 +191,7 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     on forward paths of probability zero.
     """
     path = _check_outcomes(protocol, outcomes)
-    _, fwd, delta = _log_ratios(protocol, path, _reference(protocol, final_dist))
+    fwd, delta = _log_ratios(protocol, path, _reference(protocol, final_dist))
     if fwd[0] == -math.inf:
         raise ZeroProbabilityPath("forward path has probability zero")
     return float(delta[0])
@@ -206,12 +204,14 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     conditioned on the previous one, by inverse CDF over outcome index.
     Entropy production is evaluated against the exact final marginal, i.e.
     the unread-outcome reference; a drawn path never has probability zero.
+    ``seed`` is an integer >= 0, or a tuple of them, such as ``(2024, i)``.
     """
+    parts = seed if isinstance(seed, tuple) else (seed,)  # n and (n,) seed the same stream
+    rng = np.random.default_rng([_integer("seed", part, 0) for part in parts])
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]
-    rng = np.random.default_rng(seed)
     initial = np.array([protocol.initial.index], dtype=np.intp)
     path = _sample_paths(cums, initial, (rng.random(1) for _ in cums))
-    _, fwd, delta = _log_ratios(protocol, path, protocol.marginal)
+    fwd, delta = _log_ratios(protocol, path, protocol.marginal)
     return Trajectory(tuple(path[0].tolist()), float(fwd[0]), float(delta[0]))
 
 
@@ -310,46 +310,39 @@ def mean_entropy_production(
     mean = math.fsum((c * deltas).tolist()) / n_samples
     variance = math.fsum((c * (deltas - mean) ** 2).tolist()) / max(n_samples - 1, 1)
     std_error = math.sqrt(variance / n_samples)
-    return TrajectoryEnsembleStats(
-        mode="monte_carlo",
-        sample_count=n_samples,
-        mean_entropy_production=mean,
-        std_error=std_error,
-        final_distribution=marginal,
-        shannon_entropy_final=shannon_entropy(marginal),
-    )
+    entropy = shannon_entropy(marginal)
+    return TrajectoryEnsembleStats("monte_carlo", n_samples, mean, std_error, marginal, entropy)
 
 
 def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats:
-    """Exact expected entropy production by enumerating every path.
+    """Exact mean entropy production over all ``dim ** (len - 1)`` paths, building none.
 
-    Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
-    cross-checked forward/backward evaluation, so this is the referee for
-    the sampled estimate.  A path's probability is the in-order product of
-    its step probabilities; paths with a zero-probability step contribute
-    nothing.  Refuses tables of more than ``MAX_ENUMERATED_PATHS`` paths.
-    ``mode`` is ``"exhaustive"``, ``sample_count`` the path count, ``std_error``
-    0, and ``final_distribution`` the path-weighted histogram of final outcomes.
+    A path's entropy production is -log marginal[final], so the mean is the fsum of
+    marginal · -log marginal.  The cross-check of :func:`entropy_production` covers
+    every live path (each step of positive weight): its forward-minus-backward gap is a sum
+    of per-step terms ``log T_s[j', j] - log T'_s[j, j']``, with ``T'_s`` the backward table
+    ``transition_matrix(contexts[s + 1], contexts[s])``, and a max-plus and a min-plus pass
+    bound that sum over the live paths in O(len · dim²).  ``sample_count`` is the path
+    count, ``std_error`` 0 and ``final_distribution`` the exact ``protocol.marginal``.
     """
-    n_steps = len(protocol) - 1
-    dim = protocol.dim
-    path_count = dim**n_steps
-    if path_count > MAX_ENUMERATED_PATHS:
-        raise EnumerationTooLarge(
-            f"{path_count} paths exceed the enumeration bound {MAX_ENUMERATED_PATHS}"
-        )
-    marginal = protocol.marginal
-    paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
-    paths[:, 0] = protocol.initial.index
-    paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
-    steps, fwd, delta = _log_ratios(protocol, paths, marginal)
-    prob = np.ones(path_count)
-    for column in steps.T:
-        prob = prob * column
-    live = fwd > -math.inf
-    mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
-    final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
-    return TrajectoryEnsembleStats("exhaustive", path_count, mean, 0.0, final, shannon_entropy(marginal))
+    c, marginal = protocol.contexts, protocol.marginal
+    reached = np.arange(protocol.dim) == protocol.initial.index
+    hi = lo = np.zeros(protocol.dim)  # extreme gap sums over the live paths to each outcome
+    for s, t in enumerate(protocol.steps):
+        live = (t > 0.0) & reached  # (next, previous); masked, so no gap reads log 0 - log 0
+        gap = np.zeros_like(t)
+        with np.errstate(divide="ignore"):
+            gap[live] = np.log(t[live]) - np.log(transition_matrix(c[s + 1], c[s]).T[live])
+        reached = live.any(axis=1)
+        hi = np.where(reached, np.where(live, hi + gap, -np.inf).max(axis=1), 0.0)
+        lo = np.where(reached, np.where(live, lo + gap, np.inf).min(axis=1), 0.0)
+    worst = float(np.max(np.abs([hi, lo])))
+    if not worst <= CROSS_CHECK_TOL:
+        raise InternalConsistencyError(f"entropy production routes disagree by {worst:.17g}")
+    p = marginal[marginal > 0.0]
+    mean = math.fsum((p * -np.log(p)).tolist()) + 0.0
+    paths, entropy = protocol.dim ** (len(protocol) - 1), shannon_entropy(marginal)
+    return TrajectoryEnsembleStats("exhaustive", paths, mean, 0.0, marginal, entropy)
 
 
 def shannon_entropy(dist: np.ndarray) -> float:

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 import csm_sim as cs
 from csm_sim.hilbert import INPUT_TOL, clamp_probabilities
 from csm_sim.measurement import validate_distribution
-from csm_sim.trajectory import _backward_log_probs, _check_outcomes, _forward_log_probs, _reference
+from csm_sim.trajectory import _backward_log_probs, _check_outcomes, _forward_log_probs
+from csm_sim.trajectory import _log_ratios, _reference
 
 
 @pytest.fixture
@@ -92,13 +95,41 @@ def marginal_referee(protocol: cs.Protocol) -> np.ndarray:
 
 def forward_log_prob(protocol: cs.Protocol, outcomes) -> float:
     """Log-probability of an outcome sequence under the forward protocol (checked sequence)."""
-    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[1][0])
+    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[0])
 
 
 def backward_log_prob(protocol: cs.Protocol, outcomes, final_dist) -> float:
     """Log-probability of the time-reversed path, its final outcome drawn from ``final_dist``."""
     path = np.array([outcomes], dtype=np.intp)
     return float(_backward_log_probs(protocol, path, _reference(protocol, final_dist))[0])
+
+
+def enumerated_ensemble(protocol: cs.Protocol) -> cs.TrajectoryEnsembleStats:
+    """Exact ensemble by enumerating every path, the route ``exhaustive_entropy_production`` replaced.
+
+    Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
+    cross-checked forward/backward evaluation.  A path's probability is the
+    in-order product of its step probabilities; paths with a zero-probability
+    step contribute nothing.  ``final_distribution`` is the path-weighted
+    histogram of final outcomes.  Memory grows with the path count: desk scale only.
+    """
+    n_steps = len(protocol) - 1
+    dim = protocol.dim
+    path_count = dim**n_steps
+    marginal = protocol.marginal
+    paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
+    paths[:, 0] = protocol.initial.index
+    paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
+    fwd, delta = _log_ratios(protocol, paths, marginal)
+    prob = np.ones(path_count)
+    for s, t in enumerate(protocol.steps):
+        prob = prob * t[paths[:, s + 1], paths[:, s]]
+    live = fwd > -math.inf
+    mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
+    final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
+    return cs.TrajectoryEnsembleStats(
+        "exhaustive", path_count, mean, 0.0, final, cs.shannon_entropy(marginal)
+    )
 
 
 def partial_trace_meter(rho: np.ndarray, n: int, m: int) -> np.ndarray:

@@ -146,7 +146,7 @@ def test_criterion_05_shannon_identity_exact():
         worst = max(worst, abs(exact.mean_entropy_production - target))
         assert exact.sample_count <= 3**4
     ok = worst <= tol
-    _line(5, "enumerated mean entropy production equals final Shannon entropy",
+    _line(5, "exact mean entropy production equals final Shannon entropy",
           ok, f"max dev {worst:.3e} over {len(_small_protocols())} protocols (tol {tol:.0e})")
     assert worst <= tol
 

@@ -45,7 +45,7 @@ def test_run_exhaustive_flag(tmp_path):
         assert main(argv) == 0
         report = json.loads(out.read_text())
         assert report["results"]["ensemble"]["mode"] == "exhaustive"
-        # nothing is sampled; the ensemble counts the enumerated paths
+        # nothing is sampled; the ensemble counts the paths it averages over
         assert report["n_samples"] == 0
         steps = len(report["scenario"]["protocol"]["sequence"]) - 1
         assert report["results"]["ensemble"]["sample_count"] == report["scenario"]["dim"] ** steps
@@ -70,7 +70,8 @@ def test_run_negative_seed_is_usage_error(capsys):
     assert captured.out == ""
 
 
-def test_run_exhaustive_past_path_bound_is_domain_error(tmp_path, capsys):
+def test_run_exhaustive_serves_the_former_path_bound(tmp_path, capsys):
+    # 8**7 paths, past the 100,000 an enumeration once refused
     doc = {
         "schema_version": 1,
         "dim": 8,
@@ -79,11 +80,13 @@ def test_run_exhaustive_past_path_bound_is_domain_error(tmp_path, capsys):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--exhaustive"]) == 1
+    assert main(["run", str(path), "--exhaustive"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "enumeration bound" in captured.err
+    assert captured.err == ""
+    ensemble = json.loads(captured.out)["results"]["ensemble"]
+    assert ensemble["mode"] == "exhaustive"
+    assert ensemble["sample_count"] == 8**7
+    assert abs(ensemble["mean_entropy_production"] - ensemble["shannon_entropy_final"]) <= 1e-12
 
 
 def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import CsmSimError
-from csm_sim.qnd import build_gram
+from csm_sim.qnd import build_gram, density_matrix_residuals
 
 # Counts and seeds: bools, floats (NaN and inf included), negatives, strings, small integers.
 NUMBERS = st.one_of(
@@ -21,12 +21,14 @@ NUMBERS = st.one_of(
     st.sampled_from([np.float64(2.0), np.int64(3), None]),
 )
 ENTRIES = st.one_of(st.floats(-2, 2), st.text(max_size=2), st.booleans(), st.none())
-# Matrices: strings, ragged and empty nestings, and arrays of every rank up to 3.
+# Matrices: strings, ragged and empty nestings, arrays of every rank up to 3, and
+# precisions numpy's linalg does not read.
 MATRICES = st.one_of(
     st.text(max_size=4),
     st.lists(st.lists(ENTRIES, max_size=3), max_size=3),
     st.sampled_from([[], [[]], np.zeros((0, 0)), np.zeros(2), np.eye(2), np.ones((2, 2, 2))]),
     st.sampled_from([1.0, np.nan * np.eye(2), np.array([["a", "b"], ["c", "d"]], dtype=object)]),
+    st.sampled_from([np.eye(2, dtype=np.float16), np.eye(2, dtype=np.longdouble) / 2]),
 )
 
 
@@ -46,6 +48,8 @@ def _protocol():
 @given(count=NUMBERS, seed=NUMBERS)
 def test_counts_and_seeds_end_in_a_domain_error(count, seed):
     protocol = _protocol()
+    returns_or_refuses(lambda: cs.sample_trajectory(protocol, seed))
+    returns_or_refuses(lambda: cs.sample_trajectory(protocol, (count, seed)))
     returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, seed))
     returns_or_refuses(lambda: cs.mean_entropy_production(protocol, 10, seed))
     returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, 0))
@@ -60,3 +64,7 @@ def test_matrices_end_in_a_domain_error(matrix, dim):
     returns_or_refuses(lambda: cs.Gram(matrix))
     returns_or_refuses(lambda: cs.build_context(cs.ContextSpec("explicit", dim, matrix=matrix)))
     returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=matrix), dim))
+    initial = cs.computational_context(dim).modality(0)
+    returns_or_refuses(lambda: cs.entangle(initial, cs.fourier_context(dim), matrix))
+    returns_or_refuses(lambda: cs.von_neumann_entropy(matrix))
+    returns_or_refuses(lambda: density_matrix_residuals(matrix))

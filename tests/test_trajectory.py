@@ -13,13 +13,15 @@ from csm_sim.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InitialMismatch,
+    InternalConsistencyError,
     InvalidDistribution,
     LengthMismatch,
     ScenarioValidationError,
     ZeroProbabilityPath,
 )
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
-from conftest import backward_log_prob, born, forward_log_prob, marginal_referee, point_mass
+from conftest import backward_log_prob, born, enumerated_ensemble, forward_log_prob
+from conftest import marginal_referee, point_mass
 
 
 def balanced_protocol():
@@ -229,6 +231,30 @@ def test_sample_trajectory_nonnegative_entropy():
         assert trajectory.forward_log_prob <= 0.0
 
 
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        (True, "expected an integer, got True"),
+        (-1, "must be >= 0, got -1"),
+        (1.5, "expected an integer, got 1.5"),
+        ("3", "expected an integer, got '3'"),
+        ((17, -1), "must be >= 0, got -1"),
+        ((17, 1.5), "expected an integer, got 1.5"),
+    ],
+)
+def test_sample_trajectory_refuses_a_seed_that_is_no_integer(seed, reason):
+    # True once seeded a trajectory; -1, 1.5 and "3" ended in numpy's bare errors
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.sample_trajectory(balanced_protocol(), seed)
+    assert (caught.value.field, caught.value.reason) == ("seed", reason)
+
+
+def test_sample_trajectory_reads_a_tuple_seed_element_wise():
+    protocol = balanced_protocol()
+    assert cs.sample_trajectory(protocol, (17, np.int64(3))) == cs.sample_trajectory(protocol, (17, 3))
+    assert cs.sample_trajectory(protocol, np.uint8(11)) == cs.sample_trajectory(protocol, 11)
+
+
 def test_final_marginal_balanced():
     np.testing.assert_allclose(balanced_protocol().marginal, [0.5, 0.5], atol=1e-12)
 
@@ -418,15 +444,17 @@ def test_sampled_and_enumerated_ensembles_share_one_type(seed, dim, length, n_sa
     assert exact.sample_count == dim ** (length - 1)
     assert exact.std_error == 0.0
     assert exact.shannon_entropy_final == sampled.shannon_entropy_final
-    # the exact marginal for Monte Carlo, the enumerated histogram for exhaustive
-    np.testing.assert_allclose(exact.final_distribution, sampled.final_distribution, rtol=0, atol=1e-12)
+    # both report the exact marginal the protocol holds
+    assert exact.final_distribution is sampled.final_distribution is protocol.marginal
 
 
-def test_exhaustive_path_cap():
+def test_exhaustive_serves_the_former_path_bound():
+    # 8**7 paths, past the 100,000 an enumeration once refused
     ctx = cs.computational_context(8)
     protocol = cs.Protocol((ctx,) * 8, ctx.modality(0))
-    with pytest.raises(ValueError):
-        cs.exhaustive_entropy_production(protocol)
+    stats = cs.exhaustive_entropy_production(protocol)
+    assert stats.sample_count == 8**7 and type(stats.sample_count) is int
+    assert abs(stats.mean_entropy_production - stats.shannon_entropy_final) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,11 +474,12 @@ def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
     contexts.insert(stall % steps, z)
     protocol = cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
     stats = cs.exhaustive_entropy_production(protocol)
+    referee = enumerated_ensemble(protocol)
     marginal = protocol.marginal
     assert stats.sample_count == dim ** (len(protocol) - 1)
     assert stats.mean_entropy_production == pytest.approx(cs.shannon_entropy(marginal), abs=1e-12)
     np.testing.assert_allclose(stats.final_distribution, marginal, atol=1e-12)
-    # the path-by-path loop the table replaced: in-order products, zero paths skipped
+    # the path-by-path loop the path table replaced: in-order products, zero paths skipped
     tms = protocol.steps
     contributions = []
     for tail in itertools.product(range(dim), repeat=len(tms)):
@@ -458,7 +487,89 @@ def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
         probs = [t[j, i] for t, i, j in zip(tms, path, path[1:])]
         if all(p > 0.0 for p in probs):
             contributions.append(math.prod(probs) * cs.entropy_production(protocol, path, marginal))
-    assert stats.mean_entropy_production == math.fsum(contributions)
+    assert referee.mean_entropy_production == math.fsum(contributions)
+    # the one pass over the step tables against the path table
+    assert abs(stats.mean_entropy_production - referee.mean_entropy_production) <= 1e-14
+    assert np.max(np.abs(stats.final_distribution - referee.final_distribution)) <= 1e-14
+
+
+def _stalled_protocol(seed, dim, n_contexts, stall):
+    """Haar contexts with the computational one repeated somewhere: a step whose every
+    off-diagonal move has probability exactly zero."""
+    rng = np.random.default_rng(seed)
+    z = cs.computational_context(dim)
+    contexts = [cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, n_contexts - 2)]
+    at = stall % (n_contexts - 1)
+    contexts[at:at] = [z, z]
+    return cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(2, 6),
+    n_contexts=st.integers(2, 6),
+    stall=st.integers(0, 5),
+)
+def test_exhaustive_pass_matches_the_path_table(seed, dim, n_contexts, stall):
+    protocol = _stalled_protocol(seed, dim, n_contexts, stall)
+    assert dim ** (n_contexts - 1) <= 10**5  # the referee enumerates every path
+    stats = cs.exhaustive_entropy_production(protocol)
+    referee = enumerated_ensemble(protocol)
+    assert stats.final_distribution is protocol.marginal
+    assert stats.sample_count == referee.sample_count
+    assert abs(stats.mean_entropy_production - referee.mean_entropy_production) <= 1e-14
+    assert np.max(np.abs(stats.final_distribution - referee.final_distribution)) <= 1e-14
+
+
+def _backward_off_by_1e9(monkeypatch, protocol, step, previous, following):
+    """Move entry (previous, following) of the backward route's table of ``step`` by 1e-9.
+
+    Patched once the protocol holds its forward tables, so only the backward route reads it.
+    """
+    real = csm_sim.trajectory.transition_matrix
+    c = protocol.contexts
+
+    def perturbed(frm, to):
+        table = real(frm, to)
+        if frm is c[step + 1] and to is c[step]:
+            table = table.copy()
+            table[previous, following] += 1e-9
+        return table
+
+    monkeypatch.setattr(csm_sim.trajectory, "transition_matrix", perturbed)
+
+
+def _stalled_qutrit():
+    # step 0 stays in z, so every path reaches outcome 0 of context 1 and no other
+    z = cs.computational_context(3)
+    return cs.Protocol((z, z, cs.haar_context(3, 5)), z.modality(0))
+
+
+def test_cross_check_refuses_a_backward_route_off_on_a_live_step(monkeypatch):
+    protocol = _stalled_qutrit()
+    assert protocol.steps[1][0, 0] > 0.0
+    _backward_off_by_1e9(monkeypatch, protocol, 1, 0, 0)
+    with pytest.raises(InternalConsistencyError, match="entropy production routes disagree"):
+        cs.entropy_production(protocol, (0, 0, 0), protocol.marginal)
+    with pytest.raises(InternalConsistencyError, match="entropy production routes disagree"):
+        cs.exhaustive_entropy_production(protocol)
+
+
+@pytest.mark.parametrize(
+    "step, previous, following",
+    [(0, 0, 1), (1, 1, 0)],
+    ids=["zero-weight step", "unreached outcome"],
+)
+def test_cross_check_ignores_a_backward_route_off_where_no_path_goes(
+    monkeypatch, step, previous, following
+):
+    protocol = _stalled_qutrit()
+    clean = cs.exhaustive_entropy_production(protocol)
+    _backward_off_by_1e9(monkeypatch, protocol, step, previous, following)
+    assert cs.exhaustive_entropy_production(protocol) == clean
+    for last in range(3):
+        cs.entropy_production(protocol, (0, 0, last), protocol.marginal)
 
 
 def test_exhaustive_marginal_matches_propagation():

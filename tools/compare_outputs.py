@@ -138,9 +138,9 @@ REFUSALS = [
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_G),
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_PHASE),
     ("unread_explicit_off_by_1e-8", _unread_explicit_off_by_1e8, SWEEP_G),
-    # an enumeration ignores the sample count, but not a negative one
+    # an exact ensemble ignores the sample count, but not a negative one
     ("unedited", _unedited, ["run", "--exhaustive", "--trajectories", "-1"]),
-    # a sample is needed unless the run enumerates, and a sweep grid must lie in its domain
+    # a sample is needed unless the run is exhaustive, and a sweep grid must lie in its domain
     ("unedited", _unedited, ["run", "--trajectories", "0"]),
     ("unedited", _unedited, ["sweep", "--param", "g", "--from", "0", "--to", "2", "--steps", "3"]),
     (
