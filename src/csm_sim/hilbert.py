@@ -14,7 +14,7 @@ label chosen at construction time.
 its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  ``_number`` and ``is_integer`` here own "finite real" and
 "integer, not a bool" for every recipe, document field, grid, index and count, and
-``_complex_array`` reads every caller's matrix.
+``_read_array`` reads every caller's matrix and vector.
 """
 
 from __future__ import annotations
@@ -63,13 +63,16 @@ def check_index(what: str, index, dim: int) -> None:
         raise IndexOutOfRange(f"{what} {index} not in [0, {dim})")
 
 
-def _complex_array(value, refuse) -> np.ndarray:
-    """A new complex array of ``value``, or the domain error ``refuse(reason)`` if numpy cannot
-    read one (a malformed string entry, ragged rows, an object with no complex value)."""
+def _read_array(value, refuse, dtype=complex) -> np.ndarray:
+    """A new ``dtype`` (complex or float) array of ``value``, or the domain error
+    ``refuse(reason)`` if numpy cannot read one (a malformed string entry, ragged rows, an
+    object with no such value, an integer past a double, a complex value read as real)."""
     try:
-        return np.array(value, dtype=complex)
-    except (TypeError, ValueError):
-        raise refuse(f"cannot read {value!r:.60} as a complex array") from None
+        if dtype is complex or np.isrealobj(value):
+            return np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise refuse(f"cannot read {value!r:.60} as a {dtype.__name__} array")
 
 
 def _identity_residual(product: np.ndarray) -> float:
@@ -117,7 +120,7 @@ class Context:
     _returns: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        basis = _complex_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
+        basis = _read_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
         if basis.shape[0] < 2:
@@ -294,7 +297,7 @@ class ContextSpec(_Recipe):
         if self.kind == "haar":
             object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         if self.kind == "explicit":
-            matrix = _complex_array(
+            matrix = _read_array(
                 self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
             )
             # the parser's texts, which it gives while it reads a file's rows

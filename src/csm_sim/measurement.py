@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution
-from .hilbert import INPUT_TOL, Context, Modality, check_index, clamp_probabilities
+from .errors import DimensionMismatch, InvalidDistribution, ScenarioValidationError
+from .hilbert import INPUT_TOL, Context, Modality, _read_array, check_index, clamp_probabilities
 
 
 def validate_distribution(dist: np.ndarray) -> np.ndarray:
     """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, snapped into [0, 1]."""
-    dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 1:
-        raise InvalidDistribution(f"distribution must be a vector, got shape {dist.shape}")
+    dist = _read_array(dist, InvalidDistribution, float)
+    if dist.ndim != 1 or not dist.size:
+        raise InvalidDistribution(f"need a non-empty vector of weights, got shape {dist.shape}")
     # written so that NaN, which fails every comparison, lands on the raising branch
     if not (float(np.min(dist)) >= -INPUT_TOL and float(np.max(dist)) <= 1.0 + INPUT_TOL):
         raise InvalidDistribution("weights outside [0, 1]")
@@ -89,11 +89,11 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     table of path products holds the N paths from outcome i back to outcome
     k.  All phases zero reduces to :func:`reversible_return`.
     """
-    phases = np.asarray(phases, dtype=float)
+    phases = _read_array(phases, lambda reason: ScenarioValidationError("phases", reason), float)
     if phases.shape != (intermediate.dim,):
-        raise DimensionMismatch(
-            f"need {intermediate.dim} phases, got shape {phases.shape}"
-        )
+        raise DimensionMismatch(f"need {intermediate.dim} phases, got shape {phases.shape}")
+    if not np.isfinite(phases).all():
+        raise ScenarioValidationError("phases", f"expected finite numbers, got {phases.tolist()}")
     ctx = initial.context
     # paths[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩; the overlaps raise on a dim mismatch
     paths = ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]

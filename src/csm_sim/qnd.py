@@ -44,7 +44,7 @@ from .errors import (
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
-from .hilbert import INPUT_TOL, Context, Modality, _complex_array, _integer, _number, _Recipe
+from .hilbert import INPUT_TOL, Context, Modality, _integer, _number, _read_array, _Recipe
 from .hilbert import check_kind, clamp_probabilities, is_integer
 
 # Eigenvalues below this are treated as zero when realizing meter states.
@@ -67,7 +67,7 @@ class Gram:
     eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        matrix = _complex_array(self.matrix, lambda reason: InvalidGramMatrix(reason, np.inf))
+        matrix = _read_array(self.matrix, lambda reason: InvalidGramMatrix(reason, np.inf))
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvalidGramMatrix(f"overlap matrix of shape {matrix.shape} is not square", np.inf)
         if not matrix.size:
@@ -124,7 +124,7 @@ class GramSpec(_Recipe):
                 raise ScenarioValidationError("g", f"strength {g!r} outside [0, 1]")
             object.__setattr__(self, "g", g)
         if self.kind == "explicit":
-            matrix = _complex_array(
+            matrix = _read_array(
                 self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
             )
             matrix.setflags(write=False)
@@ -196,7 +196,7 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     unit norm within ``METER_TOL``; the returned vector holds amplitude
     ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``.
     """
-    meters = _complex_array(meters, InvalidMeterStates)
+    meters = _read_array(meters, InvalidMeterStates)
     if meters.ndim != 2 or meters.size == 0:
         raise InvalidMeterStates(f"meter states must form a non-empty matrix, not {meters.shape}")
     if not np.max(np.abs(np.linalg.norm(meters, axis=0) - 1.0)) <= METER_TOL:
@@ -226,10 +226,12 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
 
 def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
     """A composite state as an N×M matrix: row ``j`` is the meter part of pointer branch ``j``."""
-    state = np.asarray(state, dtype=complex)
+    state = _read_array(state, lambda reason: ScenarioValidationError("state", reason))
     n = pointer.dim
     if state.ndim != 1 or state.size % n != 0 or state.size == 0:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
+    if not np.isfinite(state).all():
+        raise ScenarioValidationError("state", "amplitudes must be finite")
     return state.reshape(n, state.size // n)
 
 

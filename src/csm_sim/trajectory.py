@@ -13,12 +13,17 @@ where the reversed path starts by drawing the final outcome from a
 reference distribution (by default the exact final marginal, i.e. the
 unread-outcome case).  Because single-step transition probabilities are
 symmetric, the conditional factors cancel pairwise and the log-ratio
-telescopes to -log of the reference weight of the realized final outcome;
-both routes are evaluated and cross-checked.  Averaged over trajectories,
-the entropy production is the Shannon entropy of the final outcome
-distribution.  Sampled, or exact over every path, an ensemble is one
-``TrajectoryEnsembleStats``, whose ``mode`` says which; the exact one is one
-pass over the step tables that builds no path, so no protocol is too long.
+telescopes to -log of the reference weight of the realized final outcome,
+which is what every route returns.  One kernel, ``_step_gaps``, cross-checks
+that cancellation: per step, the gap between the log of the forward table
+and of the backward route's own table.  A single path sums its gaps; the
+exact ensemble bounds the sum over every path in one max-plus and one
+min-plus pass.  An entry of forward weight at most ``INPUT_TOL`` is rounding
+residue, as where one context is measured twice, and carries no gap.
+Averaged over trajectories, the entropy production is the Shannon entropy of
+the final outcome distribution.  Sampled, or exact over every path, an
+ensemble is one ``TrajectoryEnsembleStats``, whose ``mode`` says which; the
+exact one builds no path, so no protocol is too long.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from .hilbert import Context, Modality, _integer, check_index, clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _integer, check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
 
 # Two evaluation routes of the same log-ratio must agree to this.
@@ -114,8 +119,8 @@ class TrajectoryEnsembleStats:
     shannon_entropy_final: float
 
 
-def _check_outcomes(protocol: Protocol, outcomes) -> np.ndarray:
-    """A validated outcome sequence of integers, as a one-row path table."""
+def _check_outcomes(protocol: Protocol, outcomes) -> tuple:
+    """A validated outcome sequence of integers."""
     outcomes = tuple(outcomes)
     if len(outcomes) != len(protocol):
         raise LengthMismatch(f"{len(outcomes)} outcomes for {len(protocol)} contexts")
@@ -123,7 +128,7 @@ def _check_outcomes(protocol: Protocol, outcomes) -> np.ndarray:
         check_index("outcome", j, ctx.dim)
     if outcomes[0] != protocol.initial.index:
         raise InitialMismatch(f"sequence starts at {outcomes[0]}, not {protocol.initial.index}")
-    return np.array([outcomes], dtype=np.intp)
+    return outcomes
 
 
 def _reference(protocol: Protocol, final_dist) -> np.ndarray:
@@ -133,68 +138,52 @@ def _reference(protocol: Protocol, final_dist) -> np.ndarray:
     return final_dist
 
 
-def _forward_log_probs(protocol: Protocol, paths: np.ndarray) -> np.ndarray:
-    """Log-probability of each forward path.
+def _step_gaps(protocol: Protocol) -> list[np.ndarray]:
+    """The cross-check kernel: per step ``s``, ``log T_s[j', j] - log T'_s[j, j']`` on live entries.
 
-    ``paths`` is an (n_paths, len) table of outcome sequences; step ``s`` reads
-    entry (next, previous) of ``protocol.steps[s]``.
+    ``T_s`` is ``protocol.steps[s]`` and ``T'_s`` the backward route's own table
+    ``transition_matrix(contexts[s + 1], contexts[s])``; a path's gaps sum to forward
+    minus backward log-probability less the telescoped term, which is 0 in exact
+    arithmetic.  An entry is live when its forward weight exceeds ``INPUT_TOL``; below
+    that it is rounding residue (~1e-33 where one Fourier or Haar context is measured
+    twice), whose log ratio means nothing, and its gap reads 0.
     """
-    steps = np.empty((len(paths), len(protocol) - 1))
+    c, gaps = protocol.contexts, []
     for s, t in enumerate(protocol.steps):
-        steps[:, s] = t[paths[:, s + 1], paths[:, s]]
+        live = t > INPUT_TOL
+        gap = np.zeros_like(t)
+        with np.errstate(divide="ignore"):  # a backward weight of 0 gives an infinite gap
+            gap[live] = np.log(t[live]) - np.log(transition_matrix(c[s + 1], c[s]).T[live])
+        gaps.append(gap)
+    return gaps
+
+
+def _single_path(protocol: Protocol, outcomes: tuple, reference: np.ndarray) -> tuple:
+    """Forward log-probability and cross-checked entropy production of one path."""
+    moves = list(zip(outcomes[1:], outcomes[:-1]))  # (next, previous) per step
     with np.errstate(divide="ignore"):
-        return np.log(steps).sum(axis=1)
-
-
-def _backward_log_probs(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Log-probability of each time-reversed path, a route independent of the forward one.
-
-    The reference weight of the final outcome, then per step ``s`` entry
-    (previous, next) of ``transition_matrix(contexts[s + 1], contexts[s])``.
-    """
-    c = protocol.contexts
-    factors = [reference[paths[:, -1]]] + [
-        transition_matrix(c[s + 1], c[s])[paths[:, s], paths[:, s + 1]]
-        for s in range(len(c) - 2, -1, -1)
-    ]
-    with np.errstate(divide="ignore"):
-        return np.log(factors).sum(axis=0)
-
-
-def _log_ratios(protocol: Protocol, paths: np.ndarray, reference: np.ndarray) -> tuple:
-    """Forward log-probability and entropy production of every path.
-
-    Entropy production is the telescoped form, -log of the reference weight of
-    the final outcome; forward minus backward log-probability must match it to
-    ``CROSS_CHECK_TOL`` on every path of positive forward probability, the
-    others read NaN (undefined).
-    """
-    fwd = _forward_log_probs(protocol, paths)
-    weights = reference.tolist()
-    telescoped = np.array([-math.log(w) if w > 0.0 else math.inf for w in weights])[paths[:, -1]]
-    live = fwd > -math.inf
-    with np.errstate(invalid="ignore"):
-        difference = fwd - _backward_log_probs(protocol, paths, reference)
-    bad = np.flatnonzero(live & ~np.isclose(difference, telescoped, rtol=0.0, atol=CROSS_CHECK_TOL))
-    if bad.size:
-        gap = f"{difference[bad[0]]:.17g} vs {telescoped[bad[0]]:.17g}"
-        raise InternalConsistencyError(f"entropy production routes disagree: {gap}")
-    return fwd, np.where(live, telescoped + 0.0, np.nan)
+        fwd = float(np.log([t[move] for t, move in zip(protocol.steps, moves)]).sum())
+    if fwd == -math.inf:
+        raise ZeroProbabilityPath("forward path has probability zero")
+    gap = sum(float(g[move]) for g, move in zip(_step_gaps(protocol), moves))
+    if not abs(gap) <= CROSS_CHECK_TOL:
+        raise InternalConsistencyError(f"entropy production routes disagree by {gap:.17g}")
+    weight = float(reference[outcomes[-1]])
+    return fwd, -math.log(weight) + 0.0 if weight > 0.0 else math.inf
 
 
 def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     """Log-ratio of forward to backward path probability, in nats.
 
-    Evaluated both as the explicit difference of the two log-probabilities
-    and as -log of the reference weight of the realized final outcome (the
-    telescoped form); the two must agree to ``CROSS_CHECK_TOL``.  Undefined
-    on forward paths of probability zero.
+    Returned in its telescoped form, -log of the reference weight of the realized
+    final outcome, once the cross-check holds: the path's entries of the per-step gap
+    tables (``_step_gaps``) sum to within ``CROSS_CHECK_TOL`` of 0, or the call raises
+    ``InternalConsistencyError``.  A step of forward weight at most ``INPUT_TOL`` is
+    rounding residue, as where one context is measured twice, and adds no gap.
+    Undefined (``ZeroProbabilityPath``) on a forward path of probability zero.
     """
-    path = _check_outcomes(protocol, outcomes)
-    fwd, delta = _log_ratios(protocol, path, _reference(protocol, final_dist))
-    if fwd[0] == -math.inf:
-        raise ZeroProbabilityPath("forward path has probability zero")
-    return float(delta[0])
+    outcomes = _check_outcomes(protocol, outcomes)
+    return _single_path(protocol, outcomes, _reference(protocol, final_dist))[1]
 
 
 def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
@@ -210,9 +199,8 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     rng = np.random.default_rng([_integer("seed", part, 0) for part in parts])
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     initial = np.array([protocol.initial.index], dtype=np.intp)
-    path = _sample_paths(cums, initial, (rng.random(1) for _ in cums))
-    fwd, delta = _log_ratios(protocol, path, protocol.marginal)
-    return Trajectory(tuple(path[0].tolist()), float(fwd[0]), float(delta[0]))
+    outcomes = tuple(_sample_paths(cums, initial, (rng.random(1) for _ in cums))[0].tolist())
+    return Trajectory(outcomes, *_single_path(protocol, outcomes, protocol.marginal))
 
 
 # Samples per independently seeded block of the Monte Carlo ensemble.  Part of
@@ -318,24 +306,20 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
     """Exact mean entropy production over all ``dim ** (len - 1)`` paths, building none.
 
     A path's entropy production is -log marginal[final], so the mean is the fsum of
-    marginal · -log marginal.  The cross-check of :func:`entropy_production` covers
-    every live path (each step of positive weight): its forward-minus-backward gap is a sum
-    of per-step terms ``log T_s[j', j] - log T'_s[j, j']``, with ``T'_s`` the backward table
-    ``transition_matrix(contexts[s + 1], contexts[s])``, and a max-plus and a min-plus pass
-    bound that sum over the live paths in O(len · dim²).  ``sample_count`` is the path
-    count, ``std_error`` 0 and ``final_distribution`` the exact ``protocol.marginal``.
+    marginal · -log marginal.  The cross-check of :func:`entropy_production` covers every
+    path of positive weight: a max-plus and a min-plus pass over the per-step gap tables
+    of ``_step_gaps`` bound the sum of a path's gaps over all of them in O(len · dim²).
+    ``sample_count`` is the path count, ``std_error`` 0 and ``final_distribution`` the
+    exact ``protocol.marginal``.
     """
-    c, marginal = protocol.contexts, protocol.marginal
+    marginal = protocol.marginal
     reached = np.arange(protocol.dim) == protocol.initial.index
-    hi = lo = np.zeros(protocol.dim)  # extreme gap sums over the live paths to each outcome
-    for s, t in enumerate(protocol.steps):
-        live = (t > 0.0) & reached  # (next, previous); masked, so no gap reads log 0 - log 0
-        gap = np.zeros_like(t)
-        with np.errstate(divide="ignore"):
-            gap[live] = np.log(t[live]) - np.log(transition_matrix(c[s + 1], c[s]).T[live])
-        reached = live.any(axis=1)
-        hi = np.where(reached, np.where(live, hi + gap, -np.inf).max(axis=1), 0.0)
-        lo = np.where(reached, np.where(live, lo + gap, np.inf).min(axis=1), 0.0)
+    hi = lo = np.zeros(protocol.dim)  # extreme gap sums over the paths to each outcome
+    for t, gap in zip(protocol.steps, _step_gaps(protocol)):
+        taken = (t > 0.0) & reached  # (next, previous)
+        reached = taken.any(axis=1)
+        hi = np.where(reached, np.where(taken, hi + gap, -np.inf).max(axis=1), 0.0)
+        lo = np.where(reached, np.where(taken, lo + gap, np.inf).min(axis=1), 0.0)
     worst = float(np.max(np.abs([hi, lo])))
     if not worst <= CROSS_CHECK_TOL:
         raise InternalConsistencyError(f"entropy production routes disagree by {worst:.17g}")

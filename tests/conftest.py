@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
+from csm_sim.errors import InternalConsistencyError
 from csm_sim.hilbert import INPUT_TOL, clamp_probabilities
 from csm_sim.measurement import validate_distribution
-from csm_sim.trajectory import _backward_log_probs, _check_outcomes, _forward_log_probs
-from csm_sim.trajectory import _log_ratios, _reference
+from csm_sim.trajectory import CROSS_CHECK_TOL, _check_outcomes, _reference
 
 
 @pytest.fixture
@@ -93,24 +93,57 @@ def marginal_referee(protocol: cs.Protocol) -> np.ndarray:
     return dist
 
 
+def forward_weights(protocol: cs.Protocol, paths: np.ndarray) -> np.ndarray:
+    """Step probabilities of each path of an (n_paths, len) table, shape (n_paths, len - 1).
+
+    Step ``s`` reads entry (next, previous) of ``protocol.steps[s]``.
+    """
+    weights = np.empty((len(paths), len(protocol) - 1))
+    for s, t in enumerate(protocol.steps):
+        weights[:, s] = t[paths[:, s + 1], paths[:, s]]
+    return weights
+
+
+def backward_weights(protocol: cs.Protocol, paths: np.ndarray) -> np.ndarray:
+    """Step probabilities of each time-reversed path, a route independent of the forward one.
+
+    Step ``s`` reads entry (previous, next) of a fresh
+    ``transition_matrix(contexts[s + 1], contexts[s])``.
+    """
+    c = protocol.contexts
+    weights = np.empty((len(paths), len(c) - 1))
+    for s in range(len(c) - 1):
+        weights[:, s] = cs.transition_matrix(c[s + 1], c[s])[paths[:, s], paths[:, s + 1]]
+    return weights
+
+
+def _log_sums(weights: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(weights).sum(axis=1)
+
+
 def forward_log_prob(protocol: cs.Protocol, outcomes) -> float:
     """Log-probability of an outcome sequence under the forward protocol (checked sequence)."""
-    return float(_forward_log_probs(protocol, _check_outcomes(protocol, outcomes))[0])
+    path = np.array([_check_outcomes(protocol, outcomes)], dtype=np.intp)
+    return float(_log_sums(forward_weights(protocol, path))[0])
 
 
 def backward_log_prob(protocol: cs.Protocol, outcomes, final_dist) -> float:
     """Log-probability of the time-reversed path, its final outcome drawn from ``final_dist``."""
     path = np.array([outcomes], dtype=np.intp)
-    return float(_backward_log_probs(protocol, path, _reference(protocol, final_dist))[0])
+    reference = _reference(protocol, final_dist)[path[:, -1]]
+    return float(_log_sums(np.column_stack([reference, backward_weights(protocol, path)]))[0])
 
 
 def enumerated_ensemble(protocol: cs.Protocol) -> cs.TrajectoryEnsembleStats:
     """Exact ensemble by enumerating every path, the route ``exhaustive_entropy_production`` replaced.
 
-    Runs the table of all ``dim ** (len - 1)`` outcome sequences through the
-    cross-checked forward/backward evaluation.  A path's probability is the
-    in-order product of its step probabilities; paths with a zero-probability
-    step contribute nothing.  ``final_distribution`` is the path-weighted
+    Builds the table of all ``dim ** (len - 1)`` outcome sequences.  A path's
+    probability is the in-order product of its step probabilities; paths with
+    a zero-probability step contribute nothing.  On the others, forward minus
+    backward log-probability must match the telescoped -log marginal[final] to
+    ``CROSS_CHECK_TOL``, over the steps of forward weight above ``INPUT_TOL``
+    (below it, rounding residue).  ``final_distribution`` is the path-weighted
     histogram of final outcomes.  Memory grows with the path count: desk scale only.
     """
     n_steps = len(protocol) - 1
@@ -120,11 +153,20 @@ def enumerated_ensemble(protocol: cs.Protocol) -> cs.TrajectoryEnsembleStats:
     paths = np.empty((path_count, n_steps + 1), dtype=np.intp)
     paths[:, 0] = protocol.initial.index
     paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
-    fwd, delta = _log_ratios(protocol, paths, marginal)
+    fwd, bwd = forward_weights(protocol, paths), backward_weights(protocol, paths)
     prob = np.ones(path_count)
-    for s, t in enumerate(protocol.steps):
-        prob = prob * t[paths[:, s + 1], paths[:, s]]
-    live = fwd > -math.inf
+    for s in range(n_steps):
+        prob = prob * fwd[:, s]
+    live = np.all(fwd > 0.0, axis=1)
+    finals = paths[:, -1]
+    delta = np.array([-math.log(w) if w > 0.0 else math.inf for w in marginal.tolist()])[finals]
+    checked = fwd > INPUT_TOL  # the steps the cross-check reads
+    forward = _log_sums(np.where(checked, fwd, 1.0))
+    backward = _log_sums(np.column_stack([marginal[finals], np.where(checked, bwd, 1.0)]))
+    with np.errstate(invalid="ignore"):
+        agree = np.isclose(forward - backward, delta, rtol=0.0, atol=CROSS_CHECK_TOL)
+    if np.any(live & ~agree):
+        raise InternalConsistencyError("referee: forward minus backward is not the telescoped form")
     mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
     final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
     return cs.TrajectoryEnsembleStats(

@@ -89,6 +89,28 @@ def test_run_exhaustive_serves_the_former_path_bound(tmp_path, capsys):
     assert abs(ensemble["mean_entropy_production"] - ensemble["shannon_entropy_final"]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "twice", [{"kind": "fourier"}, {"kind": "haar", "seed": 4}], ids=["fourier", "haar"]
+)
+def test_run_exhaustive_serves_a_context_measured_twice(tmp_path, capsys, twice):
+    # [z, f, f] and [z, h, h]: the repeated step's off-diagonal moves are rounding
+    # residue, ~1e-33, which the cross-check once read and refused
+    doc = {
+        "schema_version": 1,
+        "dim": 3,
+        "contexts": {"z": {"kind": "computational"}, "f": twice},
+        "protocol": {"initial": {"context": "z", "index": 0}, "sequence": ["z", "f", "f"]},
+    }
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--exhaustive"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    ensemble = json.loads(captured.out)["results"]["ensemble"]
+    assert ensemble["sample_count"] == 9
+    assert abs(ensemble["mean_entropy_production"] - ensemble["shannon_entropy_final"]) <= 1e-12
+
+
 def test_non_finite_scenario_number_is_usage_error(tmp_path, capsys):
     path = tmp_path / "nan.json"
     text = Path(SCENARIO).read_text()

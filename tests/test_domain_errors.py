@@ -1,7 +1,7 @@
-"""Malformed counts, seeds and matrices end in a domain error, never in a bare numpy one.
+"""Malformed counts, seeds, matrices and vectors end in a domain error, not a bare numpy one.
 
-Each entry point that reads a count, a seed or a caller's matrix either returns
-or raises :class:`CsmSimError`; anything else escaping fails the property.
+Each entry point that reads a count, a seed or a caller's matrix or vector either
+returns or raises :class:`CsmSimError`; anything else escaping fails the property.
 """
 
 import numpy as np
@@ -30,6 +30,12 @@ MATRICES = st.one_of(
     st.sampled_from([1.0, np.nan * np.eye(2), np.array([["a", "b"], ["c", "d"]], dtype=object)]),
     st.sampled_from([np.eye(2, dtype=np.float16), np.eye(2, dtype=np.longdouble) / 2]),
 )
+# Vectors: lists of such entries or of any floats, complex ones, and integers past a double.
+VECTORS = st.one_of(
+    st.lists(ENTRIES, max_size=4),
+    st.lists(st.floats(), min_size=2, max_size=2),
+    st.sampled_from([[0.5 + 0j, 0.5], np.array([0.5 + 1j, 0.5]), [10**400, 0], [0.5, 0.5]]),
+)
 
 
 def returns_or_refuses(call) -> None:
@@ -44,6 +50,18 @@ def _protocol():
     return cs.Protocol((z, cs.rotation_context(0.7), cs.fourier_context(2)), z.modality(0))
 
 
+def _vector_readers(vector) -> None:
+    """A distribution, a composite state or a phase vector, each where a library call reads it."""
+    protocol = _protocol()
+    initial, tilted = protocol.initial, protocol.contexts[1]
+    returns_or_refuses(lambda: cs.validate_distribution(vector))
+    returns_or_refuses(lambda: cs.shannon_entropy(vector))
+    returns_or_refuses(lambda: cs.entropy_production(protocol, (0, 0, 0), vector))
+    returns_or_refuses(lambda: cs.reduced_system_state(vector, tilted))
+    returns_or_refuses(lambda: cs.composite_return_probabilities(vector, initial.context, tilted))
+    returns_or_refuses(lambda: cs.interference_returns(initial, tilted, vector))
+
+
 @settings(max_examples=150, deadline=None)
 @given(count=NUMBERS, seed=NUMBERS)
 def test_counts_and_seeds_end_in_a_domain_error(count, seed):
@@ -55,11 +73,13 @@ def test_counts_and_seeds_end_in_a_domain_error(count, seed):
     returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, 0))
     returns_or_refuses(lambda: cs.gram_uniform(count, 0.5))
     returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=np.eye(2)), count))
+    _vector_readers(count)
+    _vector_readers([count, seed])
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrix=MATRICES, dim=st.integers(2, 3))
-def test_matrices_end_in_a_domain_error(matrix, dim):
+@given(matrix=MATRICES, dim=st.integers(2, 3), vector=VECTORS)
+def test_matrices_end_in_a_domain_error(matrix, dim, vector):
     returns_or_refuses(lambda: cs.Context("x", matrix))
     returns_or_refuses(lambda: cs.Gram(matrix))
     returns_or_refuses(lambda: cs.build_context(cs.ContextSpec("explicit", dim, matrix=matrix)))
@@ -68,3 +88,5 @@ def test_matrices_end_in_a_domain_error(matrix, dim):
     returns_or_refuses(lambda: cs.entangle(initial, cs.fourier_context(dim), matrix))
     returns_or_refuses(lambda: cs.von_neumann_entropy(matrix))
     returns_or_refuses(lambda: density_matrix_residuals(matrix))
+    _vector_readers(matrix)
+    _vector_readers(vector)

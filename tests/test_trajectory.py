@@ -19,6 +19,7 @@ from csm_sim.errors import (
     ScenarioValidationError,
     ZeroProbabilityPath,
 )
+from csm_sim.hilbert import INPUT_TOL
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
 from conftest import backward_log_prob, born, enumerated_ensemble, forward_log_prob
 from conftest import marginal_referee, point_mass
@@ -71,8 +72,8 @@ def test_protocol_holds_its_step_tables_and_marginal(dim, picks, initial):
 
 
 def test_transition_tables_are_built_once_per_protocol(monkeypatch):
-    # n - 1 per protocol, none more for the sampled ensemble; the backward route
-    # of the cross-check builds its own n - 1 wherever paths are evaluated.
+    # n - 1 per protocol, none more for the sampled ensemble; the cross-check
+    # kernel builds the backward route's own n - 1 wherever it runs.
     calls = []
     real = csm_sim.trajectory.transition_matrix
 
@@ -94,8 +95,8 @@ def test_transition_tables_are_built_once_per_protocol(monkeypatch):
     assert len(calls) == 3 * (n - 1)
     cs.entropy_production(protocol, trajectory.outcomes, protocol.marginal)
     assert len(calls) == 4 * (n - 1)
-    # the backward route reads every step reversed
-    assert calls[-(n - 1):] == [(contexts[s + 1], contexts[s]) for s in range(n - 2, -1, -1)]
+    # the backward table of every step, in step order
+    assert calls[-(n - 1):] == [(contexts[s + 1], contexts[s]) for s in range(n - 1)]
 
 
 @pytest.mark.parametrize("outcomes", [(0, 1.7), (0, True), (False, 1), (0, "1"), (0, 1.0)])
@@ -493,14 +494,22 @@ def test_exhaustive_matches_marginal_and_path_loop(seed, dim, steps, stall):
     assert np.max(np.abs(stats.final_distribution - referee.final_distribution)) <= 1e-14
 
 
-def _stalled_protocol(seed, dim, n_contexts, stall):
-    """Haar contexts with the computational one repeated somewhere: a step whose every
-    off-diagonal move has probability exactly zero."""
+def _stalled_protocol(seed, dim, n_contexts, stall, repeated="computational"):
+    """Haar contexts with one context object measured twice in a row somewhere.
+
+    Repeating the computational context makes every off-diagonal move of that step
+    probability exactly zero; repeating a Fourier or a Haar one leaves them at
+    rounding residue, ~1e-33, which the cross-check must not read.
+    """
     rng = np.random.default_rng(seed)
-    z = cs.computational_context(dim)
-    contexts = [cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, n_contexts - 2)]
+    contexts = [cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, n_contexts - 1)]
     at = stall % (n_contexts - 1)
-    contexts[at:at] = [z, z]
+    twice = {
+        "computational": cs.computational_context(dim),
+        "fourier": cs.fourier_context(dim),
+        "haar": contexts[at],
+    }[repeated]
+    contexts[at:at + 1] = [twice, twice]
     return cs.Protocol(tuple(contexts), contexts[0].modality(int(rng.integers(dim))))
 
 
@@ -510,9 +519,10 @@ def _stalled_protocol(seed, dim, n_contexts, stall):
     dim=st.integers(2, 6),
     n_contexts=st.integers(2, 6),
     stall=st.integers(0, 5),
+    repeated=st.sampled_from(["computational", "fourier", "haar"]),
 )
-def test_exhaustive_pass_matches_the_path_table(seed, dim, n_contexts, stall):
-    protocol = _stalled_protocol(seed, dim, n_contexts, stall)
+def test_exhaustive_pass_matches_the_path_table(seed, dim, n_contexts, stall, repeated):
+    protocol = _stalled_protocol(seed, dim, n_contexts, stall, repeated)
     assert dim ** (n_contexts - 1) <= 10**5  # the referee enumerates every path
     stats = cs.exhaustive_entropy_production(protocol)
     referee = enumerated_ensemble(protocol)
@@ -570,6 +580,23 @@ def test_cross_check_ignores_a_backward_route_off_where_no_path_goes(
     assert cs.exhaustive_entropy_production(protocol) == clean
     for last in range(3):
         cs.entropy_production(protocol, (0, 0, last), protocol.marginal)
+
+
+@pytest.mark.parametrize("repeated", ["fourier", "haar"])
+def test_every_path_through_a_repeated_context_is_served(repeated):
+    # Measured twice, a Fourier or Haar context moves off its outcome with weight
+    # ~1e-33, not 0: such a path has positive weight, but its repeated step carries
+    # no gap.  Each one is served, at -log marginal[final].
+    protocol = _stalled_protocol(11, 3, 3, 1, repeated)
+    assert 0.0 < protocol.steps[1][1, 0] <= INPUT_TOL
+    for tail in itertools.product(range(3), repeat=2):
+        path = (protocol.initial.index, *tail)
+        if all(t[j, i] > 0.0 for t, i, j in zip(protocol.steps, path, path[1:])):
+            delta = cs.entropy_production(protocol, path, protocol.marginal)
+            assert delta == -math.log(protocol.marginal[path[-1]]) + 0.0
+    for i in range(20):
+        trajectory = cs.sample_trajectory(protocol, (5, i))
+        assert trajectory.outcomes[1] == trajectory.outcomes[2]
 
 
 def test_exhaustive_marginal_matches_propagation():
