@@ -15,7 +15,6 @@ from types import ModuleType as _Module
 
 from ._version import __version__
 from .errors import (
-    CountOutOfRange,
     CsmSimError,
     DimensionMismatch,
     IndexOutOfRange,

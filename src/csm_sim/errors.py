@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a value that breaks its own rule, from a file, a
+recipe, a grid or a library call (a count, a seed, a tolerance), is a ScenarioValidationError."""
 
 
 class CsmSimError(Exception):
@@ -23,10 +24,6 @@ class RefusedInput(CsmSimError, ValueError):
 
 class NonOrthonormalInput(RefusedInput):
     """An explicit basis fails the orthonormality tolerance; ``residual`` is max |B†B − I|."""
-
-
-class CountOutOfRange(CsmSimError, ValueError):
-    """A count below its minimum: a meter chain length below 0, a sample count below 1."""
 
 
 class InvalidGramMatrix(RefusedInput):
@@ -78,8 +75,9 @@ class ScenarioParseError(CsmSimError, ValueError):
 
 
 class ScenarioValidationError(CsmSimError, ValueError):
-    """A recipe, a scenario file or a sweep grid violates its schema; ``field`` names the
-    offending field (``seed`` of a recipe made in code, ``contexts.x.seed`` of a file's)."""
+    """A recipe, a scenario file, a sweep grid or a library argument breaks its rule; ``field``
+    names the offending value (``seed`` of a recipe made in code or of ``run_scenario``,
+    ``contexts.x.seed`` of a file's, ``sweep.g[2]`` of a grid's)."""
 
     def __init__(self, field: str, reason: str):
         self.field = field

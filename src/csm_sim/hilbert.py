@@ -12,9 +12,11 @@ label chosen at construction time.
 
 :class:`Context` checks a basis matrix; a :class:`ContextSpec` checks every rule of
 its kind when made, and :func:`build_context` and the public constructors, which
-make one, trust it.  ``_number`` and ``is_integer`` here own "finite real" and
-"integer, not a bool" for every recipe, document field, grid, index and count, and
-``_read_array`` reads every caller's matrix and vector.
+make one, trust it.  The package's value rules each have one owner here: ``_number``
+and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
+recipe, document field, grid entry, count, seed and tolerance; ``_read_array`` for every
+caller's matrix and vector; ``_Recipe`` for the kind and fields of both recipes;
+``INPUT_TOL``, the one floor an input is trusted to; ``_hold`` for a frozen field.
 """
 
 from __future__ import annotations
@@ -75,6 +77,21 @@ def _read_array(value, refuse, dtype=complex) -> np.ndarray:
     raise refuse(f"cannot read {value!r:.60} as a {dtype.__name__} array")
 
 
+def _frozen(value):
+    """``value``, each array in it or in it as a tuple made read-only, a view's base too."""
+    for array in value if isinstance(value, tuple) else (value,):
+        while isinstance(array, np.ndarray):
+            array.setflags(write=False)
+            array = array.base
+    return value
+
+
+def _hold(obj, **fields) -> None:
+    """Set the ``fields`` of the frozen ``obj``, each held as :func:`_frozen` leaves it."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _frozen(value))
+
+
 def _identity_residual(product: np.ndarray) -> float:
     return float(np.max(np.abs(product - np.eye(product.shape[1]))))
 
@@ -125,24 +142,18 @@ class Context:
             raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
         if basis.shape[0] < 2:
             raise DimensionMismatch(f"context dimension must be >= 2, got {basis.shape[0]}")
-        # A transposed view of a read-only conjugate copy, so read-only too.  It
+        # A transposed view of a conjugate copy, held read-only with its base.  It
         # must stay a view: a C-ordered copy changes BLAS's summation order in
         # ``adjoint @ v``, and with it the last bits of every report.
-        conjugate = basis.conj()
-        conjugate.setflags(write=False)
-        residual = _identity_residual(conjugate.T @ basis)
+        adjoint = basis.conj().T
+        residual = _identity_residual(adjoint @ basis)
         if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                 residual,
             )
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "adjoint", conjugate.T)
-        object.__setattr__(self, "dim", basis.shape[0])
-        object.__setattr__(self, "orthonormality", residual)
-        object.__setattr__(self, "_overlaps", {})
-        object.__setattr__(self, "_returns", {})
+        _hold(self, basis=basis, adjoint=adjoint, dim=basis.shape[0], orthonormality=residual,
+              _overlaps={}, _returns={})
 
     def overlaps(self, other: "Context") -> np.ndarray:
         """Read-only table W[j, i] = ⟨v_j|u_i⟩: ``self``'s outcome j, ``other``'s outcome i.
@@ -156,9 +167,7 @@ class Context:
         if entry is None:
             if other.dim != self.dim:
                 raise DimensionMismatch(f"dims differ: {self.dim} vs {other.dim}")
-            table = self.adjoint @ other.basis
-            table.setflags(write=False)
-            entry = self._overlaps[id(other)] = (other, table)
+            entry = self._overlaps[id(other)] = (other, _frozen(self.adjoint @ other.basis))
         return entry[1]
 
     def return_tables(self, mid: "Context") -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +186,7 @@ class Context:
             reversible = clamp_probabilities(amps.real**2 + amps.imag**2)
             t = there.real**2 + there.imag**2
             irreversible = clamp_probabilities(t.T @ t)
-            reversible.setflags(write=False)
-            irreversible.setflags(write=False)
-            entry = self._returns[id(mid)] = (mid, (reversible, irreversible))
+            entry = self._returns[id(mid)] = (mid, _frozen((reversible, irreversible)))
         return entry[1]
 
     def modality(self, index: int) -> "Modality":
@@ -216,10 +223,12 @@ class Modality:
         return self.context.basis[:, self.index]
 
 
-def _number(field: str, value) -> float:
-    """``value`` as a float, or the refusal of anything but a finite real (a bool is none)."""
+def _number(field: str, value, least: float | None = None) -> float:
+    """``value`` as a float, or the refusal of all but a finite real >= ``least``, bools too."""
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ScenarioValidationError(field, f"expected a number, got {value!r}")
+    if least is not None and value < least:
+        raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
     return float(value)
 
 
@@ -232,21 +241,25 @@ def _integer(field: str, value, least: int | None = None) -> int:
     return int(value)
 
 
-def check_kind(spec, fields: dict[str, tuple[str, ...]], what: str) -> None:
-    """Refuse an unknown ``spec.kind``, a field its kind reads unset, or one it ignores set."""
-    if not (isinstance(spec.kind, str) and spec.kind in fields):
-        raise ScenarioValidationError("kind", f"unknown {what} kind {spec.kind!r}")
-    for name in sorted({name for names in fields.values() for name in names}):
-        needed = name in fields[spec.kind]
-        if (getattr(spec, name) is None) == needed:
-            raise ScenarioValidationError(name, "missing required key" if needed else "unknown key")
-
-
 class _Recipe:
-    """Value semantics of a frozen recipe: it equals and hashes as its kind, its ``dim`` (if it
-    has one) and the field its kind reads, a matrix as its shape and bytes."""
+    """A frozen recipe.  Made, it refuses an unknown kind, a field its kind reads unset or one
+    it ignores set, and holds an ``explicit`` matrix as a read-only complex copy; it equals and
+    hashes as its kind, its ``dim`` (if it has one) and that field, a matrix as shape and bytes."""
 
     FIELDS: dict[str, tuple[str, ...]]
+    WHAT: str  # the recipe's name in the refusal of an unknown kind
+
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in self.FIELDS):
+            raise ScenarioValidationError("kind", f"unknown {self.WHAT} kind {self.kind!r}")
+        for name in sorted({name for names in self.FIELDS.values() for name in names}):
+            needed = name in self.FIELDS[self.kind]
+            if (getattr(self, name) is None) == needed:
+                reason = "missing required key" if needed else "unknown key"
+                raise ScenarioValidationError(name, reason)
+        if self.kind == "explicit":
+            matrix = _read_array(self.matrix, lambda why: ScenarioValidationError("matrix", why))
+            _hold(self, matrix=matrix)
 
     def _key(self) -> tuple:
         values = [getattr(self, name) for name in self.FIELDS[self.kind]]
@@ -277,7 +290,7 @@ class ContextSpec(_Recipe):
     recipes are equal, and hash alike, when kind, dim and that field are.
     """
 
-    FIELDS = CONTEXT_FIELDS
+    FIELDS, WHAT = CONTEXT_FIELDS, "context"
 
     kind: str
     dim: int
@@ -286,27 +299,21 @@ class ContextSpec(_Recipe):
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        check_kind(self, CONTEXT_FIELDS, "context")
+        super().__post_init__()
         dim = _integer("dim", self.dim, 2)
         if self.kind == "rotation" and dim != 2:
             reason = f"rotation contexts require dim 2, scenario has dim {dim}"
             raise ScenarioValidationError("dim", reason)
-        object.__setattr__(self, "dim", dim)
+        _hold(self, dim=dim)
         if self.kind == "rotation":
-            object.__setattr__(self, "theta", _number("theta", self.theta))
+            _hold(self, theta=_number("theta", self.theta))
         if self.kind == "haar":
-            object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
-        if self.kind == "explicit":
-            matrix = _read_array(
-                self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
-            )
-            # the parser's texts, which it gives while it reads a file's rows
-            if matrix.ndim != 2 or len(matrix) != dim:
+            _hold(self, seed=_integer("seed", self.seed, 0))
+        if self.kind == "explicit":  # the parser's texts, which it gives while it reads rows
+            if self.matrix.ndim != 2 or len(self.matrix) != dim:
                 raise ScenarioValidationError("matrix", f"expected {dim} rows")
-            if matrix.shape[1] != dim:
+            if self.matrix.shape[1] != dim:
                 raise ScenarioValidationError("matrix[0]", f"expected {dim} entries")
-            matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
 
 
 def computational_context(dim: int, id: str | None = None) -> Context:
@@ -356,7 +363,7 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
     given = Context(id or "explicit", spec.matrix)
     w, _, vh = np.linalg.svd(given.basis)
     ctx = Context(given.id, w @ vh)
-    object.__setattr__(ctx, "orthonormality", given.orthonormality)
+    _hold(ctx, orthonormality=given.orthonormality)
     return ctx
 
 

@@ -13,7 +13,8 @@ a weak measurement.
 The overlap matrix is a frozen :class:`Gram`, validated once at construction;
 every function here takes one and trusts it, and :func:`build_gram` trusts its
 :class:`GramSpec`, which checks its kind's rules when made.  Tolerance checks
-read ``not residual <= tol``, so a NaN fails them.
+read ``not residual <= tol``, so a NaN fails them.  One floor, ``INPUT_TOL``, is both
+the overlap matrix's PSD bound and the rank cut of realized meter states.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
 closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CountOutOfRange,
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
@@ -44,12 +44,10 @@ from .errors import (
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
-from .hilbert import INPUT_TOL, Context, Modality, _integer, _number, _read_array, _Recipe
-from .hilbert import check_kind, clamp_probabilities, is_integer
+from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
+from .hilbert import clamp_probabilities
 
-# Eigenvalues below this are treated as zero when realizing meter states.
-RANK_TOL = 1e-10
-# Tolerance on meter states: unit norm, and reproduction of the overlaps.
+# Tolerance on meter states (unit norm, reproduction of the overlaps) and composite norms.
 METER_TOL = 1e-8
 
 
@@ -58,7 +56,7 @@ class Gram:
     """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
 
     Checked once here, by ``eigvalsh`` (smallest eigenvalue not below
-    ``-RANK_TOL``) of the Hermitian part of the given matrix with its diagonal
+    ``-INPUT_TOL``) of the Hermitian part of the given matrix with its diagonal
     set to 1, which ``matrix`` holds (the same bits for an exact input): admitted
     residuals of up to ``INPUT_TOL`` each would add up past the probability clamp.
     """
@@ -84,17 +82,23 @@ class Gram:
         matrix = 0.5 * (matrix + matrix.conj().T)
         np.fill_diagonal(matrix, 1.0)
         eigvals = np.linalg.eigvalsh(matrix)
-        if not eigvals[0] >= -RANK_TOL:
+        if not eigvals[0] >= -INPUT_TOL:
             raise NotPositiveSemidefinite(
-                f"smallest eigenvalue {eigvals[0]:.3e} below -{RANK_TOL:.0e}", -float(eigvals[0])
+                f"smallest eigenvalue {eigvals[0]:.3e} below -{INPUT_TOL:.0e}", -float(eigvals[0])
             )
-        for name, value in (("matrix", matrix), ("eigvals", eigvals)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _hold(self, matrix=matrix, eigvals=eigvals)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _strength(field: str, value) -> float:
+    """A meter strength as a float, or the refusal of anything but a finite real in [0, 1]."""
+    g = _number(field, value)
+    if not 0.0 <= g <= 1.0:
+        raise ScenarioValidationError(field, f"strength {g!r} outside [0, 1]")
+    return g
 
 
 # The field each kind of overlap matrix reads: a file's gram object holds ``kind`` and it.
@@ -110,25 +114,16 @@ class GramSpec(_Recipe):
     :class:`Gram` checks).  Two recipes are equal, and hash alike, when kind and that field are.
     """
 
-    FIELDS = GRAM_FIELDS
+    FIELDS, WHAT = GRAM_FIELDS, "gram"
 
     kind: str
     g: float | None = None
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        check_kind(self, GRAM_FIELDS, "gram")
+        super().__post_init__()
         if self.kind == "uniform":
-            g = _number("g", self.g)
-            if not 0.0 <= g <= 1.0:
-                raise ScenarioValidationError("g", f"strength {g!r} outside [0, 1]")
-            object.__setattr__(self, "g", g)
-        if self.kind == "explicit":
-            matrix = _read_array(
-                self.matrix, lambda reason: ScenarioValidationError("matrix", reason)
-            )
-            matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
+            _hold(self, g=_strength("g", self.g))
 
 
 def build_gram(spec: GramSpec, n: int) -> Gram:
@@ -159,14 +154,14 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
     """Realize unit vectors whose pairwise overlaps reproduce ``gram``.
 
     Returns an M×N matrix whose column ``j`` is ``|w_j⟩``, with M the
-    numerical rank of the overlap matrix (eigenvalues above ``RANK_TOL``).
+    numerical rank of the overlap matrix (eigenvalues above ``INPUT_TOL``).
     The construction is an eigendecomposition with eigenvalues sorted
     descending and each eigenvector's largest-magnitude component made real
     positive, so the output is deterministic given the input.
     """
     eigvals, eigvecs = np.linalg.eigh(gram.matrix)
     order = np.argsort(-eigvals, kind="stable")
-    order = order[eigvals[order] > RANK_TOL]
+    order = order[eigvals[order] > INPUT_TOL]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     for a in range(eigvecs.shape[1]):
         pivot = int(np.argmax(np.abs(eigvecs[:, a])))
@@ -225,13 +220,16 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
 
 
 def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
-    """A composite state as an N×M matrix: row ``j`` is the meter part of pointer branch ``j``."""
+    """A composite state of norm 1 as an N×M matrix: row ``j`` is pointer branch ``j``'s meter."""
     state = _read_array(state, lambda reason: ScenarioValidationError("state", reason))
     n = pointer.dim
     if state.ndim != 1 or state.size % n != 0 or state.size == 0:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
-    if not np.isfinite(state).all():
-        raise ScenarioValidationError("state", "amplitudes must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is off 1 too, as is a NaN one
+        norm = float(np.linalg.norm(state))
+    if not abs(norm - 1.0) <= 2 * METER_TOL:  # entangle's slack, as its meters', plus rounding
+        reason = f"norm {norm!r} is off 1 by more than {2 * METER_TOL:.0e}"
+        raise ScenarioValidationError("state", reason)
     return state.reshape(n, state.size // n)
 
 
@@ -269,10 +267,7 @@ def meter_chain_reduced_state(
     so the off-diagonal scales with the m_count-th power of the overlap while
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
     """
-    if not is_integer(m_count):
-        raise CountOutOfRange(f"m_count must be an integer, got {m_count!r}")
-    if m_count < 0:
-        raise CountOutOfRange(f"m_count must be >= 0, got {m_count}")
+    m_count = _integer("m_count", m_count, 0)
     branch = _branch(initial, pointer, gram.dim)
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count

@@ -24,6 +24,9 @@ from .errors import CsmSimError, InvalidGramMatrix, NonOrthonormalInput, Refused
 from .hilbert import (
     Context,
     Modality,
+    _identity_residual,
+    _integer,
+    _number,
     build_context,
     clamp_probabilities,
     closure_residual,
@@ -194,7 +197,10 @@ def run_scenario(
     ensemble (Monte Carlo, or exact over every path when ``exhaustive``), and
     the configured sweep grids.  Deterministic given (scenario, seed,
     n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
+    ``seed`` is an integer >= 0 and ``n_samples`` one >= 1, or >= 0 when ``exhaustive``.
     """
+    seed = _integer("seed", seed, 0)
+    n_samples = _integer("n_samples", n_samples, 0 if exhaustive else 1)
     contexts, protocol, pointer, gram = build_scenario_objects(scenario)
     initial = protocol.initial
     dim = scenario.dim
@@ -249,8 +255,8 @@ def run_scenario(
     return {
         "tool": "csm-sim",
         "version": __version__,
-        "seed": int(seed),
-        "n_samples": 0 if exhaustive else int(n_samples),
+        "seed": seed,
+        "n_samples": 0 if exhaustive else n_samples,
         "scenario": scenario.raw,
         "results": {
             "returns": returns,
@@ -278,7 +284,9 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
     measured and its message under ``refused``; dependent checks are skipped.
     The meter checks measure the closed-form quantities ``run`` reports
     against the explicit composite state, built here and nowhere else.
+    ``tolerance`` is a finite number >= 0.
     """
+    tolerance = _number("tolerance", tolerance, 0)
     checks: list[dict] = []
 
     def add(name: str, residual: float) -> None:
@@ -306,10 +314,9 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
     protocol, pointer = _protocol_objects(scenario, contexts)
     initial = protocol.initial
     dim = scenario.dim
-    eye = np.eye(dim)
     for step, (a, b) in enumerate(zip(protocol.contexts[:-1], protocol.contexts[1:])):
         u = context_change_unitary(a, b)
-        add(f"step[{step}].unitarity", float(np.max(np.abs(u.conj().T @ u - eye))))
+        add(f"step[{step}].unitarity", _identity_residual(u.conj().T @ u))
         t = transition_matrix(a, b)
         sums = max(
             float(np.max(np.abs(t.sum(axis=0) - 1.0))),
@@ -318,7 +325,7 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
         add(f"step[{step}].transition_sums", sums)
         starts = [Modality(a, i) for i in range(dim)]
         rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
-        add(f"step[{step}].reversible_identity", float(np.max(np.abs(rev - eye))))
+        add(f"step[{step}].reversible_identity", _identity_residual(rev))
 
     if scenario.meter is not None:
         try:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number
-from .qnd import GRAM_FIELDS, GramSpec
+from .qnd import GRAM_FIELDS, GramSpec, _strength
 
 SCHEMA_VERSION = 1
 
@@ -168,21 +168,19 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def sweep_grid(param: str, values, has_meter: bool, n_contexts: int) -> tuple:
     """``values`` as the grid of a ``param`` sweep, or the error that refuses it.
 
-    ``param`` is one of ``SWEEP_PARAMS``; ``values`` holds integers >= 0 (``m_count``),
-    numbers in [0, 1] (``g``) or finite numbers (``phase``); and the scenario has a
-    meter (``g``, ``m_count``) or two protocol contexts (``phase``) to vary.
+    ``param`` is one of ``SWEEP_PARAMS``; ``values`` is a non-empty list whose entries are
+    each read by one value's rule, which names the entry it refuses: an integer >= 0
+    (``m_count``), a strength as ``GramSpec`` reads ``g`` (``sweep.g[2]: strength 2.0
+    outside [0, 1]``) or a finite number (``phase``).  The scenario has a meter (``g``,
+    ``m_count``) or two protocol contexts (``phase``) to vary.
     """
     field = f"sweep.{param}"
     if param not in SWEEP_PARAMS:
         raise ScenarioValidationError(field, "unknown key")
     if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
         raise ScenarioValidationError(field, "expected a non-empty list")
-    entry = _integer if param == "m_count" else _number
+    entry = {"g": _strength, "m_count": partial(_integer, least=0), "phase": _number}[param]
     grid = tuple(entry(f"{field}[{i}]", v) for i, v in enumerate(values))
-    if param == "m_count" and any(v < 0 for v in grid):
-        raise ScenarioValidationError(field, "chain lengths must be >= 0")
-    if param == "g" and any(not 0.0 <= v <= 1.0 for v in grid):
-        raise ScenarioValidationError(field, "strengths must lie in [0, 1]")
     if param != "phase" and not has_meter:
         raise ScenarioValidationError(field, "needs a meter section")
     if param == "phase" and n_contexts < 2:

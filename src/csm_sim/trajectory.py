@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CountOutOfRange,
     DimensionMismatch,
     InitialMismatch,
     InternalConsistencyError,
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from .hilbert import INPUT_TOL, Context, Modality, _integer, check_index, clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
 
 # Two evaluation routes of the same log-ratio must agree to this.
@@ -66,7 +65,6 @@ class Protocol:
 
     def __post_init__(self):
         contexts = tuple(self.contexts)
-        object.__setattr__(self, "contexts", contexts)
         if not contexts:
             raise LengthMismatch("protocol needs at least one context")
         dim = contexts[0].dim
@@ -83,10 +81,7 @@ class Protocol:
         marginal[self.initial.index] = 1.0
         for t in steps:
             marginal = clamp_probabilities(t @ marginal)
-        for table in (*steps, marginal):
-            table.setflags(write=False)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "marginal", marginal)
+        _hold(self, contexts=contexts, steps=steps, marginal=marginal)
 
     @property
     def dim(self) -> int:
@@ -284,9 +279,7 @@ def mean_entropy_production(
     ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
     ``n_samples`` is an integer >= 1 and ``seed`` one >= 0, not bools.
     """
-    n_samples, seed = _integer("n_samples", n_samples), _integer("seed", seed, 0)
-    if n_samples < 1:
-        raise CountOutOfRange(f"n_samples must be >= 1, got {n_samples}")
+    n_samples, seed = _integer("n_samples", n_samples, 1), _integer("seed", seed, 0)
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     marginal = protocol.marginal
     counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)

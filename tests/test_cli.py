@@ -16,7 +16,6 @@ import csm_sim.cli
 from conftest import near_unitary
 from csm_sim.cli import main
 from csm_sim.hilbert import INPUT_TOL
-from csm_sim.qnd import RANK_TOL
 from csm_sim.scenario import SWEEP_PARAMS
 
 SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json")
@@ -288,9 +287,9 @@ def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     captured = capsys.readouterr()
     assert captured.out == ""
     if math.isfinite(float(start)):
-        # refused by the check a scenario file's grid gets, with its message
-        reason = {"g": "strengths must lie in [0, 1]", "m_count": "chain lengths must be >= 0"}
-        assert captured.err == f"{SCENARIO}: sweep.{param}: {reason[param]}\n"
+        # refused by the check a scenario file's grid gets, with its message, naming the entry
+        reason = {"g": "strength -0.5 outside [0, 1]", "m_count": "must be >= 0, got -2"}
+        assert captured.err == f"{SCENARIO}: sweep.{param}[0]: {reason[param]}\n"
     else:
         assert captured.err == "sweep: grid values must be finite\n"
 
@@ -518,7 +517,7 @@ def test_every_admitted_explicit_basis_runs_verifies_and_sweeps(
 def _gram_at_bounds(seed, dim, rank, eigenvalue, diagonal, asymmetry) -> np.ndarray:
     """Overlaps of ``rank`` random unit vectors, pushed to the bounds ``Gram`` admits.
 
-    Its smallest eigenvalue becomes ``-eigenvalue * RANK_TOL``; a diagonal
+    Its smallest eigenvalue becomes ``-eigenvalue * INPUT_TOL``; a diagonal
     congruence, which keeps that eigenvalue to within a relative 1e-10, then
     sets the diagonal ``diagonal * INPUT_TOL`` off 1, and the upper triangle is
     moved by ``asymmetry * INPUT_TOL``, which ``eigvalsh`` (lower triangle)
@@ -530,7 +529,7 @@ def _gram_at_bounds(seed, dim, rank, eigenvalue, diagonal, asymmetry) -> np.ndar
     gram = w.conj().T @ w
     values, vectors = np.linalg.eigh(gram)
     null = vectors[:, 0]
-    gram -= (values[0] + eigenvalue * RANK_TOL) * np.outer(null, null.conj())
+    gram -= (values[0] + eigenvalue * INPUT_TOL) * np.outer(null, null.conj())
     target = 1.0 + diagonal * INPUT_TOL * rng.choice([-1.0, 1.0], dim)
     scale = np.sqrt(target / np.diagonal(gram).real)
     gram *= np.outer(scale, scale)

@@ -1,8 +1,12 @@
-"""Malformed counts, seeds, matrices and vectors end in a domain error, not a bare numpy one.
+"""Malformed counts, seeds, tolerances, matrices and vectors end in a domain error, not a
+bare numpy one.
 
-Each entry point that reads a count, a seed or a caller's matrix or vector either
-returns or raises :class:`CsmSimError`; anything else escaping fails the property.
+Each entry point that reads a count, a seed, a tolerance or a caller's matrix or vector
+either returns or raises :class:`CsmSimError`; anything else escaping fails the property.
 """
+
+import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +14,11 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import CsmSimError
+from csm_sim.hilbert import is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BALANCED = cs.parse_scenario(SCENARIOS / "balanced_qubit.json")
 
 # Counts and seeds: bools, floats (NaN and inf included), negatives, strings, small integers.
 NUMBERS = st.one_of(
@@ -38,16 +46,30 @@ VECTORS = st.one_of(
 )
 
 
-def returns_or_refuses(call) -> None:
+def returns_or_refuses(call):
     try:
-        call()
+        return call()
     except CsmSimError:
-        pass
+        return None
 
 
 def _protocol():
     z = cs.computational_context(2)
     return cs.Protocol((z, cs.rotation_context(0.7), cs.fourier_context(2)), z.modality(0))
+
+
+def _scenario_readers(seed, count, tolerance) -> None:
+    """What ``run_scenario`` and ``verify_report`` read besides the scenario; a report is
+    made only of an integer seed >= 0 and a finite tolerance >= 0, each echoed as read."""
+    for exhaustive in (True, False):
+        report = returns_or_refuses(lambda: cs.run_scenario(BALANCED, seed, count, exhaustive))
+        if report is not None:
+            assert is_integer(seed) and seed >= 0 and report["seed"] == seed
+            assert is_integer(count) and count >= (0 if exhaustive else 1)
+    report = returns_or_refuses(lambda: cs.verify_report(BALANCED, tolerance))
+    if report is not None:
+        assert not isinstance(tolerance, bool) and math.isfinite(tolerance) and tolerance >= 0
+        assert report["tolerance"] == tolerance
 
 
 def _vector_readers(vector) -> None:
@@ -73,6 +95,7 @@ def test_counts_and_seeds_end_in_a_domain_error(count, seed):
     returns_or_refuses(lambda: cs.mean_entropy_production(protocol, count, 0))
     returns_or_refuses(lambda: cs.gram_uniform(count, 0.5))
     returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=np.eye(2)), count))
+    _scenario_readers(seed, count, count)
     _vector_readers(count)
     _vector_readers([count, seed])
 
@@ -88,5 +111,6 @@ def test_matrices_end_in_a_domain_error(matrix, dim, vector):
     returns_or_refuses(lambda: cs.entangle(initial, cs.fourier_context(dim), matrix))
     returns_or_refuses(lambda: cs.von_neumann_entropy(matrix))
     returns_or_refuses(lambda: density_matrix_residuals(matrix))
+    _scenario_readers(matrix, vector, matrix)
     _vector_readers(matrix)
     _vector_readers(vector)

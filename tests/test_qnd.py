@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import (
-    CountOutOfRange,
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
@@ -13,8 +12,8 @@ from csm_sim.errors import (
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
-from csm_sim.qnd import build_gram, density_matrix_residuals
-from conftest import partial_trace_meter, path_amplitudes, random_unit_gram
+from csm_sim.qnd import METER_TOL, build_gram, density_matrix_residuals
+from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
 
 
 def test_gram_uniform_limits():
@@ -241,6 +240,45 @@ def test_entangle_takes_every_meter_set_the_meter_check_admits(balanced):
     assert np.linalg.norm(state) == pytest.approx(1 + 1e-9, rel=0, abs=1e-12)
     with pytest.raises(InvalidMeterStates):
         cs.entangle(initial, tilted, np.eye(2) * (1 + 1e-7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 2),
+    dim=st.integers(2, 6),
+    rank=st.integers(1, 6),
+    stretch=st.floats(-1.0, 1.0),
+    fraction=st.floats(0.0, 0.99),
+)
+def test_every_state_entangle_returns_is_admitted(seed, dim, rank, stretch, fraction):
+    # at the bounds: meters stretched up to METER_TOL, bases orthonormal up to INPUT_TOL
+    rng = np.random.default_rng(seed)
+    start = cs.Context("a", near_unitary(seed, dim, fraction))
+    pointer = cs.Context("b", near_unitary(seed + 1, dim, fraction))
+    meters = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    meters *= (1 + stretch * METER_TOL) / np.linalg.norm(meters, axis=0)
+    try:
+        state = cs.entangle(start.modality(int(rng.integers(dim))), pointer, meters)
+    except InvalidMeterStates:  # rounding put a column past the meter check's bound
+        assume(False)
+    rho = cs.reduced_system_state(state, pointer)
+    assert abs(np.trace(rho).real - 1.0) <= 3 * METER_TOL
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state", [[2, 0], [1e200, 0]], ids=["norm_2", "norm_overflows"])
+def test_a_composite_state_off_unit_norm_is_refused(balanced, state):
+    # [2, 0] once gave a reduced state of trace 4, and the composite route an
+    # InternalConsistencyError; [1e200, 0] an inf matrix, with numpy's overflow warnings
+    initial, tilted = balanced
+    for read in (
+        lambda: cs.reduced_system_state(state, tilted),
+        lambda: cs.composite_return_probabilities(state, initial.context, tilted),
+    ):
+        with pytest.raises(ScenarioValidationError) as caught:
+            read()
+        assert caught.value.field == "state"
+        assert caught.value.reason.endswith("is off 1 by more than 2e-08")
 
 
 def test_entangle_dim_mismatch(balanced):
@@ -505,8 +543,9 @@ def test_meter_chain_complex_gram_phase_winds(balanced):
 
 def test_meter_chain_refuses_a_negative_length(balanced):
     initial, tilted = balanced
-    with pytest.raises(CountOutOfRange, match="m_count must be >= 0, got -1"):
+    with pytest.raises(ScenarioValidationError) as caught:
         cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
+    assert str(caught.value) == "m_count: must be >= 0, got -1"
     with pytest.raises(ValueError):
         cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), -1)
 
@@ -515,8 +554,9 @@ def test_meter_chain_refuses_a_negative_length(balanced):
 def test_meter_chain_refuses_a_length_that_is_no_integer(balanced, m_count):
     # 1.5 once returned a fractional power of the overlaps, which no chain of meters gives
     initial, tilted = balanced
-    with pytest.raises(CountOutOfRange, match="m_count must be an integer"):
+    with pytest.raises(ScenarioValidationError) as caught:
         cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), m_count)
+    assert str(caught.value) == f"m_count: expected an integer, got {m_count!r}"
 
 
 def test_meter_chain_admits_numpy_integers(balanced):

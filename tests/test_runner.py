@@ -19,7 +19,6 @@ from csm_sim.errors import (
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
-from csm_sim.qnd import RANK_TOL
 from csm_sim.runner import format_csv, report_to_json, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
@@ -232,7 +231,7 @@ def _near(bound: float):
 @given(
     theta=st.floats(0.0, np.pi),
     context_gap=_near(INPUT_TOL),
-    eigen_gap=_near(RANK_TOL),
+    eigen_gap=_near(INPUT_TOL),
     asymmetry=_near(INPUT_TOL),
     diagonal_gap=_near(INPUT_TOL),
     log_tolerance=st.floats(-12.0, -3.0),
@@ -342,9 +341,11 @@ def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario,
         cs.gram_uniform(2, bad)
     with pytest.raises(ScenarioValidationError) as swept:
         cs.sweep_rows(balanced_scenario, "g", grid)
-    # a sweep grid is refused as the scenario file's is; a NaN is no number at all
+    # a sweep grid is refused as the scenario file's is, by the rule of one strength and
+    # naming its entry; a NaN is no number at all
     if np.isfinite(bad):
-        assert str(swept.value) == "sweep.g: strengths must lie in [0, 1]"
+        assert str(per_point.value) == f"g: strength {bad!r} outside [0, 1]"
+        assert str(swept.value) == f"sweep.g[{grid.index(bad)}]: strength {bad!r} outside [0, 1]"
     else:
         assert str(swept.value) == "sweep.g[0]: expected a number, got nan"
 
@@ -353,9 +354,9 @@ def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario,
     "param, grid, reason",
     [
         ("tilt", [1.0], "sweep.tilt: unknown key"),
-        ("m_count", [-1], "sweep.m_count: chain lengths must be >= 0"),
+        ("m_count", [-1], "sweep.m_count[0]: must be >= 0, got -1"),
         ("phase", [float("nan")], "sweep.phase[0]: expected a number, got nan"),
-        ("g", [0.5, 1.5], "sweep.g: strengths must lie in [0, 1]"),
+        ("g", [0.5, 1.5], "sweep.g[1]: strength 1.5 outside [0, 1]"),
     ],
     ids=["unknown", "m_count", "phase", "g"],
 )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import csm_sim as cs
 import csm_sim.trajectory
 from csm_sim.errors import (
-    CountOutOfRange,
     DimensionMismatch,
     IndexOutOfRange,
     InitialMismatch,
@@ -377,8 +376,9 @@ def test_mean_entropy_production_shannon_identity_within_errorbars():
 def test_mean_entropy_production_rejects_zero_samples():
     with pytest.raises(ValueError):
         cs.mean_entropy_production(balanced_protocol(), 0, 1)
-    with pytest.raises(CountOutOfRange, match="n_samples must be >= 1, got -3"):
+    with pytest.raises(ScenarioValidationError) as caught:
         cs.mean_entropy_production(balanced_protocol(), -3, 1)
+    assert str(caught.value) == "n_samples: must be >= 1, got -3"
 
 
 @pytest.mark.parametrize(

@@ -24,9 +24,11 @@ compares stdout, stderr and exit code.  It then runs the fixed list
 written to a temporary directory, each with an invocation the program must
 refuse, so that a changed exit code or refusal message shows too.  Among them
 are a broken grid (in the file or on the command line), a sweep the scenario
-cannot serve, an explicit matrix construction refuses, and a context or gram
+cannot serve, an explicit matrix construction refuses, a context or gram
 recipe that breaks a rule of its kind (a negative Haar seed, a strength
-outside [0, 1], a rotation in dim 3).
+outside [0, 1], a rotation in dim 3), and two flags whose rule the library
+owns as well (``verify --tolerance -1`` and ``run --exhaustive --seed -1``),
+which the command line refuses first, with its own text.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports are walked value by
@@ -157,6 +159,9 @@ REFUSALS = [
     ("x_haar_seed_-1", _x_haar_seed_minus_1, ["run"]),
     ("gram_g_1.5", _gram_g_1_5, ["run"]),
     ("x_rotation_in_dim_3", _x_rotation_in_dim_3, ["run"]),
+    # flags whose rule the library owns too; the command line refuses them first
+    ("unedited", _unedited, ["verify", "--tolerance", "-1"]),
+    ("unedited", _unedited, ["run", "--exhaustive", "--seed", "-1"]),
 ]
 
 
