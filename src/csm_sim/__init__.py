@@ -22,7 +22,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidDistribution,
     InvalidGramMatrix,
-    InvalidMeterStates,
     LengthMismatch,
     NonOrthonormalInput,
     NotPositiveSemidefinite,

@@ -1,5 +1,6 @@
 """Exception types shared across the package; a value that breaks its own rule, from a file, a
-recipe, a grid or a library call (a count, a seed, a tolerance), is a ScenarioValidationError."""
+recipe, a grid or a library call (a count, a seed, a tolerance, the ``meters``, composite
+``state`` or ``phases`` a library call reads), is a ScenarioValidationError."""
 
 
 class CsmSimError(Exception):
@@ -32,10 +33,6 @@ class InvalidGramMatrix(RefusedInput):
 
 class NotPositiveSemidefinite(InvalidGramMatrix):
     """Overlap matrix has an eigenvalue below the PSD tolerance; ``residual`` is its negation."""
-
-
-class InvalidMeterStates(CsmSimError, ValueError):
-    """Meter state matrix fails the unit-norm column check."""
 
 
 class InvalidDistribution(CsmSimError, ValueError):

@@ -15,8 +15,8 @@ its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  The package's value rules each have one owner here: ``_number``
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``_read_array`` for every
-caller's matrix and vector; ``_Recipe`` for the kind and fields of both recipes;
-``INPUT_TOL``, the one floor an input is trusted to; ``_hold`` for a frozen field.
+caller's matrix and vector; ``_Recipe`` for the kind and fields of both recipes, ``_square``
+for a matrix's shape; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields.
 """
 
 from __future__ import annotations
@@ -275,6 +275,14 @@ class _Recipe:
         return hash(self._key())
 
 
+def _square(matrix: np.ndarray, dim: int) -> None:
+    """Refuse a recipe's matrix unless it is dim × dim, with the parser's texts for rows."""
+    if matrix.ndim != 2 or len(matrix) != dim:
+        raise ScenarioValidationError("matrix", f"expected {dim} rows")
+    if matrix.shape[1] != dim:
+        raise ScenarioValidationError("matrix[0]", f"expected {dim} entries")
+
+
 # The field each kind of context reads besides ``dim``: a file's context holds ``kind`` and it.
 CONTEXT_FIELDS = {"computational": (), "fourier": (), "rotation": ("theta",), "haar": ("seed",),
                   "explicit": ("matrix",)}
@@ -309,11 +317,8 @@ class ContextSpec(_Recipe):
             _hold(self, theta=_number("theta", self.theta))
         if self.kind == "haar":
             _hold(self, seed=_integer("seed", self.seed, 0))
-        if self.kind == "explicit":  # the parser's texts, which it gives while it reads rows
-            if self.matrix.ndim != 2 or len(self.matrix) != dim:
-                raise ScenarioValidationError("matrix", f"expected {dim} rows")
-            if self.matrix.shape[1] != dim:
-                raise ScenarioValidationError("matrix[0]", f"expected {dim} entries")
+        if self.kind == "explicit":
+            _square(self.matrix, dim)
 
 
 def computational_context(dim: int, id: str | None = None) -> Context:

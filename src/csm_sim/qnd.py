@@ -13,8 +13,9 @@ a weak measurement.
 The overlap matrix is a frozen :class:`Gram`, validated once at construction;
 every function here takes one and trusts it, and :func:`build_gram` trusts its
 :class:`GramSpec`, which checks its kind's rules when made.  Tolerance checks
-read ``not residual <= tol``, so a NaN fails them.  One floor, ``INPUT_TOL``, is both
-the overlap matrix's PSD bound and the rank cut of realized meter states.
+read ``not residual <= tol``, so a NaN fails them.  One floor, ``INPUT_TOL``, bounds the
+overlap matrix's PSD test, the rank cut and overlap residual of realized meter states, and a
+composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
 closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
@@ -40,15 +41,11 @@ from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
-    InvalidMeterStates,
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
-from .hilbert import clamp_probabilities
-
-# Tolerance on meter states (unit norm, reproduction of the overlaps) and composite norms.
-METER_TOL = 1e-8
+from .hilbert import _square, clamp_probabilities
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +126,12 @@ class GramSpec(_Recipe):
 def build_gram(spec: GramSpec, n: int) -> Gram:
     """The overlap matrix of ``n`` meter states that a :class:`GramSpec` describes.
 
-    ``n`` is an integer >= 0 (``ScenarioValidationError`` otherwise); :class:`Gram`
-    refuses the empty matrix of ``n = 0``.
+    ``n`` is an integer >= 0, and an explicit matrix must be n × n (``ScenarioValidationError``
+    otherwise); :class:`Gram` refuses the empty matrix of ``n = 0``.
     """
     n = _integer("n", n, 0)
     if spec.kind == "explicit":
+        _square(spec.matrix, n)
         return Gram(spec.matrix)
     gram = np.full((n, n), complex(spec.g))
     np.fill_diagonal(gram, 1.0)
@@ -157,7 +155,8 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
     numerical rank of the overlap matrix (eigenvalues above ``INPUT_TOL``).
     The construction is an eigendecomposition with eigenvalues sorted
     descending and each eigenvector's largest-magnitude component made real
-    positive, so the output is deterministic given the input.
+    positive, so the output is deterministic given the input.  They reproduce the
+    overlaps within ``INPUT_TOL``, the largest eigenvalue the rank cut may drop.
     """
     eigvals, eigvecs = np.linalg.eigh(gram.matrix)
     order = np.argsort(-eigvals, kind="stable")
@@ -169,7 +168,7 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
         eigvecs[:, a] /= phase
     states = np.sqrt(eigvals)[:, None] * eigvecs.conj().T
     residual = float(np.max(np.abs(states.conj().T @ states - gram.matrix)))
-    if not residual <= METER_TOL:
+    if not residual <= INPUT_TOL:
         raise InternalConsistencyError(
             f"realized meter states reproduce overlaps only to {residual:.3e}"
         )
@@ -186,19 +185,18 @@ def _branch(initial: Modality, pointer: Context, n: int) -> np.ndarray:
 def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndarray:
     """Composite state after the system-meter coupling.
 
-    Branch ``j`` of the pointer context carries amplitude ⟨v_j|u_i⟩ and tags
-    the meter with ``|w_j⟩``, column ``j`` of ``meters``, which must have
-    unit norm within ``METER_TOL``; the returned vector holds amplitude
-    ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``.
+    Branch ``j`` of the pointer context carries amplitude ⟨v_j|u_i⟩ and tags the meter
+    with ``|w_j⟩``, column ``j`` of ``meters``, a non-empty M×N matrix; the returned vector
+    holds amplitude ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``, as computed.  It is refused
+    as :func:`reduced_system_state` refuses it: unless its norm is within ``INPUT_TOL`` of 1.
     """
-    meters = _read_array(meters, InvalidMeterStates)
+    meters = _read_array(meters, lambda reason: ScenarioValidationError("meters", reason))
     if meters.ndim != 2 or meters.size == 0:
-        raise InvalidMeterStates(f"meter states must form a non-empty matrix, not {meters.shape}")
-    if not np.max(np.abs(np.linalg.norm(meters, axis=0) - 1.0)) <= METER_TOL:
-        raise InvalidMeterStates("meter states must have unit norm")
+        raise ScenarioValidationError("meters", f"must form a non-empty matrix, not {meters.shape}")
     m_dim, n = meters.shape
-    branch = _branch(initial, pointer, n)
-    return (branch[:, None] * meters.T).reshape(n * m_dim)
+    state = (_branch(initial, pointer, n)[:, None] * meters.T).reshape(n * m_dim)
+    _branches(state, pointer)
+    return state
 
 
 def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) -> np.ndarray:
@@ -220,17 +218,18 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
 
 
 def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
-    """A composite state of norm 1 as an N×M matrix: row ``j`` is pointer branch ``j``'s meter."""
+    """The one reader of a composite state: its unit ray as an N×M matrix, row ``j`` pointer
+    branch ``j``'s meter.  A state of norm off 1 by more than ``INPUT_TOL`` is refused."""
     state = _read_array(state, lambda reason: ScenarioValidationError("state", reason))
     n = pointer.dim
     if state.ndim != 1 or state.size % n != 0 or state.size == 0:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
     with np.errstate(over="ignore"):  # an overflowing norm is off 1 too, as is a NaN one
         norm = float(np.linalg.norm(state))
-    if not abs(norm - 1.0) <= 2 * METER_TOL:  # entangle's slack, as its meters', plus rounding
-        reason = f"norm {norm!r} is off 1 by more than {2 * METER_TOL:.0e}"
+    if not abs(norm - 1.0) <= INPUT_TOL:
+        reason = f"norm {norm!r} is off 1 by more than {INPUT_TOL:.0e}"
         raise ScenarioValidationError("state", reason)
-    return state.reshape(n, state.size // n)
+    return (state / norm).reshape(n, state.size // n)
 
 
 def composite_return_probabilities(

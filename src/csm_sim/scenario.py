@@ -223,10 +223,9 @@ def parse_scenario(path: str | Path) -> Scenario:
         {"schema_version", "dim", "contexts", "protocol"},
         {"schema_version", "dim", "contexts", "protocol", "meter", "sweep"},
     )
-    if raw["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioValidationError(
-            "schema_version", f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
-        )
+    if _integer("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
+        reason = f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
+        raise ScenarioValidationError("schema_version", reason)
     dim = _integer("dim", raw["dim"], 2)
 
     if not isinstance(raw["contexts"], dict) or not raw["contexts"]:

@@ -69,7 +69,8 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 19
+    assert per_scenario == 9
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 20
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the
@@ -78,7 +79,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
         usage = name in (
             "no_meter", "one_context", "unedited", "g_grid_0_1_2", "m_count_grid_-3_-1_1",
             "no_meter_and_explicit_x_off_by_1e-8", "x_haar_seed_-1", "gram_g_1.5",
-            "x_rotation_in_dim_3",
+            "x_rotation_in_dim_3", "schema_version_true",
         )
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err
@@ -89,3 +90,19 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
             # a sweep refuses with the message run gives, though it builds less
             assert main(["run", argv[1], "--trajectories", "10"]) == 1, label
             assert capsys.readouterr().err == err, label
+
+
+def test_a_written_report_is_read_and_walked_value_by_value(tmp_path):
+    runs = dict(compare_outputs.invocations(tmp_path))
+    argv = runs["scenarios/balanced_qubit.json  verify report"]
+    assert argv[2:] == ["--out", str(tmp_path / "report.json")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    code, stdout, _, written = compare_outputs.invoke(src, argv)
+    assert code == 0 and stdout.startswith("PASS")
+    assert json.loads(written)["pass"] is True
+    assert not (tmp_path / "report.json").exists()  # removed, for the other tree to write
+    moved = json.loads(written)
+    assert moved["checks"][0]["residual"] == 0.0  # an exact basis, so the gap below is exact
+    moved["checks"][0]["residual"] = 2**-60
+    notes = compare_outputs.describe((0, stdout, "", written), (0, stdout, "", json.dumps(moved)))
+    assert notes == ["report: max gap 8.674e-19", "  checks[*].residual: 1 value <= 8.7e-19"]

@@ -106,7 +106,8 @@ def test_matrices_end_in_a_domain_error(matrix, dim, vector):
     returns_or_refuses(lambda: cs.Context("x", matrix))
     returns_or_refuses(lambda: cs.Gram(matrix))
     returns_or_refuses(lambda: cs.build_context(cs.ContextSpec("explicit", dim, matrix=matrix)))
-    returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=matrix), dim))
+    gram = returns_or_refuses(lambda: build_gram(cs.GramSpec("explicit", matrix=matrix), dim))
+    assert gram is None or gram.dim == dim
     initial = cs.computational_context(dim).modality(0)
     returns_or_refuses(lambda: cs.entangle(initial, cs.fourier_context(dim), matrix))
     returns_or_refuses(lambda: cs.von_neumann_entropy(matrix))

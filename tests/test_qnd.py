@@ -8,11 +8,11 @@ from csm_sim.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
-    InvalidMeterStates,
     NotPositiveSemidefinite,
     ScenarioValidationError,
 )
-from csm_sim.qnd import METER_TOL, build_gram, density_matrix_residuals
+from csm_sim.hilbert import INPUT_TOL
+from csm_sim.qnd import build_gram, density_matrix_residuals
 from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
 
 
@@ -125,6 +125,14 @@ def test_build_gram_makes_what_the_spec_describes():
     matrix = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
     explicit = build_gram(cs.GramSpec("explicit", matrix=matrix), 2)
     np.testing.assert_array_equal(explicit.matrix, matrix)
+    # an explicit matrix must have the n rows and entries it is built for
+    for n in (3, 1):
+        with pytest.raises(ScenarioValidationError) as caught:
+            build_gram(cs.GramSpec("explicit", matrix=matrix), n)
+        assert (caught.value.field, caught.value.reason) == ("matrix", f"expected {n} rows")
+    with pytest.raises(ScenarioValidationError) as caught:
+        build_gram(cs.GramSpec("explicit", matrix=np.ones((2, 3))), 2)
+    assert (caught.value.field, caught.value.reason) == ("matrix[0]", "expected 2 entries")
 
 
 def test_gram_is_read_only():
@@ -199,7 +207,7 @@ def test_meter_states_complex_gram_and_determinism():
     a = cs.meter_states_from_gram(gram)
     b = cs.meter_states_from_gram(gram)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_allclose(a.conj().T @ a, gram.matrix, atol=1e-8)
+    np.testing.assert_allclose(a.conj().T @ a, gram.matrix, rtol=0, atol=INPUT_TOL)
 
 
 def test_entangle_same_context_is_product_state():
@@ -232,14 +240,32 @@ def test_entangle_norm_for_random_inputs():
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-10
 
 
+def _served(state, initial, pointer) -> None:
+    """Every reader serves ``state``, and its traced state has trace 1 within 1e-14."""
+    cs.composite_return_probabilities(state, initial.context, pointer)
+    rho = cs.reduced_system_state(state, pointer)
+    cs.von_neumann_entropy(rho)
+    assert abs(np.trace(rho).real - 1.0) <= 1e-14
+
+
 def test_entangle_takes_every_meter_set_the_meter_check_admits(balanced):
-    # unit norm within METER_TOL is an input bound, not a composite-state invariant
+    # the meter check is the composite state's: its norm within INPUT_TOL of 1, only that
     initial, tilted = balanced
-    meters = np.eye(2) * (1 + 1e-9)
-    state = cs.entangle(initial, tilted, meters)
-    assert np.linalg.norm(state) == pytest.approx(1 + 1e-9, rel=0, abs=1e-12)
-    with pytest.raises(InvalidMeterStates):
-        cs.entangle(initial, tilted, np.eye(2) * (1 + 1e-7))
+    z = cs.computational_context(2)
+    for stretch in (1 + 0.9 * INPUT_TOL, 1 - 0.9 * INPUT_TOL):
+        state = cs.entangle(initial, tilted, np.eye(2) * stretch)
+        assert np.linalg.norm(state) == pytest.approx(stretch, rel=0, abs=1e-15)
+        _served(state, initial, tilted)
+    # a meter on a branch of amplitude 0 adds nothing to the norm
+    _served(cs.entangle(z.modality(0), z, np.diag([1.0, 5.0])), z.modality(0), z)
+    for stretch in (1 + 2 * INPUT_TOL, 1 + 9e-9):
+        with pytest.raises(ScenarioValidationError) as caught:
+            cs.entangle(z.modality(0), z, np.eye(2) * stretch)
+        assert caught.value.field == "state"
+    for meters in ("ab", np.zeros(2), np.zeros((0, 2))):
+        with pytest.raises(ScenarioValidationError) as caught:
+            cs.entangle(initial, tilted, meters)
+        assert caught.value.field == "meters"
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,29 +273,89 @@ def test_entangle_takes_every_meter_set_the_meter_check_admits(balanced):
     seed=st.integers(0, 2**32 - 2),
     dim=st.integers(2, 6),
     rank=st.integers(1, 6),
-    stretch=st.floats(-1.0, 1.0),
+    stretch=st.floats(-2.0, 2.0),
     fraction=st.floats(0.0, 0.99),
 )
 def test_every_state_entangle_returns_is_admitted(seed, dim, rank, stretch, fraction):
-    # at the bounds: meters stretched up to METER_TOL, bases orthonormal up to INPUT_TOL
+    # at the bounds: meters stretched up to 2 INPUT_TOL, bases orthonormal up to INPUT_TOL;
+    # entangle refuses a state as the readers would, and every state it returns they serve
     rng = np.random.default_rng(seed)
     start = cs.Context("a", near_unitary(seed, dim, fraction))
     pointer = cs.Context("b", near_unitary(seed + 1, dim, fraction))
+    initial = start.modality(int(rng.integers(dim)))
     meters = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-    meters *= (1 + stretch * METER_TOL) / np.linalg.norm(meters, axis=0)
+    meters *= (1 + stretch * INPUT_TOL) / np.linalg.norm(meters, axis=0)
     try:
-        state = cs.entangle(start.modality(int(rng.integers(dim))), pointer, meters)
-    except InvalidMeterStates:  # rounding put a column past the meter check's bound
-        assume(False)
-    rho = cs.reduced_system_state(state, pointer)
-    assert abs(np.trace(rho).real - 1.0) <= 3 * METER_TOL
+        state = cs.entangle(initial, pointer, meters)
+    except ScenarioValidationError as refused:
+        assert refused.field == "state"
+        norm = np.linalg.norm((pointer.adjoint @ initial.vector)[:, None] * meters.T)
+        assert abs(norm - 1.0) > INPUT_TOL * (1 - 1e-6)
+        return
+    _served(state, initial, pointer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 6),
+    m_dim=st.integers(1, 6),
+    offset=st.floats(-0.999, 0.999),
+)
+def test_every_state_near_unit_norm_is_served(seed, dim, m_dim, offset):
+    # a state of norm within INPUT_TOL of 1 is read as its unit ray; a second floor of
+    # 1e-8 once let such a state past the readers and into the probability clamp
+    rng = np.random.default_rng(seed)
+    initial = cs.haar_context(dim, seed % 1000).modality(int(rng.integers(dim)))
+    pointer = cs.haar_context(dim, seed % 1000 + 1)
+    size = dim * m_dim
+    # half the time on one entry, where a return probability reaches the norm squared
+    if rng.integers(2):
+        state = np.eye(size, dtype=complex)[int(rng.integers(size))]
+    else:
+        state = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    state *= (1 + offset * INPUT_TOL) / np.linalg.norm(state)
+    _served(state, initial, pointer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(3, 6),
+    rank=st.integers(1, 5),
+    edges=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+)
+def test_meters_of_a_gram_at_its_psd_edge_are_served(seed, dim, rank, edges):
+    # eigenvalues placed within INPUT_TOL of 0, on both sides: the rank cut drops them, the
+    # realized meters reproduce the overlaps within INPUT_TOL, and the composite state they
+    # make is admitted by entangle and by both readers
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim - 1)
+    edge = np.resize(edges, dim - rank) * INPUT_TOL
+    eigvals = np.concatenate([rng.uniform(0.5, 2.0, rank), edge])
+    basis = cs.haar_context(dim, seed % 1000).basis
+    matrix = (basis * eigvals) @ basis.conj().T
+    scale = 1.0 / np.sqrt(np.diagonal(matrix).real)
+    matrix = matrix * np.outer(scale, scale)
+    try:
+        gram = cs.Gram(matrix)
+    except NotPositiveSemidefinite:  # the unit-diagonal scaling pushed an edge past -INPUT_TOL
+        return
+    meters = cs.meter_states_from_gram(gram)
+    assert np.max(np.abs(meters.conj().T @ meters - gram.matrix)) <= INPUT_TOL
+    initial = cs.haar_context(dim, seed % 1000 + 1).modality(int(rng.integers(dim)))
+    pointer = cs.haar_context(dim, seed % 1000 + 2)
+    _served(cs.entangle(initial, pointer, meters), initial, pointer)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("state", [[2, 0], [1e200, 0]], ids=["norm_2", "norm_overflows"])
+@pytest.mark.parametrize(
+    "state", [[2, 0], [1e200, 0], [1 + 1e-9, 0]], ids=["norm_2", "norm_overflows", "norm_1e-9_off"]
+)
 def test_a_composite_state_off_unit_norm_is_refused(balanced, state):
     # [2, 0] once gave a reduced state of trace 4, and the composite route an
-    # InternalConsistencyError; [1e200, 0] an inf matrix, with numpy's overflow warnings
+    # InternalConsistencyError; [1e200, 0] an inf matrix, with numpy's overflow warnings;
+    # [1 + 1e-9, 0], inside a second floor of 1e-8, an InternalConsistencyError in the clamp
     initial, tilted = balanced
     for read in (
         lambda: cs.reduced_system_state(state, tilted),
@@ -278,7 +364,7 @@ def test_a_composite_state_off_unit_norm_is_refused(balanced, state):
         with pytest.raises(ScenarioValidationError) as caught:
             read()
         assert caught.value.field == "state"
-        assert caught.value.reason.endswith("is off 1 by more than 2e-08")
+        assert caught.value.reason.endswith("is off 1 by more than 1e-10")
 
 
 def test_entangle_dim_mismatch(balanced):

@@ -119,6 +119,16 @@ def test_schema_version_checked(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
         cs.parse_scenario(write(tmp_path, dict(MINIMAL, schema_version=2)))
     assert err.value.field == "schema_version"
+    assert err.value.reason == "expected 1, got 2"
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_schema_version_is_an_integer(tmp_path, version):
+    # both once compared equal to 1 and were echoed into the report
+    with pytest.raises(ScenarioValidationError) as err:
+        cs.parse_scenario(write(tmp_path, dict(MINIMAL, schema_version=version)))
+    assert err.value.field == "schema_version"
+    assert err.value.reason == f"expected an integer, got {version!r}"
 
 
 def test_initial_must_open_the_sequence(tmp_path):

@@ -14,27 +14,29 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     run --seed 3 --trajectories 40000   (two full sampler blocks and a partial one)
     run --exhaustive
     verify
+    verify --out REPORT                 (the full-precision report, compared too)
     sweep --param g       --from 0 --to 1    --steps 11
     sweep --param m_count --from 0 --to 8    --steps 9
     sweep --param phase   --from 0 --to 2*pi --steps 11
 
 with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
-compares stdout, stderr and exit code.  It then runs the fixed list
-``REFUSALS``: documents derived from ``scenarios/balanced_qubit.json``,
-written to a temporary directory, each with an invocation the program must
-refuse, so that a changed exit code or refusal message shows too.  Among them
-are a broken grid (in the file or on the command line), a sweep the scenario
-cannot serve, an explicit matrix construction refuses, a context or gram
-recipe that breaks a rule of its kind (a negative Haar seed, a strength
-outside [0, 1], a rotation in dim 3), and two flags whose rule the library
+compares stdout, stderr, exit code and the file an ``--out`` flag names.  It
+then runs the fixed list ``REFUSALS``: documents derived from
+``scenarios/balanced_qubit.json``, written to a temporary directory, each with
+an invocation the program must refuse, so that a changed exit code or refusal
+message shows too.  Among them are a broken grid (in the file or on the
+command line), a sweep the scenario cannot serve, an explicit matrix
+construction refuses, a context or gram recipe that breaks a rule of its kind
+(a negative Haar seed, a strength outside [0, 1], a rotation in dim 3), a
+``schema_version`` that is no integer, and two flags whose rule the library
 owns as well (``verify --tolerance -1`` and ``run --exhaustive --seed -1``),
 which the command line refuses first, with its own text.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
-largest numeric gap between the two outputs (JSON reports are walked value by
-value, other text compared number by number).  For a JSON report it then
-prints, per key path with list indices collapsed to ``[*]``, how many values
-moved and the largest gap among them, for example
+largest numeric gap between the two outputs (JSON reports, printed or written,
+are walked value by value, other text compared number by number).  For a JSON
+report it then prints, per key path with list indices collapsed to ``[*]``,
+how many values moved and the largest gap among them, for example
 ``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14``; for other
 text it prints the lines that differ, aligned by ``difflib``.  Exits 1 if any
 invocation differs.
@@ -56,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 SHOWN_LINES = 10
+REPORT = "REPORT"  # in an invocation, the file its --out flag writes, under the temporary directory
 
 INVOCATIONS = [
     ("run seed 0", ["run", "--seed", "0", "--trajectories", "5000"]),
@@ -63,6 +66,7 @@ INVOCATIONS = [
     ("run seed 3 multi-block", ["run", "--seed", "3", "--trajectories", "40000"]),
     ("run exhaustive", ["run", "--exhaustive"]),
     ("verify", ["verify"]),
+    ("verify report", ["verify", "--out", REPORT]),
     ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
     ("sweep m_count", ["sweep", "--param", "m_count", "--from", "0", "--to", "8", "--steps", "9"]),
     (
@@ -127,6 +131,10 @@ def _x_rotation_in_dim_3(doc: dict) -> None:
     doc["dim"] = 3
 
 
+def _schema_version_true(doc: dict) -> None:
+    doc["schema_version"] = True
+
+
 SWEEP_G = ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
 SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"]
 
@@ -159,6 +167,8 @@ REFUSALS = [
     ("x_haar_seed_-1", _x_haar_seed_minus_1, ["run"]),
     ("gram_g_1.5", _gram_g_1_5, ["run"]),
     ("x_rotation_in_dim_3", _x_rotation_in_dim_3, ["run"]),
+    # an integer field read as an integer: true once compared equal to 1
+    ("schema_version_true", _schema_version_true, ["run"]),
     # flags whose rule the library owns too; the command line refuses them first
     ("unedited", _unedited, ["verify", "--tolerance", "-1"]),
     ("unedited", _unedited, ["run", "--exhaustive", "--seed", "-1"]),
@@ -184,12 +194,13 @@ def scenarios() -> list[Path]:
 def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
     """(label, argv) of every invocation: ``INVOCATIONS`` on each scenario, then ``REFUSALS``.
 
-    The refusal documents are written to ``tmp``.
+    The refusal documents, and the files ``--out`` writes, go to ``tmp``.
     """
     found = []
     for scenario in scenarios():
         label = scenario.relative_to(ROOT)
         for name, args in INVOCATIONS:
+            args = [str(tmp / "report.json") if arg == REPORT else arg for arg in args]
             found.append((f"{label}  {name}", [args[0], str(scenario), *args[1:]]))
     base = json.loads((ROOT / "scenarios" / "balanced_qubit.json").read_text())
     for name, edit, args in REFUSALS:
@@ -201,7 +212,8 @@ def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
     return found
 
 
-def invoke(src: Path, args: list[str]) -> tuple[int, str, str]:
+def invoke(src: Path, args: list[str]) -> tuple[int, str, str, str]:
+    """Exit code, stdout, stderr and the text of the file ``--out`` names ("" if none)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -209,7 +221,12 @@ def invoke(src: Path, args: list[str]) -> tuple[int, str, str]:
         [sys.executable, "-m", "csm_sim.cli", *args],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
-    return done.returncode, done.stdout, done.stderr
+    written = ""
+    if "--out" in args:  # read and removed, so the other tree's run writes it afresh
+        out = Path(args[args.index("--out") + 1])
+        written = out.read_text() if out.exists() else ""
+        out.unlink(missing_ok=True)
+    return done.returncode, done.stdout, done.stderr, written
 
 
 def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
@@ -269,11 +286,12 @@ def numeric_gap(a: str, b: str) -> float | None:
     return max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
 
 
-def describe(parent: tuple[int, str, str], change: tuple[int, str, str]) -> list[str]:
+def describe(parent: tuple, change: tuple) -> list[str]:
+    """Notes on how two (exit code, stdout, stderr[, written report]) results differ."""
     notes = []
     if parent[0] != change[0]:
         notes.append(f"exit code {parent[0]} -> {change[0]}")
-    for name, a, b in (("stdout", parent[1], change[1]), ("stderr", parent[2], change[2])):
+    for name, a, b in zip(("stdout", "stderr", "report"), parent[1:], change[1:]):
         if a == b:
             continue
         gap = numeric_gap(a, b)
