@@ -9,9 +9,22 @@ intermediate context), meter-mediated measurements of tunable strength
 parametrized by the meter-state overlap matrix, decoherence under repeated
 meter couplings, and stochastic trajectories with entropy production
 statistics.
+
+Determinism: the same scenario, seed and sample count give a byte-identical
+report, for one NumPy/BLAS build on one CPU kernel.  From dim 128 up, BLAS
+sums a product in another order on more than one thread, which moves last
+bits of the report; so importing this package sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where they are unset, before
+NumPy loads.  A value the caller set is kept.  A program that imported NumPy
+before this package keeps the threads NumPy started with, and child processes
+inherit the setting.  Across CPU kernels, values agree to about 1e-15.
 """
 
+import os as _os
 from types import ModuleType as _Module
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from ._version import __version__
 from .errors import (

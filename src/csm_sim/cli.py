@@ -5,12 +5,28 @@ Three subcommands: ``run`` executes a scenario and emits a JSON report,
 ``sweep`` grids one parameter and emits a CSV table.  Exit codes: 0 on
 success, 1 on verification or execution failure, 2 on usage, parse, read
 and write errors (a sweep grid :func:`~csm_sim.scenario.sweep_grid` refuses,
-such as one outside its parameter's domain, is a usage error).
+such as one outside its parameter's domain, is a usage error).  The command
+line checks only what the library cannot know: the memory budgets of
+``--trajectories`` and ``--steps``.  Every other rule of a flag (the seed, the
+sample count's floor, the tolerance, a grid's entries) is the library's, and
+its refusal is a usage error too.
+
+:func:`entry` is the process: the ``csm-sim`` console script and ``python -m
+csm_sim.cli`` both go through it.  It freezes the collector's view of every
+object the imports made (``gc.freeze``), then runs :func:`main`.  Those tens of
+thousands of objects live until the process ends, so tracing them again buys
+nothing: without the freeze, every full collection walks them, and so do the
+collections at interpreter shutdown, about a tenth of a short command's wall
+time.  :func:`main` itself has no process-wide effect, so tests and tracers call
+it in process; output that cannot be written is exit code 2 either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -85,25 +101,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> int:
-    """Write ``text`` to ``out``, or to stdout; exit code 2 if it cannot be written."""
+    """Write ``text`` to ``out``, or to stdout and flush it; exit code 2 if it cannot be written.
+
+    Stdout that cannot be written is pointed at the null device, as the ``signal``
+    module's note on SIGPIPE does, so that the flush at exit fails no second time.
+    """
     try:
         if out is None:
             sys.stdout.write(text)
+            sys.stdout.flush()
         else:
             Path(out).write_text(text)
     except OSError as err:
         print(f"{out or 'stdout'}: cannot write: {err.strerror or err}", file=sys.stderr)
+        if out is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
     return 0
 
 
 def _cmd_run(args, scenario) -> int:
-    least, limit = (0 if args.exhaustive else 1), max_trajectories(scenario.dim)
-    if not least <= args.trajectories <= limit:
-        print(f"run: --trajectories must be in [{least}, {limit}]", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("run: --seed must be >= 0", file=sys.stderr)
+    limit = max_trajectories(scenario.dim)
+    if args.trajectories > limit:
+        print(f"run: --trajectories must be <= {limit}", file=sys.stderr)
         return 2
     report = run_scenario(
         scenario, seed=args.seed, n_samples=args.trajectories, exhaustive=args.exhaustive
@@ -112,14 +134,12 @@ def _cmd_run(args, scenario) -> int:
 
 
 def _cmd_verify(args, scenario) -> int:
-    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        print("verify: --tolerance must be finite and >= 0", file=sys.stderr)
-        return 2
     report = verify_report(scenario, args.tolerance)
-    for check in report["checks"]:
-        status = "PASS" if check["pass"] else "FAIL"
-        print(f"{status}  {check['name']}  residual={check['residual']:.3e}")
-    if args.out and _emit(report_to_json(report), args.out):
+    lines = [
+        f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}  residual={c['residual']:.3e}\n"
+        for c in report["checks"]
+    ]
+    if _emit("".join(lines), None) or (args.out and _emit(report_to_json(report), args.out)):
         return 2
     if not report["pass"]:
         first = next(c for c in report["checks"] if not c["pass"])
@@ -130,8 +150,8 @@ def _cmd_verify(args, scenario) -> int:
         )
         print(f"verification failed: {first['name']} {reason}", file=sys.stderr)
         return 1
-    print(f"all {len(report['checks'])} checks passed at tolerance {args.tolerance:.3e}")
-    return 0
+    summary = f"all {len(lines)} checks passed at tolerance {args.tolerance:.3e}\n"
+    return _emit(summary, None)
 
 
 def _cmd_sweep(args, scenario) -> int:
@@ -140,12 +160,9 @@ def _cmd_sweep(args, scenario) -> int:
         print(f"sweep: --steps must be in [1, {limit}]", file=sys.stderr)
         return 2
     with np.errstate(invalid="ignore", over="ignore"):
-        values = np.linspace(args.start, args.stop, args.steps)
-    if not np.isfinite(values).all():
-        print("sweep: grid values must be finite", file=sys.stderr)
-        return 2
-    if args.param == "m_count":
-        values = [int(round(v)) for v in values]
+        values = np.linspace(args.start, args.stop, args.steps).tolist()
+    if args.param == "m_count":  # a non-finite entry has no integer; sweep_grid refuses it
+        values = [int(round(v)) if math.isfinite(v) else v for v in values]
     rows = sweep_rows(scenario, args.param, values)
     header, table = sweep_table(args.param, rows, scenario.dim)
     return _emit(format_csv(header, table), args.out)
@@ -175,5 +192,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Run :func:`main` as the whole process, its imports frozen out of the collector."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,13 +16,14 @@ make one, trust it.  The package's value rules each have one owner here: ``_numb
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``_read_array`` for every
 caller's matrix and vector; ``_Recipe`` for the kind and fields of both recipes, ``_square``
-for a matrix's shape; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields.
+for a matrix's shape; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen
+fields, and ``_Value``, the frozen base of every value type.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from numbers import Integral, Real
 
 import numpy as np
@@ -92,6 +93,66 @@ def _hold(obj, **fields) -> None:
         object.__setattr__(obj, name, _frozen(value))
 
 
+class _Value:
+    """Base of the frozen value types, built as written: it generates no code.
+
+    A subclass's own annotations, in order, name its constructor's parameters (``ARGS``),
+    and a class attribute of the same name is a parameter's default.  The constructor sets
+    them, then calls ``__post_init__``, which checks them and may set derived fields with
+    :func:`_hold`.  Two objects of one class are equal, and hash alike, when their
+    ``_key()``, by default the ``ARGS`` values, are; ``repr`` shows the ``ARGS``.  Setting
+    or deleting an attribute raises ``dataclasses.FrozenInstanceError``.  A dataclass would
+    do the same, but generates its methods from source at every import.
+    """
+
+    ARGS: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.ARGS = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self.ARGS
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated {name!r}")
+            values[name] = value
+        for name in names:
+            try:
+                value = values[name] if name in values else getattr(cls, name)
+            except AttributeError:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}") from None
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.ARGS)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.ARGS)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def _identity_residual(product: np.ndarray) -> float:
     return float(np.max(np.abs(product - np.eye(product.shape[1]))))
 
@@ -115,8 +176,7 @@ def closure_residual(ctx: "Context") -> float:
     return _identity_residual(ctx.basis @ ctx.adjoint)
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+class Context(_Value):
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector.
 
     ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, both set
@@ -130,11 +190,6 @@ class Context:
 
     id: str
     basis: np.ndarray
-    adjoint: np.ndarray = field(init=False, repr=False)
-    dim: int = field(init=False, repr=False)
-    orthonormality: float = field(init=False, repr=False)
-    _overlaps: dict = field(init=False, repr=False)
-    _returns: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = _read_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
@@ -204,8 +259,7 @@ class Context:
         return f"Context(id={self.id!r}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class Modality:
+class Modality(_Value):
     """One certain, repeatable outcome of one context; ``index`` is an integer, not a bool."""
 
     context: Context
@@ -242,9 +296,10 @@ def _integer(field: str, value, least: int | None = None) -> int:
 
 
 class _Recipe:
-    """A frozen recipe.  Made, it refuses an unknown kind, a field its kind reads unset or one
-    it ignores set, and holds an ``explicit`` matrix as a read-only complex copy; it equals and
-    hashes as its kind, its ``dim`` (if it has one) and that field, a matrix as shape and bytes."""
+    """A frozen recipe, the first base of a :class:`_Value`.  Made, it refuses an unknown kind,
+    a field its kind reads unset or one it ignores set, and holds an ``explicit`` matrix as a
+    read-only complex copy; its ``_key`` is its kind, its ``dim`` (if it has one) and that
+    field, a matrix as shape and bytes."""
 
     FIELDS: dict[str, tuple[str, ...]]
     WHAT: str  # the recipe's name in the refusal of an unknown kind
@@ -266,14 +321,6 @@ class _Recipe:
         values = [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
         return (self.kind, getattr(self, "dim", None), *values)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 def _square(matrix: np.ndarray, dim: int) -> None:
     """Refuse a recipe's matrix unless it is dim × dim, with the parser's texts for rows."""
@@ -288,8 +335,7 @@ CONTEXT_FIELDS = {"computational": (), "fourier": (), "rotation": ("theta",), "h
                   "explicit": ("matrix",)}
 
 
-@dataclass(frozen=True, eq=False)
-class ContextSpec(_Recipe):
+class ContextSpec(_Recipe, _Value):
     """Recipe for a context, as a scenario file declares it; it checks itself when made.
 
     ``kind`` is a key of ``CONTEXT_FIELDS``, and only the field it reads is set: ``theta``

@@ -33,8 +33,6 @@ on the system factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -45,21 +43,23 @@ from .errors import (
     ScenarioValidationError,
 )
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
-from .hilbert import _square, clamp_probabilities
+from .hilbert import _square, _Value, clamp_probabilities
 
 
-@dataclass(frozen=True, eq=False)
-class Gram:
+class Gram(_Value):
     """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
 
     Checked once here, by ``eigvalsh`` (smallest eigenvalue not below
     ``-INPUT_TOL``) of the Hermitian part of the given matrix with its diagonal
-    set to 1, which ``matrix`` holds (the same bits for an exact input): admitted
-    residuals of up to ``INPUT_TOL`` each would add up past the probability clamp.
+    set to 1, which ``matrix`` holds (the same bits for an exact input), with its
+    eigenvalues, ascending, in ``eigvals``: admitted residuals of up to ``INPUT_TOL`` each
+    would add up past the probability clamp.  Two overlap matrices are equal only if they
+    are the same object.
     """
 
     matrix: np.ndarray
-    eigvals: np.ndarray = field(init=False, repr=False)
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         matrix = _read_array(self.matrix, lambda reason: InvalidGramMatrix(reason, np.inf))
@@ -102,8 +102,7 @@ def _strength(field: str, value) -> float:
 GRAM_FIELDS = {"uniform": ("g",), "explicit": ("matrix",)}
 
 
-@dataclass(frozen=True, eq=False)
-class GramSpec(_Recipe):
+class GramSpec(_Recipe, _Value):
     """Recipe for an overlap matrix, as a scenario file declares it; it checks itself when made.
 
     ``kind`` is a key of ``GRAM_FIELDS``, and only the field it reads is set: ``g`` (a finite

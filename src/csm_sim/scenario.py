@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number
+from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number, _Value
 from .qnd import GRAM_FIELDS, GramSpec, _strength
 
 SCHEMA_VERSION = 1
@@ -50,28 +49,24 @@ def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
     return dim * dim * (32 * n_contexts + 48 * n_steps)
 
 
-@dataclass(frozen=True)
-class MeterSpec:
+class MeterSpec(_Value):
     pointer: str
     gram: GramSpec
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(_Value):
     initial_context: str
     initial_index: int
     sequence: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Value):
     g: tuple[float, ...] | None = None
     m_count: tuple[int, ...] | None = None
     phase: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """Validated scenario plus the raw document it came from (for echoing)."""
 
     dim: int

@@ -29,7 +29,6 @@ exact one builds no path, so no protocol is too long.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,15 +39,15 @@ from .errors import (
     LengthMismatch,
     ZeroProbabilityPath,
 )
-from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, check_index, clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _Value, check_index
+from .hilbert import clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
 
 # Two evaluation routes of the same log-ratio must agree to this.
 CROSS_CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Protocol:
+class Protocol(_Value):
     """Ordered sequence of contexts with a known initial outcome in the first.
 
     Holds, set once here and read-only: ``steps``, the transition table
@@ -60,8 +59,6 @@ class Protocol:
 
     contexts: tuple[Context, ...]
     initial: Modality
-    steps: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    marginal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         contexts = tuple(self.contexts)
@@ -91,8 +88,7 @@ class Protocol:
         return len(self.contexts)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value):
     """One realized outcome sequence with its likelihood and entropy production."""
 
     outcomes: tuple[int, ...]
@@ -100,8 +96,7 @@ class Trajectory:
     entropy_production: float
 
 
-@dataclass(frozen=True)
-class TrajectoryEnsembleStats:
+class TrajectoryEnsembleStats(_Value):
     """Summary of a trajectory ensemble; ``mode`` is ``"monte_carlo"`` or ``"exhaustive"``.
 
     ``sample_count`` counts the trajectories drawn, or the exact ensemble's paths."""

@@ -55,17 +55,18 @@ def test_run_zero_trajectories_without_exhaustive_is_usage_error(capsys):
 
 
 def test_run_negative_trajectories_is_usage_error_in_both_modes(capsys):
-    for flags in ([], ["--exhaustive"]):
+    # the floor of the sample count is run_scenario's rule, refused in its words
+    for flags, least in (([], 1), (["--exhaustive"], 0)):
         assert main(["run", SCENARIO, *flags, "--trajectories", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("run: --trajectories ")
+        assert captured.err == f"{SCENARIO}: n_samples: must be >= {least}, got -5\n"
 
 
 def test_run_negative_seed_is_usage_error(capsys):
     assert main(["run", SCENARIO, "--seed", "-1"]) == 2
     captured = capsys.readouterr()
-    assert "--seed" in captured.err
+    assert captured.err == f"{SCENARIO}: seed: must be >= 0, got -1\n"
     assert captured.out == ""
 
 
@@ -166,7 +167,9 @@ def test_verify_refuses_a_tolerance_that_is_not_finite_and_non_negative(capsys, 
     assert main(["verify", SCENARIO, "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("verify: --tolerance")
+    # verify_scenario's rule, refused in its words
+    reason = "must be >= 0, got -1.0" if tolerance == "-1" else f"expected a number, got {tolerance}"
+    assert captured.err == f"{SCENARIO}: tolerance: {reason}\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -286,12 +289,14 @@ def test_sweep_invalid_grid_is_usage_error(capsys, param, start):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    if math.isfinite(float(start)):
-        # refused by the check a scenario file's grid gets, with its message, naming the entry
-        reason = {"g": "strength -0.5 outside [0, 1]", "m_count": "must be >= 0, got -2"}
-        assert captured.err == f"{SCENARIO}: sweep.{param}[0]: {reason[param]}\n"
-    else:
-        assert captured.err == "sweep: grid values must be finite\n"
+    # refused by the check a scenario file's grid gets, with its message, naming the entry;
+    # a non-finite end makes the first entry NaN or infinite
+    reason = {
+        "g": "strength -0.5 outside [0, 1]",
+        "m_count": "must be >= 0, got -2" if start == "-2" else "expected an integer, got nan",
+        "phase": "expected a number, got nan",
+    }
+    assert captured.err == f"{SCENARIO}: sweep.{param}[0]: {reason[param]}\n"
 
 
 def _tree_paths(node, prefix=()):

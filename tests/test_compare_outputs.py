@@ -53,6 +53,25 @@ def test_gaps_are_grouped_by_key_path_with_indices_collapsed():
     assert compare_outputs.gaps_by_path("PASS\n", "PASS\n") is None
 
 
+def test_a_list_entry_that_carries_a_name_is_keyed_by_it():
+    a = {
+        "checks": [
+            {"name": "meter.reduced_state", "residual": 0.0}, {"name": "x", "residual": 0.5}
+        ],
+        "rows": [{"name": 3, "p": [0.5]}],
+    }
+    b = json.loads(json.dumps(a))
+    b["checks"][0]["residual"] = 2**-52
+    b["rows"][0]["p"][0] = 0.5 + 2**-50
+    grouped = compare_outputs.gaps_by_path(json.dumps(a), json.dumps(b))
+    # a name that is no string keys nothing
+    assert grouped == {
+        "checks[meter.reduced_state].residual": (1, 2**-52), "rows[*].p[*]": (1, 2**-50)
+    }
+    b["checks"][1]["name"] = "y"  # a renamed entry is a structural difference
+    assert compare_outputs.gaps_by_path(json.dumps(a), json.dumps(b)) is None
+
+
 def test_describe_lists_paths_for_json_and_aligned_lines_for_text():
     a = _report([0.5, 0.25, 0.25], 0.125)
     b = _report([0.5, 0.25, 0.25], 0.125 + 2**-45)
@@ -105,4 +124,7 @@ def test_a_written_report_is_read_and_walked_value_by_value(tmp_path):
     assert moved["checks"][0]["residual"] == 0.0  # an exact basis, so the gap below is exact
     moved["checks"][0]["residual"] = 2**-60
     notes = compare_outputs.describe((0, stdout, "", written), (0, stdout, "", json.dumps(moved)))
-    assert notes == ["report: max gap 8.674e-19", "  checks[*].residual: 1 value <= 8.7e-19"]
+    assert notes == [
+        "report: max gap 8.674e-19",
+        "  checks[context[z].orthonormal].residual: 1 value <= 8.7e-19",
+    ]

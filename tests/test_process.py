@@ -1,0 +1,109 @@
+"""A ``csm-sim`` process as a whole: its entry, its imports, its stdout and its BLAS threads."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from csm_sim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO = str(ROOT / "scenarios" / "balanced_qubit.json")
+TABLES_D64 = ROOT / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter on this checkout's sources; ``env`` entries of None are unset."""
+    environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, value in env.items():
+        environ.pop(name, None)
+        if value is not None:
+            environ[name] = value
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=environ, text=True,
+        timeout=120,
+    )
+
+
+def test_importing_the_cli_generates_no_code():
+    # a dataclass compiles its methods from "<string>" source: 64 at 12 classes
+    code = (
+        "import sys, numpy\n"
+        "events = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and events.append(args[1]))\n"
+        "import csm_sim.cli\n"
+        "print(events.count('<string>'))\n"
+    )
+    done = _python(["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", SCENARIO]) == 0
+    assert main(["run", SCENARIO, "--trajectories", "10"]) == 0
+    assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+
+
+def test_the_process_entry_freezes_the_imports_and_exits_with_mains_code():
+    code = (
+        "import atexit, gc, sys\n"
+        "import csm_sim.cli\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = ['csm-sim', 'verify', {SCENARIO!r}, '--tolerance', '-1']\n"
+        "csm_sim.cli.entry()\n"
+    )
+    done = _python(["-c", code])
+    assert done.returncode == 2
+    assert done.stderr == f"{SCENARIO}: tolerance: must be >= 0, got -1.0\nfrozen True\n"
+    assert 'csm-sim = "csm_sim.cli:entry"' in (ROOT / "pyproject.toml").read_text()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", SCENARIO, "--trajectories", "10"],
+        ["verify", SCENARIO],
+        ["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_that_cannot_be_written_is_exit_two_with_one_line(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        done = _python(["-m", "csm_sim.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert (done.returncode, done.stderr) == (2, "stdout: cannot write: No space left on device\n")
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # from dim 128 up, two BLAS threads sum some products in another order than one
+    doc = json.loads(TABLES_D64.read_text())
+    doc["dim"] = 128
+    del doc["sweep"]
+    scenario = tmp_path / "d128.json"
+    scenario.write_text(json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from csm_sim.cli import main\n"
+        "run, verify = sys.argv[1:]\n"
+        f"assert main(['run', {str(scenario)!r}, '--trajectories', '100', '--out', run]) == 0\n"
+        f"assert main(['verify', {str(scenario)!r}, '--out', verify]) == 0\n"
+    )
+    outputs = []
+    # one thread, a general setting of two (which OpenBLAS reads when its own is unset), none
+    for env in ({"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "2"}, {}):
+        run, verify = tmp_path / "run.json", tmp_path / "verify.json"
+        unset = dict.fromkeys(BLAS_VARS)
+        done = _python(["-c", code, str(run), str(verify)], **{**unset, **env})
+        assert done.returncode == 0, done.stderr
+        outputs.append((run.read_bytes(), verify.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]

@@ -281,6 +281,40 @@ def test_report_with_non_finite_value_is_domain_error():
             report_to_json({"results": {"mean": value}})
 
 
+class _Float(float):
+    def __repr__(self):
+        return "not what json writes"
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1])
+    | st.floats(allow_nan=False, allow_infinity=False).map(_Float)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.text()
+)
+_REPORTS = st.recursive(
+    _SCALARS | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=_REPORTS, bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_report_bytes_are_those_of_json_dumps_and_a_non_finite_value_is_refused(report, bad):
+    assert report_to_json(report) == json.dumps(report, indent=2, allow_nan=False) + "\n"
+    # the non-finite value in a flat float list, alone, or among other values
+    for poisoned in ([0.5, bad], bad, {"a": [report, [1, bad]]}, [report, bad]):
+        with pytest.raises(cs.CsmSimError, match="non-finite"):
+            report_to_json(poisoned)
+
+
 def test_verify_reports_non_orthonormal_residual(tmp_path):
     doc = {
         "schema_version": 1,

@@ -28,16 +28,17 @@ message shows too.  Among them are a broken grid (in the file or on the
 command line), a sweep the scenario cannot serve, an explicit matrix
 construction refuses, a context or gram recipe that breaks a rule of its kind
 (a negative Haar seed, a strength outside [0, 1], a rotation in dim 3), a
-``schema_version`` that is no integer, and two flags whose rule the library
-owns as well (``verify --tolerance -1`` and ``run --exhaustive --seed -1``),
-which the command line refuses first, with its own text.
+``schema_version`` that is no integer, and two flags whose rule only the
+library owns (``verify --tolerance -1`` and ``run --exhaustive --seed -1``).
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
 are walked value by value, other text compared number by number).  For a JSON
-report it then prints, per key path with list indices collapsed to ``[*]``,
-how many values moved and the largest gap among them, for example
-``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14``; for other
+report it then prints, per key path, how many values moved and the largest
+gap among them; in the path a list entry that carries a ``name`` is keyed by
+it and any other list index is collapsed to ``[*]``, for example
+``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14`` or
+``checks[meter.reduced_state].residual: 1 value <= 2.2e-16``; for other
 text it prints the lines that differ, aligned by ``difflib``.  Exits 1 if any
 invocation differs.
 """
@@ -169,7 +170,7 @@ REFUSALS = [
     ("x_rotation_in_dim_3", _x_rotation_in_dim_3, ["run"]),
     # an integer field read as an integer: true once compared equal to 1
     ("schema_version_true", _schema_version_true, ["run"]),
-    # flags whose rule the library owns too; the command line refuses them first
+    # flags whose rule only the library owns
     ("unedited", _unedited, ["verify", "--tolerance", "-1"]),
     ("unedited", _unedited, ["run", "--exhaustive", "--seed", "-1"]),
 ]
@@ -232,7 +233,8 @@ def invoke(src: Path, args: list[str]) -> tuple[int, str, str, str]:
 def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
     """(key path, |a - b|) of every number that differs, or None if the structures differ.
 
-    List indices in the path are collapsed to ``[*]``.
+    In the path, a list entry is keyed by its ``name``, if it carries one, and by ``*``
+    otherwise, so that a moved ``verify`` check is named.
     """
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
@@ -241,7 +243,7 @@ def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
-        parts = [_moved_values(x, y, f"{path}[*]") for x, y in zip(a, b)]
+        parts = [_moved_values(x, y, f"{path}[{_entry_key(x)}]") for x, y in zip(a, b)]
     elif isinstance(a, bool) or isinstance(b, bool):
         return [] if a == b else None
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -249,6 +251,11 @@ def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
     else:
         return [] if a == b else None
     return None if None in parts else [moved for part in parts for moved in part]
+
+
+def _entry_key(entry) -> str:
+    named = isinstance(entry, dict) and isinstance(entry.get("name"), str)
+    return entry["name"] if named else "*"
 
 
 def _parse_pair(a: str, b: str) -> tuple | None:
@@ -259,7 +266,7 @@ def _parse_pair(a: str, b: str) -> tuple | None:
 
 
 def gaps_by_path(a: str, b: str) -> dict[str, tuple[int, float]] | None:
-    """Per collapsed key path, (count of moved values, largest gap), for two JSON outputs.
+    """Per key path, (count of moved values, largest gap), for two JSON outputs.
 
     None if either output is not JSON or the two differ in structure.
     """
