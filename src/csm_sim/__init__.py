@@ -30,12 +30,8 @@ from ._version import __version__
 from .errors import (
     CsmSimError,
     DimensionMismatch,
-    IndexOutOfRange,
-    InitialMismatch,
     InternalConsistencyError,
-    InvalidDistribution,
     InvalidGramMatrix,
-    LengthMismatch,
     NonOrthonormalInput,
     NotPositiveSemidefinite,
     RefusedInput,

@@ -100,16 +100,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _grid_ends(argv: list[str]) -> list[str]:
+    """``argv`` with each number after ``--from`` or ``--to`` joined to it (``--to=-1e-3``):
+    argparse takes a negative number written with an exponent for an option."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in ("--from", "--to"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def _emit(text: str, out: str | None) -> int:
     """Write ``text`` to ``out``, or to stdout and flush it; exit code 2 if it cannot be written.
 
-    Stdout that cannot be written is pointed at the null device, as the ``signal``
-    module's note on SIGPIPE does, so that the flush at exit fails no second time.
+    Stdout's bytes go to its binary buffer until it has taken them all: unbuffered
+    (``python -u``) that is the raw file, whose write may take only part of them, a
+    count the text layer drops.  A stdout with no binary buffer (a ``StringIO``)
+    takes the text.  Stdout that cannot be written is pointed at the null device, as
+    the ``signal`` module's note on SIGPIPE does, so the flush at exit fails no more.
     """
     try:
         if out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            sys.stdout.flush()  # text already in the text layer goes first
+            stream = getattr(sys.stdout, "buffer", None)
+            if stream is None:
+                sys.stdout.write(text)
+            else:
+                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+                while data:
+                    data = data[stream.write(data):]
+                stream.flush()
         else:
             Path(out).write_text(text)
     except OSError as err:
@@ -169,7 +196,7 @@ def _cmd_sweep(args, scenario) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_grid_ends(sys.argv[1:] if argv is None else argv))
     try:
         scenario = parse_scenario(args.scenario)
     except OSError as err:

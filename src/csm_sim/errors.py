@@ -1,6 +1,16 @@
-"""Exception types shared across the package; a value that breaks its own rule, from a file, a
-recipe, a grid or a library call (a count, a seed, a tolerance, the ``meters``, composite
-``state`` or ``phases`` a library call reads), is a ScenarioValidationError."""
+"""Exception types, one per rule, each a ``CsmSimError``:
+
+- ``ScenarioValidationError``: a value breaks its own rule, from a file, a recipe, a grid or a
+  library call (a count, seed, tolerance, index, outcome sequence, a protocol's contexts or
+  initial modality, a distribution, the ``meters``, ``state``, ``phases`` or ``rho`` read);
+- ``ScenarioParseError``: a scenario file is not valid JSON text;
+- ``DimensionMismatch``: operands live in spaces of different dimension;
+- ``RefusedInput``: a constructor's measured check refuses its matrix, a basis
+  (``NonOrthonormalInput``) or an overlap matrix (``InvalidGramMatrix``, and
+  ``NotPositiveSemidefinite`` for a negative eigenvalue);
+- ``ZeroProbabilityPath``: entropy production asked of a path of probability zero;
+- ``InternalConsistencyError``: a computed value breaks a property it has by construction.
+"""
 
 
 class CsmSimError(Exception):
@@ -9,10 +19,6 @@ class CsmSimError(Exception):
 
 class DimensionMismatch(CsmSimError, ValueError):
     """Operands live in spaces of different dimension."""
-
-
-class IndexOutOfRange(CsmSimError, IndexError):
-    """Outcome index not in [0, dim)."""
 
 
 class RefusedInput(CsmSimError, ValueError):
@@ -35,37 +41,20 @@ class NotPositiveSemidefinite(InvalidGramMatrix):
     """Overlap matrix has an eigenvalue below the PSD tolerance; ``residual`` is its negation."""
 
 
-class InvalidDistribution(CsmSimError, ValueError):
-    """Probability vector fails the [0,1] / sum-to-one checks."""
-
-
-class LengthMismatch(CsmSimError, ValueError):
-    """Outcome sequence length differs from the protocol length."""
-
-
-class InitialMismatch(CsmSimError, ValueError):
-    """First outcome of a sequence disagrees with the protocol's initial modality."""
-
-
 class ZeroProbabilityPath(CsmSimError, ValueError):
     """Entropy production is undefined on a forward path of probability zero."""
 
 
 class InternalConsistencyError(CsmSimError, RuntimeError):
-    """A computed quantity violates a property it must satisfy by construction.
-
-    Raised e.g. when a probability lands outside [0,1] by more than the
-    validation tolerance, or when a quantity that must be real carries a
-    larger imaginary residue; distinguishes genuine bugs from rounding.
-    """
+    """A computed quantity violates a property it must satisfy by construction, by more than
+    rounding (a probability outside [0, 1] past ``INPUT_TOL``): a bug, not a bad input."""
 
 
 class ScenarioParseError(CsmSimError, ValueError):
     """Scenario file is not syntactically valid."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
+        self.line, self.column = line, column
         if line is not None:
             message = f"{message} (line {line}, column {column})"
         super().__init__(message)
@@ -77,6 +66,5 @@ class ScenarioValidationError(CsmSimError, ValueError):
     ``contexts.x.seed`` of a file's, ``sweep.g[2]`` of a grid's)."""
 
     def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
+        self.field, self.reason = field, reason
         super().__init__(f"{field}: {reason}")

@@ -14,10 +14,11 @@ label chosen at construction time.
 its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  The package's value rules each have one owner here: ``_number``
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
-recipe, document field, grid entry, count, seed and tolerance; ``_read_array`` for every
-caller's matrix and vector; ``_Recipe`` for the kind and fields of both recipes, ``_square``
-for a matrix's shape; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen
-fields, and ``_Value``, the frozen base of every value type.
+recipe, document field, grid entry, count, seed and tolerance; ``check_index`` for every
+index and outcome; ``_read_array`` for every caller's matrix and vector (a density matrix
+too); ``_Recipe`` for the kind and fields of both recipes, ``_square`` for a matrix's shape;
+``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields, and
+``_Value``, the frozen base of every value type.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InternalConsistencyError,
-    NonOrthonormalInput,
-    ScenarioValidationError,
-)
+from .errors import DimensionMismatch, InternalConsistencyError, NonOrthonormalInput
+from .errors import ScenarioValidationError
 
 # Validation tolerance for user-supplied matrices.
 INPUT_TOL = 1e-10
@@ -57,25 +53,27 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, Integral)
 
 
-def check_index(what: str, index, dim: int) -> None:
-    """Refuse ``index`` unless it is an integer in [0, dim)."""
+def check_index(field: str, index, dim: int) -> None:
+    """Refuse ``index`` unless it is an integer in [0, dim), naming it ``field``."""
     # a plain int skips the ABC check, ~10x the cost of the rest: verify reads dim² per step
     if type(index) is not int and not is_integer(index):
-        raise IndexOutOfRange(f"{what} {index!r} is not an integer")
+        raise ScenarioValidationError(field, f"{index!r} is not an integer")
     if not 0 <= index < dim:
-        raise IndexOutOfRange(f"{what} {index} not in [0, {dim})")
+        raise ScenarioValidationError(field, f"{index} not in [0, {dim})")
 
 
 def _read_array(value, refuse, dtype=complex) -> np.ndarray:
-    """A new ``dtype`` (complex or float) array of ``value``, or the domain error
-    ``refuse(reason)`` if numpy cannot read one (a malformed string entry, ragged rows, an
-    object with no such value, an integer past a double, a complex value read as real)."""
+    """A new ``dtype`` array of ``value`` (complex, float, or None: float if real, else complex),
+    or the domain error ``refuse(reason)`` if numpy cannot read one (a malformed string entry,
+    ragged rows, an object with no such value, an integer past a double, a complex read real)."""
     try:
+        if dtype is None:
+            dtype = float if np.isrealobj(value) else complex
         if dtype is complex or np.isrealobj(value):
             return np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise refuse(f"cannot read {value!r:.60} as a {dtype.__name__} array")
+    raise refuse(f"cannot read {value!r:.60} as a {getattr(dtype, '__name__', 'numeric')} array")
 
 
 def _frozen(value):
@@ -179,10 +177,11 @@ def closure_residual(ctx: "Context") -> float:
 class Context(_Value):
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector.
 
-    ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, both set
-    once here; ``adjoint`` is read-only like ``basis``, and ``orthonormality``
-    is the B†B residual measured when the basis was admitted (for an explicit
-    basis, the residual of the matrix as given: see :func:`build_context`).
+    ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, read as
+    ``ContextSpec`` reads it (an integer >= 2), both set once here; ``adjoint``
+    is read-only like ``basis``, and ``orthonormality`` is the B†B residual
+    measured when the basis was admitted (for an explicit basis, the residual of
+    the matrix as given: see :func:`build_context`).
     Overlaps with another context come from :meth:`overlaps`, one memoized
     table per partner, and the two return tables through an intermediate
     context from :meth:`return_tables`, memoized per intermediate the same way.
@@ -195,8 +194,7 @@ class Context(_Value):
         basis = _read_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
-        if basis.shape[0] < 2:
-            raise DimensionMismatch(f"context dimension must be >= 2, got {basis.shape[0]}")
+        dim = _integer("dim", basis.shape[0], 2)
         # A transposed view of a conjugate copy, held read-only with its base.  It
         # must stay a view: a C-ordered copy changes BLAS's summation order in
         # ``adjoint @ v``, and with it the last bits of every report.
@@ -207,7 +205,7 @@ class Context(_Value):
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                 residual,
             )
-        _hold(self, basis=basis, adjoint=adjoint, dim=basis.shape[0], orthonormality=residual,
+        _hold(self, basis=basis, adjoint=adjoint, dim=dim, orthonormality=residual,
               _overlaps={}, _returns={})
 
     def overlaps(self, other: "Context") -> np.ndarray:
@@ -266,7 +264,7 @@ class Modality(_Value):
     index: int
 
     def __post_init__(self):
-        check_index("modality index", self.index, self.context.dim)
+        check_index("index", self.index, self.context.dim)
 
     @property
     def dim(self) -> int:

@@ -25,23 +25,26 @@ with adjustable per-path phases, which is what an interferometer dials.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDistribution, ScenarioValidationError
+from .errors import DimensionMismatch, ScenarioValidationError
 from .hilbert import INPUT_TOL, Context, Modality, _read_array, check_index, clamp_probabilities
 
 
-def validate_distribution(dist: np.ndarray) -> np.ndarray:
-    """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, snapped into [0, 1]."""
-    dist = _read_array(dist, InvalidDistribution, float)
+def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
+    """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, clipped; a refusal names ``field``."""
+    refuse = partial(ScenarioValidationError, field)
+    dist = _read_array(dist, refuse, float)
     if dist.ndim != 1 or not dist.size:
-        raise InvalidDistribution(f"need a non-empty vector of weights, got shape {dist.shape}")
+        raise refuse(f"need a non-empty vector of weights, got shape {dist.shape}")
     # written so that NaN, which fails every comparison, lands on the raising branch
     if not (float(np.min(dist)) >= -INPUT_TOL and float(np.max(dist)) <= 1.0 + INPUT_TOL):
-        raise InvalidDistribution("weights outside [0, 1]")
+        raise refuse("weights outside [0, 1]")
     total = float(np.sum(dist))
     if not abs(total - 1.0) <= INPUT_TOL:
-        raise InvalidDistribution(f"weights sum to {total!r}, not 1")
+        raise refuse(f"weights sum to {total!r}, not 1")
     return np.clip(dist, 0.0, 1.0)
 
 
@@ -63,9 +66,8 @@ def irreversible_return(initial: Modality, intermediate: Context, final_index: i
     Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|², read off the memoized
     :meth:`Context.return_tables`.
     """
-    ctx = initial.context
-    check_index("final index", final_index, ctx.dim)
-    return ctx.return_tables(intermediate)[1].item(final_index, initial.index)
+    check_index("final_index", final_index, initial.context.dim)
+    return initial.context.return_tables(intermediate)[1].item(final_index, initial.index)
 
 
 def reversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
@@ -77,9 +79,8 @@ def reversible_return(initial: Modality, intermediate: Context, final_index: int
     :meth:`Context.return_tables`) rather than asserted, so the identity is a
     tested consequence.
     """
-    ctx = initial.context
-    check_index("final index", final_index, ctx.dim)
-    return ctx.return_tables(intermediate)[0].item(final_index, initial.index)
+    check_index("final_index", final_index, initial.context.dim)
+    return initial.context.return_tables(intermediate)[0].item(final_index, initial.index)
 
 
 def interference_returns(initial: Modality, intermediate: Context, phases: np.ndarray) -> np.ndarray:

@@ -272,16 +272,11 @@ def meter_chain_reduced_state(
 
 
 def _finite(rho: np.ndarray) -> np.ndarray:
-    """``rho`` as a non-empty square float64 matrix, or complex128 if complex; a computed
-    density matrix with a non-finite entry is a library fault."""
-    try:
-        rho = np.asarray(rho)
-    except (TypeError, ValueError):  # ragged rows
-        raise DimensionMismatch(f"cannot read {rho!r:.60} as a matrix") from None
-    kind, shape = rho.dtype.kind, rho.shape
-    if not (kind in "iufc" and len(shape) == 2 and shape[0] == shape[1] > 0):
-        raise DimensionMismatch(f"need a non-empty square numeric matrix, got {rho.dtype} {shape}")
-    rho = rho.astype(complex if kind == "c" else float, copy=False)  # the precisions linalg reads
+    """``rho`` read as a non-empty square float64 matrix, or complex128 if complex (what linalg
+    reads); a computed density matrix with a non-finite entry is a library fault."""
+    rho = _read_array(rho, lambda reason: ScenarioValidationError("rho", reason), None)
+    if not (rho.ndim == 2 and rho.shape[0] == rho.shape[1] > 0):
+        raise ScenarioValidationError("rho", f"need a non-empty square matrix, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InternalConsistencyError("density matrix has a non-finite entry")
     return rho

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number, _Value
+from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number, _Value, check_index
 from .qnd import GRAM_FIELDS, GramSpec, _strength
 
 SCHEMA_VERSION = 1
@@ -253,10 +253,7 @@ def parse_scenario(path: str | Path) -> Scenario:
             f"{initial_context!r} is not the first context of the sequence ({sequence[0]!r})",
         )
     initial_index = _integer("protocol.initial.index", raw["protocol"]["initial"]["index"])
-    if not 0 <= initial_index < dim:
-        raise ScenarioValidationError(
-            "protocol.initial.index", f"{initial_index} not in [0, {dim})"
-        )
+    check_index("protocol.initial.index", initial_index, dim)
     protocol = ProtocolSpec(initial_context, initial_index, tuple(sequence))
     footprint = table_bytes(dim, len(contexts), len(sequence) - 1)
     if footprint > MAX_TABLE_BYTES:

@@ -32,13 +32,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InitialMismatch,
-    InternalConsistencyError,
-    LengthMismatch,
-    ZeroProbabilityPath,
-)
+from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
+from .errors import ZeroProbabilityPath
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _Value, check_index
 from .hilbert import clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
@@ -63,16 +58,15 @@ class Protocol(_Value):
     def __post_init__(self):
         contexts = tuple(self.contexts)
         if not contexts:
-            raise LengthMismatch("protocol needs at least one context")
+            raise ScenarioValidationError("contexts", "protocol needs at least one context")
         dim = contexts[0].dim
         for ctx in contexts:
             if ctx.dim != dim:
                 raise DimensionMismatch(f"context {ctx.id!r} has dim {ctx.dim}, expected {dim}")
         if self.initial.context != contexts[0]:
-            raise InitialMismatch(
-                f"initial modality lives in {self.initial.context.id!r}, "
-                f"protocol starts in {contexts[0].id!r}"
-            )
+            reason = (f"initial modality lives in {self.initial.context.id!r}, "
+                      f"protocol starts in {contexts[0].id!r}")
+            raise ScenarioValidationError("initial", reason)
         steps = tuple(transition_matrix(a, b) for a, b in zip(contexts[:-1], contexts[1:]))
         marginal = np.zeros(dim)
         marginal[self.initial.index] = 1.0
@@ -113,16 +107,18 @@ def _check_outcomes(protocol: Protocol, outcomes) -> tuple:
     """A validated outcome sequence of integers."""
     outcomes = tuple(outcomes)
     if len(outcomes) != len(protocol):
-        raise LengthMismatch(f"{len(outcomes)} outcomes for {len(protocol)} contexts")
-    for ctx, j in zip(protocol.contexts, outcomes):
-        check_index("outcome", j, ctx.dim)
+        reason = f"{len(outcomes)} outcomes for {len(protocol)} contexts"
+        raise ScenarioValidationError("outcomes", reason)
+    for s, j in enumerate(outcomes):
+        check_index(f"outcomes[{s}]", j, protocol.dim)
     if outcomes[0] != protocol.initial.index:
-        raise InitialMismatch(f"sequence starts at {outcomes[0]}, not {protocol.initial.index}")
+        reason = f"sequence starts at {outcomes[0]}, not {protocol.initial.index}"
+        raise ScenarioValidationError("outcomes[0]", reason)
     return outcomes
 
 
 def _reference(protocol: Protocol, final_dist) -> np.ndarray:
-    final_dist, dim = validate_distribution(final_dist), protocol.contexts[-1].dim
+    final_dist, dim = validate_distribution(final_dist, "final_dist"), protocol.contexts[-1].dim
     if final_dist.size != dim:
         raise DimensionMismatch(f"final distribution size {final_dist.size} vs dim {dim}")
     return final_dist

@@ -260,6 +260,18 @@ def test_sweep_phase(capsys):
     assert lines[0] == "phase,p_return_0,p_return_1"
 
 
+@pytest.mark.parametrize("ends", [("-1e-3", "0"), ("0", "-1e-3"), ("-2E+0", "-.5e1")])
+def test_a_negative_grid_end_with_an_exponent_is_read_as_after_an_equals_sign(capsys, ends):
+    # argparse reads "-1e-3" after a space as an option, not as a number
+    start, stop = ends
+    base = ["sweep", SCENARIO, "--param", "phase", "--steps", "3"]
+    assert main([*base, f"--from={start}", f"--to={stop}"]) == 0
+    joined = capsys.readouterr()
+    assert main([*base, "--from", start, "--to", stop]) == 0
+    assert capsys.readouterr() == joined
+    assert joined.out.count("\n") == 4 and joined.err == ""
+
+
 def test_sweep_invalid_steps(capsys):
     assert main(["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", "0"]) == 2
 

@@ -3,17 +3,22 @@ bare numpy one.
 
 Each entry point that reads a count, a seed, a tolerance or a caller's matrix or vector
 either returns or raises :class:`CsmSimError`; anything else escaping fails the property.
+An index, an outcome sequence, a protocol's contexts and initial modality, a distribution,
+a basis's side and a density matrix each break a rule of their own, and each is refused
+as a :class:`ScenarioValidationError` naming that value.
 """
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import CsmSimError
+from csm_sim.errors import CsmSimError, ScenarioValidationError
 from csm_sim.hilbert import is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
 
@@ -115,3 +120,110 @@ def test_matrices_end_in_a_domain_error(matrix, dim, vector):
     _scenario_readers(matrix, vector, matrix)
     _vector_readers(matrix)
     _vector_readers(vector)
+
+
+KINDS = st.sampled_from(["computational", "fourier", "haar"])
+
+
+@st.composite
+def contexts(draw, dim):
+    kind = draw(KINDS)
+    if kind == "haar":
+        return cs.haar_context(dim, draw(st.integers(0, 99)))
+    return cs.build_context(cs.ContextSpec(kind, dim))
+
+
+def bad_indices(dim):
+    """Anything but an integer in [0, dim): out of range, a bool, a float, a string, None."""
+    return st.one_of(
+        st.integers(max_value=-1), st.integers(min_value=dim), st.booleans(), st.floats(),
+        st.text(max_size=2), st.none(),
+    )
+
+
+# Weights off [0, 1] or off sum 1, and vectors numpy cannot read as a real one.
+BAD_DISTRIBUTIONS = st.one_of(
+    st.lists(st.floats(-2, 2), max_size=4).filter(
+        lambda w: not (w and min(w) >= 0 and max(w) <= 1 and abs(math.fsum(w) - 1) <= 1e-10)
+    ),
+    st.sampled_from([["a", 1], [[0.5], [0.5, 0.0]], [0.5 + 1j, 0.5], [[0.5, 0.5]], None]),
+)
+# Matrices that are not a non-empty square, and ones numpy cannot read.
+BAD_DENSITY_MATRICES = st.one_of(
+    st.sampled_from([(0, 0), (2,), (1, 2), (3, 2), (2, 2, 2), ()]).map(np.ones),
+    st.sampled_from([[[1.0, 0.0], [0.0]], "ab", [["a", "b"], ["c", "d"]], [[object()]]]),
+)
+
+
+@st.composite
+def index_refusals(draw):
+    dim = draw(st.integers(2, 4))
+    start, mid = draw(contexts(dim)), draw(contexts(dim))
+    bad = draw(bad_indices(dim))
+    read = draw(st.sampled_from([cs.reversible_return, cs.irreversible_return]))
+    return draw(st.sampled_from([
+        (partial(cs.Modality, start, bad), "index"),
+        (partial(read, start.modality(dim - 1), mid, bad), "final_index"),
+    ]))
+
+
+@st.composite
+def protocol_refusals(draw):
+    dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    chain = tuple(draw(contexts(dim)) for _ in range(n))
+    elsewhere = cs.fourier_context(dim, "elsewhere")
+    return draw(st.sampled_from([
+        (partial(cs.Protocol, (), chain[0].modality(0)), "contexts"),
+        (partial(cs.Protocol, chain, elsewhere.modality(0)), "initial"),
+    ]))
+
+
+@st.composite
+def outcome_refusals(draw):
+    """A sequence of the wrong length, one with a bad entry, one that starts elsewhere."""
+    dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    chain = tuple(draw(contexts(dim)) for _ in range(n))
+    protocol = cs.Protocol(chain, chain[0].modality(0))
+    reference = np.full(dim, 1 / dim)
+    good = [0] + [draw(st.integers(0, dim - 1)) for _ in range(n - 1)]
+    length = draw(st.integers(0, 4).filter(lambda k: k != n))
+    s = draw(st.integers(0, n - 1))
+    entry = good[:s] + [draw(bad_indices(dim))] + good[s + 1:]
+    start = [draw(st.integers(1, dim - 1))] + good[1:]
+    case = draw(st.sampled_from([
+        ([0] * length, "outcomes"), (entry, f"outcomes[{s}]"), (start, "outcomes[0]"),
+    ]))
+    return partial(cs.entropy_production, protocol, case[0], reference), case[1]
+
+
+@st.composite
+def distribution_refusals(draw):
+    weights = draw(BAD_DISTRIBUTIONS)
+    z = cs.computational_context(2)
+    protocol = cs.Protocol((z, z), z.modality(0))
+    return draw(st.sampled_from([
+        (partial(cs.validate_distribution, weights), "dist"),
+        (partial(cs.shannon_entropy, weights), "dist"),
+        (partial(cs.entropy_production, protocol, (0, 0), weights), "final_dist"),
+    ]))
+
+
+# A basis of side 0 or 1, whatever its entry, is refused before its orthonormality.
+SIDE_REFUSALS = st.one_of(
+    st.complex_numbers().map(lambda z: np.array([[z]])), st.just(np.zeros((0, 0)))
+).map(lambda basis: (partial(cs.Context, "x", basis), "dim"))
+DENSITY_REFUSALS = BAD_DENSITY_MATRICES.map(
+    lambda rho: (partial(cs.von_neumann_entropy, rho), "rho")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(
+    index_refusals(), protocol_refusals(), outcome_refusals(), distribution_refusals(),
+    SIDE_REFUSALS, DENSITY_REFUSALS,
+))
+def test_each_value_rule_is_a_validation_error_naming_its_value(case):
+    call, field = case
+    with pytest.raises(ScenarioValidationError) as caught:
+        call()
+    assert caught.value.field == field

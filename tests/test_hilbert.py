@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NonOrthonormalInput,
-    ScenarioValidationError,
-)
+from csm_sim.errors import DimensionMismatch, NonOrthonormalInput, ScenarioValidationError
 from conftest import near_unitary, projector
 
 
@@ -178,17 +173,24 @@ def test_return_tables_are_memoized_read_only_and_keyed_by_object():
 
 def test_modality_index_range():
     ctx = cs.computational_context(2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ScenarioValidationError, match=r"^index: 2 not in \[0, 2\)$"):
         ctx.modality(2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ScenarioValidationError, match=r"^index: -1 not in \[0, 2\)$"):
         cs.Modality(ctx, -1)
 
 
 @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "1", None])
 def test_modality_index_must_be_an_integer(index):
     # a bool would index a spurious axis, and a float or string fails only later in numpy
-    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+    with pytest.raises(ScenarioValidationError, match="^index: .* is not an integer$"):
         cs.Modality(cs.computational_context(2), index)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_basis_of_side_below_two_is_refused_as_its_recipe_refuses_it(side):
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.Context("x", np.eye(side))
+    assert (caught.value.field, caught.value.reason) == ("dim", f"must be >= 2, got {side}")
 
 
 def test_modality_admits_numpy_integers():

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InternalConsistencyError,
-    InvalidDistribution,
-)
+from csm_sim.errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
 from csm_sim.hilbert import clamp_probabilities
 from csm_sim.measurement import validate_distribution
 from conftest import born, path_amplitudes, point_mass
@@ -110,11 +105,11 @@ def test_propagate_uniform_is_fixed_point():
 
 
 def test_nan_distribution_is_invalid_input():
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(ScenarioValidationError, match=r"^dist: weights outside \[0, 1\]$"):
         validate_distribution(np.array([np.nan, 0.5]))
     z = cs.computational_context(2)
     protocol = cs.Protocol((z, cs.fourier_context(2)), z.modality(0))
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(ScenarioValidationError, match="^final_dist: weights outside"):
         cs.entropy_production(protocol, (0, 1), np.array([np.nan, 0.5]))
 
 
@@ -202,9 +197,9 @@ def test_interference_requires_full_phase_vector(balanced):
 
 def test_return_index_validation(balanced):
     initial, tilted = balanced
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ScenarioValidationError, match=r"^final_index: 2 not in \[0, 2\)$"):
         cs.irreversible_return(initial, tilted, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ScenarioValidationError, match=r"^final_index: -1 not in \[0, 2\)$"):
         cs.reversible_return(initial, tilted, -1)
 
 
@@ -213,7 +208,7 @@ def test_return_index_must_be_an_integer(balanced, index):
     # each of these once ended in a bare TypeError from the table read
     initial, tilted = balanced
     for read in (cs.reversible_return, cs.irreversible_return):
-        with pytest.raises(IndexOutOfRange, match="final index .* is not an integer"):
+        with pytest.raises(ScenarioValidationError, match="^final_index: .* is not an integer$"):
             read(initial, tilted, index)
 
 

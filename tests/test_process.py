@@ -17,16 +17,22 @@ TABLES_D64 = ROOT / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _python(args, stdout=subprocess.PIPE, **env):
-    """A fresh interpreter on this checkout's sources; ``env`` entries of None are unset."""
+def _environ(**env) -> dict:
+    """The environment of a fresh interpreter on this checkout's sources; ``env`` entries of
+    None are unset."""
     environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for name, value in env.items():
         environ.pop(name, None)
         if value is not None:
             environ[name] = value
+    return environ
+
+
+def _python(args, stdout=subprocess.PIPE, **env):
+    """Run a fresh interpreter on this checkout's sources; ``env`` as :func:`_environ` reads it."""
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=environ, text=True,
-        timeout=120,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=_environ(**env),
+        text=True, timeout=120,
     )
 
 
@@ -82,6 +88,28 @@ def test_stdout_that_cannot_be_written_is_exit_two_with_one_line(argv, unbuffere
     with open("/dev/full", "w") as full:
         done = _python(["-m", "csm_sim.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
     assert (done.returncode, done.stderr) == (2, "stdout: cannot write: No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(TABLES_D64)],
+        ["sweep", str(TABLES_D64), "--param", "g", "--from", "0", "--to", "1", "--steps", "3000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_whose_reader_leaves_early_is_exit_two_with_one_line(argv, unbuffered):
+    # both outputs exceed the 64 KiB a pipe holds, so the reader leaves while they are written;
+    # unbuffered, a partial write of the raw file once ended the output with exit code 0
+    with subprocess.Popen(
+        [sys.executable, "-m", "csm_sim.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_environ(PYTHONUNBUFFERED=unbuffered),
+    ) as child:
+        assert len(os.read(child.stdout.fileno(), 1)) == 1
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+    assert (child.returncode, stderr) == (2, "stdout: cannot write: Broken pipe\n")
 
 
 def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -10,11 +10,7 @@ import csm_sim as cs
 import csm_sim.trajectory
 from csm_sim.errors import (
     DimensionMismatch,
-    IndexOutOfRange,
-    InitialMismatch,
     InternalConsistencyError,
-    InvalidDistribution,
-    LengthMismatch,
     ScenarioValidationError,
     ZeroProbabilityPath,
 )
@@ -38,9 +34,9 @@ def constant_protocol(n=3, dim=2):
 def test_protocol_validation():
     z = cs.computational_context(2)
     x = cs.rotation_context(0.4)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ScenarioValidationError, match="^contexts: protocol needs at least one"):
         cs.Protocol((), z.modality(0))
-    with pytest.raises(InitialMismatch):
+    with pytest.raises(ScenarioValidationError, match="^initial: initial modality lives in"):
         cs.Protocol((z, x), x.modality(0))
     with pytest.raises(DimensionMismatch):
         cs.Protocol((z, cs.computational_context(3)), z.modality(0))
@@ -101,7 +97,7 @@ def test_transition_tables_are_built_once_per_protocol(monkeypatch):
 @pytest.mark.parametrize("outcomes", [(0, 1.7), (0, True), (False, 1), (0, "1"), (0, 1.0)])
 def test_outcomes_must_be_integers(outcomes):
     # an int() cast would read (0, 1.7) as (0, 1)
-    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+    with pytest.raises(ScenarioValidationError, match=r"^outcomes\[[01]\]: .* is not an integer$"):
         cs.entropy_production(balanced_protocol(), outcomes, np.full(2, 0.5))
 
 
@@ -126,9 +122,9 @@ def test_forward_log_prob_forbidden_transition_is_minus_inf():
 
 def test_forward_log_prob_input_checks():
     protocol = balanced_protocol()
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ScenarioValidationError, match="^outcomes: 1 outcomes for 2 contexts$"):
         forward_log_prob(protocol, (0,))
-    with pytest.raises(InitialMismatch):
+    with pytest.raises(ScenarioValidationError, match=r"^outcomes\[0\]: sequence starts at 1"):
         forward_log_prob(protocol, (1, 0))
 
 
@@ -614,7 +610,7 @@ def test_shannon_entropy_values():
     assert cs.shannon_entropy(np.array([0.25, 0.75])) == pytest.approx(
         0.5623351446188083, abs=1e-12
     )
-    with pytest.raises(InvalidDistribution):
+    with pytest.raises(ScenarioValidationError, match="^dist: weights sum to"):
         cs.shannon_entropy(np.array([0.5, 0.6]))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import csm_sim as cs
-from csm_sim.errors import IndexOutOfRange
+from csm_sim.errors import ScenarioValidationError
 
 Z = cs.computational_context(2, "z")
 X = cs.fourier_context(2, "x")
@@ -117,7 +117,7 @@ def test_value_types_refuse_a_call_their_signature_refuses():
     ):
         with pytest.raises(TypeError):
             bad()
-    with pytest.raises(IndexOutOfRange):  # __post_init__ runs when made
+    with pytest.raises(ScenarioValidationError):  # __post_init__ runs when made
         cs.Modality(Z, 2)
 
 

@@ -28,8 +28,9 @@ message shows too.  Among them are a broken grid (in the file or on the
 command line), a sweep the scenario cannot serve, an explicit matrix
 construction refuses, a context or gram recipe that breaks a rule of its kind
 (a negative Haar seed, a strength outside [0, 1], a rotation in dim 3), a
-``schema_version`` that is no integer, and two flags whose rule only the
-library owns (``verify --tolerance -1`` and ``run --exhaustive --seed -1``).
+``schema_version`` that is no integer, two flags whose rule only the library
+owns (``verify --tolerance -1`` and ``run --exhaustive --seed -1``), and a
+negative grid end written with an exponent (``--to -1e-3``).
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -173,6 +174,12 @@ REFUSALS = [
     # flags whose rule only the library owns
     ("unedited", _unedited, ["verify", "--tolerance", "-1"]),
     ("unedited", _unedited, ["run", "--exhaustive", "--seed", "-1"]),
+    # a negative grid end written with an exponent is read as a number, not as an option
+    (
+        "unedited",
+        _unedited,
+        ["sweep", "--param", "g", "--from", "0", "--to", "-1e-3", "--steps", "3"],
+    ),
 ]
 
 
