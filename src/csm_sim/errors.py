@@ -2,12 +2,13 @@
 
 - ``ScenarioValidationError``: a value breaks its own rule, from a file, a recipe, a grid or a
   library call (a count, seed, tolerance, index, outcome sequence, a protocol's contexts or
-  initial modality, a distribution, the ``meters``, ``state``, ``phases`` or ``rho`` read);
+  initial modality, a modality's context, a distribution, the ``meters``, ``state``,
+  ``phases`` or ``rho`` read, the shape of each array included);
 - ``ScenarioParseError``: a scenario file is not valid JSON text;
 - ``DimensionMismatch``: operands live in spaces of different dimension;
-- ``RefusedInput``: a constructor's measured check refuses its matrix, a basis
-  (``NonOrthonormalInput``) or an overlap matrix (``InvalidGramMatrix``, and
-  ``NotPositiveSemidefinite`` for a negative eigenvalue);
+- ``RefusedInput``: a constructor refuses its matrix, a basis (``NonOrthonormalInput``) or an
+  overlap matrix (``InvalidGramMatrix``, and ``NotPositiveSemidefinite`` for a negative
+  eigenvalue), by its measured check or, with an infinite residual, by its shape;
 - ``ZeroProbabilityPath``: entropy production asked of a path of probability zero;
 - ``InternalConsistencyError``: a computed value breaks a property it has by construction.
 """
@@ -24,8 +25,8 @@ class DimensionMismatch(CsmSimError, ValueError):
 class RefusedInput(CsmSimError, ValueError):
     """A constructor refused its input matrix; ``residual`` is what its failed check measured."""
 
-    def __init__(self, message: str, residual: float):
-        self.residual = residual  # infinite for a matrix that is not square
+    def __init__(self, message: str, residual: float = float("inf")):
+        self.residual = residual  # infinite for a matrix unread or of the wrong shape
         super().__init__(message)
 
 

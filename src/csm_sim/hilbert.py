@@ -15,8 +15,10 @@ its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  The package's value rules each have one owner here: ``_number``
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``check_index`` for every
-index and outcome; ``_read_array`` for every caller's matrix and vector (a density matrix
-too); ``_Recipe`` for the kind and fields of both recipes, ``_square`` for a matrix's shape;
+index and outcome; ``_instance`` and ``_sequence`` for every typed operand and sequence;
+``_read_array`` for every caller's matrix and vector (a density matrix too) and its shape,
+so that only a length that differs from a partner's dim is left to ``DimensionMismatch``;
+``_Recipe`` for the kind and fields of both recipes, ``_square`` for a recipe matrix's side;
 ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields, and
 ``_Value``, the frozen base of every value type.
 """
@@ -62,18 +64,26 @@ def check_index(field: str, index, dim: int) -> None:
         raise ScenarioValidationError(field, f"{index} not in [0, {dim})")
 
 
-def _read_array(value, refuse, dtype=complex) -> np.ndarray:
+def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
     """A new ``dtype`` array of ``value`` (complex, float, or None: float if real, else complex),
-    or the domain error ``refuse(reason)`` if numpy cannot read one (a malformed string entry,
-    ragged rows, an object with no such value, an integer past a double, a complex read real)."""
+    non-empty and of the ``shape`` asked, if any: ``"vector"``, ``"matrix"`` or ``"square matrix"``.
+    Another rank or side, no entry, or what numpy cannot read (a malformed string entry, ragged
+    rows, an object with no such value, an integer past a double, a complex read real) is refused
+    as ``refuse(reason)``, or as ``ScenarioValidationError(refuse, reason)`` for a field name."""
     try:
         if dtype is None:
             dtype = float if np.isrealobj(value) else complex
-        if dtype is complex or np.isrealobj(value):
-            return np.array(value, dtype=dtype)
+        array = np.array(value, dtype=dtype) if dtype is complex or np.isrealobj(value) else None
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise refuse(f"cannot read {value!r:.60} as a {getattr(dtype, '__name__', 'numeric')} array")
+        array = None
+    if array is None:
+        reason = f"cannot read {value!r:.60} as a {getattr(dtype, '__name__', 'numeric')} array"
+    elif shape and not (array.size and array.ndim == (1 if shape == "vector" else 2)
+                        and (shape != "square matrix" or array.shape[0] == array.shape[1])):
+        reason = f"need a non-empty {shape}, got shape {array.shape}"
+    else:
+        return array
+    raise ScenarioValidationError(refuse, reason) if isinstance(refuse, str) else refuse(reason)
 
 
 def _frozen(value):
@@ -191,9 +201,7 @@ class Context(_Value):
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _read_array(self.basis, lambda reason: NonOrthonormalInput(reason, np.inf))
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
-            raise NonOrthonormalInput(f"basis must be square, got shape {basis.shape}", np.inf)
+        basis = _read_array(self.basis, NonOrthonormalInput, shape="square matrix")
         dim = _integer("dim", basis.shape[0], 2)
         # A transposed view of a conjugate copy, held read-only with its base.  It
         # must stay a view: a C-ordered copy changes BLAS's summation order in
@@ -264,7 +272,7 @@ class Modality(_Value):
     index: int
 
     def __post_init__(self):
-        check_index("index", self.index, self.context.dim)
+        check_index("index", self.index, _instance("context", self.context, Context).dim)
 
     @property
     def dim(self) -> int:
@@ -282,6 +290,24 @@ def _number(field: str, value, least: float | None = None) -> float:
     if least is not None and value < least:
         raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
     return float(value)
+
+
+def _instance(field: str, value, cls):
+    """``value``, or the refusal of anything but a ``cls``."""
+    if not isinstance(value, cls):
+        raise ScenarioValidationError(field, f"expected a {cls.__name__}, got {value!r:.60}")
+    return value
+
+
+def _sequence(field: str, value, cls=None) -> tuple:
+    """``value`` as a tuple, each item a ``cls`` if given; refused as ``field`` or ``field[s]``."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        raise ScenarioValidationError(field, f"expected a sequence, got {value!r:.60}") from None
+    for s, item in enumerate(items if cls else ()):
+        _instance(f"{field}[{s}]", item, cls)
+    return items
 
 
 def _integer(field: str, value, least: int | None = None) -> int:
@@ -311,8 +337,7 @@ class _Recipe:
                 reason = "missing required key" if needed else "unknown key"
                 raise ScenarioValidationError(name, reason)
         if self.kind == "explicit":
-            matrix = _read_array(self.matrix, lambda why: ScenarioValidationError("matrix", why))
-            _hold(self, matrix=matrix)
+            _hold(self, matrix=_read_array(self.matrix, "matrix", shape="matrix"))
 
     def _key(self) -> tuple:
         values = [getattr(self, name) for name in self.FIELDS[self.kind]]
@@ -322,7 +347,7 @@ class _Recipe:
 
 def _square(matrix: np.ndarray, dim: int) -> None:
     """Refuse a recipe's matrix unless it is dim × dim, with the parser's texts for rows."""
-    if matrix.ndim != 2 or len(matrix) != dim:
+    if len(matrix) != dim:
         raise ScenarioValidationError("matrix", f"expected {dim} rows")
     if matrix.shape[1] != dim:
         raise ScenarioValidationError("matrix[0]", f"expected {dim} entries")

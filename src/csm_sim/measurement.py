@@ -36,9 +36,7 @@ from .hilbert import INPUT_TOL, Context, Modality, _read_array, check_index, cla
 def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
     """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, clipped; a refusal names ``field``."""
     refuse = partial(ScenarioValidationError, field)
-    dist = _read_array(dist, refuse, float)
-    if dist.ndim != 1 or not dist.size:
-        raise refuse(f"need a non-empty vector of weights, got shape {dist.shape}")
+    dist = _read_array(dist, refuse, float, "vector")
     # written so that NaN, which fails every comparison, lands on the raising branch
     if not (float(np.min(dist)) >= -INPUT_TOL and float(np.max(dist)) <= 1.0 + INPUT_TOL):
         raise refuse("weights outside [0, 1]")
@@ -90,8 +88,8 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     table of path products holds the N paths from outcome i back to outcome
     k.  All phases zero reduces to :func:`reversible_return`.
     """
-    phases = _read_array(phases, lambda reason: ScenarioValidationError("phases", reason), float)
-    if phases.shape != (intermediate.dim,):
+    phases = _read_array(phases, "phases", float, "vector")
+    if phases.size != intermediate.dim:
         raise DimensionMismatch(f"need {intermediate.dim} phases, got shape {phases.shape}")
     if not np.isfinite(phases).all():
         raise ScenarioValidationError("phases", f"expected finite numbers, got {phases.tolist()}")

@@ -49,12 +49,11 @@ from .hilbert import _square, _Value, clamp_probabilities
 class Gram(_Value):
     """Overlap matrix of N unit meter states: square, Hermitian, unit diagonal, PSD.
 
-    Checked once here, by ``eigvalsh`` (smallest eigenvalue not below
-    ``-INPUT_TOL``) of the Hermitian part of the given matrix with its diagonal
-    set to 1, which ``matrix`` holds (the same bits for an exact input), with its
-    eigenvalues, ascending, in ``eigvals``: admitted residuals of up to ``INPUT_TOL`` each
-    would add up past the probability clamp.  Two overlap matrices are equal only if they
-    are the same object.
+    Checked once here, by ``eigvalsh`` (smallest eigenvalue not below ``-INPUT_TOL``) of the
+    Hermitian part of the given matrix with its diagonal set to 1, which ``matrix`` holds (the
+    same bits for an exact input), with its eigenvalues, ascending, in ``eigvals`` and its side
+    in ``dim``: admitted residuals of up to ``INPUT_TOL`` each would add up past the probability
+    clamp.  Two overlap matrices are equal only if they are the same object.
     """
 
     matrix: np.ndarray
@@ -62,11 +61,7 @@ class Gram(_Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
-        matrix = _read_array(self.matrix, lambda reason: InvalidGramMatrix(reason, np.inf))
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise InvalidGramMatrix(f"overlap matrix of shape {matrix.shape} is not square", np.inf)
-        if not matrix.size:
-            raise InvalidGramMatrix("overlap matrix is empty", np.inf)
+        matrix = _read_array(self.matrix, InvalidGramMatrix, shape="square matrix")
         for what, residual in (
             ("is not Hermitian", float(np.max(np.abs(matrix - matrix.conj().T)))),
             ("diagonal is not 1", float(np.max(np.abs(np.diagonal(matrix) - 1.0)))),
@@ -83,11 +78,7 @@ class Gram(_Value):
             raise NotPositiveSemidefinite(
                 f"smallest eigenvalue {eigvals[0]:.3e} below -{INPUT_TOL:.0e}", -float(eigvals[0])
             )
-        _hold(self, matrix=matrix, eigvals=eigvals)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        _hold(self, matrix=matrix, eigvals=eigvals, dim=len(matrix))
 
 
 def _strength(field: str, value) -> float:
@@ -189,9 +180,7 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     holds amplitude ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``, as computed.  It is refused
     as :func:`reduced_system_state` refuses it: unless its norm is within ``INPUT_TOL`` of 1.
     """
-    meters = _read_array(meters, lambda reason: ScenarioValidationError("meters", reason))
-    if meters.ndim != 2 or meters.size == 0:
-        raise ScenarioValidationError("meters", f"must form a non-empty matrix, not {meters.shape}")
+    meters = _read_array(meters, "meters", shape="matrix")
     m_dim, n = meters.shape
     state = (_branch(initial, pointer, n)[:, None] * meters.T).reshape(n * m_dim)
     _branches(state, pointer)
@@ -217,11 +206,12 @@ def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) 
 
 
 def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
-    """The one reader of a composite state: its unit ray as an N×M matrix, row ``j`` pointer
-    branch ``j``'s meter.  A state of norm off 1 by more than ``INPUT_TOL`` is refused."""
-    state = _read_array(state, lambda reason: ScenarioValidationError("state", reason))
+    """The one reader of a composite state, a vector of N·M entries (else ``DimensionMismatch``):
+    its unit ray as an N×M matrix, row ``j`` pointer branch ``j``'s meter.  A state of norm off 1
+    by more than ``INPUT_TOL`` is refused."""
+    state = _read_array(state, "state", shape="vector")
     n = pointer.dim
-    if state.ndim != 1 or state.size % n != 0 or state.size == 0:
+    if state.size % n:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
     with np.errstate(over="ignore"):  # an overflowing norm is off 1 too, as is a NaN one
         norm = float(np.linalg.norm(state))
@@ -274,9 +264,7 @@ def meter_chain_reduced_state(
 def _finite(rho: np.ndarray) -> np.ndarray:
     """``rho`` read as a non-empty square float64 matrix, or complex128 if complex (what linalg
     reads); a computed density matrix with a non-finite entry is a library fault."""
-    rho = _read_array(rho, lambda reason: ScenarioValidationError("rho", reason), None)
-    if not (rho.ndim == 2 and rho.shape[0] == rho.shape[1] > 0):
-        raise ScenarioValidationError("rho", f"need a non-empty square matrix, got {rho.shape}")
+    rho = _read_array(rho, "rho", None, "square matrix")
     if not np.isfinite(rho).all():
         raise InternalConsistencyError("density matrix has a non-finite entry")
     return rho

@@ -235,14 +235,8 @@ def run_scenario(
         stats = exhaustive_entropy_production(protocol)
     else:
         stats = mean_entropy_production(protocol, n_samples, seed)
-    ensemble = {
-        "mode": stats.mode,
-        "sample_count": stats.sample_count,
-        "mean_entropy_production": stats.mean_entropy_production,
-        "std_error": stats.std_error,
-        "final_distribution": _floats(stats.final_distribution),
-        "shannon_entropy_final": stats.shannon_entropy_final,
-    }
+    ensemble = {name: getattr(stats, name) for name in stats.ARGS}  # each field, in order
+    ensemble["final_distribution"] = _floats(stats.final_distribution)
 
     sweep_section = None
     if scenario.sweep is not None:

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
 from .errors import ZeroProbabilityPath
-from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _Value, check_index
-from .hilbert import clamp_probabilities
+from .hilbert import INPUT_TOL, Context, Modality, _hold, _instance, _integer, _sequence, _Value
+from .hilbert import check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
 
 # Two evaluation routes of the same log-ratio must agree to this.
@@ -45,8 +45,8 @@ CROSS_CHECK_TOL = 1e-12
 class Protocol(_Value):
     """Ordered sequence of contexts with a known initial outcome in the first.
 
-    Holds, set once here and read-only: ``steps``, the transition table
-    ``transition_matrix(contexts[s], contexts[s + 1])`` of every step, and
+    Holds, set once here and read-only: ``dim``, that of every context; ``steps``, the
+    transition table ``transition_matrix(contexts[s], contexts[s + 1])`` of every step; and
     ``marginal``, the exact outcome distribution in the last context with
     outcomes unread (the initial point mass pushed through ``steps``, each
     product clamped).  Equality and hash are those of (contexts, initial).
@@ -56,27 +56,21 @@ class Protocol(_Value):
     initial: Modality
 
     def __post_init__(self):
-        contexts = tuple(self.contexts)
+        contexts = _sequence("contexts", self.contexts, Context)
         if not contexts:
             raise ScenarioValidationError("contexts", "protocol needs at least one context")
-        dim = contexts[0].dim
-        for ctx in contexts:
-            if ctx.dim != dim:
-                raise DimensionMismatch(f"context {ctx.id!r} has dim {ctx.dim}, expected {dim}")
-        if self.initial.context != contexts[0]:
+        if _instance("initial", self.initial, Modality).context != contexts[0]:
             reason = (f"initial modality lives in {self.initial.context.id!r}, "
                       f"protocol starts in {contexts[0].id!r}")
             raise ScenarioValidationError("initial", reason)
+        # a step's table refuses two contexts of different dims (``DimensionMismatch``)
         steps = tuple(transition_matrix(a, b) for a, b in zip(contexts[:-1], contexts[1:]))
+        dim = contexts[0].dim
         marginal = np.zeros(dim)
         marginal[self.initial.index] = 1.0
         for t in steps:
             marginal = clamp_probabilities(t @ marginal)
-        _hold(self, contexts=contexts, steps=steps, marginal=marginal)
-
-    @property
-    def dim(self) -> int:
-        return self.contexts[0].dim
+        _hold(self, contexts=contexts, steps=steps, marginal=marginal, dim=dim)
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -105,7 +99,7 @@ class TrajectoryEnsembleStats(_Value):
 
 def _check_outcomes(protocol: Protocol, outcomes) -> tuple:
     """A validated outcome sequence of integers."""
-    outcomes = tuple(outcomes)
+    outcomes = _sequence("outcomes", outcomes)
     if len(outcomes) != len(protocol):
         reason = f"{len(outcomes)} outcomes for {len(protocol)} contexts"
         raise ScenarioValidationError("outcomes", reason)

@@ -3,9 +3,11 @@ bare numpy one.
 
 Each entry point that reads a count, a seed, a tolerance or a caller's matrix or vector
 either returns or raises :class:`CsmSimError`; anything else escaping fails the property.
-An index, an outcome sequence, a protocol's contexts and initial modality, a distribution,
-a basis's side and a density matrix each break a rule of their own, and each is refused
-as a :class:`ScenarioValidationError` naming that value.
+An index, an outcome sequence, a protocol's contexts and initial modality, a modality's
+context, a distribution, a basis's side and a density matrix each break a rule of their
+own, and each is refused as a :class:`ScenarioValidationError` naming that value.  An
+array of the wrong shape is refused by its own value's rule too, and only one of the wrong
+length for the dimension it meets is a :class:`DimensionMismatch`.
 """
 
 import math
@@ -14,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import CsmSimError, ScenarioValidationError
+from csm_sim.errors import CsmSimError, DimensionMismatch, InvalidGramMatrix
+from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
 from csm_sim.hilbert import is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
 
@@ -167,20 +170,34 @@ def index_refusals(draw):
     ]))
 
 
+# Values that are no sequence, nor a context or modality.
+NOT_SEQUENCES = st.one_of(st.integers(), st.floats(), st.none(), st.booleans())
+NOT_VALUES = st.one_of(NOT_SEQUENCES, st.text(max_size=2), st.just(np.eye(2)))
+
+
 @st.composite
 def protocol_refusals(draw):
+    """No contexts, contexts that are no sequence or hold a non-context, an initial modality
+    elsewhere or none, and a modality of no context."""
     dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
     chain = tuple(draw(contexts(dim)) for _ in range(n))
-    elsewhere = cs.fourier_context(dim, "elsewhere")
+    initial, elsewhere = chain[0].modality(0), cs.fourier_context(dim, "elsewhere")
+    s = draw(st.integers(0, n - 1))
+    stray = chain[:s] + (draw(NOT_VALUES),) + chain[s + 1:]
     return draw(st.sampled_from([
-        (partial(cs.Protocol, (), chain[0].modality(0)), "contexts"),
+        (partial(cs.Protocol, (), initial), "contexts"),
+        (partial(cs.Protocol, draw(NOT_SEQUENCES), initial), "contexts"),
+        (partial(cs.Protocol, stray, initial), f"contexts[{s}]"),
         (partial(cs.Protocol, chain, elsewhere.modality(0)), "initial"),
+        (partial(cs.Protocol, chain, draw(NOT_VALUES)), "initial"),
+        (partial(cs.Modality, draw(NOT_VALUES), 0), "context"),
     ]))
 
 
 @st.composite
 def outcome_refusals(draw):
-    """A sequence of the wrong length, one with a bad entry, one that starts elsewhere."""
+    """A sequence of the wrong length, one with a bad entry, one that starts elsewhere, and
+    a value that is no sequence."""
     dim, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
     chain = tuple(draw(contexts(dim)) for _ in range(n))
     protocol = cs.Protocol(chain, chain[0].modality(0))
@@ -192,6 +209,7 @@ def outcome_refusals(draw):
     start = [draw(st.integers(1, dim - 1))] + good[1:]
     case = draw(st.sampled_from([
         ([0] * length, "outcomes"), (entry, f"outcomes[{s}]"), (start, "outcomes[0]"),
+        (draw(NOT_SEQUENCES), "outcomes"),
     ]))
     return partial(cs.entropy_production, protocol, case[0], reference), case[1]
 
@@ -208,10 +226,10 @@ def distribution_refusals(draw):
     ]))
 
 
-# A basis of side 0 or 1, whatever its entry, is refused before its orthonormality.
-SIDE_REFUSALS = st.one_of(
-    st.complex_numbers().map(lambda z: np.array([[z]])), st.just(np.zeros((0, 0)))
-).map(lambda basis: (partial(cs.Context, "x", basis), "dim"))
+# A basis of side 1, whatever its entry, is refused before its orthonormality.
+SIDE_REFUSALS = st.complex_numbers().map(
+    lambda z: (partial(cs.Context, "x", np.array([[z]])), "dim")
+)
 DENSITY_REFUSALS = BAD_DENSITY_MATRICES.map(
     lambda rho: (partial(cs.von_neumann_entropy, rho), "rho")
 )
@@ -227,3 +245,68 @@ def test_each_value_rule_is_a_validation_error_naming_its_value(case):
     with pytest.raises(ScenarioValidationError) as caught:
         call()
     assert caught.value.field == field
+
+
+def array_readers(dim):
+    """Each reader of a caller's array: the call, the shape it asks, and its own refusal (a
+    ``RefusedInput`` class, or the field its ``ScenarioValidationError`` names)."""
+    start, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
+    return [
+        (partial(cs.Context, "x"), "square matrix", NonOrthonormalInput),
+        (cs.Gram, "square matrix", InvalidGramMatrix),
+        (cs.validate_distribution, "vector", "dist"),
+        (partial(cs.interference_returns, start, pointer), "vector", "phases"),
+        (partial(cs.entangle, start, pointer), "matrix", "meters"),
+        (partial(cs.reduced_system_state, pointer=pointer), "vector", "state"),
+        (cs.von_neumann_entropy, "square matrix", "rho"),
+    ]
+
+
+def fits(shape: tuple, asked: str) -> bool:
+    rank = 1 if asked == "vector" else 2
+    return len(shape) == rank and all(shape) and (asked != "square matrix" or len(set(shape)) == 1)
+
+
+@st.composite
+def misshapen_arrays(draw):
+    """A reader and an array, or its nested list, of another rank, no entry, or unequal sides
+    where a square is asked."""
+    dim = draw(st.integers(2, 3))
+    call, asked, owner = draw(st.sampled_from(array_readers(dim)))
+    shape = draw(st.lists(st.integers(0, 3), max_size=3).map(tuple).filter(
+        lambda shape: not fits(shape, asked)
+    ))
+    value = draw(st.sampled_from([np.full(shape, 0.5), np.full(shape, 0.5).tolist()]))
+    return partial(call, value), f"need a non-empty {asked}, got shape {np.shape(value)}", owner
+
+
+@st.composite
+def wrong_lengths(draw):
+    """A phase vector whose length is not the intermediate's dim, or a composite state whose
+    length is no multiple of the pointer's."""
+    dim = draw(st.integers(2, 3))
+    start, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
+    length = draw(st.integers(1, 7))
+    assume(length != dim)
+    if draw(st.booleans()):
+        call = partial(cs.interference_returns, start, pointer, np.zeros(length))
+    else:
+        assume(length % dim)
+        call = partial(cs.reduced_system_state, np.full(length, length**-0.5), pointer)
+    return call, None, DimensionMismatch
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(misshapen_arrays(), wrong_lengths()))
+def test_a_shape_is_its_value_s_own_rule_and_only_a_length_a_dimension_clash(case):
+    call, reason, owner = case
+    with pytest.raises(CsmSimError) as caught:
+        call()
+    refused = caught.value
+    if isinstance(owner, str):
+        assert type(refused) is ScenarioValidationError
+        assert (refused.field, refused.reason) == (owner, reason)
+    else:
+        assert type(refused) is owner
+        if reason is not None:  # a basis or an overlap matrix of the wrong shape
+            assert (str(refused), refused.residual) == (reason, math.inf)

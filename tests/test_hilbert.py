@@ -186,11 +186,17 @@ def test_modality_index_must_be_an_integer(index):
         cs.Modality(cs.computational_context(2), index)
 
 
-@pytest.mark.parametrize("side", [0, 1])
-def test_a_basis_of_side_below_two_is_refused_as_its_recipe_refuses_it(side):
+def test_a_basis_of_side_one_is_refused_as_its_recipe_refuses_it():
     with pytest.raises(ScenarioValidationError) as caught:
-        cs.Context("x", np.eye(side))
-    assert (caught.value.field, caught.value.reason) == ("dim", f"must be >= 2, got {side}")
+        cs.Context("x", np.eye(1))
+    assert (caught.value.field, caught.value.reason) == ("dim", "must be >= 2, got 1")
+
+
+def test_an_empty_basis_is_refused_by_its_shape_as_an_empty_overlap_matrix_is():
+    shape = r"^need a non-empty square matrix, got shape \(0, 0\)$"
+    with pytest.raises(NonOrthonormalInput, match=shape) as refused:
+        cs.Context("x", np.eye(0))
+    assert refused.value.residual == np.inf
 
 
 def test_modality_admits_numpy_integers():
