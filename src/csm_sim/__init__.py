@@ -33,11 +33,9 @@ from .errors import (
     InternalConsistencyError,
     InvalidGramMatrix,
     NonOrthonormalInput,
-    NotPositiveSemidefinite,
     RefusedInput,
     ScenarioParseError,
     ScenarioValidationError,
-    ZeroProbabilityPath,
 )
 from .hilbert import (
     Context,
@@ -76,7 +74,6 @@ from .runner import (
     run_scenario,
     sweep_rows,
     verify_report,
-    verify_scenario,
 )
 from .scenario import MeterSpec, ProtocolSpec, Scenario, SweepSpec, parse_scenario
 from .trajectory import (

@@ -1,15 +1,15 @@
-"""Exception types, one per rule, each a ``CsmSimError``:
+"""The eight exception types, one per rule: the base ``CsmSimError`` and seven that are one.
 
 - ``ScenarioValidationError``: a value breaks its own rule, from a file, a recipe, a grid or a
-  library call (a count, seed, tolerance, index, outcome sequence, a protocol's contexts or
-  initial modality, a modality's context, a distribution, the ``meters``, ``state``,
-  ``phases`` or ``rho`` read, the shape of each array included);
+  library call (a count, seed, tolerance, index, a context's id, an outcome sequence or a path
+  of probability zero, a protocol's contexts or initial modality, a modality's context, a
+  distribution, the ``meters``, ``state``, ``phases`` or ``rho`` read, the shape of each array
+  included);
 - ``ScenarioParseError``: a scenario file is not valid JSON text;
 - ``DimensionMismatch``: operands live in spaces of different dimension;
 - ``RefusedInput``: a constructor refuses its matrix, a basis (``NonOrthonormalInput``) or an
-  overlap matrix (``InvalidGramMatrix``, and ``NotPositiveSemidefinite`` for a negative
-  eigenvalue), by its measured check or, with an infinite residual, by its shape;
-- ``ZeroProbabilityPath``: entropy production asked of a path of probability zero;
+  overlap matrix (``InvalidGramMatrix``), by its measured check or, with an infinite residual,
+  by its shape;
 - ``InternalConsistencyError``: a computed value breaks a property it has by construction.
 """
 
@@ -35,15 +35,8 @@ class NonOrthonormalInput(RefusedInput):
 
 
 class InvalidGramMatrix(RefusedInput):
-    """Overlap matrix not Hermitian with unit diagonal; ``residual``: max |G − G†| or |diag G − 1|."""
-
-
-class NotPositiveSemidefinite(InvalidGramMatrix):
-    """Overlap matrix has an eigenvalue below the PSD tolerance; ``residual`` is its negation."""
-
-
-class ZeroProbabilityPath(CsmSimError, ValueError):
-    """Entropy production is undefined on a forward path of probability zero."""
+    """Overlap matrix not Hermitian, unit-diagonal and PSD; ``residual`` is max |G − G†|,
+    max |diag G − 1|, or the negation of an eigenvalue below the PSD tolerance."""
 
 
 class InternalConsistencyError(CsmSimError, RuntimeError):

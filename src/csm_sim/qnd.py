@@ -35,13 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    InvalidGramMatrix,
-    NotPositiveSemidefinite,
-    ScenarioValidationError,
-)
+from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
+from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
 from .hilbert import _square, _Value, clamp_probabilities
 
@@ -75,7 +70,7 @@ class Gram(_Value):
         np.fill_diagonal(matrix, 1.0)
         eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -INPUT_TOL:
-            raise NotPositiveSemidefinite(
+            raise InvalidGramMatrix(
                 f"smallest eigenvalue {eigvals[0]:.3e} below -{INPUT_TOL:.0e}", -float(eigvals[0])
             )
         _hold(self, matrix=matrix, eigvals=eigvals, dim=len(matrix))

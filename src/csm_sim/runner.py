@@ -310,10 +310,11 @@ def report_to_json(report: dict) -> str:
     return _encode(report, "") + "\n"
 
 
-def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[dict]]:
+def verify_report(scenario: Scenario, tolerance: float) -> dict:
     """Measure every invariant residual on the scenario's objects.
 
-    Returns (all passed, checks); each check carries its name, the measured
+    Returns the report: tool, version, ``tolerance``, whether every check passed
+    (``pass``) and the ``checks``; each check carries its name, the measured
     residual and whether it is within ``tolerance``.  A constructor's refusal
     is recorded as a failure whatever ``tolerance`` is, with the residual it
     measured and its message under ``refused``; dependent checks are skipped.
@@ -344,7 +345,7 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
         add(f"context[{name}].closure", closure_residual(ctx))
 
     if len(contexts) < len(scenario.contexts):
-        return all(c["pass"] for c in checks), checks
+        return _verified(tolerance, checks)
 
     protocol, pointer = _protocol_objects(scenario, contexts)
     initial = protocol.initial
@@ -388,16 +389,14 @@ def verify_scenario(scenario: Scenario, tolerance: float) -> tuple[bool, list[di
 
     # the marginal is clamped into [0, 1] when made, so its sum is all there is to measure
     add("protocol.final_marginal", abs(float(protocol.marginal.sum()) - 1.0))
+    return _verified(tolerance, checks)
 
-    return all(c["pass"] for c in checks), checks
 
-
-def verify_report(scenario: Scenario, tolerance: float) -> dict:
-    ok, checks = verify_scenario(scenario, tolerance)
+def _verified(tolerance: float, checks: list[dict]) -> dict:
     return {
         "tool": "csm-sim",
         "version": __version__,
-        "tolerance": float(tolerance),
-        "pass": ok,
+        "tolerance": tolerance,
+        "pass": all(c["pass"] for c in checks),
         "checks": checks,
     }

@@ -24,6 +24,11 @@ Averaged over trajectories, the entropy production is the Shannon entropy of
 the final outcome distribution.  Sampled, or exact over every path, an
 ensemble is one ``TrajectoryEnsembleStats``, whose ``mode`` says which; the
 exact one builds no path, so no protocol is too long.
+
+``CROSS_CHECK_TOL`` (1e-12) is some 40 times the largest path gap sum seen, 2.5e-14 over
+3,000 random protocols of dims 2–8 and 2–6 contexts, and some 500 times the worst error of
+the marginal and the exact mean against a 40-digit referee (``tests/test_precision.py``):
+1.0·dim·eps, 1.8e-15 at dim 8.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
-from .errors import ZeroProbabilityPath
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _instance, _integer, _sequence, _Value
 from .hilbert import check_index, clamp_probabilities
 from .measurement import transition_matrix, validate_distribution
@@ -144,7 +148,7 @@ def _single_path(protocol: Protocol, outcomes: tuple, reference: np.ndarray) -> 
     with np.errstate(divide="ignore"):
         fwd = float(np.log([t[move] for t, move in zip(protocol.steps, moves)]).sum())
     if fwd == -math.inf:
-        raise ZeroProbabilityPath("forward path has probability zero")
+        raise ScenarioValidationError("outcomes", "forward path has probability zero")
     gap = sum(float(g[move]) for g, move in zip(_step_gaps(protocol), moves))
     if not abs(gap) <= CROSS_CHECK_TOL:
         raise InternalConsistencyError(f"entropy production routes disagree by {gap:.17g}")
@@ -160,7 +164,7 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     tables (``_step_gaps``) sum to within ``CROSS_CHECK_TOL`` of 0, or the call raises
     ``InternalConsistencyError``.  A step of forward weight at most ``INPUT_TOL`` is
     rounding residue, as where one context is measured twice, and adds no gap.
-    Undefined (``ZeroProbabilityPath``) on a forward path of probability zero.
+    Undefined on a forward path of probability zero, refused as ``outcomes``.
     """
     outcomes = _check_outcomes(protocol, outcomes)
     return _single_path(protocol, outcomes, _reference(protocol, final_dist))[1]

@@ -167,7 +167,7 @@ def test_verify_refuses_a_tolerance_that_is_not_finite_and_non_negative(capsys, 
     assert main(["verify", SCENARIO, "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # verify_scenario's rule, refused in its words
+    # verify_report's rule, refused in its words
     reason = "must be >= 0, got -1.0" if tolerance == "-1" else f"expected a number, got {tolerance}"
     assert captured.err == f"{SCENARIO}: tolerance: {reason}\n"
 

@@ -89,7 +89,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 9
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 21
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 22
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the
@@ -105,6 +105,10 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1, label
         if argv[0] == "verify" and not usage:
             assert " refused: " in err, label
+            if "--out" in argv:  # the report is written, the refused check in it
+                report = json.loads(Path(argv[argv.index("--out") + 1]).read_text())
+                refused = next(c for c in report["checks"] if not c["pass"])
+                assert f"{refused['name']} refused: {refused['refused']}" in err, label
         elif not usage:
             # a sweep refuses with the message run gives, though it builds less
             assert main(["run", argv[1], "--trajectories", "10"]) == 1, label

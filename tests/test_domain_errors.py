@@ -4,10 +4,10 @@ bare numpy one.
 Each entry point that reads a count, a seed, a tolerance or a caller's matrix or vector
 either returns or raises :class:`CsmSimError`; anything else escaping fails the property.
 An index, an outcome sequence, a protocol's contexts and initial modality, a modality's
-context, a distribution, a basis's side and a density matrix each break a rule of their
-own, and each is refused as a :class:`ScenarioValidationError` naming that value.  An
-array of the wrong shape is refused by its own value's rule too, and only one of the wrong
-length for the dimension it meets is a :class:`DimensionMismatch`.
+context, a context's label, a distribution, a basis's side and a density matrix each break
+a rule of their own, and each is refused as a :class:`ScenarioValidationError` naming that
+value.  An array of the wrong shape is refused by its own value's rule too, and only one of
+the wrong length for the dimension it meets is a :class:`DimensionMismatch`.
 """
 
 import math
@@ -233,12 +233,23 @@ SIDE_REFUSALS = st.complex_numbers().map(
 DENSITY_REFUSALS = BAD_DENSITY_MATRICES.map(
     lambda rho: (partial(cs.von_neumann_entropy, rho), "rho")
 )
+# A label that is no string, given to a context or to a recipe's build (where None asks for
+# the kind's default).
+BAD_IDS = st.one_of(st.sampled_from([["a"], b"a"]), st.integers(), st.floats())
+SPECS = [cs.ContextSpec("computational", 2), cs.ContextSpec("fourier", 2),
+         cs.ContextSpec("rotation", 2, theta=0.3), cs.ContextSpec("haar", 2, seed=1)]
+ID_REFUSALS = st.one_of(
+    st.one_of(BAD_IDS, st.none()).map(lambda bad: (partial(cs.Context, bad, np.eye(2)), "id")),
+    st.tuples(st.sampled_from(SPECS), BAD_IDS).map(
+        lambda case: (partial(cs.build_context, *case), "id")
+    ),
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(
     index_refusals(), protocol_refusals(), outcome_refusals(), distribution_refusals(),
-    SIDE_REFUSALS, DENSITY_REFUSALS,
+    SIDE_REFUSALS, DENSITY_REFUSALS, ID_REFUSALS,
 ))
 def test_each_value_rule_is_a_validation_error_naming_its_value(case):
     call, field = case

@@ -1,12 +1,18 @@
-"""A high-precision referee: each table kernel against its own formula at 40 digits.
+"""A high-precision referee: each kernel whose value reaches a report, against its own formula
+at 40 digits.
 
-Every float64 basis a context holds is lifted exactly into ``mpmath`` (each double is a
-40-digit number), the kernel's formula is evaluated there, and the float64 result must lie
-within ``BOUND · dim · eps`` of it, entry by entry.  The referee shares no rounding with the
-kernels, so it sees an error below the float64 referees' bounds (``verify`` at 1e-10, the
-oracle and the entropy cross-check at 1e-12), and one that both of their routes share.  A
-kernel that clamps into [0, 1] is compared with its reference clamped the same way.  The
-worst error of each kernel, in units of ``dim · eps``, is reported to ``hypothesis.target``.
+Every float64 input a kernel reads (a basis, an overlap matrix, a phase) is lifted exactly
+into ``mpmath`` (each double is a 40-digit number), the kernel's formula is evaluated there,
+and the float64 result must lie within ``BOUND · dim · eps`` of it, entry by entry.  The
+referee shares no rounding with the kernels, so it sees an error below the float64 referees'
+bounds (``verify`` at 1e-10, the oracle and the entropy cross-check at 1e-12), and one that
+both of their routes share.  A kernel that clamps into [0, 1] is compared with its reference
+clamped the same way.  The worst error of each kernel, in units of ``dim · eps``, is reported
+to ``hypothesis.target``.
+
+``von_neumann_entropy`` is left out: it is past the bound near a rank-deficient state (a
+uniform overlap matrix at g near 1), where an eigenvalue computed a few eps off an exact 0
+adds about eps · |log eps| per eigenvalue to the entropy.
 """
 
 import math
@@ -17,6 +23,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import csm_sim as cs
+from conftest import random_unit_gram
 
 EPS = float(np.finfo(float).eps)
 BOUND = 16  # in units of dim · eps
@@ -28,10 +35,11 @@ def lift(ctx: cs.Context) -> list[list]:
     return [[mpmath.mpc(z) for z in row] for row in ctx.basis.tolist()]
 
 
-def overlaps(a: list[list], b: list[list]) -> list[list]:
-    """W[j][i] = ⟨a_j|b_i⟩ for lifted bases."""
+def overlaps(a: list[list], b: list[list]) -> tuple[list[list], list[list]]:
+    """W[j][i] = ⟨a_j|b_i⟩ for lifted bases, and its adjoint W†[i][j] = ⟨b_i|a_j⟩."""
     n = range(len(a))
-    return [[mpmath.fsum(mpmath.conj(a[l][j]) * b[l][i] for l in n) for i in n] for j in n]
+    table = [[mpmath.fsum(mpmath.conj(a[l][j]) * b[l][i] for l in n) for i in n] for j in n]
+    return table, [[mpmath.conj(table[j][i]) for j in n] for i in n]
 
 
 def weight(z) -> mpmath.mpf:
@@ -42,59 +50,126 @@ def clamp(x) -> mpmath.mpf:
     return min(max(x, 0), 1)
 
 
-def worst(table: np.ndarray, reference: list[list]) -> float:
-    """Largest entrywise |table − reference| of two dim-row tables, in units of dim · eps."""
-    rows = zip(table.tolist(), reference)
-    gap = max(abs(x - r) for row, ref in rows for x, r in zip(row, ref))
-    return float(gap) / (len(reference) * EPS)
+def entropy(probs) -> mpmath.mpf:
+    """-Σ p log p over the positive ``probs``."""
+    return -mpmath.fsum(p * mpmath.log(p) for p in probs if p > 0)
+
+
+def worst(values, reference: list, dim: int) -> float:
+    """Largest entrywise |value − reference| in units of dim · eps; ``values`` is an array or a
+    number, ``reference`` the same entries as nested lists."""
+    exact = np.array(reference, dtype=object).ravel().tolist()
+    pairs = zip(np.ravel(values).tolist(), exact, strict=True)
+    return float(max(abs(x - r) for x, r in pairs)) / (dim * EPS)
+
+
+def record(ratios: dict, kernel: str, ratio: float) -> None:
+    ratios[kernel] = max(ratios.get(kernel, 0.0), ratio)
+
+
+def check(ratios: dict) -> None:
+    for kernel, ratio in ratios.items():
+        target(ratio, label=kernel)
+        assert ratio <= BOUND, f"{kernel} is off by {ratio:.2f} dim·eps"
+
+
+@st.composite
+def contexts(draw, dim: int, id: str) -> cs.Context:
+    """A context of ``dim``, of any kind that dim admits."""
+    kinds = ["computational", "fourier", "haar", "explicit"] + (["rotation"] if dim == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "rotation":
+        spec = cs.ContextSpec(kind, 2, theta=draw(st.floats(-2 * math.pi, 2 * math.pi)))
+    elif kind in ("haar", "explicit"):
+        spec = cs.ContextSpec("haar", dim, seed=draw(st.integers(0, 2**32 - 1)))
+        if kind == "explicit":
+            spec = cs.ContextSpec(kind, dim, matrix=cs.build_context(spec).basis)
+    else:
+        spec = cs.ContextSpec(kind, dim)
+    return cs.build_context(spec, id)
 
 
 @st.composite
 def protocols(draw):
-    """A protocol of 2–6 contexts of one dim in 2–8, each of any kind that dim admits."""
+    """A protocol of 2–6 contexts of one dim in 2–8, and a phase per outcome."""
     dim = draw(st.integers(2, 8))
-    kinds = ["computational", "fourier", "haar", "explicit"] + (["rotation"] if dim == 2 else [])
-    chain = []
-    for s in range(draw(st.integers(2, 6))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "rotation":
-            spec = cs.ContextSpec(kind, 2, theta=draw(st.floats(-2 * math.pi, 2 * math.pi)))
-        elif kind in ("haar", "explicit"):
-            seed = draw(st.integers(0, 2**32 - 1))
-            spec = cs.ContextSpec("haar", dim, seed=seed)
-            if kind == "explicit":
-                spec = cs.ContextSpec(kind, dim, matrix=cs.build_context(spec).basis)
-        else:
-            spec = cs.ContextSpec(kind, dim)
-        chain.append(cs.build_context(spec, f"c{s}"))
-    return cs.Protocol(chain, chain[0].modality(draw(st.integers(0, dim - 1))))
+    chain = [draw(contexts(dim, f"c{s}")) for s in range(draw(st.integers(2, 6)))]
+    phases = np.array(draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim)))
+    return cs.Protocol(chain, chain[0].modality(draw(st.integers(0, dim - 1)))), phases
 
 
 @settings(max_examples=150, deadline=None)
-@given(protocol=protocols())
-def test_each_table_kernel_is_within_its_bound_of_the_40_digit_formula(protocol):
-    ratios = {"transition_matrix": 0.0, "reversible": 0.0, "irreversible": 0.0}
+@given(case=protocols())
+def test_each_table_kernel_is_within_its_bound_of_the_40_digit_formula(case):
+    protocol, phases = case
+    ratios, dim, i = {}, protocol.dim, protocol.initial.index
     with mpmath.workdps(DIGITS):
         bases = [lift(ctx) for ctx in protocol.contexts]
-        n = range(protocol.dim)
-        marginal = [mpmath.mpf(k == protocol.initial.index) for k in n]
+        n = range(dim)
+        marginal = [mpmath.mpf(k == i) for k in n]
         for s, (frm, to) in enumerate(zip(bases[:-1], bases[1:])):
             # transition_matrix(frm, to)[j, i] = |⟨to_j|frm_i⟩|², the table of step s
-            steps = [[clamp(weight(w)) for w in row] for row in overlaps(to, frm)]
-            ratio = worst(cs.transition_matrix(*protocol.contexts[s:s + 2]), steps)
-            ratios["transition_matrix"] = max(ratios["transition_matrix"], ratio)
+            steps = [[clamp(weight(w)) for w in row] for row in overlaps(to, frm)[0]]
+            ratio = worst(cs.transition_matrix(*protocol.contexts[s:s + 2]), steps, dim)
+            record(ratios, "transition_matrix", ratio)
             marginal = [clamp(mpmath.fsum(steps[j][i] * marginal[i] for i in n)) for j in n]
         start = bases[0]
+        dial = [mpmath.expj(mpmath.mpf(phi)) for phi in phases.tolist()]
         for ctx, mid in zip(protocol.contexts[1:], bases[1:]):
-            there, back = overlaps(mid, start), overlaps(start, mid)  # ⟨v_j|u_i⟩, ⟨u_k|v_j⟩
+            there, back = overlaps(mid, start)  # ⟨v_j|u_i⟩, ⟨u_k|v_j⟩
             reversible, irreversible = protocol.contexts[0].return_tables(ctx)
             amps = [[mpmath.fsum(back[k][j] * there[j][i] for j in n) for i in n] for k in n]
-            ratio = worst(reversible, [[clamp(weight(a)) for a in row] for row in amps])
-            ratios["reversible"] = max(ratios["reversible"], ratio)
-            sums = [[clamp(mpmath.fsum(weight(back[k][j]) * weight(there[j][i]) for j in n))
-                     for i in n] for k in n]
-            ratios["irreversible"] = max(ratios["irreversible"], worst(irreversible, sums))
-        ratios["marginal"] = worst(protocol.marginal[:, None], [[m] for m in marginal])
-    for kernel, ratio in ratios.items():
-        target(ratio, label=kernel)
-        assert ratio <= BOUND, f"{kernel} is off by {ratio:.2f} dim·eps"
+            ratio = worst(reversible, [[clamp(weight(a)) for a in row] for row in amps], dim)
+            record(ratios, "reversible", ratio)
+            t = [[weight(w) for w in row] for row in there]
+            sums = [[clamp(mpmath.fsum(t[j][k] * t[j][i] for j in n)) for i in n] for k in n]
+            record(ratios, "irreversible", worst(irreversible, sums, dim))
+            # |Σ_j e^{iφ_j} ⟨u_k|v_j⟩⟨v_j|u_i⟩|² for every k
+            dialed = [mpmath.fsum(dial[j] * back[k][j] * there[j][i] for j in n) for k in n]
+            returns = cs.interference_returns(protocol.initial, ctx, phases)
+            ratio = worst(returns, [clamp(weight(a)) for a in dialed], dim)
+            record(ratios, "interference_returns", ratio)
+        record(ratios, "marginal", worst(protocol.marginal, marginal, dim))
+        mean = cs.exhaustive_entropy_production(protocol).mean_entropy_production
+        record(ratios, "exhaustive_mean", worst(mean, [entropy(marginal)], dim))
+    check(ratios)
+
+
+@st.composite
+def meters(draw):
+    """An initial modality, a pointer, an overlap matrix (uniform, or explicit) and a chain
+    length in 0–8."""
+    dim = draw(st.integers(2, 8))
+    start, pointer = draw(contexts(dim, "start")), draw(contexts(dim, "pointer"))
+    if draw(st.booleans()):
+        gram = cs.gram_uniform(dim, draw(st.floats(0, 1)))
+    else:
+        gram = random_unit_gram(dim, draw(st.integers(0, 2**32 - 1)))
+    initial = start.modality(draw(st.integers(0, dim - 1)))
+    return initial, pointer, gram, draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=meters())
+def test_each_meter_kernel_is_within_its_bound_of_the_40_digit_formula(case):
+    initial, pointer, gram, m = case
+    ratios, dim, i = {}, initial.dim, initial.index
+    with mpmath.workdps(DIGITS):
+        n = range(dim)
+        start, mid = lift(initial.context), lift(pointer)
+        there, back = overlaps(mid, start)  # ⟨v_j|u_i⟩, ⟨u_k|v_j⟩
+        overlap = [[mpmath.mpc(z) for z in row] for row in gram.matrix.tolist()]
+        # Σ_{j,j'} conj(P_kj) P_kj' G[j, j'] with P_kj = ⟨u_k|v_j⟩⟨v_j|u_i⟩
+        paths = [[back[k][j] * there[j][i] for j in n] for k in n]
+        values = [mpmath.fsum(mpmath.conj(p[j]) * p[l] * overlap[j][l] for j in n for l in n)
+                  for p in paths]
+        probs = cs.meter_return_probabilities(initial, pointer, gram)
+        ratio = worst(probs, [clamp(v.real) for v in values], dim)
+        record(ratios, "meter_return_probabilities", ratio)
+        # ρ[j, j'] = b_j conj(b_j') conj(G[j, j'])^m with b_j = ⟨v_j|u_i⟩
+        b = [there[j][i] for j in n]
+        reduced = [[b[j] * mpmath.conj(b[l]) * mpmath.conj(overlap[j][l]) ** m for l in n]
+                   for j in n]
+        rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
+        record(ratios, "meter_chain_reduced_state", worst(rho, reduced, dim))
+    check(ratios)

@@ -8,7 +8,6 @@ from csm_sim.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     InvalidGramMatrix,
-    NotPositiveSemidefinite,
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL
@@ -83,8 +82,9 @@ def test_validate_gram_rejects_bad_matrices():
         cs.Gram(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
     with pytest.raises(InvalidGramMatrix):
         cs.Gram(np.array([[2.0, 0.0], [0.0, 1.0]]))  # diagonal not 1
-    with pytest.raises(NotPositiveSemidefinite):
+    with pytest.raises(InvalidGramMatrix, match="smallest eigenvalue") as refused:
         cs.Gram(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
+    assert refused.value.residual == pytest.approx(1.0)
     with pytest.raises(InvalidGramMatrix):
         cs.Gram(np.ones(3))  # not square
 
@@ -180,8 +180,9 @@ def test_gram_rejects_invalid_matrices(seed, dim, defect):
         matrix = np.full((dim, dim), complex(rng.uniform(1.01, 2.0)))
         np.fill_diagonal(matrix, 1.0)
         matrix = phases[:, None] * matrix * phases.conj()[None, :]
-    with pytest.raises(NotPositiveSemidefinite if defect == "psd" else InvalidGramMatrix):
+    with pytest.raises(InvalidGramMatrix) as refused:
         cs.Gram(matrix)
+    assert ("smallest eigenvalue" in str(refused.value)) == (defect == "psd")
 
 
 def test_meter_states_identity_gram_is_standard_basis():
@@ -340,7 +341,8 @@ def test_meters_of_a_gram_at_its_psd_edge_are_served(seed, dim, rank, edges):
     matrix = matrix * np.outer(scale, scale)
     try:
         gram = cs.Gram(matrix)
-    except NotPositiveSemidefinite:  # the unit-diagonal scaling pushed an edge past -INPUT_TOL
+    except InvalidGramMatrix as err:  # the unit-diagonal scaling pushed an edge past -INPUT_TOL
+        assert "smallest eigenvalue" in str(err)
         return
     meters = cs.meter_states_from_gram(gram)
     assert np.max(np.abs(meters.conj().T @ meters - gram.matrix)) <= INPUT_TOL

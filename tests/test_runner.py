@@ -115,8 +115,14 @@ def test_reports_byte_identical_across_runs_and_blocks(balanced_scenario):
     assert not np.array_equal(long[0], long[1])
 
 
+def verified(scenario, tolerance):
+    """Whether ``verify_report`` passed, and its checks."""
+    report = cs.verify_report(scenario, tolerance)
+    return report["pass"], report["checks"]
+
+
 def test_verify_clean_scenario_passes(balanced_scenario):
-    ok, checks = cs.verify_scenario(balanced_scenario, 1e-10)
+    ok, checks = verified(balanced_scenario, 1e-10)
     assert ok
     assert all(c["pass"] for c in checks)
     names = {c["name"] for c in checks}
@@ -139,7 +145,7 @@ def test_run_and_g_sweep_never_build_a_composite_state(monkeypatch):
     assert len(cs.sweep_rows(scenario, "g", [0.0, 0.5, 1.0])) == 3
     # verify is where the composite referee runs, so the patch is live
     with pytest.raises(AssertionError, match="composite meter route"):
-        cs.verify_scenario(scenario, 1e-10)
+        cs.verify_report(scenario, 1e-10)
 
 
 def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):
@@ -151,7 +157,7 @@ def test_verify_builds_each_context_once(balanced_scenario, monkeypatch):
         return real(spec, id=id)
 
     monkeypatch.setattr(csm_sim.runner, "build_context", counting)
-    ok, _ = cs.verify_scenario(balanced_scenario, 1e-10)
+    ok, _ = verified(balanced_scenario, 1e-10)
     assert ok
     assert sorted(built) == sorted(balanced_scenario.contexts)
 
@@ -166,7 +172,7 @@ def test_verify_keeps_one_overlap_table_per_partner(monkeypatch):
         return built[id]
 
     monkeypatch.setattr(csm_sim.runner, "build_context", recording)
-    ok, _ = cs.verify_scenario(scenario, 1e-10)
+    ok, _ = verified(scenario, 1e-10)
     assert ok
     partners = {name: set() for name in built}
     sequence = scenario.protocol.sequence
@@ -261,7 +267,7 @@ def test_verify_never_passes_what_construction_refuses(
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(doc))
         scenario = cs.parse_scenario(path)
-    ok, checks = cs.verify_scenario(scenario, 10.0**log_tolerance)
+    ok, checks = verified(scenario, 10.0**log_tolerance)
     by_name = {check["name"]: check for check in checks}
     try:
         cs.build_scenario_objects(scenario)
@@ -324,7 +330,7 @@ def test_verify_reports_non_orthonormal_residual(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    ok, checks = cs.verify_scenario(cs.parse_scenario(path), 1e-10)
+    ok, checks = verified(cs.parse_scenario(path), 1e-10)
     assert not ok
     failing = [c for c in checks if not c["pass"]]
     assert failing[0]["name"] == "context[bad].orthonormal"
@@ -342,9 +348,9 @@ def test_verify_at_machine_epsilon_tolerance(tmp_path):
     path = tmp_path / "haar.json"
     path.write_text(json.dumps(doc))
     scenario = cs.parse_scenario(path)
-    ok_loose, _ = cs.verify_scenario(scenario, 1e-10)
+    ok_loose, _ = verified(scenario, 1e-10)
     assert ok_loose
-    ok_tight, checks = cs.verify_scenario(scenario, 1e-16)
+    ok_tight, checks = verified(scenario, 1e-16)
     assert not ok_tight
     worst = max(c["residual"] for c in checks)
     assert 1e-16 < worst < 1e-12

@@ -12,7 +12,6 @@ from csm_sim.errors import (
     DimensionMismatch,
     InternalConsistencyError,
     ScenarioValidationError,
-    ZeroProbabilityPath,
 )
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
@@ -166,8 +165,9 @@ def test_entropy_production_quarter_weight_is_log4():
 
 
 def test_entropy_production_zero_forward_path_raises():
-    with pytest.raises(ZeroProbabilityPath):
+    with pytest.raises(ScenarioValidationError, match="forward path has probability zero") as err:
         cs.entropy_production(constant_protocol(), (0, 1, 1), np.full(2, 0.5))
+    assert err.value.field == "outcomes"
 
 
 def test_entropy_production_infinite_when_reference_misses():

@@ -26,11 +26,13 @@ then runs the fixed list ``REFUSALS``: documents derived from
 an invocation the program must refuse, so that a changed exit code or refusal
 message shows too.  Among them are a broken grid (in the file or on the
 command line), a sweep the scenario cannot serve, an explicit matrix
-construction refuses, a context or gram recipe that breaks a rule of its kind
-(a negative Haar seed, a strength outside [0, 1], a rotation in dim 3), a
-``schema_version`` that is no integer, two flags whose rule only the library
-owns (``verify --tolerance -1`` and ``run --exhaustive --seed -1``), and a
-negative grid end written with an exponent (``--to -1e-3``).
+construction refuses (an overlap matrix with a negative eigenvalue also under
+``verify --out``, so that the refusal the report records is compared too), a
+context or gram recipe that breaks a rule of its kind (a negative Haar seed, a
+strength outside [0, 1], a rotation in dim 3), a ``schema_version`` that is no
+integer, two flags whose rule only the library owns (``verify --tolerance -1``
+and ``run --exhaustive --seed -1``), and a negative grid end written with an
+exponent (``--to -1e-3``).
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -144,6 +146,8 @@ SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps
 REFUSALS = [
     ("explicit_x_off_by_1e-8", _explicit_x_off_by_1e8, ["verify", "--tolerance", "1e-6"]),
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--tolerance", "1e-6"]),
+    # the written report carries the refusal's text and residual, compared value by value
+    ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--out", REPORT]),
     ("no_meter", _no_meter, SWEEP_G),
     ("one_context", _one_context, SWEEP_PHASE),
     # a sweep builds only what it reads, but still refuses every input run refuses
@@ -204,19 +208,22 @@ def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
 
     The refusal documents, and the files ``--out`` writes, go to ``tmp``.
     """
+
+    def argv(args: list[str], scenario: Path) -> list[str]:
+        args = [str(tmp / "report.json") if arg == REPORT else arg for arg in args]
+        return [args[0], str(scenario), *args[1:]]
+
     found = []
     for scenario in scenarios():
         label = scenario.relative_to(ROOT)
-        for name, args in INVOCATIONS:
-            args = [str(tmp / "report.json") if arg == REPORT else arg for arg in args]
-            found.append((f"{label}  {name}", [args[0], str(scenario), *args[1:]]))
+        found += [(f"{label}  {name}", argv(args, scenario)) for name, args in INVOCATIONS]
     base = json.loads((ROOT / "scenarios" / "balanced_qubit.json").read_text())
     for name, edit, args in REFUSALS:
         doc = copy.deepcopy(base)
         edit(doc)
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(doc))
-        found.append((f"refusal {name}  {' '.join(args)}", [args[0], str(path), *args[1:]]))
+        found.append((f"refusal {name}  {' '.join(args)}", argv(args, path)))
     return found
 
 
