@@ -75,7 +75,7 @@ from .runner import (
     sweep_rows,
     verify_report,
 )
-from .scenario import MeterSpec, ProtocolSpec, Scenario, SweepSpec, parse_scenario
+from .scenario import Scenario, parse_scenario
 from .trajectory import (
     Protocol,
     Trajectory,

@@ -30,7 +30,7 @@ off by 18·dim·eps, 1.2e-14 at dim 3, some 8,000 times less.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import FrozenInstanceError
 from numbers import Integral, Real
 
@@ -291,8 +291,10 @@ class Modality(_Value):
 
 
 def _number(field: str, value, least: float | None = None) -> float:
-    """``value`` as a float, or the refusal of all but a finite real >= ``least``, bools too."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    """``value`` as a float, or the refusal of all but a finite real >= ``least``, bools too;
+    an integer past a double is no finite real."""
+    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max  # False for NaN too
+    if isinstance(value, bool) or not finite:
         raise ScenarioValidationError(field, f"expected a number, got {value!r}")
     if least is not None and value < least:
         raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
@@ -353,7 +355,7 @@ class _Recipe:
 
 
 def _square(matrix: np.ndarray, dim: int) -> None:
-    """Refuse a recipe's matrix unless it is dim × dim, with the parser's texts for rows."""
+    """Refuse a recipe's matrix unless it is dim × dim, with a scenario's texts for rows."""
     if len(matrix) != dim:
         raise ScenarioValidationError("matrix", f"expected {dim} rows")
     if matrix.shape[1] != dim:

@@ -5,6 +5,9 @@ order, so serializing one is byte-reproducible for identical inputs; the
 Monte Carlo ensemble draws each block of samples from its own child of the
 seed's ``SeedSequence``, so it is reproducible given (seed, sample count).
 
+A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked
+them when made (:func:`~csm_sim.scenario.parse_scenario` only reads the text), so
+these entry points read its fields as they are and refuse anything but a scenario.
 ``run`` and ``verify`` build every context of a scenario.  A sweep checks
 its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
 the contexts its parameter reads, plus every explicit context and the overlap
@@ -26,6 +29,7 @@ from .hilbert import (
     Context,
     Modality,
     _identity_residual,
+    _instance,
     _integer,
     _number,
     build_context,
@@ -53,26 +57,26 @@ from .qnd import (
     reduced_system_state,
     von_neumann_entropy,
 )
-from .scenario import SWEEP_PARAMS, Scenario, sweep_grid
+from .scenario import Scenario, sweep_grid
 from .trajectory import Protocol, exhaustive_entropy_production, mean_entropy_production
 
 
 def build_scenario_objects(scenario: Scenario):
     """Materialize the scenario: contexts by name, protocol, pointer, overlap matrix."""
+    _instance("scenario", scenario, Scenario)
     contexts = {
         name: build_context(spec, id=name) for name, spec in scenario.contexts.items()
     }
     protocol, pointer = _protocol_objects(scenario, contexts)
-    gram = None if scenario.meter is None else build_gram(scenario.meter.gram, scenario.dim)
+    gram = None if scenario.gram is None else build_gram(scenario.gram, scenario.dim)
     return contexts, protocol, pointer, gram
 
 
 def _protocol_objects(scenario: Scenario, contexts: dict[str, Context]):
     """Protocol and meter pointer (or None) over contexts already built."""
-    first = contexts[scenario.protocol.initial_context]
-    initial = Modality(first, scenario.protocol.initial_index)
-    protocol = Protocol(tuple(contexts[name] for name in scenario.protocol.sequence), initial)
-    pointer = None if scenario.meter is None else contexts[scenario.meter.pointer]
+    initial = Modality(contexts[scenario.sequence[0]], scenario.initial_index)
+    protocol = Protocol(tuple(contexts[name] for name in scenario.sequence), initial)
+    pointer = None if scenario.pointer is None else contexts[scenario.pointer]
     return protocol, pointer
 
 
@@ -144,29 +148,29 @@ _SWEEPS = {
 
 def _varied(scenario: Scenario, param: str) -> str:
     """Name of the context a sweep varies: the pointer, or the second protocol context."""
-    return scenario.protocol.sequence[1] if param == "phase" else scenario.meter.pointer
+    return scenario.sequence[1] if param == "phase" else scenario.pointer
 
 
 def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     """Grid-complete sweep rows for one parameter; one row per grid point.
 
-    Checks the grid with :func:`~csm_sim.scenario.sweep_grid` first, as the
-    parser checks a file's, then builds only what ``param`` reads: the initial
-    context, and the pointer (``g``, ``m_count``) or the second protocol context
-    (``phase``).  It also builds every explicit context and the overlap matrix,
-    the only inputs of a parsed scenario that construction can refuse, so a sweep
+    Checks the grid with :func:`~csm_sim.scenario.sweep_grid` first, as a
+    scenario checks its document's, then builds only what ``param`` reads: the
+    initial context, and the pointer (``g``, ``m_count``) or the second protocol
+    context (``phase``).  It also builds every explicit context and the overlap
+    matrix, the only inputs of a scenario that construction can refuse, so a sweep
     refuses whatever ``run`` refuses, with the same error.
     """
-    protocol, meter = scenario.protocol, scenario.meter
-    grid = sweep_grid(param, values, meter is not None, len(protocol.sequence))
-    varied = _varied(scenario, param)
+    _instance("scenario", scenario, Scenario)
+    grid = sweep_grid(param, values, scenario.pointer is not None, len(scenario.sequence))
+    first, varied = scenario.sequence[0], _varied(scenario, param)
     contexts = {
         name: build_context(spec, id=name)
         for name, spec in scenario.contexts.items()
-        if name in (protocol.initial_context, varied) or spec.kind == "explicit"
+        if name in (first, varied) or spec.kind == "explicit"
     }
-    gram = None if meter is None else build_gram(meter.gram, scenario.dim)
-    initial = Modality(contexts[protocol.initial_context], protocol.initial_index)
+    gram = None if scenario.gram is None else build_gram(scenario.gram, scenario.dim)
+    initial = Modality(contexts[first], scenario.initial_index)
     return _SWEEPS[param][0](initial, contexts[varied], gram, grid)
 
 
@@ -200,6 +204,7 @@ def run_scenario(
     n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
     ``seed`` is an integer >= 0 and ``n_samples`` one >= 1, or >= 0 when ``exhaustive``.
     """
+    _instance("scenario", scenario, Scenario)
     seed = _integer("seed", seed, 0)
     n_samples = _integer("n_samples", n_samples, 0 if exhaustive else 1)
     contexts, protocol, pointer, gram = build_scenario_objects(scenario)
@@ -207,7 +212,7 @@ def run_scenario(
     dim = scenario.dim
 
     returns = []
-    for step, name in enumerate(scenario.protocol.sequence[1:], start=1):
+    for step, name in enumerate(scenario.sequence[1:], start=1):
         ctx = contexts[name]
         returns.append(
             {
@@ -223,7 +228,7 @@ def run_scenario(
         rho = meter_chain_reduced_state(initial, pointer, gram, 1)
         off_mask = ~np.eye(dim, dtype=bool)
         meter_section = {
-            "pointer": scenario.meter.pointer,
+            "pointer": scenario.pointer,
             "return_probabilities": _floats(meter_return_probabilities(initial, pointer, gram)),
             "reduced_state_diagonal": _floats(rho.diagonal().real),
             "max_coherence": float(np.max(np.abs(rho[off_mask]))),
@@ -239,12 +244,10 @@ def run_scenario(
     ensemble["final_distribution"] = _floats(stats.final_distribution)
 
     sweep_section = None
-    if scenario.sweep is not None:
-        grids = {param: getattr(scenario.sweep, param) for param in SWEEP_PARAMS}
+    if scenario.sweeps is not None:
         sweep_section = {
             param: _SWEEPS[param][0](initial, contexts[_varied(scenario, param)], gram, grid)
-            for param, grid in grids.items()
-            if grid is not None
+            for param, grid in scenario.sweeps.items()
         }
 
     return {
@@ -322,6 +325,7 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
     against the explicit composite state, built here and nowhere else.
     ``tolerance`` is a finite number >= 0.
     """
+    _instance("scenario", scenario, Scenario)
     tolerance = _number("tolerance", tolerance, 0)
     checks: list[dict] = []
 
@@ -363,9 +367,9 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
         rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
         add(f"step[{step}].reversible_identity", _identity_residual(rev))
 
-    if scenario.meter is not None:
+    if scenario.gram is not None:
         try:
-            gram = build_gram(scenario.meter.gram, dim)
+            gram = build_gram(scenario.gram, dim)
         except InvalidGramMatrix as err:
             refuse("meter.gram_valid", err)
         else:

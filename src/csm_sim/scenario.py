@@ -6,13 +6,15 @@ the known initial outcome), an optional meter coupling, and optional
 parameter grids.  Complex matrix entries are written either as plain
 numbers or as two-element ``[re, im]`` arrays.
 
-Parsing is strict: unknown or repeated keys are rejected, every referenced
-name must resolve, and the document's ``dim`` bounds the tables.  The parser
-reads the file format; a context or gram object becomes a ``ContextSpec`` or
-``GramSpec``, which checks its kind's rules, and a sweep grid, from the file,
-the command line or a library caller, is checked by :func:`sweep_grid`.  So a
-scenario that parses will also build, except where :class:`~csm_sim.hilbert.Context`
-or :class:`~csm_sim.qnd.Gram` refuses an explicit matrix.
+:class:`Scenario` is the document, made from the object ``json.loads`` returns: it
+owns every rule of the file format and checks each once, when made.  Unknown keys are
+rejected, every referenced name must resolve, and ``dim`` bounds the tables.  A context
+or gram object becomes a ``ContextSpec`` or ``GramSpec``, which checks its kind's rules,
+and a sweep grid, from the file, the command line or a library caller, is checked by
+:func:`sweep_grid`.  :func:`parse_scenario` reads the text, refusing what ``json.loads``
+alone would admit (a repeated key, a non-finite number), and makes the scenario.  So a
+scenario that is made will also build, except where :class:`~csm_sim.hilbert.Context` or
+:class:`~csm_sim.qnd.Gram` refuses an explicit matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import CONTEXT_FIELDS, ContextSpec, _integer, _number, _Value, check_index
+from .hilbert import CONTEXT_FIELDS, ContextSpec, _hold, _integer, _number, _Value, check_index
 from .qnd import GRAM_FIELDS, GramSpec, _strength
 
 SCHEMA_VERSION = 1
@@ -49,39 +51,96 @@ def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
     return dim * dim * (32 * n_contexts + 48 * n_steps)
 
 
-class MeterSpec(_Value):
-    pointer: str
-    gram: GramSpec
-
-
-class ProtocolSpec(_Value):
-    initial_context: str
-    initial_index: int
-    sequence: tuple[str, ...]
-
-
-class SweepSpec(_Value):
-    g: tuple[float, ...] | None = None
-    m_count: tuple[int, ...] | None = None
-    phase: tuple[float, ...] | None = None
-
-
 class Scenario(_Value):
-    """Validated scenario plus the raw document it came from (for echoing)."""
+    """A scenario document, ``raw``, refused at the first rule it breaks, naming the field.
 
-    dim: int
-    contexts: dict[str, ContextSpec]
-    protocol: ProtocolSpec
-    meter: MeterSpec | None
-    sweep: SweepSpec | None
+    It holds ``raw`` as given, for a report to echo, and what it read from it: ``dim``;
+    ``contexts``, a ``ContextSpec`` per name; ``sequence``, the protocol's context names,
+    whose first is the initial context; ``initial_index``; ``pointer`` and ``gram`` (a
+    ``GramSpec``), None without a meter; ``sweeps``, each grid by parameter in
+    ``SWEEP_PARAMS`` order, None without a sweep section.  Equality and ``repr`` follow
+    ``raw``, a dict, so a scenario is unhashable.  The document is read once, when the
+    scenario is made, and not copied: edit a copy of it, not the one a scenario holds.
+    """
+
     raw: dict
 
+    def __post_init__(self):
+        raw = self.raw
+        if not isinstance(raw, dict):
+            raise ScenarioValidationError("document", "top level must be an object")
+        _require_keys("document", raw, ("schema_version", "dim", "contexts", "protocol"),
+                      ("meter", "sweep"))
+        if _integer("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
+            reason = f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
+            raise ScenarioValidationError("schema_version", reason)
+        dim = _integer("dim", raw["dim"], 2)
 
-def _require_keys(field: str, data: dict, required: set[str], allowed: set[str]) -> None:
+        if not isinstance(raw["contexts"], dict) or not raw["contexts"]:
+            raise ScenarioValidationError("contexts", "expected a non-empty object")
+        make_context = partial(ContextSpec, dim=dim)
+        contexts = {
+            name: _recipe(f"contexts.{name}", spec, dim, CONTEXT_FIELDS, make_context)
+            for name, spec in raw["contexts"].items()
+        }
+
+        protocol = raw["protocol"]
+        _require_keys("protocol", protocol, ("initial", "sequence"))
+        initial = protocol["initial"]
+        _require_keys("protocol.initial", initial, ("context", "index"))
+        sequence = protocol["sequence"]
+        if not isinstance(sequence, list) or not sequence:
+            raise ScenarioValidationError("protocol.sequence", "expected a non-empty list of names")
+        for pos, name in enumerate(sequence):
+            if not _known(name, contexts):
+                raise ScenarioValidationError(
+                    f"protocol.sequence[{pos}]", f"undefined context {name!r}"
+                )
+        first = initial["context"]
+        if not _known(first, contexts):
+            reason = f"undefined context {first!r}"
+            raise ScenarioValidationError("protocol.initial.context", reason)
+        if first != sequence[0]:
+            reason = f"{first!r} is not the first context of the sequence ({sequence[0]!r})"
+            raise ScenarioValidationError("protocol.initial.context", reason)
+        initial_index = _integer("protocol.initial.index", initial["index"])
+        check_index("protocol.initial.index", initial_index, dim)
+        footprint = table_bytes(dim, len(contexts), len(sequence) - 1)
+        if footprint > MAX_TABLE_BYTES:
+            raise ScenarioValidationError(
+                "dim",
+                f"{dim} needs {footprint} bytes of bases and tables, "
+                f"more than the budget of {MAX_TABLE_BYTES}",
+            )
+
+        pointer = gram = None
+        if "meter" in raw:
+            _require_keys("meter", raw["meter"], ("pointer", "gram"))
+            pointer = raw["meter"]["pointer"]
+            if not _known(pointer, contexts):
+                raise ScenarioValidationError("meter.pointer", f"undefined context {pointer!r}")
+            gram = _recipe("meter.gram", raw["meter"]["gram"], dim, GRAM_FIELDS, GramSpec)
+
+        sweeps = None
+        if "sweep" in raw:
+            _require_keys("sweep", raw["sweep"], (), SWEEP_PARAMS)
+            grids = {
+                param: sweep_grid(param, values, pointer is not None, len(sequence))
+                for param, values in raw["sweep"].items()
+            }
+            sweeps = {param: grids[param] for param in SWEEP_PARAMS if param in grids}
+
+        _hold(self, dim=dim, contexts=contexts, sequence=tuple(sequence),
+              initial_index=initial_index, pointer=pointer, gram=gram, sweeps=sweeps)
+
+
+def _require_keys(field: str, data: dict, required: tuple, optional: tuple = ()) -> None:
+    """Refuse ``data`` unless it is an object of ``required`` keys and some ``optional`` ones:
+    its first unknown key, else the first missing one in ``required``'s order."""
     if not isinstance(data, dict):
         raise ScenarioValidationError(field, f"expected an object, got {type(data).__name__}")
     for key in data:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ScenarioValidationError(f"{field}.{key}", "unknown key")
     for key in required:
         if key not in data:
@@ -90,7 +149,7 @@ def _require_keys(field: str, data: dict, required: set[str], allowed: set[str])
 
 def _complex_entry(field: str, value) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_number(field, value))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(f"{field}[0]", value[0]), _number(f"{field}[1]", value[1]))
     raise ScenarioValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
@@ -116,7 +175,7 @@ def _recipe(field: str, data, dim: int, fields: dict[str, tuple[str, ...]], make
         raise ScenarioValidationError(field, "expected an object with a 'kind' key")
     kind, keys = data["kind"], {}
     if _known(kind, fields):  # an unknown kind is the recipe's to refuse
-        _require_keys(field, data, {"kind", *fields[kind]}, {"kind", *fields[kind]})
+        _require_keys(field, data, ("kind", *fields[kind]))
         keys = {key: data[key] for key in fields[kind]}
         if "matrix" in keys:
             keys["matrix"] = _matrix(f"{field}.matrix", keys["matrix"], dim)
@@ -184,7 +243,7 @@ def sweep_grid(param: str, values, has_meter: bool, n_contexts: int) -> tuple:
 
 
 def parse_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario file.
+    """The :class:`Scenario` a scenario file's text holds.
 
     Raises
     ------
@@ -196,8 +255,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         non-finite number (``NaN``, ``Infinity``, or a float or integer
         literal that overflows a double).
     ScenarioValidationError
-        Schema violation, naming the offending field; also a ``dim`` whose
-        :func:`table_bytes` exceed ``MAX_TABLE_BYTES``.
+        A rule of the document that :class:`Scenario` refuses, naming the field;
+        also a ``dim`` whose :func:`table_bytes` exceed ``MAX_TABLE_BYTES``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -209,75 +268,4 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(err.msg, err.lineno, err.colno) from err
     except (UnicodeDecodeError, RecursionError) as err:  # not UTF-8, or nested too deep
         raise ScenarioParseError(f"unreadable text: {err}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioValidationError("document", "top level must be an object")
-
-    _require_keys(
-        "document",
-        raw,
-        {"schema_version", "dim", "contexts", "protocol"},
-        {"schema_version", "dim", "contexts", "protocol", "meter", "sweep"},
-    )
-    if _integer("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
-        reason = f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
-        raise ScenarioValidationError("schema_version", reason)
-    dim = _integer("dim", raw["dim"], 2)
-
-    if not isinstance(raw["contexts"], dict) or not raw["contexts"]:
-        raise ScenarioValidationError("contexts", "expected a non-empty object")
-    contexts = {
-        name: _recipe(f"contexts.{name}", spec, dim, CONTEXT_FIELDS, partial(ContextSpec, dim=dim))
-        for name, spec in raw["contexts"].items()
-    }
-
-    _require_keys("protocol", raw["protocol"], {"initial", "sequence"}, {"initial", "sequence"})
-    _require_keys(
-        "protocol.initial", raw["protocol"]["initial"], {"context", "index"}, {"context", "index"}
-    )
-    sequence = raw["protocol"]["sequence"]
-    if not isinstance(sequence, list) or not sequence:
-        raise ScenarioValidationError("protocol.sequence", "expected a non-empty list of names")
-    for pos, name in enumerate(sequence):
-        if not _known(name, contexts):
-            raise ScenarioValidationError(
-                f"protocol.sequence[{pos}]", f"undefined context {name!r}"
-            )
-    initial_context = raw["protocol"]["initial"]["context"]
-    if not _known(initial_context, contexts):
-        raise ScenarioValidationError(
-            "protocol.initial.context", f"undefined context {initial_context!r}"
-        )
-    if initial_context != sequence[0]:
-        raise ScenarioValidationError(
-            "protocol.initial.context",
-            f"{initial_context!r} is not the first context of the sequence ({sequence[0]!r})",
-        )
-    initial_index = _integer("protocol.initial.index", raw["protocol"]["initial"]["index"])
-    check_index("protocol.initial.index", initial_index, dim)
-    protocol = ProtocolSpec(initial_context, initial_index, tuple(sequence))
-    footprint = table_bytes(dim, len(contexts), len(sequence) - 1)
-    if footprint > MAX_TABLE_BYTES:
-        raise ScenarioValidationError(
-            "dim",
-            f"{dim} needs {footprint} bytes of bases and tables, "
-            f"more than the budget of {MAX_TABLE_BYTES}",
-        )
-
-    meter = None
-    if "meter" in raw:
-        _require_keys("meter", raw["meter"], {"pointer", "gram"}, {"pointer", "gram"})
-        pointer = raw["meter"]["pointer"]
-        if not _known(pointer, contexts):
-            raise ScenarioValidationError("meter.pointer", f"undefined context {pointer!r}")
-        gram = _recipe("meter.gram", raw["meter"]["gram"], dim, GRAM_FIELDS, GramSpec)
-        meter = MeterSpec(pointer, gram)
-
-    sweep = None
-    if "sweep" in raw:
-        _require_keys("sweep", raw["sweep"], set(), set(SWEEP_PARAMS))
-        sweep = SweepSpec(**{
-            key: sweep_grid(key, entries, meter is not None, len(sequence))
-            for key, entries in raw["sweep"].items()
-        })
-
-    return Scenario(dim, contexts, protocol, meter, sweep, raw)
+    return Scenario(raw)

@@ -379,9 +379,14 @@ def _mutate(doc, mutations):
     size=st.sampled_from(ODD_SIZES),
 )
 def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command, size):
+    mutant = _mutate(DOC, mutations)
+    try:  # made in process, the document is a scenario or a domain error too
+        cs.Scenario(mutant)
+    except cs.CsmSimError:
+        pass
     with tempfile.TemporaryDirectory() as tmp:
         path, report = Path(tmp) / "mutant.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(_mutate(DOC, mutations)))
+        path.write_text(json.dumps(mutant))
         argv = [command[0], str(path), *(size if arg is SIZE else arg for arg in command[1:])]
         if argv[-1] == "--out":
             argv.append(str(report))

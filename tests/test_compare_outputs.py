@@ -1,8 +1,13 @@
+import copy
 import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+import csm_sim as cs
 from csm_sim.cli import main
+from csm_sim.errors import ScenarioValidationError
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
@@ -89,7 +94,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 9
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 22
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 27
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the
@@ -98,7 +103,8 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
         usage = name in (
             "no_meter", "one_context", "unedited", "g_grid_0_1_2", "m_count_grid_-3_-1_1",
             "no_meter_and_explicit_x_off_by_1e-8", "x_haar_seed_-1", "gram_g_1.5",
-            "x_rotation_in_dim_3", "schema_version_true",
+            "x_rotation_in_dim_3", "schema_version_true", "sequence_names_nope",
+            "initial_context_x", "initial_index_2", "pointer_nope", "unknown_top_level_key",
         )
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err
@@ -132,3 +138,22 @@ def test_a_written_report_is_read_and_walked_value_by_value(tmp_path):
         "report: max gap 8.674e-19",
         "  checks[context[z].orthonormal].residual: 1 value <= 8.7e-19",
     ]
+
+
+def test_each_refusal_document_reads_alike_from_its_file_and_in_process(tmp_path):
+    base = json.loads((compare_outputs.ROOT / "scenarios" / "balanced_qubit.json").read_text())
+    names = [name for name, _, _ in compare_outputs.REFUSALS]
+    assert "unedited" in names
+    for name, edit, _ in compare_outputs.REFUSALS:
+        doc = copy.deepcopy(base)
+        edit(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        try:
+            parsed = cs.parse_scenario(path)
+        except ScenarioValidationError as err:
+            with pytest.raises(ScenarioValidationError) as caught:
+                cs.Scenario(doc)
+            assert str(caught.value) == str(err), name
+        else:
+            assert cs.Scenario(doc) == parsed, name

@@ -4,10 +4,11 @@ bare numpy one.
 Each entry point that reads a count, a seed, a tolerance or a caller's matrix or vector
 either returns or raises :class:`CsmSimError`; anything else escaping fails the property.
 An index, an outcome sequence, a protocol's contexts and initial modality, a modality's
-context, a context's label, a distribution, a basis's side and a density matrix each break
-a rule of their own, and each is refused as a :class:`ScenarioValidationError` naming that
-value.  An array of the wrong shape is refused by its own value's rule too, and only one of
-the wrong length for the dimension it meets is a :class:`DimensionMismatch`.
+context, a context's label, a runner's scenario, a distribution, a basis's side and a density
+matrix each break a rule of their own, and each is refused as a
+:class:`ScenarioValidationError` naming that value; an integer past a double is no number.
+An array of the wrong shape is refused by its own value's rule too, and only one of the
+wrong length for the dimension it meets is a :class:`DimensionMismatch`.
 """
 
 import math
@@ -246,16 +247,54 @@ ID_REFUSALS = st.one_of(
 )
 
 
+# What is no scenario, given to each runner entry point: its document unread or its path too.
+NOT_SCENARIOS = st.one_of(NOT_VALUES, st.sampled_from([BALANCED.raw, SCENARIOS / "x.json"]))
+RUNNER_ENTRIES = [
+    lambda scenario: cs.run_scenario(scenario, 0, 10),
+    lambda scenario: cs.verify_report(scenario, 1e-10),
+    lambda scenario: cs.sweep_rows(scenario, "g", [0.0]),
+    cs.build_scenario_objects,
+]
+SCENARIO_REFUSALS = st.tuples(st.sampled_from(RUNNER_ENTRIES), NOT_SCENARIOS).map(
+    lambda case: (partial(*case), "scenario")
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=st.one_of(
     index_refusals(), protocol_refusals(), outcome_refusals(), distribution_refusals(),
-    SIDE_REFUSALS, DENSITY_REFUSALS, ID_REFUSALS,
+    SIDE_REFUSALS, DENSITY_REFUSALS, ID_REFUSALS, SCENARIO_REFUSALS,
 ))
 def test_each_value_rule_is_a_validation_error_naming_its_value(case):
     call, field = case
     with pytest.raises(ScenarioValidationError) as caught:
         call()
     assert caught.value.field == field
+
+
+HUGE = 10**400  # an integer past a double
+
+
+def _explicit_x(entry):
+    doc = dict(BALANCED.raw, contexts={"z": {"kind": "computational"}, "x": {
+        "kind": "explicit", "matrix": [[entry, 0], [0, 1]],
+    }})
+    return partial(cs.Scenario, doc)
+
+
+@pytest.mark.parametrize("call, field", [
+    (partial(cs.rotation_context, HUGE), "theta"),
+    (partial(cs.gram_uniform, 2, HUGE), "g"),
+    (partial(cs.verify_report, BALANCED, HUGE), "tolerance"),
+    (partial(cs.sweep_rows, BALANCED, "phase", [HUGE]), "sweep.phase[0]"),
+    (partial(cs.sweep_rows, BALANCED, "g", [0.5, HUGE]), "sweep.g[1]"),
+    (_explicit_x(HUGE), "contexts.x.matrix[0][0]"),
+    (_explicit_x([0, HUGE]), "contexts.x.matrix[0][0][1]"),
+])
+def test_an_integer_past_a_double_is_no_number(call, field):
+    with pytest.raises(ScenarioValidationError) as caught:
+        call()
+    assert (caught.value.field, caught.value.reason) == (field, f"expected a number, got {HUGE!r}")
 
 
 def array_readers(dim):

@@ -57,6 +57,10 @@ def test_report_structure_and_values(balanced_scenario):
     assert ensemble["mode"] == "monte_carlo"
     assert ensemble["sample_count"] == 500
     assert ensemble["shannon_entropy_final"] == pytest.approx(np.log(2), abs=1e-12)
+    # an empty sweep section is reported as one, no section as null
+    no_sweep = {key: value for key, value in balanced_scenario.raw.items() if key != "sweep"}
+    assert cs.run_scenario(cs.Scenario(no_sweep), 0, 10)["results"]["sweep"] is None
+    assert cs.run_scenario(cs.Scenario(dict(no_sweep, sweep={})), 0, 10)["results"]["sweep"] == {}
 
 
 def test_report_probabilities_in_range(balanced_scenario):
@@ -141,7 +145,7 @@ def test_run_and_g_sweep_never_build_a_composite_state(monkeypatch):
         monkeypatch.setattr(module, "meter_states_from_gram", refuse)
     report = cs.run_scenario(scenario, seed=0, n_samples=100)
     assert report["results"]["meter"] is not None
-    assert len(report["results"]["sweep"]["g"]) == len(scenario.sweep.g)
+    assert len(report["results"]["sweep"]["g"]) == len(scenario.sweeps["g"])
     assert len(cs.sweep_rows(scenario, "g", [0.0, 0.5, 1.0])) == 3
     # verify is where the composite referee runs, so the patch is live
     with pytest.raises(AssertionError, match="composite meter route"):
@@ -175,11 +179,11 @@ def test_verify_keeps_one_overlap_table_per_partner(monkeypatch):
     ok, _ = verified(scenario, 1e-10)
     assert ok
     partners = {name: set() for name in built}
-    sequence = scenario.protocol.sequence
+    sequence = scenario.sequence
     for a, b in zip(sequence[:-1], sequence[1:]):
         partners[a].add(b)
         partners[b].add(a)
-    partners[scenario.protocol.initial_context].add(scenario.meter.pointer)
+    partners[sequence[0]].add(scenario.pointer)
     for name, ctx in built.items():
         held = [partner for partner, _ in ctx._overlaps.values()]
         assert len(held) == len(partners[name])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 import tracemalloc
@@ -32,9 +33,10 @@ def write(tmp_path, doc, name="scenario.json"):
 def test_minimal_scenario_parses(tmp_path):
     scenario = cs.parse_scenario(write(tmp_path, MINIMAL))
     assert scenario.dim == 2
-    assert scenario.protocol.sequence == ("c",)
-    assert scenario.meter is None and scenario.sweep is None
+    assert scenario.sequence == ("c",) and scenario.initial_index == 0
+    assert scenario.pointer is None and scenario.gram is None and scenario.sweeps is None
     assert scenario.raw == MINIMAL
+    assert cs.Scenario.ARGS == ("raw",) and scenario == cs.Scenario(MINIMAL)
 
 
 def test_missing_file_raises():
@@ -72,6 +74,9 @@ def test_undefined_context_reference_is_named(tmp_path):
         cs.parse_scenario(write(tmp_path, doc))
     assert "ghost" in str(err.value)
     assert err.value.field == "protocol.sequence[1]"
+    with pytest.raises(ScenarioValidationError) as made:  # made in process: once a KeyError in run
+        cs.Scenario(doc)
+    assert str(made.value) == str(err.value) == "protocol.sequence[1]: undefined context 'ghost'"
 
 
 @pytest.mark.parametrize(
@@ -115,6 +120,19 @@ def test_unknown_keys_rejected(tmp_path):
         cs.parse_scenario(write(tmp_path, doc))
 
 
+def test_a_missing_key_is_named_in_the_order_the_format_lists_them():
+    # the required keys were once a set, whose order follows PYTHONHASHSEED
+    required = ["schema_version", "dim", "contexts", "protocol"]
+    for pair in itertools.combinations(required, 2):
+        doc = {key: value for key, value in MINIMAL.items() if key not in pair}
+        with pytest.raises(ScenarioValidationError) as err:
+            cs.Scenario(doc)
+        assert err.value.field == f"document.{pair[0]}"
+    with pytest.raises(ScenarioValidationError) as err:
+        cs.Scenario(dict(MINIMAL, protocol={}))
+    assert err.value.field == "protocol.initial"
+
+
 def test_schema_version_checked(tmp_path):
     with pytest.raises(ScenarioValidationError) as err:
         cs.parse_scenario(write(tmp_path, dict(MINIMAL, schema_version=2)))
@@ -155,8 +173,8 @@ def test_meter_parses_and_validates(tmp_path):
         meter={"pointer": "c", "gram": {"kind": "uniform", "g": 0.3}},
     )
     scenario = cs.parse_scenario(write(tmp_path, doc))
-    assert scenario.meter.pointer == "c"
-    assert scenario.meter.gram.g == 0.3
+    assert scenario.pointer == "c"
+    assert scenario.gram.g == 0.3
     bad = dict(MINIMAL, meter={"pointer": "c", "gram": {"kind": "uniform", "g": 1.5}})
     with pytest.raises(ScenarioValidationError):
         cs.parse_scenario(write(tmp_path, bad))
@@ -182,7 +200,7 @@ def test_explicit_matrices_with_complex_entries(tmp_path):
     }
     scenario = cs.parse_scenario(write(tmp_path, doc))
     assert scenario.contexts["y"].matrix[1, 0] == 0.7071067811865476j
-    assert scenario.meter.gram.matrix[0, 1] == 0.5j
+    assert scenario.gram.matrix[0, 1] == 0.5j
     contexts, protocol, pointer, gram = cs.build_scenario_objects(scenario)
     assert pointer.id == "y"
     np.testing.assert_allclose(gram.matrix, [[1, 0.5j], [-0.5j, 1]])
@@ -199,9 +217,9 @@ def test_matrix_shape_validated(tmp_path):
 
 def test_sweep_validation(tmp_path):
     base = dict(MINIMAL, meter={"pointer": "c", "gram": {"kind": "uniform", "g": 0.5}})
-    ok = cs.parse_scenario(write(tmp_path, dict(base, sweep={"g": [0.0, 0.5], "m_count": [0, 3]})))
-    assert ok.sweep.g == (0.0, 0.5)
-    assert ok.sweep.m_count == (0, 3)
+    ok = cs.parse_scenario(write(tmp_path, dict(base, sweep={"m_count": [0, 3], "g": [0.0, 0.5]})))
+    assert list(ok.sweeps.items()) == [("g", (0.0, 0.5)), ("m_count", (0, 3))]  # report order
+    assert cs.Scenario(dict(base, sweep={})).sweeps == {}  # reported as {}, not null
     with pytest.raises(ScenarioValidationError):  # strength outside [0,1]
         cs.parse_scenario(write(tmp_path, dict(base, sweep={"g": [0.0, 1.5]})))
     with pytest.raises(ScenarioValidationError):  # negative chain length
@@ -355,5 +373,5 @@ def test_a_file_and_the_library_agree_on_every_recipe(drawn):
     if kind in public:
         np.testing.assert_array_equal(public[kind]().basis, basis)
     np.testing.assert_array_equal(
-        build_gram(parsed.meter.gram, dim).matrix, cs.gram_uniform(dim, g).matrix
+        build_gram(parsed.gram, dim).matrix, cs.gram_uniform(dim, g).matrix
     )

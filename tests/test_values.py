@@ -1,5 +1,6 @@
 """The frozen value types: constructor forms, equality and hash, frozenness and repr."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -12,15 +13,15 @@ Z = cs.computational_context(2, "z")
 X = cs.fourier_context(2, "x")
 GRAM = cs.Gram(np.eye(2))
 GRAM_SPEC = cs.GramSpec("uniform", g=0.5)
-METER = cs.MeterSpec("x", GRAM_SPEC)
-PROTOCOL_SPEC = cs.ProtocolSpec("z", 0, ("z", "x"))
-SWEEP = cs.SweepSpec(g=(0.0, 1.0))
 MARGINAL = np.array([0.5, 0.5])
-
-
-def _scenario():
-    contexts = {"z": cs.ContextSpec("computational", 2)}
-    return cs.Scenario(2, contexts, PROTOCOL_SPEC, METER, SWEEP, raw={"dim": 2})
+DOC = {
+    "schema_version": 1,
+    "dim": 2,
+    "contexts": {"z": {"kind": "computational"}, "x": {"kind": "fourier"}},
+    "protocol": {"initial": {"context": "z", "index": 0}, "sequence": ["z", "x"]},
+    "meter": {"pointer": "x", "gram": {"kind": "uniform", "g": 0.5}},
+    "sweep": {"g": [0.0, 1.0]},
+}
 
 
 # (made positionally, made with keywords and defaults, its repr)
@@ -38,27 +39,7 @@ CASES = {
     "GramSpec": (
         cs.GramSpec("uniform", 0.5), GRAM_SPEC, "GramSpec(kind='uniform', g=0.5, matrix=None)"
     ),
-    "MeterSpec": (
-        cs.MeterSpec("x", cs.GramSpec("uniform", 0.5)), cs.MeterSpec(gram=GRAM_SPEC, pointer="x"),
-        "MeterSpec(pointer='x', gram=GramSpec(kind='uniform', g=0.5, matrix=None))",
-    ),
-    "ProtocolSpec": (
-        cs.ProtocolSpec("z", 0, ("z", "x")),
-        cs.ProtocolSpec(sequence=("z", "x"), initial_index=0, initial_context="z"),
-        "ProtocolSpec(initial_context='z', initial_index=0, sequence=('z', 'x'))",
-    ),
-    "SweepSpec": (
-        cs.SweepSpec((0.0, 1.0), None, None), SWEEP,
-        "SweepSpec(g=(0.0, 1.0), m_count=None, phase=None)",
-    ),
-    "Scenario": (
-        _scenario(), _scenario(),
-        "Scenario(dim=2, contexts={'z': ContextSpec(kind='computational', dim=2, theta=None, "
-        "seed=None, matrix=None)}, protocol=ProtocolSpec(initial_context='z', initial_index=0, "
-        "sequence=('z', 'x')), meter=MeterSpec(pointer='x', gram=GramSpec(kind='uniform', "
-        "g=0.5, matrix=None)), sweep=SweepSpec(g=(0.0, 1.0), m_count=None, phase=None), "
-        "raw={'dim': 2})",
-    ),
+    "Scenario": (cs.Scenario(DOC), cs.Scenario(raw=copy.deepcopy(DOC)), f"Scenario(raw={DOC!r})"),
     "Protocol": (
         cs.Protocol((Z, X), Z.modality(0)),
         cs.Protocol(initial=cs.Modality(Z, 0), contexts=[Z, X]),

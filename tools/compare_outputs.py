@@ -30,7 +30,9 @@ construction refuses (an overlap matrix with a negative eigenvalue also under
 ``verify --out``, so that the refusal the report records is compared too), a
 context or gram recipe that breaks a rule of its kind (a negative Haar seed, a
 strength outside [0, 1], a rotation in dim 3), a ``schema_version`` that is no
-integer, two flags whose rule only the library owns (``verify --tolerance -1``
+integer, a document rule (an undefined name in the sequence or as the pointer, an
+initial context that is not the first, an initial index out of range, an unknown
+top-level key), two flags whose rule only the library owns (``verify --tolerance -1``
 and ``run --exhaustive --seed -1``), and a negative grid end written with an
 exponent (``--to -1e-3``).
 
@@ -139,6 +141,26 @@ def _schema_version_true(doc: dict) -> None:
     doc["schema_version"] = True
 
 
+def _sequence_names_nope(doc: dict) -> None:
+    doc["protocol"]["sequence"] = ["z", "nope"]
+
+
+def _initial_context_x(doc: dict) -> None:
+    doc["protocol"]["initial"]["context"] = "x"
+
+
+def _initial_index_2(doc: dict) -> None:
+    doc["protocol"]["initial"]["index"] = 2
+
+
+def _pointer_nope(doc: dict) -> None:
+    doc["meter"]["pointer"] = "nope"
+
+
+def _unknown_top_level_key(doc: dict) -> None:
+    doc["comment"] = "unread"
+
+
 SWEEP_G = ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "3"]
 SWEEP_PHASE = ["sweep", "--param", "phase", "--from", "0", "--to", "1", "--steps", "3"]
 
@@ -175,6 +197,12 @@ REFUSALS = [
     ("x_rotation_in_dim_3", _x_rotation_in_dim_3, ["run"]),
     # an integer field read as an integer: true once compared equal to 1
     ("schema_version_true", _schema_version_true, ["run"]),
+    # a rule of the document itself: names that resolve, the protocol's start, its keys
+    ("sequence_names_nope", _sequence_names_nope, ["run"]),
+    ("initial_context_x", _initial_context_x, ["run"]),
+    ("initial_index_2", _initial_index_2, ["run"]),
+    ("pointer_nope", _pointer_nope, ["run"]),
+    ("unknown_top_level_key", _unknown_top_level_key, ["run"]),
     # flags whose rule only the library owns
     ("unedited", _unedited, ["verify", "--tolerance", "-1"]),
     ("unedited", _unedited, ["run", "--exhaustive", "--seed", "-1"]),
