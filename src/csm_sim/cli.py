@@ -12,19 +12,14 @@ sample count's floor, the tolerance, a grid's entries) is the library's, and
 its refusal is a usage error too.
 
 :func:`entry` is the process: the ``csm-sim`` console script and ``python -m
-csm_sim.cli`` both go through it.  It freezes the collector's view of every
-object the imports made (``gc.freeze``), then runs :func:`main`.  Those tens of
-thousands of objects live until the process ends, so tracing them again buys
-nothing: without the freeze, every full collection walks them, and so do the
-collections at interpreter shutdown, about a tenth of a short command's wall
-time.  :func:`main` itself has no process-wide effect, so tests and tracers call
-it in process; output that cannot be written is exit code 2 either way.
+csm_sim.cli`` both go through it, and it exits with :func:`main`'s code.
+:func:`main` itself has no process-wide effect, so tests and tracers call it in
+process; output that cannot be written is exit code 2 either way.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -220,8 +215,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """Run :func:`main` as the whole process, its imports frozen out of the collector."""
-    gc.freeze()
+    """Run :func:`main` as the whole process, exiting with its code."""
     sys.exit(main())
 
 

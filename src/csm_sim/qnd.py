@@ -84,6 +84,14 @@ def _strength(field: str, value) -> float:
     return g
 
 
+def _chain_length(field: str, value) -> int:
+    """A meter chain's length as an int, or the refusal of anything but an integer >= 0 that a
+    double holds: past one, NumPy cannot raise the overlaps to it."""
+    m_count = _integer(field, value, 0)
+    _number(field, m_count)  # an integer past a double is no number
+    return m_count
+
+
 # The field each kind of overlap matrix reads: a file's gram object holds ``kind`` and it.
 GRAM_FIELDS = {"uniform": ("g",), "explicit": ("matrix",)}
 
@@ -249,8 +257,9 @@ def meter_chain_reduced_state(
     Each meter in the chain multiplies the (j, j') coherence by ⟨w_j'|w_j⟩,
     so the off-diagonal scales with the m_count-th power of the overlap while
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
+    ``m_count`` is an integer >= 0 that a double holds (``ScenarioValidationError`` otherwise).
     """
-    m_count = _integer("m_count", m_count, 0)
+    m_count = _chain_length("m_count", m_count)
     branch = _branch(initial, pointer, gram.dim)
     # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
@@ -275,7 +284,11 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr(ρ log ρ) in nats; eigenvalues within tolerance of zero contribute nothing."""
+    """-Tr(ρ log ρ) in nats, over ρ's eigenvalues as the probability clamp snaps them.
+
+    Only an eigenvalue the clamp sets to exactly 0 (one within ``INPUT_TOL`` below it)
+    contributes nothing; one within ``INPUT_TOL`` above 0, ε, still adds ε·|log ε|.
+    """
     # ρ complex Hermitian or real symmetric; an eigenvalue below -INPUT_TOL is refused by the clamp
     probs = clamp_probabilities(np.linalg.eigvalsh(_finite(rho)))
     positive = probs[probs > 0.0]

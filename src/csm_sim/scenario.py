@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .hilbert import CONTEXT_FIELDS, ContextSpec, _hold, _integer, _number, _Value, check_index
-from .qnd import GRAM_FIELDS, GramSpec, _strength
+from .qnd import GRAM_FIELDS, GramSpec, _chain_length, _strength
 
 SCHEMA_VERSION = 1
 
@@ -54,13 +54,14 @@ def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
 class Scenario(_Value):
     """A scenario document, ``raw``, refused at the first rule it breaks, naming the field.
 
-    It holds ``raw`` as given, for a report to echo, and what it read from it: ``dim``;
-    ``contexts``, a ``ContextSpec`` per name; ``sequence``, the protocol's context names,
-    whose first is the initial context; ``initial_index``; ``pointer`` and ``gram`` (a
-    ``GramSpec``), None without a meter; ``sweeps``, each grid by parameter in
-    ``SWEEP_PARAMS`` order, None without a sweep section.  Equality and ``repr`` follow
-    ``raw``, a dict, so a scenario is unhashable.  The document is read once, when the
-    scenario is made, and not copied: edit a copy of it, not the one a scenario holds.
+    It holds ``raw`` as given, for a report to echo, so every value in it is one that
+    ``json.loads`` returns; and what it read from it: ``dim``; ``contexts``, a ``ContextSpec``
+    per name; ``sequence``, the protocol's context names, whose first is the initial context;
+    ``initial_index``; ``pointer`` and ``gram`` (a ``GramSpec``), None without a meter;
+    ``sweeps``, each grid by parameter in ``SWEEP_PARAMS`` order, None without a sweep section.
+    Equality and ``repr`` follow ``raw``, a dict, so a scenario is unhashable.  The document is
+    read once, when the scenario is made, and not copied: edit a copy of it, not the one a
+    scenario holds.
     """
 
     raw: dict
@@ -130,8 +131,26 @@ class Scenario(_Value):
             }
             sweeps = {param: grids[param] for param in SWEEP_PARAMS if param in grids}
 
+        for key, value in raw.items():
+            _json_value(key, value)
         _hold(self, dim=dim, contexts=contexts, sequence=tuple(sequence),
               initial_index=initial_index, pointer=pointer, gram=gram, sweeps=sweeps)
+
+
+def _json_value(field: str, value) -> None:
+    """Refuse ``value`` unless it is one ``json.loads`` returns, so that a report can echo it:
+    a dict of string keys, a list, a string, an int, a float, a bool or None, nested, each of
+    that type exactly (a NumPy scalar, an array or a tuple is refused, naming its field)."""
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                raise ScenarioValidationError(field, f"expected string keys, got {key!r:.60}")
+            _json_value(f"{field}.{key}", item)
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _json_value(f"{field}[{i}]", item)
+    elif type(value) not in (str, int, float, bool, type(None)):
+        raise ScenarioValidationError(field, f"expected a JSON value, got {value!r:.60}")
 
 
 def _require_keys(field: str, data: dict, required: tuple, optional: tuple = ()) -> None:
@@ -223,17 +242,17 @@ def sweep_grid(param: str, values, has_meter: bool, n_contexts: int) -> tuple:
     """``values`` as the grid of a ``param`` sweep, or the error that refuses it.
 
     ``param`` is one of ``SWEEP_PARAMS``; ``values`` is a non-empty list whose entries are
-    each read by one value's rule, which names the entry it refuses: an integer >= 0
-    (``m_count``), a strength as ``GramSpec`` reads ``g`` (``sweep.g[2]: strength 2.0
-    outside [0, 1]``) or a finite number (``phase``).  The scenario has a meter (``g``,
-    ``m_count``) or two protocol contexts (``phase``) to vary.
+    each read by one value's rule, which names the entry it refuses: a chain length, an
+    integer >= 0 that a double holds (``m_count``), a strength as ``GramSpec`` reads ``g``
+    (``sweep.g[2]: strength 2.0 outside [0, 1]``) or a finite number (``phase``).  The
+    scenario has a meter (``g``, ``m_count``) or two protocol contexts (``phase``) to vary.
     """
     field = f"sweep.{param}"
     if param not in SWEEP_PARAMS:
         raise ScenarioValidationError(field, "unknown key")
     if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
         raise ScenarioValidationError(field, "expected a non-empty list")
-    entry = {"g": _strength, "m_count": partial(_integer, least=0), "phase": _number}[param]
+    entry = {"g": _strength, "m_count": _chain_length, "phase": _number}[param]
     grid = tuple(entry(f"{field}[{i}]", v) for i, v in enumerate(values))
     if param != "phase" and not has_meter:
         raise ScenarioValidationError(field, "needs a meter section")

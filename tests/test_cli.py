@@ -253,6 +253,14 @@ def test_sweep_m_count_to_stdout(capsys):
     assert len(lines) == 6
 
 
+def test_the_longest_chain_the_command_line_reaches_keeps_its_row(capsys):
+    # a grid end is a double, so its integer always fits one: the ceiling refuses none of them
+    argv = ["sweep", SCENARIO, "--param", "m_count", "--from", "0", "--to", "1e300", "--steps", "2"]
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[:2] == [str(int(1e300)), "0"]
+
+
 def test_sweep_phase(capsys):
     code = main(["sweep", SCENARIO, "--param", "phase", "--from", "0", "--to", "3.14159", "--steps", "3"])
     assert code == 0
@@ -333,6 +341,10 @@ DROP = object()
 ODD_NUMBERS = [-1, -7, -2.5, 0.5, 1.5, -0.0, 1e-300, 10**18, -(10**18), 2**63, 10**400,
                1e300, -1e300, math.nan, math.inf, -math.inf]
 OTHER_TYPES = [None, True, "z", [], {}, [0, 1], {"kind": "computational"}]
+# values json.loads never returns: in process they reach Scenario as they are, and a file
+# holds their JSON form
+IN_PROCESS = [np.int64(2), np.int64(-1), np.uint64(2**64 - 1), np.float64(0.5), np.bool_(True),
+              np.str_("x"), np.array([0.0, 0.5]), (0, 1), -(10**400), 10**309]
 # stands for a size argument drawn from ODD_SIZES, each small enough to run or out of bounds
 SIZE = object()
 ODD_SIZES = ["-1", "0", "1", "3", "64", str(10**15), str(2**63), "9" * 400]
@@ -370,7 +382,7 @@ def _mutate(doc, mutations):
     mutations=st.lists(
         st.tuples(
             st.sampled_from(list(_tree_paths(DOC))),
-            st.sampled_from([DROP] + ODD_NUMBERS + OTHER_TYPES),
+            st.sampled_from([DROP] + ODD_NUMBERS + OTHER_TYPES + IN_PROCESS),
         ),
         min_size=1,
         max_size=4,
@@ -380,13 +392,15 @@ def _mutate(doc, mutations):
 )
 def test_mutated_scenarios_end_in_exit_code_never_traceback(mutations, command, size):
     mutant = _mutate(DOC, mutations)
-    try:  # made in process, the document is a scenario or a domain error too
-        cs.Scenario(mutant)
+    try:  # made in process, the document is a scenario or a domain error, and so is its report
+        scenario = cs.Scenario(mutant)
+        assert scenario.raw is mutant
+        cs.report_to_json(cs.run_scenario(scenario, 0, 10))
     except cs.CsmSimError:
         pass
     with tempfile.TemporaryDirectory() as tmp:
         path, report = Path(tmp) / "mutant.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(mutant))
+        path.write_text(json.dumps(mutant, default=lambda value: value.tolist()))
         argv = [command[0], str(path), *(size if arg is SIZE else arg for arg in command[1:])]
         if argv[-1] == "--out":
             argv.append(str(report))

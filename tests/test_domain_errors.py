@@ -6,11 +6,13 @@ either returns or raises :class:`CsmSimError`; anything else escaping fails the 
 An index, an outcome sequence, a protocol's contexts and initial modality, a modality's
 context, a context's label, a runner's scenario, a distribution, a basis's side and a density
 matrix each break a rule of their own, and each is refused as a
-:class:`ScenarioValidationError` naming that value; an integer past a double is no number.
+:class:`ScenarioValidationError` naming that value; an integer past a double is no number,
+and a scenario document holds only values that ``json.loads`` returns.
 An array of the wrong shape is refused by its own value's rule too, and only one of the
 wrong length for the dimension it meets is a :class:`DimensionMismatch`.
 """
 
+import json
 import math
 from functools import partial
 from pathlib import Path
@@ -275,11 +277,18 @@ def test_each_value_rule_is_a_validation_error_naming_its_value(case):
 HUGE = 10**400  # an integer past a double
 
 
-def _explicit_x(entry):
-    doc = dict(BALANCED.raw, contexts={"z": {"kind": "computational"}, "x": {
-        "kind": "explicit", "matrix": [[entry, 0], [0, 1]],
-    }})
+def _with(path: tuple, value):
+    """``Scenario`` of the balanced document with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(BALANCED.raw))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     return partial(cs.Scenario, doc)
+
+
+def _explicit_x(entry):
+    return _with(("contexts", "x"), {"kind": "explicit", "matrix": [[entry, 0], [0, 1]]})
 
 
 @pytest.mark.parametrize("call, field", [
@@ -290,11 +299,37 @@ def _explicit_x(entry):
     (partial(cs.sweep_rows, BALANCED, "g", [0.5, HUGE]), "sweep.g[1]"),
     (_explicit_x(HUGE), "contexts.x.matrix[0][0]"),
     (_explicit_x([0, HUGE]), "contexts.x.matrix[0][0][1]"),
+    (partial(cs.meter_chain_reduced_state, cs.computational_context(2).modality(0),
+             cs.fourier_context(2), cs.gram_uniform(2, 0.5), HUGE), "m_count"),
+    (partial(cs.sweep_rows, BALANCED, "m_count", [0, HUGE]), "sweep.m_count[1]"),
+    (_with(("sweep", "m_count"), [HUGE]), "sweep.m_count[0]"),
 ])
 def test_an_integer_past_a_double_is_no_number(call, field):
     with pytest.raises(ScenarioValidationError) as caught:
         call()
     assert (caught.value.field, caught.value.reason) == (field, f"expected a number, got {HUGE!r}")
+
+
+@pytest.mark.parametrize("path, value, field, reason", [
+    (("dim",), np.int64(2), "dim", "expected a JSON value, got np.int64(2)"),
+    (("sweep", "g"), np.array([0.0, 0.5]), "sweep.g",
+     "expected a JSON value, got array([0. , 0.5])"),
+    (("sweep", "m_count"), (0, 1), "sweep.m_count", "expected a JSON value, got (0, 1)"),
+    (("sweep", "phase", 1), np.float64(0.5), "sweep.phase[1]",
+     "expected a JSON value, got np.float64(0.5)"),
+    (("protocol", "sequence", 1), np.str_("x"), "protocol.sequence[1]",
+     "expected a JSON value, got np.str_('x')"),
+    (("protocol", "initial", "index"), np.uint8(0), "protocol.initial.index",
+     "expected a JSON value, got np.uint8(0)"),
+    (("contexts",), {**BALANCED.raw["contexts"], 1: {"kind": "fourier"}}, "contexts",
+     "expected string keys, got 1"),
+])
+def test_a_scenario_holds_only_values_json_loads_returns(path, value, field, reason):
+    # a report echoes the document: each of these once ended in a bare TypeError there
+    make = _with(path, value)
+    with pytest.raises(ScenarioValidationError) as caught:
+        make()
+    assert (caught.value.field, caught.value.reason) == (field, reason)
 
 
 def array_readers(dim):
