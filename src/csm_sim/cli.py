@@ -6,10 +6,12 @@ Three subcommands: ``run`` executes a scenario and emits a JSON report,
 success, 1 on verification or execution failure, 2 on usage, parse, read
 and write errors (a sweep grid :func:`~csm_sim.scenario.sweep_grid` refuses,
 such as one outside its parameter's domain, is a usage error).  The command
-line checks only what the library cannot know: the memory budgets of
-``--trajectories`` and ``--steps``.  Every other rule of a flag (the seed, the
-sample count's floor, the tolerance, a grid's entries) is the library's, and
-its refusal is a usage error too.
+line checks only what the library cannot know: the memory budget of ``--steps``,
+and the sampler's budget of ``--trajectories``
+(:func:`~csm_sim.trajectory.max_trajectories`) in an ``--exhaustive`` run too,
+which samples nothing.  Every other rule of a flag (the seed, the sample count's
+floor, the tolerance, a grid's entries) is the library's, and its refusal is a
+usage error too.
 
 :func:`entry` is the process: the ``csm-sim`` console script and ``python -m
 csm_sim.cli`` both go through it, and it exits with :func:`main`'s code.
@@ -38,21 +40,15 @@ from .runner import (
     verify_report,
 )
 from .scenario import SWEEP_PARAMS, parse_scenario
-from .trajectory import BLOCK
+from .trajectory import max_trajectories
 
-# Bounds on the size arguments, from the memory each costs: a sweep holds
-# dim + 2 numbers per grid point until its CSV is written, and the ensemble
-# keeps dim counts per block of BLOCK samples.
+# The bound on ``--steps``, from the memory it costs: a sweep holds dim + 2
+# numbers per grid point until its CSV is written.
 MAX_SWEEP_CELLS = 10**7
-MAX_COUNT_CELLS = 10**7
 
 
 def max_sweep_steps(dim: int) -> int:
     return MAX_SWEEP_CELLS // (dim + 2)
-
-
-def max_trajectories(dim: int) -> int:
-    return MAX_COUNT_CELLS // dim * BLOCK
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,12 +4,12 @@
   library call (a count, seed, tolerance, index, a context's id, an outcome sequence or a path
   of probability zero, a protocol's contexts or initial modality, a modality's context, a
   distribution, the ``meters``, ``state``, ``phases`` or ``rho`` read, the shape of each array
-  included);
+  and the finiteness of its entries included);
 - ``ScenarioParseError``: a scenario file is not valid JSON text;
 - ``DimensionMismatch``: operands live in spaces of different dimension;
 - ``RefusedInput``: a constructor refuses its matrix, a basis (``NonOrthonormalInput``) or an
   overlap matrix (``InvalidGramMatrix``), by its measured check or, with an infinite residual,
-  by its shape;
+  by its shape or a non-finite entry;
 - ``InternalConsistencyError``: a computed value breaks a property it has by construction.
 """
 
@@ -23,10 +23,11 @@ class DimensionMismatch(CsmSimError, ValueError):
 
 
 class RefusedInput(CsmSimError, ValueError):
-    """A constructor refused its input matrix; ``residual`` is what its failed check measured."""
+    """A constructor refused its input matrix; ``residual`` is what its failed check measured,
+    the largest double if that overflowed."""
 
     def __init__(self, message: str, residual: float = float("inf")):
-        self.residual = residual  # infinite for a matrix unread or of the wrong shape
+        self.residual = residual  # infinite for a matrix unread, misshapen or not finite
         super().__init__(message)
 
 
@@ -36,7 +37,8 @@ class NonOrthonormalInput(RefusedInput):
 
 class InvalidGramMatrix(RefusedInput):
     """Overlap matrix not Hermitian, unit-diagonal and PSD; ``residual`` is max |G − G†|,
-    max |diag G − 1|, or the negation of an eigenvalue below the PSD tolerance."""
+    max |diag G − 1|, or the negation of an eigenvalue below the PSD tolerance (infinite for a
+    matrix unread, misshapen or with a non-finite entry)."""
 
 
 class InternalConsistencyError(CsmSimError, RuntimeError):

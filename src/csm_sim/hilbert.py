@@ -16,8 +16,9 @@ make one, trust it.  The package's value rules each have one owner here: ``_numb
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``check_index`` for every
 index and outcome; ``_instance`` and ``_sequence`` for every typed operand and sequence;
-``_read_array`` for every caller's matrix and vector (a density matrix too) and its shape,
-so that only a length that differs from a partner's dim is left to ``DimensionMismatch``;
+``_read_array`` for every caller's matrix and vector (a density matrix too), its shape and
+its entries' finiteness, so that only a length that differs from a partner's dim is left to
+``DimensionMismatch``; ``_saturated`` for every residual a check of such a matrix measures;
 ``_Recipe`` for the kind and fields of both recipes, ``_square`` for a recipe matrix's side;
 ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields, and
 ``_Value``, the frozen base of every value type.
@@ -30,6 +31,7 @@ off by 18·dim·eps, 1.2e-14 at dim 3, some 8,000 times less.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import FrozenInstanceError
 from numbers import Integral, Real
@@ -71,10 +73,11 @@ def check_index(field: str, index, dim: int) -> None:
 
 def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
     """A new ``dtype`` array of ``value`` (complex, float, or None: float if real, else complex),
-    non-empty and of the ``shape`` asked, if any: ``"vector"``, ``"matrix"`` or ``"square matrix"``.
-    Another rank or side, no entry, or what numpy cannot read (a malformed string entry, ragged
-    rows, an object with no such value, an integer past a double, a complex read real) is refused
-    as ``refuse(reason)``, or as ``ScenarioValidationError(refuse, reason)`` for a field name."""
+    non-empty and of the ``shape`` asked, if any: ``"vector"``, ``"matrix"`` or ``"square matrix"``,
+    every entry finite.  Another rank or side, no entry, a NaN or infinite entry (in either part
+    of a complex one), or what numpy cannot read (a malformed string entry, ragged rows, an
+    object with no such value, an integer past a double, a complex read real) is refused as
+    ``refuse(reason)``, or as ``ScenarioValidationError(refuse, reason)`` for a field name."""
     try:
         if dtype is None:
             dtype = float if np.isrealobj(value) else complex
@@ -86,9 +89,17 @@ def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
     elif shape and not (array.size and array.ndim == (1 if shape == "vector" else 2)
                         and (shape != "square matrix" or array.shape[0] == array.shape[1])):
         reason = f"need a non-empty {shape}, got shape {array.shape}"
+    elif not np.isfinite(array).all():
+        reason = f"need finite entries, got {array[~np.isfinite(array)][0].item()!r}"
     else:
         return array
     raise ScenarioValidationError(refuse, reason) if isinstance(refuse, str) else refuse(reason)
+
+
+def _saturated(residual) -> float:
+    """``residual`` as a float, the largest double if it overflowed (to inf, or to NaN by
+    inf − inf, under ``np.errstate``): a check of finite entries reads a finite number."""
+    return float(np.fmin(residual, sys.float_info.max))
 
 
 def _frozen(value):
@@ -197,7 +208,10 @@ class Context(_Value):
     ``ContextSpec`` reads it (an integer >= 2), both set once here; ``adjoint``
     is read-only like ``basis``, and ``orthonormality`` is the B†B residual
     measured when the basis was admitted (for an explicit basis, the residual of
-    the matrix as given: see :func:`build_context`).
+    the matrix as given: see :func:`build_context`), the largest double if it overflows.
+    A basis given here is held as given, and one admitted near ``INPUT_TOL`` can push a
+    computed probability past the clamp (every near-unitary basis tried at 0.99·``INPUT_TOL``
+    did, none at 0.25·); :func:`build_context` holds an explicit matrix's polar factor.
     Overlaps with another context come from :meth:`overlaps`, one memoized
     table per partner, and the two return tables through an intermediate
     context from :meth:`return_tables`, memoized per intermediate the same way.
@@ -214,7 +228,8 @@ class Context(_Value):
         # must stay a view: a C-ordered copy changes BLAS's summation order in
         # ``adjoint @ v``, and with it the last bits of every report.
         adjoint = basis.conj().T
-        residual = _identity_residual(adjoint @ basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = _saturated(_identity_residual(adjoint @ basis))
         if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
@@ -293,12 +308,15 @@ class Modality(_Value):
 def _number(field: str, value, least: float | None = None) -> float:
     """``value`` as a float, or the refusal of all but a finite real >= ``least``, bools too;
     an integer past a double is no finite real."""
-    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max  # False for NaN too
-    if isinstance(value, bool) or not finite:
+    try:  # converted first: compared as it is, a float32 would cast the bound to inf
+        number = float(value) if isinstance(value, Real) else math.nan
+    except OverflowError:
+        number = math.inf
+    if isinstance(value, bool) or not math.isfinite(number):
         raise ScenarioValidationError(field, f"expected a number, got {value!r}")
-    if least is not None and value < least:
+    if least is not None and number < least:
         raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
-    return float(value)
+    return number
 
 
 def _instance(field: str, value, cls):

@@ -37,8 +37,7 @@ def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
     """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, clipped; a refusal names ``field``."""
     refuse = partial(ScenarioValidationError, field)
     dist = _read_array(dist, refuse, float, "vector")
-    # written so that NaN, which fails every comparison, lands on the raising branch
-    if not (float(np.min(dist)) >= -INPUT_TOL and float(np.max(dist)) <= 1.0 + INPUT_TOL):
+    if float(np.min(dist)) < -INPUT_TOL or float(np.max(dist)) > 1.0 + INPUT_TOL:
         raise refuse("weights outside [0, 1]")
     total = float(np.sum(dist))
     if not abs(total - 1.0) <= INPUT_TOL:
@@ -91,8 +90,6 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     phases = _read_array(phases, "phases", float, "vector")
     if phases.size != intermediate.dim:
         raise DimensionMismatch(f"need {intermediate.dim} phases, got shape {phases.shape}")
-    if not np.isfinite(phases).all():
-        raise ScenarioValidationError("phases", f"expected finite numbers, got {phases.tolist()}")
     ctx = initial.context
     # paths[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩; the overlaps raise on a dim mismatch
     paths = ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]

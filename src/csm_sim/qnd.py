@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
-from .hilbert import _square, _Value, clamp_probabilities
+from .hilbert import _saturated, _square, _Value, clamp_probabilities
 
 
 class Gram(_Value):
@@ -48,7 +48,8 @@ class Gram(_Value):
     Hermitian part of the given matrix with its diagonal set to 1, which ``matrix`` holds (the
     same bits for an exact input), with its eigenvalues, ascending, in ``eigvals`` and its side
     in ``dim``: admitted residuals of up to ``INPUT_TOL`` each would add up past the probability
-    clamp.  Two overlap matrices are equal only if they are the same object.
+    clamp.  A residual that overflows saturates at the largest double, as a basis's does.  Two
+    overlap matrices are equal only if they are the same object.
     """
 
     matrix: np.ndarray
@@ -57,8 +58,10 @@ class Gram(_Value):
 
     def __post_init__(self):
         matrix = _read_array(self.matrix, InvalidGramMatrix, shape="square matrix")
+        with np.errstate(over="ignore"):  # |diag G − 1| cannot overflow once G is Hermitian
+            hermitian = _saturated(np.max(np.abs(matrix - matrix.conj().T)))
         for what, residual in (
-            ("is not Hermitian", float(np.max(np.abs(matrix - matrix.conj().T)))),
+            ("is not Hermitian", hermitian),
             ("diagonal is not 1", float(np.max(np.abs(np.diagonal(matrix) - 1.0)))),
         ):
             if not residual <= INPUT_TOL:
@@ -66,7 +69,7 @@ class Gram(_Value):
                     f"overlap matrix {what}: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                     residual,
                 )
-        matrix = 0.5 * (matrix + matrix.conj().T)
+        matrix = 0.5 * matrix + 0.5 * matrix.conj().T  # halved first: a sum may overflow
         np.fill_diagonal(matrix, 1.0)
         eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -INPUT_TOL:
@@ -216,7 +219,7 @@ def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
     n = pointer.dim
     if state.size % n:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")
-    with np.errstate(over="ignore"):  # an overflowing norm is off 1 too, as is a NaN one
+    with np.errstate(over="ignore"):  # an overflowing norm is off 1 too
         norm = float(np.linalg.norm(state))
     if not abs(norm - 1.0) <= INPUT_TOL:
         reason = f"norm {norm!r} is off 1 by more than {INPUT_TOL:.0e}"
@@ -265,18 +268,9 @@ def meter_chain_reduced_state(
     return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
 
 
-def _finite(rho: np.ndarray) -> np.ndarray:
-    """``rho`` read as a non-empty square float64 matrix, or complex128 if complex (what linalg
-    reads); a computed density matrix with a non-finite entry is a library fault."""
-    rho = _read_array(rho, "rho", None, "square matrix")
-    if not np.isfinite(rho).all():
-        raise InternalConsistencyError("density matrix has a non-finite entry")
-    return rho
-
-
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
     """Hermiticity, trace and positivity residuals of a computed density matrix."""
-    rho = np.asarray(_finite(rho), dtype=complex)
+    rho = np.asarray(_read_array(rho, "rho", None, "square matrix"), dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace = abs(complex(np.trace(rho)) - 1.0)
     smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
@@ -290,7 +284,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     contributes nothing; one within ``INPUT_TOL`` above 0, ε, still adds ε·|log ε|.
     """
     # ρ complex Hermitian or real symmetric; an eigenvalue below -INPUT_TOL is refused by the clamp
-    probs = clamp_probabilities(np.linalg.eigvalsh(_finite(rho)))
+    rho = _read_array(rho, "rho", None, "square matrix")
+    probs = clamp_probabilities(np.linalg.eigvalsh(rho))
     positive = probs[probs > 0.0]
     return float(-np.sum(positive * np.log(positive))) + 0.0
 

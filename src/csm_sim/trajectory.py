@@ -232,6 +232,15 @@ def _sample_paths(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray
     return np.stack(paths, axis=1)
 
 
+# The ensemble keeps dim counts per block of BLOCK samples, at most this many in all.
+MAX_COUNT_CELLS = 10**7
+
+
+def max_trajectories(dim: int) -> int:
+    """The largest sample count of a dim-``dim`` ensemble, from its memory for counts."""
+    return MAX_COUNT_CELLS // dim * BLOCK
+
+
 def _block_counts(
     step_cumulatives, initial_index: int, dim: int, seed: int, n_samples: int
 ) -> np.ndarray:
@@ -266,9 +275,12 @@ def mean_entropy_production(
     whose Shannon entropy the mean estimates; entropy production depends
     only on the final outcome, so mean and std error come from its counts.
     ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
-    ``n_samples`` is an integer >= 1 and ``seed`` one >= 0, not bools.
+    ``n_samples`` is an integer in [1, ``max_trajectories(dim)``] and ``seed`` one >= 0, not bools.
     """
     n_samples, seed = _integer("n_samples", n_samples, 1), _integer("seed", seed, 0)
+    limit = max_trajectories(protocol.dim)
+    if n_samples > limit:
+        raise ScenarioValidationError("n_samples", f"must be <= {limit}")
     cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     marginal = protocol.marginal
     counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)

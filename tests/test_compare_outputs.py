@@ -94,7 +94,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 9
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 27
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 29
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the

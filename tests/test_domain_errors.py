@@ -8,12 +8,14 @@ context, a context's label, a runner's scenario, a distribution, a basis's side 
 matrix each break a rule of their own, and each is refused as a
 :class:`ScenarioValidationError` naming that value; an integer past a double is no number,
 and a scenario document holds only values that ``json.loads`` returns.
-An array of the wrong shape is refused by its own value's rule too, and only one of the
-wrong length for the dimension it meets is a :class:`DimensionMismatch`.
+An array of the wrong shape or with a NaN or infinite entry is refused by its own value's rule
+too, and only one of the wrong length for the dimension it meets is a :class:`DimensionMismatch`.
+A sample count past what the sampler's counts can hold is refused as ``n_samples``.
 """
 
 import json
 import math
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from csm_sim.errors import CsmSimError, DimensionMismatch, InvalidGramMatrix
 from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
 from csm_sim.hilbert import is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
+from csm_sim.runner import build_scenario_objects
+from csm_sim.trajectory import max_trajectories
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BALANCED = cs.parse_scenario(SCENARIOS / "balanced_qubit.json")
@@ -229,8 +233,8 @@ def distribution_refusals(draw):
     ]))
 
 
-# A basis of side 1, whatever its entry, is refused before its orthonormality.
-SIDE_REFUSALS = st.complex_numbers().map(
+# A basis of side 1, whatever its finite entry, is refused before its orthonormality.
+SIDE_REFUSALS = st.complex_numbers(allow_nan=False, allow_infinity=False).map(
     lambda z: (partial(cs.Context, "x", np.array([[z]])), "dim")
 )
 DENSITY_REFUSALS = BAD_DENSITY_MATRICES.map(
@@ -308,6 +312,34 @@ def test_an_integer_past_a_double_is_no_number(call, field):
     with pytest.raises(ScenarioValidationError) as caught:
         call()
     assert (caught.value.field, caught.value.reason) == (field, f"expected a number, got {HUGE!r}")
+
+
+def test_a_numpy_float32_is_read_as_the_number_it_holds():
+    # compared as it was, a float32 cast the bound to inf, with an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cs.gram_uniform(2, np.float32(0.5)).matrix[0, 1] == 0.5
+        assert cs.rotation_context(np.float32(1.0)).id == "rotation:1.0"
+        tolerance = cs.verify_report(BALANCED, np.float32(1e-10))["tolerance"]
+        assert tolerance == float(np.float32(1e-10)) and type(tolerance) is float
+        for bad in (np.float32("inf"), np.float32("-inf"), np.float32("nan")):
+            with pytest.raises(ScenarioValidationError) as caught:
+                cs.gram_uniform(2, bad)
+            assert caught.value.reason == f"expected a number, got {bad!r}"
+
+
+@pytest.mark.parametrize("n_samples", [max_trajectories(2) + 1, 10**22, 10**30])
+def test_a_sample_count_past_the_sampler_s_memory_is_refused(n_samples):
+    # past it, _block_counts once raised numpy's "array is too big" or "Maximum allowed
+    # dimension exceeded"; the command line refuses the same count with its own message
+    protocol = build_scenario_objects(BALANCED)[1]
+    for call in (partial(cs.run_scenario, BALANCED, 0, n_samples),
+                 partial(cs.mean_entropy_production, protocol, n_samples, 0)):
+        with pytest.raises(ScenarioValidationError) as caught:
+            call()
+        assert (caught.value.field, caught.value.reason) == (
+            "n_samples", f"must be <= {max_trajectories(2)}"
+        )
 
 
 @pytest.mark.parametrize("path, value, field, reason", [
@@ -395,3 +427,54 @@ def test_a_shape_is_its_value_s_own_rule_and_only_a_length_a_dimension_clash(cas
         assert type(refused) is owner
         if reason is not None:  # a basis or an overlap matrix of the wrong shape
             assert (str(refused), refused.residual) == (reason, math.inf)
+
+
+def every_array_reader(dim):
+    """``array_readers`` and the calls that reach one through a value of their own: a recipe's
+    matrix, a distribution given to an entropy or as a reference, a composite state given to
+    the composite route, and a density matrix given to its residuals."""
+    start, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
+    protocol = cs.Protocol((start.context, pointer), start)
+    return array_readers(dim) + [
+        (lambda matrix: cs.ContextSpec("explicit", dim, matrix=matrix), "square matrix", "matrix"),
+        (lambda matrix: cs.GramSpec("explicit", matrix=matrix), "square matrix", "matrix"),
+        (cs.shannon_entropy, "vector", "dist"),
+        (partial(cs.entropy_production, protocol, (0, 0)), "vector", "final_dist"),
+        (partial(cs.composite_return_probabilities, context=start.context, pointer=pointer),
+         "vector", "state"),
+        (density_matrix_residuals, "square matrix", "rho"),
+    ]
+
+
+REAL_READS = ("dist", "final_dist", "phases")  # a complex entry there is unread
+
+
+@st.composite
+def non_finite_arrays(draw):
+    """A reader and an array of the shape it asks, one entry NaN, +inf or -inf in its real
+    or its imaginary part; the array, or its nested list."""
+    dim = draw(st.integers(2, 3))
+    call, asked, owner = draw(st.sampled_from(every_array_reader(dim)))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    imaginary = draw(st.booleans())
+    shape = (dim,) if asked == "vector" else (dim, dim)
+    value = np.full(shape, 0.5, complex if imaginary else float)
+    value.flat[draw(st.integers(0, value.size - 1))] = complex(0.5, bad) if imaginary else bad
+    value = draw(st.sampled_from([value, value.tolist()]))
+    unread = imaginary and owner in REAL_READS
+    return partial(call, value), "cannot read " if unread else "need finite entries, got ", owner
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=non_finite_arrays())
+def test_a_non_finite_entry_is_refused_by_its_array_s_own_rule(case):
+    call, reason, owner = case
+    with pytest.raises(CsmSimError) as caught:
+        call()
+    refused = caught.value
+    if isinstance(owner, str):
+        assert type(refused) is ScenarioValidationError
+        assert refused.field == owner and refused.reason.startswith(reason)
+    else:
+        assert type(refused) is owner
+        assert str(refused).startswith(reason) and refused.residual == math.inf

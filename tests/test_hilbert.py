@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,12 +45,31 @@ def test_fourier_context_orthonormal():
 
 
 def test_explicit_context_rejects_non_orthonormal():
-    for matrix in ([[1.0, 0.1], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):  # NaN must not pass
-        with pytest.raises(NonOrthonormalInput) as refused:
-            cs.build_context(cs.ContextSpec("explicit", 2, matrix=np.array(matrix)))
-        with pytest.raises(NonOrthonormalInput) as direct:
-            cs.Context("explicit", np.array(matrix))
-        assert str(refused.value) == str(direct.value)
+    matrix = np.array([[1.0, 0.1], [0.0, 1.0]])
+    with pytest.raises(NonOrthonormalInput) as refused:
+        cs.build_context(cs.ContextSpec("explicit", 2, matrix=matrix))
+    with pytest.raises(NonOrthonormalInput) as direct:
+        cs.Context("explicit", matrix)
+    assert str(refused.value) == str(direct.value)
+    # NaN must not pass: the recipe refuses it when made, as it refuses a wrong shape
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ScenarioValidationError) as made:
+        cs.ContextSpec("explicit", 2, matrix=nan)
+    with pytest.raises(NonOrthonormalInput) as direct:
+        cs.Context("explicit", nan)
+    assert made.value.field == "matrix" and direct.value.residual == math.inf
+    assert made.value.reason == str(direct.value) == "need finite entries, got (nan+0j)"
+
+
+def test_a_residual_that_overflows_saturates_at_the_largest_double():
+    # B†B overflows to entries like inf+nanj, with numpy's warnings, yet the refusal is finite
+    for matrix in ([[1e300, 0.0], [0.0, 1.0]], [[1e300, 1e300], [1e300, -1e300]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonOrthonormalInput) as refused:
+                cs.Context("x", np.array(matrix))
+        assert refused.value.residual == sys.float_info.max
+        assert str(refused.value) == "columns not orthonormal: residual 1.798e+308 exceeds 1e-10"
 
 
 @settings(max_examples=30, deadline=None)

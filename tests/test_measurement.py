@@ -105,11 +105,11 @@ def test_propagate_uniform_is_fixed_point():
 
 
 def test_nan_distribution_is_invalid_input():
-    with pytest.raises(ScenarioValidationError, match=r"^dist: weights outside \[0, 1\]$"):
+    with pytest.raises(ScenarioValidationError, match=r"^dist: need finite entries, got nan$"):
         validate_distribution(np.array([np.nan, 0.5]))
     z = cs.computational_context(2)
     protocol = cs.Protocol((z, cs.fourier_context(2)), z.modality(0))
-    with pytest.raises(ScenarioValidationError, match="^final_dist: weights outside"):
+    with pytest.raises(ScenarioValidationError, match="^final_dist: need finite entries"):
         cs.entropy_production(protocol, (0, 1), np.array([np.nan, 0.5]))
 
 

@@ -4,12 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
-from csm_sim.errors import (
-    DimensionMismatch,
-    InternalConsistencyError,
-    InvalidGramMatrix,
-    ScenarioValidationError,
-)
+from csm_sim.errors import DimensionMismatch, InvalidGramMatrix, ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.qnd import build_gram, density_matrix_residuals
 from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
@@ -183,6 +178,21 @@ def test_gram_rejects_invalid_matrices(seed, dim, defect):
     with pytest.raises(InvalidGramMatrix) as refused:
         cs.Gram(matrix)
     assert ("smallest eigenvalue" in str(refused.value)) == (defect == "psd")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix, reason, residual", [
+    # the Hermitian part, once taken as 0.5 * (G + G†), overflowed to NaN eigenvalues
+    ([[1, 1e308], [1e308, 1]], "smallest eigenvalue -1.000e+308 below -1e-10", 1e308),
+    # G − G† overflows, and saturates at the largest double
+    ([[1, 1e308], [-1e308, 1]], "overlap matrix is not Hermitian: residual 1.798e+308", None),
+    ([[1e308 + 1e308j, 0], [0, 1]], "overlap matrix is not Hermitian: residual 1.798e+308", None),
+])
+def test_a_gram_near_a_double_s_limit_is_refused_with_a_finite_residual(matrix, reason, residual):
+    with pytest.raises(InvalidGramMatrix) as refused:
+        cs.Gram(np.array(matrix))
+    assert str(refused.value).startswith(reason)
+    assert refused.value.residual == (residual or np.finfo(float).max)
 
 
 def test_meter_states_identity_gram_is_standard_basis():
@@ -664,15 +674,16 @@ NON_FINITE_STATES = [
 ]
 
 
+# a caller's non-finite state is the caller's: no state the library computes has such an entry
 @pytest.mark.parametrize("rho", NON_FINITE_STATES)
 def test_von_neumann_entropy_refuses_a_non_finite_state(rho):
-    with pytest.raises(InternalConsistencyError, match="non-finite"):
+    with pytest.raises(ScenarioValidationError, match="^rho: need finite entries, got "):
         cs.von_neumann_entropy(rho)
 
 
 @pytest.mark.parametrize("rho", NON_FINITE_STATES)
 def test_density_matrix_residuals_refuse_a_non_finite_state(rho):
-    with pytest.raises(InternalConsistencyError, match="non-finite"):
+    with pytest.raises(ScenarioValidationError, match="^rho: need finite entries, got "):
         density_matrix_residuals(rho)
 
 

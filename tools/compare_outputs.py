@@ -27,7 +27,8 @@ an invocation the program must refuse, so that a changed exit code or refusal
 message shows too.  Among them are a broken grid (in the file or on the
 command line), a sweep the scenario cannot serve, an explicit matrix
 construction refuses (an overlap matrix with a negative eigenvalue also under
-``verify --out``, so that the refusal the report records is compared too), a
+``verify --out``, so that the refusal the report records is compared too, and
+under it a basis and an overlap matrix whose residuals overflow a double), a
 context or gram recipe that breaks a rule of its kind (a negative Haar seed, a
 strength outside [0, 1], a rotation in dim 3), a ``schema_version`` that is no
 integer, a document rule (an undefined name in the sequence or as the pointer, an
@@ -93,6 +94,14 @@ def _explicit_x_off_by_1e8(doc: dict) -> None:
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
     doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1 + 1e-9], [1 + 1e-9, 1]]}
+
+
+def _explicit_x_1e300(doc: dict) -> None:
+    doc["contexts"]["x"] = {"kind": "explicit", "matrix": [[1e300, 0], [0, 1]]}
+
+
+def _gram_explicit_1e308(doc: dict) -> None:
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1e308], [1e308, 1]]}
 
 
 def _unread_explicit_off_by_1e8(doc: dict) -> None:
@@ -170,6 +179,9 @@ REFUSALS = [
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--tolerance", "1e-6"]),
     # the written report carries the refusal's text and residual, compared value by value
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, ["verify", "--out", REPORT]),
+    # matrices near a double's limit: each residual stays finite, so the report is written
+    ("explicit_x_1e300", _explicit_x_1e300, ["verify", "--out", REPORT]),
+    ("gram_explicit_1e308", _gram_explicit_1e308, ["verify", "--out", REPORT]),
     ("no_meter", _no_meter, SWEEP_G),
     ("one_context", _one_context, SWEEP_PHASE),
     # a sweep builds only what it reads, but still refuses every input run refuses
