@@ -25,7 +25,7 @@ for g in np.linspace(0.0, 1.0, 11):
     p_return = cs.meter_return_probabilities(initial, pointer, gram)[0]
     state = cs.entangle(initial, pointer, cs.meter_states_from_gram(gram))
     rho = cs.reduced_system_state(state, pointer)
-    entropy = cs.meter_protocol_entropy(initial, pointer, gram)
+    entropy = cs.von_neumann_entropy(cs.meter_chain_reduced_state(initial, pointer, gram, 1))
     print(f"{g:9.2f} | {p_return:9.4f} | {abs(rho[0, 1]):9.4f} | {entropy:.6f}")
 
 print()

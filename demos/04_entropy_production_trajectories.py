@@ -44,6 +44,7 @@ print("Through a meter the same gauge interpolates continuously:")
 initial = cs.computational_context(2).modality(0)
 pointer = cs.rotation_context(np.pi / 2)
 for g in (0.0, 0.5, 1.0):
-    s = cs.meter_protocol_entropy(initial, pointer, cs.gram_uniform(2, g))
+    rho = cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(2, g), 1)
+    s = cs.von_neumann_entropy(rho)
     print(f"  meter overlap g = {g:3.1f}: entropy = {s:.6f}"
           + ("  (= log 2, projective)" if g == 0 else "  (nothing measured)" if g == 1 else ""))

@@ -71,7 +71,6 @@ from .qnd import (
     entangle,
     gram_uniform,
     meter_chain_reduced_state,
-    meter_protocol_entropy,
     meter_return_probabilities,
     meter_states_from_gram,
     reduced_system_state,

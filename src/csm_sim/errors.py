@@ -3,8 +3,8 @@
 - ``ScenarioValidationError``: a value breaks its own rule, from a file, a recipe, a grid or a
   library call (a count, seed, tolerance, index, a context's id, an outcome sequence or a path
   of probability zero, a protocol's contexts or initial modality, a modality's context, a
-  distribution, the ``meters``, ``state``, ``phases`` or ``rho`` read, the shape of each array
-  and the finiteness of its entries included);
+  distribution, the ``meters``, ``state`` or ``phases`` read, a ``rho`` not Hermitian or whose
+  spectrum is no distribution, the shape of each array and the finiteness of its entries);
 - ``ScenarioParseError``: a scenario file is not valid JSON text;
 - ``DimensionMismatch``: operands live in spaces of different dimension;
 - ``RefusedInput``: a constructor refuses its matrix, a basis (``NonOrthonormalInput``) or an

@@ -45,6 +45,12 @@ def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
     return np.clip(dist, 0.0, 1.0)
 
 
+def _entropy(dist: np.ndarray) -> float:
+    """-Σ p log p in nats of what :func:`validate_distribution` returned, 0·log 0 = 0."""
+    p = dist[dist > 0.0]
+    return float(-np.sum(p * np.log(p))) + 0.0
+
+
 def transition_matrix(frm: Context, to: Context) -> np.ndarray:
     """All N² outcome-to-outcome probabilities between two contexts.
 

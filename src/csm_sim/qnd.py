@@ -17,12 +17,12 @@ read ``not residual <= tol``, so a NaN fails them.  One floor, ``INPUT_TOL``, bo
 overlap matrix's PSD test, the rank cut and overlap residual of realized meter states, and a
 composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
-There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the
-closed form (b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use
-it alone, and identity overlaps at m = 1 give the completed (projective)
-measurement's state.  The composite route (meter states realized from the
-overlaps, :func:`entangle`, :func:`reduced_system_state`) is the referee of
-``verify``.
+There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the closed form
+(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use it alone, and identity
+overlaps at m = 1 give the completed (projective) measurement's state.  The entropy a meter
+leaves, :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The
+composite route (meter states realized from the overlaps, :func:`entangle`,
+:func:`reduced_system_state`) is the referee of ``verify``.
 
 Conventions: meter states are stored as the columns of an M×N complex
 matrix, with M the meter dimension; composite amplitudes are indexed
@@ -38,7 +38,8 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
-from .hilbert import _saturated, _square, _Value, clamp_probabilities
+from .hilbert import _hermitian, _saturated, _square, _Value, clamp_probabilities
+from .measurement import _entropy, validate_distribution
 
 
 class Gram(_Value):
@@ -57,19 +58,17 @@ class Gram(_Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
-        matrix = _read_array(self.matrix, InvalidGramMatrix, shape="square matrix")
-        with np.errstate(over="ignore"):  # |diag G − 1| cannot overflow once G is Hermitian
-            hermitian = _saturated(np.max(np.abs(matrix - matrix.conj().T)))
+        given = _read_array(self.matrix, InvalidGramMatrix, shape="square matrix")
+        hermitian, matrix = _hermitian(given)
         for what, residual in (
             ("is not Hermitian", hermitian),
-            ("diagonal is not 1", float(np.max(np.abs(np.diagonal(matrix) - 1.0)))),
+            ("diagonal is not 1", float(np.max(np.abs(np.diagonal(given) - 1.0)))),
         ):
             if not residual <= INPUT_TOL:
                 raise InvalidGramMatrix(
                     f"overlap matrix {what}: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                     residual,
                 )
-        matrix = 0.5 * matrix + 0.5 * matrix.conj().T  # halved first: a sum may overflow
         np.fill_diagonal(matrix, 1.0)
         eigvals = np.linalg.eigvalsh(matrix)
         if not eigvals[0] >= -INPUT_TOL:
@@ -269,33 +268,25 @@ def meter_chain_reduced_state(
 
 
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
-    """Hermiticity, trace and positivity residuals of a computed density matrix."""
-    rho = np.asarray(_read_array(rho, "rho", None, "square matrix"), dtype=complex)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = abs(complex(np.trace(rho)) - 1.0)
-    smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    return {"hermiticity": herm, "trace": float(trace), "negativity": max(0.0, -smallest)}
+    """Hermiticity, trace (of ρ as given) and positivity (of its Hermitian part) residuals of a
+    computed density matrix, each the largest double if it overflows."""
+    rho = _read_array(rho, "rho", shape="square matrix")
+    hermiticity, part = _hermitian(rho)
+    with np.errstate(over="ignore"):  # a trace past a double is off 1 too
+        trace = _saturated(abs(np.trace(rho) - 1.0))
+    negativity = _saturated(max(0.0, -float(np.linalg.eigvalsh(part)[0])))
+    return {"hermiticity": hermiticity, "trace": trace, "negativity": negativity}
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-Tr(ρ log ρ) in nats, over ρ's eigenvalues as the probability clamp snaps them.
+    """-Tr(ρ log ρ) in nats: the Shannon entropy of ρ's spectrum, ``eigvalsh`` of ρ as given.
 
-    Only an eigenvalue the clamp sets to exactly 0 (one within ``INPUT_TOL`` below it)
-    contributes nothing; one within ``INPUT_TOL`` above 0, ε, still adds ε·|log ε|.
+    ``rho`` is Hermitian within ``INPUT_TOL`` and its spectrum a distribution, clipped into
+    [0, 1] (:func:`validate_distribution`), or it is refused as ``rho``.  An eigenvalue clipped
+    to exactly 0 contributes nothing; one ε above 0 still adds ε·|log ε|.
     """
-    # ρ complex Hermitian or real symmetric; an eigenvalue below -INPUT_TOL is refused by the clamp
-    rho = _read_array(rho, "rho", None, "square matrix")
-    probs = clamp_probabilities(np.linalg.eigvalsh(rho))
-    positive = probs[probs > 0.0]
-    return float(-np.sum(positive * np.log(positive))) + 0.0
-
-
-def meter_protocol_entropy(initial: Modality, pointer: Context, gram: Gram) -> float:
-    """Entropy produced by a meter-mediated measurement of given strength.
-
-    The entropy of the reduced system state after one meter coupling: equal
-    to the Shannon entropy of the pointer outcome distribution for orthogonal
-    meter states, zero for indistinguishable ones, and a continuous
-    irreversibility gauge in between.
-    """
-    return von_neumann_entropy(meter_chain_reduced_state(initial, pointer, gram, 1))
+    rho = _read_array(rho, "rho", None, "square matrix")  # complex, or real symmetric
+    residual = _hermitian(rho)[0]  # eigvalsh reads the lower triangle alone
+    if not residual <= INPUT_TOL:
+        raise ScenarioValidationError("rho", f"not Hermitian: residual {residual:.3e}")
+    return _entropy(validate_distribution(np.linalg.eigvalsh(rho), "rho"))

@@ -105,19 +105,15 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict
     return rows
 
 
+def _readout(rho: np.ndarray) -> dict:
+    """A reduced state's diagonal and its largest off-diagonal magnitude, keyed as m_count rows."""
+    off_diagonal = np.abs(rho[~np.eye(len(rho), dtype=bool)])
+    return {"diagonal": _floats(rho.diagonal().real), "max_coherence": float(np.max(off_diagonal))}
+
+
 def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> list[dict]:
-    rows = []
-    off_mask = ~np.eye(pointer.dim, dtype=bool)
-    for m in grid:
-        rho = meter_chain_reduced_state(initial, pointer, gram, m)
-        rows.append(
-            {
-                "m_count": m,
-                "diagonal": _floats(rho.diagonal().real),
-                "max_coherence": float(np.max(np.abs(rho[off_mask]))),
-            }
-        )
-    return rows
+    return [{"m_count": m, **_readout(meter_chain_reduced_state(initial, pointer, gram, m))}
+            for m in grid]
 
 
 def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> list[dict]:
@@ -226,13 +222,13 @@ def run_scenario(
     meter_section = None
     if pointer is not None:
         rho = meter_chain_reduced_state(initial, pointer, gram, 1)
-        off_mask = ~np.eye(dim, dtype=bool)
+        readout = _readout(rho)
         meter_section = {
             "pointer": scenario.pointer,
             "return_probabilities": _floats(meter_return_probabilities(initial, pointer, gram)),
-            "reduced_state_diagonal": _floats(rho.diagonal().real),
-            "max_coherence": float(np.max(np.abs(rho[off_mask]))),
-            "coherence_magnitudes": [_floats(np.abs(rho[j])) for j in range(dim)],
+            "reduced_state_diagonal": readout["diagonal"],
+            "max_coherence": readout["max_coherence"],
+            "coherence_magnitudes": np.abs(rho).tolist(),
             "entropy": von_neumann_entropy(rho),
         }
 

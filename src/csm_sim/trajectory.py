@@ -21,9 +21,9 @@ exact ensemble bounds the sum over every path in one max-plus and one
 min-plus pass.  An entry of forward weight at most ``INPUT_TOL`` is rounding
 residue, as where one context is measured twice, and carries no gap.
 Averaged over trajectories, the entropy production is the Shannon entropy of
-the final outcome distribution.  Sampled, or exact over every path, an
-ensemble is one ``TrajectoryEnsembleStats``, whose ``mode`` says which; the
-exact one builds no path, so no protocol is too long.
+the final outcome distribution, whose kernel sums a von Neumann entropy too.
+Sampled, or exact over every path, an ensemble is one ``TrajectoryEnsembleStats``,
+whose ``mode`` says which; the exact one builds no path, so no protocol is too long.
 
 ``CROSS_CHECK_TOL`` (1e-12) is some 40 times the largest path gap sum seen, 2.5e-14 over
 3,000 random protocols of dims 2–8 and 2–6 contexts, and some 500 times the worst error of
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
 from .hilbert import INPUT_TOL, Context, Modality, _hold, _instance, _integer, _sequence, _Value
 from .hilbert import check_index, clamp_probabilities
-from .measurement import transition_matrix, validate_distribution
+from .measurement import _entropy, transition_matrix, validate_distribution
 
 # Two evaluation routes of the same log-ratio must agree to this.
 CROSS_CHECK_TOL = 1e-12
@@ -325,7 +325,5 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
 
 def shannon_entropy(dist: np.ndarray) -> float:
     """-Σ p log p in nats, with 0·log 0 = 0; lies in [0, log N]."""
-    dist = validate_distribution(dist)
-    p = dist[dist > 0.0]
-    return float(-np.sum(p * np.log(p))) + 0.0
+    return _entropy(validate_distribution(dist))
 

@@ -182,7 +182,8 @@ def test_criterion_07_weak_to_strong_interpolation():
         )
         got = cs.meter_return_probabilities(initial, pointer, gram)[0]
         worst = max(worst, abs(got - (1 + g) / 2), abs(got - oracle))
-        entropies.append(cs.meter_protocol_entropy(initial, pointer, gram))
+        rho = cs.meter_chain_reduced_state(initial, pointer, gram, 1)
+        entropies.append(cs.von_neumann_entropy(rho))
     monotone = all(b < a for a, b in zip(entropies, entropies[1:]))
     endpoints = abs(entropies[0] - math.log(2)) <= tol and abs(entropies[-1]) <= tol
     ok = worst <= tol and monotone and endpoints

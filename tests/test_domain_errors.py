@@ -10,11 +10,14 @@ matrix each break a rule of their own, and each is refused as a
 and a scenario document holds only values that ``json.loads`` returns.
 An array of the wrong shape or with a NaN or infinite entry is refused by its own value's rule
 too, and only one of the wrong length for the dimension it meets is a :class:`DimensionMismatch`.
+A density matrix that is not Hermitian, or whose spectrum is no distribution, is no state and
+is refused as ``rho`` with no warning; its residuals saturate at the largest double.
 A sample count past what the sampler's counts can hold is refused as ``n_samples``.
 """
 
 import json
 import math
+import sys
 import warnings
 from functools import partial
 from pathlib import Path
@@ -158,10 +161,20 @@ BAD_DISTRIBUTIONS = st.one_of(
     ),
     st.sampled_from([["a", 1], [[0.5], [0.5, 0.0]], [0.5 + 1j, 0.5], [[0.5, 0.5]], None]),
 )
-# Matrices that are not a non-empty square, and ones numpy cannot read.
+# States that are none: not Hermitian, or a spectrum off [0, 1], off sum 1 or past a double.
+NON_STATES = [
+    (2 * np.eye(2), "weights outside [0, 1]"),
+    (np.diag([1.5, -0.5]), "weights outside [0, 1]"),
+    (np.diag([0.5, 0.4]), "weights sum to 0.9, not 1"),
+    (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian: residual 1.000e+00"),  # eigvalsh: log 2
+    (np.full((2, 2), 1e308), "need finite entries, got inf"),  # eigenvalue 2e308
+    (np.full((2, 2), 1e308 * (1 + 1j)), "not Hermitian: residual 1.798e+308"),
+]
+# Matrices that are not a non-empty square, ones numpy cannot read, and states that are none.
 BAD_DENSITY_MATRICES = st.one_of(
     st.sampled_from([(0, 0), (2,), (1, 2), (3, 2), (2, 2, 2), ()]).map(np.ones),
     st.sampled_from([[[1.0, 0.0], [0.0]], "ab", [["a", "b"], ["c", "d"]], [[object()]]]),
+    st.sampled_from([rho for rho, _ in NON_STATES]),
 )
 
 
@@ -478,3 +491,29 @@ def test_a_non_finite_entry_is_refused_by_its_array_s_own_rule(case):
     else:
         assert type(refused) is owner
         assert str(refused).startswith(reason) and refused.residual == math.inf
+
+
+@pytest.mark.parametrize("rho, reason", NON_STATES)
+def test_a_density_matrix_that_is_no_state_is_refused_as_rho(rho, reason):
+    # each once returned an entropy or ended in InternalConsistencyError, a library fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioValidationError) as caught:
+            cs.von_neumann_entropy(rho)
+    assert (caught.value.field, caught.value.reason) == ("rho", reason)
+
+
+MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("rho, residuals", [
+    (np.full((2, 2), 1e308), (0.0, MAX, 0.0)),
+    (np.full((2, 2), 1e308 * (1 + 1j)), (MAX, MAX, 0.0)),
+    (np.diag([1e308, -1e308]), (0.0, 1.0, 1e308)),
+])
+def test_density_matrix_residuals_saturate_without_a_warning(rho, residuals):
+    # each once warned of an overflow, and the last read negativity 0.0 off a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measured = density_matrix_residuals(rho)
+    assert measured == dict(zip(("hermiticity", "trace", "negativity"), residuals))

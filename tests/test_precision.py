@@ -10,9 +10,11 @@ both of their routes share.  A kernel that clamps into [0, 1] is compared with i
 clamped the same way.  The worst error of each kernel, in units of ``dim · eps``, is reported
 to ``hypothesis.target``.
 
-``von_neumann_entropy`` is left out: it is past the bound near a rank-deficient state (a
-uniform overlap matrix at g near 1), where an eigenvalue computed a few eps off an exact 0
-adds about eps · |log eps| per eigenvalue to the entropy.
+``von_neumann_entropy`` has a bound of its own, because −λ log λ has an infinite slope at 0:
+near a rank-deficient state an eigenvalue a few eps off an exact 0 adds about eps · |log eps|.
+So the eigenvalues ``eigvalsh`` returns are held to the same ``BOUND · dim · eps`` (Weyl's
+inequality for a backward-stable solver), and the entropy to that shift carried through
+−λ log λ per eigenvalue (:func:`conditioned`); its error as a share of that bound is reported.
 """
 
 import math
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from conftest import random_unit_gram
+from csm_sim.runner import _g_sweep_rows
 
 EPS = float(np.finfo(float).eps)
 BOUND = 16  # in units of dim · eps
@@ -173,3 +176,60 @@ def test_each_meter_kernel_is_within_its_bound_of_the_40_digit_formula(case):
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
         record(ratios, "meter_chain_reduced_state", worst(rho, reduced, dim))
     check(ratios)
+
+
+def conditioned(eigvals: list, dim: int) -> mpmath.mpf:
+    """The entropy's bound: each exact eigenvalue λ, clamped into [0, 1], may be returned off
+    by δ = ``BOUND · dim · eps`` (Weyl), which moves −λ log λ by at most the largest
+    |h(x) − h(λ)| over x in [λ − δ, λ + δ] ∩ [0, 1], for h(x) = −x log x.  h is concave with
+    its peak at 1/e, so that is at an end of the interval or at 1/e.  The sum over eigenvalues,
+    plus δ for the rounding of the sum itself."""
+    delta = BOUND * dim * EPS
+    total = mpmath.mpf(delta)
+    for lam in (clamp(x) for x in eigvals):
+        ends = [max(lam - delta, 0), min(lam + delta, 1)]
+        points = ends + ([1 / mpmath.e] if ends[0] < 1 / mpmath.e < ends[1] else [])
+        total += max(abs(entropy([x]) - entropy([lam])) for x in points)
+    return total
+
+
+def spectrum(rho: np.ndarray) -> list:
+    """The 40-digit eigenvalues, ascending, of the Hermitian part of ``rho`` as given."""
+    lifted = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in rho.tolist()])
+    return sorted(mpmath.eighe((lifted + lifted.transpose_conj()) / 2, eigvals_only=True))
+
+
+@st.composite
+def g_sweep_points(draw):
+    """An initial modality, a pointer and a strength g, drawn near 1 (a rank-deficient state)
+    as often as not."""
+    dim = draw(st.integers(2, 8))
+    start, pointer = draw(contexts(dim, "start")), draw(contexts(dim, "pointer"))
+    g = draw(st.one_of(st.floats(0, 1), st.floats(1 - 1e-12, 1), st.just(1.0)))
+    return start.modality(draw(st.integers(0, dim - 1))), pointer, g
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=g_sweep_points())
+def test_von_neumann_entropy_is_within_its_conditioned_bound_on_both_g_sweep_routes(case):
+    initial, pointer, g = case
+    dim, ratios, shares = initial.dim, {}, {}
+    rho0, rho1 = (cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(dim, e), 1)
+                  for e in (0.0, 1.0))
+    routes = {
+        # the state run's meter section reads, and the real symmetric matrix of a g sweep row
+        "complex": cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(dim, g), 1),
+        "real": (1 - g) * rho0.real + g * np.abs(rho1),
+    }
+    [row] = _g_sweep_rows(initial, pointer, None, [g])
+    assert cs.von_neumann_entropy(routes["real"]) == row["entropy"]
+    with mpmath.workdps(DIGITS):
+        for route, rho in routes.items():
+            exact = spectrum(rho)
+            record(ratios, f"eigvalsh[{route}]", worst(np.linalg.eigvalsh(rho), exact, dim))
+            error = abs(cs.von_neumann_entropy(rho) - entropy(clamp(x) for x in exact))
+            shares[route] = float(error / conditioned(exact, dim))
+    check(ratios)
+    for route, share in shares.items():
+        target(share, label=f"von_neumann_entropy[{route}]")
+        assert share <= 1, f"von_neumann_entropy[{route}] is at {share:.3f} of its bound"

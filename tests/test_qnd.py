@@ -512,8 +512,7 @@ def test_closed_form_meter_quantities_match_composite_route(seed, dim, kind):
     composite_rho = cs.reduced_system_state(state, pointer)
     rho = cs.meter_chain_reduced_state(initial, pointer, gram, 1)
     assert np.max(np.abs(rho - composite_rho)) <= 1e-12
-    entropy = cs.meter_protocol_entropy(initial, pointer, gram)
-    assert abs(entropy - cs.von_neumann_entropy(composite_rho)) <= 1e-12
+    assert abs(cs.von_neumann_entropy(rho) - cs.von_neumann_entropy(composite_rho)) <= 1e-12
     returns = cs.composite_return_probabilities(state, start, pointer)
     assert returns.shape == (dim,)
     assert np.max(np.abs(returns - cs.meter_return_probabilities(initial, pointer, gram))) <= 1e-12

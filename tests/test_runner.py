@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from csm_sim.errors import (
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
-from csm_sim.runner import format_csv, report_to_json, sweep_table
+from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
 from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -438,7 +439,8 @@ def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
         gram = cs.gram_uniform(dim, g)
         returns = cs.meter_return_probabilities(initial, pointer, gram)
         assert np.max(np.abs(np.array(row["return_probabilities"]) - returns)) <= 1e-12
-        assert abs(row["entropy"] - cs.meter_protocol_entropy(initial, pointer, gram)) <= 1e-12
+        rho = cs.meter_chain_reduced_state(initial, pointer, gram, 1)
+        assert abs(row["entropy"] - cs.von_neumann_entropy(rho)) <= 1e-12
 
 
 _LOADS_RANDOM = (
@@ -465,3 +467,25 @@ def test_a_meter_sweep_builds_no_unread_haar_context(tmp_path, argv, loaded):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
     assert done.stdout.split() == ["0", str(loaded)]
+
+
+CHECKED_IN = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
+    path for path in TABLES_D64.parent.glob("*.json") if not path.name.endswith(".ref.json")
+)
+GRIDS = {"g": np.linspace(0, 1, 11).tolist(), "m_count": list(range(9)),
+         "phase": np.linspace(0, 2 * np.pi, 11).tolist()}
+
+
+def test_every_checked_in_scenario_runs_without_a_warning():
+    # a warning is NumPy leaving its domain (an overflow, a NaN) on the way to a report
+    assert len(CHECKED_IN) == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in CHECKED_IN:
+            scenario = cs.parse_scenario(path)
+            for report in (cs.run_scenario(scenario, 0, 1000),
+                           cs.run_scenario(scenario, 0, 0, exhaustive=True),
+                           cs.verify_report(scenario, 1e-10)):
+                report_to_json(report)
+            for param, grid in GRIDS.items():  # each has a meter and two contexts to sweep
+                sweep_rows(scenario, param, grid)

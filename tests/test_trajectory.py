@@ -615,29 +615,25 @@ def test_shannon_entropy_values():
 
 
 def test_meter_protocol_entropy_limits(balanced):
+    # the entropy a meter leaves is that of the reduced state after one coupling
     initial, tilted = balanced
-    assert cs.meter_protocol_entropy(initial, tilted, cs.Gram(np.ones((2, 2)))) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert cs.meter_protocol_entropy(initial, tilted, cs.Gram(np.eye(2))) == pytest.approx(
-        math.log(2), abs=1e-12
-    )
+    for overlaps, entropy in ((np.ones((2, 2)), 0.0), (np.eye(2), math.log(2))):
+        rho = cs.meter_chain_reduced_state(initial, tilted, cs.Gram(overlaps), 1)
+        assert cs.von_neumann_entropy(rho) == pytest.approx(entropy, abs=1e-12)
 
 
 def test_meter_protocol_entropy_intermediate_value(balanced):
     # reduced state has eigenvalues (3/4, 1/4) at g = 1/2
     initial, tilted = balanced
-    assert cs.meter_protocol_entropy(initial, tilted, cs.gram_uniform(2, 0.5)) == pytest.approx(
-        0.5623351446188083, abs=1e-12
-    )
+    rho = cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, 0.5), 1)
+    assert cs.von_neumann_entropy(rho) == pytest.approx(0.5623351446188083, abs=1e-12)
 
 
 def test_meter_protocol_entropy_monotone_in_g(balanced):
     initial, tilted = balanced
-    values = [
-        cs.meter_protocol_entropy(initial, tilted, cs.gram_uniform(2, g))
-        for g in np.linspace(0, 1, 9)
-    ]
+    states = [cs.meter_chain_reduced_state(initial, tilted, cs.gram_uniform(2, g), 1)
+              for g in np.linspace(0, 1, 9)]
+    values = [cs.von_neumann_entropy(rho) for rho in states]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
