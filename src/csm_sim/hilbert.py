@@ -265,10 +265,10 @@ class Context(_Value):
     def return_tables(self, mid: "Context") -> tuple[np.ndarray, np.ndarray]:
         """Read-only return tables [k, i] from outcome i back to outcome k through ``mid``.
 
-        The reversible table is |Σ_j ⟨u_k|v_j⟩⟨v_j|u_i⟩|², one product of the
-        two overlap tables; the irreversible one is Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|²,
-        which is TᵀT for T = |⟨v_j|u_i⟩|².  Both are computed on first use,
-        clamped once by :func:`clamp_probabilities`, and memoized per
+        The reversible table is |Σ_j ⟨u_k|v_j⟩⟨v_j|u_i⟩|², one product of the two overlap
+        tables, and the irreversible one Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|² = TᵀT, T = |⟨v_j|u_i⟩|²:
+        the ends of a meter's dial through ``mid``, all-ones and identity overlaps.  Both are
+        computed on first use, clamped once by :func:`clamp_probabilities`, and memoized per
         intermediate object, keyed by identity as in :meth:`overlaps`.
         """
         entry = self._returns.get(id(mid))

@@ -18,8 +18,9 @@ overlap matrix's PSD test, the rank cut and overlap residual of realized meter s
 composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the closed form
-(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩; ``run`` and ``sweep`` use it alone, and identity
-overlaps at m = 1 give the completed (projective) measurement's state.  The entropy a meter
+(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩, read by ``run``'s meter and the ``m_count`` sweep;
+identity overlaps at m = 1 give the completed (projective) measurement's state.  The ``g``
+sweep takes the dial's ends as diag|b|², b b† and ``Context.return_tables``.  The entropy a meter
 leaves, :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The
 composite route (meter states realized from the overlaps, :func:`entangle`,
 :func:`reduced_system_state`) is the referee of ``verify``.

@@ -11,8 +11,8 @@ these entry points read its fields as they are and refuse anything but a scenari
 ``run`` and ``verify`` build every context of a scenario.  A sweep checks
 its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
 the contexts its parameter reads, plus every explicit context and the overlap
-matrix, the inputs construction can still refuse.  The ``g`` sweep evaluates
-the meter kernels at ``g = 0`` and ``g = 1`` and interpolates.
+matrix, the inputs construction can still refuse.  The ``g`` sweep interpolates between
+the dial's ends, the return tables that ``run``'s ``returns`` read (``Context.return_tables``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._version import __version__
-from .errors import CsmSimError, InvalidGramMatrix, NonOrthonormalInput, RefusedInput
+from .errors import CsmSimError, RefusedInput
 from .hilbert import (
     Context,
     Modality,
@@ -46,11 +46,11 @@ from .measurement import (
 )
 from .qnd import (
     Gram,
+    _branch,
     build_gram,
     composite_return_probabilities,
     density_matrix_residuals,
     entangle,
-    gram_uniform,
     meter_chain_reduced_state,
     meter_return_probabilities,
     meter_states_from_gram,
@@ -85,24 +85,22 @@ def _floats(values) -> list[float]:
 
 
 def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict]:
-    # The overlap matrix (1 - g) I + g J is linear in g, and so are the returns
-    # and the reduced state; evaluate both at the ends and interpolate.
-    ends = [gram_uniform(pointer.dim, g) for g in (0.0, 1.0)]
-    p0, p1 = (meter_return_probabilities(initial, pointer, gram) for gram in ends)
-    rho0, rho1 = (meter_chain_reduced_state(initial, pointer, gram, 1) for gram in ends)
-    # rho0 is diagonal and rho1 = b b†, so with D = diag(b/|b|) (any phase where b_j = 0)
-    # D†((1 - g) rho0 + g rho1)D = (1 - g) rho0 + g |b||b|ᵀ: same spectrum, real symmetric.
-    diagonal, outer = rho0.real, np.abs(rho1)
-    rows = []
-    for g in grid:
-        rows.append(
-            {
-                "g": float(g),
-                "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
-                "entropy": von_neumann_entropy((1 - g) * diagonal + g * outer),
-            }
-        )
-    return rows
+    # (1 - g) I + g J is linear in g, and so are the returns and the reduced state: interpolate
+    # between the irreversible (g = 0) and reversible (g = 1) return tables, and diag|b|² and b b†.
+    # With D = diag(b/|b|) (any phase where b_j = 0), D†((1 - g) diag|b|² + g b b†)D is
+    # (1 - g) diag|b|² + g |b||b|ᵀ: same spectrum, real symmetric.
+    reversible, irreversible = initial.context.return_tables(pointer)
+    p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
+    b = _branch(initial, pointer, pointer.dim)
+    diagonal, outer = np.diag((b * b.conj()).real), np.abs(np.outer(b, b.conj()))
+    return [
+        {
+            "g": float(g),
+            "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
+            "entropy": von_neumann_entropy((1 - g) * diagonal + g * outer),
+        }
+        for g in grid
+    ]
 
 
 def _readout(rho: np.ndarray) -> dict:
@@ -329,15 +327,19 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
         ok = bool(residual <= tolerance)
         checks.append({"name": name, "residual": float(residual), "pass": ok})
 
-    def refuse(name: str, err: RefusedInput) -> None:
-        checks.append({"name": name, "residual": err.residual, "pass": False, "refused": str(err)})
+    def built(name: str, build, *args):
+        """``build(*args)``, or None once the refusal it raised is recorded as check ``name``."""
+        try:
+            return build(*args)
+        except RefusedInput as err:
+            refused = {"name": name, "residual": err.residual, "pass": False, "refused": str(err)}
+            checks.append(refused)
+            return None
 
     contexts: dict[str, Context] = {}
     for name, spec in scenario.contexts.items():
-        try:
-            ctx = build_context(spec, id=name)
-        except NonOrthonormalInput as err:
-            refuse(f"context[{name}].orthonormal", err)
+        ctx = built(f"context[{name}].orthonormal", build_context, spec, name)
+        if ctx is None:
             continue
         contexts[name] = ctx
         add(f"context[{name}].orthonormal", ctx.orthonormality)
@@ -363,29 +365,25 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
         rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
         add(f"step[{step}].reversible_identity", _identity_residual(rev))
 
+    gram = None
     if scenario.gram is not None:
-        try:
-            gram = build_gram(scenario.gram, dim)
-        except InvalidGramMatrix as err:
-            refuse("meter.gram_valid", err)
-        else:
-            add("meter.gram_valid", 0.0)
-            meters = meter_states_from_gram(gram)
-            add(
-                "meter.states_reproduce_overlaps",
-                float(np.max(np.abs(meters.conj().T @ meters - gram.matrix))),
-            )
-            state = entangle(initial, pointer, meters)
-            add("meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0))
-            probs = meter_return_probabilities(initial, pointer, gram)
-            add("meter.return_normalization", abs(float(probs.sum()) - 1.0))
-            composite = composite_return_probabilities(state, initial.context, pointer)
-            add("meter.return_two_form_agreement", float(np.max(np.abs(probs - composite))))
-            rho = meter_chain_reduced_state(initial, pointer, gram, 1)
-            residuals = density_matrix_residuals(rho)
-            add("meter.reduced_state", max(residuals.values()))
-            traced = reduced_system_state(state, pointer)
-            add("meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced))))
+        gram = built("meter.gram_valid", build_gram, scenario.gram, dim)
+    if gram is not None:
+        add("meter.gram_valid", 0.0)
+        meters = meter_states_from_gram(gram)
+        overlaps = meters.conj().T @ meters
+        add("meter.states_reproduce_overlaps", float(np.max(np.abs(overlaps - gram.matrix))))
+        state = entangle(initial, pointer, meters)
+        add("meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0))
+        probs = meter_return_probabilities(initial, pointer, gram)
+        add("meter.return_normalization", abs(float(probs.sum()) - 1.0))
+        composite = composite_return_probabilities(state, initial.context, pointer)
+        add("meter.return_two_form_agreement", float(np.max(np.abs(probs - composite))))
+        rho = meter_chain_reduced_state(initial, pointer, gram, 1)
+        residuals = density_matrix_residuals(rho)
+        add("meter.reduced_state", max(residuals.values()))
+        traced = reduced_system_state(state, pointer)
+        add("meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced))))
 
     # the marginal is clamped into [0, 1] when made, so its sum is all there is to measure
     add("protocol.final_marginal", abs(float(protocol.marginal.sum()) - 1.0))

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import csm_sim as cs
 from csm_sim.errors import CsmSimError, DimensionMismatch, InvalidGramMatrix
 from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
-from csm_sim.hilbert import is_integer
+from csm_sim.hilbert import INPUT_TOL, is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
 from csm_sim.runner import build_scenario_objects
 from csm_sim.trajectory import max_trajectories
@@ -154,10 +154,13 @@ def bad_indices(dim):
     )
 
 
-# Weights off [0, 1] or off sum 1, and vectors numpy cannot read as a real one.
+# Weights off [0, 1] or off sum 1, and vectors numpy cannot read as a real one.  The rule
+# admits rounding within INPUT_TOL of either, so a bad list misses by at least twice that.
+MARGIN = 2 * INPUT_TOL
 BAD_DISTRIBUTIONS = st.one_of(
     st.lists(st.floats(-2, 2), max_size=4).filter(
-        lambda w: not (w and min(w) >= 0 and max(w) <= 1 and abs(math.fsum(w) - 1) <= 1e-10)
+        lambda w: not w or min(w) < -MARGIN or max(w) > 1 + MARGIN
+        or abs(math.fsum(w) - 1) > MARGIN
     ),
     st.sampled_from([["a", 1], [[0.5], [0.5, 0.0]], [0.5 + 1j, 0.5], [[0.5, 0.5]], None]),
 )
@@ -289,6 +292,19 @@ def test_each_value_rule_is_a_validation_error_naming_its_value(case):
     with pytest.raises(ScenarioValidationError) as caught:
         call()
     assert caught.value.field == field
+
+
+@pytest.mark.parametrize("weights, refused", [
+    ([0.5, 0.5, -2e-10], True),  # below 0 by twice INPUT_TOL
+    ([0.5, 0.5, -1e-94], False),  # rounding: once drawn as a bad list, it is clipped to 0
+])
+def test_the_distribution_rule_admits_only_rounding_off_its_bounds(weights, refused):
+    if refused:
+        with pytest.raises(ScenarioValidationError) as caught:
+            cs.validate_distribution(weights)
+        assert (caught.value.field, caught.value.reason) == ("dist", "weights outside [0, 1]")
+    else:
+        assert cs.validate_distribution(weights).tolist() == [0.5, 0.5, 0.0]
 
 
 HUGE = 10**400  # an integer past a double

@@ -435,7 +435,11 @@ def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
     grid = [0.0, *inner, 1.0]
     rows = csm_sim.runner._g_sweep_rows(initial, pointer, None, grid)
     assert [row["g"] for row in rows] == grid
-    for row, g in zip(rows, grid):
+    # the dial's ends are the return tables' columns, read as they are
+    reversible, irreversible = initial.context.return_tables(pointer)
+    assert rows[0]["return_probabilities"] == irreversible[:, initial.index].tolist()
+    assert rows[-1]["return_probabilities"] == reversible[:, initial.index].tolist()
+    for row, g in zip(rows, grid):  # the referee: one overlap matrix per grid point
         gram = cs.gram_uniform(dim, g)
         returns = cs.meter_return_probabilities(initial, pointer, gram)
         assert np.max(np.abs(np.array(row["return_probabilities"]) - returns)) <= 1e-12
@@ -474,6 +478,25 @@ CHECKED_IN = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
 )
 GRIDS = {"g": np.linspace(0, 1, 11).tolist(), "m_count": list(range(9)),
          "phase": np.linspace(0, 2 * np.pi, 11).tolist()}
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_the_g_sweep_s_ends_are_the_returns_through_the_pointer(path):
+    # a report states each return once: the g = 0 and g = 1 rows are the irreversible and
+    # reversible returns of every step whose intermediate is the pointer
+    scenario = cs.parse_scenario(path)
+    report = cs.run_scenario(scenario, 0, 10, exhaustive=True)["results"]
+    through = [step for step in report["returns"] if step["intermediate"] == scenario.pointer]
+    swept = [sweep_rows(scenario, "g", [0.0, 1.0])]
+    if report["sweep"] is not None and "g" in report["sweep"]:
+        swept.append(report["sweep"]["g"])
+    ends = {0.0: "irreversible", 1.0: "reversible"}
+    assert through
+    for step in through:
+        for rows in swept:
+            for row in rows:
+                if row["g"] in ends:
+                    assert row["return_probabilities"] == step[ends[row["g"]]]
 
 
 def test_every_checked_in_scenario_runs_without_a_warning():
