@@ -6,6 +6,9 @@ outcome of one context, i.e. a (context, index) pair carrying a rank-one
 projector.  Changes of context are unitary matrices mapping one basis onto
 another, and they compose as a group.
 
+An admitted basis is held as its nearest unitary, as an admitted overlap matrix
+(``qnd.Gram``) is held repaired: off by rounding, not by up to ``INPUT_TOL``.
+
 Contexts compare by ``id``, not by matrix equality: whether two setups are
 "the same context" is a protocol-level statement, so equality follows the
 label chosen at construction time.
@@ -213,17 +216,14 @@ class Context(_Value):
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector, and
     ``id`` a string, its label.
 
-    ``adjoint`` is ``basis.conj().T`` and ``dim`` the side length, read as
-    ``ContextSpec`` reads it (an integer >= 2), both set once here; ``adjoint``
-    is read-only like ``basis``, and ``orthonormality`` is the B†B residual
-    measured when the basis was admitted (for an explicit basis, the residual of
-    the matrix as given: see :func:`build_context`), the largest double if it overflows.
-    A basis given here is held as given, and one admitted near ``INPUT_TOL`` can push a
-    computed probability past the clamp (every near-unitary basis tried at 0.99·``INPUT_TOL``
-    did, none at 0.25·); :func:`build_context` holds an explicit matrix's polar factor.
-    Overlaps with another context come from :meth:`overlaps`, one memoized
-    table per partner, and the two return tables through an intermediate
-    context from :meth:`return_tables`, memoized per intermediate the same way.
+    A matrix M within ``INPUT_TOL`` of orthonormal is admitted, and ``basis`` holds its nearest
+    unitary M (1.5·I − 0.5·M†M), one Newton–Schulz step toward M's polar factor: O(residual²)
+    from it, and M itself when M†M = I exactly, as for the identity.  ``orthonormality`` is
+    max |M†M − I| of M as given, the largest double if it overflows.  ``adjoint`` is
+    ``basis.conj().T`` and ``dim`` the side length, read as ``ContextSpec`` reads it (an integer
+    >= 2), both set once here; ``adjoint`` is read-only like ``basis``.  Overlaps with another
+    context come from :meth:`overlaps`, one memoized table per partner, and the two return
+    tables through an intermediate context from :meth:`return_tables`, memoized the same way.
     """
 
     id: str
@@ -233,18 +233,19 @@ class Context(_Value):
         _instance("id", self.id, str)
         basis = _read_array(self.basis, NonOrthonormalInput, shape="square matrix")
         dim = _integer("dim", basis.shape[0], 2)
-        # A transposed view of a conjugate copy, held read-only with its base.  It
-        # must stay a view: a C-ordered copy changes BLAS's summation order in
-        # ``adjoint @ v``, and with it the last bits of every report.
-        adjoint = basis.conj().T
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _saturated(_identity_residual(adjoint @ basis))
+            product = basis.conj().T @ basis
+            residual = _saturated(_identity_residual(product))
         if not residual <= INPUT_TOL:
             raise NonOrthonormalInput(
                 f"columns not orthonormal: residual {residual:.3e} exceeds {INPUT_TOL:.0e}",
                 residual,
             )
-        _hold(self, basis=basis, adjoint=adjoint, dim=dim, orthonormality=residual,
+        basis = basis @ (1.5 * np.eye(dim) - 0.5 * product)
+        # A transposed view of a conjugate copy, held read-only with its base.  It
+        # must stay a view: a C-ordered copy changes BLAS's summation order in
+        # ``adjoint @ v``, and with it the last bits of every report.
+        _hold(self, basis=basis, adjoint=basis.conj().T, dim=dim, orthonormality=residual,
               _overlaps={}, _returns={})
 
     def overlaps(self, other: "Context") -> np.ndarray:
@@ -451,10 +452,7 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
     """The context a :class:`ContextSpec` describes, deterministic given the spec.
 
     The spec checked itself when made; only :class:`Context` can still refuse an
-    ``explicit`` matrix (``NonOrthonormalInput``).  An admitted one may miss
-    orthonormality by up to ``INPUT_TOL``, enough to push a return probability past
-    the clamp; the context holds its polar factor W Vᴴ (from the SVD, the nearest
-    unitary) instead, and ``orthonormality`` keeps the residual of the matrix as given.
+    ``explicit`` matrix (``NonOrthonormalInput``), and it holds an admitted one repaired.
     ``id`` is a string, or None or empty for the kind's default label.
     """
     if id is not None:
@@ -473,11 +471,7 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         return Context(id or f"rotation:{spec.theta!r}", basis)
     if kind == "haar":
         return Context(id or f"haar:{dim}:{spec.seed}", _haar_unitary(dim, spec.seed))
-    given = Context(id or "explicit", spec.matrix)
-    w, _, vh = np.linalg.svd(given.basis)
-    ctx = Context(given.id, w @ vh)
-    _hold(ctx, orthonormality=given.orthonormality)
-    return ctx
+    return Context(id or "explicit", spec.matrix)
 
 
 def context_change_unitary(frm: Context, to: Context) -> np.ndarray:

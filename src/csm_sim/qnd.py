@@ -282,12 +282,16 @@ def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-Tr(ρ log ρ) in nats: the Shannon entropy of ρ's spectrum, ``eigvalsh`` of ρ as given.
 
-    ``rho`` is Hermitian within ``INPUT_TOL`` and its spectrum a distribution, clipped into
-    [0, 1] (:func:`validate_distribution`), or it is refused as ``rho``.  An eigenvalue clipped
-    to exactly 0 contributes nothing; one ε above 0 still adds ε·|log ε|.
+    ``rho`` is Hermitian within ``INPUT_TOL`` and its spectrum finite (finite entries can
+    overflow it) and a distribution, clipped into [0, 1] (:func:`validate_distribution`), or it
+    is refused as ``rho``.  An eigenvalue clipped to exactly 0 adds nothing; one ε above 0 ε·|log ε|.
     """
     rho = _read_array(rho, "rho", None, "square matrix")  # complex, or real symmetric
     residual = _hermitian(rho)[0]  # eigvalsh reads the lower triangle alone
     if not residual <= INPUT_TOL:
         raise ScenarioValidationError("rho", f"not Hermitian: residual {residual:.3e}")
-    return _entropy(validate_distribution(np.linalg.eigvalsh(rho), "rho"))
+    spectrum = np.linalg.eigvalsh(rho)
+    if not np.isfinite(spectrum).all():
+        bad = spectrum[~np.isfinite(spectrum)][0].item()
+        raise ScenarioValidationError("rho", f"need finite eigenvalues, got {bad!r}")
+    return _entropy(validate_distribution(spectrum, "rho"))

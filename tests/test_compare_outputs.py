@@ -3,11 +3,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import csm_sim as cs
 from csm_sim.cli import main
 from csm_sim.errors import ScenarioValidationError
+from csm_sim.hilbert import INPUT_TOL
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
@@ -91,8 +93,11 @@ def test_describe_lists_paths_for_json_and_aligned_lines_for_text():
 def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     runs = compare_outputs.invocations(tmp_path)
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
+    admitted = [label for label, _ in runs if label.startswith("admitted ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
-    assert len(runs) - len(refusals) == len(compare_outputs.scenarios()) * per_scenario
+    assert len(admitted) == len(compare_outputs.ADMITTED)
+    scenario_runs = len(runs) - len(refusals) - len(admitted)
+    assert scenario_runs == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 9
     assert len(refusals) == len(compare_outputs.REFUSALS) == 29
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
@@ -119,6 +124,20 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
             # a sweep refuses with the message run gives, though it builds less
             assert main(["run", argv[1], "--trajectories", "10"]) == 1, label
             assert capsys.readouterr().err == err, label
+
+
+def test_an_explicit_basis_near_the_floor_is_admitted_by_run_and_verify(tmp_path, capsys):
+    runs = [(label, argv) for label, argv in compare_outputs.invocations(tmp_path)
+            if label.startswith("admitted ")]
+    assert [argv[0] for _, argv in runs] == ["run", "verify"]
+    x = json.loads(Path(runs[0][1][1]).read_text())["contexts"]["x"]
+    residual = cs.Context("x", np.array(x["matrix"])).orthonormality
+    assert 0.98 * INPUT_TOL < residual <= INPUT_TOL
+    for label, argv in runs:
+        assert main(argv) == 0, label
+        assert capsys.readouterr().err == "", label
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["pass"] is True
 
 
 def test_a_written_report_is_read_and_walked_value_by_value(tmp_path):

@@ -170,7 +170,7 @@ NON_STATES = [
     (np.diag([1.5, -0.5]), "weights outside [0, 1]"),
     (np.diag([0.5, 0.4]), "weights sum to 0.9, not 1"),
     (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian: residual 1.000e+00"),  # eigvalsh: log 2
-    (np.full((2, 2), 1e308), "need finite entries, got inf"),  # eigenvalue 2e308
+    (np.full((2, 2), 1e308), "need finite eigenvalues, got inf"),  # finite entries
     (np.full((2, 2), 1e308 * (1 + 1j)), "not Hermitian: residual 1.798e+308"),
 ]
 # Matrices that are not a non-empty square, ones numpy cannot read, and states that are none.

@@ -5,6 +5,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,8 +224,9 @@ def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb)
         # a basis the context still accepts, off orthonormal by up to INPUT_TOL
         noise = np.random.default_rng(seed).standard_normal((dim, dim))
         basis = basis + 0.2 * INPUT_TOL / dim * noise
-    ctx = cs.Context("explicit", basis)
-    projectors, closure = _projector_loop_residuals(ctx.basis)
+    cs.Context("explicit", basis)  # admitted, but held repaired: the residuals read it as given
+    ctx = SimpleNamespace(basis=basis, adjoint=basis.conj().T)
+    projectors, closure = _projector_loop_residuals(basis)
     assert abs(projector_residual(ctx) - projectors) <= 1e-15
     assert abs(closure_residual(ctx) - closure) <= 1e-15
     if perturb:

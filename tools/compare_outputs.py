@@ -35,7 +35,10 @@ integer, a document rule (an undefined name in the sequence or as the pointer, a
 initial context that is not the first, an initial index out of range, an unknown
 top-level key), two flags whose rule only the library owns (``verify --tolerance -1``
 and ``run --exhaustive --seed -1``), and a negative grid end written with an
-exponent (``--to -1e-3``).
+exponent (``--to -1e-3``).  Last it runs the short list ``ADMITTED`` the same way:
+an explicit basis off orthonormal by 0.99 of the input floor, which the program
+admits and holds as its nearest unitary, under ``run --exhaustive`` and
+``verify --out``.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -90,6 +93,12 @@ def _rotation_off_by_1e8() -> dict:
 
 def _explicit_x_off_by_1e8(doc: dict) -> None:
     doc["contexts"]["x"] = _rotation_off_by_1e8()
+
+
+def _explicit_x_near_the_floor(doc: dict) -> None:
+    # [[c, -s], [s, c + δ]] has a B†B residual of 2cδ + δ²: here 0.99·INPUT_TOL
+    c, s = math.cos(0.3), math.sin(0.3)
+    doc["contexts"]["x"] = {"kind": "explicit", "matrix": [[c, -s], [s, c + 0.99e-10 / (2 * c)]]}
 
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
@@ -227,6 +236,13 @@ REFUSALS = [
 ]
 
 
+# (document name, edit of balanced_qubit.json, invocation): inputs the program must admit
+ADMITTED = [
+    ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["run", "--exhaustive"]),
+    ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["verify", "--out", REPORT]),
+]
+
+
 def package_dir(arg: str) -> Path:
     path = Path(arg).resolve()
     if (path / "src" / "csm_sim").is_dir():
@@ -244,9 +260,10 @@ def scenarios() -> list[Path]:
 
 
 def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every invocation: ``INVOCATIONS`` on each scenario, then ``REFUSALS``.
+    """(label, argv) of every invocation: ``INVOCATIONS`` on each scenario, then ``REFUSALS``,
+    then ``ADMITTED``.
 
-    The refusal documents, and the files ``--out`` writes, go to ``tmp``.
+    The edited documents, and the files ``--out`` writes, go to ``tmp``.
     """
 
     def argv(args: list[str], scenario: Path) -> list[str]:
@@ -258,12 +275,13 @@ def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
         label = scenario.relative_to(ROOT)
         found += [(f"{label}  {name}", argv(args, scenario)) for name, args in INVOCATIONS]
     base = json.loads((ROOT / "scenarios" / "balanced_qubit.json").read_text())
-    for name, edit, args in REFUSALS:
-        doc = copy.deepcopy(base)
-        edit(doc)
-        path = tmp / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        found.append((f"refusal {name}  {' '.join(args)}", argv(args, path)))
+    for kind, edits in (("refusal", REFUSALS), ("admitted", ADMITTED)):
+        for name, edit, args in edits:
+            doc = copy.deepcopy(base)
+            edit(doc)
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            found.append((f"{kind} {name}  {' '.join(args)}", argv(args, path)))
     return found
 
 
