@@ -6,12 +6,9 @@ Three subcommands: ``run`` executes a scenario and emits a JSON report,
 success, 1 on verification or execution failure, 2 on usage, parse, read
 and write errors (a sweep grid :func:`~csm_sim.scenario.sweep_grid` refuses,
 such as one outside its parameter's domain, is a usage error).  The command
-line checks only what the library cannot know: the memory budget of ``--steps``,
-and the sampler's budget of ``--trajectories``
-(:func:`~csm_sim.trajectory.max_trajectories`) in an ``--exhaustive`` run too,
-which samples nothing.  Every other rule of a flag (the seed, the sample count's
-floor, the tolerance, a grid's entries) is the library's, and its refusal is a
-usage error too.
+line checks only what the library cannot know: the memory budget of ``--steps``.
+Every other rule of a flag (the seed, the sample count's bounds, the tolerance,
+a grid's entries) is the library's, and its refusal is a usage error too.
 
 :func:`entry` is the process: the ``csm-sim`` console script and ``python -m
 csm_sim.cli`` both go through it, and it exits with :func:`main`'s code.
@@ -40,7 +37,6 @@ from .runner import (
     verify_report,
 )
 from .scenario import SWEEP_PARAMS, parse_scenario
-from .trajectory import max_trajectories
 
 # The bound on ``--steps``, from the memory it costs: a sweep holds dim + 2
 # numbers per grid point until its CSV is written.
@@ -141,10 +137,6 @@ def _emit(text: str, out: str | None) -> int:
 
 
 def _cmd_run(args, scenario) -> int:
-    limit = max_trajectories(scenario.dim)
-    if args.trajectories > limit:
-        print(f"run: --trajectories must be <= {limit}", file=sys.stderr)
-        return 2
     report = run_scenario(
         scenario, seed=args.seed, n_samples=args.trajectories, exhaustive=args.exhaustive
     )
@@ -202,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, scenario)
         return _cmd_sweep(args, scenario)
-    except ScenarioValidationError as err:  # a sweep grid sweep_grid refuses
+    except ScenarioValidationError as err:  # a flag the library refuses, a sweep grid too
         print(f"{args.scenario}: {err}", file=sys.stderr)
         return 2
     except CsmSimError as err:

@@ -347,12 +347,14 @@ def _sequence(field: str, value, cls=None) -> tuple:
     return items
 
 
-def _integer(field: str, value, least: int | None = None) -> int:
-    """``value`` as an int, or the refusal of anything but an integer >= ``least``."""
+def _integer(field: str, value, least: int | None = None, most: int | None = None) -> int:
+    """``value`` as an int, or the refusal of anything but an integer in [``least``, ``most``]."""
     if not is_integer(value):
         raise ScenarioValidationError(field, f"expected an integer, got {value!r}")
     if least is not None and value < least:
         raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ScenarioValidationError(field, f"must be <= {most}")
     return int(value)
 
 

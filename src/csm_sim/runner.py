@@ -2,8 +2,8 @@
 
 Reports are plain dicts of JSON-serializable values, built in a fixed key
 order, so serializing one is byte-reproducible for identical inputs; the
-Monte Carlo ensemble draws each block of samples from its own child of the
-seed's ``SeedSequence``, so it is reproducible given (seed, sample count).
+Monte Carlo ensemble draws its final-outcome counts in one multinomial from
+the seed's generator, so it is reproducible given (seed, sample count).
 
 A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked
 them when made (:func:`~csm_sim.scenario.parse_scenario` only reads the text), so
@@ -196,11 +196,12 @@ def run_scenario(
     ensemble (Monte Carlo, or exact over every path when ``exhaustive``), and
     the configured sweep grids.  Deterministic given (scenario, seed,
     n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
-    ``seed`` is an integer >= 0 and ``n_samples`` one >= 1, or >= 0 when ``exhaustive``.
+    ``seed`` is an integer >= 0 and ``n_samples`` one in [1, 2**63 - 1], or from 0
+    when ``exhaustive``.
     """
     _instance("scenario", scenario, Scenario)
     seed = _integer("seed", seed, 0)
-    n_samples = _integer("n_samples", n_samples, 0 if exhaustive else 1)
+    n_samples = _integer("n_samples", n_samples, 0 if exhaustive else 1, np.iinfo(np.int64).max)
     contexts, protocol, pointer, gram = build_scenario_objects(scenario)
     initial = protocol.initial
     dim = scenario.dim

@@ -22,8 +22,10 @@ min-plus pass.  An entry of forward weight at most ``INPUT_TOL`` is rounding
 residue, as where one context is measured twice, and carries no gap.
 Averaged over trajectories, the entropy production is the Shannon entropy of
 the final outcome distribution, whose kernel sums a von Neumann entropy too.
-Sampled, or exact over every path, an ensemble is one ``TrajectoryEnsembleStats``,
-whose ``mode`` says which; the exact one builds no path, so no protocol is too long.
+Sampled or exact, an ensemble is one ``TrajectoryEnsembleStats``, whose ``mode``
+says which.  Neither builds a path, so no protocol is too long: the exact one weighs
+each final outcome by the marginal, the sampled one counts the final outcomes of
+its trajectories in one multinomial draw over it.
 
 ``CROSS_CHECK_TOL`` (1e-12) is some 40 times the largest path gap sum seen, 2.5e-14 over
 3,000 random protocols of dims 2–8 and 2–6 contexts, and some 500 times the worst error of
@@ -174,123 +176,53 @@ def sample_trajectory(protocol: Protocol, seed) -> Trajectory:
     """Draw one trajectory; deterministic given ``seed``.
 
     Each step draws the next outcome from the transition probabilities
-    conditioned on the previous one, by inverse CDF over outcome index.
-    Entropy production is evaluated against the exact final marginal, i.e.
-    the unread-outcome reference; a drawn path never has probability zero.
-    ``seed`` is an integer >= 0, or a tuple of them, such as ``(2024, i)``.
+    conditioned on the previous one, by inverse CDF over outcome index: the
+    smallest outcome whose cumulative weight exceeds a uniform draw, so a
+    zero-weight outcome is never drawn; past the rounded total, the last
+    supported one is.  Entropy production is evaluated against the exact
+    final marginal, i.e. the unread-outcome reference; a drawn path never has
+    probability zero.  ``seed`` is an integer >= 0, or a tuple of them, such as ``(2024, i)``.
     """
     parts = seed if isinstance(seed, tuple) else (seed,)  # n and (n,) seed the same stream
     rng = np.random.default_rng([_integer("seed", part, 0) for part in parts])
-    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
-    initial = np.array([protocol.initial.index], dtype=np.intp)
-    outcomes = tuple(_sample_paths(cums, initial, (rng.random(1) for _ in cums))[0].tolist())
+    outcomes = [protocol.initial.index]
+    for t in protocol.steps:
+        cum = np.cumsum(t[:, outcomes[-1]])
+        last = int(np.searchsorted(cum, cum[-1], "left"))
+        outcomes.append(min(int(np.searchsorted(cum, rng.random(), "right")), last))
+    outcomes = tuple(outcomes)
     return Trajectory(outcomes, *_single_path(protocol, outcomes, protocol.marginal))
-
-
-# Samples per independently seeded block of the Monte Carlo ensemble.  Part of
-# the random stream: changing it changes every estimate drawn from a seed.
-BLOCK = 1 << 14
-
-
-def _sample_paths(step_cumulatives, initial: np.ndarray, uniforms) -> np.ndarray:
-    """Outcome sequences of a block of samples, shape (samples, 1 + steps), by inverse CDF.
-
-    Each step draws the smallest outcome whose cumulative weight in the
-    previous outcome's column exceeds the sample's uniform (one vector per
-    step in ``uniforms``), so a zero-weight outcome is never drawn; past the
-    rounded total, the last supported one is.  That is
-    ``searchsorted(col, u, "right")`` capped at ``last``, which is
-    ``searchsorted(col, col[-1], "left")``.
-
-    Every sample draws at once, by a branchless bisection over one flat table:
-    the columns, padded with +inf to ``W`` entries (the least power of two
-    >= dim), end to end.  A sample starts just before its column, and for
-    ``step`` = W/2, ..., 1 moves up by ``step`` where the entry ``step`` above
-    is ``<= u``.  It stops on the last entry ``<= u`` among the column's first
-    ``W - 1`` (+inf never is), so one past it is the right-side search, cut at
-    ``W - 1``.  The cut binds only when W = dim, at dim - 1, which ``last``
-    never exceeds, so the capped draw is the same.  Per step this costs
-    O(samples · log dim) time and O(samples + dim · W) memory, with no loop
-    over outcomes.
-    """
-    paths = [initial]
-    for cum, u in zip(step_cumulatives, uniforms):
-        dim = cum.shape[0]
-        width = 1 << (dim - 1).bit_length()
-        table = np.full((cum.shape[1], width), np.inf)
-        table[:, :dim] = cum.T
-        table = table.ravel()
-        last = np.count_nonzero(cum < cum[-1], axis=0)
-        state = paths[-1]
-        base = state * width
-        pos = base - 1
-        step = width >> 1
-        while step:
-            pos += (table[pos + step] <= u) * step
-            step >>= 1
-        paths.append(np.minimum(pos + 1 - base, last[state]))
-    return np.stack(paths, axis=1)
-
-
-# The ensemble keeps dim counts per block of BLOCK samples, at most this many in all.
-MAX_COUNT_CELLS = 10**7
-
-
-def max_trajectories(dim: int) -> int:
-    """The largest sample count of a dim-``dim`` ensemble, from its memory for counts."""
-    return MAX_COUNT_CELLS // dim * BLOCK
-
-
-def _block_counts(
-    step_cumulatives, initial_index: int, dim: int, seed: int, n_samples: int
-) -> np.ndarray:
-    """Final-outcome counts of each block of the ensemble, shape (blocks, dim).
-
-    Block ``b`` holds samples ``[b*BLOCK, (b+1)*BLOCK)`` and draws from the
-    ``b``-th child of ``SeedSequence(seed)``, so a full block's counts depend
-    on (seed, b) alone, whatever the total sample count.  Each child is built
-    when its block is drawn, as ``SeedSequence(seed, spawn_key=(b,))``, which
-    is the child ``spawn`` would give without materializing all of them.
-    """
-    n_blocks = -(-n_samples // BLOCK)
-    counts = np.empty((n_blocks, dim), dtype=np.int64)
-    for b in range(n_blocks):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-        size = min(BLOCK, n_samples - b * BLOCK)
-        initial = np.full(size, initial_index, dtype=np.intp)
-        uniforms = (rng.random(size) for _ in step_cumulatives)
-        finals = _sample_paths(step_cumulatives, initial, uniforms)[:, -1]
-        counts[b] = np.bincount(finals, minlength=dim)
-    return counts
 
 
 def mean_entropy_production(
     protocol: Protocol, n_samples: int, seed: int
 ) -> TrajectoryEnsembleStats:
-    """Monte Carlo estimate of the mean entropy production.
+    """Monte Carlo estimate of the mean entropy production, building no path.
 
-    Samples are drawn in blocks of ``BLOCK``, each from its own child of
-    ``SeedSequence(seed)``, so the ensemble is reproducible given (seed,
-    n_samples).  The reference distribution is the exact final marginal,
-    whose Shannon entropy the mean estimates; entropy production depends
-    only on the final outcome, so mean and std error come from its counts.
+    A trajectory's entropy production is -log of the exact final marginal at
+    its final outcome, so the ensemble reads only its final-outcome counts:
+    one multinomial draw of ``n_samples`` over the marginal's supported
+    outcomes, from ``default_rng(seed)``, reproducible given (seed,
+    n_samples).  The mean, whose expectation is the marginal's Shannon
+    entropy, is the exact count-weighted sum of -log marginal rounded once.
     ``final_distribution`` is that exact marginal; ``mode`` is ``"monte_carlo"``.
-    ``n_samples`` is an integer in [1, ``max_trajectories(dim)``] and ``seed`` one >= 0, not bools.
+    ``n_samples`` is an integer in [1, 2**63 - 1], the counts an int64 holds,
+    and ``seed`` one >= 0, not bools.
     """
-    n_samples, seed = _integer("n_samples", n_samples, 1), _integer("seed", seed, 0)
-    limit = max_trajectories(protocol.dim)
-    if n_samples > limit:
-        raise ScenarioValidationError("n_samples", f"must be <= {limit}")
-    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
+    n_samples = _integer("n_samples", n_samples, 1, np.iinfo(np.int64).max)
+    seed = _integer("seed", seed, 0)
     marginal = protocol.marginal
-    counts = _block_counts(cums, protocol.initial.index, protocol.dim, seed, n_samples).sum(0)
-    realized = np.flatnonzero(counts)
-    c = counts[realized].astype(float)
-    deltas = -np.log(marginal[realized])
-    # fsum: summation error must stay below the std-error scale, which for a
-    # near-constant ensemble is far tighter than pairwise summation delivers.
-    mean = math.fsum((c * deltas).tolist()) / n_samples
-    variance = math.fsum((c * (deltas - mean) ** 2).tolist()) / max(n_samples - 1, 1)
+    weights = marginal[marginal > 0.0]
+    counts = np.random.default_rng(seed).multinomial(n_samples, weights / weights.sum())
+    deltas = -np.log(weights)
+    # Each -log is an exact p / q, q a power of 2, so the count-weighted sum is exact over
+    # the largest q and one int division rounds it once: rounded per product, the mean of a
+    # near-constant ensemble could miss by more than its std error.
+    ratios = [d.as_integer_ratio() for d in deltas.tolist()]
+    den = max(q for _, q in ratios)
+    total = sum(c * p * (den // q) for c, (p, q) in zip(counts.tolist(), ratios))
+    mean = total / (den * n_samples)
+    variance = math.fsum((counts * (deltas - mean) ** 2).tolist()) / max(n_samples - 1, 1)
     std_error = math.sqrt(variance / n_samples)
     entropy = shannon_entropy(marginal)
     return TrajectoryEnsembleStats("monte_carlo", n_samples, mean, std_error, marginal, entropy)

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csm_sim as cs
 from conftest import path_amplitudes, random_unit_gram
-from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "balanced_qubit.json"
 
@@ -166,6 +167,17 @@ def test_criterion_06_shannon_identity_sampled():
     assert elapsed < 10.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_criterion_06_holds_at_every_seed(seed):
+    # the criterion's own assertion, whatever the seed: a mean rounded coarser than its
+    # std error (here ~7e-19, against log 2's ulp of 1.1e-16) misses log 2 at some seeds
+    z = cs.computational_context(2)
+    protocol = cs.Protocol((z, cs.rotation_context(np.pi / 2)), z.modality(0))
+    stats = cs.mean_entropy_production(protocol, 100_000, seed=seed)
+    assert abs(stats.mean_entropy_production - math.log(2)) <= 3 * stats.std_error
+
+
 def test_criterion_07_weak_to_strong_interpolation():
     tol = 1e-12
     initial = cs.computational_context(2).modality(0)
@@ -242,18 +254,12 @@ def test_criterion_10_byte_identical_reports():
     scenario = cs.parse_scenario(SCENARIO)
     first = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=2000))
     second = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=2000))
-    n = 2 * BLOCK + 7
-    multi = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
-    multi_again = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
-    # block b draws from (seed, b) alone: a shorter run's full blocks recur
-    _, protocol, _, _ = cs.build_scenario_objects(scenario)
-    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
-    args = (cums, protocol.initial.index, protocol.dim, 42)
-    long, short = _block_counts(*args, n), _block_counts(*args, 2 * BLOCK)
-    blocks_recur = np.array_equal(short, long[:2]) and not np.array_equal(long[0], long[1])
-    ok = first == second and multi == multi_again and blocks_recur
-    _line(10, "reports byte-identical across repeated runs; full blocks recur across lengths",
-          ok, f"{len(first)} and {len(multi)} bytes, block counts {long.tolist()}")
+    # the largest count costs no more: the ensemble draws its final counts in one multinomial
+    n = 2**63 - 1
+    largest = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
+    largest_again = cs.report_to_json(cs.run_scenario(scenario, seed=42, n_samples=n))
+    ok = first == second and largest == largest_again
+    _line(10, "reports byte-identical across repeated runs, up to the largest sample count",
+          ok, f"{len(first)} and {len(largest)} bytes")
     assert first == second
-    assert multi == multi_again
-    assert blocks_recur
+    assert largest == largest_again

@@ -285,20 +285,29 @@ def test_sweep_invalid_steps(capsys):
 
 
 def test_size_arguments_beyond_their_bounds_are_usage_errors(capsys):
-    # dim 2: both bounds are far below 10**15, and neither is ever allocated
+    # dim 2: the sweep's bound is far below 10**15 and never allocated; the sample count's
+    # is the library's, an int64's, in an exhaustive run too, which samples nothing
     too_many = [
-        ["run", SCENARIO, "--trajectories", str(csm_sim.cli.max_trajectories(2) + 1)],
-        ["run", SCENARIO, "--trajectories", str(10**15)],
-        ["run", SCENARIO, "--exhaustive", "--trajectories", str(10**15)],
-        ["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1",
-         "--steps", str(csm_sim.cli.max_sweep_steps(2) + 1)],
-        ["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", str(10**15)],
+        (["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1",
+          "--steps", str(csm_sim.cli.max_sweep_steps(2) + 1)], "sweep: --steps"),
+        (["sweep", SCENARIO, "--param", "g", "--from", "0", "--to", "1", "--steps", str(10**15)],
+         "sweep: --steps"),
+        (["run", SCENARIO, "--trajectories", str(2**63)],
+         f"{SCENARIO}: n_samples: must be <= {2**63 - 1}\n"),
+        (["run", SCENARIO, "--exhaustive", "--trajectories", str(2**63)],
+         f"{SCENARIO}: n_samples: must be <= {2**63 - 1}\n"),
     ]
-    for argv in too_many:
+    for argv, message in too_many:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"{argv[0]}: --")
+        assert captured.err.startswith(message)
+
+
+def test_the_largest_sample_count_runs(capsys):
+    assert main(["run", SCENARIO, "--trajectories", str(2**63 - 1)]) == 0
+    ensemble = json.loads(capsys.readouterr().out)["results"]["ensemble"]
+    assert ensemble["sample_count"] == 2**63 - 1
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,6 @@ from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL, is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
 from csm_sim.runner import build_scenario_objects
-from csm_sim.trajectory import max_trajectories
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BALANCED = cs.parse_scenario(SCENARIOS / "balanced_qubit.json")
@@ -357,18 +356,17 @@ def test_a_numpy_float32_is_read_as_the_number_it_holds():
             assert caught.value.reason == f"expected a number, got {bad!r}"
 
 
-@pytest.mark.parametrize("n_samples", [max_trajectories(2) + 1, 10**22, 10**30])
+@pytest.mark.parametrize("n_samples", [2**63, 10**22, 10**30])
 def test_a_sample_count_past_the_sampler_s_memory_is_refused(n_samples):
-    # past it, _block_counts once raised numpy's "array is too big" or "Maximum allowed
-    # dimension exceeded"; the command line refuses the same count with its own message
+    # past an int64, numpy's multinomial would raise a bare OverflowError; an exhaustive
+    # run, which samples nothing, refuses the same count, as the command line does
     protocol = build_scenario_objects(BALANCED)[1]
     for call in (partial(cs.run_scenario, BALANCED, 0, n_samples),
+                 partial(cs.run_scenario, BALANCED, 0, n_samples, True),
                  partial(cs.mean_entropy_production, protocol, n_samples, 0)):
         with pytest.raises(ScenarioValidationError) as caught:
             call()
-        assert (caught.value.field, caught.value.reason) == (
-            "n_samples", f"must be <= {max_trajectories(2)}"
-        )
+        assert (caught.value.field, caught.value.reason) == ("n_samples", f"must be <= {2**63 - 1}")
 
 
 @pytest.mark.parametrize("path, value, field, reason", [

@@ -22,7 +22,6 @@ from csm_sim.errors import (
 )
 from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
-from csm_sim.trajectory import BLOCK, _block_counts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 TABLES_D64 = SCENARIO_DIR.parent / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
@@ -104,21 +103,11 @@ def test_exhaustive_mode(balanced_scenario):
     assert ensemble["mean_entropy_production"] == pytest.approx(np.log(2), abs=1e-12)
 
 
-def test_reports_byte_identical_across_runs_and_blocks(balanced_scenario):
-    first = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
-    second = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=400))
-    assert first == second
-    n = 2 * BLOCK + 7
-    multi = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n))
-    assert cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n)) == multi
-    # every full block of the shorter run reappears in the longer one
-    _, protocol, _, _ = cs.build_scenario_objects(balanced_scenario)
-    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
-    args = (cums, protocol.initial.index, protocol.dim, 11)
-    long, short = _block_counts(*args, n), _block_counts(*args, BLOCK + 1)
-    assert long.sum(axis=1).tolist() == [BLOCK, BLOCK, 7]
-    np.testing.assert_array_equal(short[0], long[0])
-    assert not np.array_equal(long[0], long[1])
+def test_reports_byte_identical_across_runs_and_sample_counts(balanced_scenario):
+    for n in (400, 10**15, 2**63 - 1):
+        first = cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n))
+        assert cs.report_to_json(cs.run_scenario(balanced_scenario, seed=11, n_samples=n)) == first
+        assert json.loads(first)["results"]["ensemble"]["sample_count"] == n
 
 
 def verified(scenario, tolerance):

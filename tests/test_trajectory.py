@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
@@ -14,7 +15,6 @@ from csm_sim.errors import (
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL
-from csm_sim.trajectory import BLOCK, _block_counts, _sample_paths
 from conftest import backward_log_prob, born, enumerated_ensemble, forward_log_prob
 from conftest import marginal_referee, point_mass
 
@@ -276,6 +276,41 @@ def _haar_protocol(seed, dim, steps):
     return cs.Protocol(contexts, contexts[0].modality(int(rng.integers(dim))))
 
 
+class _Uniforms:
+    """Stands in for ``np.random.default_rng``: each generator it makes draws ``values`` in turn."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+    def __call__(self, seed):
+        return self
+
+
+def _reflection_protocol(weights):
+    """A one-step protocol from the computational context's outcome ``j`` of largest weight,
+    whose step column is ``weights`` up to rounding, its zeros exact: the basis is the
+    Householder reflection taking e_j to sqrt(weights), whose row ``j`` that is, and which
+    is the identity off the support of ``weights``."""
+    v = np.sqrt(np.asarray(weights, dtype=float))
+    j = int(np.argmax(v))
+    u = -v
+    u[j] += 1.0
+    basis = np.eye(v.size) - 2.0 * np.outer(u, u) / (u @ u) if u.any() else np.eye(v.size)
+    z = cs.computational_context(v.size)
+    return cs.Protocol((z, cs.Context("reflection", basis)), z.modality(j))
+
+
+def _column(protocol):
+    return protocol.steps[0][:, protocol.initial.index]
+
+
+def _drawn(protocol, uniforms):
+    """The second outcome ``sample_trajectory`` draws from each of ``uniforms``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", _Uniforms(uniforms))
+        return [cs.sample_trajectory(protocol, 0).outcomes[1] for _ in uniforms]
+
+
 @pytest.mark.parametrize(
     "weights, u, expected",
     [
@@ -285,80 +320,44 @@ def _haar_protocol(seed, dim, steps):
     ],
 )
 def test_draws_never_return_zero_weight_outcome(weights, u, expected):
-    cum = np.cumsum(weights)
-    assert _draw_index(cum, u) == expected
-    paths = _sample_paths([cum[:, None]], np.zeros(1, dtype=np.intp), [np.array([u])])
-    assert paths.tolist() == [[0, expected]]
-
-
-# Dims around the kernel's padded column width W, the least power of two >= dim:
-# W = dim at 16, 64 and 256, where the bisection cannot reach the last entry.
-WIDTH_BOUNDARY_DIMS = (15, 16, 17, 63, 64, 65, 255, 256, 257)
-
-
-def _at_every_width_boundary(**fixed):
-    """Hypothesis examples that run a property once at each of ``WIDTH_BOUNDARY_DIMS``."""
-
-    def decorate(test):
-        for dim in WIDTH_BOUNDARY_DIMS:
-            test = example(seed=dim, dim=dim, **fixed)(test)
-        return test
-
-    return decorate
+    protocol = _reflection_protocol(weights)
+    assert _draw_index(np.cumsum(_column(protocol)), u) == expected
+    assert _drawn(protocol, [u]) == [expected]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
-    dim=st.one_of(st.integers(2, 8), st.sampled_from(WIDTH_BOUNDARY_DIMS)),
+    dim=st.one_of(st.integers(2, 8), st.sampled_from((16, 64, 257))),
     steps=st.integers(1, 4),
 )
-@_at_every_width_boundary(steps=2)
-def test_block_kernel_matches_scalar_draws(seed, dim, steps):
-    # Referee for the ensemble kernel: on identical uniforms it must reproduce
-    # the scalar inverse-CDF draw sample for sample, at every step.  Uniforms
-    # are chosen per sample from its own column: exact cumulative boundaries,
-    # the column total and just past it, zero, and ordinary draws.
+def test_sample_trajectory_matches_scalar_draws(seed, dim, steps):
+    # Referee for the sampler: one uniform of default_rng(seed) per step, in order, each
+    # drawn by inverse CDF from the previous outcome's column.
     protocol = _haar_protocol(seed, dim, steps)
-    cums = [np.cumsum(t, axis=0) for t in protocol.steps]
     rng = np.random.default_rng(seed)
-    n = 8 * min(dim, 8)
-    paths = np.empty((steps + 1, n), dtype=np.intp)
-    paths[0] = protocol.initial.index
-    uniforms = np.empty((steps, n))
-    for s, cum in enumerate(cums):
-        for i in range(n):
-            col = cum[:, paths[s, i]]
-            pool = np.concatenate([col, [np.nextafter(col[-1], 2.0), 0.0, rng.random()]])
-            uniforms[s, i] = pool[rng.integers(pool.size)]
-            paths[s + 1, i] = _draw_index(col, uniforms[s, i])
-    initial = np.full(n, protocol.initial.index, dtype=np.intp)
-    np.testing.assert_array_equal(_sample_paths(cums, initial, uniforms), paths.T)
+    path = [protocol.initial.index]
+    for t in protocol.steps:
+        path.append(_draw_index(np.cumsum(t, axis=0)[:, path[-1]], rng.random()))
+    assert cs.sample_trajectory(protocol, seed).outcomes == tuple(path)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    dim=st.one_of(st.integers(1, 8), st.sampled_from(WIDTH_BOUNDARY_DIMS)),
-)
-@_at_every_width_boundary()
-def test_block_kernel_never_draws_a_zero_weight_outcome_at_any_width(seed, dim):
-    # Columns with zero-weight runs, trailing ones included, so the cap at the
-    # last supported outcome binds; up to 8 columns are each drawn on every
-    # entry of the column, just past its total, and 0.0.
+@given(seed=st.integers(0, 2**31 - 1), dim=st.one_of(st.integers(2, 8), st.sampled_from((64, 257))))
+def test_sample_trajectory_never_draws_a_zero_weight_outcome_at_any_dim(seed, dim):
+    # A column with zero-weight runs, trailing ones included, so the cap at the last
+    # supported outcome binds; it is drawn on every entry of its cumulative sum, just past
+    # its total, and 0.0.
     rng = np.random.default_rng(seed)
-    weights = rng.random((dim, dim)) * (rng.random((dim, dim)) < rng.random())
-    weights[rng.integers(dim, size=dim), np.arange(dim)] = 1.0  # no empty column
-    cum = np.cumsum(weights / weights.sum(axis=0), axis=0)
-    picked = rng.choice(dim, size=min(dim, 8), replace=False)
-    state = np.repeat(picked, dim + 2)
-    columns = cum[:, picked].T
-    past_total = np.nextafter(columns[:, -1:], 2.0)
-    pool = np.concatenate([columns, past_total, np.zeros_like(past_total)], axis=1)
-    u = pool.ravel()
-    drawn = _sample_paths([cum], state, [u])[:, 1]
-    assert drawn.tolist() == [_draw_index(cum[:, j], v) for j, v in zip(state, u)]
-    assert np.all(weights[drawn, state] > 0.0)
+    weights = rng.random(dim) * (rng.random(dim) < rng.random())
+    weights[rng.integers(dim)] = 1.0  # no empty column
+    protocol = _reflection_protocol(weights / weights.sum())
+    column = _column(protocol)
+    cum = np.cumsum(column)
+    uniforms = [*cum.tolist(), np.nextafter(cum[-1], 2.0), 0.0]
+    drawn = _drawn(protocol, uniforms)
+    assert drawn == [_draw_index(cum, v) for v in uniforms]
+    assert np.all(column[drawn] > 0.0)
 
 
 def test_mean_entropy_production_shannon_identity_within_errorbars():
@@ -638,19 +637,54 @@ def test_meter_protocol_entropy_monotone_in_g(balanced):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
-def test_lazy_block_seeds_are_the_spawned_children(seed):
-    spawned = np.random.SeedSequence(seed).spawn(5)
-    for b in (0, 1, 4):
-        lazy = np.random.SeedSequence(seed, spawn_key=(b,))
-        np.testing.assert_array_equal(lazy.generate_state(8), spawned[b].generate_state(8))
-    # the sampler's counts equal the spawn-everything loop it replaced, block by block
-    t = cs.transition_matrix(cs.computational_context(3), cs.haar_context(3, seed))
-    cums = [np.cumsum(t, axis=0)]
-    n = 2 * BLOCK + 5
-    counts = _block_counts(cums, 0, 3, seed, n)
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(3)):
-        rng = np.random.default_rng(child)
-        size = min(BLOCK, n - b * BLOCK)
-        uniforms = (rng.random(size) for _ in cums)
-        finals = _sample_paths(cums, np.zeros(size, dtype=np.intp), uniforms)[:, -1]
-        np.testing.assert_array_equal(counts[b], np.bincount(finals, minlength=3))
+def test_ensemble_counts_are_one_multinomial_draw(seed, monkeypatch):
+    # the ensemble draws its final counts once, from default_rng(seed), over the supported
+    # outcomes of the exact marginal; the same (seed, n) give the same counts, summing to n
+    z = cs.computational_context(3)
+    protocol = cs.Protocol((z, cs.haar_context(3, seed), z), z.modality(0))
+    draws, real = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, entropy):
+            self.rng = real(entropy)
+
+        def multinomial(self, n, pvals):
+            draws.append((pvals, self.rng.multinomial(n, pvals)))
+            return draws[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    n = 100_003
+    first, again = (cs.mean_entropy_production(protocol, n, seed) for _ in range(2))
+    monkeypatch.undo()
+    assert first == again and len(draws) == 2
+    (pvals, counts), (_, counts_again) = draws
+    weights = protocol.marginal[protocol.marginal > 0.0]
+    np.testing.assert_array_equal(pvals, weights / weights.sum())
+    np.testing.assert_array_equal(counts, counts_again)
+    np.testing.assert_array_equal(counts, real(seed).multinomial(n, pvals))
+    assert counts.sum() == n
+    deltas = -np.log(weights)
+    exact = sum(int(c) * Fraction(float(d)) for c, d in zip(counts, deltas))
+    assert first.mean_entropy_production == float(exact / n)
+
+
+def test_the_ensemble_never_counts_an_outcome_of_weight_zero():
+    # numpy's multinomial gives its last category what the others leave; drawn over every
+    # outcome, a last one of weight 0 would take ~n·eps samples at the largest n, and the
+    # mean would read -log 0
+    protocol = _reflection_protocol([0.038, 0.566, 0.396, 0.0])
+    assert protocol.marginal[-1] == 0.0
+    for seed in range(20):
+        stats = cs.mean_entropy_production(protocol, 2**63 - 1, seed)
+        assert math.isfinite(stats.mean_entropy_production) and math.isfinite(stats.std_error)
+
+
+def test_sampled_mean_lies_within_its_error_bars_over_seeds():
+    # a qutrit protocol with three unequal final weights, so the std error is no rounding
+    z = cs.computational_context(3)
+    protocol = cs.Protocol((z, cs.haar_context(3, 11), cs.fourier_context(3)), z.modality(2))
+    entropy = cs.shannon_entropy(protocol.marginal)
+    for seed in range(50):
+        stats = cs.mean_entropy_production(protocol, 10_000, seed)
+        assert stats.std_error > 0.0
+        assert abs(stats.mean_entropy_production - entropy) <= 4 * stats.std_error

@@ -11,7 +11,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
 
     run --seed 0 --trajectories 5000
     run --seed 7 --trajectories 5000
-    run --seed 3 --trajectories 40000   (two full sampler blocks and a partial one)
+    run --seed 3 --trajectories 40000
     run --exhaustive
     verify
     verify --out REPORT                 (the full-precision report, compared too)
@@ -73,7 +73,7 @@ REPORT = "REPORT"  # in an invocation, the file its --out flag writes, under the
 INVOCATIONS = [
     ("run seed 0", ["run", "--seed", "0", "--trajectories", "5000"]),
     ("run seed 7", ["run", "--seed", "7", "--trajectories", "5000"]),
-    ("run seed 3 multi-block", ["run", "--seed", "3", "--trajectories", "40000"]),
+    ("run seed 3 40000", ["run", "--seed", "3", "--trajectories", "40000"]),
     ("run exhaustive", ["run", "--exhaustive"]),
     ("verify", ["verify"]),
     ("verify report", ["verify", "--out", REPORT]),
