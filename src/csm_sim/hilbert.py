@@ -19,13 +19,13 @@ make one, trust it.  The package's value rules each have one owner here: ``_numb
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``check_index`` for every
 index and outcome; ``_instance`` and ``_sequence`` for every typed operand and sequence;
-``_read_array`` for every caller's matrix and vector (a density matrix too), its shape and
-its entries' finiteness, so that only a length that differs from a partner's dim is left to
-``DimensionMismatch``; ``_saturated`` for every residual a check of such a matrix measures;
-``_hermitian`` for the Hermiticity residual and Hermitian part of an overlap or density
-matrix; ``_Recipe`` for the kind and fields of both recipes, ``_square`` for a recipe
-matrix's side; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields,
-and ``_Value``, the frozen base of every value type.
+``_shown`` for every value a refusal quotes; ``_read_array`` for every caller's matrix and
+vector (a density matrix too), its shape and its entries' finiteness, so that only a length
+that differs from a partner's dim is left to ``DimensionMismatch``; ``_saturated`` for every
+residual a check of such a matrix measures; ``_hermitian`` for the Hermiticity residual and
+Hermitian part of an overlap or density matrix; ``_Recipe`` for the kind and fields of both
+recipes, ``_square`` for a recipe matrix's side; ``INPUT_TOL``, the one floor inputs are
+trusted to; ``_hold``, frozen fields, and ``_Value``, the frozen base of every value type.
 
 ``INPUT_TOL`` (1e-10) sits far above rounding.  Against a 40-digit referee over dims 2–8
 (``tests/test_precision.py``), the worst table kernel is off by 1.7·dim·eps, 3.0e-15 at dim 8,
@@ -70,9 +70,21 @@ def check_index(field: str, index, dim: int) -> None:
     """Refuse ``index`` unless it is an integer in [0, dim), naming it ``field``."""
     # a plain int skips the ABC check, ~10x the cost of the rest: verify reads dim² per step
     if type(index) is not int and not is_integer(index):
-        raise ScenarioValidationError(field, f"{index!r} is not an integer")
+        raise ScenarioValidationError(field, f"{_shown(index)} is not an integer")
     if not 0 <= index < dim:
-        raise ScenarioValidationError(field, f"{index} not in [0, {dim})")
+        raise ScenarioValidationError(field, f"{_shown(index, str)} not in [0, {dim})")
+
+
+def _shown(value, show=repr) -> str:
+    """``show(value)``; past ``str``'s digit limit, an integer's digit count, else its type."""
+    try:
+        return show(value)
+    except ValueError:  # sys.get_int_max_str_digits() exceeded
+        if not is_integer(value):
+            return f"a {type(value).__name__} too long to show"
+        k = int(math.log10(abs(value)))  # 10**k <= |value| < 10**(k + 1), or one off
+        k += (abs(value) >= 10 ** (k + 1)) - (abs(value) < 10**k)
+        return f"{'a negative' if value < 0 else 'an'} integer of {k + 1} digits"
 
 
 def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
@@ -89,7 +101,7 @@ def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         array = None
     if array is None:
-        reason = f"cannot read {value!r:.60} as a {getattr(dtype, '__name__', 'numeric')} array"
+        reason = f"cannot read {_shown(value):.60} as a {getattr(dtype, '__name__', 'numeric')} array"
     elif shape and not (array.size and array.ndim == (1 if shape == "vector" else 2)
                         and (shape != "square matrix" or array.shape[0] == array.shape[1])):
         reason = f"need a non-empty {shape}, got shape {array.shape}"
@@ -323,16 +335,16 @@ def _number(field: str, value, least: float | None = None) -> float:
     except OverflowError:
         number = math.inf
     if isinstance(value, bool) or not math.isfinite(number):
-        raise ScenarioValidationError(field, f"expected a number, got {value!r}")
+        raise ScenarioValidationError(field, f"expected a number, got {_shown(value)}")
     if least is not None and number < least:
-        raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
+        raise ScenarioValidationError(field, f"must be >= {least}, got {_shown(value, str)}")
     return number
 
 
 def _instance(field: str, value, cls):
     """``value``, or the refusal of anything but a ``cls``."""
     if not isinstance(value, cls):
-        raise ScenarioValidationError(field, f"expected a {cls.__name__}, got {value!r:.60}")
+        raise ScenarioValidationError(field, f"expected a {cls.__name__}, got {_shown(value):.60}")
     return value
 
 
@@ -341,7 +353,8 @@ def _sequence(field: str, value, cls=None) -> tuple:
     try:
         items = tuple(value)
     except TypeError:
-        raise ScenarioValidationError(field, f"expected a sequence, got {value!r:.60}") from None
+        reason = f"expected a sequence, got {_shown(value):.60}"
+        raise ScenarioValidationError(field, reason) from None
     for s, item in enumerate(items if cls else ()):
         _instance(f"{field}[{s}]", item, cls)
     return items
@@ -350,9 +363,9 @@ def _sequence(field: str, value, cls=None) -> tuple:
 def _integer(field: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an int, or the refusal of anything but an integer in [``least``, ``most``]."""
     if not is_integer(value):
-        raise ScenarioValidationError(field, f"expected an integer, got {value!r}")
+        raise ScenarioValidationError(field, f"expected an integer, got {_shown(value)}")
     if least is not None and value < least:
-        raise ScenarioValidationError(field, f"must be >= {least}, got {value}")
+        raise ScenarioValidationError(field, f"must be >= {least}, got {_shown(value, str)}")
     if most is not None and value > most:
         raise ScenarioValidationError(field, f"must be <= {most}")
     return int(value)
@@ -369,7 +382,7 @@ class _Recipe:
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in self.FIELDS):
-            raise ScenarioValidationError("kind", f"unknown {self.WHAT} kind {self.kind!r}")
+            raise ScenarioValidationError("kind", f"unknown {self.WHAT} kind {_shown(self.kind)}")
         for name in sorted({name for names in self.FIELDS.values() for name in names}):
             needed = name in self.FIELDS[self.kind]
             if (getattr(self, name) is None) == needed:

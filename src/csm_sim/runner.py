@@ -8,11 +8,12 @@ the seed's generator, so it is reproducible given (seed, sample count).
 A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked
 them when made (:func:`~csm_sim.scenario.parse_scenario` only reads the text), so
 these entry points read its fields as they are and refuse anything but a scenario.
-``run`` and ``verify`` build every context of a scenario.  A sweep checks
-its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
-the contexts its parameter reads, plus every explicit context and the overlap
-matrix, the inputs construction can still refuse.  The ``g`` sweep interpolates between
-the dial's ends, the return tables that ``run``'s ``returns`` read (``Context.return_tables``).
+Each builds its objects through :func:`build_scenario_objects`, which records every
+input construction refuses: ``run`` and ``sweep`` raise the first, ``verify`` reports
+each as a failed check.  ``run`` and ``verify`` build every context; a sweep checks its
+grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only the contexts its
+parameter reads.  The ``g`` sweep interpolates between the dial's ends, the return tables
+that ``run``'s ``returns`` read (``Context.return_tables``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .hilbert import (
     _instance,
     _integer,
     _number,
+    _sequence,
+    _Value,
     build_context,
     clamp_probabilities,
     closure_residual,
@@ -61,23 +64,42 @@ from .scenario import Scenario, sweep_grid
 from .trajectory import Protocol, exhaustive_entropy_production, mean_entropy_production
 
 
-def build_scenario_objects(scenario: Scenario):
-    """Materialize the scenario: contexts by name, protocol, pointer, overlap matrix."""
+class _Objects(_Value):
+    """What :func:`build_scenario_objects` built, and the refusals it recorded."""
+
+    contexts: dict
+    protocol: Protocol | None
+    pointer: Context | None
+    gram: Gram | None
+    refused: tuple
+
+
+def build_scenario_objects(scenario: Scenario, names=None) -> _Objects:
+    """The ``contexts`` named (all if ``names`` is None) and every explicit one, the only kind
+    construction refuses; unless one was refused, the overlap matrix ``gram`` and, when ``names``
+    is None, the ``protocol`` and ``pointer`` (each None if not built); and ``refused``, each
+    (check name, :class:`RefusedInput`) construction raised, in document order, named as
+    ``verify`` reports it."""
     _instance("scenario", scenario, Scenario)
-    contexts = {
-        name: build_context(spec, id=name) for name, spec in scenario.contexts.items()
-    }
-    protocol, pointer = _protocol_objects(scenario, contexts)
-    gram = None if scenario.gram is None else build_gram(scenario.gram, scenario.dim)
-    return contexts, protocol, pointer, gram
-
-
-def _protocol_objects(scenario: Scenario, contexts: dict[str, Context]):
-    """Protocol and meter pointer (or None) over contexts already built."""
-    initial = Modality(contexts[scenario.sequence[0]], scenario.initial_index)
-    protocol = Protocol(tuple(contexts[name] for name in scenario.sequence), initial)
-    pointer = None if scenario.pointer is None else contexts[scenario.pointer]
-    return protocol, pointer
+    names = None if names is None else _sequence("names", names, str)
+    contexts, refused = {}, []
+    for name, spec in scenario.contexts.items():
+        if names is None or name in names or spec.kind == "explicit":
+            try:
+                contexts[name] = build_context(spec, id=name)
+            except RefusedInput as err:
+                refused.append((f"context[{name}].orthonormal", err))
+    protocol = pointer = gram = None
+    if not refused and names is None:
+        initial = Modality(contexts[scenario.sequence[0]], scenario.initial_index)
+        protocol = Protocol(tuple(contexts[name] for name in scenario.sequence), initial)
+        pointer = None if scenario.pointer is None else contexts[scenario.pointer]
+    if not refused and scenario.gram is not None:
+        try:
+            gram = build_gram(scenario.gram, scenario.dim)
+        except RefusedInput as err:
+            refused.append(("meter.gram_valid", err))
+    return _Objects(contexts, protocol, pointer, gram, tuple(refused))
 
 
 def _floats(values) -> list[float]:
@@ -149,23 +171,20 @@ def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     """Grid-complete sweep rows for one parameter; one row per grid point.
 
     Checks the grid with :func:`~csm_sim.scenario.sweep_grid` first, as a
-    scenario checks its document's, then builds only what ``param`` reads: the
-    initial context, and the pointer (``g``, ``m_count``) or the second protocol
-    context (``phase``).  It also builds every explicit context and the overlap
-    matrix, the only inputs of a scenario that construction can refuse, so a sweep
-    refuses whatever ``run`` refuses, with the same error.
+    scenario checks its document's, then builds through :func:`build_scenario_objects`
+    only the contexts ``param`` reads: the initial one, and the pointer (``g``,
+    ``m_count``) or the second protocol context (``phase``).  That build still makes
+    every input construction can refuse, so a sweep refuses whatever ``run`` refuses,
+    with the same error.
     """
     _instance("scenario", scenario, Scenario)
     grid = sweep_grid(param, values, scenario.pointer is not None, len(scenario.sequence))
     first, varied = scenario.sequence[0], _varied(scenario, param)
-    contexts = {
-        name: build_context(spec, id=name)
-        for name, spec in scenario.contexts.items()
-        if name in (first, varied) or spec.kind == "explicit"
-    }
-    gram = None if scenario.gram is None else build_gram(scenario.gram, scenario.dim)
-    initial = Modality(contexts[first], scenario.initial_index)
-    return _SWEEPS[param][0](initial, contexts[varied], gram, grid)
+    objects = build_scenario_objects(scenario, (first, varied))
+    if objects.refused:
+        raise objects.refused[0][1]
+    initial = Modality(objects.contexts[first], scenario.initial_index)
+    return _SWEEPS[param][0](initial, objects.contexts[varied], objects.gram, grid)
 
 
 def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list[list]]:
@@ -202,7 +221,11 @@ def run_scenario(
     _instance("scenario", scenario, Scenario)
     seed = _integer("seed", seed, 0)
     n_samples = _integer("n_samples", n_samples, 0 if exhaustive else 1, np.iinfo(np.int64).max)
-    contexts, protocol, pointer, gram = build_scenario_objects(scenario)
+    objects = build_scenario_objects(scenario)
+    if objects.refused:
+        raise objects.refused[0][1]
+    contexts, protocol = objects.contexts, objects.protocol
+    pointer, gram = objects.pointer, objects.gram
     initial = protocol.initial
     dim = scenario.dim
 
@@ -322,35 +345,31 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
     """
     _instance("scenario", scenario, Scenario)
     tolerance = _number("tolerance", tolerance, 0)
+    objects = build_scenario_objects(scenario)
+    refused = {name: {"name": name, "residual": err.residual, "pass": False, "refused": str(err)}
+               for name, err in objects.refused}
     checks: list[dict] = []
 
     def add(name: str, residual: float) -> None:
         ok = bool(residual <= tolerance)
         checks.append({"name": name, "residual": float(residual), "pass": ok})
 
-    def built(name: str, build, *args):
-        """``build(*args)``, or None once the refusal it raised is recorded as check ``name``."""
-        try:
-            return build(*args)
-        except RefusedInput as err:
-            refused = {"name": name, "residual": err.residual, "pass": False, "refused": str(err)}
-            checks.append(refused)
-            return None
+    def failed(name: str) -> bool:
+        """Whether check ``name`` was refused; if so, its refusal is recorded as a failed check."""
+        if name in refused:
+            checks.append(refused[name])
+        return name in refused
 
-    contexts: dict[str, Context] = {}
-    for name, spec in scenario.contexts.items():
-        ctx = built(f"context[{name}].orthonormal", build_context, spec, name)
-        if ctx is None:
-            continue
-        contexts[name] = ctx
-        add(f"context[{name}].orthonormal", ctx.orthonormality)
-        add(f"context[{name}].projectors", projector_residual(ctx))
-        add(f"context[{name}].closure", closure_residual(ctx))
+    for name in scenario.contexts:
+        if not failed(f"context[{name}].orthonormal"):
+            ctx = objects.contexts[name]
+            add(f"context[{name}].orthonormal", ctx.orthonormality)
+            add(f"context[{name}].projectors", projector_residual(ctx))
+            add(f"context[{name}].closure", closure_residual(ctx))
 
-    if len(contexts) < len(scenario.contexts):
+    protocol, pointer, gram = objects.protocol, objects.pointer, objects.gram
+    if protocol is None:  # a context was refused, so nothing after it was built
         return _verified(tolerance, checks)
-
-    protocol, pointer = _protocol_objects(scenario, contexts)
     initial = protocol.initial
     dim = scenario.dim
     for step, (a, b) in enumerate(zip(protocol.contexts[:-1], protocol.contexts[1:])):
@@ -366,10 +385,7 @@ def verify_report(scenario: Scenario, tolerance: float) -> dict:
         rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
         add(f"step[{step}].reversible_identity", _identity_residual(rev))
 
-    gram = None
-    if scenario.gram is not None:
-        gram = built("meter.gram_valid", build_gram, scenario.gram, dim)
-    if gram is not None:
+    if not failed("meter.gram_valid") and gram is not None:
         add("meter.gram_valid", 0.0)
         meters = meter_states_from_gram(gram)
         overlaps = meters.conj().T @ meters

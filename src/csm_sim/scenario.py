@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import CONTEXT_FIELDS, ContextSpec, _hold, _integer, _number, _Value, check_index
+from .hilbert import CONTEXT_FIELDS, ContextSpec, _hold, _integer, _number, _shown, _Value
+from .hilbert import check_index
 from .qnd import GRAM_FIELDS, GramSpec, _chain_length, _strength
 
 SCHEMA_VERSION = 1
@@ -73,7 +74,7 @@ class Scenario(_Value):
         _require_keys("document", raw, ("schema_version", "dim", "contexts", "protocol"),
                       ("meter", "sweep"))
         if _integer("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
-            reason = f"expected {SCHEMA_VERSION}, got {raw['schema_version']!r}"
+            reason = f"expected {SCHEMA_VERSION}, got {_shown(raw['schema_version'])}"
             raise ScenarioValidationError("schema_version", reason)
         dim = _integer("dim", raw["dim"], 2)
 
@@ -95,11 +96,11 @@ class Scenario(_Value):
         for pos, name in enumerate(sequence):
             if not _known(name, contexts):
                 raise ScenarioValidationError(
-                    f"protocol.sequence[{pos}]", f"undefined context {name!r}"
+                    f"protocol.sequence[{pos}]", f"undefined context {_shown(name)}"
                 )
         first = initial["context"]
         if not _known(first, contexts):
-            reason = f"undefined context {first!r}"
+            reason = f"undefined context {_shown(first)}"
             raise ScenarioValidationError("protocol.initial.context", reason)
         if first != sequence[0]:
             reason = f"{first!r} is not the first context of the sequence ({sequence[0]!r})"
@@ -119,7 +120,7 @@ class Scenario(_Value):
             _require_keys("meter", raw["meter"], ("pointer", "gram"))
             pointer = raw["meter"]["pointer"]
             if not _known(pointer, contexts):
-                raise ScenarioValidationError("meter.pointer", f"undefined context {pointer!r}")
+                raise ScenarioValidationError("meter.pointer", f"undefined context {_shown(pointer)}")
             gram = _recipe("meter.gram", raw["meter"]["gram"], dim, GRAM_FIELDS, GramSpec)
 
         sweeps = None
@@ -144,13 +145,13 @@ def _json_value(field: str, value) -> None:
     if type(value) is dict:
         for key, item in value.items():
             if type(key) is not str:
-                raise ScenarioValidationError(field, f"expected string keys, got {key!r:.60}")
+                raise ScenarioValidationError(field, f"expected string keys, got {_shown(key):.60}")
             _json_value(f"{field}.{key}", item)
     elif type(value) is list:
         for i, item in enumerate(value):
             _json_value(f"{field}[{i}]", item)
     elif type(value) not in (str, int, float, bool, type(None)):
-        raise ScenarioValidationError(field, f"expected a JSON value, got {value!r:.60}")
+        raise ScenarioValidationError(field, f"expected a JSON value, got {_shown(value):.60}")
 
 
 def _require_keys(field: str, data: dict, required: tuple, optional: tuple = ()) -> None:
@@ -171,7 +172,7 @@ def _complex_entry(field: str, value) -> complex:
         return complex(_number(field, value))
     if isinstance(value, list) and len(value) == 2:
         return complex(_number(f"{field}[0]", value[0]), _number(f"{field}[1]", value[1]))
-    raise ScenarioValidationError(field, f"expected a number or [re, im] pair, got {value!r}")
+    raise ScenarioValidationError(field, f"expected a number or [re, im] pair, got {_shown(value)}")
 
 
 def _matrix(field: str, data, dim: int) -> np.ndarray:

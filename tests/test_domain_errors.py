@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -360,13 +361,75 @@ def test_a_numpy_float32_is_read_as_the_number_it_holds():
 def test_a_sample_count_past_the_sampler_s_memory_is_refused(n_samples):
     # past an int64, numpy's multinomial would raise a bare OverflowError; an exhaustive
     # run, which samples nothing, refuses the same count, as the command line does
-    protocol = build_scenario_objects(BALANCED)[1]
+    protocol = build_scenario_objects(BALANCED).protocol
     for call in (partial(cs.run_scenario, BALANCED, 0, n_samples),
                  partial(cs.run_scenario, BALANCED, 0, n_samples, True),
                  partial(cs.mean_entropy_production, protocol, n_samples, 0)):
         with pytest.raises(ScenarioValidationError) as caught:
             call()
         assert (caught.value.field, caught.value.reason) == ("n_samples", f"must be <= {2**63 - 1}")
+
+
+@pytest.fixture
+def str_digit_limit():
+    """``str``'s default digit limit for ints, 4,300, set for the test and restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)
+
+
+# A value past ``str``'s digit limit is named by its digit count; one at the limit, by itself.
+@pytest.mark.parametrize("call, field, reason", [
+    (partial(cs.run_scenario, BALANCED, n_samples=1), "seed", "must be >= 0, got {}"),
+    (partial(cs.sample_trajectory, build_scenario_objects(BALANCED).protocol), "seed",
+     "must be >= 0, got {}"),
+    (partial(cs.verify_report, BALANCED), "tolerance", "expected a number, got {}"),
+])
+def test_an_integer_too_long_to_print_is_refused_by_its_digit_count(
+    str_digit_limit, call, field, reason
+):
+    for value, shown in (
+        (-(10**5000), "a negative integer of 5001 digits"),
+        (-(10**4400) + 1, "a negative integer of 4400 digits"),  # either side of a power of 10
+        (-(10**4400), "a negative integer of 4401 digits"),
+        (-(10**str_digit_limit), f"a negative integer of {str_digit_limit + 1} digits"),
+    ):
+        with pytest.raises(ScenarioValidationError) as caught:
+            call(value)
+        assert (caught.value.field, caught.value.reason) == (field, reason.format(shown))
+    # at the limit, the refusal quotes the value itself, as it always has
+    value = -(10**str_digit_limit) + 1
+    with pytest.raises(ScenarioValidationError) as caught:
+        call(value)
+    assert (caught.value.field, caught.value.reason) == (field, reason.format(value))
+
+
+@pytest.mark.parametrize("call, field, reason", [
+    (lambda v: cs.verify_report(BALANCED, v), "tolerance", "expected a number, got {}"),
+    (lambda v: cs.Modality(cs.computational_context(2), v), "index", "{} not in [0, 2)"),
+    (lambda v: cs.run_scenario(v, 0, 1), "scenario", "expected a Scenario, got {}"),
+    (lambda v: cs.von_neumann_entropy(v), "rho", "cannot read {} as a float array"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, schema_version=v)), "schema_version",
+     "expected 1, got {}"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, meter=dict(BALANCED.raw["meter"], pointer=v))),
+     "meter.pointer", "undefined context {}"),
+    (lambda v: cs.ContextSpec(v, 2), "kind", "unknown context kind {}"),
+])
+def test_every_reader_names_an_integer_too_long_to_print_by_its_digit_count(
+    str_digit_limit, call, field, reason
+):
+    with pytest.raises(ScenarioValidationError) as caught:
+        call(10**5000)
+    assert (caught.value.field, caught.value.reason) == (
+        field, reason.format("an integer of 5001 digits")
+    )
+
+
+def test_a_value_holding_an_integer_too_long_to_print_is_named_by_its_type(str_digit_limit):
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.verify_report(BALANCED, Fraction(10**5000))
+    assert caught.value.reason == "expected a number, got a Fraction too long to show"
 
 
 @pytest.mark.parametrize("path, value, field, reason", [

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -24,7 +25,8 @@ from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
 from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-TABLES_D64 = SCENARIO_DIR.parent / "perfbench" / "scenarios" / "seed0" / "tables_d64.json"
+PERFBENCH = SCENARIO_DIR.parent / "perfbench"
+TABLES_D64 = PERFBENCH / "scenarios" / "seed0" / "tables_d64.json"
 
 
 @pytest.fixture
@@ -33,12 +35,39 @@ def balanced_scenario():
 
 
 def test_build_objects_use_scenario_names(balanced_scenario):
-    contexts, protocol, pointer, gram = cs.build_scenario_objects(balanced_scenario)
-    assert set(contexts) == {"z", "x"}
-    assert [ctx.id for ctx in protocol.contexts] == ["z", "x"]
-    assert protocol.initial.index == 0
-    assert pointer.id == "x"
-    np.testing.assert_allclose(gram.matrix, cs.gram_uniform(2, 0.5).matrix)
+    objects = cs.build_scenario_objects(balanced_scenario)
+    assert set(objects.contexts) == {"z", "x"}
+    assert [ctx.id for ctx in objects.protocol.contexts] == ["z", "x"]
+    assert objects.protocol.initial.index == 0
+    assert objects.pointer.id == "x"
+    np.testing.assert_allclose(objects.gram.matrix, cs.gram_uniform(2, 0.5).matrix)
+    assert objects.refused == ()
+    # a partial build makes the contexts named, and the overlap matrix, but no protocol
+    partial_build = cs.build_scenario_objects(balanced_scenario, ["z"])
+    assert list(partial_build.contexts) == ["z"]
+    assert partial_build.protocol is partial_build.pointer is None
+    np.testing.assert_array_equal(partial_build.gram.matrix, objects.gram.matrix)
+    for names in (5, ["z", 5]):
+        with pytest.raises(ScenarioValidationError) as caught:
+            cs.build_scenario_objects(balanced_scenario, names)
+        assert caught.value.field.startswith("names")
+
+
+def test_the_benchmark_set_up_builds_each_of_its_scenarios_without_a_refusal(monkeypatch):
+    # perfbench/run.py's set-up step, read from its source and run here in process
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    [code] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and [target.id for target in node.targets] == ["SETUP_CODE"]]
+    build, built = cs.build_scenario_objects, []
+    monkeypatch.setattr(cs, "build_scenario_objects", lambda s: built.append(build(s)))
+    paths = sorted(p for p in (PERFBENCH / "scenarios" / "seed0").glob("*.json")
+                   if not p.name.endswith(".ref.json"))
+    assert len(paths) == 3
+    for path in paths:
+        monkeypatch.setattr(sys, "argv", ["-c", str(path)])
+        exec(code, {})
+    assert [objects.refused for objects in built] == [()] * len(paths)
+    assert all(objects.protocol is not None for objects in built)
 
 
 def test_report_structure_and_values(balanced_scenario):
@@ -233,21 +262,24 @@ def _near(bound: float):
 @given(
     theta=st.floats(0.0, np.pi),
     context_gap=_near(INPUT_TOL),
+    unread_gap=_near(INPUT_TOL),
     eigen_gap=_near(INPUT_TOL),
     asymmetry=_near(INPUT_TOL),
     diagonal_gap=_near(INPUT_TOL),
     log_tolerance=st.floats(-12.0, -3.0),
 )
 def test_verify_never_passes_what_construction_refuses(
-    theta, context_gap, eigen_gap, asymmetry, diagonal_gap, log_tolerance
+    theta, context_gap, unread_gap, eigen_gap, asymmetry, diagonal_gap, log_tolerance
 ):
-    # an explicit context and a gram around the bounds of their constructors
+    # two explicit contexts and a gram around the bounds of their constructors; the one no
+    # protocol step or sweep reads comes first, so that its refusal, if any, leads
     c, s = np.cos(theta), np.sin(theta)
     doc = {
         "schema_version": 1,
         "dim": 2,
         "contexts": {
             "z": {"kind": "computational"},
+            "unread": {"kind": "explicit", "matrix": [[c, s], [-s, c + unread_gap]]},
             "x": {"kind": "explicit", "matrix": [[c, -s], [s, c + context_gap]]},
         },
         "protocol": {"initial": {"context": "z", "index": 0}, "sequence": ["z", "x"]},
@@ -264,16 +296,25 @@ def test_verify_never_passes_what_construction_refuses(
         path.write_text(json.dumps(doc))
         scenario = cs.parse_scenario(path)
     ok, checks = verified(scenario, 10.0**log_tolerance)
-    by_name = {check["name"]: check for check in checks}
-    try:
-        cs.build_scenario_objects(scenario)
-    except (NonOrthonormalInput, InvalidGramMatrix) as err:
-        gram_refused = isinstance(err, InvalidGramMatrix)
-        name = "meter.gram_valid" if gram_refused else "context[x].orthonormal"
-        assert not ok
-        assert by_name[name]["pass"] is False
-        assert by_name[name]["residual"] == err.residual
-        assert by_name[name]["refused"] == str(err)
+    refused = cs.build_scenario_objects(scenario).refused
+    # verify writes each refusal the one build recorded, in its order, as a failed row
+    rows = [(c["name"], c["pass"], c["residual"], c["refused"]) for c in checks if "refused" in c]
+    assert rows == [(name, False, err.residual, str(err)) for name, err in refused]
+    assert not (ok and refused)
+    if any(name.startswith("context[") for name, _ in refused):  # nothing else is built
+        assert "meter.gram_valid" not in [check["name"] for check in checks]
+    if refused:  # run and every sweep raise the first refusal
+        first = refused[0][1]
+        assert isinstance(first, (NonOrthonormalInput, InvalidGramMatrix))
+        for call in (
+            lambda: cs.run_scenario(scenario, 0, 10),
+            lambda: sweep_rows(scenario, "g", [0.5]),
+            lambda: sweep_rows(scenario, "m_count", [1]),
+            lambda: sweep_rows(scenario, "phase", [0.5]),
+        ):
+            with pytest.raises(type(first)) as caught:
+                call()
+            assert (str(caught.value), caught.value.residual) == (str(first), first.residual)
 
 
 def test_report_with_non_finite_value_is_domain_error():

@@ -201,9 +201,9 @@ def test_explicit_matrices_with_complex_entries(tmp_path):
     scenario = cs.parse_scenario(write(tmp_path, doc))
     assert scenario.contexts["y"].matrix[1, 0] == 0.7071067811865476j
     assert scenario.gram.matrix[0, 1] == 0.5j
-    contexts, protocol, pointer, gram = cs.build_scenario_objects(scenario)
-    assert pointer.id == "y"
-    np.testing.assert_allclose(gram.matrix, [[1, 0.5j], [-0.5j, 1]])
+    objects = cs.build_scenario_objects(scenario)
+    assert objects.pointer.id == "y"
+    np.testing.assert_allclose(objects.gram.matrix, [[1, 0.5j], [-0.5j, 1]])
 
 
 def test_matrix_shape_validated(tmp_path):
@@ -263,8 +263,11 @@ def test_non_orthonormal_explicit_context_parses_but_fails_build(tmp_path):
         contexts={"c": {"kind": "explicit", "matrix": [[1, 0.1], [0, 1]]}},
     )
     scenario = cs.parse_scenario(write(tmp_path, doc))
+    [(name, err)] = cs.build_scenario_objects(scenario).refused
+    assert name == "context[c].orthonormal"
+    assert isinstance(err, cs.NonOrthonormalInput)
     with pytest.raises(cs.NonOrthonormalInput):
-        cs.build_scenario_objects(scenario)
+        cs.run_scenario(scenario, 0, 1)
 
 
 def _traced_peak(fn):

@@ -28,7 +28,9 @@ message shows too.  Among them are a broken grid (in the file or on the
 command line), a sweep the scenario cannot serve, an explicit matrix
 construction refuses (an overlap matrix with a negative eigenvalue also under
 ``verify --out``, so that the refusal the report records is compared too, and
-under it a basis and an overlap matrix whose residuals overflow a double), a
+under it a basis and an overlap matrix whose residuals overflow a double, and a
+document with two refused contexts and a refused overlap matrix under ``verify --out``,
+``run`` and two sweeps, so that the order of refusals shows), a
 context or gram recipe that breaks a rule of its kind (a negative Haar seed, a
 strength outside [0, 1], a rotation in dim 3), a ``schema_version`` that is no
 integer, a document rule (an undefined name in the sequence or as the pointer, an
@@ -117,6 +119,12 @@ def _unread_explicit_off_by_1e8(doc: dict) -> None:
     doc["contexts"]["unread"] = _rotation_off_by_1e8()
 
 
+def _three_refusals(doc: dict) -> None:
+    _explicit_x_off_by_1e8(doc)
+    _unread_explicit_off_by_1e8(doc)
+    _gram_eigenvalue_below_zero(doc)
+
+
 def _no_meter(doc: dict) -> None:
     del doc["meter"], doc["sweep"]
 
@@ -197,6 +205,12 @@ REFUSALS = [
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_G),
     ("gram_eigenvalue_-1e-9", _gram_eigenvalue_below_zero, SWEEP_PHASE),
     ("unread_explicit_off_by_1e-8", _unread_explicit_off_by_1e8, SWEEP_G),
+    # two refused contexts and a refused overlap matrix: verify records both contexts and
+    # builds nothing after them; run and both sweeps raise the first, x
+    ("three_refusals", _three_refusals, ["verify", "--out", REPORT]),
+    ("three_refusals", _three_refusals, ["run"]),
+    ("three_refusals", _three_refusals, SWEEP_G),
+    ("three_refusals", _three_refusals, SWEEP_PHASE),
     # an exact ensemble ignores the sample count, but not a negative one
     ("unedited", _unedited, ["run", "--exhaustive", "--trajectories", "-1"]),
     # a sample is needed unless the run is exhaustive, and a sweep grid must lie in its domain
