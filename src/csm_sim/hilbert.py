@@ -24,8 +24,9 @@ vector (a density matrix too), its shape and its entries' finiteness, so that on
 that differs from a partner's dim is left to ``DimensionMismatch``; ``_saturated`` for every
 residual a check of such a matrix measures; ``_hermitian`` for the Hermiticity residual and
 Hermitian part of an overlap or density matrix; ``_Recipe`` for the kind and fields of both
-recipes, ``_square`` for a recipe matrix's side; ``INPUT_TOL``, the one floor inputs are
-trusted to; ``_hold``, frozen fields, and ``_Value``, the frozen base of every value type.
+recipes, ``_square`` for a recipe matrix's side, ``MAX_DIM`` for the largest side a recipe
+builds; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields, and
+``_Value``, the frozen base of every value type.
 
 ``INPUT_TOL`` (1e-10) sits far above rounding.  Against a 40-digit referee over dims 2–8
 (``tests/test_precision.py``), the worst table kernel is off by 1.7·dim·eps, 3.0e-15 at dim 8,
@@ -47,6 +48,10 @@ from .errors import ScenarioValidationError
 
 # Validation tolerance for user-supplied matrices.
 INPUT_TOL = 1e-10
+
+# The largest dim a recipe builds (a context's, or a gram's meter count).  At it, one basis
+# and its conjugate, 32 B per entry, fill the table budget, ``scenario.MAX_TABLE_BYTES``.
+MAX_DIM = 4096
 
 
 def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
@@ -232,10 +237,11 @@ class Context(_Value):
     unitary M (1.5·I − 0.5·M†M), one Newton–Schulz step toward M's polar factor: O(residual²)
     from it, and M itself when M†M = I exactly, as for the identity.  ``orthonormality`` is
     max |M†M − I| of M as given, the largest double if it overflows.  ``adjoint`` is
-    ``basis.conj().T`` and ``dim`` the side length, read as ``ContextSpec`` reads it (an integer
-    >= 2), both set once here; ``adjoint`` is read-only like ``basis``.  Overlaps with another
-    context come from :meth:`overlaps`, one memoized table per partner, and the two return
-    tables through an intermediate context from :meth:`return_tables`, memoized the same way.
+    ``basis.conj().T`` and ``dim`` the side length, an integer >= 2 (``MAX_DIM`` bounds only a
+    recipe's: a matrix given here is already made), both set once here; ``adjoint`` is
+    read-only like ``basis``.  Overlaps with another context come from :meth:`overlaps`, one
+    memoized table per partner, and the two return tables through an intermediate context
+    from :meth:`return_tables`, memoized the same way.
     """
 
     id: str
@@ -415,8 +421,8 @@ class ContextSpec(_Recipe, _Value):
 
     ``kind`` is a key of ``CONTEXT_FIELDS``, and only the field it reads is set: ``theta``
     (radians, finite), ``seed`` (an integer >= 0) or ``matrix`` (dim × dim, held as a
-    read-only complex copy).  ``dim`` is an integer >= 2, and 2 for ``rotation``.  Two
-    recipes are equal, and hash alike, when kind, dim and that field are.
+    read-only complex copy).  ``dim`` is an integer in [2, ``MAX_DIM``], and 2 for
+    ``rotation``.  Two recipes are equal, and hash alike, when kind, dim and that field are.
     """
 
     FIELDS, WHAT = CONTEXT_FIELDS, "context"
@@ -429,7 +435,7 @@ class ContextSpec(_Recipe, _Value):
 
     def __post_init__(self):
         super().__post_init__()
-        dim = _integer("dim", self.dim, 2)
+        dim = _integer("dim", self.dim, 2, MAX_DIM)
         if self.kind == "rotation" and dim != 2:
             reason = f"rotation contexts require dim 2, scenario has dim {dim}"
             raise ScenarioValidationError("dim", reason)
@@ -468,7 +474,8 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
 
     The spec checked itself when made; only :class:`Context` can still refuse an
     ``explicit`` matrix (``NonOrthonormalInput``), and it holds an admitted one repaired.
-    ``id`` is a string, or None or empty for the kind's default label.
+    ``id`` is a string, or None or empty for the kind's default label; a Haar seed past
+    ``str``'s digit limit cannot label its context, so it needs an ``id``.
     """
     if id is not None:
         _instance("id", id, str)
@@ -485,7 +492,12 @@ def build_context(spec: ContextSpec, id: str | None = None) -> Context:
         basis = np.array([[c, -s], [s, c]], dtype=complex)
         return Context(id or f"rotation:{spec.theta!r}", basis)
     if kind == "haar":
-        return Context(id or f"haar:{dim}:{spec.seed}", _haar_unitary(dim, spec.seed))
+        try:
+            id = id or f"haar:{dim}:{spec.seed}"
+        except ValueError:  # sys.get_int_max_str_digits() exceeded
+            reason = f"{_shown(spec.seed, str)} is too long for the default label; give an id"
+            raise ScenarioValidationError("seed", reason) from None
+        return Context(id, _haar_unitary(dim, spec.seed))
     return Context(id or "explicit", spec.matrix)
 
 

@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
-from .hilbert import INPUT_TOL, Context, Modality, _hold, _integer, _number, _read_array, _Recipe
-from .hilbert import _hermitian, _saturated, _square, _Value, clamp_probabilities
+from .hilbert import INPUT_TOL, MAX_DIM, Context, Modality, _hold, _integer, _number, _read_array
+from .hilbert import _hermitian, _Recipe, _saturated, _square, _Value, clamp_probabilities
 from .measurement import _entropy, validate_distribution
 
 
@@ -122,10 +122,10 @@ class GramSpec(_Recipe, _Value):
 def build_gram(spec: GramSpec, n: int) -> Gram:
     """The overlap matrix of ``n`` meter states that a :class:`GramSpec` describes.
 
-    ``n`` is an integer >= 0, and an explicit matrix must be n × n (``ScenarioValidationError``
-    otherwise); :class:`Gram` refuses the empty matrix of ``n = 0``.
+    ``n`` is an integer in [0, ``MAX_DIM``], and an explicit matrix must be n × n
+    (``ScenarioValidationError`` otherwise); :class:`Gram` refuses the empty matrix of ``n = 0``.
     """
-    n = _integer("n", n, 0)
+    n = _integer("n", n, 0, MAX_DIM)
     if spec.kind == "explicit":
         _square(spec.matrix, n)
         return Gram(spec.matrix)

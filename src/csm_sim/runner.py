@@ -9,11 +9,12 @@ A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked
 them when made (:func:`~csm_sim.scenario.parse_scenario` only reads the text), so
 these entry points read its fields as they are and refuse anything but a scenario.
 Each builds its objects through :func:`build_scenario_objects`, which records every
-input construction refuses: ``run`` and ``sweep`` raise the first, ``verify`` reports
-each as a failed check.  ``run`` and ``verify`` build every context; a sweep checks its
-grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only the contexts its
-parameter reads.  The ``g`` sweep interpolates between the dial's ends, the return tables
-that ``run``'s ``returns`` read (``Context.return_tables``).
+input construction refuses: ``run`` and ``sweep`` raise the first.  ``verify`` is one
+stream of rows over that build, :func:`_checks`: a refusal is a failed row, and the rows
+that read a refused object are skipped.  ``run`` and ``verify`` build every context; a
+sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
+the contexts its parameter reads.  The ``g`` sweep interpolates between the dial's ends,
+the return tables that ``run``'s ``returns`` read (``Context.return_tables``).
 """
 
 from __future__ import annotations
@@ -41,12 +42,7 @@ from .hilbert import (
     context_change_unitary,
     projector_residual,
 )
-from .measurement import (
-    interference_returns,
-    irreversible_return,
-    reversible_return,
-    transition_matrix,
-)
+from .measurement import interference_returns, irreversible_return, reversible_return
 from .qnd import (
     Gram,
     _branch,
@@ -331,83 +327,75 @@ def report_to_json(report: dict) -> str:
     return _encode(report, "") + "\n"
 
 
+def _checks(scenario: Scenario, objects: _Objects):
+    """``verify``'s rows in report order: ``(name, residual)``, or ``(name, RefusedInput)`` where
+    the build refused.  Rows that read a refused object are skipped: after a refused context,
+    every row past the context rows; after a refused gram, the meter rows past its own."""
+    refused = dict(objects.refused)
+    for name in scenario.contexts:
+        check = f"context[{name}].orthonormal"
+        if check in refused:
+            yield check, refused[check]
+            continue
+        ctx = objects.contexts[name]
+        yield check, ctx.orthonormality
+        yield f"context[{name}].projectors", projector_residual(ctx)
+        yield f"context[{name}].closure", closure_residual(ctx)
+
+    protocol = objects.protocol
+    if protocol is None:
+        return
+    initial, pointer, gram, dim = protocol.initial, objects.pointer, objects.gram, protocol.dim
+    for step, (a, b, t) in enumerate(zip(protocol.contexts, protocol.contexts[1:], protocol.steps)):
+        u = context_change_unitary(a, b)
+        yield f"step[{step}].unitarity", _identity_residual(u.conj().T @ u)
+        sums = (float(np.max(np.abs(t.sum(axis) - 1.0))) for axis in (0, 1))
+        yield f"step[{step}].transition_sums", max(sums)
+        starts = [Modality(a, i) for i in range(dim)]
+        rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
+        yield f"step[{step}].reversible_identity", _identity_residual(rev)
+
+    if "meter.gram_valid" in refused:
+        yield "meter.gram_valid", refused["meter.gram_valid"]
+    elif gram is not None:
+        yield "meter.gram_valid", 0.0
+        meters = meter_states_from_gram(gram)
+        overlaps = meters.conj().T @ meters
+        yield "meter.states_reproduce_overlaps", float(np.max(np.abs(overlaps - gram.matrix)))
+        state = entangle(initial, pointer, meters)
+        yield "meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0)
+        probs = meter_return_probabilities(initial, pointer, gram)
+        yield "meter.return_normalization", abs(float(probs.sum()) - 1.0)
+        composite = composite_return_probabilities(state, initial.context, pointer)
+        yield "meter.return_two_form_agreement", float(np.max(np.abs(probs - composite)))
+        rho = meter_chain_reduced_state(initial, pointer, gram, 1)
+        yield "meter.reduced_state", max(density_matrix_residuals(rho).values())
+        traced = reduced_system_state(state, pointer)
+        yield "meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced)))
+
+    # the marginal is clamped into [0, 1] when made, so its sum is all there is to measure
+    yield "protocol.final_marginal", abs(float(protocol.marginal.sum()) - 1.0)
+
+
 def verify_report(scenario: Scenario, tolerance: float) -> dict:
     """Measure every invariant residual on the scenario's objects.
 
-    Returns the report: tool, version, ``tolerance``, whether every check passed
-    (``pass``) and the ``checks``; each check carries its name, the measured
-    residual and whether it is within ``tolerance``.  A constructor's refusal
-    is recorded as a failure whatever ``tolerance`` is, with the residual it
-    measured and its message under ``refused``; dependent checks are skipped.
-    The meter checks measure the closed-form quantities ``run`` reports
-    against the explicit composite state, built here and nowhere else.
+    Returns the report: tool, version, ``tolerance``, whether every check passed (``pass``)
+    and the ``checks``, one per row of :func:`_checks` over :func:`build_scenario_objects`:
+    each carries its name, the measured residual and whether it is within ``tolerance``.  A
+    constructor's refusal fails whatever ``tolerance`` is, with the residual it measured and
+    its message under ``refused``.  The meter checks measure the closed-form quantities
+    ``run`` reports against the explicit composite state, built here and nowhere else.
     ``tolerance`` is a finite number >= 0.
     """
     _instance("scenario", scenario, Scenario)
     tolerance = _number("tolerance", tolerance, 0)
-    objects = build_scenario_objects(scenario)
-    refused = {name: {"name": name, "residual": err.residual, "pass": False, "refused": str(err)}
-               for name, err in objects.refused}
-    checks: list[dict] = []
-
-    def add(name: str, residual: float) -> None:
-        ok = bool(residual <= tolerance)
-        checks.append({"name": name, "residual": float(residual), "pass": ok})
-
-    def failed(name: str) -> bool:
-        """Whether check ``name`` was refused; if so, its refusal is recorded as a failed check."""
-        if name in refused:
-            checks.append(refused[name])
-        return name in refused
-
-    for name in scenario.contexts:
-        if not failed(f"context[{name}].orthonormal"):
-            ctx = objects.contexts[name]
-            add(f"context[{name}].orthonormal", ctx.orthonormality)
-            add(f"context[{name}].projectors", projector_residual(ctx))
-            add(f"context[{name}].closure", closure_residual(ctx))
-
-    protocol, pointer, gram = objects.protocol, objects.pointer, objects.gram
-    if protocol is None:  # a context was refused, so nothing after it was built
-        return _verified(tolerance, checks)
-    initial = protocol.initial
-    dim = scenario.dim
-    for step, (a, b) in enumerate(zip(protocol.contexts[:-1], protocol.contexts[1:])):
-        u = context_change_unitary(a, b)
-        add(f"step[{step}].unitarity", _identity_residual(u.conj().T @ u))
-        t = transition_matrix(a, b)
-        sums = max(
-            float(np.max(np.abs(t.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(t.sum(axis=1) - 1.0))),
-        )
-        add(f"step[{step}].transition_sums", sums)
-        starts = [Modality(a, i) for i in range(dim)]
-        rev = np.array([[reversible_return(m, b, k) for m in starts] for k in range(dim)])
-        add(f"step[{step}].reversible_identity", _identity_residual(rev))
-
-    if not failed("meter.gram_valid") and gram is not None:
-        add("meter.gram_valid", 0.0)
-        meters = meter_states_from_gram(gram)
-        overlaps = meters.conj().T @ meters
-        add("meter.states_reproduce_overlaps", float(np.max(np.abs(overlaps - gram.matrix))))
-        state = entangle(initial, pointer, meters)
-        add("meter.composite_norm", abs(float(np.linalg.norm(state)) - 1.0))
-        probs = meter_return_probabilities(initial, pointer, gram)
-        add("meter.return_normalization", abs(float(probs.sum()) - 1.0))
-        composite = composite_return_probabilities(state, initial.context, pointer)
-        add("meter.return_two_form_agreement", float(np.max(np.abs(probs - composite))))
-        rho = meter_chain_reduced_state(initial, pointer, gram, 1)
-        residuals = density_matrix_residuals(rho)
-        add("meter.reduced_state", max(residuals.values()))
-        traced = reduced_system_state(state, pointer)
-        add("meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced))))
-
-    # the marginal is clamped into [0, 1] when made, so its sum is all there is to measure
-    add("protocol.final_marginal", abs(float(protocol.marginal.sum()) - 1.0))
-    return _verified(tolerance, checks)
-
-
-def _verified(tolerance: float, checks: list[dict]) -> dict:
+    checks = [
+        {"name": name, "residual": value.residual, "pass": False, "refused": str(value)}
+        if isinstance(value, RefusedInput)
+        else {"name": name, "residual": float(value), "pass": bool(value <= tolerance)}
+        for name, value in _checks(scenario, build_scenario_objects(scenario))
+    ]
     return {
         "tool": "csm-sim",
         "version": __version__,

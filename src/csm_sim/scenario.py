@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .hilbert import CONTEXT_FIELDS, ContextSpec, _hold, _integer, _number, _shown, _Value
+from .hilbert import CONTEXT_FIELDS, MAX_DIM, ContextSpec, _hold, _integer, _number, _shown, _Value
 from .hilbert import check_index
 from .qnd import GRAM_FIELDS, GramSpec, _chain_length, _strength
 
@@ -36,10 +36,10 @@ SCHEMA_VERSION = 1
 SWEEP_PARAMS = ("g", "m_count", "phase")  # in report order
 
 # Bytes the dim-sized arrays of a scenario may take, checked at parse time so
-# that an oversized ``dim`` is refused before anything is built.  Transient
-# products (B†B at construction, the residuals of ``verify``) add a few more
-# dim² arrays on top.
-MAX_TABLE_BYTES = 1 << 29
+# that an oversized ``dim`` is refused before anything is built: one basis and its
+# conjugate at the largest dim, 2**29.  Transient products (B†B at construction,
+# the residuals of ``verify``) add a few more dim² arrays on top.
+MAX_TABLE_BYTES = 32 * MAX_DIM * MAX_DIM
 
 
 def table_bytes(dim: int, n_contexts: int, n_steps: int) -> int:
@@ -76,13 +76,14 @@ class Scenario(_Value):
         if _integer("schema_version", raw["schema_version"]) != SCHEMA_VERSION:
             reason = f"expected {SCHEMA_VERSION}, got {_shown(raw['schema_version'])}"
             raise ScenarioValidationError("schema_version", reason)
-        dim = _integer("dim", raw["dim"], 2)
+        dim = _integer("dim", raw["dim"], 2, MAX_DIM)
 
         if not isinstance(raw["contexts"], dict) or not raw["contexts"]:
             raise ScenarioValidationError("contexts", "expected a non-empty object")
         make_context = partial(ContextSpec, dim=dim)
         contexts = {
-            name: _recipe(f"contexts.{name}", spec, dim, CONTEXT_FIELDS, make_context)
+            name: _recipe(f"contexts.{_shown(name, str)}", spec, dim, CONTEXT_FIELDS,
+                          make_context)
             for name, spec in raw["contexts"].items()
         }
 
@@ -141,7 +142,8 @@ class Scenario(_Value):
 def _json_value(field: str, value) -> None:
     """Refuse ``value`` unless it is one ``json.loads`` returns, so that a report can echo it:
     a dict of string keys, a list, a string, an int, a float, a bool or None, nested, each of
-    that type exactly (a NumPy scalar, an array or a tuple is refused, naming its field)."""
+    that type exactly (a NumPy scalar, an array or a tuple is refused, naming its field), and
+    an int within ``str``'s digit limit, the only ones ``json.loads`` reads or a report writes."""
     if type(value) is dict:
         for key, item in value.items():
             if type(key) is not str:
@@ -150,7 +152,13 @@ def _json_value(field: str, value) -> None:
     elif type(value) is list:
         for i, item in enumerate(value):
             _json_value(f"{field}[{i}]", item)
-    elif type(value) not in (str, int, float, bool, type(None)):
+    elif type(value) is int:
+        try:
+            str(value)
+        except ValueError:  # sys.get_int_max_str_digits() exceeded
+            reason = f"expected a JSON value, got {_shown(value)}"
+            raise ScenarioValidationError(field, reason) from None
+    elif type(value) not in (str, float, bool, type(None)):
         raise ScenarioValidationError(field, f"expected a JSON value, got {_shown(value):.60}")
 
 
@@ -161,7 +169,7 @@ def _require_keys(field: str, data: dict, required: tuple, optional: tuple = ())
         raise ScenarioValidationError(field, f"expected an object, got {type(data).__name__}")
     for key in data:
         if key not in required and key not in optional:
-            raise ScenarioValidationError(f"{field}.{key}", "unknown key")
+            raise ScenarioValidationError(f"{field}.{_shown(key, str)}", "unknown key")
     for key in required:
         if key not in data:
             raise ScenarioValidationError(f"{field}.{key}", "missing required key")

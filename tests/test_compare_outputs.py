@@ -98,7 +98,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     assert len(admitted) == len(compare_outputs.ADMITTED)
     scenario_runs = len(runs) - len(refusals) - len(admitted)
     assert scenario_runs == len(compare_outputs.scenarios()) * per_scenario
-    assert per_scenario == 9
+    assert per_scenario == 10
     assert len(refusals) == len(compare_outputs.REFUSALS) == 33
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a

@@ -31,9 +31,10 @@ from hypothesis import strategies as st
 import csm_sim as cs
 from csm_sim.errors import CsmSimError, DimensionMismatch, InvalidGramMatrix
 from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
-from csm_sim.hilbert import INPUT_TOL, is_integer
+from csm_sim.hilbert import INPUT_TOL, MAX_DIM, is_integer
 from csm_sim.qnd import build_gram, density_matrix_residuals
 from csm_sim.runner import build_scenario_objects
+from csm_sim.scenario import MAX_TABLE_BYTES
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BALANCED = cs.parse_scenario(SCENARIOS / "balanced_qubit.json")
@@ -415,15 +416,44 @@ def test_an_integer_too_long_to_print_is_refused_by_its_digit_count(
     (lambda v: cs.Scenario(dict(BALANCED.raw, meter=dict(BALANCED.raw["meter"], pointer=v))),
      "meter.pointer", "undefined context {}"),
     (lambda v: cs.ContextSpec(v, 2), "kind", "unknown context kind {}"),
+    # a size past the largest recipe, a Haar seed in its default label, a key in a field name,
+    # and an integer no report can echo
+    (lambda v: cs.computational_context(v), "dim", f"must be <= {MAX_DIM}"),
+    (lambda v: cs.fourier_context(v), "dim", f"must be <= {MAX_DIM}"),
+    (lambda v: cs.gram_uniform(v, 0.5), "n", f"must be <= {MAX_DIM}"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, dim=v)), "dim", f"must be <= {MAX_DIM}"),
+    (lambda v: cs.haar_context(2, v), "seed", "{} is too long for the default label; give an id"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, contexts={**BALANCED.raw["contexts"],
+                                                        v: {"kind": "computational"}})),
+     "contexts", "expected string keys, got {}"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, sweep={v: [0.5]})), "sweep.{}", "unknown key"),
+    (lambda v: cs.Scenario(dict(BALANCED.raw, contexts={**BALANCED.raw["contexts"],
+                                                        "y": {"kind": "haar", "seed": v}})),
+     "contexts.y.seed", "expected a JSON value, got {}"),
 ])
 def test_every_reader_names_an_integer_too_long_to_print_by_its_digit_count(
     str_digit_limit, call, field, reason
 ):
     with pytest.raises(ScenarioValidationError) as caught:
         call(10**5000)
-    assert (caught.value.field, caught.value.reason) == (
-        field, reason.format("an integer of 5001 digits")
-    )
+    shown = "an integer of 5001 digits"
+    assert (caught.value.field, caught.value.reason) == (field.format(shown), reason.format(shown))
+
+
+@pytest.mark.parametrize("call, field", [
+    (cs.computational_context, "dim"),
+    (cs.fourier_context, "dim"),
+    (lambda v: cs.haar_context(v, 0), "dim"),
+    (lambda v: cs.gram_uniform(v, 0.5), "n"),
+    (lambda v: build_gram(cs.GramSpec("explicit", matrix=np.eye(2)), v), "n"),
+])
+def test_a_size_past_the_largest_recipe_is_refused(call, field):
+    # one basis and its conjugate at MAX_DIM fill the scenario's table budget
+    assert 32 * MAX_DIM**2 == MAX_TABLE_BYTES
+    for size in (MAX_DIM + 1, 10**6):
+        with pytest.raises(ScenarioValidationError) as caught:
+            call(size)
+        assert (caught.value.field, caught.value.reason) == (field, f"must be <= {MAX_DIM}")
 
 
 def test_a_value_holding_an_integer_too_long_to_print_is_named_by_its_type(str_digit_limit):

@@ -27,6 +27,9 @@ from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PERFBENCH = SCENARIO_DIR.parent / "perfbench"
 TABLES_D64 = PERFBENCH / "scenarios" / "seed0" / "tables_d64.json"
+CHECKED_IN = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
+    path for path in TABLES_D64.parent.glob("*.json") if not path.name.endswith(".ref.json")
+)
 
 
 @pytest.fixture
@@ -145,13 +148,25 @@ def verified(scenario, tolerance):
     return report["pass"], report["checks"]
 
 
-def test_verify_clean_scenario_passes(balanced_scenario):
-    ok, checks = verified(balanced_scenario, 1e-10)
+METER_ROWS = ("gram_valid", "states_reproduce_overlaps", "composite_norm", "return_normalization",
+              "return_two_form_agreement", "reduced_state", "reduced_state_two_form_agreement")
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_verify_clean_scenario_passes(path):
+    # every row passes, and the rows come in the report's order, read off the document:
+    # per context, per step, the meter's when it has one, the protocol's marginal last
+    doc = json.loads(path.read_text())
+    ok, checks = verified(cs.parse_scenario(path), 1e-10)
     assert ok
     assert all(c["pass"] for c in checks)
-    names = {c["name"] for c in checks}
-    assert "meter.return_two_form_agreement" in names
-    assert "step[0].reversible_identity" in names
+    steps = range(len(doc["protocol"]["sequence"]) - 1)
+    expected = [f"context[{name}].{row}" for name in doc["contexts"]
+                for row in ("orthonormal", "projectors", "closure")]
+    expected += [f"step[{s}].{row}" for s in steps
+                 for row in ("unitarity", "transition_sums", "reversible_identity")]
+    expected += [f"meter.{row}" for row in METER_ROWS] if "meter" in doc else []
+    assert [c["name"] for c in checks] == [*expected, "protocol.final_marginal"]
 
 
 def test_run_and_g_sweep_never_build_a_composite_state(monkeypatch):
@@ -505,9 +520,6 @@ def test_a_meter_sweep_builds_no_unread_haar_context(tmp_path, argv, loaded):
     assert done.stdout.split() == ["0", str(loaded)]
 
 
-CHECKED_IN = sorted(SCENARIO_DIR.glob("*.json")) + sorted(
-    path for path in TABLES_D64.parent.glob("*.json") if not path.name.endswith(".ref.json")
-)
 GRIDS = {"g": np.linspace(0, 1, 11).tolist(), "m_count": list(range(9)),
          "phase": np.linspace(0, 2 * np.pi, 11).tolist()}
 

@@ -14,6 +14,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     run --seed 3 --trajectories 40000
     run --exhaustive
     verify
+    verify --tolerance 0                (PASS and FAIL rows side by side, exit 1)
     verify --out REPORT                 (the full-precision report, compared too)
     sweep --param g       --from 0 --to 1    --steps 11
     sweep --param m_count --from 0 --to 8    --steps 9
@@ -78,6 +79,7 @@ INVOCATIONS = [
     ("run seed 3 40000", ["run", "--seed", "3", "--trajectories", "40000"]),
     ("run exhaustive", ["run", "--exhaustive"]),
     ("verify", ["verify"]),
+    ("verify tol 0", ["verify", "--tolerance", "0"]),
     ("verify report", ["verify", "--out", REPORT]),
     ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
     ("sweep m_count", ["sweep", "--param", "m_count", "--from", "0", "--to", "8", "--steps", "9"]),
