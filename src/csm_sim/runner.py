@@ -35,6 +35,7 @@ from .hilbert import (
     _integer,
     _number,
     _sequence,
+    _shown,
     _Value,
     build_context,
     clamp_probabilities,
@@ -294,7 +295,10 @@ def _encode(value, indent: str) -> str:
     if value is False:
         return "false"
     if isinstance(value, int):
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # sys.get_int_max_str_digits() exceeded
+            raise CsmSimError(f"report holds {_shown(value)}, too long to write") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise CsmSimError(

@@ -11,15 +11,17 @@ Irreversibility is quantified per trajectory as the log-ratio of the
 forward path probability to the probability of the time-reversed path,
 where the reversed path starts by drawing the final outcome from a
 reference distribution (by default the exact final marginal, i.e. the
-unread-outcome case).  Because single-step transition probabilities are
-symmetric, the conditional factors cancel pairwise and the log-ratio
-telescopes to -log of the reference weight of the realized final outcome,
-which is what every route returns.  One kernel, ``_step_gaps``, cross-checks
-that cancellation: per step, the gap between the log of the forward table
-and of the backward route's own table.  A single path sums its gaps; the
-exact ensemble bounds the sum over every path in one max-plus and one
-min-plus pass.  An entry of forward weight at most ``INPUT_TOL`` is rounding
-residue, as where one context is measured twice, and carries no gap.
+unread-outcome case).  A single change of context has symmetric transition
+probabilities, T(a→b) = T(b→a)ᵀ, so the conditional factors cancel pairwise
+and the log-ratio telescopes to -log of the reference weight of the realized
+final outcome, which is what every route returns.  A :class:`Protocol`
+cross-checks that identity once, when it is made: per step, the forward table
+and the transpose of the backward route's own table
+``transition_matrix(contexts[s + 1], contexts[s])`` agree within
+``CROSS_CHECK_TOL``, or it raises ``InternalConsistencyError``.  Every route
+reads a protocol so checked.  The tables are compared, not their logs: a weight
+t just above rounding comes from an overlap of ~√t whose own rounding puts its
+log ratio ~eps/√t off, past any fixed bound, while the weights agree to eps.
 Averaged over trajectories, the entropy production is the Shannon entropy of
 the final outcome distribution, whose kernel sums a von Neumann entropy too.
 Sampled or exact, an ensemble is one ``TrajectoryEnsembleStats``, whose ``mode``
@@ -27,8 +29,8 @@ says which.  Neither builds a path, so no protocol is too long: the exact one we
 each final outcome by the marginal, the sampled one counts the final outcomes of
 its trajectories in one multinomial draw over it.
 
-``CROSS_CHECK_TOL`` (1e-12) is some 40 times the largest path gap sum seen, 2.5e-14 over
-3,000 random protocols of dims 2–8 and 2–6 contexts, and some 500 times the worst error of
+``CROSS_CHECK_TOL`` (1e-12) is some 1,800 times the largest table residual seen,
+5.6e-16 over 300 Haar/Fourier protocols of dims 2–64, and some 500 times the worst error of
 the marginal and the exact mean against a 40-digit referee (``tests/test_precision.py``):
 1.0·dim·eps, 1.8e-15 at dim 8.
 """
@@ -40,11 +42,11 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
-from .hilbert import INPUT_TOL, Context, Modality, _hold, _instance, _integer, _sequence, _Value
+from .hilbert import Context, Modality, _hold, _instance, _integer, _sequence, _Value
 from .hilbert import check_index, clamp_probabilities
 from .measurement import _entropy, transition_matrix, validate_distribution
 
-# Two evaluation routes of the same log-ratio must agree to this.
+# A step's forward table and its backward route's, transposed, must agree to this.
 CROSS_CHECK_TOL = 1e-12
 
 
@@ -55,7 +57,10 @@ class Protocol(_Value):
     transition table ``transition_matrix(contexts[s], contexts[s + 1])`` of every step; and
     ``marginal``, the exact outcome distribution in the last context with
     outcomes unread (the initial point mass pushed through ``steps``, each
-    product clamped).  Equality and hash are those of (contexts, initial).
+    product clamped).  Each step is cross-checked once, here: its table is within
+    ``CROSS_CHECK_TOL`` of the transposed table ``transition_matrix(contexts[s + 1],
+    contexts[s])`` of the backward route, entry by entry, or the protocol raises
+    ``InternalConsistencyError``.  Equality and hash are those of (contexts, initial).
     """
 
     contexts: tuple[Context, ...]
@@ -74,7 +79,10 @@ class Protocol(_Value):
         dim = contexts[0].dim
         marginal = np.zeros(dim)
         marginal[self.initial.index] = 1.0
-        for t in steps:
+        for t, a, b in zip(steps, contexts, contexts[1:]):
+            gap = float(np.max(np.abs(t - transition_matrix(b, a).T)))
+            if not gap <= CROSS_CHECK_TOL:
+                raise InternalConsistencyError(f"entropy production routes disagree by {gap:.17g}")
             marginal = clamp_probabilities(t @ marginal)
         _hold(self, contexts=contexts, steps=steps, marginal=marginal, dim=dim)
 
@@ -124,36 +132,13 @@ def _reference(protocol: Protocol, final_dist) -> np.ndarray:
     return final_dist
 
 
-def _step_gaps(protocol: Protocol) -> list[np.ndarray]:
-    """The cross-check kernel: per step ``s``, ``log T_s[j', j] - log T'_s[j, j']`` on live entries.
-
-    ``T_s`` is ``protocol.steps[s]`` and ``T'_s`` the backward route's own table
-    ``transition_matrix(contexts[s + 1], contexts[s])``; a path's gaps sum to forward
-    minus backward log-probability less the telescoped term, which is 0 in exact
-    arithmetic.  An entry is live when its forward weight exceeds ``INPUT_TOL``; below
-    that it is rounding residue (~1e-33 where one Fourier or Haar context is measured
-    twice), whose log ratio means nothing, and its gap reads 0.
-    """
-    c, gaps = protocol.contexts, []
-    for s, t in enumerate(protocol.steps):
-        live = t > INPUT_TOL
-        gap = np.zeros_like(t)
-        with np.errstate(divide="ignore"):  # a backward weight of 0 gives an infinite gap
-            gap[live] = np.log(t[live]) - np.log(transition_matrix(c[s + 1], c[s]).T[live])
-        gaps.append(gap)
-    return gaps
-
-
 def _single_path(protocol: Protocol, outcomes: tuple, reference: np.ndarray) -> tuple:
-    """Forward log-probability and cross-checked entropy production of one path."""
+    """Forward log-probability and entropy production of one path."""
     moves = list(zip(outcomes[1:], outcomes[:-1]))  # (next, previous) per step
     with np.errstate(divide="ignore"):
         fwd = float(np.log([t[move] for t, move in zip(protocol.steps, moves)]).sum())
     if fwd == -math.inf:
         raise ScenarioValidationError("outcomes", "forward path has probability zero")
-    gap = sum(float(g[move]) for g, move in zip(_step_gaps(protocol), moves))
-    if not abs(gap) <= CROSS_CHECK_TOL:
-        raise InternalConsistencyError(f"entropy production routes disagree by {gap:.17g}")
     weight = float(reference[outcomes[-1]])
     return fwd, -math.log(weight) + 0.0 if weight > 0.0 else math.inf
 
@@ -162,11 +147,9 @@ def entropy_production(protocol: Protocol, outcomes, final_dist) -> float:
     """Log-ratio of forward to backward path probability, in nats.
 
     Returned in its telescoped form, -log of the reference weight of the realized
-    final outcome, once the cross-check holds: the path's entries of the per-step gap
-    tables (``_step_gaps``) sum to within ``CROSS_CHECK_TOL`` of 0, or the call raises
-    ``InternalConsistencyError``.  A step of forward weight at most ``INPUT_TOL`` is
-    rounding residue, as where one context is measured twice, and adds no gap.
-    Undefined on a forward path of probability zero, refused as ``outcomes``.
+    final outcome, which the protocol's cross-check of its step tables, made when it
+    was built, certifies for every path.  Undefined on a forward path of probability
+    zero, refused as ``outcomes``.
     """
     outcomes = _check_outcomes(protocol, outcomes)
     return _single_path(protocol, outcomes, _reference(protocol, final_dist))[1]
@@ -232,23 +215,11 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
     """Exact mean entropy production over all ``dim ** (len - 1)`` paths, building none.
 
     A path's entropy production is -log marginal[final], so the mean is the fsum of
-    marginal · -log marginal.  The cross-check of :func:`entropy_production` covers every
-    path of positive weight: a max-plus and a min-plus pass over the per-step gap tables
-    of ``_step_gaps`` bound the sum of a path's gaps over all of them in O(len · dim²).
-    ``sample_count`` is the path count, ``std_error`` 0 and ``final_distribution`` the
-    exact ``protocol.marginal``.
+    marginal · -log marginal, which the protocol's cross-check of its step tables, made
+    when it was built, certifies for every path of positive weight.  ``sample_count`` is
+    the path count, ``std_error`` 0 and ``final_distribution`` the exact ``protocol.marginal``.
     """
     marginal = protocol.marginal
-    reached = np.arange(protocol.dim) == protocol.initial.index
-    hi = lo = np.zeros(protocol.dim)  # extreme gap sums over the paths to each outcome
-    for t, gap in zip(protocol.steps, _step_gaps(protocol)):
-        taken = (t > 0.0) & reached  # (next, previous)
-        reached = taken.any(axis=1)
-        hi = np.where(reached, np.where(taken, hi + gap, -np.inf).max(axis=1), 0.0)
-        lo = np.where(reached, np.where(taken, lo + gap, np.inf).min(axis=1), 0.0)
-    worst = float(np.max(np.abs([hi, lo])))
-    if not worst <= CROSS_CHECK_TOL:
-        raise InternalConsistencyError(f"entropy production routes disagree by {worst:.17g}")
     p = marginal[marginal > 0.0]
     mean = math.fsum((p * -np.log(p)).tolist()) + 0.0
     paths, entropy = protocol.dim ** (len(protocol) - 1), shannon_entropy(marginal)

@@ -141,6 +141,26 @@ def test_non_finite_report_value_is_domain_error(monkeypatch, capsys):
     assert "non-finite" in captured.err
 
 
+def test_an_exhaustive_path_count_too_long_to_write_is_domain_error(tmp_path, capsys):
+    # 16**3572 paths, a count of 4,302 digits: past str's limit, so no JSON can hold it
+    doc = {
+        "schema_version": 1,
+        "dim": 16,
+        "contexts": {"z": {"kind": "computational"}, "x": {"kind": "fourier"}},
+        "protocol": {
+            "initial": {"context": "z", "index": 0},
+            "sequence": ["z", "x"] * 1786 + ["z"],
+        },
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: report holds an integer of 4302 digits, too long to write\n"
+    assert main(["run", str(path), "--trajectories", "10"]) == 0
+
+
 def test_verify_passes(capsys):
     assert main(["verify", SCENARIO, "--tolerance", "1e-10"]) == 0
     out = capsys.readouterr().out

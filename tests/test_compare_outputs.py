@@ -1,6 +1,7 @@
 import copy
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +130,16 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
 def test_an_explicit_basis_near_the_floor_is_admitted_by_run_and_verify(tmp_path, capsys):
     runs = [(label, argv) for label, argv in compare_outputs.invocations(tmp_path)
             if label.startswith("admitted ")]
-    assert [argv[0] for _, argv in runs] == ["run", "verify"]
+    assert [argv[0] for _, argv in runs] == ["run", "verify", "run"]
     x = json.loads(Path(runs[0][1][1]).read_text())["contexts"]["x"]
     residual = cs.Context("x", np.array(x["matrix"])).orthonormality
     assert 0.98 * INPUT_TOL < residual <= INPUT_TOL
+    # the third is h turned by 3e-5, written out: transition weights of ~1e-9 from h
+    near = np.array(json.loads(Path(runs[2][1][1]).read_text())["contexts"]["near"]["matrix"])
+    eps = 3e-5
+    turn = np.array([[math.cos(eps), -1j * math.sin(eps)], [-1j * math.sin(eps), math.cos(eps)]])
+    expected = cs.haar_context(2, 2).basis @ turn
+    np.testing.assert_allclose(near @ [1, 1j], expected, rtol=0, atol=1e-15)
     for label, argv in runs:
         assert main(argv) == 0, label
         assert capsys.readouterr().err == "", label

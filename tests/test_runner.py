@@ -339,6 +339,11 @@ def test_report_with_non_finite_value_is_domain_error():
             report_to_json({"results": {"mean": value}})
 
 
+def test_report_with_an_integer_too_long_to_write_is_domain_error():
+    with pytest.raises(cs.CsmSimError, match="^report holds an integer of 4516 digits, too long"):
+        report_to_json({"n": 2**15000})
+
+
 class _Float(float):
     def __repr__(self):
         return "not what json writes"

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from csm_sim.errors import (
 from csm_sim.hilbert import INPUT_TOL
 from conftest import backward_log_prob, born, enumerated_ensemble, forward_log_prob
 from conftest import marginal_referee, point_mass
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def balanced_protocol():
@@ -66,8 +69,8 @@ def test_protocol_holds_its_step_tables_and_marginal(dim, picks, initial):
 
 
 def test_transition_tables_are_built_once_per_protocol(monkeypatch):
-    # n - 1 per protocol, none more for the sampled ensemble; the cross-check
-    # kernel builds the backward route's own n - 1 wherever it runs.
+    # a protocol builds its n - 1 forward tables, then the backward route's n - 1 for
+    # its cross-check; no route builds one after that
     calls = []
     real = csm_sim.trajectory.transition_matrix
 
@@ -80,17 +83,14 @@ def test_transition_tables_are_built_once_per_protocol(monkeypatch):
     contexts = (z, cs.fourier_context(3), cs.haar_context(3, 1), cs.haar_context(3, 2))
     n = len(contexts)
     protocol = cs.Protocol(contexts, z.modality(1))
-    assert len(calls) == n - 1
+    forward = [(contexts[s], contexts[s + 1]) for s in range(n - 1)]
+    backward = [(contexts[s + 1], contexts[s]) for s in range(n - 1)]
+    assert calls == forward + backward
     cs.mean_entropy_production(protocol, 1000, 7)
-    assert len(calls) == n - 1
     cs.exhaustive_entropy_production(protocol)
-    assert len(calls) == 2 * (n - 1)
     trajectory = cs.sample_trajectory(protocol, 3)
-    assert len(calls) == 3 * (n - 1)
     cs.entropy_production(protocol, trajectory.outcomes, protocol.marginal)
-    assert len(calls) == 4 * (n - 1)
-    # the backward table of every step, in step order
-    assert calls[-(n - 1):] == [(contexts[s + 1], contexts[s]) for s in range(n - 1)]
+    assert len(calls) == 2 * (n - 1)
 
 
 @pytest.mark.parametrize("outcomes", [(0, 1.7), (0, True), (False, 1), (0, "1"), (0, 1.0)])
@@ -494,7 +494,7 @@ def _stalled_protocol(seed, dim, n_contexts, stall, repeated="computational"):
 
     Repeating the computational context makes every off-diagonal move of that step
     probability exactly zero; repeating a Fourier or a Haar one leaves them at
-    rounding residue, ~1e-33, which the cross-check must not read.
+    rounding residue, ~1e-33.
     """
     rng = np.random.default_rng(seed)
     contexts = [cs.haar_context(dim, int(s)) for s in rng.integers(0, 10**6, n_contexts - 1)]
@@ -527,17 +527,15 @@ def test_exhaustive_pass_matches_the_path_table(seed, dim, n_contexts, stall, re
     assert np.max(np.abs(stats.final_distribution - referee.final_distribution)) <= 1e-14
 
 
-def _backward_off_by_1e9(monkeypatch, protocol, step, previous, following):
-    """Move entry (previous, following) of the backward route's table of ``step`` by 1e-9.
-
-    Patched once the protocol holds its forward tables, so only the backward route reads it.
-    """
+def _backward_off_by_1e9(monkeypatch, frm_id, to_id, previous, following):
+    """Move entry (previous, following) of every table ``transition_matrix(frm, to)`` with
+    these context ids by 1e-9.  Patched before a protocol is made, it reaches only the
+    cross-check's backward route where ``(frm_id, to_id)`` is no forward step."""
     real = csm_sim.trajectory.transition_matrix
-    c = protocol.contexts
 
     def perturbed(frm, to):
         table = real(frm, to)
-        if frm is c[step + 1] and to is c[step]:
+        if (frm.id, to.id) == (frm_id, to_id):
             table = table.copy()
             table[previous, following] += 1e-9
         return table
@@ -546,42 +544,86 @@ def _backward_off_by_1e9(monkeypatch, protocol, step, previous, following):
 
 
 def _stalled_qutrit():
-    # step 0 stays in z, so every path reaches outcome 0 of context 1 and no other
-    z = cs.computational_context(3)
-    return cs.Protocol((z, z, cs.haar_context(3, 5)), z.modality(0))
-
-
-def test_cross_check_refuses_a_backward_route_off_on_a_live_step(monkeypatch):
-    protocol = _stalled_qutrit()
-    assert protocol.steps[1][0, 0] > 0.0
-    _backward_off_by_1e9(monkeypatch, protocol, 1, 0, 0)
-    with pytest.raises(InternalConsistencyError, match="entropy production routes disagree"):
-        cs.entropy_production(protocol, (0, 0, 0), protocol.marginal)
-    with pytest.raises(InternalConsistencyError, match="entropy production routes disagree"):
-        cs.exhaustive_entropy_production(protocol)
+    # step 0 stays in the computational basis, so every path reaches outcome 0 of
+    # context 1 and no other
+    z, stay = cs.computational_context(3), cs.Context("stay", np.eye(3))
+    return (z, stay, cs.haar_context(3, 5)), z.modality(0)
 
 
 @pytest.mark.parametrize(
-    "step, previous, following",
-    [(0, 0, 1), (1, 1, 0)],
-    ids=["zero-weight step", "unreached outcome"],
+    "frm_id, to_id, previous, following",
+    [("haar:3:5", "stay", 0, 0), ("stay", "computational:3", 0, 1), ("haar:3:5", "stay", 1, 0)],
+    ids=["live step", "zero-weight step", "unreached outcome"],
 )
-def test_cross_check_ignores_a_backward_route_off_where_no_path_goes(
-    monkeypatch, step, previous, following
+def test_cross_check_refuses_a_backward_route_off_by_1e9(
+    monkeypatch, frm_id, to_id, previous, following
 ):
-    protocol = _stalled_qutrit()
-    clean = cs.exhaustive_entropy_production(protocol)
-    _backward_off_by_1e9(monkeypatch, protocol, step, previous, following)
-    assert cs.exhaustive_entropy_production(protocol) == clean
-    for last in range(3):
-        cs.entropy_production(protocol, (0, 0, last), protocol.marginal)
+    # the tables are compared, not the paths, so an entry no path reads is refused too
+    contexts, initial = _stalled_qutrit()
+    clean = cs.Protocol(contexts, initial)
+    assert [c.id for c in contexts] == ["computational:3", "stay", "haar:3:5"]
+    assert clean.steps[1][0, 0] > 0.0 and clean.steps[0][1, 0] == 0.0
+    _backward_off_by_1e9(monkeypatch, frm_id, to_id, previous, following)
+    with pytest.raises(InternalConsistencyError, match="^entropy production routes disagree by"):
+        cs.Protocol(contexts, initial)
+
+
+@pytest.mark.parametrize("route", ["mean_entropy_production", "run_scenario"])
+def test_a_sampled_ensemble_is_cross_checked(monkeypatch, route):
+    # the sampled ensemble reads the protocol's tables only, so the check its protocol
+    # made is the one it gets
+    _backward_off_by_1e9(monkeypatch, "x", "z", 0, 1)
+    scenario = cs.parse_scenario(SCENARIO_DIR / "balanced_qubit.json")
+    z, x = cs.Context("z", np.eye(2)), cs.Context("x", cs.rotation_context(np.pi / 2).basis)
+    with pytest.raises(InternalConsistencyError, match="^entropy production routes disagree by"):
+        if route == "run_scenario":
+            cs.run_scenario(scenario, 0, 1000)
+        else:
+            cs.mean_entropy_production(cs.Protocol((z, x), z.modality(0)), 1000, 0)
+
+
+def _near(ctx: cs.Context, seed: int, eps: float) -> cs.Context:
+    """``ctx`` turned by exp(-i·eps·H), H a random Hermitian matrix of norm 1: an admitted
+    context some eps away, whose transition weights to ``ctx`` lie ~eps² off 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((ctx.dim,) * 2) + 1j * rng.standard_normal((ctx.dim,) * 2)
+    values, vectors = np.linalg.eigh(a + a.conj().T)
+    values /= np.max(np.abs(values))
+    turn = (vectors * np.exp(-1j * eps * values)) @ vectors.conj().T
+    return cs.Context("near", ctx.basis @ turn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**31 - 1),
+    exponent=st.floats(-6.0, -3.0),
+    longer=st.booleans(),
+)
+def test_every_route_serves_a_protocol_through_a_near_context(dim, seed, exponent, longer):
+    # weights just above rounding carry logs off by ~eps/√t; every route still serves
+    a = cs.haar_context(dim, seed)
+    near = _near(a, seed, 10.0**exponent)
+    contexts = (near, a, near, a) if longer else (a, near, a)
+    protocol = cs.Protocol(contexts, contexts[0].modality(seed % dim))
+    stats = cs.exhaustive_entropy_production(protocol)
+    assert stats.final_distribution is protocol.marginal
+    marginal = protocol.marginal
+    for tail in itertools.product(range(dim), repeat=len(contexts) - 1):
+        path = (protocol.initial.index, *tail)
+        if all(t[j, i] > 0.0 for t, i, j in zip(protocol.steps, path, path[1:])):
+            delta = cs.entropy_production(protocol, path, marginal)
+            assert delta == -math.log(marginal[path[-1]]) + 0.0
+    for i in range(5):
+        trajectory = cs.sample_trajectory(protocol, (seed, i))
+        assert trajectory.entropy_production == -math.log(marginal[trajectory.outcomes[-1]]) + 0.0
 
 
 @pytest.mark.parametrize("repeated", ["fourier", "haar"])
 def test_every_path_through_a_repeated_context_is_served(repeated):
     # Measured twice, a Fourier or Haar context moves off its outcome with weight
-    # ~1e-33, not 0: such a path has positive weight, but its repeated step carries
-    # no gap.  Each one is served, at -log marginal[final].
+    # ~1e-33, not 0: such a path has positive weight, and its log ratio means nothing.
+    # Each one is served, at -log marginal[final].
     protocol = _stalled_protocol(11, 3, 3, 1, repeated)
     assert 0.0 < protocol.steps[1][1, 0] <= INPUT_TOL
     for tail in itertools.product(range(3), repeat=2):

@@ -41,7 +41,9 @@ and ``run --exhaustive --seed -1``), and a negative grid end written with an
 exponent (``--to -1e-3``).  Last it runs the short list ``ADMITTED`` the same way:
 an explicit basis off orthonormal by 0.99 of the input floor, which the program
 admits and holds as its nearest unitary, under ``run --exhaustive`` and
-``verify --out``.
+``verify --out``; and, under ``run --exhaustive``, the sequence ``[z, x, h, near, h]``
+through a Haar context ``h`` and an explicit context ``near`` 3e-5 from it, whose
+transition weights of ~1e-9 must not trip the entropy-production cross-check.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -103,6 +105,18 @@ def _explicit_x_near_the_floor(doc: dict) -> None:
     # [[c, -s], [s, c + δ]] has a B†B residual of 2cδ + δ²: here 0.99·INPUT_TOL
     c, s = math.cos(0.3), math.sin(0.3)
     doc["contexts"]["x"] = {"kind": "explicit", "matrix": [[c, -s], [s, c + 0.99e-10 / (2 * c)]]}
+
+
+def _near_context_between_haar_ones(doc: dict) -> None:
+    # near = haar(2, 2).basis @ [[cos ε, -i sin ε], [-i sin ε, cos ε]] at ε = 3e-5, written
+    # out so that the document does not depend on the tree under test
+    doc["contexts"]["h"] = {"kind": "haar", "seed": 2}
+    matrix = [
+        [[0.10031916610934692, 0.9550307098184778], [-0.26217900708093245, -0.09547029098518577]],
+        [[-0.21918151068650107, -0.1726611525153324], [-0.864815088342586, 0.4174235915233653]],
+    ]
+    doc["contexts"]["near"] = {"kind": "explicit", "matrix": matrix}
+    doc["protocol"]["sequence"] = ["z", "x", "h", "near", "h"]
 
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
@@ -256,6 +270,7 @@ REFUSALS = [
 ADMITTED = [
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["run", "--exhaustive"]),
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["verify", "--out", REPORT]),
+    ("near_context_between_haar_ones", _near_context_between_haar_ones, ["run", "--exhaustive"]),
 ]
 
 
