@@ -18,10 +18,11 @@ overlap matrix's PSD test, the rank cut and overlap residual of realized meter s
 composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the closed form
-(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩, read by ``run``'s meter and the ``m_count`` sweep;
-identity overlaps at m = 1 give the completed (projective) measurement's state.  The ``g``
-sweep takes the dial's ends as diag|b|², b b† and ``Context.return_tables``.  The entropy a meter
-leaves, :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The
+(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩ and each overlap's modulus held at most 1, read by
+``run``'s meter and the ``m_count`` sweep; identity overlaps at m = 1 give the completed
+(projective) measurement's state.  The ``g`` sweep takes the dial's ends as diag|b|², b b† and
+``Context.return_tables``, and deflates the spectrum between them in ``runner``.  The entropy a
+meter leaves, :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The
 composite route (meter states realized from the overlaps, :func:`entangle`,
 :func:`reduced_system_state`) is the referee of ``verify``.
 
@@ -260,12 +261,16 @@ def meter_chain_reduced_state(
     Each meter in the chain multiplies the (j, j') coherence by ⟨w_j'|w_j⟩,
     so the off-diagonal scales with the m_count-th power of the overlap while
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
+    The power's modulus is min(|⟨w_j'|w_j⟩|, 1)^m, the Cauchy–Schwarz bound of unit states: an
+    admitted overlap matrix may hold a modulus up to about ``INPUT_TOL`` above 1, which a long
+    chain would grow past any state.
     ``m_count`` is an integer >= 0 that a double holds (``ScenarioValidationError`` otherwise).
     """
     m_count = _chain_length("m_count", m_count)
     branch = _branch(initial, pointer, gram.dim)
-    # (⟨w_j'|w_j⟩)^m = conj(gram)[j, j']^m
-    return np.outer(branch, branch.conj()) * gram.matrix.conj() ** m_count
+    overlap = gram.matrix.conj()  # ⟨w_j'|w_j⟩ = conj(gram)[j, j']
+    power = np.minimum(np.abs(overlap), 1.0) ** m_count * np.exp(1j * m_count * np.angle(overlap))
+    return np.outer(branch, branch.conj()) * power
 
 
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:

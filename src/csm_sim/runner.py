@@ -14,7 +14,10 @@ stream of rows over that build, :func:`_checks`: a refusal is a failed row, and 
 that read a refused object are skipped.  ``run`` and ``verify`` build every context; a
 sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
 the contexts its parameter reads.  The ``g`` sweep interpolates between the dial's ends,
-the return tables that ``run``'s ``returns`` read (``Context.return_tables``).
+the return tables that ``run``'s ``returns`` read (``Context.return_tables``); its entropy
+is the Shannon entropy of a diagonal-plus-rank-one spectrum, deflated for the whole grid at
+once (:func:`_g_spectra`) and exact at both ends.  Neither writer, the JSON report's nor the
+sweep's CSV, emits a non-finite number: each refuses one as a domain error (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,12 @@ from .hilbert import (
     context_change_unitary,
     projector_residual,
 )
-from .measurement import interference_returns, irreversible_return, reversible_return
+from .measurement import (
+    interference_returns,
+    irreversible_return,
+    reversible_return,
+    validate_distribution,
+)
 from .qnd import (
     Gram,
     _branch,
@@ -58,7 +66,12 @@ from .qnd import (
     von_neumann_entropy,
 )
 from .scenario import Scenario, sweep_grid
-from .trajectory import Protocol, exhaustive_entropy_production, mean_entropy_production
+from .trajectory import (
+    Protocol,
+    exhaustive_entropy_production,
+    mean_entropy_production,
+    shannon_entropy,
+)
 
 
 class _Objects(_Value):
@@ -103,22 +116,60 @@ def _floats(values) -> list[float]:
     return [float(v) for v in np.asarray(values).ravel()]
 
 
+def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
+    """The spectrum of (1 - g)·diag(w²) + g·w wᵀ at every g of ``grid``, for the squared moduli
+    ``weights`` = w², a distribution.
+
+    g = 0 is w² and g = 1 the point mass [1, 0, …, 0]: w wᵀ has rank one and trace Σw² = 1.
+    Between them the update deflates (Bunch, Nielsen and Sorensen 1978).  The moduli equal
+    within 8·eps·max(w), LAPACK ``dlaed2``'s rule, form a group; a group of m with mean square
+    c² keeps (1 - g)·c² m - 1 times (all m times if its weights are 0), and adds a row to the
+    reduced matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The reduced matrices of the
+    grid are stacked into ``eigvalsh`` calls of at most N² entries each, the size of one N×N.
+    """
+    n, ascending = len(weights), np.sort(weights)
+    w = np.sqrt(ascending).tolist()
+    tol = 8 * np.finfo(float).eps * w[-1]
+    starts = [0]
+    for k, modulus in enumerate(w):
+        if modulus - w[starts[-1]] > tol:
+            starts.append(k)
+    sums = np.add.reduceat(ascending, starts)
+    counts = np.diff([*starts, n])
+    coupled = sums > 0.0
+    kept = np.repeat(sums / counts, counts - coupled)
+    diagonal, z = np.diag(sums[coupled] / counts[coupled]), np.sqrt(sums[coupled])
+    interior = np.array([g for g in grid if 0.0 < g < 1.0])
+    per_call = max(1, n * n // (len(z) * len(z)))
+    reduced = [
+        np.linalg.eigvalsh((1 - gs)[:, None, None] * diagonal + gs[:, None, None] * np.outer(z, z))
+        for gs in np.split(interior, range(per_call, len(interior), per_call))
+    ]
+    between = iter(np.concatenate(reduced))
+    point_mass = np.eye(1, n).ravel()
+    return [
+        weights if g == 0.0 else point_mass if g == 1.0
+        else np.concatenate([(1 - g) * kept, next(between)])
+        for g in grid
+    ]
+
+
 def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict]:
     # (1 - g) I + g J is linear in g, and so are the returns and the reduced state: interpolate
     # between the irreversible (g = 0) and reversible (g = 1) return tables, and diag|b|² and b b†.
     # With D = diag(b/|b|) (any phase where b_j = 0), D†((1 - g) diag|b|² + g b b†)D is
-    # (1 - g) diag|b|² + g |b||b|ᵀ: same spectrum, real symmetric.
+    # (1 - g) diag|b|² + g |b||b|ᵀ: same spectrum, real symmetric, a diagonal plus rank one.
     reversible, irreversible = initial.context.return_tables(pointer)
     p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
     b = _branch(initial, pointer, pointer.dim)
-    diagonal, outer = np.diag((b * b.conj()).real), np.abs(np.outer(b, b.conj()))
+    weights = validate_distribution(b.real**2 + b.imag**2, "rho")  # Σ|b|² = 1, as g = 1 reads
     return [
         {
             "g": float(g),
             "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
-            "entropy": von_neumann_entropy((1 - g) * diagonal + g * outer),
+            "entropy": shannon_entropy(spectrum),
         }
-        for g in grid
+        for g, spectrum in zip(grid, _g_spectra(weights, grid))
     ]
 
 
@@ -191,10 +242,19 @@ def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list
     return header, [[*(row[key] for key in scalars), *row[vector]] for row in rows]
 
 
+def _finite(value: float) -> float:
+    """``value``, the one rule of both writers: a non-finite number is a domain error."""
+    if not math.isfinite(value):
+        raise CsmSimError(f"report holds a non-finite number ({value!r}), which no writer emits")
+    return value
+
+
 def format_csv(header: list[str], table: list[list]) -> str:
+    """The table as CSV: an integer as written, a float as ``%.17g`` if it is finite
+    (:func:`_finite`)."""
     lines = [",".join(header)]
     for row in table:
-        cells = [str(v) if isinstance(v, int) else "%.17g" % v for v in row]
+        cells = [str(v) if isinstance(v, int) else "%.17g" % _finite(v) for v in row]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -300,12 +360,7 @@ def _encode(value, indent: str) -> str:
         except ValueError:  # sys.get_int_max_str_digits() exceeded
             raise CsmSimError(f"report holds {_shown(value)}, too long to write") from None
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise CsmSimError(
-                "report holds a non-finite number "
-                f"(Out of range float values are not JSON compliant: {value!r})"
-            )
-        return float.__repr__(value)
+        return float.__repr__(_finite(value))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
         if not value:

@@ -140,10 +140,10 @@ def enumerated_ensemble(protocol: cs.Protocol) -> cs.TrajectoryEnsembleStats:
 
     Builds the table of all ``dim ** (len - 1)`` outcome sequences.  A path's
     probability is the in-order product of its step probabilities; paths with
-    a zero-probability step contribute nothing.  On the others, forward minus
-    backward log-probability must match the telescoped -log marginal[final] to
-    ``CROSS_CHECK_TOL``, over the steps of forward weight above ``INPUT_TOL``
-    (below it, rounding residue).  ``final_distribution`` is the path-weighted
+    a zero-probability step contribute nothing.  Every step's forward weight must
+    match its backward one to ``CROSS_CHECK_TOL``, as ``Protocol`` checks its tables,
+    so that forward minus backward log-probability telescopes to -log marginal[final],
+    each live path's entropy production.  ``final_distribution`` is the path-weighted
     histogram of final outcomes.  Memory grows with the path count: desk scale only.
     """
     n_steps = len(protocol) - 1
@@ -154,19 +154,14 @@ def enumerated_ensemble(protocol: cs.Protocol) -> cs.TrajectoryEnsembleStats:
     paths[:, 0] = protocol.initial.index
     paths[:, 1:] = np.indices((dim,) * n_steps).reshape(n_steps, path_count).T
     fwd, bwd = forward_weights(protocol, paths), backward_weights(protocol, paths)
+    if not np.all(np.abs(fwd - bwd) <= CROSS_CHECK_TOL):
+        raise InternalConsistencyError("referee: forward and backward weights differ")
     prob = np.ones(path_count)
     for s in range(n_steps):
         prob = prob * fwd[:, s]
     live = np.all(fwd > 0.0, axis=1)
     finals = paths[:, -1]
     delta = np.array([-math.log(w) if w > 0.0 else math.inf for w in marginal.tolist()])[finals]
-    checked = fwd > INPUT_TOL  # the steps the cross-check reads
-    forward = _log_sums(np.where(checked, fwd, 1.0))
-    backward = _log_sums(np.column_stack([marginal[finals], np.where(checked, bwd, 1.0)]))
-    with np.errstate(invalid="ignore"):
-        agree = np.isclose(forward - backward, delta, rtol=0.0, atol=CROSS_CHECK_TOL)
-    if np.any(live & ~agree):
-        raise InternalConsistencyError("referee: forward minus backward is not the telescoped form")
     mean = math.fsum((prob[live] * delta[live]).tolist()) + 0.0
     final = np.bincount(paths[:, -1], weights=prob, minlength=dim)
     return cs.TrajectoryEnsembleStats(

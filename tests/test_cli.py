@@ -141,6 +141,40 @@ def test_non_finite_report_value_is_domain_error(monkeypatch, capsys):
     assert "non-finite" in captured.err
 
 
+def test_a_meter_chain_on_an_overlap_modulus_above_1_stays_a_state(tmp_path, capsys):
+    # the gram's smallest eigenvalue is -5e-11, so it is admitted; its off-diagonal modulus
+    # 1 + 5e-11 once grew the coherence to 2.6e21 at 1e12 meters and to inf past 1.4e13
+    doc = {
+        "schema_version": 1,
+        "dim": 2,
+        "contexts": {"z": {"kind": "computational"}, "x": {"kind": "fourier"}},
+        "protocol": {"initial": {"context": "z", "index": 0}, "sequence": ["z", "x"]},
+        "meter": {
+            "pointer": "x",
+            "gram": {"kind": "explicit", "matrix": [[1, 1.00000000005], [1.00000000005, 1]]},
+        },
+        "sweep": {"m_count": [0, 1, 10**12, 10**300]},
+    }
+    path = tmp_path / "above_1.json"
+    path.write_text(json.dumps(doc))
+    sweep = ["sweep", str(path), "--param", "m_count", "--from", "1e13", "--to", "2e13"]
+    assert main([*sweep, "--steps", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split(",")[:2] for line in captured.out.splitlines()] == [
+        ["m_count", "max_coherence"],
+        ["10000000000000", "0.49999999999999989"],
+        ["20000000000000", "0.49999999999999989"],
+    ]
+    assert main(["run", str(path), "--trajectories", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = json.loads(captured.out)["results"]["sweep"]["m_count"]
+    for row in rows:
+        assert row["max_coherence"] <= max(row["diagonal"])
+    assert main(["verify", str(path)]) == 0
+
+
 def test_an_exhaustive_path_count_too_long_to_write_is_domain_error(tmp_path, capsys):
     # 16**3572 paths, a count of 4,302 digits: past str's limit, so no JSON can hold it
     doc = {

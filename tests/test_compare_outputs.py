@@ -130,7 +130,7 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
 def test_an_explicit_basis_near_the_floor_is_admitted_by_run_and_verify(tmp_path, capsys):
     runs = [(label, argv) for label, argv in compare_outputs.invocations(tmp_path)
             if label.startswith("admitted ")]
-    assert [argv[0] for _, argv in runs] == ["run", "verify", "run"]
+    assert [argv[0] for _, argv in runs] == ["run", "verify", "run", "sweep"]
     x = json.loads(Path(runs[0][1][1]).read_text())["contexts"]["x"]
     residual = cs.Context("x", np.array(x["matrix"])).orthonormality
     assert 0.98 * INPUT_TOL < residual <= INPUT_TOL
@@ -140,9 +140,16 @@ def test_an_explicit_basis_near_the_floor_is_admitted_by_run_and_verify(tmp_path
     turn = np.array([[math.cos(eps), -1j * math.sin(eps)], [-1j * math.sin(eps), math.cos(eps)]])
     expected = cs.haar_context(2, 2).basis @ turn
     np.testing.assert_allclose(near @ [1, 1j], expected, rtol=0, atol=1e-15)
+    # the fourth holds an overlap modulus of 1 + 5e-11, admitted, swept to 2e13 meters
+    gram = json.loads(Path(runs[3][1][1]).read_text())["meter"]["gram"]["matrix"]
+    assert gram[0][1] == gram[1][0] == 1.00000000005
     for label, argv in runs:
         assert main(argv) == 0, label
-        assert capsys.readouterr().err == "", label
+        captured = capsys.readouterr()
+        assert captured.err == "", label
+    for line in captured.out.splitlines()[1:]:  # the sweep's: no coherence past the diagonal
+        m_count, coherence, *diagonal = map(float, line.split(","))
+        assert coherence <= max(diagonal), line
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["pass"] is True
 

@@ -21,12 +21,13 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import csm_sim as cs
 from conftest import random_unit_gram
-from csm_sim.runner import _g_sweep_rows
+from csm_sim.runner import _g_spectra, _g_sweep_rows
 
 EPS = float(np.finfo(float).eps)
 BOUND = 16  # in units of dim · eps
@@ -221,15 +222,85 @@ def test_von_neumann_entropy_is_within_its_conditioned_bound_on_both_g_sweep_rou
         "complex": cs.meter_chain_reduced_state(initial, pointer, cs.gram_uniform(dim, g), 1),
         "real": (1 - g) * rho0.real + g * np.abs(rho1),
     }
+    # the g sweep row deflates the real route's matrix instead of handing it to eigvalsh
     [row] = _g_sweep_rows(initial, pointer, None, [g])
-    assert cs.von_neumann_entropy(routes["real"]) == row["entropy"]
     with mpmath.workdps(DIGITS):
         for route, rho in routes.items():
             exact = spectrum(rho)
             record(ratios, f"eigvalsh[{route}]", worst(np.linalg.eigvalsh(rho), exact, dim))
             error = abs(cs.von_neumann_entropy(rho) - entropy(clamp(x) for x in exact))
             shares[route] = float(error / conditioned(exact, dim))
+            if route == "real":
+                error = abs(row["entropy"] - entropy(clamp(x) for x in exact))
+                shares["g_sweep"] = float(error / conditioned(exact, dim))
     check(ratios)
     for route, share in shares.items():
         target(share, label=f"von_neumann_entropy[{route}]")
         assert share <= 1, f"von_neumann_entropy[{route}] is at {share:.3f} of its bound"
+
+
+def dense(weights: list, g) -> list:
+    """The 40-digit spectrum, ascending, of (1 - g)·diag(w²) + g·w wᵀ for the squared moduli
+    ``weights`` = w², each lifted exactly."""
+    w2 = [mpmath.mpf(x) for x in weights]
+    w = [mpmath.sqrt(x) for x in w2]
+    n, g = range(len(w2)), mpmath.mpf(g)
+    matrix = mpmath.matrix([[(1 - g) * w2[j] * (j == k) + g * w[j] * w[k] for k in n] for j in n])
+    return sorted(mpmath.eigsy(matrix, eigvals_only=True))
+
+
+@st.composite
+def tied_weights(draw):
+    """Squared moduli of dim 2–8 that take at most three values, one of them possibly 0: ties,
+    zero weights and both, normalized to sum 1 (equal values stay equal), and a grid of
+    strengths in [0, 1] with both ends."""
+    dim = draw(st.integers(2, 8))
+    values = draw(st.lists(st.floats(0.01, 1.0) | st.just(0.0), min_size=3, max_size=3))
+    levels = draw(st.lists(st.integers(0, 2), min_size=dim, max_size=dim))
+    raw = np.array([values[k] for k in levels])
+    if raw.sum() == 0.0:
+        raw[0] = 1.0
+    inner = draw(st.lists(st.floats(0, 1) | st.floats(1 - 1e-12, 1), max_size=4))
+    return raw / raw.sum(), [0.0, *inner, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tied_weights())
+def test_the_deflated_g_spectrum_is_within_its_bound_of_the_40_digit_one(case):
+    weights, grid = case
+    dim, ratios = len(weights), {}
+    spectra = _g_spectra(weights, grid)
+    assert spectra[0].tolist() == weights.tolist()  # g = 0 is w² itself
+    assert spectra[-1].tolist() == [1.0] + [0.0] * (dim - 1)  # g = 1 is the point mass
+    with mpmath.workdps(DIGITS):
+        for g, computed in zip(grid, spectra):
+            assert len(computed) == dim
+            record(ratios, "_g_spectra", worst(np.sort(computed), dense(weights.tolist(), g), dim))
+    check(ratios)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_a_fourier_pointer_from_the_computational_context_deflates_to_one_reduced_row(dim):
+    # every |b_j|² is 1/dim up to rounding: one group, so (1 - g)/dim taken dim - 1 times and
+    # (1 - g)/dim + g, held against that closed form at 40 digits
+    initial, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
+    grid = np.linspace(0, 1, 11).tolist()
+    rows = _g_sweep_rows(initial, pointer, None, grid)
+    b = pointer.adjoint @ initial.vector
+    with mpmath.workdps(DIGITS):
+        for row, computed in zip(rows, _g_spectra(b.real**2 + b.imag**2, grid)):
+            g = mpmath.mpf(row["g"])
+            exact = [(1 - g) / dim] * (dim - 1) + [(1 - g) / dim + g]
+            assert worst(np.sort(computed), exact, dim) <= BOUND
+            error = abs(row["entropy"] - entropy(exact))
+            assert error <= conditioned(exact, dim), f"g = {row['g']}"
+    assert rows[-1]["entropy"] == 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 5, 64])
+def test_a_pointer_equal_to_the_start_context_leaves_a_pure_state_at_every_strength(dim):
+    # b = e_i: dim - 1 zero weights deflate among themselves and the weight 1 is a group of its
+    # own, so every strength's spectrum is exactly a point mass
+    ctx = cs.computational_context(dim)
+    rows = _g_sweep_rows(ctx.modality(dim - 1), ctx, None, np.linspace(0, 1, 7).tolist())
+    assert [row["entropy"] for row in rows] == [0.0] * 7

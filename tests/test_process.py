@@ -85,6 +85,33 @@ def test_importing_the_package_freezes_its_heap_and_the_entry_exits_with_mains_c
     assert 'csm-sim = "csm_sim.cli:entry"' in (ROOT / "pyproject.toml").read_text()
 
 
+def test_importing_the_package_runs_no_collection_and_restores_the_switch_if_it_raises():
+    # NumPy's import and the package's make tens of thousands of objects that live to the
+    # end, and each collection run while they are made walks them again
+    code = (
+        "import gc, sys\n"
+        "starts = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+        "import csm_sim\n"
+        "print(len(starts), gc.isenabled())\n"
+    )
+    done = _python(["-c", code])
+    assert (done.returncode, done.stdout) == (0, "0 True\n"), done.stderr
+    for switch in ("enable", "disable"):
+        code = (
+            "import gc, sys\n"
+            f"gc.{switch}()\n"
+            "enabled = gc.isenabled()\n"
+            "sys.modules['csm_sim.qnd'] = None\n"
+            "try:\n"
+            "    import csm_sim\n"
+            "except ImportError:\n"
+            "    print('raised', gc.isenabled() == enabled, gc.get_freeze_count())\n"
+        )
+        done = _python(["-c", code])
+        assert (done.returncode, done.stdout) == (0, "raised True 0\n"), (switch, done.stderr)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(

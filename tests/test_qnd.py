@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
@@ -8,6 +8,8 @@ from csm_sim.errors import DimensionMismatch, InvalidGramMatrix, ScenarioValidat
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.qnd import build_gram, density_matrix_residuals
 from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_gram_uniform_limits():
@@ -637,6 +639,67 @@ def test_meter_chain_complex_gram_phase_winds(balanced):
     branch = tilted.basis.conj().T @ initial.vector
     expected = branch[0] * branch[1].conjugate() * (-0.5j) ** 3
     assert rho[0, 1] == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def admitted_grams(draw):
+    """An overlap matrix ``Gram`` admits, of dim 2–6: uniform, random full rank, or the
+    overlaps of fewer unit states than its side (all ones among them), the last shifted as
+    far as a smallest eigenvalue of -0.99·``INPUT_TOL`` and scaled back to a unit diagonal, so
+    that an off-diagonal modulus can lie above 1."""
+    dim = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["uniform", "random", "deficient"]))
+    if kind == "uniform":
+        return cs.gram_uniform(dim, draw(st.floats(0, 1)))
+    if kind == "random":
+        return random_unit_gram(dim, draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, dim - 1))
+    w = np.ones((1, dim)) if draw(st.booleans()) else (
+        rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+    )
+    w /= np.linalg.norm(w, axis=0)
+    matrix = w.conj().T @ w
+    values, vectors = np.linalg.eigh(matrix)
+    shift = values[0] + draw(st.floats(0, 0.99)) * INPUT_TOL
+    matrix -= shift * np.outer(vectors[:, 0], vectors[:, 0].conj())
+    scale = 1.0 / np.sqrt(np.diagonal(matrix).real)
+    matrix *= np.outer(scale, scale)
+    try:
+        return cs.Gram(matrix)
+    except InvalidGramMatrix:  # the scaling moved the eigenvalue past the floor, rarely
+        assume(False)
+
+
+CHAIN_LENGTHS = st.integers(0, 10**300) | st.sampled_from([10**k for k in (6, 12, 13, 100, 300)])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(
+    gram=admitted_grams(),
+    seed=st.integers(0, 2**31 - 1),
+    fourier=st.booleans(),
+    lengths=st.lists(CHAIN_LENGTHS, min_size=1, max_size=4),
+)
+@example(
+    gram=cs.Gram(np.array([[1, 1.00000000005], [1.00000000005, 1]])),
+    seed=0,
+    fourier=True,
+    lengths=[1, 10**12, 2 * 10**13, 10**300],
+)
+def test_a_meter_chain_of_every_admitted_length_stays_a_state(gram, seed, fourier, lengths):
+    # each link multiplies a coherence by an overlap of unit states, of modulus at most 1
+    dim = gram.dim
+    initial = cs.haar_context(dim, seed).modality(seed % dim)
+    pointer = cs.fourier_context(dim) if fourier else cs.haar_context(dim, seed + 1)
+    for m in lengths:
+        rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
+        assert np.isfinite(rho).all()
+        diagonal = rho.diagonal().real
+        assert abs(diagonal.sum() - 1.0) <= 4 * dim * EPS
+        bound = np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)
+        assert np.all(np.abs(rho) <= bound), m
 
 
 def test_meter_chain_refuses_a_negative_length(balanced):

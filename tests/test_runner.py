@@ -431,6 +431,19 @@ def test_sweep_rows_and_csv_format(balanced_scenario):
     assert float(lines[2].split(",")[1]) == rows[1]["entropy"]
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_csv_cell_is_refused_as_a_report_value_is(bad):
+    # both writers share one finiteness rule: neither writes inf or nan with exit 0
+    header = ["m_count", "max_coherence", "diag_0", "diag_1"]
+    assert format_csv(header, [[10, 0.5, 0.5, 0.5]]) == f"{','.join(header)}\n10,0.5,0.5,0.5\n"
+    for table in ([[10, bad, 0.5, 0.5]], [[0, 0.5, 0.5, 0.5], [10, 0.5, 0.5, bad]]):
+        with pytest.raises(cs.CsmSimError, match="non-finite") as refused:
+            format_csv(header, table)
+        with pytest.raises(cs.CsmSimError) as reported:
+            report_to_json({"rows": [[0.5, bad]]})
+        assert str(refused.value) == str(reported.value)
+
+
 @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.1], [float("nan")]])
 def test_g_sweep_refuses_a_strength_outside_the_unit_interval(balanced_scenario, grid):
     bad = next(g for g in grid if not 0.0 <= g <= 1.0)
@@ -546,6 +559,21 @@ def test_the_g_sweep_s_ends_are_the_returns_through_the_pointer(path):
             for row in rows:
                 if row["g"] in ends:
                     assert row["return_probabilities"] == step[ends[row["g"]]]
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_the_g_sweep_s_entropy_is_exact_at_the_dial_s_ends(path):
+    # g = 0 is the Shannon entropy of |b|², with no eigensolver, and g = 1 a pure state's 0
+    scenario = cs.parse_scenario(path)
+    objects = cs.build_scenario_objects(scenario)
+    b = objects.pointer.adjoint @ objects.protocol.initial.vector
+    swept = [sweep_rows(scenario, "g", [0.0, 0.5, 1.0])]
+    report = cs.run_scenario(scenario, 0, 10)["results"]["sweep"]
+    if report is not None and "g" in report:
+        swept.append(report["g"])
+    for rows in swept:
+        ends = {row["g"]: row["entropy"] for row in rows if row["g"] in (0.0, 1.0)}
+        assert ends == {0.0: cs.shannon_entropy(b.real**2 + b.imag**2), 1.0: 0.0}
 
 
 def test_every_checked_in_scenario_runs_without_a_warning():

@@ -608,6 +608,10 @@ def test_every_route_serves_a_protocol_through_a_near_context(dim, seed, exponen
     protocol = cs.Protocol(contexts, contexts[0].modality(seed % dim))
     stats = cs.exhaustive_entropy_production(protocol)
     assert stats.final_distribution is protocol.marginal
+    # the referee compares weights, as the protocol does, so it serves this protocol too
+    referee = enumerated_ensemble(protocol)
+    assert abs(stats.mean_entropy_production - referee.mean_entropy_production) <= 1e-14
+    assert np.max(np.abs(stats.final_distribution - referee.final_distribution)) <= 1e-14
     marginal = protocol.marginal
     for tail in itertools.product(range(dim), repeat=len(contexts) - 1):
         path = (protocol.initial.index, *tail)

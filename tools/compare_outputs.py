@@ -43,7 +43,9 @@ an explicit basis off orthonormal by 0.99 of the input floor, which the program
 admits and holds as its nearest unitary, under ``run --exhaustive`` and
 ``verify --out``; and, under ``run --exhaustive``, the sequence ``[z, x, h, near, h]``
 through a Haar context ``h`` and an explicit context ``near`` 3e-5 from it, whose
-transition weights of ~1e-9 must not trip the entropy-production cross-check.
+transition weights of ~1e-9 must not trip the entropy-production cross-check; and, under
+``sweep --param m_count`` at chain lengths 1e13 and 2e13, an overlap matrix whose off-diagonal
+modulus is 1 + 5e-11 (smallest eigenvalue -5e-11), whose coherence must not grow.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -117,6 +119,11 @@ def _near_context_between_haar_ones(doc: dict) -> None:
     ]
     doc["contexts"]["near"] = {"kind": "explicit", "matrix": matrix}
     doc["protocol"]["sequence"] = ["z", "x", "h", "near", "h"]
+
+
+def _gram_modulus_above_1(doc: dict) -> None:
+    # smallest eigenvalue -5e-11, admitted: a chain of 1e13 meters once grew its coherence to inf
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1 + 5e-11], [1 + 5e-11, 1]]}
 
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
@@ -271,6 +278,11 @@ ADMITTED = [
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["run", "--exhaustive"]),
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["verify", "--out", REPORT]),
     ("near_context_between_haar_ones", _near_context_between_haar_ones, ["run", "--exhaustive"]),
+    (
+        "gram_modulus_above_1",
+        _gram_modulus_above_1,
+        ["sweep", "--param", "m_count", "--from", "1e13", "--to", "2e13", "--steps", "2"],
+    ),
 ]
 
 
