@@ -18,13 +18,14 @@ overlap matrix's PSD test, the rank cut and overlap residual of realized meter s
 composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
 There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the closed form
-(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩ and each overlap's modulus held at most 1, read by
-``run``'s meter and the ``m_count`` sweep; identity overlaps at m = 1 give the completed
-(projective) measurement's state.  The ``g`` sweep takes the dial's ends as diag|b|², b b† and
-``Context.return_tables``, and deflates the spectrum between them in ``runner``.  The entropy a
-meter leaves, :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The
-composite route (meter states realized from the overlaps, :func:`entangle`,
-:func:`reduced_system_state`) is the referee of ``verify``.
+(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩, its power Hermitian bit for bit, each overlap's modulus
+at most 1 and a length refused where a phase m·arg passes a double; ``run``'s meter and the
+``m_count`` sweep read it.  Identity overlaps at m = 1 give the projective measurement's state.
+The ``g`` sweep takes the dial's ends as diag|b|², b b† and ``Context.return_tables``, and
+deflates the spectrum between them in ``runner``.  The entropy a meter leaves,
+:func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The composite
+route (meter states realized from the overlaps, :func:`entangle`, :func:`reduced_system_state`)
+is the referee of ``verify``.
 
 Conventions: meter states are stored as the columns of an M×N complex
 matrix, with M the meter dimension; composite amplitudes are indexed
@@ -159,10 +160,8 @@ def meter_states_from_gram(gram: Gram) -> np.ndarray:
     order = np.argsort(-eigvals, kind="stable")
     order = order[eigvals[order] > INPUT_TOL]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    for a in range(eigvecs.shape[1]):
-        pivot = int(np.argmax(np.abs(eigvecs[:, a])))
-        phase = eigvecs[pivot, a] / abs(eigvecs[pivot, a])
-        eigvecs[:, a] /= phase
+    pivot = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(len(eigvals))]
+    eigvecs /= pivot / np.hypot(pivot.real, pivot.imag)  # libm's; np.abs of an array may differ
     states = np.sqrt(eigvals)[:, None] * eigvecs.conj().T
     residual = float(np.max(np.abs(states.conj().T @ states - gram.matrix)))
     if not residual <= INPUT_TOL:
@@ -263,14 +262,20 @@ def meter_chain_reduced_state(
     the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
     The power's modulus is min(|⟨w_j'|w_j⟩|, 1)^m, the Cauchy–Schwarz bound of unit states: an
     admitted overlap matrix may hold a modulus up to about ``INPUT_TOL`` above 1, which a long
-    chain would grow past any state.
-    ``m_count`` is an integer >= 0 that a double holds (``ScenarioValidationError`` otherwise).
+    chain would grow past any state.  The phase m·arg is the upper triangle's minus its transpose,
+    so the power is Hermitian bit for bit, and 0 where the modulus power is.  ``m_count`` is an
+    integer >= 0 that a double holds, as each m·|arg| must (``ScenarioValidationError`` otherwise).
     """
     m_count = _chain_length("m_count", m_count)
     branch = _branch(initial, pointer, gram.dim)
     overlap = gram.matrix.conj()  # ⟨w_j'|w_j⟩ = conj(gram)[j, j']
-    power = np.minimum(np.abs(overlap), 1.0) ** m_count * np.exp(1j * m_count * np.angle(overlap))
-    return np.outer(branch, branch.conj()) * power
+    modulus = np.minimum(np.abs(overlap), 1.0) ** m_count
+    upper = np.triu(np.angle(overlap), 1)  # angle(-1 + 0j) is π in both triangles
+    angle = np.where(modulus > 0.0, upper - upper.T, 0.0)
+    if not m_count * float(np.max(np.abs(angle))) < np.inf:  # a Python float overflows quietly
+        reason = f"length {m_count:.3e} turns a unit overlap's phase past a double"
+        raise ScenarioValidationError("m_count", reason)
+    return np.outer(branch, branch.conj()) * (modulus * np.exp(1j * m_count * angle))
 
 
 def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:

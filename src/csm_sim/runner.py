@@ -15,9 +15,10 @@ that read a refused object are skipped.  ``run`` and ``verify`` build every cont
 sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
 the contexts its parameter reads.  The ``g`` sweep interpolates between the dial's ends,
 the return tables that ``run``'s ``returns`` read (``Context.return_tables``); its entropy
-is the Shannon entropy of a diagonal-plus-rank-one spectrum, deflated for the whole grid at
-once (:func:`_g_spectra`) and exact at both ends.  Neither writer, the JSON report's nor the
-sweep's CSV, emits a non-finite number: each refuses one as a domain error (:func:`_finite`).
+is the Shannon entropy of a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at
+both ends, deflated once for the whole grid and solved once per point between them.  Neither
+writer, the JSON report's nor the sweep's CSV, emits a non-finite number: each refuses one as
+a domain error (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
     Between them the update deflates (Bunch, Nielsen and Sorensen 1978).  The moduli equal
     within 8·eps·max(w), LAPACK ``dlaed2``'s rule, form a group; a group of m with mean square
     c² keeps (1 - g)·c² m - 1 times (all m times if its weights are 0), and adds a row to the
-    reduced matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The reduced matrices of the
-    grid are stacked into ``eigvalsh`` calls of at most N² entries each, the size of one N×N.
+    reduced matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The grid deflates once, and
+    each point between the ends solves its own reduced matrix with one ``eigvalsh``.
     """
     n, ascending = len(weights), np.sort(weights)
     w = np.sqrt(ascending).tolist()
@@ -139,17 +140,10 @@ def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
     coupled = sums > 0.0
     kept = np.repeat(sums / counts, counts - coupled)
     diagonal, z = np.diag(sums[coupled] / counts[coupled]), np.sqrt(sums[coupled])
-    interior = np.array([g for g in grid if 0.0 < g < 1.0])
-    per_call = max(1, n * n // (len(z) * len(z)))
-    reduced = [
-        np.linalg.eigvalsh((1 - gs)[:, None, None] * diagonal + gs[:, None, None] * np.outer(z, z))
-        for gs in np.split(interior, range(per_call, len(interior), per_call))
-    ]
-    between = iter(np.concatenate(reduced))
-    point_mass = np.eye(1, n).ravel()
+    outer, point_mass = np.outer(z, z), np.eye(1, n).ravel()
     return [
         weights if g == 0.0 else point_mass if g == 1.0
-        else np.concatenate([(1 - g) * kept, next(between)])
+        else np.concatenate([(1 - g) * kept, np.linalg.eigvalsh((1 - g) * diagonal + g * outer)])
         for g in grid
     ]
 

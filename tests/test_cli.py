@@ -175,6 +175,22 @@ def test_a_meter_chain_on_an_overlap_modulus_above_1_stays_a_state(tmp_path, cap
     assert main(["verify", str(path)]) == 0
 
 
+def test_a_chain_length_whose_phase_passes_a_double_is_a_usage_error(tmp_path, capsys):
+    # an overlap of -1 turns by m·π, past a double at m = 1e308: once two RuntimeWarnings, a
+    # NaN and exit 1 on a document the scenario rules admit
+    doc = json.loads(Path(SCENARIO).read_text())
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, -1], [-1, 1]]}
+    path = tmp_path / "negative_overlap.json"
+    path.write_text(json.dumps(doc))
+    sweep = ["sweep", str(path), "--param", "m_count", "--from", "1e308", "--to", "1e308"]
+    assert main([*sweep, "--steps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}: m_count: length 1.000e+308 turns a unit overlap's phase past a double"
+    ]
+
+
 def test_an_exhaustive_path_count_too_long_to_write_is_domain_error(tmp_path, capsys):
     # 16**3572 paths, a count of 4,302 digits: past str's limit, so no JSON can hold it
     doc = {

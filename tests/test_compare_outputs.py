@@ -100,17 +100,19 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     scenario_runs = len(runs) - len(refusals) - len(admitted)
     assert scenario_runs == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 10
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 33
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 34
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the
-        # file), a recipe that breaks a rule of its kind and a flag out of
-        # range are usage errors; a refused input fails
+        # file), a recipe that breaks a rule of its kind, a flag out of range
+        # and a chain length past a double's phase are usage errors; a refused
+        # input fails
         usage = name in (
             "no_meter", "one_context", "unedited", "g_grid_0_1_2", "m_count_grid_-3_-1_1",
             "no_meter_and_explicit_x_off_by_1e-8", "x_haar_seed_-1", "gram_g_1.5",
             "x_rotation_in_dim_3", "schema_version_true", "sequence_names_nope",
             "initial_context_x", "initial_index_2", "pointer_nope", "unknown_top_level_key",
+            "gram_negative_unit_overlap",
         )
         assert main(argv) == (2 if usage else 1), label
         err = capsys.readouterr().err

@@ -216,6 +216,34 @@ def test_meter_states_reproduce_overlaps():
     np.testing.assert_allclose(np.linalg.norm(states, axis=0), [1.0, 1.0], atol=1e-8)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8), real=st.booleans())
+@example(seed=4, dim=2, real=True)  # gram_uniform(2, 0.5): eigenvector moduli tie
+def test_each_meter_state_row_is_phased_at_its_largest_entry(seed, dim, real):
+    # row a is √λ_a·conj(v_a / phase), phased so that the first largest-modulus entry of the
+    # eigenvector v_a is real and positive.  Scaling by √λ_a can tie entries one rounding step
+    # apart, so the pivot is one of the row's largest moduli within 4 eps; it is real bit for
+    # bit when the overlaps are real, and within the rounding of v / (v / |v|) when complex
+    grams = [random_unit_gram(dim, seed), cs.gram_uniform(dim, (seed % 9) / 8)]
+    if real:
+        a = np.random.default_rng(seed).standard_normal((dim, dim))
+        scale = 1.0 / np.sqrt(np.sum(a * a, axis=1))
+        grams[0] = cs.Gram(np.clip((a @ a.T) * np.outer(scale, scale), -1, 1))
+    for gram in grams:
+        slack = EPS if gram.matrix.imag.any() else 0.0
+        for row in cs.meter_states_from_gram(gram):
+            moduli = np.abs(row)
+            largest = np.flatnonzero(moduli >= np.max(moduli) * (1 - 4 * EPS))
+            assert any(row[k].real > 0 and abs(row[k].imag) <= slack * moduli[k] for k in largest)
+
+
+def test_meter_states_of_tied_moduli_take_the_first_as_pivot():
+    states = cs.meter_states_from_gram(cs.gram_uniform(2, 0.5))
+    half = np.sqrt(0.5)
+    np.testing.assert_allclose(states, [[np.sqrt(1.5) * half] * 2, [half * half, -half * half]])
+    assert states[1, 0] > 0 > states[1, 1]
+
+
 def test_meter_states_complex_gram_and_determinism():
     gram = random_unit_gram(4, seed=5)
     a = cs.meter_states_from_gram(gram)
@@ -688,6 +716,9 @@ CHAIN_LENGTHS = st.integers(0, 10**300) | st.sampled_from([10**k for k in (6, 12
     fourier=True,
     lengths=[1, 10**12, 2 * 10**13, 10**300],
 )
+# a negative real overlap held as -1 + 0j in both triangles: angle gives +π to each, so the
+# two phases of 10**300 links once failed to cancel and the state was not Hermitian
+@example(gram=cs.Gram(np.array([[1, -1], [-1, 1]])), seed=0, fourier=False, lengths=[3, 10**300])
 def test_a_meter_chain_of_every_admitted_length_stays_a_state(gram, seed, fourier, lengths):
     # each link multiplies a coherence by an overlap of unit states, of modulus at most 1
     dim = gram.dim
@@ -696,10 +727,28 @@ def test_a_meter_chain_of_every_admitted_length_stays_a_state(gram, seed, fourie
     for m in lengths:
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
         assert np.isfinite(rho).all()
+        assert np.max(np.abs(rho - rho.conj().T)) <= 2 * EPS, m  # b b† is Hermitian to rounding
         diagonal = rho.diagonal().real
         assert abs(diagonal.sum() - 1.0) <= 4 * dim * EPS
         bound = np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)
         assert np.all(np.abs(rho) <= bound), m
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_chain_whose_phase_passes_a_double_is_refused_and_no_other(balanced):
+    # m·π overflows at m = 1e308; a modulus below 1 raised that far is 0, which has no phase
+    initial, tilted = balanced
+    negative = cs.Gram(np.array([[1, -1], [-1, 1]]))
+    with pytest.raises(ScenarioValidationError) as caught:
+        cs.meter_chain_reduced_state(initial, tilted, negative, 10**308)
+    assert caught.value.field == "m_count"
+    assert caught.value.reason == "length 1.000e+308 turns a unit overlap's phase past a double"
+    branch = tilted.basis.conj().T @ initial.vector
+    pure = np.outer(branch, branch.conj())
+    for gram, coherence in ((cs.gram_uniform(2, 0.5), 0.0), (cs.Gram(np.ones((2, 2))), 1.0)):
+        rho = cs.meter_chain_reduced_state(initial, tilted, gram, 10**308)
+        np.testing.assert_array_equal(rho.diagonal(), pure.diagonal())
+        np.testing.assert_array_equal(rho[0, 1], coherence * pure[0, 1])
 
 
 def test_meter_chain_refuses_a_negative_length(balanced):

@@ -37,9 +37,10 @@ strength outside [0, 1], a rotation in dim 3), a ``schema_version`` that is no
 integer, a document rule (an undefined name in the sequence or as the pointer, an
 initial context that is not the first, an initial index out of range, an unknown
 top-level key), two flags whose rule only the library owns (``verify --tolerance -1``
-and ``run --exhaustive --seed -1``), and a negative grid end written with an
-exponent (``--to -1e-3``).  Last it runs the short list ``ADMITTED`` the same way:
-an explicit basis off orthonormal by 0.99 of the input floor, which the program
+and ``run --exhaustive --seed -1``), a negative grid end written with an
+exponent (``--to -1e-3``), and a chain length of 1e308 under an overlap of -1, whose phase
+m·π no double holds (``sweep --param m_count``).  Last it runs the short list ``ADMITTED``
+the same way: an explicit basis off orthonormal by 0.99 of the input floor, which the program
 admits and holds as its nearest unitary, under ``run --exhaustive`` and
 ``verify --out``; and, under ``run --exhaustive``, the sequence ``[z, x, h, near, h]``
 through a Haar context ``h`` and an explicit context ``near`` 3e-5 from it, whose
@@ -124,6 +125,11 @@ def _near_context_between_haar_ones(doc: dict) -> None:
 def _gram_modulus_above_1(doc: dict) -> None:
     # smallest eigenvalue -5e-11, admitted: a chain of 1e13 meters once grew its coherence to inf
     doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, 1 + 5e-11], [1 + 5e-11, 1]]}
+
+
+def _gram_negative_unit_overlap(doc: dict) -> None:
+    # overlap -1: at a chain length of 1e308 its phase m·π overflows a double
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, -1], [-1, 1]]}
 
 
 def _gram_eigenvalue_below_zero(doc: dict) -> None:
@@ -269,6 +275,12 @@ REFUSALS = [
         "unedited",
         _unedited,
         ["sweep", "--param", "g", "--from", "0", "--to", "-1e-3", "--steps", "3"],
+    ),
+    # a chain length whose phase m·arg of a unit overlap no double holds
+    (
+        "gram_negative_unit_overlap",
+        _gram_negative_unit_overlap,
+        ["sweep", "--param", "m_count", "--from", "1e308", "--to", "1e308", "--steps", "1"],
     ),
 ]
 
