@@ -62,12 +62,10 @@ try:
         context_change_unitary,
         fourier_context,
         haar_context,
-        rotation_context,
-    )
-    from .measurement import (
         interference_returns,
         irreversible_return,
         reversible_return,
+        rotation_context,
         transition_matrix,
         validate_distribution,
     )

@@ -169,8 +169,13 @@ def _cmd_sweep(args, scenario) -> int:
     if not 1 <= args.steps <= limit:
         print(f"sweep: --steps must be in [1, {limit}]", file=sys.stderr)
         return 2
+    start, stop = args.start, args.stop
     with np.errstate(invalid="ignore", over="ignore"):
-        values = np.linspace(args.start, args.stop, args.steps).tolist()
+        if math.isfinite(start) and math.isfinite(stop) and not math.isfinite(stop - start):
+            # linspace forms stop − start, past a double here: halving and doubling are exact
+            values = (2.0 * np.linspace(0.5 * start, 0.5 * stop, args.steps)).tolist()
+        else:
+            values = np.linspace(start, stop, args.steps).tolist()
     if args.param == "m_count":  # a non-finite entry has no integer; sweep_grid refuses it
         values = [int(round(v)) if math.isfinite(v) else v for v in values]
     rows = sweep_rows(scenario, args.param, values)

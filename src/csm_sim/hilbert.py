@@ -1,4 +1,4 @@
-"""Measurement contexts as orthonormal bases of a finite-dimensional complex space.
+"""Measurement contexts as orthonormal bases of C^N, and the Born probabilities between two.
 
 A context is an ordered orthonormal basis of C^N; column ``j`` of
 ``Context.basis`` is the vector attached to outcome ``j``.  A modality is one
@@ -13,20 +13,28 @@ Contexts compare by ``id``, not by matrix equality: whether two setups are
 "the same context" is a protocol-level statement, so equality follows the
 label chosen at construction time.
 
+Two return routes through an intermediate context exist and they differ physically.  If an
+outcome is realized in the intermediate context, probabilities add over intermediate outcomes
+(``irreversible_return``); if none is realized, amplitudes add instead and the start outcome
+is recovered with certainty (``reversible_return``).  ``interference_returns`` exposes the
+amplitude sum with adjustable per-path phases, which is what an interferometer dials.
+
 :class:`Context` checks a basis matrix; a :class:`ContextSpec` checks every rule of
 its kind when made, and :func:`build_context` and the public constructors, which
 make one, trust it.  The package's value rules each have one owner here: ``_number``
 and ``_integer`` (a finite real, an integer that is no bool, each with a floor) for every
 recipe, document field, grid entry, count, seed and tolerance; ``check_index`` for every
-index and outcome; ``_instance`` and ``_sequence`` for every typed operand and sequence;
-``_shown`` for every value a refusal quotes; ``_read_array`` for every caller's matrix and
-vector (a density matrix too), its shape and its entries' finiteness, so that only a length
-that differs from a partner's dim is left to ``DimensionMismatch``; ``_saturated`` for every
-residual a check of such a matrix measures; ``_hermitian`` for the Hermiticity residual and
-Hermitian part of an overlap or density matrix; ``_Recipe`` for the kind and fields of both
-recipes, ``_square`` for a recipe matrix's side, ``MAX_DIM`` for the largest side a recipe
-builds; ``INPUT_TOL``, the one floor inputs are trusted to; ``_hold``, frozen fields, and
-``_Value``, the frozen base of every value type.
+index and outcome; ``clamp_probabilities`` for every computed probability and
+``validate_distribution`` for every given one; ``_instance`` and ``_sequence`` for every
+typed operand and sequence; ``_shown`` for every value a refusal quotes; ``_read_array`` for
+every caller's matrix and vector (a density matrix too), its shape and its entries'
+finiteness, so that only a length that differs from a partner's dim is left to
+``DimensionMismatch``; ``_saturated`` for every residual a check of such a matrix measures;
+``_hermitian`` for the Hermiticity residual and Hermitian part of an overlap or density
+matrix; ``_Recipe`` for the kind and fields of both recipes, ``_square`` for a recipe
+matrix's side, ``MAX_DIM`` for the largest side a recipe builds; ``INPUT_TOL``, the one floor
+inputs are trusted to; ``_hold``, frozen fields, and ``_Value``, the frozen base of every
+value type.
 
 ``INPUT_TOL`` (1e-10) sits far above rounding.  Against a 40-digit referee over dims 2–8
 (``tests/test_precision.py``), the worst table kernel is off by 1.7·dim·eps, 3.0e-15 at dim 8,
@@ -39,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError
+from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -64,6 +73,24 @@ def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     if not (float(np.min(arr)) >= -INPUT_TOL and float(np.max(arr)) <= 1.0 + INPUT_TOL):
         raise InternalConsistencyError("probabilities outside [0,1] beyond tolerance")
     return np.clip(arr, 0.0, 1.0)
+
+
+def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
+    """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, clipped; a refusal names ``field``."""
+    refuse = partial(ScenarioValidationError, field)
+    dist = _read_array(dist, refuse, float, "vector")
+    if float(np.min(dist)) < -INPUT_TOL or float(np.max(dist)) > 1.0 + INPUT_TOL:
+        raise refuse("weights outside [0, 1]")
+    total = float(np.sum(dist))
+    if not abs(total - 1.0) <= INPUT_TOL:
+        raise refuse(f"weights sum to {total!r}, not 1")
+    return np.clip(dist, 0.0, 1.0)
+
+
+def _entropy(dist: np.ndarray) -> float:
+    """-Σ p log p in nats of what :func:`validate_distribution` returned, 0·log 0 = 0."""
+    p = dist[dist > 0.0]
+    return float(-np.sum(p * np.log(p))) + 0.0
 
 
 def is_integer(value) -> bool:
@@ -331,6 +358,58 @@ class Modality(_Value):
     @property
     def vector(self) -> np.ndarray:
         return self.context.basis[:, self.index]
+
+
+def transition_matrix(frm: Context, to: Context) -> np.ndarray:
+    """All N² outcome-to-outcome probabilities between two contexts.
+
+    Entry (j, i) is the probability of outcome j of ``to`` given outcome i
+    of ``frm``.  Entries are squared moduli of a unitary's entries, so every
+    row and every column sums to 1 (doubly stochastic).
+    """
+    amps = to.overlaps(frm)
+    return clamp_probabilities(amps.real**2 + amps.imag**2)
+
+
+def irreversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
+    """Return probability when an outcome is realized in the intermediate context.
+
+    Probabilities add over the intermediate outcomes:
+    Σ_j |⟨u_k|v_j⟩|² |⟨v_j|u_i⟩|², read off the memoized
+    :meth:`Context.return_tables`.
+    """
+    check_index("final_index", final_index, initial.context.dim)
+    return initial.context.return_tables(intermediate)[1].item(final_index, initial.index)
+
+
+def reversible_return(initial: Modality, intermediate: Context, final_index: int) -> float:
+    """Return probability when no intermediate outcome is realized.
+
+    Amplitudes add over the intermediate outcomes, |Σ_j ⟨u_k|v_j⟩⟨v_j|u_i⟩|²;
+    by the closure relation this is δ_{k,i}, but the sum is evaluated
+    numerically (one product of the two overlap tables, memoized in
+    :meth:`Context.return_tables`) rather than asserted, so the identity is a
+    tested consequence.
+    """
+    check_index("final_index", final_index, initial.context.dim)
+    return initial.context.return_tables(intermediate)[0].item(final_index, initial.index)
+
+
+def interference_returns(initial: Modality, intermediate: Context, phases: np.ndarray) -> np.ndarray:
+    """Amplitude-summed return probability to every outcome k, a phase dialed onto each path.
+
+    |Σ_j e^{iφ_j} ⟨u_k|v_j⟩⟨v_j|u_i⟩|² for all k at once: row k of the
+    table of path products holds the N paths from outcome i back to outcome
+    k.  All phases zero reduces to :func:`reversible_return`.
+    """
+    phases = _read_array(phases, "phases", float, "vector")
+    if phases.size != intermediate.dim:
+        raise DimensionMismatch(f"need {intermediate.dim} phases, got shape {phases.shape}")
+    ctx = initial.context
+    # paths[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩; the overlaps raise on a dim mismatch
+    paths = ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]
+    amps = (np.exp(1j * phases) * paths).sum(axis=1)
+    return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
 def _number(field: str, value, least: float | None = None) -> float:

@@ -41,8 +41,8 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, MAX_DIM, Context, Modality, _hold, _integer, _number, _read_array
-from .hilbert import _hermitian, _Recipe, _saturated, _square, _Value, clamp_probabilities
-from .measurement import _entropy, validate_distribution
+from .hilbert import _entropy, _hermitian, _Recipe, _saturated, _square, _Value
+from .hilbert import clamp_probabilities, validate_distribution
 
 
 class Gram(_Value):

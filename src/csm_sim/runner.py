@@ -45,11 +45,9 @@ from .hilbert import (
     clamp_probabilities,
     closure_residual,
     context_change_unitary,
-    projector_residual,
-)
-from .measurement import (
     interference_returns,
     irreversible_return,
+    projector_residual,
     reversible_return,
     validate_distribution,
 )

@@ -42,9 +42,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
-from .hilbert import Context, Modality, _hold, _instance, _integer, _sequence, _Value
-from .hilbert import check_index, clamp_probabilities
-from .measurement import _entropy, transition_matrix, validate_distribution
+from .hilbert import Context, Modality, _entropy, _hold, _instance, _integer, _sequence, _Value
+from .hilbert import check_index, clamp_probabilities, transition_matrix, validate_distribution
 
 # A step's forward table and its backward route's, transposed, must agree to this.
 CROSS_CHECK_TOL = 1e-12

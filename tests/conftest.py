@@ -5,8 +5,7 @@ import pytest
 
 import csm_sim as cs
 from csm_sim.errors import InternalConsistencyError
-from csm_sim.hilbert import INPUT_TOL, clamp_probabilities
-from csm_sim.measurement import validate_distribution
+from csm_sim.hilbert import INPUT_TOL, clamp_probabilities, validate_distribution
 from csm_sim.trajectory import CROSS_CHECK_TOL, _check_outcomes, _reference
 
 

@@ -338,6 +338,14 @@ def test_sweep_phase(capsys):
     assert lines[0] == "phase,p_return_0,p_return_1"
 
 
+def test_a_phase_grid_whose_span_passes_a_double_keeps_its_ends(capsys):
+    # linspace forms stop − start, inf here, and once read the grid [nan, inf, 1e308]
+    argv = ["sweep", SCENARIO, "--param", "phase", "--from=-1e308", "--to", "1e308", "--steps", "3"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [-1e308, 0.0, 1e308]
+
+
 @pytest.mark.parametrize("ends", [("-1e-3", "0"), ("0", "-1e-3"), ("-2E+0", "-.5e1")])
 def test_a_negative_grid_end_with_an_exponent_is_read_as_after_an_equals_sign(capsys, ends):
     # argparse reads "-1e-3" after a space as an option, not as a number

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from csm_sim.errors import DimensionMismatch, InternalConsistencyError, ScenarioValidationError
-from csm_sim.hilbert import clamp_probabilities
-from csm_sim.measurement import validate_distribution
+from csm_sim.hilbert import clamp_probabilities, validate_distribution
 from conftest import born, path_amplitudes, point_mass
 
 

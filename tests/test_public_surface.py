@@ -1,5 +1,10 @@
 """The package exports exactly these names; adding or removing one is a deliberate edit here."""
 
+import warnings
+from pathlib import Path
+
+import pytest
+
 import csm_sim
 
 PUBLIC = [
@@ -55,3 +60,12 @@ PUBLIC = [
 
 def test_public_surface_is_pinned():
     assert sorted(csm_sim.__all__) == PUBLIC
+
+
+def test_the_distribution_reads_its_version_from_the_package():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():  # [tool.setuptools] in pyproject.toml is still "beta"
+        warnings.simplefilter("ignore")
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["version"] == csm_sim.__version__

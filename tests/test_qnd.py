@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -675,34 +677,35 @@ def admitted_grams(draw):
     overlaps of fewer unit states than its side (all ones among them), the last shifted as
     far as a smallest eigenvalue of -0.99·``INPUT_TOL`` and scaled back to a unit diagonal, so
     that an off-diagonal modulus can lie above 1."""
-    dim = draw(st.integers(2, 6))
-    kind = draw(st.sampled_from(["uniform", "random", "deficient"]))
-    if kind == "uniform":
-        return cs.gram_uniform(dim, draw(st.floats(0, 1)))
-    if kind == "random":
-        return random_unit_gram(dim, draw(st.integers(0, 2**32 - 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rank = draw(st.integers(1, dim - 1))
-    w = np.ones((1, dim)) if draw(st.booleans()) else (
-        rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-    )
-    w /= np.linalg.norm(w, axis=0)
-    matrix = w.conj().T @ w
-    values, vectors = np.linalg.eigh(matrix)
-    shift = values[0] + draw(st.floats(0, 0.99)) * INPUT_TOL
-    matrix -= shift * np.outer(vectors[:, 0], vectors[:, 0].conj())
-    scale = 1.0 / np.sqrt(np.diagonal(matrix).real)
-    matrix *= np.outer(scale, scale)
-    try:
-        return cs.Gram(matrix)
-    except InvalidGramMatrix:  # the scaling moved the eigenvalue past the floor, rarely
-        assume(False)
+    with warnings.catch_warnings():  # as errors in the draws, not in hypothesis' own report
+        warnings.simplefilter("error")
+        dim = draw(st.integers(2, 6))
+        kind = draw(st.sampled_from(["uniform", "random", "deficient"]))
+        if kind == "uniform":
+            return cs.gram_uniform(dim, draw(st.floats(0, 1)))
+        if kind == "random":
+            return random_unit_gram(dim, draw(st.integers(0, 2**32 - 1)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rank = draw(st.integers(1, dim - 1))
+        w = np.ones((1, dim)) if draw(st.booleans()) else (
+            rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
+        )
+        w /= np.linalg.norm(w, axis=0)
+        matrix = w.conj().T @ w
+        values, vectors = np.linalg.eigh(matrix)
+        shift = values[0] + draw(st.floats(0, 0.99)) * INPUT_TOL
+        matrix -= shift * np.outer(vectors[:, 0], vectors[:, 0].conj())
+        scale = 1.0 / np.sqrt(np.diagonal(matrix).real)
+        matrix *= np.outer(scale, scale)
+        try:
+            return cs.Gram(matrix)
+        except InvalidGramMatrix:  # the scaling moved the eigenvalue past the floor, rarely
+            assume(False)
 
 
 CHAIN_LENGTHS = st.integers(0, 10**300) | st.sampled_from([10**k for k in (6, 12, 13, 100, 300)])
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
 @given(
     gram=admitted_grams(),
@@ -720,18 +723,21 @@ CHAIN_LENGTHS = st.integers(0, 10**300) | st.sampled_from([10**k for k in (6, 12
 # two phases of 10**300 links once failed to cancel and the state was not Hermitian
 @example(gram=cs.Gram(np.array([[1, -1], [-1, 1]])), seed=0, fourier=False, lengths=[3, 10**300])
 def test_a_meter_chain_of_every_admitted_length_stays_a_state(gram, seed, fourier, lengths):
-    # each link multiplies a coherence by an overlap of unit states, of modulus at most 1
-    dim = gram.dim
-    initial = cs.haar_context(dim, seed).modality(seed % dim)
-    pointer = cs.fourier_context(dim) if fourier else cs.haar_context(dim, seed + 1)
-    for m in lengths:
-        rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
-        assert np.isfinite(rho).all()
-        assert np.max(np.abs(rho - rho.conj().T)) <= 2 * EPS, m  # b b† is Hermitian to rounding
-        diagonal = rho.diagonal().real
-        assert abs(diagonal.sum() - 1.0) <= 4 * dim * EPS
-        bound = np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)
-        assert np.all(np.abs(rho) <= bound), m
+    with warnings.catch_warnings():  # as errors in the calls, not in hypothesis' own report
+        warnings.simplefilter("error")
+        # each link multiplies a coherence by an overlap of unit states, of modulus at most 1
+        dim = gram.dim
+        initial = cs.haar_context(dim, seed).modality(seed % dim)
+        pointer = cs.fourier_context(dim) if fourier else cs.haar_context(dim, seed + 1)
+        for m in lengths:
+            rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
+            assert np.isfinite(rho).all()
+            # b b† is Hermitian to rounding
+            assert np.max(np.abs(rho - rho.conj().T)) <= 2 * EPS, m
+            diagonal = rho.diagonal().real
+            assert abs(diagonal.sum() - 1.0) <= 4 * dim * EPS
+            bound = np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)
+            assert np.all(np.abs(rho) <= bound), m
 
 
 @pytest.mark.filterwarnings("error")

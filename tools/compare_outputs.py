@@ -44,9 +44,11 @@ the same way: an explicit basis off orthonormal by 0.99 of the input floor, whic
 admits and holds as its nearest unitary, under ``run --exhaustive`` and
 ``verify --out``; and, under ``run --exhaustive``, the sequence ``[z, x, h, near, h]``
 through a Haar context ``h`` and an explicit context ``near`` 3e-5 from it, whose
-transition weights of ~1e-9 must not trip the entropy-production cross-check; and, under
-``sweep --param m_count`` at chain lengths 1e13 and 2e13, an overlap matrix whose off-diagonal
-modulus is 1 + 5e-11 (smallest eigenvalue -5e-11), whose coherence must not grow.
+transition weights of ~1e-9 must not trip the entropy-production cross-check; under
+``run --exhaustive`` and ``verify --out``, a document without a meter and a one-context
+protocol, which no checked-in scenario is; and, under ``sweep --param m_count`` at chain
+lengths 1e13 and 2e13, an overlap matrix whose off-diagonal modulus is 1 + 5e-11 (smallest
+eigenvalue -5e-11), whose coherence must not grow.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -290,6 +292,10 @@ ADMITTED = [
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["run", "--exhaustive"]),
     ("explicit_x_near_the_floor", _explicit_x_near_the_floor, ["verify", "--out", REPORT]),
     ("near_context_between_haar_ones", _near_context_between_haar_ones, ["run", "--exhaustive"]),
+    ("no_meter", _no_meter, ["run", "--exhaustive"]),
+    ("no_meter", _no_meter, ["verify", "--out", REPORT]),
+    ("one_context", _one_context, ["run", "--exhaustive"]),
+    ("one_context", _one_context, ["verify", "--out", REPORT]),
     (
         "gram_modulus_above_1",
         _gram_modulus_above_1,
