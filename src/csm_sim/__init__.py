@@ -17,9 +17,10 @@ bits of the report; so importing this package sets ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where they are unset, before
 NumPy loads.  A value the caller set is kept.  A program that imported NumPy
 before this package keeps the threads NumPy started with, and child processes
-inherit the setting.  Across CPU kernels, values agree to about 1e-15: over the
-checked-in scenarios, no value moved by more than 1.8e-15 between OpenBLAS's
-default, Haswell and Sandybridge kernels.
+inherit the setting.  Across CPU kernels, a value v agrees within 8·eps·max(1, |v|)
+and a ``verify`` residual within 2e-14: ``tests/test_kernels.py`` holds every number
+the checked-in scenarios report to these bounds between OpenBLAS's default, Haswell
+and Sandybridge kernels.
 
 Collection: the collector is held off while this package's modules, and NumPy with
 them, load, and the import ends with ``gc.freeze()``.  The objects alive when the

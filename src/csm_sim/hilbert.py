@@ -237,25 +237,6 @@ def _identity_residual(product: np.ndarray) -> float:
     return float(np.max(np.abs(product - np.eye(product.shape[1]))))
 
 
-def projector_residual(ctx: "Context") -> float:
-    """Worst idempotence and trace residual of the projectors p_j = v_j v_j†.
-
-    In closed form over the columns: p² − p = (‖v‖² − 1) p, whose largest
-    entry is |‖v‖² − 1| · max_l |v_l|², and tr p = ‖v‖².  p − p† is left out:
-    for ``np.outer(v, v.conj())`` it is only the rounding of one complex
-    product per entry (at most 5.6e-17 over 200 Haar bases of dim 2–31),
-    whatever the basis, so it measures nothing about the input.
-    """
-    weights = ctx.basis.real**2 + ctx.basis.imag**2
-    norm_gap = np.abs(weights.sum(axis=0) - 1.0)
-    return float(max(np.max(norm_gap * weights.max(axis=0)), np.max(norm_gap)))
-
-
-def closure_residual(ctx: "Context") -> float:
-    """Max-norm deviation of Σ_j p_j = B B† from the identity."""
-    return _identity_residual(ctx.basis @ ctx.adjoint)
-
-
 class Context(_Value):
     """An ordered orthonormal basis; column ``basis[:, j]`` is outcome ``j``'s vector, and
     ``id`` a string, its label.

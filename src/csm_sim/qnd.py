@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, MAX_DIM, Context, Modality, _hold, _integer, _number, _read_array
-from .hilbert import _entropy, _hermitian, _Recipe, _saturated, _square, _Value
+from .hilbert import _entropy, _hermitian, _Recipe, _square, _Value
 from .hilbert import clamp_probabilities, validate_distribution
 
 
@@ -276,17 +276,6 @@ def meter_chain_reduced_state(
         reason = f"length {m_count:.3e} turns a unit overlap's phase past a double"
         raise ScenarioValidationError("m_count", reason)
     return np.outer(branch, branch.conj()) * (modulus * np.exp(1j * m_count * angle))
-
-
-def density_matrix_residuals(rho: np.ndarray) -> dict[str, float]:
-    """Hermiticity, trace (of ρ as given) and positivity (of its Hermitian part) residuals of a
-    computed density matrix, each the largest double if it overflows."""
-    rho = _read_array(rho, "rho", shape="square matrix")
-    hermiticity, part = _hermitian(rho)
-    with np.errstate(over="ignore"):  # a trace past a double is off 1 too
-        trace = _saturated(abs(np.trace(rho) - 1.0))
-    negativity = _saturated(max(0.0, -float(np.linalg.eigvalsh(part)[0])))
-    return {"hermiticity": hermiticity, "trace": trace, "negativity": negativity}
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

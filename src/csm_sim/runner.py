@@ -34,6 +34,7 @@ from .errors import CsmSimError, RefusedInput
 from .hilbert import (
     Context,
     Modality,
+    _hermitian,
     _identity_residual,
     _instance,
     _integer,
@@ -43,11 +44,9 @@ from .hilbert import (
     _Value,
     build_context,
     clamp_probabilities,
-    closure_residual,
     context_change_unitary,
     interference_returns,
     irreversible_return,
-    projector_residual,
     reversible_return,
     validate_distribution,
 )
@@ -56,7 +55,6 @@ from .qnd import (
     _branch,
     build_gram,
     composite_return_probabilities,
-    density_matrix_residuals,
     entangle,
     meter_chain_reduced_state,
     meter_return_probabilities,
@@ -390,8 +388,13 @@ def _checks(scenario: Scenario, objects: _Objects):
             continue
         ctx = objects.contexts[name]
         yield check, ctx.orthonormality
-        yield f"context[{name}].projectors", projector_residual(ctx)
-        yield f"context[{name}].closure", closure_residual(ctx)
+        # p_j = v_j v_j†: p² − p = (‖v‖² − 1) p, largest entry |‖v‖² − 1|·max_l |v_l|², and
+        # tr p = ‖v‖².  p − p† of np.outer(v, v̄) is one rounding per entry, so it measures nothing.
+        weights = ctx.basis.real**2 + ctx.basis.imag**2
+        gap = np.abs(weights.sum(axis=0) - 1.0)
+        projectors = max(np.max(gap * weights.max(axis=0)), np.max(gap))
+        yield f"context[{name}].projectors", float(projectors)
+        yield f"context[{name}].closure", _identity_residual(ctx.basis @ ctx.adjoint)
 
     protocol = objects.protocol
     if protocol is None:
@@ -420,7 +423,9 @@ def _checks(scenario: Scenario, objects: _Objects):
         composite = composite_return_probabilities(state, initial.context, pointer)
         yield "meter.return_two_form_agreement", float(np.max(np.abs(probs - composite)))
         rho = meter_chain_reduced_state(initial, pointer, gram, 1)
-        yield "meter.reduced_state", max(density_matrix_residuals(rho).values())
+        hermiticity, part = _hermitian(rho)
+        negativity = max(0.0, -float(np.linalg.eigvalsh(part)[0]))
+        yield "meter.reduced_state", max(hermiticity, abs(np.trace(rho) - 1.0), negativity)
         traced = reduced_system_state(state, pointer)
         yield "meter.reduced_state_two_form_agreement", float(np.max(np.abs(rho - traced)))
 

@@ -2,6 +2,9 @@ import copy
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from csm_sim.cli import main
 from csm_sim.errors import ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
 compare_outputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_outputs)
@@ -95,9 +99,11 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     runs = compare_outputs.invocations(tmp_path)
     refusals = [(label, argv) for label, argv in runs if label.startswith("refusal ")]
     admitted = [label for label, _ in runs if label.startswith("admitted ")]
+    corpus = [label for label, _ in runs if label.startswith("corpus ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(admitted) == len(compare_outputs.ADMITTED)
-    scenario_runs = len(runs) - len(refusals) - len(admitted)
+    assert len(corpus) == 947 and len(runs) - len(corpus) == 112
+    scenario_runs = len(runs) - len(refusals) - len(admitted) - len(corpus)
     assert scenario_runs == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 10
     assert len(refusals) == len(compare_outputs.REFUSALS) == 34
@@ -169,7 +175,8 @@ def test_a_written_report_is_read_and_walked_value_by_value(tmp_path):
     argv = runs["scenarios/balanced_qubit.json  verify report"]
     assert argv[2:] == ["--out", str(tmp_path / "report.json")]
     src = Path(__file__).resolve().parent.parent / "src"
-    code, stdout, _, written = compare_outputs.invoke(src, argv)
+    with compare_outputs.tree(src) as invoke:
+        code, stdout, _, written = invoke(argv)
     assert code == 0 and stdout.startswith("PASS")
     assert json.loads(written)["pass"] is True
     assert not (tmp_path / "report.json").exists()  # removed, for the other tree to write
@@ -200,3 +207,59 @@ def test_each_refusal_document_reads_alike_from_its_file_and_in_process(tmp_path
             assert str(caught.value) == str(err), name
         else:
             assert cs.Scenario(doc) == parsed, name
+
+
+def _as_a_process(src: Path, args: list[str]) -> tuple:
+    """``compare_outputs``' former path: ``python3 -m csm_sim.cli args`` as its own process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run([sys.executable, "-m", "csm_sim.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    written = ""
+    if "--out" in args:
+        out = Path(args[args.index("--out") + 1])
+        written = out.read_text() if out.exists() else ""
+        out.unlink(missing_ok=True)
+    return done.returncode, done.stdout, done.stderr, written
+
+
+def test_one_child_per_tree_reads_as_a_process_per_invocation(tmp_path):
+    runs = dict(compare_outputs.invocations(tmp_path))
+    chosen = [
+        runs["scenarios/balanced_qubit.json  run seed 0"],
+        runs["scenarios/balanced_qubit.json  verify report"],
+        runs["refusal three_refusals  run"],
+        ["sweep", "scenarios/balanced_qubit.json", "--from", "0", "--to", "1", "--steps", "3"],
+    ]
+    with compare_outputs.tree(ROOT / "src") as invoke:
+        in_child = [invoke(args) for args in chosen]
+    assert in_child == [_as_a_process(ROOT / "src", args) for args in chosen]
+    assert [code for code, *_ in in_child] == [0, 0, 1, 2]
+    assert json.loads(in_child[1][3])["pass"] is True  # the written report
+    assert in_child[3][2].startswith("usage: csm-sim sweep ")  # argparse's, without --param
+
+
+def test_the_child_prints_each_warning_once_per_invocation_and_a_traceback_on_a_fault(tmp_path):
+    package = tmp_path / "csm_sim"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys, warnings\n"
+        "def main(argv):\n"
+        "    if argv == ['fault']:\n"
+        "        raise RuntimeError('boom')\n"
+        "    for _ in range(2):\n"
+        "        warnings.warn('once per place', RuntimeWarning)\n"
+        "    print('done')\n"
+        "    return 0\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(main(sys.argv[1:]))\n"
+    )
+    with compare_outputs.tree(tmp_path) as invoke:
+        warned, again, fault = invoke(["warn"]), invoke(["warn"]), invoke(["fault"])
+    assert warned == again == _as_a_process(tmp_path, ["warn"])
+    assert warned[2].count("RuntimeWarning: once per place") == 1
+    code, _, err, _ = fault
+    assert code == 1 and err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: boom\n")

@@ -4,9 +4,10 @@ For every document, with warnings as errors: each call returns or raises a ``Csm
 where the build refuses nothing, ``run`` (sampled and exhaustive), ``verify`` and each sweep
 of the file return, and ``verify`` passes at 1e-10; the report's bytes repeat, every sweep row
 is finite, ``run``'s sweep section is ``sweep_rows`` on its grid, the g sweep's ends are the
-returns through the pointer bit for bit, the exhaustive mean is the enumerated one, every
-chain state of the ``m_count`` grid is a Hermitian state, and every g row's entropy is that of
-the undeflated spectrum.
+returns through the pointer bit for bit, ``verify``'s projector, closure and reduced-state
+residuals are their formulas over the build bit for bit, the exhaustive mean is the enumerated
+one, every chain state of the ``m_count`` grid is a Hermitian state, and every g row's entropy
+is that of the undeflated spectrum.
 """
 
 import importlib.util
@@ -79,6 +80,25 @@ def _chain_states_are_states(objects, grid):
         assert np.all(np.abs(rho) <= np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)), m
 
 
+def _residual_rows_read_the_build(objects, checks):
+    """``verify``'s projector, closure and reduced-state residuals, bit for bit, from the held
+    bases and the state one meter leaves."""
+    residuals = {check["name"]: check["residual"] for check in checks}
+    for name, ctx in objects.contexts.items():
+        weights = ctx.basis.real**2 + ctx.basis.imag**2
+        gap = np.abs(weights.sum(axis=0) - 1.0)
+        projectors = max(np.max(gap * weights.max(axis=0)), np.max(gap))
+        assert residuals[f"context[{name}].projectors"] == projectors, name
+        closure = np.max(np.abs(ctx.basis @ ctx.adjoint - np.eye(ctx.dim)))
+        assert residuals[f"context[{name}].closure"] == closure, name
+    if objects.gram is not None:
+        initial, pointer = objects.protocol.initial, objects.pointer
+        rho = cs.meter_chain_reduced_state(initial, pointer, objects.gram, 1)
+        smallest = np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0]
+        hermiticity, trace = np.max(np.abs(rho - rho.conj().T)), abs(np.trace(rho) - 1.0)
+        assert residuals["meter.reduced_state"] == max(hermiticity, trace, -smallest, 0.0)
+
+
 def _g_rows_read_the_undeflated_spectrum(objects, rows):
     b = objects.pointer.adjoint @ objects.protocol.initial.vector
     w = np.abs(b)
@@ -123,6 +143,7 @@ def _keeps_the_contract(doc):
         assert all(isinstance(result, RefusedInput) for result in results.values()), results
         return
     assert verified["pass"], [check for check in verified["checks"] if not check["pass"]]
+    _residual_rows_read_the_build(objects, verified["checks"])
     long = [m for m in sweeps.get("m_count", ()) if m > LONG]
     for name, result in results.items():  # only a chain past LONG may be refused, as m_count
         if isinstance(result, CsmSimError):

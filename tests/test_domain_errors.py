@@ -32,7 +32,7 @@ import csm_sim as cs
 from csm_sim.errors import CsmSimError, DimensionMismatch, InvalidGramMatrix
 from csm_sim.errors import NonOrthonormalInput, ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL, MAX_DIM, is_integer
-from csm_sim.qnd import build_gram, density_matrix_residuals
+from csm_sim.qnd import build_gram
 from csm_sim.runner import build_scenario_objects
 from csm_sim.scenario import MAX_TABLE_BYTES
 
@@ -130,7 +130,6 @@ def test_matrices_end_in_a_domain_error(matrix, dim, vector):
     initial = cs.computational_context(dim).modality(0)
     returns_or_refuses(lambda: cs.entangle(initial, cs.fourier_context(dim), matrix))
     returns_or_refuses(lambda: cs.von_neumann_entropy(matrix))
-    returns_or_refuses(lambda: density_matrix_residuals(matrix))
     _scenario_readers(matrix, vector, matrix)
     _vector_readers(matrix)
     _vector_readers(vector)
@@ -551,8 +550,8 @@ def test_a_shape_is_its_value_s_own_rule_and_only_a_length_a_dimension_clash(cas
 
 def every_array_reader(dim):
     """``array_readers`` and the calls that reach one through a value of their own: a recipe's
-    matrix, a distribution given to an entropy or as a reference, a composite state given to
-    the composite route, and a density matrix given to its residuals."""
+    matrix, a distribution given to an entropy or as a reference, and a composite state given
+    to the composite route."""
     start, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
     protocol = cs.Protocol((start.context, pointer), start)
     return array_readers(dim) + [
@@ -562,7 +561,6 @@ def every_array_reader(dim):
         (partial(cs.entropy_production, protocol, (0, 0)), "vector", "final_dist"),
         (partial(cs.composite_return_probabilities, context=start.context, pointer=pointer),
          "vector", "state"),
-        (density_matrix_residuals, "square matrix", "rho"),
     ]
 
 
@@ -608,19 +606,3 @@ def test_a_density_matrix_that_is_no_state_is_refused_as_rho(rho, reason):
         with pytest.raises(ScenarioValidationError) as caught:
             cs.von_neumann_entropy(rho)
     assert (caught.value.field, caught.value.reason) == ("rho", reason)
-
-
-MAX = sys.float_info.max
-
-
-@pytest.mark.parametrize("rho, residuals", [
-    (np.full((2, 2), 1e308), (0.0, MAX, 0.0)),
-    (np.full((2, 2), 1e308 * (1 + 1j)), (MAX, MAX, 0.0)),
-    (np.diag([1e308, -1e308]), (0.0, 1.0, 1e308)),
-])
-def test_density_matrix_residuals_saturate_without_a_warning(rho, residuals):
-    # each once warned of an overflow, and the last read negativity 0.0 off a NaN
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        measured = density_matrix_residuals(rho)
-    assert measured == dict(zip(("hermiticity", "trace", "negativity"), residuals))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import csm_sim as cs
 from csm_sim.errors import DimensionMismatch, InvalidGramMatrix, ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
-from csm_sim.qnd import build_gram, density_matrix_residuals
+from csm_sim.qnd import build_gram
 from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
 
 EPS = float(np.finfo(float).eps)
@@ -796,12 +796,6 @@ NON_FINITE_STATES = [
 def test_von_neumann_entropy_refuses_a_non_finite_state(rho):
     with pytest.raises(ScenarioValidationError, match="^rho: need finite entries, got "):
         cs.von_neumann_entropy(rho)
-
-
-@pytest.mark.parametrize("rho", NON_FINITE_STATES)
-def test_density_matrix_residuals_refuse_a_non_finite_state(rho):
-    with pytest.raises(ScenarioValidationError, match="^rho: need finite entries, got "):
-        density_matrix_residuals(rho)
 
 
 def test_von_neumann_entropy_values():

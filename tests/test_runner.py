@@ -21,7 +21,7 @@ from csm_sim.errors import (
     NonOrthonormalInput,
     ScenarioValidationError,
 )
-from csm_sim.hilbert import INPUT_TOL, closure_residual, projector_residual
+from csm_sim.hilbert import INPUT_TOL
 from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -257,11 +257,14 @@ def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb)
         # a basis the context still accepts, off orthonormal by up to INPUT_TOL
         noise = np.random.default_rng(seed).standard_normal((dim, dim))
         basis = basis + 0.2 * INPUT_TOL / dim * noise
-    cs.Context("explicit", basis)  # admitted, but held repaired: the residuals read it as given
-    ctx = SimpleNamespace(basis=basis, adjoint=basis.conj().T)
+    cs.Context("explicit", basis)  # admitted, but held repaired: the rows read it as given
+    ctx = SimpleNamespace(basis=basis, adjoint=basis.conj().T, orthonormality=0.0)
+    objects = csm_sim.runner._Objects({"x": ctx}, None, None, None, ())
+    rows = dict(csm_sim.runner._checks(SimpleNamespace(contexts={"x": None}), objects))
+    assert list(rows) == ["context[x].orthonormal", "context[x].projectors", "context[x].closure"]
     projectors, closure = _projector_loop_residuals(basis)
-    assert abs(projector_residual(ctx) - projectors) <= 1e-15
-    assert abs(closure_residual(ctx) - closure) <= 1e-15
+    assert abs(rows["context[x].projectors"] - projectors) <= 1e-15
+    assert abs(rows["context[x].closure"] - closure) <= 1e-15
     if perturb:
         assert closure > 1e-13  # the perturbation shows, well above rounding
 

@@ -20,8 +20,10 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     sweep --param m_count --from 0 --to 8    --steps 9
     sweep --param phase   --from 0 --to 2*pi --steps 11
 
-with both trees, as ``python3 -m csm_sim.cli`` with BLAS on one thread, and
-compares stdout, stderr, exit code and the file an ``--out`` flag names.  It
+with both trees and compares stdout, stderr, exit code and the file an ``--out``
+flag names.  Each tree serves all its invocations from one child process, with
+its ``src`` as ``PYTHONPATH`` and BLAS on one thread, that calls
+``csm_sim.cli.main`` on each with stdout and stderr captured (see ``tree``).  It
 then runs the fixed list ``REFUSALS``: documents derived from
 ``scenarios/balanced_qubit.json``, written to a temporary directory, each with
 an invocation the program must refuse, so that a changed exit code or refusal
@@ -48,7 +50,12 @@ transition weights of ~1e-9 must not trip the entropy-production cross-check; un
 ``run --exhaustive`` and ``verify --out``, a document without a meter and a one-context
 protocol, which no checked-in scenario is; and, under ``sweep --param m_count`` at chain
 lengths 1e13 and 2e13, an overlap matrix whose off-diagonal modulus is 1 + 5e-11 (smallest
-eigenvalue -5e-11), whose coherence must not grow.
+eigenvalue -5e-11), whose coherence must not grow.  Then it runs a generated corpus: the
+documents of ``tools/scenario_docs.document(seed)`` for the seeds of ``CORPUS`` (0-199, 947
+invocations), with dims 2-6, explicit contexts, documents without a meter and one-context
+protocols, each under ``run --seed 0 --trajectories 5000``, ``run --exhaustive`` and
+``verify --out REPORT``, and under one ``sweep`` per grid its file declares, from the grid's
+least entry to its largest in as many steps.  Some of them are refused by design.
 
 Each invocation prints ``SAME`` or ``DIFF``; a difference also prints the
 largest numeric gap between the two outputs (JSON reports, printed or written,
@@ -59,13 +66,15 @@ it and any other list index is collapsed to ``[*]``, for example
 ``results.meter.reduced_state_diagonal[*]: 64 values <= 1.0e-14`` or
 ``checks[meter.reduced_state].residual: 1 value <= 2.2e-16``; for other
 text it prints the lines that differ, aligned by ``difflib``.  Exits 1 if any
-invocation differs.
+invocation differs.  The last two lines count the identical invocations, fixed and corpus.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import difflib
+import importlib.util
 import json
 import math
 import os
@@ -320,11 +329,27 @@ def scenarios() -> list[Path]:
     return found
 
 
+CORPUS = range(200)  # the seeds of scenario_docs.document
+CORPUS_INVOCATIONS = [
+    ["run", "--seed", "0", "--trajectories", "5000"], ["run", "--exhaustive"],
+    ["verify", "--out", REPORT],
+]
+
+
+def _scenario_docs():
+    path = ROOT / "tools" / "scenario_docs.py"
+    spec = importlib.util.spec_from_file_location("scenario_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
     """(label, argv) of every invocation: ``INVOCATIONS`` on each scenario, then ``REFUSALS``,
-    then ``ADMITTED``.
+    then ``ADMITTED``, then ``CORPUS_INVOCATIONS`` and a sweep per grid on each document of
+    ``CORPUS``.
 
-    The edited documents, and the files ``--out`` writes, go to ``tmp``.
+    The edited and generated documents, and the files ``--out`` writes, go to ``tmp``.
     """
 
     def argv(args: list[str], scenario: Path) -> list[str]:
@@ -343,24 +368,75 @@ def invocations(tmp: Path) -> list[tuple[str, list[str]]]:
             path = tmp / f"{name}.json"
             path.write_text(json.dumps(doc))
             found.append((f"{kind} {name}  {' '.join(args)}", argv(args, path)))
+    document = _scenario_docs().document
+    for seed in CORPUS:
+        doc = document(seed)
+        path = tmp / f"corpus_{seed:03d}.json"
+        path.write_text(json.dumps(doc))
+        sweeps = [  # from the file grid's least entry to its largest, in as many steps
+            ["sweep", "--param", param, "--from", repr(float(min(grid))),
+             "--to", repr(float(max(grid))), "--steps", str(len(grid))]
+            for param, grid in doc.get("sweep", {}).items()
+        ]
+        for args in CORPUS_INVOCATIONS + sweeps:
+            found.append((f"corpus {seed:03d}  {' '.join(args)}", argv(args, path)))
     return found
 
 
-def invoke(src: Path, args: list[str]) -> tuple[int, str, str, str]:
-    """Exit code, stdout, stderr and the text of the file ``--out`` names ("" if none)."""
+# The child process: one argv list per JSON line in, one JSON line [exit code, stdout, stderr,
+# written report] out.  Each invocation ends as a process would: argparse's usage errors by
+# their SystemExit code, an exception that escapes main in exit 1 with its traceback on stderr,
+# each warning printed once per place, as in a fresh process.
+CHILD = """
+import contextlib, io, json, sys, traceback, warnings
+from pathlib import Path
+from csm_sim.cli import main
+
+for line in iter(sys.stdin.readline, ""):
+    args = json.loads(line)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            try:
+                code = main(args)
+            except SystemExit as exit:
+                code = exit.code
+            except Exception:
+                traceback.print_exc()
+                code = 1
+    written = ""
+    if "--out" in args:  # read and removed, so the other tree's run writes it afresh
+        path = Path(args[args.index("--out") + 1])
+        written = path.read_text() if path.exists() else ""
+        path.unlink(missing_ok=True)
+    print(json.dumps([code, out.getvalue(), err.getvalue(), written]), flush=True)
+"""
+
+
+@contextlib.contextmanager
+def tree(src: Path):
+    """``invoke(args)``: exit code, stdout, stderr and the text of the file ``--out`` names (""
+    if none) of ``csm-sim args``, run through ``csm_sim.cli.main`` in one child process, with
+    ``src`` as its ``PYTHONPATH`` and BLAS on one thread, that serves every invocation."""
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    done = subprocess.run(
-        [sys.executable, "-m", "csm_sim.cli", *args],
-        capture_output=True, text=True, env=env, cwd=ROOT,
-    )
-    written = ""
-    if "--out" in args:  # read and removed, so the other tree's run writes it afresh
-        out = Path(args[args.index("--out") + 1])
-        written = out.read_text() if out.exists() else ""
-        out.unlink(missing_ok=True)
-    return done.returncode, done.stdout, done.stderr, written
+    with subprocess.Popen([sys.executable, "-c", CHILD], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True, env=env, cwd=ROOT) as child:
+
+        def invoke(args: list[str]) -> tuple[int, str, str, str]:
+            child.stdin.write(json.dumps(args) + "\n")
+            child.stdin.flush()
+            line = child.stdout.readline()
+            if not line:
+                sys.exit(f"{src}: the child process ended at {args}")
+            return tuple(json.loads(line))
+
+        try:
+            yield invoke
+        finally:
+            child.stdin.close()
 
 
 def _moved_values(a, b, path: str = "") -> list[tuple[str, float]] | None:
@@ -454,20 +530,23 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent_src, change_src = (package_dir(arg) for arg in argv)
-    differing = total = 0
-    with tempfile.TemporaryDirectory() as tmp:
+    same = {"fixed": [0, 0], "corpus": [0, 0]}  # per kind: identical, all
+    with tempfile.TemporaryDirectory() as tmp, tree(parent_src) as on_parent, \
+            tree(change_src) as on_change:
         for label, args in invocations(Path(tmp)):
-            parent, change = invoke(parent_src, args), invoke(change_src, args)
-            total += 1
+            parent, change = on_parent(args), on_change(args)
+            counts = same["corpus" if label.startswith("corpus ") else "fixed"]
+            counts[1] += 1
             if parent == change:
+                counts[0] += 1
                 print(f"SAME  {label}")
                 continue
-            differing += 1
             print(f"DIFF  {label}")
             for note in describe(parent, change):
                 print(f"      {note}")
-    print(f"{total - differing} of {total} invocations identical")
-    return 1 if differing else 0
+    for kind, (identical, total) in same.items():
+        print(f"{identical} of {total} {kind} invocations identical")
+    return 0 if all(identical == total for identical, total in same.values()) else 1
 
 
 if __name__ == "__main__":
