@@ -269,6 +269,23 @@ def test_closed_form_projector_residuals_match_explicit_loop(seed, dim, perturb)
         assert closure > 1e-13  # the perturbation shows, well above rounding
 
 
+@pytest.mark.parametrize("rho, residual", [
+    (np.diag([0.5, 0.5]), 0.0),  # a state
+    (np.array([[0.5, 0.25j], [0.25j, 0.5]]), 0.5),  # |ρ − ρ†| only
+    (np.diag([0.75, 0.5]), 0.25),  # |tr ρ − 1| only
+    (np.diag([1.25, -0.25]), 0.25),  # −λ_min only
+])
+def test_the_reduced_state_row_reads_each_flaw_of_the_chain_state(
+    rho, residual, balanced_scenario, monkeypatch
+):
+    objects = cs.build_scenario_objects(balanced_scenario)
+    monkeypatch.setattr(csm_sim.runner, "meter_chain_reduced_state", lambda *args: rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = dict(csm_sim.runner._checks(balanced_scenario, objects))
+    assert rows["meter.reduced_state"] == residual
+
+
 def _near(bound: float):
     """Zero, or a value of either sign whose magnitude lies within two decades of ``bound``."""
     magnitude = st.floats(-2.0, 2.0).map(lambda exponent: bound * 10.0**exponent)
