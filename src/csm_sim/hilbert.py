@@ -17,7 +17,8 @@ Two return routes through an intermediate context exist and they differ physical
 outcome is realized in the intermediate context, probabilities add over intermediate outcomes
 (``irreversible_return``); if none is realized, amplitudes add instead and the start outcome
 is recovered with certainty (``reversible_return``).  ``interference_returns`` exposes the
-amplitude sum with adjustable per-path phases, which is what an interferometer dials.
+amplitude sum with adjustable per-path phases, which is what an interferometer dials; it and
+the phase sweep read the one path table ⟨u_k|v_j⟩⟨v_j|u_i⟩, ``_paths``.
 
 :class:`Context` checks a basis matrix; a :class:`ContextSpec` checks every rule of
 its kind when made, and :func:`build_context` and the public constructors, which
@@ -119,9 +120,9 @@ def _shown(value, show=repr) -> str:
         return f"{'a negative' if value < 0 else 'an'} integer of {k + 1} digits"
 
 
-def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
+def _read_array(value, refuse, dtype, shape) -> np.ndarray:
     """A new ``dtype`` array of ``value`` (complex, float, or None: float if real, else complex),
-    non-empty and of the ``shape`` asked, if any: ``"vector"``, ``"matrix"`` or ``"square matrix"``,
+    non-empty and of the ``shape`` asked: ``"vector"``, ``"matrix"`` or ``"square matrix"``,
     every entry finite.  Another rank or side, no entry, a NaN or infinite entry (in either part
     of a complex one), or what numpy cannot read (a malformed string entry, ragged rows, an
     object with no such value, an integer past a double, a complex read real) is refused as
@@ -134,8 +135,8 @@ def _read_array(value, refuse, dtype=complex, shape=None) -> np.ndarray:
         array = None
     if array is None:
         reason = f"cannot read {_shown(value):.60} as a {getattr(dtype, '__name__', 'numeric')} array"
-    elif shape and not (array.size and array.ndim == (1 if shape == "vector" else 2)
-                        and (shape != "square matrix" or array.shape[0] == array.shape[1])):
+    elif not (array.size and array.ndim == (1 if shape == "vector" else 2)
+              and (shape != "square matrix" or array.shape[0] == array.shape[1])):
         reason = f"need a non-empty {shape}, got shape {array.shape}"
     elif not np.isfinite(array).all():
         reason = f"need finite entries, got {array[~np.isfinite(array)][0].item()!r}"
@@ -257,7 +258,7 @@ class Context(_Value):
 
     def __post_init__(self):
         _instance("id", self.id, str)
-        basis = _read_array(self.basis, NonOrthonormalInput, shape="square matrix")
+        basis = _read_array(self.basis, NonOrthonormalInput, complex, "square matrix")
         dim = _integer("dim", basis.shape[0], 2)
         with np.errstate(over="ignore", invalid="ignore"):
             product = basis.conj().T @ basis
@@ -386,11 +387,15 @@ def interference_returns(initial: Modality, intermediate: Context, phases: np.nd
     phases = _read_array(phases, "phases", float, "vector")
     if phases.size != intermediate.dim:
         raise DimensionMismatch(f"need {intermediate.dim} phases, got shape {phases.shape}")
-    ctx = initial.context
-    # paths[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩; the overlaps raise on a dim mismatch
-    paths = ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]
-    amps = (np.exp(1j * phases) * paths).sum(axis=1)
+    amps = (np.exp(1j * phases) * _paths(initial, intermediate)).sum(axis=1)
     return clamp_probabilities(amps.real**2 + amps.imag**2)
+
+
+def _paths(initial: Modality, intermediate: Context) -> np.ndarray:
+    """The path table P[k, j] = ⟨u_k|v_j⟩⟨v_j|u_i⟩ from outcome i back to each outcome k through
+    outcome j of ``intermediate``; the overlaps raise on a dim mismatch."""
+    ctx = initial.context
+    return ctx.overlaps(intermediate) * intermediate.overlaps(ctx)[:, initial.index]
 
 
 def _number(field: str, value, least: float | None = None) -> float:
@@ -455,7 +460,7 @@ class _Recipe:
                 reason = "missing required key" if needed else "unknown key"
                 raise ScenarioValidationError(name, reason)
         if self.kind == "explicit":
-            _hold(self, matrix=_read_array(self.matrix, "matrix", shape="matrix"))
+            _hold(self, matrix=_read_array(self.matrix, "matrix", complex, "matrix"))
 
     def _key(self) -> tuple:
         values = [getattr(self, name) for name in self.FIELDS[self.kind]]

@@ -61,7 +61,7 @@ class Gram(_Value):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
-        given = _read_array(self.matrix, InvalidGramMatrix, shape="square matrix")
+        given = _read_array(self.matrix, InvalidGramMatrix, complex, "square matrix")
         hermitian, matrix = _hermitian(given)
         for what, residual in (
             ("is not Hermitian", hermitian),
@@ -186,7 +186,7 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
     holds amplitude ⟨v_j|u_i⟩ · (w_j)_l at index ``j * M + l``, as computed.  It is refused
     as :func:`reduced_system_state` refuses it: unless its norm is within ``INPUT_TOL`` of 1.
     """
-    meters = _read_array(meters, "meters", shape="matrix")
+    meters = _read_array(meters, "meters", complex, "matrix")
     m_dim, n = meters.shape
     state = (_branch(initial, pointer, n)[:, None] * meters.T).reshape(n * m_dim)
     _branches(state, pointer)
@@ -215,7 +215,7 @@ def _branches(state: np.ndarray, pointer: Context) -> np.ndarray:
     """The one reader of a composite state, a vector of N·M entries (else ``DimensionMismatch``):
     its unit ray as an N×M matrix, row ``j`` pointer branch ``j``'s meter.  A state of norm off 1
     by more than ``INPUT_TOL`` is refused."""
-    state = _read_array(state, "state", shape="vector")
+    state = _read_array(state, "state", complex, "vector")
     n = pointer.dim
     if state.size % n:
         raise DimensionMismatch(f"composite state of shape {state.shape} does not fit dim {n}")

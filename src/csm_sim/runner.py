@@ -16,9 +16,11 @@ sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then buil
 the contexts its parameter reads.  The ``g`` sweep interpolates between the dial's ends,
 the return tables that ``run``'s ``returns`` read (``Context.return_tables``); its entropy
 is the Shannon entropy of a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at
-both ends, deflated once for the whole grid and solved once per point between them.  Neither
-writer, the JSON report's nor the sweep's CSV, emits a non-finite number: each refuses one as
-a domain error (:func:`_finite`).
+both ends, deflated once for the whole grid and solved once per point between them.  The
+``phase`` sweep is the fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the
+reference path, c the sum of the paths the phase shifts.  Either sweep's returns are one
+table over the grid, clamped once.  Neither writer, the JSON report's nor the sweep's CSV,
+emits a non-finite number: each refuses one as a domain error (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from .hilbert import (
     _instance,
     _integer,
     _number,
+    _paths,
     _sequence,
     _shown,
     _Value,
     build_context,
     clamp_probabilities,
     context_change_unitary,
-    interference_returns,
     irreversible_return,
     reversible_return,
     validate_distribution,
@@ -109,10 +111,6 @@ def build_scenario_objects(scenario: Scenario, names=None) -> _Objects:
     return _Objects(contexts, protocol, pointer, gram, tuple(refused))
 
 
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]
-
-
 def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
     """The spectrum of (1 - g)·diag(w²) + g·w wᵀ at every g of ``grid``, for the squared moduli
     ``weights`` = w², a distribution.
@@ -153,20 +151,16 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict
     p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
     b = _branch(initial, pointer, pointer.dim)
     weights = validate_distribution(b.real**2 + b.imag**2, "rho")  # Σ|b|² = 1, as g = 1 reads
-    return [
-        {
-            "g": float(g),
-            "return_probabilities": _floats(clamp_probabilities((1 - g) * p0 + g * p1)),
-            "entropy": shannon_entropy(spectrum),
-        }
-        for g, spectrum in zip(grid, _g_spectra(weights, grid))
-    ]
+    spectra, g = _g_spectra(weights, grid), np.array(grid)[:, None]  # one row per grid point
+    table = clamp_probabilities((1 - g) * p0 + g * p1).tolist()
+    return [{"g": point, "return_probabilities": p, "entropy": shannon_entropy(spectrum)}
+            for point, p, spectrum in zip(grid, table, spectra)]
 
 
 def _readout(rho: np.ndarray) -> dict:
     """A reduced state's diagonal and its largest off-diagonal magnitude, keyed as m_count rows."""
     off_diagonal = np.abs(rho[~np.eye(len(rho), dtype=bool)])
-    return {"diagonal": _floats(rho.diagonal().real), "max_coherence": float(np.max(off_diagonal))}
+    return {"diagonal": rho.diagonal().real.tolist(), "max_coherence": float(np.max(off_diagonal))}
 
 
 def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> list[dict]:
@@ -175,20 +169,12 @@ def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -
 
 
 def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> list[dict]:
-    rows = []
-    for phi in grid:
-        # one reference path at phase zero, every other path shifted by phi
-        phases = np.full(intermediate.dim, phi)
-        phases[0] = 0.0
-        rows.append(
-            {
-                "phase": phi,
-                "return_probabilities": _floats(
-                    interference_returns(initial, intermediate, phases)
-                ),
-            }
-        )
-    return rows
+    # one reference path a at phase zero, the sum c of every other path shifted by φ
+    paths = _paths(initial, intermediate)
+    a, c = paths[:, 0], paths[:, 1:].sum(axis=1)
+    amps = a + np.exp(1j * np.array(grid))[:, None] * c
+    table = clamp_probabilities(amps.real**2 + amps.imag**2).tolist()
+    return [{"phase": phi, "return_probabilities": p} for phi, p in zip(grid, table)]
 
 
 # Per parameter: its row kernel (initial modality, varied context, overlap matrix or
@@ -294,7 +280,7 @@ def run_scenario(
         readout = _readout(rho)
         meter_section = {
             "pointer": scenario.pointer,
-            "return_probabilities": _floats(meter_return_probabilities(initial, pointer, gram)),
+            "return_probabilities": meter_return_probabilities(initial, pointer, gram).tolist(),
             "reduced_state_diagonal": readout["diagonal"],
             "max_coherence": readout["max_coherence"],
             "coherence_magnitudes": np.abs(rho).tolist(),
@@ -306,7 +292,7 @@ def run_scenario(
     else:
         stats = mean_entropy_production(protocol, n_samples, seed)
     ensemble = {name: getattr(stats, name) for name in stats.ARGS}  # each field, in order
-    ensemble["final_distribution"] = _floats(stats.final_distribution)
+    ensemble["final_distribution"] = stats.final_distribution.tolist()
 
     sweep_section = None
     if scenario.sweeps is not None:

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -530,6 +531,58 @@ def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
         assert np.max(np.abs(np.array(row["return_probabilities"]) - returns)) <= 1e-12
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, 1)
         assert abs(row["entropy"] - cs.von_neumann_entropy(rho)) <= 1e-12
+
+
+EPS = float(np.finfo(float).eps)
+PHASE_ROW_BOUND = 8 * EPS  # a probability against the per-point kernel or the return table
+PHASE_SUM_BOUND = 16 * EPS  # a row's sum against 1; the per-point kernel's rows read as far
+
+
+def _assert_phase_rows_refereed(rows, initial, varied, grid):
+    """The phase sweep's rows, |a + e^{iφ}c|² from one path table, against the per-point kernel
+    ``interference_returns(initial, varied, [0, φ, …, φ])``; the φ = 0 row, ``grid``'s first,
+    against the reversible return table's column; and each row's sum against 1."""
+    assert [row["phase"] for row in rows] == grid and grid[0] == 0.0
+    table = np.array([row["return_probabilities"] for row in rows])
+    for phi, p in zip(grid, table):
+        phases = np.full(varied.dim, phi)
+        phases[0] = 0.0
+        referee = cs.interference_returns(initial, varied, phases)
+        assert np.max(np.abs(p - referee)) <= PHASE_ROW_BOUND
+        assert abs(math.fsum(p.tolist()) - 1.0) <= PHASE_SUM_BOUND
+    reversible = initial.context.return_tables(varied)[0][:, initial.index]
+    assert np.max(np.abs(table[0] - reversible)) <= PHASE_ROW_BOUND
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_the_phase_sweep_s_rows_are_the_per_point_kernel_s(path):
+    scenario = cs.parse_scenario(path)
+    objects = cs.build_scenario_objects(scenario)
+    initial, varied = objects.protocol.initial, objects.contexts[scenario.sequence[1]]
+    grid = [0.0, *np.linspace(-2 * np.pi, 2 * np.pi, 13).tolist(), 1e10, -1e300, 1e300]
+    _assert_phase_rows_refereed(sweep_rows(scenario, "phase", grid), initial, varied, grid)
+
+
+def _haar_or_fourier(dim: int, seed: int, id: str) -> cs.Context:
+    return cs.fourier_context(dim, id) if seed < 0 else cs.haar_context(dim, seed, id)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 16),
+    initial_seed=st.integers(-1, 2**31 - 1),  # -1: the Fourier context
+    varied_seed=st.integers(-1, 2**31 - 1),
+    index=st.integers(0, 15),
+    phases=st.lists(st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0), max_size=6),
+)
+def test_the_phase_sweep_s_rows_are_the_per_point_kernel_s_on_haar_and_fourier_pairs(
+    dim, initial_seed, varied_seed, index, phases
+):
+    initial = _haar_or_fourier(dim, initial_seed, "initial").modality(index % dim)
+    varied = _haar_or_fourier(dim, varied_seed, "varied")
+    grid = [0.0, *phases]
+    rows = csm_sim.runner._phase_sweep_rows(initial, varied, None, grid)
+    _assert_phase_rows_refereed(rows, initial, varied, grid)
 
 
 _LOADS_RANDOM = (
