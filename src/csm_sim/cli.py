@@ -38,9 +38,9 @@ from .runner import (
 )
 from .scenario import SWEEP_PARAMS, parse_scenario
 
-# The bound on ``--steps``, from the memory it costs: a sweep holds its rows, dim + 2 numbers
-# per grid point, until its CSV is written, and the g and phase sweeps form them from grid × dim
-# tables.  At the bound a phase sweep peaks near 1.2 GB at dim 64, 1.8 GB at dim 2 (x86-64 Linux).
+# The bound on ``--steps``, from the memory it costs: a sweep holds its rows, dim + 2 numbers per
+# point, until its CSV is written; g and phase form them from grid × dim tables, m_count per chunk.
+# Peak at the bound (x86-64 Linux), in GB: phase 1.2 at dim 64, 1.8 at dim 2; m_count 1.8 at dim 2.
 MAX_SWEEP_CELLS = 10**7
 
 
@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="grid one parameter and emit a CSV table")
     sweep_p.add_argument("scenario", help="path to a scenario file")
     sweep_p.add_argument(
-        "--param", required=True, choices=SWEEP_PARAMS, help="parameter to sweep"
+        "--param", required=True, choices=SWEEP_PARAMS, help="parameter to sweep: g dials "
+        "(1 - g)I + gJ through the pointer, whatever gram the meter holds; m_count reads that gram",
     )
     sweep_p.add_argument("--from", dest="start", type=float, required=True, help="first value")
     sweep_p.add_argument("--to", dest="stop", type=float, required=True, help="last value")

@@ -433,7 +433,7 @@ def _sequence(field: str, value, cls=None) -> tuple:
 
 def _integer(field: str, value, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an int, or the refusal of anything but an integer in [``least``, ``most``]."""
-    if not is_integer(value):
+    if type(value) is not int and not is_integer(value):  # a plain int skips the ABC check
         raise ScenarioValidationError(field, f"expected an integer, got {_shown(value)}")
     if least is not None and value < least:
         raise ScenarioValidationError(field, f"must be >= {least}, got {_shown(value, str)}")

@@ -1,14 +1,12 @@
 """Indirect measurement through a meter, with tunable strength.
 
-Instead of realizing an outcome in the intermediate (pointer) context
-directly, the system is entangled with an auxiliary meter: branch ``j`` of
-the pointer context gets tagged with a meter state ``|w_j⟩``.  Nothing
-observable depends on the meter states themselves, only on their pairwise
-overlaps ⟨w_j|w_j'⟩, collected in a Hermitian positive-semidefinite matrix
-with unit diagonal.  That overlap matrix is the strength dial: identity
-overlaps reproduce a projective measurement of the pointer context,
-all-ones overlaps leave the system untouched, and everything in between is
-a weak measurement.
+Instead of realizing an outcome in the intermediate (pointer) context directly, the system is
+entangled with an auxiliary meter: branch ``j`` of the pointer context gets tagged with a meter
+state ``|w_j⟩``.  Nothing observable depends on the meter states themselves, only on their
+pairwise overlaps ⟨w_j|w_j'⟩, collected in a Hermitian positive-semidefinite matrix with unit
+diagonal.  That overlap matrix is the strength dial: identity overlaps reproduce a projective
+measurement of the pointer context, all-ones overlaps leave the system untouched, and everything
+in between is a weak measurement.
 
 The overlap matrix is a frozen :class:`Gram`, validated once at construction;
 every function here takes one and trusts it, and :func:`build_gram` trusts its
@@ -17,20 +15,19 @@ read ``not residual <= tol``, so a NaN fails them.  One floor, ``INPUT_TOL``, bo
 overlap matrix's PSD test, the rank cut and overlap residual of realized meter states, and a
 composite state's distance from unit norm; an admitted state is read as its normalized ray.
 
-There is one reduced-state kernel, :func:`meter_chain_reduced_state`, the closed form
-(b b†) ∘ conj(G)^m with b_j = ⟨v_j|u_i⟩, its power Hermitian bit for bit, each overlap's modulus
-at most 1 and a length refused where a phase m·arg passes a double; ``run``'s meter and the
-``m_count`` sweep read it.  Identity overlaps at m = 1 give the projective measurement's state.
+There is one reduced-state kernel, :func:`_chain_states`, the closed form (b b†) ∘ conj(G)^m
+with b_j = ⟨v_j|u_i⟩ over a chunk of chain lengths m: the ``m_count`` sweep reads it a chunk at a
+time, and :func:`meter_chain_reduced_state`, which ``run``'s meter and ``verify`` read at m = 1,
+is its one-length table.  Identity overlaps at m = 1 give the projective measurement's state.
 The ``g`` sweep takes the dial's ends as diag|b|², b b† and ``Context.return_tables``, and
 deflates the spectrum between them in ``runner``.  The entropy a meter leaves,
 :func:`von_neumann_entropy`, is the Shannon entropy of that state's spectrum.  The composite
 route (meter states realized from the overlaps, :func:`entangle`, :func:`reduced_system_state`)
 is the referee of ``verify``.
 
-Conventions: meter states are stored as the columns of an M×N complex
-matrix, with M the meter dimension; composite amplitudes are indexed
-``j * M + l`` for system branch ``j`` (pointer basis) and meter component
-``l``; composite and reduced density matrices use pointer-basis coordinates
+Conventions: meter states are stored as the columns of an M×N complex matrix, with M the meter
+dimension; composite amplitudes are indexed ``j * M + l`` for system branch ``j`` (pointer basis)
+and meter component ``l``; composite and reduced density matrices use pointer-basis coordinates
 on the system factor.
 """
 
@@ -139,9 +136,8 @@ def build_gram(spec: GramSpec, n: int) -> Gram:
 def gram_uniform(n: int, g: float) -> Gram:
     """Overlap matrix with unit diagonal and constant off-diagonal ``g`` in [0, 1].
 
-    ``g = 0`` is the projective-measurement limit (orthogonal meter states),
-    ``g = 1`` the no-measurement limit (indistinguishable meter states); the
-    matrix is positive semidefinite on the whole range.
+    ``g = 0`` is the projective-measurement limit (orthogonal meter states), ``g = 1`` the
+    no-measurement limit (indistinguishable meter states); it is PSD on the whole range.
     """
     return build_gram(GramSpec("uniform", g=g), n)
 
@@ -149,12 +145,11 @@ def gram_uniform(n: int, g: float) -> Gram:
 def meter_states_from_gram(gram: Gram) -> np.ndarray:
     """Realize unit vectors whose pairwise overlaps reproduce ``gram``.
 
-    Returns an M×N matrix whose column ``j`` is ``|w_j⟩``, with M the
-    numerical rank of the overlap matrix (eigenvalues above ``INPUT_TOL``).
-    The construction is an eigendecomposition with eigenvalues sorted
-    descending and each eigenvector's largest-magnitude component made real
-    positive, so the output is deterministic given the input.  They reproduce the
-    overlaps within ``INPUT_TOL``, the largest eigenvalue the rank cut may drop.
+    Returns an M×N matrix whose column ``j`` is ``|w_j⟩``, with M the numerical rank of the
+    overlap matrix (eigenvalues above ``INPUT_TOL``).  The construction is an eigendecomposition
+    with eigenvalues sorted descending and each eigenvector's largest-magnitude component made
+    real positive, so the output is deterministic given the input.  They reproduce the overlaps
+    within ``INPUT_TOL``, the largest eigenvalue the rank cut may drop.
     """
     eigvals, eigvecs = np.linalg.eigh(gram.matrix)
     order = np.argsort(-eigvals, kind="stable")
@@ -196,10 +191,9 @@ def entangle(initial: Modality, pointer: Context, meters: np.ndarray) -> np.ndar
 def meter_return_probabilities(initial: Modality, pointer: Context, gram: Gram) -> np.ndarray:
     """Probability of every outcome ``k`` back in the initial context after meter coupling.
 
-    Quadratic form Σ_{j,j'} ⟨u_i|v_j⟩⟨v_j|u_k⟩ ⟨w_j|w_j'⟩ ⟨u_k|v_j'⟩⟨v_j'|u_i⟩
-    in the per-path amplitudes, one row of the path-amplitude matrix per
-    ``k``; real up to rounding for a Hermitian overlap matrix.  Identity
-    overlaps make it the probability-summed return, all-ones overlaps the
+    Quadratic form Σ_{j,j'} ⟨u_i|v_j⟩⟨v_j|u_k⟩ ⟨w_j|w_j'⟩ ⟨u_k|v_j'⟩⟨v_j'|u_i⟩ in the per-path
+    amplitudes, one row of the path-amplitude matrix per ``k``; real up to rounding for a Hermitian
+    overlap matrix.  Identity overlaps make it the probability-summed return, all-ones overlaps the
     amplitude-summed (certain) return.
     """
     branch = _branch(initial, pointer, gram.dim)
@@ -232,9 +226,8 @@ def composite_return_probabilities(
 ) -> np.ndarray:
     """Return probability of every outcome ``k`` read off an explicit composite state.
 
-    Entry ``k`` is the expectation of (projector onto outcome ``k`` of
-    ``context``) ⊗ 1 in ``state``; the overlap-matrix route of
-    :func:`meter_return_probabilities` must reproduce it.
+    Entry ``k`` is the expectation of (projector onto outcome ``k`` of ``context``) ⊗ 1 in
+    ``state``; the overlap-matrix route of :func:`meter_return_probabilities` must reproduce it.
     """
     meter_components = context.overlaps(pointer) @ _branches(state, pointer)
     weights = meter_components.real**2 + meter_components.imag**2
@@ -244,12 +237,32 @@ def composite_return_probabilities(
 def reduced_system_state(state: np.ndarray, pointer: Context) -> np.ndarray:
     """System state after tracing out the meter, in pointer-basis coordinates.
 
-    For the entangled state this gives element (j, j') = c_j c̄_j' ⟨w_j'|w_j⟩:
-    off-diagonal coherence survives exactly to the extent the meter states
-    overlap.
+    For the entangled state this gives element (j, j') = c_j c̄_j' ⟨w_j'|w_j⟩: off-diagonal
+    coherence survives exactly to the extent the meter states overlap.
     """
     branches = _branches(state, pointer)
     return branches @ branches.conj().T
+
+
+def _chain_states(initial: Modality, pointer: Context, gram: Gram, lengths):
+    """:func:`meter_chain_reduced_state` at each length of ``lengths``, in order: one (chunk, N, N)
+    table per chunk of at most 2**12 entries or of one length, b b†, r and θ formed once.  The
+    first length whose m·max|θ| passes a double is refused."""
+    branch = _branch(initial, pointer, gram.dim)
+    overlap = gram.matrix.conj()  # ⟨w_j'|w_j⟩ = conj(gram)[j, j']
+    outer, modulus = np.outer(branch, branch.conj()), np.minimum(np.abs(overlap), 1.0)
+    upper = np.triu(np.angle(overlap), 1)  # angle(-1 + 0j) is π in both triangles
+    angle, step = upper - upper.T, max(1, 2**12 // overlap.size)
+    for start in range(0, len(lengths), step):
+        m = np.array(lengths[start:start + step], dtype=float)[:, None, None]
+        power = modulus**m
+        phase = np.where(power > 0.0, angle, 0.0)
+        with np.errstate(over="ignore"):
+            live = m.ravel() * np.abs(phase).max(axis=(1, 2)) < np.inf
+        if not live.all():
+            reason = f"length {lengths[start + np.argmin(live)]:.3e} turns a unit overlap's phase"
+            raise ScenarioValidationError("m_count", f"{reason} past a double")
+        yield outer * (power * np.exp(1j * m * phase))
 
 
 def meter_chain_reduced_state(
@@ -257,25 +270,16 @@ def meter_chain_reduced_state(
 ) -> np.ndarray:
     """Reduced system state after coupling to a chain of ``m_count`` identical meters.
 
-    Each meter in the chain multiplies the (j, j') coherence by ⟨w_j'|w_j⟩,
-    so the off-diagonal scales with the m_count-th power of the overlap while
-    the diagonal stays put; ``m_count = 0`` returns the pure pre-meter state.
-    The power's modulus is min(|⟨w_j'|w_j⟩|, 1)^m, the Cauchy–Schwarz bound of unit states: an
-    admitted overlap matrix may hold a modulus up to about ``INPUT_TOL`` above 1, which a long
-    chain would grow past any state.  The phase m·arg is the upper triangle's minus its transpose,
-    so the power is Hermitian bit for bit, and 0 where the modulus power is.  ``m_count`` is an
-    integer >= 0 that a double holds, as each m·|arg| must (``ScenarioValidationError`` otherwise).
+    Each meter in the chain multiplies the (j, j') coherence by ⟨w_j'|w_j⟩, so the off-diagonal
+    scales with the m_count-th power of the overlap while the diagonal stays put; ``m_count = 0``
+    returns the pure pre-meter state.  The power's modulus is r^m, r = min(|⟨w_j'|w_j⟩|, 1), the
+    Cauchy–Schwarz bound of unit states: an admitted overlap matrix may hold a modulus up to about
+    ``INPUT_TOL`` above 1, which a long chain would grow past any state.  The phase m·θ, θ the
+    upper triangle's arg minus its transpose, makes the power Hermitian bit for bit, and is 0 where
+    r^m is.  ``m_count`` is an integer >= 0 that a double holds, as each m·|θ| must
+    (``ScenarioValidationError`` otherwise).
     """
-    m_count = _chain_length("m_count", m_count)
-    branch = _branch(initial, pointer, gram.dim)
-    overlap = gram.matrix.conj()  # ⟨w_j'|w_j⟩ = conj(gram)[j, j']
-    modulus = np.minimum(np.abs(overlap), 1.0) ** m_count
-    upper = np.triu(np.angle(overlap), 1)  # angle(-1 + 0j) is π in both triangles
-    angle = np.where(modulus > 0.0, upper - upper.T, 0.0)
-    if not m_count * float(np.max(np.abs(angle))) < np.inf:  # a Python float overflows quietly
-        reason = f"length {m_count:.3e} turns a unit overlap's phase past a double"
-        raise ScenarioValidationError("m_count", reason)
-    return np.outer(branch, branch.conj()) * (modulus * np.exp(1j * m_count * angle))
+    return next(_chain_states(initial, pointer, gram, [_chain_length("m_count", m_count)]))[0]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

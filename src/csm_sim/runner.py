@@ -13,14 +13,16 @@ input construction refuses: ``run`` and ``sweep`` raise the first.  ``verify`` i
 stream of rows over that build, :func:`_checks`: a refusal is a failed row, and the rows
 that read a refused object are skipped.  ``run`` and ``verify`` build every context; a
 sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
-the contexts its parameter reads.  The ``g`` sweep interpolates between the dial's ends,
-the return tables that ``run``'s ``returns`` read (``Context.return_tables``); its entropy
-is the Shannon entropy of a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at
-both ends, deflated once for the whole grid and solved once per point between them.  The
+the contexts its parameter reads.  The ``g`` sweep dials (1 − g)·I + g·J through the pointer,
+whatever overlap matrix the document's meter holds, between the return tables that ``run``'s
+``returns`` read (``Context.return_tables``); its entropy is the Shannon entropy of a
+diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at both ends, deflated once for the
+whole grid and solved once per point between them.  The ``m_count`` sweep reads the document's
+overlap matrix, one table of chain states per chunk of the grid (``qnd._chain_states``).  The
 ``phase`` sweep is the fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the
-reference path, c the sum of the paths the phase shifts.  Either sweep's returns are one
-table over the grid, clamped once.  Neither writer, the JSON report's nor the sweep's CSV,
-emits a non-finite number: each refuses one as a domain error (:func:`_finite`).
+reference path, c the sum of the paths the phase shifts.  The g and phase returns are one table
+over the grid, clamped once.  Neither writer, the JSON report's nor the sweep's CSV, emits a
+non-finite number: each refuses one as a domain error (:func:`_finite`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .hilbert import (
 from .qnd import (
     Gram,
     _branch,
+    _chain_states,
     build_gram,
     composite_return_probabilities,
     entangle,
@@ -157,15 +160,13 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict
             for point, p, spectrum in zip(grid, table, spectra)]
 
 
-def _readout(rho: np.ndarray) -> dict:
-    """A reduced state's diagonal and its largest off-diagonal magnitude, keyed as m_count rows."""
-    off_diagonal = np.abs(rho[~np.eye(len(rho), dtype=bool)])
-    return {"diagonal": rho.diagonal().real.tolist(), "max_coherence": float(np.max(off_diagonal))}
-
-
 def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> list[dict]:
-    return [{"m_count": m, **_readout(meter_chain_reduced_state(initial, pointer, gram, m))}
-            for m in grid]
+    off_diagonal, coherence = ~np.eye(gram.dim, dtype=bool), []
+    for states in _chain_states(initial, pointer, gram, grid):  # one table per chunk of the grid
+        coherence += np.abs(states[:, off_diagonal]).max(axis=1).tolist()
+    diagonal = states[0].diagonal().real.tolist()  # |b_j|²: a chain leaves the diagonal put
+    return [{"m_count": m, "diagonal": [*diagonal], "max_coherence": c}
+            for m, c in zip(grid, coherence)]
 
 
 def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> list[dict]:
@@ -199,7 +200,8 @@ def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     only the contexts ``param`` reads: the initial one, and the pointer (``g``,
     ``m_count``) or the second protocol context (``phase``).  That build still makes
     every input construction can refuse, so a sweep refuses whatever ``run`` refuses,
-    with the same error.
+    with the same error.  ``g`` dials (1 − g)·I + g·J through the pointer, whatever
+    overlap matrix the document's meter holds; ``m_count`` reads that matrix.
     """
     _instance("scenario", scenario, Scenario)
     grid = sweep_grid(param, values, scenario.pointer is not None, len(scenario.sequence))
@@ -215,7 +217,7 @@ def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list
     """Flatten sweep rows into a header and value rows for CSV output."""
     _, scalars, (vector, prefix) = _SWEEPS[param]
     header = [*scalars, *(f"{prefix}_{k}" for k in range(dim))]
-    return header, [[*(row[key] for key in scalars), *row[vector]] for row in rows]
+    return header, [[*map(row.__getitem__, scalars), *row[vector]] for row in rows]
 
 
 def _finite(value: float) -> float:
@@ -235,21 +237,14 @@ def format_csv(header: list[str], table: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_scenario(
-    scenario: Scenario,
-    seed: int,
-    n_samples: int,
-    exhaustive: bool = False,
-) -> dict:
+def run_scenario(scenario: Scenario, seed: int, n_samples: int, exhaustive: bool = False) -> dict:
     """Execute a scenario and return the report as a JSON-ready dict.
 
-    Covers the exact return probabilities for every context change in the
-    protocol, the meter quantities if a meter is configured, the trajectory
-    ensemble (Monte Carlo, or exact over every path when ``exhaustive``), and
-    the configured sweep grids.  Deterministic given (scenario, seed,
-    n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.
-    ``seed`` is an integer >= 0 and ``n_samples`` one in [1, 2**63 - 1], or from 0
-    when ``exhaustive``.
+    Covers the exact return probabilities for every context change in the protocol, the meter
+    quantities if a meter is configured, the trajectory ensemble (Monte Carlo, or exact over every
+    path when ``exhaustive``), and the configured sweep grids.  Deterministic given (scenario,
+    seed, n_samples); an exhaustive report samples nothing, so its ``n_samples`` is 0.  ``seed``
+    is an integer >= 0 and ``n_samples`` one in [1, 2**63 - 1], or from 0 when ``exhaustive``.
     """
     _instance("scenario", scenario, Scenario)
     seed = _integer("seed", seed, 0)
@@ -277,13 +272,13 @@ def run_scenario(
     meter_section = None
     if pointer is not None:
         rho = meter_chain_reduced_state(initial, pointer, gram, 1)
-        readout = _readout(rho)
+        magnitudes = np.abs(rho)
         meter_section = {
             "pointer": scenario.pointer,
             "return_probabilities": meter_return_probabilities(initial, pointer, gram).tolist(),
-            "reduced_state_diagonal": readout["diagonal"],
-            "max_coherence": readout["max_coherence"],
-            "coherence_magnitudes": np.abs(rho).tolist(),
+            "reduced_state_diagonal": rho.diagonal().real.tolist(),
+            "max_coherence": float(np.max(magnitudes[~np.eye(dim, dtype=bool)])),
+            "coherence_magnitudes": magnitudes.tolist(),
             "entropy": von_neumann_entropy(rho),
         }
 

@@ -6,6 +6,8 @@ import pytest
 import csm_sim as cs
 from csm_sim.errors import InternalConsistencyError
 from csm_sim.hilbert import INPUT_TOL, clamp_probabilities, validate_distribution
+from csm_sim.qnd import _chain_states
+from csm_sim.runner import _m_count_sweep_rows
 from csm_sim.trajectory import CROSS_CHECK_TOL, _check_outcomes, _reference
 
 
@@ -71,6 +73,39 @@ def path_amplitudes(initial: cs.Modality, intermediate: cs.Context, final_index:
     """
     ctx = initial.context
     return ctx.overlaps(intermediate)[final_index] * intermediate.overlaps(ctx)[:, initial.index]
+
+
+def chain_state(initial: cs.Modality, pointer: cs.Context, gram: cs.Gram, m: int) -> np.ndarray:
+    """Reduced state after ``m`` meters by the per-point formula the chain kernel's table
+    replaced: (b b†) ∘ r^m e^{i·m·θ}, each power formed on its own with a scalar exponent, θ 0
+    where r^m is; ``m`` is a length whose phases a double holds."""
+    branch = pointer.adjoint @ initial.vector
+    overlap = gram.matrix.conj()
+    modulus = np.minimum(np.abs(overlap), 1.0) ** m
+    upper = np.triu(np.angle(overlap), 1)
+    angle = np.where(modulus > 0.0, upper - upper.T, 0.0)
+    return np.outer(branch, branch.conj()) * (modulus * np.exp(1j * m * angle))
+
+
+CHAIN_BOUND = 8 * float(np.finfo(float).eps)  # a table entry against the per-point formula
+
+
+def assert_chain_table_refereed(initial: cs.Modality, pointer: cs.Context, gram: cs.Gram, grid):
+    """Every state of the chain kernel's tables over ``grid``, and every ``m_count`` sweep row,
+    within ``CHAIN_BOUND`` of :func:`chain_state` at its length: the entries, the diagonal and
+    the largest off-diagonal magnitude."""
+    states = np.concatenate(list(_chain_states(initial, pointer, gram, grid)))
+    rows = _m_count_sweep_rows(initial, pointer, gram, grid)
+    assert len(states) == len(rows) == len(grid)
+    off_diagonal = ~np.eye(gram.dim, dtype=bool)
+    for m, state, row in zip(grid, states, rows):
+        referee = chain_state(initial, pointer, gram, m)
+        assert row["m_count"] == m
+        assert np.max(np.abs(state - referee)) <= CHAIN_BOUND, m
+        diagonal = np.array(row["diagonal"])
+        assert np.max(np.abs(diagonal - referee.diagonal().real)) <= CHAIN_BOUND, m
+        coherence = np.max(np.abs(referee[off_diagonal]))
+        assert abs(row["max_coherence"] - coherence) <= CHAIN_BOUND, m
 
 
 def point_mass(n: int, index: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import csm_sim as cs
 import csm_sim.cli
 from conftest import near_unitary
 from csm_sim.cli import main
+from csm_sim.errors import ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.scenario import SWEEP_PARAMS
 
@@ -189,6 +190,51 @@ def test_a_chain_length_whose_phase_passes_a_double_is_a_usage_error(tmp_path, c
     assert captured.err.splitlines() == [
         f"{path}: m_count: length 1.000e+308 turns a unit overlap's phase past a double"
     ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "grid, ends, refused",
+    [  # the first length in grid order past a double, not the largest; m·π passes at ~5.7e307
+        ([0, 10**308, 17 * 10**307], ("0", "1.7e308", "3"), ("1.000e+308", "8.500e+307")),
+        ([17 * 10**307, 10**308], ("1.7e308", "1e308", "2"), ("1.700e+308", "1.700e+308")),
+    ],
+)
+def test_a_chain_sweep_refuses_its_first_length_whose_phase_passes_a_double(
+    tmp_path, capsys, grid, ends, refused
+):
+    doc = json.loads(Path(SCENARIO).read_text())
+    doc["sweep"] = {"m_count": grid}
+    start, stop, steps = ends
+    sweep = ["--param", "m_count", "--from", start, "--to", stop, "--steps", steps]
+    for overlap, admitted in ((-1, False), (-0.5, True)):
+        # r = 0.5 has r^m = 0 at each length here, so the phase π it would turn is not read
+        doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, overlap], [overlap, 1]]}
+        path = tmp_path / f"overlap_{overlap}.json"
+        path.write_text(json.dumps(doc))
+        scenario = cs.Scenario(doc)
+        if admitted:
+            rows = cs.sweep_rows(scenario, "m_count", grid)
+            assert [row["max_coherence"] == 0.0 for row in rows] == [m > 0 for m in grid]
+            assert cs.run_scenario(scenario, 0, 10)["results"]["sweep"]["m_count"] == rows
+            assert main(["run", str(path), "--trajectories", "10"]) == 0
+            assert main(["sweep", str(path), *sweep]) == 0
+            capsys.readouterr()
+            continue
+        for call in (lambda: cs.sweep_rows(scenario, "m_count", grid),
+                     lambda: cs.run_scenario(scenario, 0, 10)):
+            with pytest.raises(ScenarioValidationError) as caught:
+                call()
+            reason = f"length {refused[0]} turns a unit overlap's phase past a double"
+            assert (caught.value.field, caught.value.reason) == ("m_count", reason)
+        for argv, length in ((["run", str(path)], refused[0]),
+                             (["sweep", str(path), *sweep], refused[1])):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"{path}: m_count: length {length} turns a unit overlap's phase past a double"
+            ]
 
 
 def test_an_exhaustive_path_count_too_long_to_write_is_domain_error(tmp_path, capsys):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from conftest import random_unit_gram
-from csm_sim.runner import _g_spectra, _g_sweep_rows
+from csm_sim.runner import _g_spectra, _g_sweep_rows, _m_count_sweep_rows
 
 EPS = float(np.finfo(float).eps)
 BOUND = 16  # in units of dim · eps
@@ -176,6 +176,12 @@ def test_each_meter_kernel_is_within_its_bound_of_the_40_digit_formula(case):
                    for j in n]
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
         record(ratios, "meter_chain_reduced_state", worst(rho, reduced, dim))
+        # row m of the m_count sweep over lengths 0–8, read off one table of chain states
+        row = _m_count_sweep_rows(initial, pointer, gram, list(range(9)))[m]
+        diagonal = [reduced[j][j].real for j in n]
+        record(ratios, "m_count_sweep.diagonal", worst(row["diagonal"], diagonal, dim))
+        coherence = max(abs(reduced[j][l]) for j in n for l in n if j != l)
+        record(ratios, "m_count_sweep.max_coherence", worst(row["max_coherence"], [coherence], dim))
     check(ratios)
 
 

@@ -9,7 +9,8 @@ import csm_sim as cs
 from csm_sim.errors import DimensionMismatch, InvalidGramMatrix, ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
 from csm_sim.qnd import build_gram
-from conftest import near_unitary, partial_trace_meter, path_amplitudes, random_unit_gram
+from conftest import assert_chain_table_refereed, near_unitary, partial_trace_meter
+from conftest import path_amplitudes, random_unit_gram
 
 EPS = float(np.finfo(float).eps)
 
@@ -738,6 +739,24 @@ def test_a_meter_chain_of_every_admitted_length_stays_a_state(gram, seed, fourie
             assert abs(diagonal.sum() - 1.0) <= 4 * dim * EPS
             bound = np.sqrt(np.outer(diagonal, diagonal)) * (1 + 8 * EPS)
             assert np.all(np.abs(rho) <= bound), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gram=admitted_grams(),
+    seed=st.integers(0, 2**31 - 1),
+    fourier=st.booleans(),
+    lengths=st.lists(CHAIN_LENGTHS, max_size=6),
+)
+@example(gram=cs.Gram(np.array([[1, -1], [-1, 1]])), seed=0, fourier=False, lengths=[10**300])
+def test_the_chain_tables_are_the_per_point_formula(gram, seed, fourier, lengths):
+    # m = 2 first: NumPy squares a scalar exponent 2, and raises a table to its lengths by pow
+    with warnings.catch_warnings():  # as errors in the calls, not in hypothesis' own report
+        warnings.simplefilter("error")
+        dim = gram.dim
+        initial = cs.haar_context(dim, seed).modality(seed % dim)
+        pointer = cs.fourier_context(dim) if fourier else cs.haar_context(dim, seed + 1)
+        assert_chain_table_refereed(initial, pointer, gram, [2, 0, 1, 3, *lengths])
 
 
 @pytest.mark.filterwarnings("error")

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 import csm_sim as cs
 import csm_sim.qnd
 import csm_sim.runner
+from conftest import assert_chain_table_refereed
 from csm_sim.errors import (
     InvalidGramMatrix,
     NonOrthonormalInput,
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL
-from csm_sim.runner import format_csv, report_to_json, sweep_rows, sweep_table
+from csm_sim.runner import _m_count_sweep_rows, format_csv, report_to_json, sweep_rows, sweep_table
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PERFBENCH = SCENARIO_DIR.parent / "perfbench"
@@ -561,6 +562,32 @@ def test_the_phase_sweep_s_rows_are_the_per_point_kernel_s(path):
     initial, varied = objects.protocol.initial, objects.contexts[scenario.sequence[1]]
     grid = [0.0, *np.linspace(-2 * np.pi, 2 * np.pi, 13).tolist(), 1e10, -1e300, 1e300]
     _assert_phase_rows_refereed(sweep_rows(scenario, "phase", grid), initial, varied, grid)
+
+
+# every length to 40, and long chains: one table at dims 2–8, a table per length at dim 64
+CHAIN_GRID = [*range(41), 100, 1000, 10**6, 10**12, 10**100, 10**300]
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_the_m_count_sweep_s_tables_are_the_per_point_formula_s(path):
+    scenario = cs.parse_scenario(path)
+    objects = cs.build_scenario_objects(scenario)
+    assert sweep_rows(scenario, "m_count", CHAIN_GRID) == _m_count_sweep_rows(
+        objects.protocol.initial, objects.pointer, objects.gram, CHAIN_GRID
+    )
+    assert_chain_table_refereed(objects.protocol.initial, objects.pointer, objects.gram, CHAIN_GRID)
+
+
+def test_a_length_refused_in_a_later_table_refuses_the_sweep():
+    # signs ±1 give overlaps ±1, each of modulus 1; at dim 8 the 65th length opens a second table
+    signs = np.where(np.arange(8) % 3, 1.0, -1.0)
+    doc = json.loads((SCENARIO_DIR / "haar_octet.json").read_text())
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": np.outer(signs, signs).tolist()}
+    grid = [*range(64), 10**300, 10**308, 10**300]
+    with pytest.raises(ScenarioValidationError) as caught:
+        sweep_rows(cs.Scenario(doc), "m_count", grid)
+    reason = "length 1.000e+308 turns a unit overlap's phase past a double"
+    assert (caught.value.field, caught.value.reason) == ("m_count", reason)
 
 
 def _haar_or_fourier(dim: int, seed: int, id: str) -> cs.Context:

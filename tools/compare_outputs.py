@@ -17,7 +17,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     verify --tolerance 0                (PASS and FAIL rows side by side, exit 1)
     verify --out REPORT                 (the full-precision report, compared too)
     sweep --param g       --from 0 --to 1    --steps 11
-    sweep --param m_count --from 0 --to 8    --steps 9
+    sweep --param m_count --from 0 --to 1000 --steps 1001
     sweep --param phase   --from 0 --to 2*pi --steps 11
 
 with both trees and compares stdout, stderr, exit code and the file an ``--out``
@@ -98,7 +98,10 @@ INVOCATIONS = [
     ("verify tol 0", ["verify", "--tolerance", "0"]),
     ("verify report", ["verify", "--out", REPORT]),
     ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
-    ("sweep m_count", ["sweep", "--param", "m_count", "--from", "0", "--to", "8", "--steps", "9"]),
+    (
+        "sweep m_count",
+        ["sweep", "--param", "m_count", "--from", "0", "--to", "1000", "--steps", "1001"],
+    ),
     (
         "sweep phase",
         ["sweep", "--param", "phase", "--from", "0", "--to", repr(2 * math.pi), "--steps", "11"],
