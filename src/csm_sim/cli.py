@@ -6,7 +6,7 @@ Three subcommands: ``run`` executes a scenario and emits a JSON report,
 success, 1 on verification or execution failure, 2 on usage, parse, read
 and write errors (a sweep grid :func:`~csm_sim.scenario.sweep_grid` refuses,
 such as one outside its parameter's domain, is a usage error).  The command
-line checks only what the library cannot know: the memory budget of ``--steps``.
+line checks only what the library cannot know: the budget of ``--steps``.
 Every other rule of a flag (the seed, the sample count's bounds, the tolerance,
 a grid's entries) is the library's, and its refusal is a usage error too.
 
@@ -22,25 +22,17 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
 from .errors import CsmSimError, ScenarioParseError, ScenarioValidationError
-from .runner import (
-    format_csv,
-    report_to_json,
-    run_scenario,
-    sweep_rows,
-    sweep_table,
-    verify_report,
-)
+from .runner import report_to_json, run_scenario, sweep_csv, verify_report
 from .scenario import SWEEP_PARAMS, parse_scenario
 
-# The bound on ``--steps``, from the memory it costs: a sweep holds its rows, dim + 2 numbers per
-# point, until its CSV is written; g and phase form them from grid × dim tables, m_count per chunk.
-# Peak at the bound (x86-64 Linux), in GB: phase 1.2 at dim 64, 1.8 at dim 2; m_count 1.8 at dim 2.
+# The bound on ``--steps``, from the time and memory it costs: a sweep forms one table, dim + 1
+# numbers per point, and writes its CSV 4,096 rows at a time.  Peak at the bound (x86-64 Linux), in
+# MB: phase 336 at dim 64, 318 at dim 2; m_count 228 at dim 2; g 278 at dim 64, 655 at dim 2.
 MAX_SWEEP_CELLS = 10**7
 
 
@@ -106,28 +98,30 @@ def _grid_ends(argv: list[str]) -> list[str]:
     return joined
 
 
-def _emit(text: str, out: str | None) -> int:
-    """Write ``text`` to ``out``, or to stdout and flush it; exit code 2 if it cannot be written.
+def _emit(texts, out: str | None) -> int:
+    """Write each of ``texts`` as it comes to ``out`` or stdout; exit code 2 if a write fails.
 
-    Stdout's bytes go to its binary buffer until it has taken them all: unbuffered
-    (``python -u``) that is the raw file, whose write may take only part of them, a
-    count the text layer drops.  A stdout with no binary buffer (a ``StringIO``)
-    takes the text.  Stdout that cannot be written is pointed at the null device, as
-    the ``signal`` module's note on SIGPIPE does, so the flush at exit fails no more.
+    A sweep's CSV comes a chunk at a time, so it is never held whole.  Stdout's bytes go to its
+    binary buffer until it has taken them all: unbuffered (``python -u``) that is the raw file,
+    whose write may take only part of them, a count the text layer drops.  A stdout with no binary
+    buffer (a ``StringIO``) takes the text.  Stdout that cannot be written is pointed at the null
+    device, as the ``signal`` module's note on SIGPIPE does, so the flush at exit fails no more.
     """
     try:
-        if out is None:
-            sys.stdout.flush()  # text already in the text layer goes first
-            stream = getattr(sys.stdout, "buffer", None)
+        if out is not None:
+            with open(out, "w") as file:
+                file.writelines(texts)
+            return 0
+        sys.stdout.flush()  # text already in the text layer goes first
+        stream = getattr(sys.stdout, "buffer", None)
+        for text in texts:
             if stream is None:
                 sys.stdout.write(text)
-            else:
-                data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-                while data:
-                    data = data[stream.write(data):]
-                stream.flush()
-        else:
-            Path(out).write_text(text)
+                continue
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[stream.write(data):]
+        sys.stdout.flush()  # and its binary buffer
     except OSError as err:
         print(f"{out or 'stdout'}: cannot write: {err.strerror or err}", file=sys.stderr)
         if out is None:
@@ -142,7 +136,7 @@ def _cmd_run(args, scenario) -> int:
     report = run_scenario(
         scenario, seed=args.seed, n_samples=args.trajectories, exhaustive=args.exhaustive
     )
-    return _emit(report_to_json(report), args.out)
+    return _emit([report_to_json(report)], args.out)
 
 
 def _cmd_verify(args, scenario) -> int:
@@ -151,7 +145,7 @@ def _cmd_verify(args, scenario) -> int:
         f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}  residual={c['residual']:.3e}\n"
         for c in report["checks"]
     ]
-    if _emit("".join(lines), None) or (args.out and _emit(report_to_json(report), args.out)):
+    if _emit(["".join(lines)], None) or (args.out and _emit([report_to_json(report)], args.out)):
         return 2
     if not report["pass"]:
         first = next(c for c in report["checks"] if not c["pass"])
@@ -163,7 +157,7 @@ def _cmd_verify(args, scenario) -> int:
         print(f"verification failed: {first['name']} {reason}", file=sys.stderr)
         return 1
     summary = f"all {len(lines)} checks passed at tolerance {args.tolerance:.3e}\n"
-    return _emit(summary, None)
+    return _emit([summary], None)
 
 
 def _cmd_sweep(args, scenario) -> int:
@@ -180,9 +174,7 @@ def _cmd_sweep(args, scenario) -> int:
             values = np.linspace(start, stop, args.steps).tolist()
     if args.param == "m_count":  # a non-finite entry has no integer; sweep_grid refuses it
         values = [int(round(v)) if math.isfinite(v) else v for v in values]
-    rows = sweep_rows(scenario, args.param, values)
-    header, table = sweep_table(args.param, rows, scenario.dim)
-    return _emit(format_csv(header, table), args.out)
+    return _emit(sweep_csv(scenario, args.param, values), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,30 +5,31 @@ order, so serializing one is byte-reproducible for identical inputs; the
 Monte Carlo ensemble draws its final-outcome counts in one multinomial from
 the seed's generator, so it is reproducible given (seed, sample count).
 
-A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked
-them when made (:func:`~csm_sim.scenario.parse_scenario` only reads the text), so
-these entry points read its fields as they are and refuse anything but a scenario.
-Each builds its objects through :func:`build_scenario_objects`, which records every
-input construction refuses: ``run`` and ``sweep`` raise the first.  ``verify`` is one
-stream of rows over that build, :func:`_checks`: a refusal is a failed row, and the rows
-that read a refused object are skipped.  ``run`` and ``verify`` build every context; a
-sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid` first, then builds only
-the contexts its parameter reads.  The ``g`` sweep dials (1 − g)·I + g·J through the pointer,
-whatever overlap matrix the document's meter holds, between the return tables that ``run``'s
-``returns`` read (``Context.return_tables``); its entropy is the Shannon entropy of a
-diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at both ends, deflated once for the
+A :class:`~csm_sim.scenario.Scenario` owns the rules of its document and checked them when made
+(:func:`~csm_sim.scenario.parse_scenario` only reads the text), so these entry points read its
+fields as they are and refuse anything but a scenario.  Each builds its objects through
+:func:`build_scenario_objects`, which records every input construction refuses: ``run`` and
+``sweep`` raise the first.  ``verify`` is one stream of rows over that build, :func:`_checks`: a
+refusal is a failed row, and the rows that read a refused object are skipped.  ``run`` and
+``verify`` build every context; a sweep checks its grid with :func:`~csm_sim.scenario.sweep_grid`
+first, then builds only the contexts its parameter reads.  Every sweep is one table over its grid,
+in its CSV's column order after the grid point: a report's rows are read off it (:func:`_rows`),
+and :func:`sweep_csv` writes it 4,096 rows at a time.  The ``g`` sweep dials (1 − g)·I + g·J
+through the pointer, whatever overlap matrix the document's meter holds, between the return tables
+that ``run``'s ``returns`` read (``Context.return_tables``); its entropy is the Shannon entropy of
+a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at both ends, deflated once for the
 whole grid and solved once per point between them.  The ``m_count`` sweep reads the document's
 overlap matrix, one table of chain states per chunk of the grid (``qnd._chain_states``).  The
 ``phase`` sweep is the fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the
-reference path, c the sum of the paths the phase shifts.  The g and phase returns are one table
-over the grid, clamped once.  Neither writer, the JSON report's nor the sweep's CSV, emits a
-non-finite number: each refuses one as a domain error (:func:`_finite`).
+reference path, c the sum of the paths the phase shifts, its returns clamped once, as the g sweep's
+are.  Neither writer, the JSON report's nor the sweep's CSV, emits a non-finite number: each
+refuses one as a domain error (:func:`_finite`), before its first byte.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -145,7 +146,7 @@ def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
     ]
 
 
-def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict]:
+def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> np.ndarray:
     # (1 - g) I + g J is linear in g, and so are the returns and the reduced state: interpolate
     # between the irreversible (g = 0) and reversible (g = 1) return tables, and diag|b|² and b b†.
     # With D = diag(b/|b|) (any phase where b_j = 0), D†((1 - g) diag|b|² + g b b†)D is
@@ -154,32 +155,29 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> list[dict
     p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
     b = _branch(initial, pointer, pointer.dim)
     weights = validate_distribution(b.real**2 + b.imag**2, "rho")  # Σ|b|² = 1, as g = 1 reads
-    spectra, g = _g_spectra(weights, grid), np.array(grid)[:, None]  # one row per grid point
-    table = clamp_probabilities((1 - g) * p0 + g * p1).tolist()
-    return [{"g": point, "return_probabilities": p, "entropy": shannon_entropy(spectrum)}
-            for point, p, spectrum in zip(grid, table, spectra)]
+    entropy = [shannon_entropy(spectrum) for spectrum in _g_spectra(weights, grid)]
+    g = np.array(grid)[:, None]  # one row per grid point
+    return np.column_stack([entropy, clamp_probabilities((1 - g) * p0 + g * p1)])
 
 
-def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> list[dict]:
+def _m_count_sweep_rows(initial: Modality, pointer: Context, gram: Gram, grid) -> np.ndarray:
     off_diagonal, coherence = ~np.eye(gram.dim, dtype=bool), []
     for states in _chain_states(initial, pointer, gram, grid):  # one table per chunk of the grid
-        coherence += np.abs(states[:, off_diagonal]).max(axis=1).tolist()
-    diagonal = states[0].diagonal().real.tolist()  # |b_j|²: a chain leaves the diagonal put
-    return [{"m_count": m, "diagonal": [*diagonal], "max_coherence": c}
-            for m, c in zip(grid, coherence)]
+        coherence.append(np.abs(states[:, off_diagonal]).max(axis=1))
+    diagonal = np.broadcast_to(states[0].diagonal().real, (len(grid), gram.dim))
+    return np.column_stack([np.concatenate(coherence), diagonal])  # a chain leaves |b_j|² put
 
 
-def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> list[dict]:
+def _phase_sweep_rows(initial: Modality, intermediate: Context, _gram, grid) -> np.ndarray:
     # one reference path a at phase zero, the sum c of every other path shifted by φ
     paths = _paths(initial, intermediate)
     a, c = paths[:, 0], paths[:, 1:].sum(axis=1)
     amps = a + np.exp(1j * np.array(grid))[:, None] * c
-    table = clamp_probabilities(amps.real**2 + amps.imag**2).tolist()
-    return [{"phase": phi, "return_probabilities": p} for phi, p in zip(grid, table)]
+    return clamp_probabilities(amps.real**2 + amps.imag**2)
 
 
-# Per parameter: its row kernel (initial modality, varied context, overlap matrix or
-# None, admitted grid), its leading CSV columns, and the row key and prefix of the rest.
+# Per parameter: its table kernel (initial modality, varied context, overlap matrix or None,
+# admitted grid), the CSV's leading columns, and the row key and column prefix of the rest.
 _SWEEPS = {
     "g": (_g_sweep_rows, ("g", "entropy"), ("return_probabilities", "p_return")),
     "m_count": (_m_count_sweep_rows, ("m_count", "max_coherence"), ("diagonal", "diag")),
@@ -190,6 +188,25 @@ _SWEEPS = {
 def _varied(scenario: Scenario, param: str) -> str:
     """Name of the context a sweep varies: the pointer, or the second protocol context."""
     return scenario.sequence[1] if param == "phase" else scenario.pointer
+
+
+def _rows(param: str, grid, table: np.ndarray) -> list[dict]:
+    """One dict per grid point: the point, the row's vector, then its leading scalars."""
+    _, (name, *scalars), (vector, _) = _SWEEPS[param]
+    return [{name: point, vector: row[len(scalars):], **dict(zip(scalars, row))}
+            for point, row in zip(grid, table.tolist())]
+
+
+def _sweep(scenario: Scenario, param: str, values) -> tuple:
+    """The admitted grid and the sweep's table over it, as :func:`sweep_rows` reads them."""
+    _instance("scenario", scenario, Scenario)
+    grid = sweep_grid(param, values, scenario.pointer is not None, len(scenario.sequence))
+    first, varied = scenario.sequence[0], _varied(scenario, param)
+    objects = build_scenario_objects(scenario, (first, varied))
+    if objects.refused:
+        raise objects.refused[0][1]
+    initial = Modality(objects.contexts[first], scenario.initial_index)
+    return grid, _SWEEPS[param][0](initial, objects.contexts[varied], objects.gram, grid)
 
 
 def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
@@ -203,21 +220,7 @@ def sweep_rows(scenario: Scenario, param: str, values) -> list[dict]:
     with the same error.  ``g`` dials (1 − g)·I + g·J through the pointer, whatever
     overlap matrix the document's meter holds; ``m_count`` reads that matrix.
     """
-    _instance("scenario", scenario, Scenario)
-    grid = sweep_grid(param, values, scenario.pointer is not None, len(scenario.sequence))
-    first, varied = scenario.sequence[0], _varied(scenario, param)
-    objects = build_scenario_objects(scenario, (first, varied))
-    if objects.refused:
-        raise objects.refused[0][1]
-    initial = Modality(objects.contexts[first], scenario.initial_index)
-    return _SWEEPS[param][0](initial, objects.contexts[varied], objects.gram, grid)
-
-
-def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list[list]]:
-    """Flatten sweep rows into a header and value rows for CSV output."""
-    _, scalars, (vector, prefix) = _SWEEPS[param]
-    header = [*scalars, *(f"{prefix}_{k}" for k in range(dim))]
-    return header, [[*map(row.__getitem__, scalars), *row[vector]] for row in rows]
+    return _rows(param, *_sweep(scenario, param, values))
 
 
 def _finite(value: float) -> float:
@@ -227,14 +230,18 @@ def _finite(value: float) -> float:
     return value
 
 
-def format_csv(header: list[str], table: list[list]) -> str:
-    """The table as CSV: an integer as written, a float as ``%.17g`` if it is finite
-    (:func:`_finite`)."""
-    lines = [",".join(header)]
-    for row in table:
-        cells = [str(v) if isinstance(v, int) else "%.17g" % _finite(v) for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def sweep_csv(scenario: Scenario, param: str, values):
+    """The sweep :func:`sweep_rows` forms, as CSV: an iterator of its text, the header and then
+    the rows 4,096 at a time, each chunk formed when read (a chain length written as an integer,
+    every other number as ``%.17g``).  Every refusal comes before the iterator: the grid's, the
+    build's, the table's, and a non-finite entry of the table (:func:`_finite`)."""
+    grid, table = _sweep(scenario, param, values)
+    _finite(float(table.flat[np.argmin(np.isfinite(table))]))  # its first non-finite entry
+    _, scalars, (_, prefix) = _SWEEPS[param]
+    header = ",".join([*scalars, *(f"{prefix}_{k}" for k in range(scenario.dim))]) + "\n"
+    row = ("%d" if isinstance(grid[0], int) else "%.17g") + ",%.17g" * table.shape[1] + "\n"
+    chunks = (zip(grid[k:k + 4096], table[k:k + 4096].tolist()) for k in range(0, len(grid), 4096))
+    return chain([header], ("".join(row % (p, *cells) for p, cells in chunk) for chunk in chunks))
 
 
 def run_scenario(scenario: Scenario, seed: int, n_samples: int, exhaustive: bool = False) -> dict:
@@ -292,7 +299,8 @@ def run_scenario(scenario: Scenario, seed: int, n_samples: int, exhaustive: bool
     sweep_section = None
     if scenario.sweeps is not None:
         sweep_section = {
-            param: _SWEEPS[param][0](initial, contexts[_varied(scenario, param)], gram, grid)
+            param: _rows(param, grid, _SWEEPS[param][0](
+                initial, contexts[_varied(scenario, param)], gram, grid))
             for param, grid in scenario.sweeps.items()
         }
 

@@ -7,7 +7,7 @@ import csm_sim as cs
 from csm_sim.errors import InternalConsistencyError
 from csm_sim.hilbert import INPUT_TOL, clamp_probabilities, validate_distribution
 from csm_sim.qnd import _chain_states
-from csm_sim.runner import _m_count_sweep_rows
+from csm_sim.runner import _SWEEPS, _finite, _m_count_sweep_rows, _rows
 from csm_sim.trajectory import CROSS_CHECK_TOL, _check_outcomes, _reference
 
 
@@ -95,7 +95,7 @@ def assert_chain_table_refereed(initial: cs.Modality, pointer: cs.Context, gram:
     within ``CHAIN_BOUND`` of :func:`chain_state` at its length: the entries, the diagonal and
     the largest off-diagonal magnitude."""
     states = np.concatenate(list(_chain_states(initial, pointer, gram, grid)))
-    rows = _m_count_sweep_rows(initial, pointer, gram, grid)
+    rows = _rows("m_count", grid, _m_count_sweep_rows(initial, pointer, gram, grid))
     assert len(states) == len(rows) == len(grid)
     off_diagonal = ~np.eye(gram.dim, dtype=bool)
     for m, state, row in zip(grid, states, rows):
@@ -106,6 +106,24 @@ def assert_chain_table_refereed(initial: cs.Modality, pointer: cs.Context, gram:
         assert np.max(np.abs(diagonal - referee.diagonal().real)) <= CHAIN_BOUND, m
         coherence = np.max(np.abs(referee[off_diagonal]))
         assert abs(row["max_coherence"] - coherence) <= CHAIN_BOUND, m
+
+
+def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list[list]]:
+    """Sweep rows flattened into a header and value rows for CSV output: with
+    :func:`format_csv`, the CSV referee of ``runner.sweep_csv``."""
+    _, scalars, (vector, prefix) = _SWEEPS[param]
+    header = [*scalars, *(f"{prefix}_{k}" for k in range(dim))]
+    return header, [[*map(row.__getitem__, scalars), *row[vector]] for row in rows]
+
+
+def format_csv(header: list[str], table: list[list]) -> str:
+    """The table as CSV: an integer as written, a float as ``%.17g`` if it is finite
+    (``runner._finite``)."""
+    lines = [",".join(header)]
+    for row in table:
+        cells = [str(v) if isinstance(v, int) else "%.17g" % _finite(v) for v in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def point_mass(n: int, index: int) -> np.ndarray:

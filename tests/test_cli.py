@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 import csm_sim.cli
-from conftest import near_unitary
+from conftest import near_unitary, sweep_table
 from csm_sim.cli import main
 from csm_sim.errors import ScenarioValidationError
 from csm_sim.hilbert import INPUT_TOL
@@ -235,6 +235,34 @@ def test_a_chain_sweep_refuses_its_first_length_whose_phase_passes_a_double(
             assert captured.err.splitlines() == [
                 f"{path}: m_count: length {length} turns a unit overlap's phase past a double"
             ]
+
+
+@pytest.mark.parametrize("param", ["g", "m_count"])
+def test_a_refusal_past_the_second_csv_chunk_leaves_no_output(tmp_path, capsys, param):
+    # the CSV is written 4,096 rows at a time, and every refusal comes before its first byte:
+    # a strength out of domain at the grid's last point, row 9,000; a length whose phase m·π
+    # under an overlap of -1 passes a double from row ~11,400 on
+    doc = json.loads(Path(SCENARIO).read_text())
+    doc["meter"]["gram"] = {"kind": "explicit", "matrix": [[1, -1], [-1, 1]]}
+    path = tmp_path / "negative_overlap.json"
+    path.write_text(json.dumps(doc))
+    if param == "g":
+        grid, steps = ("0", "1.0000001"), 9001
+        reason = "sweep.g[9000]: strength 1.0000001 outside [0, 1]"
+    else:
+        grid, steps = ("0", "1e308"), 20000
+        lengths = [int(round(v)) for v in np.linspace(0, 1e308, steps)]
+        row, length = next((k, m) for k, m in enumerate(lengths) if float(m) * math.pi == math.inf)
+        assert row > 2 * 4096
+        reason = f"m_count: length {length:.3e} turns a unit overlap's phase past a double"
+    out = tmp_path / "table.csv"
+    argv = ["sweep", str(path), "--param", param, "--from", grid[0], "--to", grid[1]]
+    for target in ([], ["--out", str(out)]):
+        assert main([*argv, "--steps", str(steps), *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {reason}\n"
+    assert not out.exists()
 
 
 def test_an_exhaustive_path_count_too_long_to_write_is_domain_error(tmp_path, capsys):
@@ -623,7 +651,7 @@ def test_a_grid_from_the_command_line_is_swept_or_refused_as_the_same_grid_in_th
         assert code == 2 and table == report == "" and len(err.splitlines()) == 1
         return
     rows = json.loads(report)["results"]["sweep"][param]
-    header, expected = csm_sim.runner.sweep_table(param, rows, DOC["dim"])
+    header, expected = sweep_table(param, rows, DOC["dim"])
     lines = table.splitlines()
     assert lines[0] == ",".join(header)
     assert [[float(cell) for cell in line.split(",")] for line in lines[1:]] == expected

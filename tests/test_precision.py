@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 from conftest import random_unit_gram
-from csm_sim.runner import _g_spectra, _g_sweep_rows, _m_count_sweep_rows
+from csm_sim.runner import _g_spectra, _g_sweep_rows, _m_count_sweep_rows, _rows
 
 EPS = float(np.finfo(float).eps)
 BOUND = 16  # in units of dim · eps
@@ -177,7 +177,8 @@ def test_each_meter_kernel_is_within_its_bound_of_the_40_digit_formula(case):
         rho = cs.meter_chain_reduced_state(initial, pointer, gram, m)
         record(ratios, "meter_chain_reduced_state", worst(rho, reduced, dim))
         # row m of the m_count sweep over lengths 0–8, read off one table of chain states
-        row = _m_count_sweep_rows(initial, pointer, gram, list(range(9)))[m]
+        grid = list(range(9))
+        row = _rows("m_count", grid, _m_count_sweep_rows(initial, pointer, gram, grid))[m]
         diagonal = [reduced[j][j].real for j in n]
         record(ratios, "m_count_sweep.diagonal", worst(row["diagonal"], diagonal, dim))
         coherence = max(abs(reduced[j][l]) for j in n for l in n if j != l)
@@ -229,7 +230,7 @@ def test_von_neumann_entropy_is_within_its_conditioned_bound_on_both_g_sweep_rou
         "real": (1 - g) * rho0.real + g * np.abs(rho1),
     }
     # the g sweep row deflates the real route's matrix instead of handing it to eigvalsh
-    [row] = _g_sweep_rows(initial, pointer, None, [g])
+    [row] = _rows("g", [g], _g_sweep_rows(initial, pointer, None, [g]))
     with mpmath.workdps(DIGITS):
         for route, rho in routes.items():
             exact = spectrum(rho)
@@ -291,7 +292,7 @@ def test_a_fourier_pointer_from_the_computational_context_deflates_to_one_reduce
     # (1 - g)/dim + g, held against that closed form at 40 digits
     initial, pointer = cs.computational_context(dim).modality(0), cs.fourier_context(dim)
     grid = np.linspace(0, 1, 11).tolist()
-    rows = _g_sweep_rows(initial, pointer, None, grid)
+    rows = _rows("g", grid, _g_sweep_rows(initial, pointer, None, grid))
     b = pointer.adjoint @ initial.vector
     with mpmath.workdps(DIGITS):
         for row, computed in zip(rows, _g_spectra(b.real**2 + b.imag**2, grid)):
@@ -308,5 +309,6 @@ def test_a_pointer_equal_to_the_start_context_leaves_a_pure_state_at_every_stren
     # b = e_i: dim - 1 zero weights deflate among themselves and the weight 1 is a group of its
     # own, so every strength's spectrum is exactly a point mass
     ctx = cs.computational_context(dim)
-    rows = _g_sweep_rows(ctx.modality(dim - 1), ctx, None, np.linspace(0, 1, 7).tolist())
+    grid = np.linspace(0, 1, 7).tolist()
+    rows = _rows("g", grid, _g_sweep_rows(ctx.modality(dim - 1), ctx, None, grid))
     assert [row["entropy"] for row in rows] == [0.0] * 7

@@ -15,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csm_sim as cs
+import csm_sim.cli
 import csm_sim.qnd
 import csm_sim.runner
-from conftest import assert_chain_table_refereed
+from conftest import assert_chain_table_refereed, format_csv, sweep_table
 from csm_sim.errors import (
     InvalidGramMatrix,
     NonOrthonormalInput,
     ScenarioValidationError,
 )
 from csm_sim.hilbert import INPUT_TOL
-from csm_sim.runner import _m_count_sweep_rows, format_csv, report_to_json, sweep_rows, sweep_table
+from csm_sim.runner import _m_count_sweep_rows, _rows, report_to_json, sweep_csv, sweep_rows
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PERFBENCH = SCENARIO_DIR.parent / "perfbench"
@@ -443,27 +444,63 @@ def test_verify_report_shape(balanced_scenario):
 
 def test_sweep_rows_and_csv_format(balanced_scenario):
     rows = cs.sweep_rows(balanced_scenario, "g", [0.0, 0.5, 1.0])
-    header, table = sweep_table("g", rows, 2)
-    assert header == ["g", "entropy", "p_return_0", "p_return_1"]
-    text = format_csv(header, table)
+    text = "".join(sweep_csv(balanced_scenario, "g", [0.0, 0.5, 1.0]))
     lines = text.strip().split("\n")
     assert lines[0] == "g,entropy,p_return_0,p_return_1"
     assert len(lines) == 4
     # %.17g round-trips doubles exactly
     assert float(lines[2].split(",")[1]) == rows[1]["entropy"]
+    assert text == format_csv(*sweep_table("g", rows, 2))
+
+
+# 9,001 points: three chunks of the CSV writer's 4,096 rows, the last one short
+CHUNKED_GRIDS = {
+    "g": np.linspace(0, 1, 9001).tolist(),
+    "m_count": list(range(0, 18002, 2)),
+    "phase": np.linspace(-10, 10, 9001).tolist(),
+}
+
+
+@pytest.mark.parametrize("param", sorted(CHUNKED_GRIDS))
+def test_the_csv_written_a_chunk_at_a_time_is_the_rows_flattened(balanced_scenario, param):
+    grid = CHUNKED_GRIDS[param]
+    chunks = list(sweep_csv(balanced_scenario, param, grid))
+    assert [chunk.count("\n") for chunk in chunks] == [1, 4096, 4096, 809]
+    rows = sweep_rows(balanced_scenario, param, grid)
+    assert "".join(chunks) == format_csv(*sweep_table(param, rows, 2))
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-def test_a_non_finite_csv_cell_is_refused_as_a_report_value_is(bad):
-    # both writers share one finiteness rule: neither writes inf or nan with exit 0
-    header = ["m_count", "max_coherence", "diag_0", "diag_1"]
-    assert format_csv(header, [[10, 0.5, 0.5, 0.5]]) == f"{','.join(header)}\n10,0.5,0.5,0.5\n"
-    for table in ([[10, bad, 0.5, 0.5]], [[0, 0.5, 0.5, 0.5], [10, 0.5, 0.5, bad]]):
-        with pytest.raises(cs.CsmSimError, match="non-finite") as refused:
-            format_csv(header, table)
-        with pytest.raises(cs.CsmSimError) as reported:
-            report_to_json({"rows": [[0.5, bad]]})
-        assert str(refused.value) == str(reported.value)
+@pytest.mark.parametrize("entry", [(0, 0), (5000, 2), (9000, 1)], ids=["first", "second", "third"])
+def test_a_non_finite_csv_cell_is_refused_as_a_report_value_is(
+    balanced_scenario, monkeypatch, tmp_path, capsys, bad, entry
+):
+    # both writers share one finiteness rule: neither writes inf or nan with exit 0, and the
+    # CSV's refusal comes before its first byte wherever the entry lies
+    kernel, *columns = csm_sim.runner._SWEEPS["m_count"]
+
+    def spoiled(*args):
+        table = kernel(*args)
+        table[entry] = bad
+        table[-1, -1] = -bad  # past the first: the refusal names the first in row order
+        return table
+
+    monkeypatch.setitem(csm_sim.runner._SWEEPS, "m_count", (spoiled, *columns))
+    grid = CHUNKED_GRIDS["m_count"]
+    with pytest.raises(cs.CsmSimError, match="non-finite") as refused:
+        sweep_csv(balanced_scenario, "m_count", grid)
+    with pytest.raises(cs.CsmSimError) as reported:
+        report_to_json({"rows": [[0.5, bad]]})
+    assert str(refused.value) == str(reported.value)
+    out = tmp_path / "table.csv"
+    argv = ["sweep", str(SCENARIO_DIR / "balanced_qubit.json"), "--param", "m_count"]
+    argv += ["--from", "0", "--to", "18000", "--steps", "9001"]
+    for target in ([], ["--out", str(out)]):
+        assert csm_sim.cli.main([*argv, *target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": {reported.value}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.1], [float("nan")]])
@@ -520,7 +557,7 @@ def test_g_sweep_from_two_endpoints_matches_one_gram_per_point(
     initial = cs.haar_context(dim, initial_seed).modality(index % dim)
     pointer = cs.haar_context(dim, pointer_seed)
     grid = [0.0, *inner, 1.0]
-    rows = csm_sim.runner._g_sweep_rows(initial, pointer, None, grid)
+    rows = _rows("g", grid, csm_sim.runner._g_sweep_rows(initial, pointer, None, grid))
     assert [row["g"] for row in rows] == grid
     # the dial's ends are the return tables' columns, read as they are
     reversible, irreversible = initial.context.return_tables(pointer)
@@ -572,9 +609,9 @@ CHAIN_GRID = [*range(41), 100, 1000, 10**6, 10**12, 10**100, 10**300]
 def test_the_m_count_sweep_s_tables_are_the_per_point_formula_s(path):
     scenario = cs.parse_scenario(path)
     objects = cs.build_scenario_objects(scenario)
-    assert sweep_rows(scenario, "m_count", CHAIN_GRID) == _m_count_sweep_rows(
-        objects.protocol.initial, objects.pointer, objects.gram, CHAIN_GRID
-    )
+    assert sweep_rows(scenario, "m_count", CHAIN_GRID) == _rows("m_count", CHAIN_GRID, (
+        _m_count_sweep_rows(objects.protocol.initial, objects.pointer, objects.gram, CHAIN_GRID)
+    ))
     assert_chain_table_refereed(objects.protocol.initial, objects.pointer, objects.gram, CHAIN_GRID)
 
 
@@ -608,7 +645,7 @@ def test_the_phase_sweep_s_rows_are_the_per_point_kernel_s_on_haar_and_fourier_p
     initial = _haar_or_fourier(dim, initial_seed, "initial").modality(index % dim)
     varied = _haar_or_fourier(dim, varied_seed, "varied")
     grid = [0.0, *phases]
-    rows = csm_sim.runner._phase_sweep_rows(initial, varied, None, grid)
+    rows = _rows("phase", grid, csm_sim.runner._phase_sweep_rows(initial, varied, None, grid))
     _assert_phase_rows_refereed(rows, initial, varied, grid)
 
 

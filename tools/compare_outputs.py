@@ -18,7 +18,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     verify --out REPORT                 (the full-precision report, compared too)
     sweep --param g       --from 0 --to 1    --steps 11
     sweep --param m_count --from 0 --to 1000 --steps 1001
-    sweep --param phase   --from 0 --to 2*pi --steps 11
+    sweep --param phase   --from 0 --to 2*pi --steps 9001   (3 CSV chunks of 4,096 rows)
 
 with both trees and compares stdout, stderr, exit code and the file an ``--out``
 flag names.  Each tree serves all its invocations from one child process, with
@@ -104,7 +104,7 @@ INVOCATIONS = [
     ),
     (
         "sweep phase",
-        ["sweep", "--param", "phase", "--from", "0", "--to", repr(2 * math.pi), "--steps", "11"],
+        ["sweep", "--param", "phase", "--from", "0", "--to", repr(2 * math.pi), "--steps", "9001"],
     ),
 ]
 
