@@ -32,7 +32,7 @@ from .scenario import SWEEP_PARAMS, parse_scenario
 
 # The bound on ``--steps``, from the time and memory it costs: a sweep forms one table, dim + 1
 # numbers per point, and writes its CSV 4,096 rows at a time.  Peak at the bound (x86-64 Linux), in
-# MB: phase 336 at dim 64, 318 at dim 2; m_count 228 at dim 2; g 278 at dim 64, 655 at dim 2.
+# MB: phase 336 at dim 64, 318 at dim 2; m_count 228 at dim 2; g 263 at dim 64, 299 at dim 2.
 MAX_SWEEP_CELLS = 10**7
 
 

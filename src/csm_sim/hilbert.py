@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import FrozenInstanceError
-from functools import partial
 from numbers import Integral, Real
 
 import numpy as np
@@ -78,20 +77,26 @@ def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
 
 def validate_distribution(dist: np.ndarray, field: str = "dist") -> np.ndarray:
     """Weights within ``INPUT_TOL`` of [0, 1] and of sum 1, clipped; a refusal names ``field``."""
-    refuse = partial(ScenarioValidationError, field)
-    dist = _read_array(dist, refuse, float, "vector")
-    if float(np.min(dist)) < -INPUT_TOL or float(np.max(dist)) > 1.0 + INPUT_TOL:
-        raise refuse("weights outside [0, 1]")
-    total = float(np.sum(dist))
-    if not abs(total - 1.0) <= INPUT_TOL:
-        raise refuse(f"weights sum to {total!r}, not 1")
-    return np.clip(dist, 0.0, 1.0)
+    return _distributions(_read_array(dist, field, float, "vector")[None], field)[0]
 
 
-def _entropy(dist: np.ndarray) -> float:
-    """-Σ p log p in nats of what :func:`validate_distribution` returned, 0·log 0 = 0."""
-    p = dist[dist > 0.0]
-    return float(-np.sum(p * np.log(p))) + 0.0
+def _distributions(table: np.ndarray, field: str) -> np.ndarray:
+    """A finite float table, each row :func:`validate_distribution`'s weights, clipped; the first
+    row that is not is refused, with that function's reason."""
+    outside = (table.min(axis=1) < -INPUT_TOL) | (table.max(axis=1) > 1.0 + INPUT_TOL)
+    totals = table.sum(axis=1)
+    first = np.argmax(outside | ~(np.abs(totals - 1.0) <= INPUT_TOL))  # row 0 if none is refused
+    if outside[first]:
+        raise ScenarioValidationError(field, "weights outside [0, 1]")
+    if not abs(totals.item(first) - 1.0) <= INPUT_TOL:
+        raise ScenarioValidationError(field, f"weights sum to {totals.item(first)!r}, not 1")
+    return np.clip(table, 0.0, 1.0)
+
+
+def _entropy(dist: np.ndarray) -> np.ndarray:
+    """-Σ p log p in nats over the last axis of what :func:`_distributions` returned, 0·log 0 = 0:
+    one entropy per row of a table, a 0-d one of a vector."""
+    return -np.sum(dist * np.log(np.where(dist > 0.0, dist, 1.0)), axis=-1) + 0.0
 
 
 def is_integer(value) -> bool:

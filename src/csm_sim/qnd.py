@@ -297,4 +297,4 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     if not np.isfinite(spectrum).all():
         bad = spectrum[~np.isfinite(spectrum)][0].item()
         raise ScenarioValidationError("rho", f"need finite eigenvalues, got {bad!r}")
-    return _entropy(validate_distribution(spectrum, "rho"))
+    return float(_entropy(validate_distribution(spectrum, "rho")))

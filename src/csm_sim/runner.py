@@ -18,7 +18,7 @@ and :func:`sweep_csv` writes it 4,096 rows at a time.  The ``g`` sweep dials (1 
 through the pointer, whatever overlap matrix the document's meter holds, between the return tables
 that ``run``'s ``returns`` read (``Context.return_tables``); its entropy is the Shannon entropy of
 a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at both ends, deflated once for the
-whole grid and solved once per point between them.  The ``m_count`` sweep reads the document's
+whole grid and solved a chunk at a time between them.  The ``m_count`` sweep reads the document's
 overlap matrix, one table of chain states per chunk of the grid (``qnd._chain_states``).  The
 ``phase`` sweep is the fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the
 reference path, c the sum of the paths the phase shifts, its returns clamped once, as the g sweep's
@@ -39,6 +39,8 @@ from .errors import CsmSimError, RefusedInput
 from .hilbert import (
     Context,
     Modality,
+    _distributions,
+    _entropy,
     _hermitian,
     _identity_residual,
     _instance,
@@ -73,7 +75,6 @@ from .trajectory import (
     Protocol,
     exhaustive_entropy_production,
     mean_entropy_production,
-    shannon_entropy,
 )
 
 
@@ -115,16 +116,17 @@ def build_scenario_objects(scenario: Scenario, names=None) -> _Objects:
     return _Objects(contexts, protocol, pointer, gram, tuple(refused))
 
 
-def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
-    """The spectrum of (1 - g)·diag(w²) + g·w wᵀ at every g of ``grid``, for the squared moduli
-    ``weights`` = w², a distribution.
+def _g_spectra(weights: np.ndarray, grid) -> np.ndarray:
+    """The spectrum of (1 - g)·diag(w²) + g·w wᵀ at every g of ``grid``, one row each, for the
+    squared moduli ``weights`` = w², a distribution.
 
     g = 0 is w² and g = 1 the point mass [1, 0, …, 0]: w wᵀ has rank one and trace Σw² = 1.
     Between them the update deflates (Bunch, Nielsen and Sorensen 1978).  The moduli equal
     within 8·eps·max(w), LAPACK ``dlaed2``'s rule, form a group; a group of m with mean square
     c² keeps (1 - g)·c² m - 1 times (all m times if its weights are 0), and adds a row to the
-    reduced matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The grid deflates once, and
-    each point between the ends solves its own reduced matrix with one ``eigvalsh``.
+    reduced k × k matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The grid deflates
+    once, and a row holds the kept values, then the reduced spectrum: one ``eigvalsh`` over a
+    stack of the reduced matrices per chunk of at most 2**12 entries or of one point.
     """
     n, ascending = len(weights), np.sort(weights)
     w = np.sqrt(ascending).tolist()
@@ -138,12 +140,14 @@ def _g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
     coupled = sums > 0.0
     kept = np.repeat(sums / counts, counts - coupled)
     diagonal, z = np.diag(sums[coupled] / counts[coupled]), np.sqrt(sums[coupled])
-    outer, point_mass = np.outer(z, z), np.eye(1, n).ravel()
-    return [
-        weights if g == 0.0 else point_mass if g == 1.0
-        else np.concatenate([(1 - g) * kept, np.linalg.eigvalsh((1 - g) * diagonal + g * outer)])
-        for g in grid
-    ]
+    g, outer = np.array(grid, dtype=float)[:, None, None], np.outer(z, z)
+    table, step = np.empty((len(g), n)), max(1, 2**12 // outer.size)
+    table[:, :len(kept)] = (1 - g[:, 0]) * kept
+    for start in range(0, len(g), step):
+        c = g[start:start + step]
+        table[start:start + step, len(kept):] = np.linalg.eigvalsh((1 - c) * diagonal + c * outer)
+    table[g.ravel() == 0.0], table[g.ravel() == 1.0] = weights, np.eye(1, n)
+    return table
 
 
 def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> np.ndarray:
@@ -155,7 +159,7 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> np.ndarra
     p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
     b = _branch(initial, pointer, pointer.dim)
     weights = validate_distribution(b.real**2 + b.imag**2, "rho")  # Σ|b|² = 1, as g = 1 reads
-    entropy = [shannon_entropy(spectrum) for spectrum in _g_spectra(weights, grid)]
+    entropy = _entropy(_distributions(_g_spectra(weights, grid), "dist"))
     g = np.array(grid)[:, None]  # one row per grid point
     return np.column_stack([entropy, clamp_probabilities((1 - g) * p0 + g * p1)])
 

@@ -227,5 +227,5 @@ def exhaustive_entropy_production(protocol: Protocol) -> TrajectoryEnsembleStats
 
 def shannon_entropy(dist: np.ndarray) -> float:
     """-Σ p log p in nats, with 0·log 0 = 0; lies in [0, log N]."""
-    return _entropy(validate_distribution(dist))
+    return float(_entropy(validate_distribution(dist)))
 

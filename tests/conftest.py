@@ -108,6 +108,37 @@ def assert_chain_table_refereed(initial: cs.Modality, pointer: cs.Context, gram:
         assert abs(row["max_coherence"] - coherence) <= CHAIN_BOUND, m
 
 
+def g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
+    """The g sweep's spectra by the per-point loop ``runner._g_spectra``'s table replaced: the
+    same deflation, then one array per grid point, its reduced matrix solved on its own."""
+    n, ascending = len(weights), np.sort(weights)
+    w = np.sqrt(ascending).tolist()
+    tol = 8 * np.finfo(float).eps * w[-1]
+    starts = [0]
+    for k, modulus in enumerate(w):
+        if modulus - w[starts[-1]] > tol:
+            starts.append(k)
+    sums = np.add.reduceat(ascending, starts)
+    counts = np.diff([*starts, n])
+    coupled = sums > 0.0
+    kept = np.repeat(sums / counts, counts - coupled)
+    diagonal, z = np.diag(sums[coupled] / counts[coupled]), np.sqrt(sums[coupled])
+    outer, point_mass = np.outer(z, z), np.eye(1, n).ravel()
+    return [
+        weights if g == 0.0 else point_mass if g == 1.0
+        else np.concatenate([(1 - g) * kept, np.linalg.eigvalsh((1 - g) * diagonal + g * outer)])
+        for g in grid
+    ]
+
+
+def support_entropy(dist: np.ndarray) -> float:
+    """-Σ p log p over the nonzero entries of a distribution alone, in their order: the sum the
+    row-wise entropy, which runs over whole rows, replaced."""
+    p = validate_distribution(dist)
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p))) + 0.0
+
+
 def sweep_table(param: str, rows: list[dict], dim: int) -> tuple[list[str], list[list]]:
     """Sweep rows flattened into a header and value rows for CSV output: with
     :func:`format_csv`, the CSV referee of ``runner.sweep_csv``."""

@@ -18,7 +18,13 @@ import csm_sim as cs
 import csm_sim.cli
 import csm_sim.qnd
 import csm_sim.runner
-from conftest import assert_chain_table_refereed, format_csv, sweep_table
+from conftest import (
+    assert_chain_table_refereed,
+    format_csv,
+    g_spectra,
+    support_entropy,
+    sweep_table,
+)
 from csm_sim.errors import (
     InvalidGramMatrix,
     NonOrthonormalInput,
@@ -625,6 +631,101 @@ def test_a_length_refused_in_a_later_table_refuses_the_sweep():
         sweep_rows(cs.Scenario(doc), "m_count", grid)
     reason = "length 1.000e+308 turns a unit overlap's phase past a double"
     assert (caught.value.field, caught.value.reason) == ("m_count", reason)
+
+
+def _g_grid(points: int) -> list[float]:
+    """``points`` strengths over [0, 1], both ends among them, then one next to each end."""
+    return [*np.linspace(0, 1, points).tolist(), 1e-300, 1 - 1e-16]
+
+
+def _normalized(raw) -> np.ndarray:
+    raw = np.array(raw, dtype=float)
+    return raw / raw.sum()  # equal values stay equal
+
+
+# squared moduli that deflate to k = 1, 2 and 3 reduced rows, the last two with zero weights:
+# 4,096, 1,024 and 455 points to a chunk, so 9,003 points span 3, 9 and 20 chunks; then an
+# untied dim-64 pointer, 64 rows and one point to a chunk, on fewer points
+G_TABLES = [
+    (1, _normalized([1, 1, 1, 1, 1]), _g_grid(9001)),
+    (2, _normalized([0, 1, 1, 3, 3, 3]), _g_grid(9001)),
+    (3, _normalized([0, 0, 2, 1, 1, 5, 5, 5]), _g_grid(9001)),
+    (64, cs.validate_distribution(np.abs(cs.haar_context(64, 3).basis[0]) ** 2), _g_grid(901)),
+]
+
+
+@pytest.mark.parametrize("k, weights, grid", G_TABLES, ids=["k1", "k2", "k3", "k64"])
+def test_the_g_table_is_the_per_point_spectra_bit_for_bit(monkeypatch, k, weights, grid):
+    chunks, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: chunks.append(a.shape) or eigvalsh(a))
+    table = csm_sim.runner._g_spectra(weights, grid)
+    step = max(1, 2**12 // k**2)  # at most 2**12 entries, or one point
+    assert chunks == [(len(grid[s:s + step]), k, k) for s in range(0, len(grid), step)]
+    monkeypatch.undo()
+    referee = np.array(g_spectra(weights, grid))
+    assert table.dtype == float and table.shape == (len(grid), len(weights))
+    assert table.tobytes() == referee.tobytes()
+
+
+# pointers from the computational context's outcome 0 whose moduli fall into zero-weight and
+# untied groups, at dims 8 to 64: there the row-wise sum runs over zeros the per-point one skipped
+def _block_pointer(dim: int, block: int, seed: int) -> cs.Context:
+    basis = np.eye(dim, dtype=complex)
+    basis[:block, :block] = cs.haar_context(block, seed).basis if block > 1 else 1.0
+    return cs.Context("pointer", basis)
+
+
+@pytest.mark.parametrize("dim, block", [(8, 2), (8, 5), (16, 3), (16, 12), (64, 7), (64, 40)])
+def test_the_g_rows_entropy_is_each_referee_row_s(dim, block):
+    initial = cs.computational_context(dim).modality(0)
+    grid = _g_grid(2001)
+    for seed in range(3):
+        pointer = _block_pointer(dim, block, seed)
+        b = pointer.adjoint @ initial.vector
+        rows = g_spectra(cs.validate_distribution(b.real**2 + b.imag**2, "rho"), grid)
+        entropy = csm_sim.runner._g_sweep_rows(initial, pointer, None, grid)[:, 0]
+        for value, row in zip(entropy.tolist(), rows):
+            for referee in (cs.shannon_entropy(row), support_entropy(row)):
+                assert abs(value - referee) <= 8 * EPS * max(1.0, abs(referee))
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [  # a row outside [0, 1] whose sum is off too: the range is read first, as per point
+        ({5000: [1.5, -0.4], 8000: [0.5, 0.6]}, "weights outside [0, 1]"),
+        ({5000: [0.5, 0.5 + 1e-9], 8000: [2.0, -1.0]}, "weights sum to 1.000000001, not 1"),
+    ],
+    ids=["range", "sum"],
+)
+def test_a_g_row_that_is_no_distribution_is_refused_as_per_point(
+    balanced_scenario, monkeypatch, tmp_path, capsys, rows, reason
+):
+    # past the first of the table's chunks; the first such row in grid order is named
+    kernel = csm_sim.runner._g_spectra
+
+    def spoiled(weights, grid):
+        table = kernel(weights, grid)
+        for index, row in rows.items():
+            table[index] = row
+        return table
+
+    monkeypatch.setattr(csm_sim.runner, "_g_spectra", spoiled)
+    with pytest.raises(ScenarioValidationError) as expected:
+        cs.shannon_entropy(rows[5000])
+    assert expected.value.reason == reason
+    grid = _g_grid(9001)[:-2]
+    for call in (sweep_rows, sweep_csv):
+        with pytest.raises(ScenarioValidationError) as caught:
+            call(balanced_scenario, "g", grid)
+        assert (caught.value.field, caught.value.reason) == ("dist", reason)
+    path, out = SCENARIO_DIR / "balanced_qubit.json", tmp_path / "table.csv"
+    argv = ["sweep", str(path), "--param", "g", "--from", "0", "--to", "1", "--steps", "9001"]
+    for target in ([], ["--out", str(out)]):
+        assert csm_sim.cli.main([*argv, *target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {expected.value}\n"
+    assert not out.exists()
 
 
 def _haar_or_fourier(dim: int, seed: int, id: str) -> cs.Context:

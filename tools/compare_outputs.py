@@ -16,7 +16,7 @@ script lives in: ``scenarios/*.json`` and ``perfbench/scenarios/seed0/*.json``
     verify
     verify --tolerance 0                (PASS and FAIL rows side by side, exit 1)
     verify --out REPORT                 (the full-precision report, compared too)
-    sweep --param g       --from 0 --to 1    --steps 11
+    sweep --param g       --from 0 --to 1    --steps 9001   (3 CSV chunks of 4,096 rows)
     sweep --param m_count --from 0 --to 1000 --steps 1001
     sweep --param phase   --from 0 --to 2*pi --steps 9001   (3 CSV chunks of 4,096 rows)
 
@@ -97,7 +97,7 @@ INVOCATIONS = [
     ("verify", ["verify"]),
     ("verify tol 0", ["verify", "--tolerance", "0"]),
     ("verify report", ["verify", "--out", REPORT]),
-    ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "11"]),
+    ("sweep g", ["sweep", "--param", "g", "--from", "0", "--to", "1", "--steps", "9001"]),
     (
         "sweep m_count",
         ["sweep", "--param", "m_count", "--from", "0", "--to", "1000", "--steps", "1001"],
