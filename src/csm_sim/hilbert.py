@@ -62,6 +62,10 @@ INPUT_TOL = 1e-10
 # and its conjugate, 32 B per entry, fill the table budget, ``scenario.MAX_TABLE_BYTES``.
 MAX_DIM = 4096
 
+# The most entries a sweep's stacked table (the g sweep's reduced matrices, the m_count sweep's
+# chain states) holds per chunk of its grid, one dim-64 matrix, or one point where that holds more.
+_CHUNK_ENTRIES = 2**12
+
 
 def clamp_probabilities(arr: np.ndarray) -> np.ndarray:
     """Computed probabilities snapped into [0, 1], each within ``INPUT_TOL`` of it.
@@ -407,7 +411,7 @@ def _number(field: str, value, least: float | None = None) -> float:
     """``value`` as a float, or the refusal of all but a finite real >= ``least``, bools too;
     an integer past a double is no finite real."""
     try:  # converted first: compared as it is, a float32 would cast the bound to inf
-        number = float(value) if isinstance(value, Real) else math.nan
+        number = float(value) if isinstance(value, (float, int, Real)) else math.nan
     except OverflowError:
         number = math.inf
     if isinstance(value, bool) or not math.isfinite(number):

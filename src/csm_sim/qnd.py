@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, InternalConsistencyError, InvalidGramMatrix
 from .errors import ScenarioValidationError
 from .hilbert import INPUT_TOL, MAX_DIM, Context, Modality, _hold, _integer, _number, _read_array
-from .hilbert import _entropy, _hermitian, _Recipe, _square, _Value
+from .hilbert import _CHUNK_ENTRIES, _entropy, _hermitian, _Recipe, _square, _Value
 from .hilbert import clamp_probabilities, validate_distribution
 
 
@@ -246,13 +246,13 @@ def reduced_system_state(state: np.ndarray, pointer: Context) -> np.ndarray:
 
 def _chain_states(initial: Modality, pointer: Context, gram: Gram, lengths):
     """:func:`meter_chain_reduced_state` at each length of ``lengths``, in order: one (chunk, N, N)
-    table per chunk of at most 2**12 entries or of one length, b b†, r and θ formed once.  The
-    first length whose m·max|θ| passes a double is refused."""
+    table per chunk of at most ``hilbert._CHUNK_ENTRIES`` entries or of one length, b b†, r and θ
+    formed once.  The first length whose m·max|θ| passes a double is refused."""
     branch = _branch(initial, pointer, gram.dim)
     overlap = gram.matrix.conj()  # ⟨w_j'|w_j⟩ = conj(gram)[j, j']
     outer, modulus = np.outer(branch, branch.conj()), np.minimum(np.abs(overlap), 1.0)
     upper = np.triu(np.angle(overlap), 1)  # angle(-1 + 0j) is π in both triangles
-    angle, step = upper - upper.T, max(1, 2**12 // overlap.size)
+    angle, step = upper - upper.T, max(1, _CHUNK_ENTRIES // overlap.size)
     for start in range(0, len(lengths), step):
         m = np.array(lengths[start:start + step], dtype=float)[:, None, None]
         power = modulus**m

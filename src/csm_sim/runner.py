@@ -19,11 +19,12 @@ through the pointer, whatever overlap matrix the document's meter holds, between
 that ``run``'s ``returns`` read (``Context.return_tables``); its entropy is the Shannon entropy of
 a diagonal-plus-rank-one spectrum (:func:`_g_spectra`), exact at both ends, deflated once for the
 whole grid and solved a chunk at a time between them.  The ``m_count`` sweep reads the document's
-overlap matrix, one table of chain states per chunk of the grid (``qnd._chain_states``).  The
-``phase`` sweep is the fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the
-reference path, c the sum of the paths the phase shifts, its returns clamped once, as the g sweep's
-are.  Neither writer, the JSON report's nor the sweep's CSV, emits a non-finite number: each
-refuses one as a domain error (:func:`_finite`), before its first byte.
+overlap matrix, one table of chain states per chunk of the grid (``qnd._chain_states``); a chunk of
+either holds ``hilbert._CHUNK_ENTRIES`` entries at most, or one point.  The ``phase`` sweep is the
+fringe |a + e^{iφ}c|² of one path table (``hilbert._paths``): a the reference path, c the sum of
+the paths the phase shifts, its returns clamped once, as the g sweep's are.  Neither writer, the
+JSON report's nor the sweep's CSV, emits a non-finite number: each refuses one as a domain error
+(:func:`_finite`), before its first byte.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from ._version import __version__
 from .errors import CsmSimError, RefusedInput
 from .hilbert import (
+    _CHUNK_ENTRIES,
     Context,
     Modality,
     _distributions,
@@ -52,14 +54,12 @@ from .hilbert import (
     _Value,
     build_context,
     clamp_probabilities,
-    context_change_unitary,
     irreversible_return,
     reversible_return,
     validate_distribution,
 )
 from .qnd import (
     Gram,
-    _branch,
     _chain_states,
     build_gram,
     composite_return_probabilities,
@@ -126,7 +126,7 @@ def _g_spectra(weights: np.ndarray, grid) -> np.ndarray:
     c² keeps (1 - g)·c² m - 1 times (all m times if its weights are 0), and adds a row to the
     reduced k × k matrix (1 - g)·diag(c²) + g·z zᵀ, z² the group's Σw².  The grid deflates
     once, and a row holds the kept values, then the reduced spectrum: one ``eigvalsh`` over a
-    stack of the reduced matrices per chunk of at most 2**12 entries or of one point.
+    stack of the reduced matrices per chunk of ``_CHUNK_ENTRIES`` entries at most, or one point.
     """
     n, ascending = len(weights), np.sort(weights)
     w = np.sqrt(ascending).tolist()
@@ -141,7 +141,7 @@ def _g_spectra(weights: np.ndarray, grid) -> np.ndarray:
     kept = np.repeat(sums / counts, counts - coupled)
     diagonal, z = np.diag(sums[coupled] / counts[coupled]), np.sqrt(sums[coupled])
     g, outer = np.array(grid, dtype=float)[:, None, None], np.outer(z, z)
-    table, step = np.empty((len(g), n)), max(1, 2**12 // outer.size)
+    table, step = np.empty((len(g), n)), max(1, _CHUNK_ENTRIES // outer.size)
     table[:, :len(kept)] = (1 - g[:, 0]) * kept
     for start in range(0, len(g), step):
         c = g[start:start + step]
@@ -157,7 +157,7 @@ def _g_sweep_rows(initial: Modality, pointer: Context, _gram, grid) -> np.ndarra
     # (1 - g) diag|b|² + g |b||b|ᵀ: same spectrum, real symmetric, a diagonal plus rank one.
     reversible, irreversible = initial.context.return_tables(pointer)
     p0, p1 = irreversible[:, initial.index], reversible[:, initial.index]
-    b = _branch(initial, pointer, pointer.dim)
+    b = pointer.overlaps(initial.context)[:, initial.index]  # b_j = ⟨v_j|u_i⟩, as the tables read
     weights = validate_distribution(b.real**2 + b.imag**2, "rho")  # Σ|b|² = 1, as g = 1 reads
     entropy = _entropy(_distributions(_g_spectra(weights, grid), "dist"))
     g = np.array(grid)[:, None]  # one row per grid point
@@ -394,8 +394,8 @@ def _checks(scenario: Scenario, objects: _Objects):
         return
     initial, pointer, gram, dim = protocol.initial, objects.pointer, objects.gram, protocol.dim
     for step, (a, b, t) in enumerate(zip(protocol.contexts, protocol.contexts[1:], protocol.steps)):
-        u = context_change_unitary(a, b)
-        yield f"step[{step}].unitarity", _identity_residual(u.conj().T @ u)
+        w = b.overlaps(a)  # t's table; W† is the change of context in a's coordinates
+        yield f"step[{step}].unitarity", _identity_residual(w.conj().T @ w)
         sums = (float(np.max(np.abs(t.sum(axis) - 1.0))) for axis in (0, 1))
         yield f"step[{step}].transition_sums", max(sums)
         starts = [Modality(a, i) for i in range(dim)]

@@ -261,13 +261,17 @@ def sweep_grid(param: str, values, has_meter: bool, n_contexts: int) -> tuple:
         raise ScenarioValidationError(field, "unknown key")
     if not isinstance(values, (list, tuple, np.ndarray)) or len(values) == 0:
         raise ScenarioValidationError(field, "expected a non-empty list")
-    entry = {"g": _strength, "m_count": _chain_length, "phase": _number}[param]
-    grid = tuple(entry(f"{field}[{i}]", v) for i, v in enumerate(values))
+    entry, grid = {"g": _strength, "m_count": _chain_length, "phase": _number}[param], []
+    try:  # each rule reads the bare field; only the entry refused is named with its index
+        for value in values:
+            grid.append(entry(field, value))
+    except ScenarioValidationError as err:
+        raise ScenarioValidationError(f"{field}[{len(grid)}]", err.reason) from None
     if param != "phase" and not has_meter:
         raise ScenarioValidationError(field, "needs a meter section")
     if param == "phase" and n_contexts < 2:
         raise ScenarioValidationError(field, "needs two protocol contexts")
-    return grid
+    return tuple(grid)
 
 
 def parse_scenario(path: str | Path) -> Scenario:

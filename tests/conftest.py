@@ -5,8 +5,8 @@ import pytest
 
 import csm_sim as cs
 from csm_sim.errors import InternalConsistencyError
-from csm_sim.hilbert import INPUT_TOL, clamp_probabilities, validate_distribution
-from csm_sim.qnd import _chain_states
+from csm_sim.hilbert import INPUT_TOL, _number, clamp_probabilities, validate_distribution
+from csm_sim.qnd import _chain_length, _chain_states, _strength
 from csm_sim.runner import _SWEEPS, _finite, _m_count_sweep_rows, _rows
 from csm_sim.trajectory import CROSS_CHECK_TOL, _check_outcomes, _reference
 
@@ -129,6 +129,14 @@ def g_spectra(weights: np.ndarray, grid) -> list[np.ndarray]:
         else np.concatenate([(1 - g) * kept, np.linalg.eigvalsh((1 - g) * diagonal + g * outer)])
         for g in grid
     ]
+
+
+def grid_entries(param: str, values) -> tuple:
+    """A sweep grid's entries by the comprehension ``scenario.sweep_grid``'s loop replaced: each
+    entry's rule called with its indexed field, ``sweep.g[2]``, so that a refusal names it."""
+    field = f"sweep.{param}"
+    entry = {"g": _strength, "m_count": _chain_length, "phase": _number}[param]
+    return tuple(entry(f"{field}[{i}]", v) for i, v in enumerate(values))
 
 
 def support_entropy(dist: np.ndarray) -> float:

@@ -102,11 +102,11 @@ def test_refusal_invocations_are_refused_with_one_stderr_line(tmp_path, capsys):
     corpus = [label for label, _ in runs if label.startswith("corpus ")]
     per_scenario = len(compare_outputs.INVOCATIONS)
     assert len(admitted) == len(compare_outputs.ADMITTED)
-    assert len(corpus) == 947 and len(runs) - len(corpus) == 112
+    assert len(corpus) == 947 and len(runs) - len(corpus) == 114
     scenario_runs = len(runs) - len(refusals) - len(admitted) - len(corpus)
     assert scenario_runs == len(compare_outputs.scenarios()) * per_scenario
     assert per_scenario == 10
-    assert len(refusals) == len(compare_outputs.REFUSALS) == 34
+    assert len(refusals) == len(compare_outputs.REFUSALS) == 36
     for (label, argv), (name, _, _) in zip(refusals, compare_outputs.REFUSALS):
         # a sweep the scenario cannot serve, a sample count out of range, a
         # grid outside its parameter's domain (on the command line or in the

@@ -30,7 +30,7 @@ from csm_sim.errors import (
     NonOrthonormalInput,
     ScenarioValidationError,
 )
-from csm_sim.hilbert import INPUT_TOL
+from csm_sim.hilbert import _CHUNK_ENTRIES, INPUT_TOL, _identity_residual
 from csm_sim.runner import _m_count_sweep_rows, _rows, report_to_json, sweep_csv, sweep_rows
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -659,7 +659,7 @@ def test_the_g_table_is_the_per_point_spectra_bit_for_bit(monkeypatch, k, weight
     chunks, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: chunks.append(a.shape) or eigvalsh(a))
     table = csm_sim.runner._g_spectra(weights, grid)
-    step = max(1, 2**12 // k**2)  # at most 2**12 entries, or one point
+    step = max(1, _CHUNK_ENTRIES // k**2)  # at most _CHUNK_ENTRIES entries, or one point
     assert chunks == [(len(grid[s:s + step]), k, k) for s in range(0, len(grid), step)]
     monkeypatch.undo()
     referee = np.array(g_spectra(weights, grid))
@@ -730,6 +730,57 @@ def test_a_g_row_that_is_no_distribution_is_refused_as_per_point(
 
 def _haar_or_fourier(dim: int, seed: int, id: str) -> cs.Context:
     return cs.fourier_context(dim, id) if seed < 0 else cs.haar_context(dim, seed, id)
+
+
+@pytest.mark.parametrize("path", CHECKED_IN, ids=lambda path: path.stem)
+def test_the_step_rows_and_the_g_sweep_read_the_overlap_tables_the_build_holds(path, monkeypatch):
+    scenario = cs.parse_scenario(path)
+    objects = cs.build_scenario_objects(scenario)
+    protocol, pointer = objects.protocol, objects.pointer
+    rows = dict(csm_sim.runner._checks(scenario, objects))
+    for s, (a, b) in enumerate(zip(protocol.contexts, protocol.contexts[1:])):
+        w = b.overlaps(a)  # the table step s's transitions were read off
+        assert rows[f"step[{s}].unitarity"] == _identity_residual(w.conj().T @ w)
+    if pointer is None:
+        return
+    # the g sweep's weights |b_j|² are the column of the table its return tables were formed from
+    initial, weights, kernel = protocol.initial, [], csm_sim.runner._g_spectra
+    monkeypatch.setattr(
+        csm_sim.runner, "_g_spectra", lambda held, grid: weights.append(held) or kernel(held, grid)
+    )
+    csm_sim.runner._g_sweep_rows(initial, pointer, objects.gram, [0.0, 0.5, 1.0])
+    b = pointer.overlaps(initial.context)[:, initial.index]
+    assert weights[0].tobytes() == (b.real**2 + b.imag**2).tobytes()
+
+
+def _context_doc(seed: int) -> dict:
+    return {"kind": "fourier"} if seed < 0 else {"kind": "haar", "seed": seed}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 64),
+    initial_seed=st.integers(-1, 2**31 - 1),  # -1: the Fourier context
+    varied_seed=st.integers(-1, 2**31 - 1),
+)
+def test_the_unitarity_row_is_within_2_dim_eps_on_haar_and_fourier_pairs(
+    dim, initial_seed, varied_seed
+):
+    # W†W of the held overlap table W = A†B, as the row reads it, and U†U of the change of
+    # context U = B A† it is in other coordinates, as the row once formed it: each within
+    # 2·dim·eps of the identity
+    doc = {
+        "schema_version": 1,
+        "dim": dim,
+        "contexts": {"a": _context_doc(initial_seed), "b": _context_doc(varied_seed)},
+        "protocol": {"initial": {"context": "a", "index": 0}, "sequence": ["a", "b"]},
+    }
+    scenario = cs.Scenario(doc)
+    row = dict(csm_sim.runner._checks(scenario, cs.build_scenario_objects(scenario)))
+    a, b = _haar_or_fourier(dim, initial_seed, "a"), _haar_or_fourier(dim, varied_seed, "b")
+    u = cs.context_change_unitary(a, b)
+    for residual in (row["step[0].unitarity"], _identity_residual(u.conj().T @ u)):
+        assert residual <= 2 * dim * EPS
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,10 @@
 import itertools
 import json
+import math
 import tempfile
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,11 @@ from hypothesis import strategies as st
 
 import csm_sim as cs
 import csm_sim.scenario
+from conftest import grid_entries
 from csm_sim.cli import main
 from csm_sim.errors import ScenarioParseError, ScenarioValidationError
 from csm_sim.qnd import build_gram
-from csm_sim.scenario import MAX_TABLE_BYTES, table_bytes
+from csm_sim.scenario import MAX_TABLE_BYTES, SWEEP_PARAMS, sweep_grid, table_bytes
 
 MINIMAL = {
     "schema_version": 1,
@@ -378,3 +382,32 @@ def test_a_file_and_the_library_agree_on_every_recipe(drawn):
     np.testing.assert_array_equal(
         build_gram(parsed.gram, dim).matrix, cs.gram_uniform(dim, g).matrix
     )
+
+
+# grid entries of every kind a rule reads or refuses: plain and NumPy numbers, bools, exact
+# rationals and decimals, text, None, integers past a double, non-finite floats, and numbers
+# outside a strength's [0, 1] or below a chain length's 0
+_GRID_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(),
+    st.integers(-3, 2**64),
+    st.booleans(),
+    st.floats(-2.0, 2.0).map(np.float64),
+    st.integers(-3, 2**62).map(np.int64),
+    st.fractions(),
+    st.decimals(),
+    st.text(max_size=3),
+    st.none(),
+    st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, -0.5, 1.5, -1]),
+    st.sampled_from([Fraction(1, 3), Fraction(7), Decimal("0.5"), Decimal("2"), "0.5", "1"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(param=st.sampled_from(SWEEP_PARAMS), values=st.lists(_GRID_ENTRIES, min_size=1, max_size=12))
+def test_a_grid_is_read_as_the_per_entry_referee_reads_it(param, values):
+    # the same entries of the same types, or the same refusal of the same entry
+    referee = _refusal(lambda: grid_entries(param, values), "")
+    grid = _refusal(lambda: sweep_grid(param, values, True, 2), "")
+    assert grid == referee
+    assert list(map(type, grid)) == list(map(type, referee))

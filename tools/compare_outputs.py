@@ -28,9 +28,11 @@ then runs the fixed list ``REFUSALS``: documents derived from
 ``scenarios/balanced_qubit.json``, written to a temporary directory, each with
 an invocation the program must refuse, so that a changed exit code or refusal
 message shows too.  Among them are a broken grid (in the file or on the
-command line), a sweep the scenario cannot serve, an explicit matrix
-construction refuses (an overlap matrix with a negative eigenvalue also under
-``verify --out``, so that the refusal the report records is compared too, and
+command line, and two on the command line refused past their first 4,096
+entries, ``sweep.g[4501]`` and ``sweep.m_count[4503]``), a sweep the scenario
+cannot serve, an explicit matrix construction refuses (an overlap matrix with a
+negative eigenvalue also under ``verify --out``, so that the refusal the report
+records is compared too, and
 under it a basis and an overlap matrix whose residuals overflow a double, and a
 document with two refused contexts and a refused overlap matrix under ``verify --out``,
 ``run`` and two sweeps, so that the order of refusals shows), a
@@ -263,6 +265,18 @@ REFUSALS = [
         "unedited",
         _unedited,
         ["sweep", "--param", "m_count", "--from", "-3", "--to", "1", "--steps", "3"],
+    ),
+    # the same, refused past the first CSV chunk: the refused entry's indexed field is the one
+    # the grid rule forms
+    (
+        "unedited",
+        _unedited,
+        ["sweep", "--param", "g", "--from", "0", "--to", "2", "--steps", "9001"],
+    ),
+    (
+        "unedited",
+        _unedited,
+        ["sweep", "--param", "m_count", "--from", "1000", "--to", "-1000", "--steps", "9001"],
     ),
     # the same two grids in the file, and a grid the scenario cannot serve,
     # which is refused before an input construction refuses is built
